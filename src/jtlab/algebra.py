@@ -8,6 +8,12 @@ monomials fill the Ferrers diagram of a partition.
 The Jordan type of multiplication by a linear form L is recovered from the
 rank sequence of its powers: the number of Jordan strings of length >= s
 equals rank(m_L^(s-1)) - rank(m_L^s).
+
+Inside this module a degree-n form is a coordinate vector whose entry t is
+the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
+one place and multiplying by y appends a zero.  The ideal is stored as
+integer rows from linalg.echelon; Fraction appears only where a polynomial
+comes in or goes out.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (
     DegreeOutOfRange,
+    InternalInconsistency,
     NotArtinian,
     ParseError,
     ZeroForm,
@@ -38,21 +45,40 @@ __all__ = [
     "jordan_degree_type",
     "initial_ideal",
     "is_complete_intersection",
+    "require_linear",
 ]
 
 
 def monomials(n):
-    """Monomials of degree n as (x-exp, y-exp), largest first: y^n, ..., x^n."""
+    """Monomials of degree n as (x-exp, y-exp), largest first: y^n, ..., x^n.
+    The position of a monomial in this list is its x-exponent."""
     return [(n - b, b) for b in range(n, -1, -1)]
 
 
 def _poly_vec(f, n):
     """Coordinates of a degree-n form in the y-descending monomial order."""
-    return [f.coefficient(a, b) for a, b in monomials(n)]
+    return [f.coefficient(t, n - t) for t in range(n + 1)]
 
 
 def _vec_poly(vec, n):
-    return BivariatePoly({key: c for key, c in zip(monomials(n), vec)})
+    return BivariatePoly({(t, n - t): c for t, c in enumerate(vec)})
+
+
+def _shifts(rows):
+    """Rows spanning R_1 * V in degree n + 1, from rows spanning V in degree n."""
+    return [[0, *row] for row in rows] + [[*row, 0] for row in rows]
+
+
+def _remainder(vec, pivots, rows, lead):
+    """lead times the remainder of vec modulo the rows of linalg.echelon:
+    the unique vector of vec + span(rows) that is zero in every pivot column,
+    scaled to stay integral when vec is."""
+    out = [lead * v for v in vec]
+    for pc, row in zip(pivots, rows):
+        c = vec[pc]
+        if c:
+            out = [o - c * w for o, w in zip(out, row)]
+    return out
 
 
 class GradedIdeal:
@@ -76,14 +102,16 @@ class GradedIdeal:
 
     def degree_span(self, i):
         """Spanning set of the degree-i piece: monomial multiples of the
-        generators."""
+        generators, as integer coordinate rows."""
         rows = []
         for g in self.generators:
-            shift = i - g.homogeneous_degree()
-            if shift < 0:
-                continue
-            for a, b in monomials(shift):
-                rows.append(_poly_vec(BivariatePoly.monomial(a, b) * g, i))
+            e = g.homogeneous_degree()
+            if e <= i:
+                vec = linalg.primitive(_poly_vec(g, e))
+                # x^a y^(i-e-a) * g
+                rows.extend(
+                    [0] * a + vec + [0] * (i - e - a) for a in range(i - e + 1)
+                )
         return rows
 
     def __str__(self):
@@ -94,20 +122,29 @@ class GradedIdeal:
 
 
 class ArtinAlgebra:
-    """A finite-dimensional graded quotient A = R/I with cached per-degree
-    echelon bases of I and standard-monomial bases of A.
+    """A finite-dimensional graded quotient A = R/I, built through
+    quotient().
 
-    Built through quotient(); all data is computed eagerly at construction
-    and read-only afterwards.
+    Per degree it keeps the echelon rows of I as integers and the standard
+    monomials that form the basis of A; these are fixed at construction.
+    Rank questions about multiplication by a linear form are answered from
+    a rank table that is filled the first time the form is asked about and
+    kept on the algebra for later questions.
     """
 
-    def __init__(self, ideal, pivots, rows, stds, hilbert):
+    def __init__(self, ideal, echelons):
         self.ideal = ideal
-        self._pivots = pivots  # degree -> pivot column indices of I_i
-        self._rows = rows  # degree -> RREF rows of I_i (Fraction)
-        self._stds = stds  # degree -> standard monomials (a, b), y-descending
-        self.hilbert = tuple(hilbert)  # through the socle degree
+        # degree i -> (pivots, rows, lead) of I_i from linalg.echelon,
+        # through the first degree in which I is everything
+        self._echelons = echelons
+        # degree i -> x-exponents of the standard monomials of degree i
+        self._std = [
+            sorted(set(range(i + 1)) - set(pivots))
+            for i, (pivots, _, _) in enumerate(echelons)
+        ]
+        self.hilbert = tuple(len(std) for std in self._std[:-1])
         self.socle_degree = len(self.hilbert) - 1
+        self._rank_tables = {}  # primitive (a, b) of a*x + b*y -> rank table
 
     @property
     def dimension(self):
@@ -121,19 +158,14 @@ class ArtinAlgebra:
     def basis(self, i):
         """Standard monomials of degree i, as (x-exp, y-exp) pairs."""
         if 0 <= i < len(self.hilbert):
-            return self._stds[i]
+            return [(t, i - t) for t in self._std[i]]
         return []
 
-    def ideal_rows(self, i):
-        """Echelonized degree-i piece of the ideal (rows over Fraction)."""
-        if i < len(self._rows):
-            return self._rows[i]
-        # beyond the socle the ideal is everything
-        size = i + 1
-        return [
-            [Fraction(1) if c == r else Fraction(0) for c in range(size)]
-            for r in range(size)
-        ]
+    def _reduce(self, vec, i):
+        """The normal form of a degree-i coordinate vector on the standard
+        basis, times the pivot value of I_i: one scalar for the whole degree."""
+        rest = _remainder(vec, *self._echelons[i])
+        return [rest[t] for t in self._std[i]]
 
     def normal_form_vector(self, f):
         """Coordinates of a homogeneous form modulo I in the standard basis
@@ -143,13 +175,47 @@ class ArtinAlgebra:
         i = f.homogeneous_degree()
         if i > self.socle_degree:
             return []
-        vec = _poly_vec(f, i)
-        for prow, pc in zip(self._rows[i], self._pivots[i]):
-            if vec[pc]:
-                factor = vec[pc]
-                vec = [v - factor * w for v, w in zip(vec, prow)]
-        mono_index = {key: t for t, key in enumerate(monomials(i))}
-        return [vec[mono_index[key]] for key in self._stds[i]]
+        lead = self._echelons[i][2]
+        return [v / lead for v in self._reduce(_poly_vec(f, i), i)]
+
+    def _rank_table(self, ell):
+        """table[u][s - u] = rank of ell^(s-u): A_u -> A_s, for a nonzero
+        linear form ell.
+
+        The one-step map M_i: A_i -> A_(i+1) is the normal form of ell times
+        each standard monomial, all scaled by the same pivot value, so each
+        product M_(s-1)...M_u has the rank of ell^(s-u).  The image of A_u is
+        carried one step at a time and kept as primitive echelon rows.
+        """
+        a, b = linalg.primitive([ell.coefficient(1, 0), ell.coefficient(0, 1)])
+        table = self._rank_tables.get((a, b))
+        if table is not None:
+            return table
+        j = self.socle_degree
+        steps = []  # steps[i][t]: M_i applied to the t-th basis monomial of A_i
+        for i in range(j):
+            images = []
+            for t in self._std[i]:
+                vec = [0] * (i + 2)
+                vec[t], vec[t + 1] = b, a  # y * x^t y^(i-t), x * x^t y^(i-t)
+                images.append(self._reduce(vec, i + 1))
+            steps.append(images)
+        table = []
+        for u in range(j + 1):
+            n = self.hilbert[u]
+            image = [[int(r == c) for c in range(n)] for r in range(n)]
+            ranks = [n]
+            for step in steps[u:]:
+                width = len(step[0])
+                moved = [
+                    [sum(c * v[k] for c, v in zip(row, step)) for k in range(width)]
+                    for row in image
+                ]
+                image = [linalg.primitive(row) for row in linalg.echelon(moved)[1]]
+                ranks.append(len(image))
+            table.append(ranks)
+        self._rank_tables[(a, b)] = table
+        return table
 
     def __repr__(self):
         return f"ArtinAlgebra(H={self.hilbert}, I=({self.ideal}))"
@@ -161,17 +227,14 @@ def quotient(ideal):
     twice the generator degree bound (plus guard)."""
     maxdeg = max(g.homogeneous_degree() for g in ideal.generators)
     bound = 2 * maxdeg + 2
-    pivots, rows, stds, hilbert = [], [], [], []
+    echelons = []
     for i in range(bound + 1):
-        piv, red = linalg.rref(ideal.degree_span(i), i + 1)
-        std = [key for t, key in enumerate(monomials(i)) if t not in piv]
-        pivots.append(piv)
-        rows.append(red)
-        stds.append(std)
-        hilbert.append(len(std))
-        if not std:
-            return ArtinAlgebra(ideal, pivots, rows, stds, hilbert[:-1])
-    raise NotArtinian(f"dim A_{bound} = {hilbert[-1]} > 0 for I = ({ideal})")
+        echelons.append(linalg.echelon(ideal.degree_span(i)))
+        if len(echelons[-1][0]) == i + 1:
+            return ArtinAlgebra(ideal, echelons)
+    raise NotArtinian(
+        f"dim A_{bound} = {bound + 1 - len(echelons[-1][0])} > 0 for I = ({ideal})"
+    )
 
 
 def annihilator(F):
@@ -179,71 +242,33 @@ def annihilator(F):
 
     For each degree i the kernel of the contraction map R_i -> E_(j-i) is
     computed exactly; the new generators in degree i are a complement of
-    R_1 * Ann(F)_(i-1) inside the kernel.
+    R_1 * Ann(F)_(i-1) inside the kernel, each scaled to coprime integer
+    coefficients with a positive leading term.
     """
     if not isinstance(F, BivariatePoly) or F.is_zero():
         raise ZeroInput("dual generator must be a nonzero polynomial")
     j = F.homogeneous_degree()
     generators = []
-    prev_kernel = []  # basis of Ann(F)_(i-1), as polynomials
+    prev_kernel = []  # integer rows spanning Ann(F)_(i-1)
     for i in range(j + 2):
         target = monomials(j - i) if i <= j else []
-        rows = []
-        for a, b in monomials(i):
-            image = contract(BivariatePoly.monomial(a, b), F)
-            rows.append([image.coefficient(*key) for key in target])
+        images = [contract(BivariatePoly.monomial(a, b), F) for a, b in monomials(i)]
+        rows = [[image.coefficient(*key) for image in images] for key in target]
         # kernel of the map sending coordinate vectors to their contraction
-        kernel = [
-            _vec_poly(vec, i)
-            for vec in linalg.kernel_basis(_transpose(rows), i + 1)
-        ]
-        grown = []
-        for p in prev_kernel:
-            grown.append(_poly_vec(BivariatePoly.monomial(1, 0) * p, i))
-            grown.append(_poly_vec(BivariatePoly.monomial(0, 1) * p, i))
-        piv, red = linalg.rref(grown, i + 1)
-        for p in kernel:
-            vec = _poly_vec(p, i)
-            for prow, pc in zip(red, piv):
-                if vec[pc]:
-                    factor = vec[pc]
-                    vec = [v - factor * w for v, w in zip(vec, prow)]
-            if any(vec):
-                generators.append(_tidy(_vec_poly(vec, i)))
-                newpiv, newred = linalg.rref(grown + [_poly_vec(p, i)], i + 1)
-                piv, red, grown = newpiv, newred, grown + [_poly_vec(p, i)]
+        kernel = [linalg.primitive(vec) for vec in linalg.kernel_basis(rows, i + 1)]
+        grown = linalg.echelon(_shifts(prev_kernel))
+        for vec in kernel:
+            rest = _remainder(vec, *grown)
+            if any(rest):
+                generators.append(_vec_poly(linalg.primitive(rest), i))
+                grown = linalg.echelon(grown[1] + [vec])
         prev_kernel = kernel
     return GradedIdeal(generators)
 
 
-def _transpose(rows):
-    if not rows:
-        return []
-    return [list(col) for col in zip(*rows)]
-
-
-def _tidy(f):
-    """Scale to coprime integer coefficients with positive leading term."""
-    coeffs = list(f.terms.values())
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // _gcd_int(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = _gcd_int(g, v)
-    lead = f.sorted_terms()[0][1]
-    sign = -1 if lead < 0 else 1
-    return f * Fraction(sign * scale, g)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _require_linear(ell):
+def require_linear(ell):
+    """ell itself when it is a nonzero linear form; raises ZeroForm or
+    ParseError otherwise."""
     if not isinstance(ell, BivariatePoly) or ell.is_zero():
         raise ZeroForm("linear form must be nonzero")
     if ell.homogeneous_degree() != 1:
@@ -252,18 +277,12 @@ def _require_linear(ell):
 
 
 def rank_mult_power(A, ell, u, s):
-    """Exact rank of multiplication by ell^(s-u) from A_u to A_s."""
-    _require_linear(ell)
+    """Exact rank of multiplication by ell^(s-u) from A_u to A_s, read from
+    the algebra's rank table for ell."""
+    require_linear(ell)
     if not 0 <= u <= s or s > A.socle_degree:
         raise DegreeOutOfRange(f"need 0 <= {u} <= {s} <= {A.socle_degree}")
-    if u == s:
-        return A.dim(u)
-    power = ell ** (s - u)
-    columns = [
-        A.normal_form_vector(power * BivariatePoly.monomial(a, b))
-        for a, b in A.basis(u)
-    ]
-    return linalg.rank(_transpose(columns)) if columns else 0
+    return A._rank_table(ell)[u][s - u]
 
 
 def _power_rank(A, ell, p):
@@ -279,7 +298,7 @@ def jordan_type(A, ell):
 
     The number of blocks of size >= s is rank(m^(s-1)) - rank(m^s).
     """
-    _require_linear(ell)
+    require_linear(ell)
     ranks = [A.dimension]  # rank of m^0
     p = 1
     while ranks[-1] > 0:
@@ -299,7 +318,7 @@ def jordan_degree_type(A, ell):
     Strings of length >= s starting in degree i are counted by
     rank(A_i -> A_(i+s-1)) - rank(A_(i-1) -> A_(i+s-1)).
     """
-    _require_linear(ell)
+    require_linear(ell)
     j = A.socle_degree
 
     def at_least(i, s):
@@ -346,26 +365,31 @@ def cell_generators(Q):
     return tuple(gens)
 
 
-def initial_ideal(ideal, ell):
+def initial_ideal(ideal, ell, algebra=None):
     """Initial monomial data of I in the direction ell.
 
     Coordinates are changed so that ell becomes x (complement y, or x when
     ell is proportional to y); the ideal is echelonized degree by degree in
-    the order y^i > ... > x^i and the leading monomials collected.
+    the order y^i > ... > x^i and the leading monomials collected.  When ell
+    is x the change is the identity, and a given algebra = quotient(ideal)
+    is used instead of building the quotient again.
     """
-    ell = _require_linear(ell)
+    ell = require_linear(ell)
     a, b = ell.coefficient(1, 0), ell.coefficient(0, 1)
-    x, y = BivariatePoly.monomial(1, 0), BivariatePoly.monomial(0, 1)
-    if a != 0:
-        # x = (x' - b y')/a, y = y'
-        px = Fraction(1, 1) / a * x - Fraction(b, 1) / a * y
-        py = y
+    if algebra is not None and (a, b) == (1, 0):
+        A = algebra  # the change of coordinates below would be the identity
     else:
-        # ell = b*y: complement x; x = y', y = x'/b
-        px = y
-        py = Fraction(1, 1) / b * x
-    moved = GradedIdeal([g.substitute(px, py) for g in ideal.generators])
-    A = quotient(moved)
+        x, y = BivariatePoly.monomial(1, 0), BivariatePoly.monomial(0, 1)
+        if a != 0:
+            # x = (x' - b y')/a, y = y'
+            px = Fraction(1, 1) / a * x - Fraction(b, 1) / a * y
+            py = y
+        else:
+            # ell = b*y: complement x; x = y', y = x'/b
+            px = y
+            py = Fraction(1, 1) / b * x
+        moved = GradedIdeal([g.substitute(px, py) for g in ideal.generators])
+        A = quotient(moved)
     rows = [0] * (A.socle_degree + 1)
     fill = []
     for i in range(A.socle_degree + 1):
@@ -374,34 +398,30 @@ def initial_ideal(ideal, ell):
         for xa, yb in std:
             rows[yb] = max(rows[yb], xa + 1)
     parts = [r for r in rows if r]
-    assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)), (
-        "standard monomials do not form a Ferrers diagram"
-    )
+    if any(p < q for p, q in zip(parts, parts[1:])):
+        raise InternalInconsistency("standard monomials do not form a Ferrers diagram")
     Q = Partition(parts)
-    assert Q.size == A.dimension
+    if Q.size != A.dimension:
+        raise InternalInconsistency(
+            f"initial partition {Q} has size {Q.size}, not dim A = {A.dimension}"
+        )
     return MonomialCell(partition=Q, fill=tuple(fill), generators=cell_generators(Q))
 
 
-def is_complete_intersection(ideal):
+def is_complete_intersection(ideal, algebra=None):
     """Whether I is minimally generated by two forms; also returns the
-    minimal generator degrees.
+    minimal generator degrees.  algebra, when given, is quotient(ideal).
 
     The count of new generators in degree i is dim I_i - dim R_1*I_(i-1).
     """
-    A = quotient(ideal)
+    A = algebra if algebra is not None else quotient(ideal)
     degrees = []
-    prev_basis = []  # polynomials spanning I_(i-1)
     for i in range(A.socle_degree + 2):
-        dim_Ii = (i + 1) - A.dim(i)
-        grown = []
-        for p in prev_basis:
-            grown.append(_poly_vec(BivariatePoly.monomial(1, 0) * p, i))
-            grown.append(_poly_vec(BivariatePoly.monomial(0, 1) * p, i))
-        piv, _ = linalg.rref(grown, i + 1)
-        new = dim_Ii - len(piv)
-        assert new >= 0
+        grown = linalg.rank(_shifts(A._echelons[i - 1][1])) if i else 0
+        new = (i + 1) - A.dim(i) - grown
+        if new < 0:
+            raise InternalInconsistency(
+                f"dim I_{i} < dim R_1*I_{i - 1} for I = ({ideal})"
+            )
         degrees.extend([i] * new)
-        prev_basis = [
-            _vec_poly(row, i) for row in A.ideal_rows(i)
-        ]
     return len(degrees) == 2, tuple(degrees)

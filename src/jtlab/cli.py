@@ -22,6 +22,7 @@ from .algebra import (
     jordan_type,
     quotient,
     rank_mult_power,
+    require_linear,
 )
 from .codes import (
     enumerate_cijt,
@@ -365,7 +366,7 @@ def _parse_ideal_arg(text):
 
 def cmd_jordan(args, out, err):
     try:
-        ell = parse_poly(args.ell)
+        ell = require_linear(parse_poly(args.ell))
         if args.dual is not None:
             F = parse_poly(args.dual)
             ideal = annihilator(F)

@@ -207,7 +207,7 @@ def verify_realization(realization):
             )
         )
 
-    is_ci, degs = is_complete_intersection(ideal)
+    is_ci, degs = is_complete_intersection(ideal, algebra=A)
     want_degs = (d, d + k - 1)
     checks.append(
         Check(
@@ -231,7 +231,7 @@ def verify_realization(realization):
     checks.append(Check("jordan_type", observed_jt == P, str(P), str(observed_jt)))
 
     expected_gens = cell_generators(P)
-    cell = initial_ideal(ideal, _ELL_X)
+    cell = initial_ideal(ideal, _ELL_X, algebra=A)
     checks.append(
         Check(
             "initial_ideal",

@@ -1,94 +1,96 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, carried out on integers.
 
-Ranks are computed by fraction-free (Bareiss) elimination on integer
-matrices obtained by clearing denominators row by row, so no intermediate
-rationals appear.  Reduced row echelon form over Fraction is kept for
-basis extraction and normal forms, where the reduced rows themselves are
-needed.
+All elimination goes through one routine, `echelon`: fraction-free
+Gauss-Jordan elimination on integer rows (Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 1968,
+applied above the pivot as well as below it).  Every entry it produces is
+a minor of its input, so each division is exact and no rational number
+appears inside the elimination.  It returns the reduced rows scaled by one
+common pivot value; dividing by that value gives the reduced row echelon
+form over Q.
+
+`rank`, `rref` and `kernel_basis` accept rows with Fraction or int
+entries and clear denominators row by row with `primitive`.  Only `rref`
+and `kernel_basis` convert back to Fraction, when they return.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-__all__ = ["rank", "rref", "kernel_basis"]
+from .errors import InternalInconsistency
+
+__all__ = ["primitive", "echelon", "rank", "rref", "kernel_basis"]
 
 
-def _integer_rows(rows):
-    out = []
-    for row in rows:
-        fr = [Fraction(v) for v in row]
-        scale = 1
-        for v in fr:
-            if v.denominator != 1:
-                scale = scale * v.denominator // _gcd(scale, v.denominator)
-        out.append([int(v * scale) for v in fr])
-    return out
+def primitive(row):
+    """The integer row proportional to row (Fraction or int entries) with
+    coprime entries and its first nonzero entry positive; zero stays zero."""
+    scale = math.lcm(*(v.denominator for v in row))
+    ints = [int(v * scale) for v in row]
+    g = math.gcd(*ints)
+    if g == 0:
+        return ints
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return [v // g for v in ints]
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _divide_exact(row, den):
+    """row / den entrywise; fraction-free elimination guarantees that each
+    quotient is an integer."""
+    if any(v % den for v in row):
+        raise InternalInconsistency("fraction-free elimination lost integrality")
+    return [v // den for v in row]
 
 
-def _exact_div(num, den):
-    q, rem = divmod(num, den)
-    assert rem == 0, "fraction-free elimination lost integrality"
-    return q
+def echelon(rows):
+    """Fraction-free reduced echelon form of a matrix with integer entries.
+
+    Returns (pivots, reduced, lead): the pivot columns in increasing order,
+    and one row per pivot in which column pivots[k] holds lead and every
+    other pivot column holds 0.  reduced / lead is the reduced row echelon
+    form over Q, and reduced spans the row space of rows.
+    """
+    m = [list(row) for row in rows if any(row)]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    prev = 1  # the previous pivot value, which divides every update exactly
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        prow = m[r]
+        lead = prow[c]
+        for i, row in enumerate(m):
+            if i != r:
+                head = row[c]
+                new = [lead * v - head * w for v, w in zip(row, prow)]
+                m[i] = _divide_exact(new, prev) if prev != 1 else new
+        pivots.append(c)
+        prev = lead
+    return pivots, m[: len(pivots)], prev
 
 
 def rank(rows):
     """Rank of a matrix given as a list of rows (Fraction or int entries)."""
-    if not rows:
-        return 0
-    m = _integer_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue  # column is zero below r; _exact_div guards the invariant
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][c]
-        for i in range(r + 1, nrows):
-            head = m[i][c]
-            for k in range(c + 1, ncols):
-                m[i][k] = _exact_div(m[i][k] * lead - head * m[r][k], prev)
-            m[i][c] = 0
-        prev = lead
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(echelon([primitive(row) for row in rows])[0])
 
 
 def rref(rows, ncols):
     """Reduced row echelon form over Fraction.
 
     Returns (pivots, reduced) where pivots is the ordered list of pivot
-    column indices and reduced the corresponding normalized rows.
+    column indices and reduced the corresponding normalized rows.  ncols
+    is the row length, which only kernel_basis needs.
     """
-    work = [[Fraction(v) for v in row] for row in rows if any(row)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return pivots, work[: len(pivots)]
+    pivots, reduced, lead = echelon([primitive(row) for row in rows])
+    return pivots, [[Fraction(v, lead) for v in row] for row in reduced]
 
 
 def kernel_basis(rows, ncols):
@@ -97,13 +99,12 @@ def kernel_basis(rows, ncols):
     Vectors are returned RREF-style: one per free column, with a 1 in the
     free coordinate.
     """
-    pivots, reduced = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, reduced, lead = echelon([primitive(row) for row in rows])
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for prow, pc in zip(reduced, pivots):
-            vec[pc] = -prow[fc]
+            vec[pc] = Fraction(-prow[fc], lead)
         basis.append(vec)
     return basis

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jtlab
 from jtlab import linalg
 from jtlab.algebra import (
     GradedIdeal,
@@ -13,17 +18,20 @@ from jtlab.algebra import (
     is_complete_intersection,
     jordan_degree_type,
     jordan_type,
+    monomials,
     quotient,
     rank_mult_power,
 )
 from jtlab.errors import (
     DegreeOutOfRange,
+    InternalInconsistency,
     NotArtinian,
     ZeroForm,
     ZeroInput,
 )
 from jtlab.partitions import HilbertFunction, Partition, diagonal_lengths
 from jtlab.polynomials import BivariatePoly, contract, parse_poly
+from tests_support import random_dual_generator
 
 X = BivariatePoly.monomial(1, 0)
 Y = BivariatePoly.monomial(0, 1)
@@ -268,15 +276,22 @@ def test_initial_ideal_agrees_with_jordan_type():
     for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5)]:
         ell = BivariatePoly.linear(a, b)
         assert initial_ideal(I, ell).partition == jordan_type(A, ell)
+        # the algebra of I is reused only for ell = x
+        assert initial_ideal(I, ell, algebra=A) == initial_ideal(I, ell)
 
 
 # -- complete intersection test ------------------------------------------------------
 
 
 def test_is_complete_intersection():
-    assert is_complete_intersection(ideal("x^2*y", "y^4+x^4")) == (True, (3, 4))
-    assert is_complete_intersection(ideal("x*y", "x^3", "y^4")) == (False, (2, 3, 4))
-    assert is_complete_intersection(ideal("x^3", "y^4")) == (True, (3, 4))
+    cases = [
+        (ideal("x^2*y", "y^4+x^4"), (True, (3, 4))),
+        (ideal("x*y", "x^3", "y^4"), (False, (2, 3, 4))),
+        (ideal("x^3", "y^4"), (True, (3, 4))),
+    ]
+    for I, want in cases:
+        assert is_complete_intersection(I) == want
+        assert is_complete_intersection(I, algebra=quotient(I)) == want
 
 
 # -- fuzzed soundness -------------------------------------------------------------
@@ -393,6 +408,120 @@ def test_jordan_type_matches_full_matrix_power_ranks():
             assert jordan_type(A, ell) == _brute_force_jordan_type(A, ell)
 
 
+# -- rank tables against the slow exact path --------------------------------------
+
+
+def _fraction_rref(rows, ncols):
+    """Gauss-Jordan elimination over Fraction: the reference for linalg.rref."""
+    work = [[Fraction(v) for v in row] for row in rows if any(row)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [v * inv for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return pivots, work[: len(pivots)]
+
+
+def _fraction_kernel(rows, ncols):
+    pivots, reduced = _fraction_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for prow, pc in zip(reduced, pivots):
+            vec[pc] = -prow[fc]
+        basis.append(vec)
+    return basis
+
+
+def _reference_ranks(I, ell, j):
+    """{(u, s): rank of ell^(s-u): A_u -> A_s} for 0 <= u <= s <= j, one pair
+    at a time: the Fraction RREF of each degree of I built from polynomial
+    products, the normal form of ell^(s-u) * m for every standard monomial m
+    of degree u, then linalg.rank of those columns."""
+
+    def coords(f, n):
+        return [f.coefficient(a, b) for a, b in monomials(n)]
+
+    echelons = []
+    for i in range(j + 1):
+        span = [
+            coords(BivariatePoly.monomial(a, b) * g, i)
+            for g in I.generators
+            if g.homogeneous_degree() <= i
+            for a, b in monomials(i - g.homogeneous_degree())
+        ]
+        pivots, reduced = _fraction_rref(span, i + 1)
+        std = [t for t in range(i + 1) if t not in pivots]
+        echelons.append((pivots, reduced, std))
+
+    ranks = {}
+    for u in range(j + 1):
+        for s in range(u, j + 1):
+            pivots, reduced, std = echelons[s]
+            power = ell ** (s - u)
+            columns = []
+            for key, mono in enumerate(monomials(u)):
+                if key not in echelons[u][2]:
+                    continue
+                vec = coords(power * BivariatePoly.monomial(*mono), s)
+                for prow, pc in zip(reduced, pivots):
+                    if vec[pc]:
+                        factor = vec[pc]
+                        vec = [v - factor * w for v, w in zip(vec, prow)]
+                columns.append([vec[t] for t in std])
+            rows = [list(c) for c in zip(*columns)]
+            ranks[(u, s)] = linalg.rank(rows) if columns else 0
+    return ranks
+
+
+DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, 2)]
+
+
+def _rank_table_cases():
+    rng = random.Random(20260811)
+    cases = [("degenerate x on (x^2, y^3)", ideal("x^2", "y^3"), [(1, 0)])]
+    for n in range(6):
+        cases.append((f"random CI {n}", _random_artinian_ideal(rng)[0], DIRECTIONS))
+    for n in range(6):
+        F = random_dual_generator(rng, jmin=4, jmax=8)
+        cases.append((f"random dual {n}", annihilator(F), DIRECTIONS))
+    power_sum = parse_poly("X+Y") ** 5 + parse_poly("X-Y") ** 5 + parse_poly("X") ** 5
+    cases.append(("power-sum dual", annihilator(power_sum), DIRECTIONS))
+    cases.append(("monomial dual", annihilator(parse_poly("X^2*Y^3")), DIRECTIONS))
+    return cases
+
+
+RANK_TABLE_CASES = _rank_table_cases()
+
+
+@pytest.mark.parametrize(
+    "I, directions",
+    [case[1:] for case in RANK_TABLE_CASES],
+    ids=[case[0] for case in RANK_TABLE_CASES],
+)
+def test_rank_table_matches_per_pair_reference(I, directions):
+    A = quotient(I)
+    j = A.socle_degree
+    for a, b in directions:
+        ell = BivariatePoly.linear(a, b)
+        want = _reference_ranks(I, ell, j)
+        got = {(u, s): rank_mult_power(A, ell, u, s) for u, s in want}
+        assert got == want
+
+
 # -- exact linear algebra ------------------------------------------------------------
 
 
@@ -423,3 +552,51 @@ def test_kernel_basis_is_a_kernel():
     for vec in linalg.kernel_basis(rows, 4):
         for row in rows:
             assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(
+                st.fractions(min_value=-9, max_value=9, max_denominator=3)
+                | st.just(Fraction(0)),
+                min_size=ncols,
+                max_size=ncols,
+            ),
+            max_size=7,
+        ).map(lambda rows: (rows, ncols))
+    ),
+    st.lists(st.integers(-2, 2), max_size=7),
+)
+@settings(max_examples=300)
+def test_rref_and_kernel_match_fraction_gauss_jordan(shaped, mix):
+    rows, ncols = shaped
+    # append combinations of earlier rows so rank deficiency is common
+    for n, c in enumerate(mix):
+        if len(rows) >= 2:
+            rows.append([v + c * w for v, w in zip(rows[n % len(rows)], rows[-1])])
+    assert linalg.rref(rows, ncols) == _fraction_rref(rows, ncols)
+    assert linalg.kernel_basis(rows, ncols) == _fraction_kernel(rows, ncols)
+    assert linalg.rank(rows) == len(_fraction_rref(rows, ncols)[0])
+
+
+INEXACT_DIVISION = "from jtlab import linalg; linalg._divide_exact([6, 7], 2)"
+
+
+def test_inexact_division_raises():
+    with pytest.raises(InternalInconsistency):
+        linalg._divide_exact([6, 7], 2)
+    assert linalg._divide_exact([6, -8], 2) == [3, -4]
+
+
+def test_inexact_division_raises_under_optimize():
+    src = str(Path(jtlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INEXACT_DIVISION],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "InternalInconsistency" in proc.stderr

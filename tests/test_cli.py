@@ -198,6 +198,14 @@ def test_jordan_non_artinian_exits_5():
     assert code == 5 and err
 
 
+@pytest.mark.parametrize("source", [("x^2,y^2",), ("--dual", "X*Y")], ids=["ideal", "dual"])
+@pytest.mark.parametrize("ell", ["0", "1", "x^2"])
+def test_jordan_bad_linear_form_exits_2(source, ell):
+    code, out, err = run_cli("jordan", *source, "--ell", ell)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_jordan_ideal_from_file(tmp_path):
     path = tmp_path / "ideal.txt"
     path.write_text("x^2, y^3")
