@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     ZeroInput,
 )
 from .partitions import JordanDegreeType, Partition
-from .polynomials import BivariatePoly, contract
+from .polynomials import BivariatePoly, divided_power_vector
 
 __all__ = [
     "GradedIdeal",
@@ -144,7 +145,7 @@ class ArtinAlgebra:
         ]
         self.hilbert = tuple(len(std) for std in self._std[:-1])
         self.socle_degree = len(self.hilbert) - 1
-        self._rank_tables = {}  # primitive (a, b) of a*x + b*y -> rank table
+        self._rank_tables = {}  # coefficients (a, b) of a*x + b*y -> rank table
 
     @property
     def dimension(self):
@@ -180,41 +181,44 @@ class ArtinAlgebra:
 
     def _rank_table(self, ell):
         """table[u][s - u] = rank of ell^(s-u): A_u -> A_s, for a nonzero
-        linear form ell.
+        linear form ell; kept under ell's coefficient pair.
 
         The one-step map M_i: A_i -> A_(i+1) is the normal form of ell times
         each standard monomial, all scaled by the same pivot value, so each
-        product M_(s-1)...M_u has the rank of ell^(s-u).  The image of A_u is
-        carried one step at a time and kept as primitive echelon rows.
+        product M_(s-1)...M_u has the rank of ell^(s-u).  Rows are filled for
+        u descending.  The image of A_u is carried one step at a time and
+        kept as primitive echelon rows until, at some s, it is all of A_s.
+        Then ell^(t-u) A_u = ell^(t-s) A_s for every t >= s, so the rest of
+        row u is row s, which is already filled, and is copied from it.
         """
-        a, b = linalg.primitive([ell.coefficient(1, 0), ell.coefficient(0, 1)])
-        table = self._rank_tables.get((a, b))
+        key = (ell.coefficient(1, 0), ell.coefficient(0, 1))
+        table = self._rank_tables.get(key)
         if table is not None:
             return table
+        a, b = linalg.primitive(key)
         j = self.socle_degree
-        steps = []  # steps[i][t]: M_i applied to the t-th basis monomial of A_i
+        columns = []  # columns[i][k]: coordinate k of M_i on each basis monomial
         for i in range(j):
             images = []
             for t in self._std[i]:
                 vec = [0] * (i + 2)
                 vec[t], vec[t + 1] = b, a  # y * x^t y^(i-t), x * x^t y^(i-t)
                 images.append(self._reduce(vec, i + 1))
-            steps.append(images)
-        table = []
-        for u in range(j + 1):
+            columns.append(list(zip(*images)))
+        table = [None] * (j + 1)
+        for u in range(j, -1, -1):
             n = self.hilbert[u]
             image = [[int(r == c) for c in range(n)] for r in range(n)]
             ranks = [n]
-            for step in steps[u:]:
-                width = len(step[0])
-                moved = [
-                    [sum(c * v[k] for c, v in zip(row, step)) for k in range(width)]
-                    for row in image
-                ]
+            for s in range(u + 1, j + 1):
+                moved = [[sum(map(mul, row, col)) for col in columns[s - 1]] for row in image]
                 image = [linalg.primitive(row) for row in linalg.echelon(moved)[1]]
+                if len(image) == self.hilbert[s]:
+                    ranks.extend(table[s])
+                    break
                 ranks.append(len(image))
-            table.append(ranks)
-        self._rank_tables[(a, b)] = table
+            table[u] = ranks
+        self._rank_tables[key] = table
         return table
 
     def __repr__(self):
@@ -240,22 +244,27 @@ def quotient(ideal):
 def annihilator(F):
     """Minimal homogeneous generators of Ann(F) = {f : f o F = 0}.
 
-    For each degree i the kernel of the contraction map R_i -> E_(j-i) is
-    computed exactly; the new generators in degree i are a complement of
-    R_1 * Ann(F)_(i-1) inside the kernel, each scaled to coprime integer
-    coefficients with a positive leading term.
+    For each degree i, Ann(F)_i is the kernel of the catalecticant, the
+    contraction map R_i -> E_(j-i).  Its row of Y^v is scaled by
+    (j-i-v)! v!, which leaves the kernel unchanged and makes it the integer
+    Hankel matrix [g_(v+i-t)] of F's divided-power vector g
+    (polynomials.divided_power_vector); the kernel is read off its
+    fraction-free echelon form.  The new generators in degree i are a
+    complement of R_1 * Ann(F)_(i-1) inside the kernel, each scaled to
+    coprime integer coefficients with a positive leading term.
     """
     if not isinstance(F, BivariatePoly) or F.is_zero():
         raise ZeroInput("dual generator must be a nonzero polynomial")
     j = F.homogeneous_degree()
+    g = divided_power_vector(F)
     generators = []
     prev_kernel = []  # integer rows spanning Ann(F)_(i-1)
     for i in range(j + 2):
-        target = monomials(j - i) if i <= j else []
-        images = [contract(BivariatePoly.monomial(a, b), F) for a, b in monomials(i)]
-        rows = [[image.coefficient(*key) for image in images] for key in target]
-        # kernel of the map sending coordinate vectors to their contraction
-        kernel = [linalg.primitive(vec) for vec in linalg.kernel_basis(rows, i + 1)]
+        # the catalecticant R_i -> E_(j-i), with the row of Y^v scaled by
+        # (j-i-v)! v!: its entry at column x^t y^(i-t) is g_(v+i-t)
+        rows = [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
+        null = linalg.null_vectors(*linalg.echelon(rows), i + 1)
+        kernel = [linalg.primitive(vec) for vec in null]
         grown = linalg.echelon(_shifts(prev_kernel))
         for vec in kernel:
             rest = _remainder(vec, *grown)

@@ -30,7 +30,7 @@ from .errors import (
     NotCIJTWithDParts,
     ParseError,
 )
-from .partitions import HilbertFunction, Partition, diagonal_lengths
+from .partitions import HilbertFunction, Partition, column_lengths, diagonal_lengths
 
 __all__ = [
     "E",
@@ -125,15 +125,6 @@ class BranchLabel:
         return f"BranchLabel({str(self)!r})"
 
 
-def _column_lengths(P):
-    """Column lengths of the Ferrers diagram, indexed by x-exponent."""
-    cols = [0] * P.parts[0]
-    for p in P.parts:
-        for m in range(p):
-            cols[m] += 1
-    return cols
-
-
 def _gap_positions(P, d):
     """x-exponents m in [0, d] with no cell of the diagram at x^m y^(d-m)."""
     gaps = []
@@ -156,7 +147,7 @@ def partition_to_branch_label(P):
     T = HilbertFunction(diagonal_lengths(P))
     d, k = T.d, T.k
     s = max(0, k - 2)
-    cols = _column_lengths(P)
+    cols = column_lengths(P)
     gaps = _gap_positions(P, d)
 
     def col_len(m):

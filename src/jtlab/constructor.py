@@ -26,7 +26,7 @@ from .algebra import (
     rank_mult_power,
 )
 from .codes import enumerate_cijt, is_cijt
-from .errors import NotArtinian, NotCIJT
+from .errors import InternalInconsistency, NotArtinian, NotCIJT
 from .hessians import nonvanishing_set, predicted_nonvanishing_set, predicted_rank_profile
 from .partitions import HilbertFunction, Partition, diagonal_lengths, format_caret_list
 from .polynomials import BivariatePoly
@@ -116,7 +116,8 @@ def construct_ci(P, lambda2=None, seed=None):
         second = (
             (Fraction(0),) * (n_prev + n_i - 1) + (Fraction(1),) + lam[i - 1]
         )
-        assert len(first) == len(second) == prefix[i]
+        if not len(first) == len(second) == prefix[i]:
+            raise InternalInconsistency(f"Lambda_{i + 1} summands of {P} are not of length a_{i}")
         lam[i + 1] = tuple(u + v for u, v in zip(first, second))
 
     p = [None] + [pi for pi, _ in pf] + [0]  # p[1..t+1], 1-based
@@ -125,9 +126,11 @@ def construct_ci(P, lambda2=None, seed=None):
         chain.append(_chain_poly(p[i], prefix[i - 1], lam[i]))
     for i in range(2, t + 1):
         # degree bookkeeping and the two-term relation of the chain
-        assert p[i - 1] + prefix[i - 2] == p[i] + prefix[i]
+        if p[i - 1] + prefix[i - 2] != p[i] + prefix[i]:
+            raise InternalInconsistency(f"f_{i - 1} and f_{i + 1} of {P} differ in degree")
         relation = _X ** (p[i] - p[i + 1]) * chain[i + 1] - chain[i] * _Y ** pf[i - 1][1]
-        assert relation == chain[i - 1], "chain recurrence violated"
+        if relation != chain[i - 1]:
+            raise InternalInconsistency(f"chain recurrence violated at f_{i - 1} of {P}")
 
     return Realization(
         partition=P,

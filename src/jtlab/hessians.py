@@ -8,6 +8,18 @@ exactly when multiplication by L^(j-2i) from A_i to A_(j-i) drops rank.
 Vanishing is therefore always decided here by exact ranks of multiplication
 maps; symbolic determinants are only for display.
 
+The rank of the i-th Hessian at a point needs no symbolic matrix.  The
+matrix is Hankel: its entry in row r, column c is
+(x^(2i-t) y^t o F)(a, b) with t = r + c.  With g the divided-power vector
+of F (polynomials.divided_power_vector) and n = j - 2i,
+
+    h_t = sum_r C(n, r) a^(n-r) b^r g_(t+r),   t = 0, ..., 2i,
+
+is n! times that entry, up to the one common factor of g.  The rank is
+taken of the integer Hankel matrix [h_(r+c)], with (a, b) first scaled to
+coprime integers: a nonzero scale of the point, of g or of every entry
+changes no rank.
+
 Mixed orders are written (u, s) = (source degree, target degree): the rank
 of L^(s-u): A_u -> A_s.  In the determinant picture this map corresponds to
 the mixed Hessian of bases A_u and A_(j-s), i.e. (u, s) <-> (u, j-s) in the
@@ -16,22 +28,26 @@ two-basis indexing.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .algebra import annihilator, quotient, rank_mult_power
 from .codes import cijt_from_composition, is_cijt
 from .errors import (
+    InternalInconsistency,
     InvalidSubset,
     NotCIJT,
     OrderOutOfRange,
     TopRequiresKGe2,
 )
-from .linalg import rank as matrix_rank
+from .linalg import echelon, primitive
 from .partitions import (
     HilbertFunction,
     Partition,
     diagonal_lengths,
     sl_partition,
 )
-from .polynomials import BivariatePoly, contract
+from .polynomials import BivariatePoly, contract, divided_power_vector
 
 __all__ = [
     "hessian_matrix",
@@ -54,13 +70,21 @@ def hessian_matrix(F, i, algebra=None):
     Gorenstein quotient of k[x,y] starts in degree d > i), ordered by
     descending x-exponent: (x^i, x^(i-1) y, ..., y^i).
     """
+    _check_order(F, i, algebra)
+    basis = [BivariatePoly.monomial(i - b, b) for b in range(i + 1)]
+    return [[contract(mu * mv, F) for mv in basis] for mu in basis]
+
+
+def _check_order(F, i, algebra):
+    """Raise OrderOutOfRange unless 0 <= i <= d-1 for the Hilbert function
+    of algebra, or of quotient(annihilator(F)) when algebra is None, and
+    InternalInconsistency unless A_i is all of R_i, as it is below d."""
     A = algebra if algebra is not None else quotient(annihilator(F))
     T = HilbertFunction(A.hilbert)
     if not 0 <= i <= T.d - 1:
         raise OrderOutOfRange(f"order {i} outside [0, {T.d - 1}]")
-    assert A.dim(i) == i + 1
-    basis = [BivariatePoly.monomial(i - b, b) for b in range(i + 1)]
-    return [[contract(mu * mv, F) for mv in basis] for mu in basis]
+    if A.dim(i) != i + 1:
+        raise InternalInconsistency(f"dim A_{i} = {A.dim(i)}, not {i + 1}, below d = {T.d}")
 
 
 def hessian_determinant(F, i, algebra=None):
@@ -89,8 +113,20 @@ def evaluate_matrix(mat, a, b):
 
 
 def hessian_rank_at(F, i, point, algebra=None):
-    """Rank of the i-th Hessian matrix of F evaluated at (a, b)."""
-    return matrix_rank(evaluate_matrix(hessian_matrix(F, i, algebra), *point))
+    """Rank of the i-th Hessian matrix of F evaluated at point = (a, b).
+
+    The rank of the integer Hankel matrix [h_(r+c)] of the module
+    docstring, which is n! = (j - 2i)! times the evaluated Hessian up to
+    one nonzero factor.  It is computed from F alone; algebra, when given,
+    is quotient(annihilator(F)) and serves only the order check.
+    """
+    _check_order(F, i, algebra)
+    g = divided_power_vector(F)
+    n = len(g) - 1 - 2 * i
+    a, b = primitive([Fraction(v) for v in point])
+    weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
+    h = [sum(w * v for w, v in zip(weights, g[t:])) for t in range(2 * i + 1)]
+    return len(echelon([h[r : r + i + 1] for r in range(i + 1)])[0])
 
 
 def active_hessian_indices(T):
@@ -190,7 +226,8 @@ def predicted_rank_profile(P):
                 for s in range(d, j - (m + n + 1) + 1):
                     profile[(m + i, s)] = m + i + 1
         else:
-            assert k >= 2 and top == d - 1
+            if k < 2 or top != d - 1:
+                raise InternalInconsistency(f"vanishing run {m}..{top} of {P} past order d-2")
             for i in range(n + k // 2):
                 for s in range(d, j - (m + i) + 1):
                     profile[(m + i, s)] = max(2 * m + n + i + 1 - s, m)
@@ -229,5 +266,6 @@ def generic_jordan_type(T, which):
         for t in range(len(seq) - d + 1)
         if all(k <= v <= j + 1 for v in seq[t : t + d])
     ]
-    assert windows, "no admissible window; T too small for this order"
+    if not windows:
+        raise InternalInconsistency(f"no admissible window for order {i} of {T}")
     return Partition(max(windows))

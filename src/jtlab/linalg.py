@@ -11,7 +11,9 @@ form over Q.
 
 `rank`, `rref` and `kernel_basis` accept rows with Fraction or int
 entries and clear denominators row by row with `primitive`.  Only `rref`
-and `kernel_basis` convert back to Fraction, when they return.
+and `kernel_basis` convert back to Fraction, when they return.  Callers
+that already hold integer rows read a kernel straight off `echelon` with
+`null_vectors`.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency
 
-__all__ = ["primitive", "echelon", "rank", "rref", "kernel_basis"]
+__all__ = ["primitive", "echelon", "null_vectors", "rank", "rref", "kernel_basis"]
 
 
 def primitive(row):
     """The integer row proportional to row (Fraction or int entries) with
     coprime entries and its first nonzero entry positive; zero stays zero."""
     scale = math.lcm(*(v.denominator for v in row))
-    ints = [int(v * scale) for v in row]
+    ints = [v.numerator * (scale // v.denominator) for v in row]
     g = math.gcd(*ints)
     if g == 0:
         return ints
@@ -100,11 +102,21 @@ def kernel_basis(rows, ncols):
     free coordinate.
     """
     pivots, reduced, lead = echelon([primitive(row) for row in rows])
+    return [
+        [Fraction(v, lead) for v in vec]
+        for vec in null_vectors(pivots, reduced, lead, ncols)
+    ]
+
+
+def null_vectors(pivots, reduced, lead, ncols):
+    """Integer basis of the null space of a matrix, from its echelon form
+    (pivots, reduced, lead) and its row length ncols: one vector per free
+    column, holding lead there.  Divided by lead they are kernel_basis."""
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = lead
         for prow, pc in zip(reduced, pivots):
-            vec[pc] = Fraction(-prow[fc], lead)
+            vec[pc] = -prow[fc]
         basis.append(vec)
     return basis

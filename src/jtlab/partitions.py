@@ -30,6 +30,7 @@ __all__ = [
     "HilbertFunction",
     "JordanDegreeType",
     "diagonal_lengths",
+    "column_lengths",
     "conjugate",
     "sl_partition",
     "validate_ci_hilbert",
@@ -152,14 +153,19 @@ def diagonal_lengths(P):
     return tuple(t)
 
 
-def conjugate(P):
-    """Transpose of the Ferrers diagram (switch rows and columns)."""
-    P = Partition(P)
+def column_lengths(P):
+    """Column lengths of the Ferrers diagram of the Partition P, indexed by
+    x-exponent: entry m counts the parts larger than m."""
     cols = [0] * P.parts[0]
     for p in P.parts:
         for m in range(p):
             cols[m] += 1
-    return Partition(cols)
+    return cols
+
+
+def conjugate(P):
+    """Transpose of the Ferrers diagram (switch rows and columns)."""
+    return Partition(column_lengths(Partition(P)))
 
 
 def validate_ci_hilbert(T):

@@ -6,24 +6,32 @@ zero coefficients.  The polynomial ring R = k[x,y] acts on its dual
 E = k[X,Y] by differentiation (apolarity): x^i y^j sends X^u Y^v to
 u(u-1)...(u+1-i) * v(v-1)...(v+1-j) * X^(u-i) Y^(v-j), zero when an
 exponent is insufficient.
+
+For a form F = sum c_m X^(j-m) Y^m of degree j, every contraction of F is
+read off one integer vector: x^(j-m) y^m o F = c_m (j-m)! m!, and
+`divided_power_vector` returns these j+1 numbers as coprime integers.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import ParseError, ZeroInput
+from .linalg import primitive
 
 __all__ = [
     "BivariatePoly",
     "contract",
+    "divided_power_vector",
     "falling_factorial",
     "parse_poly",
     "X_VARS",
 ]
 
 X_VARS = ("X", "Y")
+_ZERO = Fraction(0)
 
 
 class BivariatePoly:
@@ -79,7 +87,7 @@ class BivariatePoly:
         return self.degree()
 
     def coefficient(self, a, b):
-        return self.terms.get((a, b), Fraction(0))
+        return self.terms.get((a, b), _ZERO)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -208,6 +216,19 @@ def contract(f, F):
             coeff = c * C * falling_factorial(u, i) * falling_factorial(v, j)
             out[key] = out.get(key, Fraction(0)) + coeff
     return BivariatePoly(out)
+
+
+def divided_power_vector(F):
+    """Coprime integers g_0, ..., g_j proportional to c_m (j-m)! m! for
+    F = sum c_m X^(j-m) Y^m: the coefficients of F in the divided-power
+    basis, and the values x^(j-m) y^m o F up to one common factor."""
+    j = F.homogeneous_degree()
+    coeffs = [F.coefficient(j - m, m) for m in range(j + 1)]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    fact = math.factorial
+    return primitive(
+        [c.numerator * (scale // c.denominator) * fact(j - m) * fact(m) for m, c in enumerate(coeffs)]
+    )
 
 
 _TERM_RE = re.compile(

@@ -12,6 +12,9 @@ import jtlab
 from jtlab import linalg
 from jtlab.algebra import (
     GradedIdeal,
+    _remainder,
+    _shifts,
+    _vec_poly,
     annihilator,
     cell_generators,
     initial_ideal,
@@ -30,8 +33,8 @@ from jtlab.errors import (
     ZeroInput,
 )
 from jtlab.partitions import HilbertFunction, Partition, diagonal_lengths
-from jtlab.polynomials import BivariatePoly, contract, parse_poly
-from tests_support import random_dual_generator
+from jtlab.polynomials import BivariatePoly, contract, divided_power_vector, parse_poly
+from tests_support import power_sum_duals, random_dual_generator
 
 X = BivariatePoly.monomial(1, 0)
 Y = BivariatePoly.monomial(0, 1)
@@ -85,7 +88,49 @@ def test_contract_is_bilinear_module_action():
     assert contract(f * g, F) == contract(f, contract(g, F))
 
 
+def test_divided_power_vector_is_the_top_contractions():
+    rng = random.Random(5150)
+    duals = [random_dual_generator(rng) for _ in range(20)] + power_sum_duals()
+    for F in duals + [parse_poly("X^2*Y^3"), parse_poly("3/2*X^4")]:
+        j = F.homogeneous_degree()
+        values = [contract(BivariatePoly.monomial(j - m, m), F) for m in range(j + 1)]
+        want = linalg.primitive([v.coefficient(0, 0) for v in values])
+        assert divided_power_vector(F) == want
+    assert divided_power_vector(parse_poly("X^2*Y^3")) == [0, 0, 0, 1, 0, 0]
+
+
 # -- annihilator ----------------------------------------------------------------
+
+
+def _reference_annihilator(F):
+    """Ann(F) by the contraction path: the catalecticant built entry by
+    entry with contract, and its kernel taken over Fraction."""
+    j = F.homogeneous_degree()
+    generators = []
+    prev_kernel = []
+    for i in range(j + 2):
+        target = monomials(j - i) if i <= j else []
+        images = [contract(BivariatePoly.monomial(a, b), F) for a, b in monomials(i)]
+        rows = [[image.coefficient(*key) for image in images] for key in target]
+        kernel = [linalg.primitive(vec) for vec in linalg.kernel_basis(rows, i + 1)]
+        grown = linalg.echelon(_shifts(prev_kernel))
+        for vec in kernel:
+            rest = _remainder(vec, *grown)
+            if any(rest):
+                generators.append(_vec_poly(linalg.primitive(rest), i))
+                grown = linalg.echelon(grown[1] + [vec])
+        prev_kernel = kernel
+    return GradedIdeal(generators)
+
+
+def test_annihilator_matches_contraction_reference():
+    rng = random.Random(20261018)
+    duals = [random_dual_generator(rng, jmin=j, jmax=j) for j in range(4, 10) for _ in range(4)]
+    duals += power_sum_duals() + [parse_poly("X^2*Y^3"), parse_poly("X^7"), parse_poly("Y^4")]
+    for F in duals:
+        got, want = annihilator(F), _reference_annihilator(F)
+        assert str(got) == str(want)
+        assert got.generators == want.generators
 
 
 def test_annihilator_monomial_duals():

@@ -1,12 +1,26 @@
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jtlab
+from jtlab import hessians, linalg
 from jtlab.algebra import GradedIdeal, annihilator, quotient, rank_mult_power
 from jtlab.codes import enumerate_cijt, iota
 from jtlab.constructor import construct_ci
-from jtlab.errors import InvalidSubset, NotCIJT, OrderOutOfRange, TopRequiresKGe2
+from jtlab.errors import (
+    InternalInconsistency,
+    InvalidSubset,
+    NotCIJT,
+    OrderOutOfRange,
+    TopRequiresKGe2,
+)
 from jtlab.hessians import (
     active_hessian_indices,
     cijt_from_hessian_subset,
@@ -22,7 +36,7 @@ from jtlab.hessians import (
 from jtlab.partitions import HilbertFunction, Partition, dominance_leq, sl_partition
 from jtlab.polynomials import BivariatePoly, parse_poly
 
-from tests_support import random_dual_generator
+from tests_support import power_sum_duals, random_dual_generator
 
 T33 = HilbertFunction("1,2,3,3,2,1")
 ELL_X = BivariatePoly.linear(1, 0)
@@ -199,6 +213,114 @@ def test_symbolic_hessian_rank_equals_multiplication_rank():
                 assert hessian_rank_at(F, i, (a, b), algebra=A) == rank_mult_power(
                     A, ell, i, T.j - i
                 )
+
+
+def _symbolic_hessian_rank(F, i, point, algebra):
+    """The slow path: rank of the symbolic i-th Hessian evaluated at point."""
+    return linalg.rank(evaluate_matrix(hessian_matrix(F, i, algebra), *point))
+
+
+HESSIAN_POINTS = [(1, 0), (0, 1), (1, 1), (2, -3), (-4, 1), (Fraction(1, 2), -3), (0, 0)]
+
+
+def test_hessian_rank_matches_symbolic_reference_on_random_duals():
+    rng = random.Random(20261018)
+    for j in range(4, 10):
+        for _ in range(3):
+            F = random_dual_generator(rng, jmin=j, jmax=j)
+            A = quotient(annihilator(F))
+            for i in active_hessian_indices(HilbertFunction(A.hilbert)):
+                for point in HESSIAN_POINTS:
+                    want = _symbolic_hessian_rank(F, i, point, A)
+                    assert hessian_rank_at(F, i, point, algebra=A) == want, (F, i, point)
+            assert hessian_rank_at(F, 1, (3, Fraction(-2, 3))) == _symbolic_hessian_rank(
+                F, 1, (3, Fraction(-2, 3)), A
+            )
+
+
+def _rational_roots(D):
+    """The points (p, q), coprime with q >= 0 and |p|, q <= 6, at which the
+    binary form D vanishes."""
+    candidates = [(1, 0)] + [
+        (p, q) for q in range(1, 7) for p in range(-6, 7) if math.gcd(p, q) == 1
+    ]
+    return [(p, q) for p, q in candidates if D.evaluate(p, q) == 0]
+
+
+def test_hessian_rank_matches_symbolic_reference_at_planted_roots():
+    degenerate = 0
+    for F in power_sum_duals():
+        A = quotient(annihilator(F))
+        T = HilbertFunction(A.hilbert)
+        for i in range(T.d):
+            points = {(1, 0), (0, 1), *_rational_roots(hessian_determinant(F, i, A))}
+            for point in sorted(points):
+                want = _symbolic_hessian_rank(F, i, point, A)
+                assert hessian_rank_at(F, i, point, algebra=A) == want, (F, i, point)
+                degenerate += want < i + 1
+    # roots beyond the axes: (-1, 1) and (2, 1) for (X+Y)^j + (X-2Y)^j at
+    # order 1, and (1, 2) at order 0 when j is odd
+    F = power_sum_duals(5, 5)[1]
+    assert {(-1, 1), (2, 1)} <= set(_rational_roots(hessian_determinant(F, 1)))
+    assert (1, 2) in _rational_roots(hessian_determinant(F, 0))
+    assert degenerate >= 40  # 48 rank drops among the planted points
+
+
+def test_hessian_rank_at_reads_no_rank_table(monkeypatch):
+    # the Hessian side of the Hessian-against-multiplication check must not
+    # come from the multiplication ranks it is compared with
+    def refuse(*args):
+        raise AssertionError("rank table read")
+
+    F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
+    A = quotient(annihilator(F))
+    monkeypatch.setattr(A, "_rank_table", refuse)
+    monkeypatch.setattr(hessians, "rank_mult_power", refuse)
+    ranks = [hessian_rank_at(F, i, (1, 1), algebra=A) for i in range(3)]
+    assert ranks == [_symbolic_hessian_rank(F, i, (1, 1), A) for i in range(3)]
+
+
+@pytest.mark.parametrize("with_algebra", [False, True], ids=["no algebra", "algebra"])
+def test_hessian_rank_at_order_out_of_range(with_algebra):
+    F = parse_poly("X^2*Y^3")  # Ann(F) = (x^3, y^4): d = 3
+    algebra = quotient(annihilator(F)) if with_algebra else None
+    for i in (-1, 3):
+        with pytest.raises(OrderOutOfRange):
+            hessian_rank_at(F, i, (1, 1), algebra=algebra)
+
+
+TAMPERED_ALGEBRA = """
+from jtlab.algebra import annihilator, quotient
+from jtlab.hessians import hessian_matrix
+from jtlab.polynomials import parse_poly
+F = parse_poly("X^2*Y^3")
+A = quotient(annihilator(F))
+A.dim = lambda i: i  # dim A_1 = 1 below the generator degree
+hessian_matrix(F, 1, algebra=A)
+"""
+
+
+def test_tampered_algebra_raises():
+    F = parse_poly("X^2*Y^3")
+    A = quotient(annihilator(F))
+    A.dim = lambda i: i
+    with pytest.raises(InternalInconsistency):
+        hessian_matrix(F, 1, algebra=A)
+    with pytest.raises(InternalInconsistency):
+        hessian_rank_at(F, 1, (1, 1), algebra=A)
+
+
+def test_tampered_algebra_raises_under_optimize():
+    src = str(Path(jtlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_ALGEBRA],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "InternalInconsistency" in proc.stderr
 
 
 def test_evaluate_matrix():

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from jtlab.polynomials import BivariatePoly
+from jtlab.polynomials import BivariatePoly, parse_poly
 
 
 def partitions_of(n, maxp=None):
@@ -33,3 +33,16 @@ def random_dual_generator(rng, jmin=4, jmax=9):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+def power_sum_duals(jmin=4, jmax=9):
+    """Planted degenerate dual generators: X^j + Y^j, (X+Y)^j + (X-2Y)^j and
+    X^j + (X+Y)^j + (X-Y)^j.  Their Hessians vanish at rational points, the
+    coordinate axes among them."""
+    X, Y = parse_poly("X"), parse_poly("Y")
+    duals = []
+    for j in range(jmin, jmax + 1):
+        duals.append(X**j + Y**j)
+        duals.append((X + Y) ** j + (X - 2 * Y) ** j)
+        duals.append(X**j + (X + Y) ** j + (X - Y) ** j)
+    return duals
