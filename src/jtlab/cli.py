@@ -25,16 +25,17 @@ from .algebra import (
     require_linear,
 )
 from .codes import (
+    diagonal_partition_count,
     enumerate_cijt,
     enumerate_diagonal_partitions,
     hook_code_direct,
     hook_counts_by_degree,
     is_cijt,
     iota,
-    partition_to_branch_label,
 )
 from .constructor import construct_ci, realize_all, verify_realization
 from .errors import (
+    BudgetExceeded,
     JtlabError,
     NotArtinian,
     NotCIJT,
@@ -63,6 +64,11 @@ EXIT_MISMATCH = 3
 EXIT_NOT_CIJT = 4
 EXIT_NOT_ARTINIAN = 5
 
+# Most rows a classification table may have; larger ones are refused before
+# anything is enumerated.  T(10, k) has 2*3^9 = 39366 rows, T(11, k) has
+# 118098 (59049 for k = 1), and d = 15 would build 9.6M branch labels.
+MAX_TABLE_ROWS = 40_000
+
 
 # ---------------------------------------------------------------------------
 # row assembly
@@ -70,8 +76,8 @@ EXIT_NOT_ARTINIAN = 5
 
 def classification_row(P, T):
     """All tabulated facts about one partition of diagonal lengths T."""
-    label = partition_to_branch_label(P)
     hook = hook_code_direct(P)
+    label = hook.label
     cijt = is_cijt(P)
     row = {
         "partition": str(P),
@@ -142,6 +148,12 @@ def emit_table(data, fmt, out):
 
 
 def classification_table(T, cijt_only=False, with_subscripts=False):
+    count = diagonal_partition_count(T)
+    if count > MAX_TABLE_ROWS:
+        raise BudgetExceeded(
+            f"T(d={T.d}, k={T.k}) would enumerate {count} partitions, "
+            f"over the cap of {MAX_TABLE_ROWS}"
+        )
     partitions = enumerate_diagonal_partitions(T)
     if cijt_only:
         partitions = [P for P in partitions if is_cijt(P)]
@@ -191,7 +203,12 @@ def cmd_enumerate(args, out, err):
     except (ParseError, NotCIShape) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_PARSE
-    emit_table(classification_table(T, cijt_only=args.cijt_only), args.format, out)
+    try:
+        data = classification_table(T, cijt_only=args.cijt_only)
+    except BudgetExceeded as exc:
+        err.write(f"error: {exc}\n")
+        return EXIT_PARSE
+    emit_table(data, args.format, out)
     return EXIT_OK
 
 

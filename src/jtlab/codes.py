@@ -38,6 +38,7 @@ __all__ = [
     "HookCode",
     "partition_to_branch_label",
     "branch_label_to_partition",
+    "diagonal_partition_count",
     "enumerate_branch_labels",
     "enumerate_diagonal_partitions",
     "is_cijt",
@@ -77,10 +78,12 @@ class BranchLabel:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
+        if isinstance(entries, BranchLabel):
+            # parsed when it was built, and immutable since
+            object.__setattr__(self, "entries", entries.entries)
+            return
         if isinstance(entries, str):
             entries = [piece.strip() for piece in entries.split(",")]
-        elif isinstance(entries, BranchLabel):
-            entries = entries.entries
         clean = []
         for e in entries:
             if e is E or e in ("E", "e"):
@@ -156,9 +159,10 @@ def partition_to_branch_label(P):
     def row_len(r):  # 1-based
         return P.parts[r - 1] if r <= len(P.parts) else 0
 
+    if len(gaps) != (1 if k >= 2 else 2):
+        raise InternalInconsistency(f"{P}: {len(gaps)} gaps in degree {d} for k = {k}")
     entries = [None] * (d + 1)
     if k >= 2:
-        assert len(gaps) == 1
         e = gaps[0]
         entries[e] = E
         for i in range(e):
@@ -166,7 +170,6 @@ def partition_to_branch_label(P):
         for i in range(e + 1, d + 1):
             entries[i] = row_len(i - e) - (d - i + e + 1) - s
     else:
-        assert len(gaps) == 2
         v, h = gaps
         entries[v] = entries[h] = E
         for i in range(v + 1, h):
@@ -225,7 +228,8 @@ def _validate_label(label, T):
 def branch_label_to_partition(label, T):
     """Glue the labelled branches to the basic triangle and read the rows.
 
-    Inverse of partition_to_branch_label.
+    Inverse of partition_to_branch_label.  The cells are grouped by row as
+    they are glued, so each row is read once.
     """
     label = BranchLabel(label)
     T = HilbertFunction(T)
@@ -233,21 +237,22 @@ def branch_label_to_partition(label, T):
     d, k = T.d, T.k
     s = max(0, k - 2)
     e = label.gaps[-1]
-    cells = {(r, m) for r in range(1, d + 1) for m in range(d - r + 1)}
+    # rows[r] holds the columns m of the cells (r, m), rows 1-based
+    rows = {r: set(range(d - r + 1)) for r in range(1, d + 1)}
     for i, entry in enumerate(label.entries):
         if entry is E:
             continue
         length = entry + s
         if i < e:  # vertical branch below column i
-            cells.update((d - i + a, i) for a in range(1, length + 1))
+            for a in range(1, length + 1):
+                rows.setdefault(d - i + a, set()).add(i)
         else:  # horizontal branch on row i - e
             r = i - e
-            cells.update((r, d - r + a) for a in range(1, length + 1))
-    nrows = max(r for r, _ in cells)
+            rows[r].update(range(d - r + 1, d - r + length + 1))
     parts = []
-    for r in range(1, nrows + 1):
-        row = {m for rr, m in cells if rr == r}
-        if row != set(range(len(row))):
+    for r in range(1, max(rows) + 1):
+        row = rows.get(r, ())
+        if len(row) and max(row) != len(row) - 1:
             raise InvalidLabel(f"{label}: glued diagram is not left justified")
         parts.append(len(row))
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -287,6 +292,13 @@ def _arranged(verticals, horizontals):
     return vert, horiz
 
 
+def diagonal_partition_count(T):
+    """Number of partitions of diagonal lengths T, one per branch label:
+    2*3^(d-1) when k >= 2, 3^(d-1) when k = 1."""
+    T = HilbertFunction(T)
+    return (2 if T.k >= 2 else 1) * 3 ** (T.d - 1)
+
+
 def enumerate_branch_labels(T):
     """All valid branch labels for T: 2*3^(d-1) of them when k >= 2,
     3^(d-1) when k = 1."""
@@ -312,8 +324,9 @@ def enumerate_branch_labels(T):
                     horizs = [iv for b, iv in enumerate(intervals) if not mask >> b & 1]
                     vert, horiz = _arranged(verts, horizs)
                     labels.append(BranchLabel([*vert, E, *between, E, *horiz]))
-    expected = 2 * 3 ** (d - 1) if k >= 2 else 3 ** (d - 1)
-    assert len(labels) == len(set(labels)) == expected
+    expected = diagonal_partition_count(T)
+    if not len(labels) == len(set(labels)) == expected:
+        raise InternalInconsistency(f"{len(labels)} labels for {T}, want {expected} distinct")
     return labels
 
 
@@ -323,7 +336,8 @@ def enumerate_diagonal_partitions(T):
     of dominance)."""
     T = HilbertFunction(T)
     parts = [branch_label_to_partition(b, T) for b in enumerate_branch_labels(T)]
-    assert len(parts) == len(set(parts))
+    if len(parts) != len(set(parts)):
+        raise InternalInconsistency(f"two branch labels of {T} glue to the same partition")
     return sorted(parts, key=lambda P: P.parts, reverse=True)
 
 
@@ -391,7 +405,8 @@ def cijt_from_composition(T, comp):
         tail = (d - n + k - 1) if k >= 2 else (d - n)
         parts.extend([d - n] * tail)
     P = Partition(parts)
-    assert diagonal_lengths(P) == T.values
+    if diagonal_lengths(P) != T.values:
+        raise InternalInconsistency(f"composition {comp} gives {P}, not of diagonal lengths {T}")
     return P
 
 
@@ -404,8 +419,10 @@ def enumerate_cijt(T):
     for n in range(top + 1):
         for comp in compositions(n):
             out.append(cijt_from_composition(T, comp))
-    assert len(out) == len(set(out)) == 2**top
-    assert all(is_cijt(P) for P in out)
+    if not len(out) == len(set(out)) == 2**top:
+        raise InternalInconsistency(f"{len(out)} CIJT partitions of {T}, want {2**top} distinct")
+    if not all(is_cijt(P) for P in out):
+        raise InternalInconsistency(f"a composition of {T} gives a non-CIJT partition")
     return out
 
 
@@ -417,17 +434,21 @@ def hook_counts_by_degree(P):
     v = number of rows at or below r longer than m).  The hook counts when
     u - v = 1; its hand is the last cell of row r, of degree r + p_r - 2
     (1-based row).
+
+    With 0-based rows, the rows longer than m are exactly rows 0..c_m - 1,
+    where c_m = column_lengths(P)[m], so v = c_m - r.  Then u - v = 1 reads
+    m + c_m = p_r + r - 1, and row r's count is how often that value occurs
+    among m + c_m for m < p_r: one pass over the columns, O(cells) in all
+    instead of O(cells x rows).
     """
     P = Partition(P)
-    parts = P.parts
+    reach = [m + c for m, c in enumerate(column_lengths(P))]
     counts = {}
-    for r0, p in enumerate(parts):
-        hand_degree = r0 + p - 1
-        for m in range(p):
-            arm = p - m
-            leg = sum(1 for q in parts[r0:] if q > m)
-            if arm - leg == 1:
-                counts[hand_degree] = counts.get(hand_degree, 0) + 1
+    for r, p in enumerate(P.parts):
+        hooks = reach[:p].count(p + r - 1)
+        if hooks:
+            hand_degree = r + p - 1
+            counts[hand_degree] = counts.get(hand_degree, 0) + hooks
     return counts
 
 
@@ -518,9 +539,8 @@ def _assemble_hook_code(label, T, subs_by_value, counts_by_degree):
     )
     window = {deg: 0 for deg in range(T.d, T.j + 1)}
     window.update(counts_by_degree)
-    assert set(window) == set(range(T.d, T.j + 1)), (
-        "difference-one hook hands outside [d, j]"
-    )
+    if set(window) != set(range(T.d, T.j + 1)):
+        raise InternalInconsistency(f"{label}: difference-one hook hands outside [d, j]")
     traditional = tuple(sorted(window.items()))
     return HookCode(
         traditional=traditional, label=label, subscripts=subs, d=T.d, k=T.k
@@ -599,8 +619,10 @@ def iota(P):
         raise NotCIJTWithDParts(f"{P} is not a CIJT partition with {T.d} parts")
     p_t, n_t = P.power_form[-1]
     a = n_t - 1
-    assert p_t == a + T.k, "smallest block of a d-part CIJT must be (a+k)^(a+1)"
+    if p_t != a + T.k:
+        raise InternalInconsistency(f"{P}: smallest block of a d-part CIJT must be (a+k)^(a+1)")
     flipped = P.parts[: len(P) - n_t] + (a + 1,) * (a + T.k)
     Q = Partition(flipped)
-    assert is_cijt(Q) and len(Q) == T.d + T.k - 1
+    if not is_cijt(Q) or len(Q) != T.d + T.k - 1:
+        raise InternalInconsistency(f"{P} flips to {Q}, not a CIJT partition with d+k-1 parts")
     return Q

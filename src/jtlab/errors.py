@@ -18,6 +18,10 @@ class DiagonalMismatch(JtlabError):
     """A partition's diagonal lengths differ from the given Hilbert function."""
 
 
+class BudgetExceeded(JtlabError):
+    """The input asks for more work than a fixed up-front budget allows."""
+
+
 class InternalInconsistency(JtlabError):
     """Two independent criteria that must agree disagreed.  A bug, never
     expected to fire."""

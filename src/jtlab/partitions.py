@@ -15,11 +15,14 @@ on such a quotient has diagonal lengths equal to the Hilbert function.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
     DiagonalMismatch,
+    InternalInconsistency,
     NotCIShape,
     ParseError,
     SizeMismatch,
@@ -50,16 +53,18 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
+        if isinstance(parts, Partition):
+            # validated when it was built, and immutable since
+            object.__setattr__(self, "parts", parts.parts)
+            return
         if isinstance(parts, str):
             parts = _parse_caret_list(parts)
-        elif isinstance(parts, Partition):
-            parts = parts.parts
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(int, parts))
         if not parts:
             raise ParseError("empty partition")
-        if any(p < 1 for p in parts):
+        if min(parts) < 1:
             raise ParseError(f"parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(operator.lt, parts, parts[1:])):
             raise ParseError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
@@ -69,7 +74,7 @@ class Partition:
     @property
     def power_form(self):
         """((p_1, n_1), ..., (p_t, n_t)) with p_1 > ... > p_t."""
-        return tuple((p, len(list(g))) for p, g in itertools.groupby(self.parts))
+        return tuple(Counter(self.parts).items())  # parts are sorted
 
     @property
     def size(self):
@@ -144,22 +149,32 @@ def diagonal_lengths(P):
     t_i counts rows r (1-based) whose column index i-(r-1) lies in
     [0, p_r - 1].  For the Jordan type of a linear form on an Artinian
     algebra this sequence is the algebra's Hilbert function.
+
+    Row r (0-based) of length p has one cell on each diagonal r..r+p-1, so
+    t is the running sum of a difference array that gains +1 at r and -1
+    at r + p for every row: O(rows + degrees), not O(cells).  Row r covers
+    diagonal r, so the sum stays positive up to the top degree
+    max(r + p) - 1 and is cut at its first zero.
     """
-    P = Partition(P)
-    top = max(r + p - 1 for r, p in enumerate(P.parts))
-    t = [0] * (top + 1)
-    for r, m in P.cells():
-        t[r + m] += 1
-    return tuple(t)
+    parts = Partition(P).parts
+    steps = [0] * (len(parts) + parts[0])
+    for r, p in enumerate(parts):
+        steps[r] += 1
+        steps[r + p] -= 1
+    t = tuple(itertools.accumulate(steps))
+    return t[: t.index(0)]
 
 
 def column_lengths(P):
     """Column lengths of the Ferrers diagram of the Partition P, indexed by
     x-exponent: entry m counts the parts larger than m."""
-    cols = [0] * P.parts[0]
-    for p in P.parts:
-        for m in range(p):
-            cols[m] += 1
+    parts = P.parts
+    cols = []
+    rows = len(parts)
+    for m in range(parts[0]):
+        while parts[rows - 1] <= m:
+            rows -= 1
+        cols.append(rows)
     return cols
 
 
@@ -173,16 +188,17 @@ def validate_ci_hilbert(T):
 
     Raises NotCIShape for any other sequence.
     """
-    T = tuple(int(v) for v in T)
+    T = tuple(map(int, T))
     if not T or T[0] != 1:
         raise NotCIShape(f"{T} does not start at 1")
     d = max(T)
-    k = sum(1 for v in T if v == d)
+    k = T.count(d)
     j = 2 * d + k - 3
     expected = tuple(range(1, d)) + (d,) * k + tuple(range(d - 1, 0, -1))
     if T != expected:
         raise NotCIShape(f"{T} is not of the form (1,...,d-1,d^k,d-1,...,1)")
-    assert len(T) == j + 1 and sum(T) == d * (j + 2 - d)
+    if len(T) != j + 1 or sum(T) != d * (j + 2 - d):
+        raise InternalInconsistency(f"{T}: length or size disagrees with d={d}, k={k}")
     return d, k, j
 
 
@@ -200,11 +216,14 @@ class HilbertFunction:
     j: int
 
     def __init__(self, values):
+        if isinstance(values, HilbertFunction):
+            # validated when it was built, and immutable since
+            for name in ("values", "d", "k", "j"):
+                object.__setattr__(self, name, getattr(values, name))
+            return
         if isinstance(values, str):
             values = _parse_caret_list(values)
-        elif isinstance(values, HilbertFunction):
-            values = values.values
-        values = tuple(int(v) for v in values)
+        values = tuple(map(int, values))
         d, k, j = validate_ci_hilbert(values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "d", d)
@@ -310,71 +329,86 @@ class JordanDegreeType:
         )
 
 
+def _parity_rules_out(power_form, j):
+    """Whether the parity lemma rules out every symmetric placement.
+
+    The mirror (i, s) -> (j+1-s-i, s) is an involution on the strings of
+    length s, so a symmetric multiset holds its non-fixed strings in mirror
+    pairs.  A fixed string starts at (j+1-s)/2, which exists only when
+    j+1-s is even.  Hence when j+1-s is odd every length-s string has a
+    distinct partner, and an odd number n_s of parts of length s cannot be
+    placed symmetrically.  This is a proof, not a heuristic: True means no
+    symmetric placement exists.
+    """
+    for s, n in power_form:
+        if n % 2 and (j + 1 - s) % 2:
+            return True
+    return False
+
+
 def symmetric_string_placement(P, T):
     """Search for a symmetric assignment of start degrees to the parts of P.
 
     Each part of length s becomes a string covering s consecutive degrees;
     the per-degree coverage must equal T, and the multiset of (start, length)
-    pairs must be invariant under (i, s) -> (j+1-s-i, s).  Plain backtracking
-    over start degrees, parts processed largest first, pruned by remaining
-    per-degree capacity.  Returns a witness JordanDegreeType or None.
+    pairs must be invariant under (i, s) -> (j+1-s-i, s).  Returns a witness
+    JordanDegreeType or None.
+
+    Parity lemma: if some length s has odd multiplicity and j+1-s is odd,
+    no symmetric placement exists (see _parity_rules_out), and None is
+    returned without searching.  Otherwise plain backtracking over start
+    degrees: distinct lengths largest first, starts non-decreasing within a
+    length, each mirror pair placed through its lower start i <= (j+1-s)/2,
+    pruned by the remaining per-degree capacity.
     """
     P = Partition(P)
     T = HilbertFunction(T)
     if diagonal_lengths(P) != T.values:
         raise DiagonalMismatch(f"diagonal lengths of {P} are not {T}")
     j = T.j
+    runs = P.power_form  # ((s, n_s), ...) by decreasing length s
+    if _parity_rules_out(runs, j):
+        return None
     cap = list(T.values)
-    # remaining[s] = number of still unplaced parts of length s
-    remaining = {}
-    for p in P.parts:
-        remaining[p] = remaining.get(p, 0) + 1
     placed = {}
 
     def place(i, s, sign):
-        for deg in range(i, i + s):
-            cap[deg] -= sign
-        remaining[s] -= sign
+        cap[i : i + s] = [c - sign for c in cap[i : i + s]]
         placed[(i, s)] = placed.get((i, s), 0) + sign
 
-    def fits(i, s):
-        return 0 <= i and i + s - 1 <= j and all(cap[deg] > 0 for deg in range(i, i + s))
-
-    def search(prev_s=None, min_i=0):
-        lengths = [s for s, m in remaining.items() if m > 0]
-        if not lengths:
-            return all(c == 0 for c in cap)
-        s = max(lengths)
-        # Parts of equal length are placed consecutively, so starts within a
-        # run may be forced non-decreasing; each unordered mirror pair is
-        # enumerated once via its lower start.
-        start = min_i if s == prev_s else 0
-        for i in range(start, j + 2 - s):
-            mirror = j + 1 - s - i
-            if mirror < i or not fits(i, s):
+    def search(run, left, low):
+        # `left` strings of length runs[run][0] remain, starting at >= low
+        if not left:
+            run += 1
+            if run == len(runs):
+                return not any(cap)
+            left, low = runs[run][1], 0
+        s = runs[run][0]
+        for i in range(low, (j + 1 - s) // 2 + 1):
+            if min(cap[i : i + s]) == 0:
                 continue
+            mirror = j + 1 - s - i
             if mirror == i:
                 place(i, s, +1)
-                if search(s, i):
+                if search(run, left - 1, i):
                     return True
                 place(i, s, -1)
-            else:
-                if remaining[s] < 2:
-                    continue
+            elif left >= 2:
                 place(i, s, +1)
-                if fits(mirror, s):
+                if min(cap[mirror : mirror + s]) > 0:
                     place(mirror, s, +1)
-                    if search(s, i):
+                    if search(run, left - 2, i):
                         return True
                     place(mirror, s, -1)
                 place(i, s, -1)
         return False
 
-    if search():
-        witness = JordanDegreeType(placed)
-        assert witness.coverage() == T.values and witness.is_symmetric(j)
-        return witness
-    return None
+    if not search(0, runs[0][1], 0):
+        return None
+    witness = JordanDegreeType(placed)
+    if witness.coverage() != T.values or not witness.is_symmetric(j):
+        raise InternalInconsistency(f"placement {witness} of {P} is not a symmetric cover of {T}")
+    return witness
 
 
 def is_symmetric_jdt(P, T):

@@ -1,0 +1,122 @@
+"""Earlier, slower bodies of four combinatorial routines, kept as references
+for differential tests of the linear-time versions in jtlab.
+
+Each returns exactly what the jtlab function of the same name returns.
+"""
+
+from jtlab.codes import E, BranchLabel, _validate_label
+from jtlab.errors import DiagonalMismatch, InvalidLabel
+from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition
+
+
+def diagonal_lengths(P):
+    """Walk every cell (r, m) and count it on the diagonal r + m."""
+    P = Partition(P)
+    top = max(r + p - 1 for r, p in enumerate(P.parts))
+    t = [0] * (top + 1)
+    for r, m in P.cells():
+        t[r + m] += 1
+    return tuple(t)
+
+
+def hook_counts_by_degree(P):
+    """Count each leg by rescanning the rows below: O(cells x rows)."""
+    P = Partition(P)
+    parts = P.parts
+    counts = {}
+    for r0, p in enumerate(parts):
+        hand_degree = r0 + p - 1
+        for m in range(p):
+            arm = p - m
+            leg = sum(1 for q in parts[r0:] if q > m)
+            if arm - leg == 1:
+                counts[hand_degree] = counts.get(hand_degree, 0) + 1
+    return counts
+
+
+def branch_label_to_partition(label, T):
+    """Glue the branches into one cell set and scan it once per row."""
+    label = BranchLabel(label)
+    T = HilbertFunction(T)
+    _validate_label(label, T)
+    d, k = T.d, T.k
+    s = max(0, k - 2)
+    e = label.gaps[-1]
+    cells = {(r, m) for r in range(1, d + 1) for m in range(d - r + 1)}
+    for i, entry in enumerate(label.entries):
+        if entry is E:
+            continue
+        length = entry + s
+        if i < e:
+            cells.update((d - i + a, i) for a in range(1, length + 1))
+        else:
+            r = i - e
+            cells.update((r, d - r + a) for a in range(1, length + 1))
+    nrows = max(r for r, _ in cells)
+    parts = []
+    for r in range(1, nrows + 1):
+        row = {m for rr, m in cells if rr == r}
+        if row != set(range(len(row))):
+            raise InvalidLabel(f"{label}: glued diagram is not left justified")
+        parts.append(len(row))
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise InvalidLabel(f"{label}: glued rows are not weakly decreasing")
+    P = Partition(parts)
+    if diagonal_lengths(P) != T.values:
+        raise InvalidLabel(f"{label}: diagram has wrong diagonal lengths")
+    return P
+
+
+def symmetric_string_placement(P, T):
+    """Backtracking over start degrees with no parity test, rebuilding the
+    list of remaining lengths at every node."""
+    P = Partition(P)
+    T = HilbertFunction(T)
+    if diagonal_lengths(P) != T.values:
+        raise DiagonalMismatch(f"diagonal lengths of {P} are not {T}")
+    j = T.j
+    cap = list(T.values)
+    remaining = {}
+    for p in P.parts:
+        remaining[p] = remaining.get(p, 0) + 1
+    placed = {}
+
+    def place(i, s, sign):
+        for deg in range(i, i + s):
+            cap[deg] -= sign
+        remaining[s] -= sign
+        placed[(i, s)] = placed.get((i, s), 0) + sign
+
+    def fits(i, s):
+        return 0 <= i and i + s - 1 <= j and all(cap[deg] > 0 for deg in range(i, i + s))
+
+    def search(prev_s=None, min_i=0):
+        lengths = [s for s, m in remaining.items() if m > 0]
+        if not lengths:
+            return all(c == 0 for c in cap)
+        s = max(lengths)
+        start = min_i if s == prev_s else 0
+        for i in range(start, j + 2 - s):
+            mirror = j + 1 - s - i
+            if mirror < i or not fits(i, s):
+                continue
+            if mirror == i:
+                place(i, s, +1)
+                if search(s, i):
+                    return True
+                place(i, s, -1)
+            else:
+                if remaining[s] < 2:
+                    continue
+                place(i, s, +1)
+                if fits(mirror, s):
+                    place(mirror, s, +1)
+                    if search(s, i):
+                        return True
+                    place(mirror, s, -1)
+                place(i, s, -1)
+        return False
+
+    if search():
+        return JordanDegreeType(placed)
+    return None

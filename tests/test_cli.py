@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from jtlab.cli import main
+from jtlab.cli import MAX_TABLE_ROWS, main
+from jtlab.codes import diagonal_partition_count
+from jtlab.partitions import HilbertFunction
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +52,24 @@ def test_table_matches_golden(figure, golden):
     assert code == 0
     want = (GOLDEN / golden).read_text()
     assert normalized(out) == normalized(want)
+
+
+@pytest.mark.parametrize("d, k", [(11, 1), (11, 2), (15, 2)])
+def test_enumerate_over_row_cap_exits_2(d, k):
+    T = HilbertFunction.from_dk(d, k)
+    assert diagonal_partition_count(T) > MAX_TABLE_ROWS
+    code, out, err = run_cli("enumerate", str(T), "--cijt-only")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
+def test_enumerate_just_under_row_cap():
+    # T(10, 2) has 2 * 3^9 = 39366 partitions, all enumerated; 2^10 are CIJT
+    T = HilbertFunction.from_dk(10, 2)
+    assert diagonal_partition_count(T) == 39366 <= MAX_TABLE_ROWS
+    code, out, _ = run_cli("enumerate", str(T), "--cijt-only", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2**10
 
 
 def test_table_unknown_figure():

@@ -1,12 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from jtlab.errors import NotCIShape, ParseError, SizeMismatch
+import jtlab
+from jtlab.errors import InternalInconsistency, NotCIShape, ParseError, SizeMismatch
 from jtlab.partitions import (
     HilbertFunction,
+    JordanDegreeType,
     Partition,
+    _parity_rules_out,
     conjugate,
     diagonal_lengths,
     dominance_leq,
@@ -253,6 +260,50 @@ def test_symmetric_search_matches_brute_force():
             continue
         for P in enumerate_diagonal_partitions(T):
             assert is_symmetric_jdt(P, T) == _brute_force_symmetric(P, T), P
+
+
+def test_parity_lemma_both_directions():
+    # a partition the parity test rejects has no symmetric placement, and
+    # every CIJT partition passes it and is symmetric (the Gorenstein side)
+    from jtlab.codes import enumerate_diagonal_partitions, is_cijt
+
+    rejected = 0
+    for d, k in itertools.product(range(2, 5), range(1, 4)):
+        T = HilbertFunction.from_dk(d, k)
+        for P in enumerate_diagonal_partitions(T):
+            obstructed = _parity_rules_out(P.power_form, T.j)
+            if obstructed:
+                rejected += 1
+                assert not _brute_force_symmetric(P, T), P
+            if is_cijt(P):
+                assert not obstructed and _brute_force_symmetric(P, T), P
+    assert rejected == 80
+
+
+TAMPERED_MIRROR = """
+from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition, symmetric_string_placement
+JordanDegreeType.is_symmetric = lambda self, j: False
+symmetric_string_placement(Partition([6, 2, 2, 1, 1]), HilbertFunction("1,2,3,3,2,1"))
+"""
+
+
+def test_tampered_witness_raises(monkeypatch):
+    monkeypatch.setattr(JordanDegreeType, "is_symmetric", lambda self, j: False)
+    with pytest.raises(InternalInconsistency):
+        symmetric_string_placement(Partition([6, 2, 2, 1, 1]), HilbertFunction("1,2,3,3,2,1"))
+
+
+def test_tampered_witness_raises_under_optimize():
+    src = str(Path(jtlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_MIRROR],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "InternalInconsistency" in proc.stderr
 
 
 def test_every_cijt_partition_is_symmetric():
