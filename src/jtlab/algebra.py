@@ -96,6 +96,8 @@ class GradedIdeal:
                 raise ZeroInput("zero generator")
             if not g.is_homogeneous():
                 raise ParseError(f"generator {g} is not homogeneous")
+            if g.degree() == 0:
+                raise ParseError(f"generator {g} is a unit, so R/I = 0")
         object.__setattr__(self, "generators", gens)
 
     def __setattr__(self, name, value):
@@ -356,9 +358,6 @@ class MonomialCell:
     partition: Partition
     fill: tuple  # standard monomials per degree
     generators: tuple  # minimal generators of (E_Q) as (x-exp, y-exp)
-
-    def generator_polys(self):
-        return tuple(BivariatePoly.monomial(a, b) for a, b in self.generators)
 
 
 def cell_generators(Q):

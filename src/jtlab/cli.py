@@ -4,6 +4,12 @@ realization, and Jordan type computation.
 Exit codes: 0 success, 1 verification failure, 2 parse/shape error,
 3 partition/Hilbert-function mismatch, 4 not a CIJT partition,
 5 quotient not Artinian.  Data goes to stdout, diagnostics to stderr.
+
+Commands return 0 or 1 and raise every other outcome.  `EXIT_CODES` is the
+single source of the codes 2-5: `main` resolves a raised error along its
+class's MRO in that table and writes one `error:` line.
+`InternalInconsistency` is left out of the table on purpose: it signals a
+bug, not bad input, so it propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -36,11 +42,12 @@ from .codes import (
 from .constructor import construct_ci, realize_all, verify_realization
 from .errors import (
     BudgetExceeded,
-    JtlabError,
+    DiagonalMismatch,
     NotArtinian,
     NotCIJT,
     NotCIShape,
     ParseError,
+    ZeroInput,
 )
 from .hessians import (
     active_hessian_indices,
@@ -63,6 +70,17 @@ EXIT_PARSE = 2
 EXIT_MISMATCH = 3
 EXIT_NOT_CIJT = 4
 EXIT_NOT_ARTINIAN = 5
+
+# Error class -> exit code, looked up along type(exc).__mro__.
+EXIT_CODES = {
+    DiagonalMismatch: EXIT_MISMATCH,
+    NotCIJT: EXIT_NOT_CIJT,
+    NotArtinian: EXIT_NOT_ARTINIAN,
+    ParseError: EXIT_PARSE,
+    NotCIShape: EXIT_PARSE,
+    BudgetExceeded: EXIT_PARSE,
+    ZeroInput: EXIT_PARSE,
+}
 
 # Most rows a classification table may have; larger ones are refused before
 # anything is enumerated.  T(10, k) has 2*3^9 = 39366 rows, T(11, k) has
@@ -197,40 +215,22 @@ def pattern_table(T):
 # commands
 
 
-def cmd_enumerate(args, out, err):
-    try:
-        T = HilbertFunction(args.hilbert)
-    except (ParseError, NotCIShape) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    try:
-        data = classification_table(T, cijt_only=args.cijt_only)
-    except BudgetExceeded as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_PARSE
+def cmd_enumerate(args, out):
+    T = HilbertFunction(args.hilbert)
+    data = classification_table(T, cijt_only=args.cijt_only)
     emit_table(data, args.format, out)
     return EXIT_OK
 
 
-def cmd_classify(args, out, err):
-    try:
-        P = Partition(args.partition)
-    except ParseError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_PARSE
+def cmd_classify(args, out):
+    P = Partition(args.partition)
     diag = diagonal_lengths(P)
     if args.hilbert is not None:
-        try:
-            T_given = HilbertFunction(args.hilbert)
-        except (ParseError, NotCIShape) as exc:
-            err.write(f"error: {exc}\n")
-            return EXIT_PARSE
+        T_given = HilbertFunction(args.hilbert)
         if T_given.values != diag:
-            err.write(
-                f"error: diagonal lengths of {P} are "
-                f"{format_caret_list(diag)}, not {T_given}\n"
+            raise DiagonalMismatch(
+                f"diagonal lengths of {P} are {format_caret_list(diag)}, not {T_given}"
             )
-            return EXIT_MISMATCH
     report = {"partition": str(P), "diagonal_lengths": format_caret_list(diag)}
     try:
         T = HilbertFunction(diag)
@@ -313,15 +313,11 @@ def _print_report(P, realization, report, fmt, out):
         out.write(str(report) + "\n")
 
 
-def cmd_realize(args, out, err):
+def cmd_realize(args, out):
     seed = _effective_seed(args)
     fmt = args.format
     if args.all is not None:
-        try:
-            T = HilbertFunction(args.all)
-        except (ParseError, NotCIShape) as exc:
-            err.write(f"error: {exc}\n")
-            return EXIT_PARSE
+        T = HilbertFunction(args.all)
         if args.alpha_zero:
             results = []
             for P in enumerate_cijt(T):
@@ -352,19 +348,8 @@ def cmd_realize(args, out, err):
                 out.write("\n")
             out.write(f"{passed}/{len(results)} realizations passed all checks\n")
         return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
-    try:
-        P = Partition(args.partition)
-    except ParseError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    try:
-        if args.alpha_zero:
-            realization = construct_ci(P)
-        else:
-            realization = construct_ci(P, seed=seed)
-    except (NotCIJT, NotCIShape) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_NOT_CIJT
+    P = Partition(args.partition)
+    realization = construct_ci(P, seed=None if args.alpha_zero else seed)
     report = verify_realization(realization)
     _print_report(P, realization, report, fmt, out)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
@@ -372,31 +357,25 @@ def cmd_realize(args, out, err):
 
 def _parse_ideal_arg(text):
     """Inline comma-separated generators, or a path to a file holding them."""
-    if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
+    if os.path.isfile(text):
+        try:
+            with open(text) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read ideal file {text!r}: {exc}") from exc
     gens = [parse_poly(piece) for piece in text.split(",") if piece.strip()]
     if not gens:
         raise ParseError(f"no generators in {text!r}")
     return GradedIdeal(gens)
 
 
-def cmd_jordan(args, out, err):
-    try:
-        ell = require_linear(parse_poly(args.ell))
-        if args.dual is not None:
-            F = parse_poly(args.dual)
-            ideal = annihilator(F)
-        else:
-            ideal = _parse_ideal_arg(args.ideal)
-    except JtlabError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    try:
-        A = quotient(ideal)
-    except NotArtinian as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_NOT_ARTINIAN
+def cmd_jordan(args, out):
+    ell = require_linear(parse_poly(args.ell))
+    if args.dual is not None:
+        ideal = annihilator(parse_poly(args.dual))
+    else:
+        ideal = _parse_ideal_arg(args.ideal)
+    A = quotient(ideal)
     P = jordan_type(A, ell)
     jdt = jordan_degree_type(A, ell)
     report = {
@@ -456,30 +435,31 @@ _FIGURE_HILBERTS = {
 }
 
 
-def cmd_table(args, out, err):
+def _figure_k(param, fid):
+    """The k of a figure id such as '3a:2', a positive integer."""
+    try:
+        k = int(param)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise ParseError(f"k must be a positive integer in {fid!r}")
+    return k
+
+
+def cmd_table(args, out):
     fid = args.figure
     name, _, param = fid.partition(":")
-    try:
-        if fid in _FIGURE_HILBERTS:
-            T = HilbertFunction(_FIGURE_HILBERTS[fid])
-            data = classification_table(T, with_subscripts=(name != "9"))
-        elif name == "3a" and param:
-            k = int(param)
-            if k < 1:
-                raise ParseError(f"k must be positive in {fid!r}")
-            T = HilbertFunction.from_dk(2, k)
-            data = classification_table(T, with_subscripts=True)
-        elif name in ("10.5", "11", "12") and param:
-            k = int(param)
-            if k < 1:
-                raise ParseError(f"k must be positive in {fid!r}")
-            d = {"10.5": 3, "11": 4, "12": 5}[name]
-            data = pattern_table(HilbertFunction.from_dk(d, k))
-        else:
-            raise ParseError(f"unknown figure id {fid!r}")
-    except (ParseError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    if fid in _FIGURE_HILBERTS:
+        T = HilbertFunction(_FIGURE_HILBERTS[fid])
+        data = classification_table(T, with_subscripts=(name != "9"))
+    elif name == "3a" and param:
+        T = HilbertFunction.from_dk(2, _figure_k(param, fid))
+        data = classification_table(T, with_subscripts=True)
+    elif name in ("10.5", "11", "12") and param:
+        d = {"10.5": 3, "11": 4, "12": 5}[name]
+        data = pattern_table(HilbertFunction.from_dk(d, _figure_k(param, fid)))
+    else:
+        raise ParseError(f"unknown figure id {fid!r}")
     emit_table(data, args.format, out)
     return EXIT_OK
 
@@ -539,15 +519,16 @@ def build_parser():
 def main(argv=None, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "realize" and (args.partition is None) == (args.all is None):
-        err.write("error: give exactly one of a partition or --all T\n")
-        return EXIT_PARSE
-    if args.command == "jordan" and (args.ideal is None) == (args.dual is None):
-        err.write("error: give exactly one of an ideal or --dual F\n")
-        return EXIT_PARSE
-    return args.func(args, out, err)
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "realize" and (args.partition is None) == (args.all is None):
+            raise ParseError("give exactly one of a partition or --all T")
+        if args.command == "jordan" and (args.ideal is None) == (args.dual is None):
+            raise ParseError("give exactly one of an ideal or --dual F")
+        return args.func(args, out)
+    except tuple(EXIT_CODES) as exc:
+        err.write(f"error: {exc}\n")
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

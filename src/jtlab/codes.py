@@ -230,6 +230,16 @@ def branch_label_to_partition(label, T):
 
     Inverse of partition_to_branch_label.  The cells are grouped by row as
     they are glued, so each row is read once.
+
+    Every label tested (d <= 6, k <= 3) that passes `_segments` but not the
+    interval conditions glues to a diagram that is not left justified or
+    whose rows rise.  The diagonal-lengths check after those two cannot
+    fire.  A branch of length l covers degrees d..d+l-1 once each, outside
+    the triangle, and no two branches share a cell: vertical branches hang
+    below columns i < e, horizontal ones extend rows r <= d-e, and a shared
+    cell would need r + i >= d+1.  So the glued cells have diagonal lengths
+    T whenever `_segments` accepts the entry multiset, and a left-justified
+    diagram with weakly decreasing rows is the Ferrers diagram of P itself.
     """
     label = BranchLabel(label)
     T = HilbertFunction(T)
@@ -259,7 +269,7 @@ def branch_label_to_partition(label, T):
         raise InvalidLabel(f"{label}: glued rows are not weakly decreasing")
     P = Partition(parts)
     if diagonal_lengths(P) != T.values:
-        raise InvalidLabel(f"{label}: diagram has wrong diagonal lengths")
+        raise InternalInconsistency(f"{label}: diagram has wrong diagonal lengths")
     return P
 
 
@@ -489,9 +499,6 @@ class HookCode:
 
     def traditional_counts(self):
         return tuple(c for _, c in self.traditional)
-
-    def total(self):
-        return sum(c for _, c in self.traditional)
 
 
 def parse_traditional_hook_code(text):

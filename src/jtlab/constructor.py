@@ -26,7 +26,7 @@ from .algebra import (
     rank_mult_power,
 )
 from .codes import enumerate_cijt, is_cijt
-from .errors import InternalInconsistency, NotArtinian, NotCIJT
+from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape
 from .hessians import nonvanishing_set, predicted_nonvanishing_set, predicted_rank_profile
 from .partitions import HilbertFunction, Partition, diagonal_lengths, format_caret_list
 from .polynomials import BivariatePoly
@@ -74,10 +74,14 @@ def construct_ci(P, lambda2=None, seed=None):
     Free parameters: lambda2 explicitly, or drawn uniformly from the
     integers -5..5 with the given seed; default is the all-zero vector.
     A single-rectangle partition (t = 1) has no relation step and gives the
-    monomial ideal (x^(p_1), y^(n_1)) directly.
+    monomial ideal (x^(p_1), y^(n_1)) directly.  Raises NotCIJT when P is
+    not a CIJT, also when its diagonal lengths are not CI-shaped.
     """
     P = Partition(P)
-    T = HilbertFunction(diagonal_lengths(P))
+    try:
+        T = HilbertFunction(diagonal_lengths(P))
+    except NotCIShape as exc:
+        raise NotCIJT(f"{P} is not a CIJT partition: {exc}") from exc
     if not is_cijt(P):
         raise NotCIJT(f"{P} fails the equality criterion")
     pf = P.power_form

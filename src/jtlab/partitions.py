@@ -299,9 +299,6 @@ class JordanDegreeType:
         normal = tuple(sorted(((int(i), int(s)), int(m)) for (i, s), m in items if m))
         object.__setattr__(self, "strings", normal)
 
-    def multiplicity(self, i, s):
-        return dict(self.strings).get((i, s), 0)
-
     def coverage(self):
         """Number of strings covering each degree, as a tuple."""
         top = max((i + s for (i, s), _ in self.strings), default=0)

@@ -27,10 +27,8 @@ __all__ = [
     "divided_power_vector",
     "falling_factorial",
     "parse_poly",
-    "X_VARS",
 ]
 
-X_VARS = ("X", "Y")
 _ZERO = Fraction(0)
 
 

@@ -29,6 +29,7 @@ from jtlab.errors import (
     DegreeOutOfRange,
     InternalInconsistency,
     NotArtinian,
+    ParseError,
     ZeroForm,
     ZeroInput,
 )
@@ -146,6 +147,13 @@ def test_annihilator_hilbert_function_of_cubic_sum():
 def test_annihilator_rejects_zero():
     with pytest.raises(ZeroInput):
         annihilator(BivariatePoly.zero())
+
+
+@pytest.mark.parametrize("gens", [("1", "x"), ("2",), ("x^0", "y"), ("x^2", "-3/2")])
+def test_ideal_refuses_unit_generator(gens):
+    # a unit generates the whole ring, so R/I = 0 has no Jordan type
+    with pytest.raises(ParseError, match="unit"):
+        ideal(*gens)
 
 
 def test_annihilator_is_gorenstein_symmetric():

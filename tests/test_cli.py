@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from jtlab import cli
 from jtlab.cli import MAX_TABLE_ROWS, main
 from jtlab.codes import diagonal_partition_count
+from jtlab.errors import InternalInconsistency
 from jtlab.partitions import HilbertFunction
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,10 +30,75 @@ def run_cli(*argv, env_seed=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_one_error_line(result, want_code):
+    code, out, err = result
+    assert code == want_code and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def normalized(text):
     """Header line joined with sorted data lines; row order is immaterial."""
     lines = text.splitlines()
     return "\n".join(lines[:1] + sorted(lines[1:]))
+
+
+# -- bad input: every subcommand, every class of error ---------------------------
+
+BAD_INPUT = [
+    # (argv, exit code, text the error line must contain)
+    (("enumerate", "1,3,1"), 2, "not of the form"),
+    (("enumerate", str(HilbertFunction.from_dk(11, 2))), 2, "cap"),
+    (("classify", "zzz"), 2, "bad entry"),
+    (("classify", "4,2", "1,2,3,2,1"), 3, "diagonal lengths of 4,2"),
+    (("realize", "2,2,1,1"), 4, "equality criterion"),
+    (("realize", "3,3,2,1"), 4, "not a CIJT"),
+    (("realize",), 2, "exactly one"),
+    (("realize", "6,4,2", "--all", "1,2,3,3,2,1"), 2, "exactly one"),
+    (("realize", "--all", "1,3,1"), 2, "not of the form"),
+    (("jordan", "x^2", "--ell", "x"), 5, "dim A_"),
+    (("jordan", "--ell", "x"), 2, "exactly one"),
+    (("jordan", "--dual", "0", "--ell", "x"), 2, "nonzero"),
+    *(
+        (("jordan", *source, "--ell", ell), 2, "linear")
+        for source in (("x^2,y^2",), ("--dual", "X*Y"))
+        for ell in ("0", "1", "x^2")
+    ),
+    (("jordan", "1,x", "--ell", "x"), 2, "unit"),
+    (("jordan", "2", "--ell", "x"), 2, "unit"),
+    (("jordan", "x^0,y", "--ell", "x"), 2, "unit"),
+    (("table", "99"), 2, "unknown figure"),
+    (("table", "3a:abc"), 2, "positive integer"),
+    (("table", "3a:0"), 2, "positive integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, needle", BAD_INPUT, ids=[" ".join(c[0]) for c in BAD_INPUT]
+)
+def test_bad_input_exit_code_and_one_error_line(argv, want_code, needle):
+    result = run_cli(*argv)
+    assert_one_error_line(result, want_code)
+    assert needle in result[2]
+
+
+def test_jordan_directory_as_ideal_exits_2(tmp_path):
+    assert_one_error_line(run_cli("jordan", str(tmp_path), "--ell", "x"), 2)
+
+
+def test_jordan_unreadable_ideal_file_exits_2(tmp_path):
+    path = tmp_path / "ideal.bin"
+    path.write_bytes(b"\xff\xfe\x00x^2")
+    assert_one_error_line(run_cli("jordan", str(path), "--ell", "x"), 2)
+
+
+def test_internal_inconsistency_is_not_an_exit_code(monkeypatch):
+    # a bug must surface with its traceback, not as bad input
+    def broken(P, T):
+        raise InternalInconsistency("planted")
+
+    monkeypatch.setattr(cli, "classification_row", broken)
+    with pytest.raises(InternalInconsistency, match="planted"):
+        run_cli("enumerate", "1,2,1")
 
 
 # -- table goldens ---------------------------------------------------------------
@@ -72,11 +139,6 @@ def test_enumerate_just_under_row_cap():
     assert len(out.splitlines()) == 1 + 2**10
 
 
-def test_table_unknown_figure():
-    code, _, err = run_cli("table", "99")
-    assert code == 2 and "unknown figure" in err
-
-
 def test_table_11_k1_columns_coincide():
     code, out, _ = run_cli("table", "11:1", "--format", "json")
     assert code == 0
@@ -109,11 +171,6 @@ def test_enumerate_cijt_only():
     rows = json.loads(out)["rows"]
     assert len(rows) == 4
     assert all(row["cijt"] for row in rows)
-
-
-def test_enumerate_invalid_shape_exits_2():
-    code, _, err = run_cli("enumerate", "1,3,1")
-    assert code == 2 and err
 
 
 def test_enumerate_csv_parses():
@@ -176,11 +233,6 @@ def test_realize_all_passes():
     assert "8/8 realizations passed all checks" in out
 
 
-def test_realize_non_cijt_exits_4():
-    code, _, err = run_cli("realize", "2,2,1,1")
-    assert code == 4 and err
-
-
 def test_realize_env_seed_overrides_flag():
     _, with_flag, _ = run_cli("realize", "6,4,2", "--seed", "3")
     _, with_env, _ = run_cli("realize", "6,4,2", "--seed", "9", env_seed=3)
@@ -211,11 +263,6 @@ def test_jordan_dual_generator():
     code, out, _ = run_cli("jordan", "--dual", "X^2*Y^3", "--ell", "x+y")
     assert code == 0
     assert "jordan type of y + x: 6,4,2" in out
-
-
-def test_jordan_non_artinian_exits_5():
-    code, _, err = run_cli("jordan", "x^2", "--ell", "x")
-    assert code == 5 and err
 
 
 @pytest.mark.parametrize("source", [("x^2,y^2",), ("--dual", "X*Y")], ids=["ideal", "dual"])

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from jtlab import codes
 from jtlab.codes import (
     E,
     BranchLabel,
@@ -74,6 +75,34 @@ def test_invalid_labels():
         branch_label_to_partition(BranchLabel("E,2,E,1"), HilbertFunction("1,2,3,4,3,2,1"))
     with pytest.raises(InvalidLabel):
         branch_label_to_partition(BranchLabel("1,2,3,E"), T12321)  # one E for k=1
+
+
+def test_gluing_checks_reject_every_label_the_interval_test_rejects(monkeypatch):
+    # With the interval conditions switched off (shape check only), every
+    # arrangement they reject must still fail when glued: at a row that is
+    # not left justified or at rows that rise, never at the diagonal-lengths
+    # check, which raises InternalInconsistency.
+    validate = codes._validate_label
+    reached = Counter()
+    for d, k in all_dk(6, 3, dmin=1):
+        T = HilbertFunction.from_dk(d, k)
+        entries = [E, *range(1, d + 1)] if k >= 2 else [E, E, *range(1, d)]
+        for arrangement in set(itertools.permutations(entries)):
+            b = BranchLabel(arrangement)
+            try:
+                validate(b, T)
+                continue
+            except InvalidLabel:
+                pass
+            with monkeypatch.context() as m:
+                m.setattr(codes, "_validate_label", codes._segments)
+                with pytest.raises(InvalidLabel) as info:
+                    branch_label_to_partition(b, T)
+            reached[str(info.value).rsplit(": ", 1)[1]] += 1
+    assert reached == {
+        "glued diagram is not left justified": 8197,
+        "glued rows are not weakly decreasing": 4763,
+    }
 
 
 def test_round_trip_all_labels():

@@ -38,6 +38,12 @@ def test_construct_rejects_non_cijt():
         construct_ci(Partition([2, 2, 1, 1]))
 
 
+def test_construct_rejects_non_ci_shape_as_not_cijt():
+    # diagonal lengths (1,2,3,3) are not those of a CI, so 3,3,2,1 is no CIJT
+    with pytest.raises(NotCIJT, match="not of the form"):
+        construct_ci(Partition("3,3,2,1"))
+
+
 def test_verify_reference_example_passes():
     report = verify_realization(construct_ci(Partition("6,2^3"), lambda2=(0,)))
     assert report.all_passed
