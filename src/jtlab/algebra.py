@@ -5,9 +5,9 @@ Within each degree i, monomials are ordered y^i > y^(i-1) x > ... > x^i
 echelonized ideal are the initial ideal, and the complementary standard
 monomials fill the Ferrers diagram of a partition.
 
-The Jordan type of multiplication by a linear form L is recovered from the
-rank sequence of its powers: the number of Jordan strings of length >= s
-equals rank(m_L^(s-1)) - rank(m_L^s).
+The Jordan degree type of multiplication by a linear form L, and with it the
+Jordan type, is read off the ranks of L^(s-u): A_u -> A_s: the number of
+Jordan strings of length >= s equals rank(m_L^(s-1)) - rank(m_L^s).
 
 Inside this module a degree-n form is a coordinate vector whose entry t is
 the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
@@ -296,56 +296,36 @@ def rank_mult_power(A, ell, u, s):
     return A._rank_table(ell)[u][s - u]
 
 
-def _power_rank(A, ell, p):
-    """Rank of m_ell^p on all of A."""
-    return sum(
-        rank_mult_power(A, ell, u, u + p)
-        for u in range(A.socle_degree - p + 1)
-    )
-
-
 def jordan_type(A, ell):
-    """Jordan block partition of the nilpotent multiplication map m_ell.
-
-    The number of blocks of size >= s is rank(m^(s-1)) - rank(m^s).
-    """
-    require_linear(ell)
-    ranks = [A.dimension]  # rank of m^0
-    p = 1
-    while ranks[-1] > 0:
-        ranks.append(_power_rank(A, ell, p) if p <= A.socle_degree else 0)
-        p += 1
-    parts = []
-    for s in range(1, len(ranks)):
-        ge_s = ranks[s - 1] - ranks[s]
-        ge_s1 = ranks[s] - ranks[s + 1] if s + 1 < len(ranks) else 0
-        parts.extend([s] * (ge_s - ge_s1))
-    return Partition(sorted(parts, reverse=True))
+    """Jordan block partition of the nilpotent multiplication map m_ell: the
+    string lengths of its Jordan degree type."""
+    return jordan_degree_type(A, ell).partition()
 
 
 def jordan_degree_type(A, ell):
-    """Multiset of (start degree, length) of the Jordan strings of m_ell.
+    """Multiset of (start degree, length) of the Jordan strings of m_ell,
+    read off the algebra's rank table for ell.
 
-    Strings of length >= s starting in degree i are counted by
-    rank(A_i -> A_(i+s-1)) - rank(A_(i-1) -> A_(i+s-1)).
+    With r(u, s) the rank of ell^(s-u): A_u -> A_s (r(-1, s) = 0), the
+    strings of length >= s starting in degree i number
+    at_least(i, s) = r(i, i+s-1) - r(i-1, i+s-1), zero when i+s-1 > j, and
+    those of length exactly s number at_least(i, s) - at_least(i, s+1).
+    Summed over i this telescopes: sum_i at_least(i, s) =
+    rank(m_ell^(s-1)) - rank(m_ell^s) on all of A, the number of Jordan
+    blocks of size >= s.  So the string lengths are the Jordan type of
+    m_ell, which is how jordan_type reads it.
     """
-    require_linear(ell)
-    j = A.socle_degree
-
-    def at_least(i, s):
-        if i + s - 1 > j:
-            return 0
-        r = rank_mult_power(A, ell, i, i + s - 1)
-        if i > 0:
-            r -= rank_mult_power(A, ell, i - 1, i + s - 1)
-        return r
-
+    table = A._rank_table(require_linear(ell))
     strings = {}
-    for i in range(j + 1):
-        for s in range(1, j + 2 - i):
-            count = at_least(i, s) - at_least(i, s + 1)
+    above = [0] * (len(table) + 1)  # row i-1 of the table; zero for i = 0
+    for i, row in enumerate(table):
+        # at_least[s - 1] for s = 1 .. j+1-i, then 0 past the socle
+        at_least = [r - a for r, a in zip(row, above[1:])] + [0]
+        for s in range(1, len(row) + 1):
+            count = at_least[s - 1] - at_least[s]
             if count:
                 strings[(i, s)] = count
+        above = row
     return JordanDegreeType(strings)
 
 

@@ -25,7 +25,6 @@ from .algebra import (
     annihilator,
     initial_ideal,
     jordan_degree_type,
-    jordan_type,
     quotient,
     rank_mult_power,
     require_linear,
@@ -56,6 +55,7 @@ from .hessians import (
     predicted_rank_profile,
 )
 from .partitions import (
+    MAX_PARTS,
     HilbertFunction,
     Partition,
     diagonal_lengths,
@@ -284,9 +284,12 @@ def cmd_classify(args, out):
 
 def _effective_seed(args):
     env = os.environ.get("JTLAB_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise ParseError(f"JTLAB_SEED must be an integer, not {env!r}") from None
 
 
 def _realization_record(P, realization, report):
@@ -318,13 +321,7 @@ def cmd_realize(args, out):
     fmt = args.format
     if args.all is not None:
         T = HilbertFunction(args.all)
-        if args.alpha_zero:
-            results = []
-            for P in enumerate_cijt(T):
-                realization = construct_ci(P)
-                results.append((P, realization, verify_realization(realization)))
-        else:
-            results = realize_all(T, seed=seed)
+        results = realize_all(T, seed=None if args.alpha_zero else seed)
         passed = sum(report.all_passed for _, _, report in results)
         if fmt == "json":
             json.dump(
@@ -376,17 +373,16 @@ def cmd_jordan(args, out):
     else:
         ideal = _parse_ideal_arg(args.ideal)
     A = quotient(ideal)
-    P = jordan_type(A, ell)
     jdt = jordan_degree_type(A, ell)
     report = {
         "ideal": str(ideal),
         "hilbert": format_caret_list(A.hilbert),
         "ell": ell.text(),
-        "jordan_type": str(P),
+        "jordan_type": str(jdt.partition()),
         "jordan_degree_type": [
             {"start": i, "length": s, "multiplicity": m} for (i, s), m in jdt.strings
         ],
-        "initial_partition": str(initial_ideal(ideal, ell).partition),
+        "initial_partition": str(initial_ideal(ideal, ell, algebra=A).partition),
     }
     try:
         T = HilbertFunction(A.hilbert)
@@ -405,13 +401,7 @@ def cmd_jordan(args, out):
         out.write(f"ideal: ({report['ideal']})\n")
         out.write(f"hilbert function: {report['hilbert']}\n")
         out.write(f"jordan type of {report['ell']}: {report['jordan_type']}\n")
-        jdt_text = "; ".join(
-            f"{e['multiplicity']} x (start {e['start']}, len {e['length']})"
-            if e["multiplicity"] > 1
-            else f"(start {e['start']}, len {e['length']})"
-            for e in report["jordan_degree_type"]
-        )
-        out.write(f"jordan degree type: {jdt_text}\n")
+        out.write(f"jordan degree type: {jdt}\n")
         out.write(f"initial-ideal partition: {report['initial_partition']}\n")
         if report["nonvanishing"] is not None:
             out.write(
@@ -435,14 +425,21 @@ _FIGURE_HILBERTS = {
 }
 
 
-def _figure_k(param, fid):
-    """The k of a figure id such as '3a:2', a positive integer."""
+def _figure_k(param, fid, d):
+    """The k of a figure id such as '3a:2', a positive integer for which
+    T(d, k) has at most MAX_PARTS entries, and so every partition of it at
+    most MAX_PARTS parts."""
     try:
         k = int(param)
     except ValueError:
         k = 0
     if k < 1:
         raise ParseError(f"k must be a positive integer in {fid!r}")
+    entries = 2 * d + k - 2
+    if entries > MAX_PARTS:
+        raise BudgetExceeded(
+            f"T(d={d}, k={k}) of {fid!r} has {entries} entries, over the cap of {MAX_PARTS}"
+        )
     return k
 
 
@@ -453,11 +450,11 @@ def cmd_table(args, out):
         T = HilbertFunction(_FIGURE_HILBERTS[fid])
         data = classification_table(T, with_subscripts=(name != "9"))
     elif name == "3a" and param:
-        T = HilbertFunction.from_dk(2, _figure_k(param, fid))
+        T = HilbertFunction.from_dk(2, _figure_k(param, fid, 2))
         data = classification_table(T, with_subscripts=True)
     elif name in ("10.5", "11", "12") and param:
         d = {"10.5": 3, "11": 4, "12": 5}[name]
-        data = pattern_table(HilbertFunction.from_dk(d, _figure_k(param, fid)))
+        data = pattern_table(HilbertFunction.from_dk(d, _figure_k(param, fid, d)))
     else:
         raise ParseError(f"unknown figure id {fid!r}")
     emit_table(data, args.format, out)

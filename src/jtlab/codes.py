@@ -21,6 +21,7 @@ ideals whose initial ideal is the monomial ideal complementary to P.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -273,23 +274,6 @@ def branch_label_to_partition(label, T):
     return P
 
 
-def _interval_splits(lo, hi):
-    """All divisions of the interval [lo, hi] into consecutive subintervals."""
-    n = hi - lo + 1
-    if n <= 0:
-        yield ()
-        return
-    for mask in range(1 << (n - 1)):
-        intervals = []
-        start = lo
-        for pos in range(n - 1):
-            if mask >> pos & 1:
-                intervals.append((start, lo + pos))
-                start = lo + pos + 1
-        intervals.append((start, hi))
-        yield tuple(intervals)
-
-
 def _arranged(verticals, horizontals):
     """Expand interval sets in their forced order: vertical intervals by
     decreasing minimum, horizontal by decreasing maximum."""
@@ -309,31 +293,35 @@ def diagonal_partition_count(T):
     return (2 if T.k >= 2 else 1) * 3 ** (T.d - 1)
 
 
+def _labels_around(middle, lo, hi):
+    """Labels [*vertical, *middle, *horizontal]: for each division of [lo, hi]
+    into consecutive intervals (one per composition of hi - lo + 1, in the
+    order of compositions) and each choice, by increasing bitmask, of which
+    intervals are vertical.  An empty [lo, hi] gives the one label
+    [*middle]."""
+    for comp in compositions(hi - lo + 1):
+        ends = list(itertools.accumulate(comp, initial=lo - 1))
+        intervals = [(a + 1, b) for a, b in zip(ends, ends[1:])]
+        for mask in range(1 << len(intervals)):
+            verts = [iv for b, iv in enumerate(intervals) if mask >> b & 1]
+            horizs = [iv for b, iv in enumerate(intervals) if not mask >> b & 1]
+            vert, horiz = _arranged(verts, horizs)
+            yield BranchLabel([*vert, *middle, *horiz])
+
+
 def enumerate_branch_labels(T):
     """All valid branch labels for T: 2*3^(d-1) of them when k >= 2,
     3^(d-1) when k = 1."""
     T = HilbertFunction(T)
     d, k = T.d, T.k
-    labels = []
     if k >= 2:
-        for intervals in _interval_splits(1, d):
-            for mask in range(1 << len(intervals)):
-                verts = [iv for b, iv in enumerate(intervals) if mask >> b & 1]
-                horizs = [iv for b, iv in enumerate(intervals) if not mask >> b & 1]
-                vert, horiz = _arranged(verts, horizs)
-                labels.append(BranchLabel([*vert, E, *horiz]))
+        labels = list(_labels_around([E], 1, d))
     else:
-        for g in range(1, d + 1):
-            between = list(range(1, g))
-            if g == d:
-                labels.append(BranchLabel([E, *between, E]))
-                continue
-            for intervals in _interval_splits(g, d - 1):
-                for mask in range(1 << len(intervals)):
-                    verts = [iv for b, iv in enumerate(intervals) if mask >> b & 1]
-                    horizs = [iv for b, iv in enumerate(intervals) if not mask >> b & 1]
-                    vert, horiz = _arranged(verts, horizs)
-                    labels.append(BranchLabel([*vert, E, *between, E, *horiz]))
+        labels = [
+            label
+            for g in range(1, d + 1)
+            for label in _labels_around([E, *range(1, g), E], g, d - 1)
+        ]
     expected = diagonal_partition_count(T)
     if not len(labels) == len(set(labels)) == expected:
         raise InternalInconsistency(f"{len(labels)} labels for {T}, want {expected} distinct")

@@ -290,13 +290,17 @@ def _fmt_monomials(gens):
 
 
 def realize_all(T, seed=0):
-    """One seeded realization and report per CIJT partition of T."""
+    """One realization and report per CIJT partition of T.  Each Lambda_2 is
+    drawn from one random.Random(seed) stream shared by all partitions; with
+    seed=None every Lambda_2 is zero, as in construct_ci."""
     T = HilbertFunction(T)
-    rng = random.Random(seed)
+    rng = None if seed is None else random.Random(seed)
     out = []
     for P in enumerate_cijt(T):
-        a1 = P.power_form[0][1]
-        lambda2 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(a1))
+        lambda2 = None
+        if rng is not None:
+            a1 = P.power_form[0][1]
+            lambda2 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(a1))
         realization = construct_ci(P, lambda2=lambda2)
         out.append((P, realization, verify_realization(realization)))
     return out

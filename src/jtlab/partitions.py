@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceeded,
     DiagonalMismatch,
     InternalInconsistency,
     NotCIShape,
@@ -41,6 +42,13 @@ __all__ = [
     "is_symmetric_jdt",
     "symmetric_string_placement",
 ]
+
+# Most entries, and largest entry, of a caret list, and most parts of a
+# partition given to symmetric_string_placement, whose search takes one
+# stack frame per string or mirror pair it places (about 1990 parts
+# overflow Python's default recursion limit).  Every partition of diagonal
+# lengths T has at most len(T) parts.
+MAX_PARTS = 500
 
 
 class Partition:
@@ -118,21 +126,34 @@ class Partition:
 
 
 def _parse_caret_list(text):
-    """Parse a comma list with caret multiplicities, e.g. "19^2,15^2,10^3,3^4"."""
-    values = []
+    """Parse a comma list with caret multiplicities, e.g. "19^2,15^2,10^3,3^4".
+
+    Raises BudgetExceeded, before anything is expanded, when the list would
+    have more than MAX_PARTS entries or an entry larger than MAX_PARTS.
+    """
+    runs = []
     for piece in text.split(","):
         piece = piece.strip()
         m = re.fullmatch(r"(\d+)(?:\^(\d+))?", piece)
         if not m:
             raise ParseError(f"bad entry {piece!r} in {text!r}")
-        value = int(m.group(1))
-        mult = int(m.group(2)) if m.group(2) else 1
+        try:
+            value, mult = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError:  # more digits than int() converts
+            raise BudgetExceeded(
+                f"an entry of {len(piece)} characters is over the cap of {MAX_PARTS}"
+            ) from None
         if mult < 1:
             raise ParseError(f"multiplicity must be positive in {piece!r}")
-        values.extend([value] * mult)
-    if not values:
-        raise ParseError(f"empty sequence {text!r}")
-    return values
+        runs.append((value, mult))
+    count = sum(mult for _, mult in runs)
+    largest = max(value for value, _ in runs)
+    if count > MAX_PARTS or largest > MAX_PARTS:
+        raise BudgetExceeded(
+            f"{count} entries, the largest {largest}: the cap is {MAX_PARTS} "
+            f"entries of at most {MAX_PARTS} each"
+        )
+    return [value for value, mult in runs for _ in range(mult)]
 
 
 def format_caret_list(values):
@@ -356,9 +377,12 @@ def symmetric_string_placement(P, T):
     returned without searching.  Otherwise plain backtracking over start
     degrees: distinct lengths largest first, starts non-decreasing within a
     length, each mirror pair placed through its lower start i <= (j+1-s)/2,
-    pruned by the remaining per-degree capacity.
+    pruned by the remaining per-degree capacity.  A partition of more than
+    MAX_PARTS parts raises BudgetExceeded before any search.
     """
     P = Partition(P)
+    if len(P) > MAX_PARTS:
+        raise BudgetExceeded(f"{len(P)} parts, over the cap of {MAX_PARTS}")
     T = HilbertFunction(T)
     if diagonal_lengths(P) != T.values:
         raise DiagonalMismatch(f"diagonal lengths of {P} are not {T}")

@@ -1,10 +1,11 @@
-"""Earlier, slower bodies of four combinatorial routines, kept as references
-for differential tests of the linear-time versions in jtlab.
+"""Earlier bodies of five combinatorial routines, kept as references for
+differential tests of the versions in jtlab: four slower ones, and the
+branch-label enumeration with its own interval-split helper.
 
 Each returns exactly what the jtlab function of the same name returns.
 """
 
-from jtlab.codes import E, BranchLabel, _validate_label
+from jtlab.codes import E, BranchLabel, _arranged, _validate_label
 from jtlab.errors import DiagonalMismatch, InvalidLabel
 from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition
 
@@ -120,3 +121,48 @@ def symmetric_string_placement(P, T):
     if search():
         return JordanDegreeType(placed)
     return None
+
+
+def _interval_splits(lo, hi):
+    """All divisions of the interval [lo, hi] into consecutive subintervals."""
+    n = hi - lo + 1
+    if n <= 0:
+        yield ()
+        return
+    for mask in range(1 << (n - 1)):
+        intervals = []
+        start = lo
+        for pos in range(n - 1):
+            if mask >> pos & 1:
+                intervals.append((start, lo + pos))
+                start = lo + pos + 1
+        intervals.append((start, hi))
+        yield tuple(intervals)
+
+
+def enumerate_branch_labels(T):
+    """Interval splits from their own bitmask walk, and one copy of the
+    vertical/horizontal mask loop for each k >= 2 and k = 1."""
+    T = HilbertFunction(T)
+    d, k = T.d, T.k
+    labels = []
+    if k >= 2:
+        for intervals in _interval_splits(1, d):
+            for mask in range(1 << len(intervals)):
+                verts = [iv for b, iv in enumerate(intervals) if mask >> b & 1]
+                horizs = [iv for b, iv in enumerate(intervals) if not mask >> b & 1]
+                vert, horiz = _arranged(verts, horizs)
+                labels.append(BranchLabel([*vert, E, *horiz]))
+    else:
+        for g in range(1, d + 1):
+            between = list(range(1, g))
+            if g == d:
+                labels.append(BranchLabel([E, *between, E]))
+                continue
+            for intervals in _interval_splits(g, d - 1):
+                for mask in range(1 << len(intervals)):
+                    verts = [iv for b, iv in enumerate(intervals) if mask >> b & 1]
+                    horizs = [iv for b, iv in enumerate(intervals) if not mask >> b & 1]
+                    vert, horiz = _arranged(verts, horizs)
+                    labels.append(BranchLabel([*vert, E, *between, E, *horiz]))
+    return labels

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -25,6 +27,8 @@ from jtlab.algebra import (
     quotient,
     rank_mult_power,
 )
+from jtlab.codes import enumerate_cijt
+from jtlab.constructor import construct_ci
 from jtlab.errors import (
     DegreeOutOfRange,
     InternalInconsistency,
@@ -411,8 +415,9 @@ def test_monomial_cells_realize_their_partition():
 
 
 def _brute_force_jordan_type(A, ell):
-    """Assemble the full matrix of multiplication by ell on A and read the
-    block sizes off the ranks of its literal matrix powers."""
+    """Assemble the full matrix of multiplication by ell on A, scaled to
+    integers, and read the block sizes off the ranks of its literal matrix
+    powers."""
     basis = [(i, mono) for i in range(A.socle_degree + 1) for mono in A.basis(i)]
     index = {b: t for t, b in enumerate(basis)}
     n = len(basis)
@@ -423,12 +428,18 @@ def _brute_force_jordan_type(A, ell):
         image = A.normal_form_vector(ell * BivariatePoly.monomial(a, b))
         for coeff, mono in zip(image, A.basis(i + 1)):
             M[index[(i + 1, mono)]][col] = coeff
+    scale = math.lcm(*(v.denominator for row in M for v in row))
+    M = [[int(v * scale) for v in row] for row in M]  # same ranks of powers
 
     def matmul(P, Q):
-        return [
-            [sum(P[r][t] * Q[t][c] for t in range(n)) for c in range(n)]
-            for r in range(n)
-        ]
+        out = []
+        for row in P:
+            acc = [0] * n
+            for t, v in enumerate(row):
+                if v:
+                    acc = [x + v * w for x, w in zip(acc, Q[t])]
+            out.append(acc)
+        return out
 
     ranks = [n]
     power = M
@@ -442,23 +453,6 @@ def _brute_force_jordan_type(A, ell):
         ge_next = ranks[s] - ranks[s + 1] if s + 1 < len(ranks) else 0
         parts.extend([s] * (ge_s - ge_next))
     return Partition(sorted(parts, reverse=True))
-
-
-def test_jordan_type_matches_full_matrix_power_ranks():
-    rng = random.Random(271828)
-    fixtures = [
-        ideal("x^2", "y^3"),
-        ideal("x*y", "x^3+y^3"),
-        ideal("x^2*y", "y^4+x^4"),
-        ideal("x*y", "x^3", "y^4"),
-    ]
-    for _ in range(6):
-        fixtures.append(_random_artinian_ideal(rng)[0])
-    for I in fixtures:
-        A = quotient(I)
-        for a, b in [(1, 0), (0, 1), (1, 1), (1, -2)]:
-            ell = BivariatePoly.linear(a, b)
-            assert jordan_type(A, ell) == _brute_force_jordan_type(A, ell)
 
 
 # -- rank tables against the slow exact path --------------------------------------
@@ -558,6 +552,33 @@ def _rank_table_cases():
 
 
 RANK_TABLE_CASES = _rank_table_cases()
+
+
+def test_jordan_type_matches_full_matrix_power_ranks():
+    # fixed and random ideals, every rank-table case in its directions, and
+    # the non-generic strata of x on the Lambda_2 = 0 realization of every
+    # CIJT with d <= 5, k <= 3
+    rng = random.Random(271828)
+    fixtures = [
+        ideal("x^2", "y^3"),
+        ideal("x*y", "x^3+y^3"),
+        ideal("x^2*y", "y^4+x^4"),
+        ideal("x*y", "x^3", "y^4"),
+    ]
+    fixtures += [_random_artinian_ideal(rng)[0] for _ in range(6)]
+    cases = [(quotient(I), [(1, 0), (0, 1), (1, 1), (1, -2)]) for I in fixtures]
+    cases += [(quotient(I), directions) for _, I, directions in RANK_TABLE_CASES]
+    for d, k in itertools.product(range(1, 6), range(1, 4)):
+        for P in enumerate_cijt(HilbertFunction.from_dk(d, k)):
+            A = quotient(construct_ci(P).ideal)
+            assert jordan_type(A, ELL_X) == P
+            cases.append((A, [(1, 0)]))
+    assert len(cases) == 10 + len(RANK_TABLE_CASES) + 155
+    for A, directions in cases:
+        for a, b in directions:
+            ell = BivariatePoly.linear(a, b)
+            assert jordan_type(A, ell) == _brute_force_jordan_type(A, ell)
+            assert jordan_degree_type(A, ell).coverage() == A.hilbert
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,9 @@ import pytest
 
 from jtlab import cli
 from jtlab.cli import MAX_TABLE_ROWS, main
-from jtlab.codes import diagonal_partition_count
+from jtlab.codes import diagonal_partition_count, enumerate_cijt
 from jtlab.errors import InternalInconsistency
-from jtlab.partitions import HilbertFunction
+from jtlab.partitions import MAX_PARTS, HilbertFunction
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,6 +69,19 @@ BAD_INPUT = [
     (("table", "99"), 2, "unknown figure"),
     (("table", "3a:abc"), 2, "positive integer"),
     (("table", "3a:0"), 2, "positive integer"),
+    # caret lists and figure ids over the MAX_PARTS cap, refused before any
+    # list is built; uncapped, 1^1990 and 3a:1990 overflow the recursion
+    # limit of the symmetric-placement search
+    (("classify", "1^1990"), 2, "entries"),
+    (("classify", "2^1990"), 2, "entries"),
+    (("classify", "1^100000000"), 2, "entries"),
+    (("classify", "100000000"), 2, "entries"),
+    (("enumerate", "1^1990"), 2, "entries"),
+    (("realize", "--all", "1^100000000"), 2, "entries"),
+    (("table", "3a:1990"), 2, "entries"),
+    (("table", "10.5:100000000"), 2, "entries"),
+    (("table", "11:100000000"), 2, "entries"),
+    (("table", "12:100000000"), 2, "entries"),
 ]
 
 
@@ -79,6 +92,25 @@ def test_bad_input_exit_code_and_one_error_line(argv, want_code, needle):
     result = run_cli(*argv)
     assert_one_error_line(result, want_code)
     assert needle in result[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", f"1^{MAX_PARTS}"),
+        ("classify", f"{MAX_PARTS}"),
+        ("table", f"3a:{MAX_PARTS - 2}"),
+        ("table", f"12:{MAX_PARTS - 8}"),
+    ],
+    ids=" ".join,
+)
+def test_inputs_at_the_parts_cap_run(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 0 and out and not err
+
+
+def test_non_integer_env_seed_exits_2():
+    assert_one_error_line(run_cli("realize", "6,4,2", env_seed="abc"), 2)
 
 
 def test_jordan_directory_as_ideal_exits_2(tmp_path):
@@ -239,6 +271,17 @@ def test_realize_env_seed_overrides_flag():
     assert with_env == with_flag
     _, other, _ = run_cli("realize", "6,4,2", "--seed", "9")
     assert other != with_flag
+
+
+def test_realize_all_alpha_zero_is_each_alpha_zero_realization():
+    T = "1,2,3,3,2,1"
+    code, out, _ = run_cli("realize", "--all", T, "--alpha-zero")
+    assert code == 0
+    want = "".join(
+        run_cli("realize", str(P), "--alpha-zero")[1] + "\n"
+        for P in enumerate_cijt(HilbertFunction(T))
+    )
+    assert out == want + "8/8 realizations passed all checks\n"
 
 
 def test_realize_requires_exactly_one_target():

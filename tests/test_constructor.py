@@ -85,6 +85,18 @@ def test_realize_all_counts_and_passes():
         assert all(report.all_passed for _, _, report in results)
 
 
+def test_realize_all_without_seed_has_zero_lambda():
+    T = HilbertFunction("1,2,3,3,2,1")
+    results = realize_all(T, seed=None)
+    assert [P for P, _, _ in results] == enumerate_cijt(T)
+    for P, realization, report in results:
+        alpha_zero = construct_ci(P)
+        assert str(realization) == str(alpha_zero)
+        assert realization.lambdas == alpha_zero.lambdas
+        assert not any(realization.lambdas)
+        assert report.all_passed
+
+
 def test_parameter_independence():
     # the Jordan type does not depend on the free parameters
     for parts in ("6,2^3", "5^2,1^2", "6,4,2"):

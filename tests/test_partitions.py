@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jtlab
-from jtlab.errors import InternalInconsistency, NotCIShape, ParseError, SizeMismatch
+from jtlab.errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    NotCIShape,
+    ParseError,
+    SizeMismatch,
+)
 from jtlab.partitions import (
+    MAX_PARTS,
     HilbertFunction,
     JordanDegreeType,
     Partition,
@@ -190,6 +197,24 @@ def test_symmetric_examples():
     assert is_symmetric_jdt(Partition([2, 2, 1, 1]), HilbertFunction("1,2,2,1"))
     assert not is_symmetric_jdt(Partition([3, 1, 1, 1]), HilbertFunction("1,2,2,1"))
     assert is_symmetric_jdt(Partition([6, 2, 2, 1, 1]), HilbertFunction("1,2,3,3,2,1"))
+
+
+def test_symmetric_placement_refuses_more_parts_than_the_cap():
+    assert is_symmetric_jdt(Partition([1] * MAX_PARTS), HilbertFunction((1,) * MAX_PARTS))
+    with pytest.raises(BudgetExceeded):
+        symmetric_string_placement(
+            Partition([1] * (MAX_PARTS + 1)), HilbertFunction((1,) * (MAX_PARTS + 1))
+        )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"1^{MAX_PARTS + 1}", f"{MAX_PARTS + 1}", "3,2^300,1^300", "1^" + "9" * 5000],
+    ids=["many", "large", "sum", "digits"],
+)
+def test_caret_list_over_the_cap_is_refused(text):
+    with pytest.raises(BudgetExceeded):
+        Partition(text)
 
 
 def test_symmetric_witness_is_valid():

@@ -1,6 +1,6 @@
 """Differential tests: the linear-time diagram scans, the parity-first
-symmetric search and the one-label classification row against the earlier
-bodies kept in reference_paths.py."""
+symmetric search, the one-label classification row and the branch-label
+enumeration against the earlier bodies kept in reference_paths.py."""
 
 import itertools
 
@@ -38,6 +38,12 @@ ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
 any_partition = st.lists(st.integers(1, 14), min_size=1, max_size=14).map(
     lambda parts: Partition(sorted(parts, reverse=True))
 )
+
+
+@pytest.mark.parametrize("d, k", itertools.product(range(1, 8), range(1, 4)))
+def test_branch_labels_match_reference_in_order(d, k):
+    T = HilbertFunction.from_dk(d, k)
+    assert enumerate_branch_labels(T) == ref.enumerate_branch_labels(T)
 
 
 @pytest.mark.parametrize("d, k", ALL_DK)
