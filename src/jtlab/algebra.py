@@ -148,6 +148,9 @@ class ArtinAlgebra:
         self.hilbert = tuple(len(std) for std in self._std[:-1])
         self.socle_degree = len(self.hilbert) - 1
         self._rank_tables = {}  # coefficients (a, b) of a*x + b*y -> rank table
+        # dual generator F -> (HilbertFunction, divided_power_vector(F)),
+        # kept by hessians.hessian_rank_at for later calls about F
+        self.dual_vectors = {}
 
     @property
     def dimension(self):

@@ -22,6 +22,7 @@ ideals whose initial ideal is the monomial ideal complementary to P.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,7 +32,14 @@ from .errors import (
     NotCIJTWithDParts,
     ParseError,
 )
-from .partitions import HilbertFunction, Partition, column_lengths, diagonal_lengths
+from .partitions import (
+    HilbertFunction,
+    Partition,
+    column_lengths,
+    diagonal_lengths,
+    hilbert_function,
+    share_hilbert,
+)
 
 __all__ = [
     "E",
@@ -66,8 +74,8 @@ class _Gap:
     def __repr__(self):
         return "E"
 
-    def __deepcopy__(self, memo):
-        return self
+    def __reduce__(self):
+        return "E"  # the module attribute: copies and unpickling give E itself
 
 
 E = _Gap()
@@ -78,11 +86,9 @@ class BranchLabel:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         if isinstance(entries, BranchLabel):
-            # parsed when it was built, and immutable since
-            object.__setattr__(self, "entries", entries.entries)
-            return
+            return entries  # parsed when it was built, and immutable since
         if isinstance(entries, str):
             entries = [piece.strip() for piece in entries.split(",")]
         clean = []
@@ -97,10 +103,15 @@ class BranchLabel:
             clean.append(E if value == 0 else value)  # 0 is the gap too
         if not clean:
             raise ParseError("empty branch label")
+        self = object.__new__(cls)
         object.__setattr__(self, "entries", tuple(clean))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BranchLabel is immutable")
+
+    def __reduce__(self):
+        return (BranchLabel, (self.entries,))
 
     @property
     def gaps(self):
@@ -148,7 +159,7 @@ def partition_to_branch_label(P):
     thickening offset s = max(0, k-2).
     """
     P = Partition(P)
-    T = HilbertFunction(diagonal_lengths(P))
+    T = hilbert_function(P)
     d, k = T.d, T.k
     s = max(0, k - 2)
     cols = column_lengths(P)
@@ -229,8 +240,11 @@ def _validate_label(label, T):
 def branch_label_to_partition(label, T):
     """Glue the labelled branches to the basic triangle and read the rows.
 
-    Inverse of partition_to_branch_label.  The cells are grouped by row as
-    they are glued, so each row is read once.
+    Inverse of partition_to_branch_label.  As the branches are glued, each
+    row keeps its cell count and its largest column; no two cells coincide
+    (see below), so a nonempty row is left justified exactly when its
+    largest column is its count less one.  The partition is given T itself
+    once its diagonal lengths are checked.
 
     Every label tested (d <= 6, k <= 3) that passes `_segments` but not the
     interval conditions glues to a diagram that is not left justified or
@@ -248,30 +262,34 @@ def branch_label_to_partition(label, T):
     d, k = T.d, T.k
     s = max(0, k - 2)
     e = label.gaps[-1]
-    # rows[r] holds the columns m of the cells (r, m), rows 1-based
-    rows = {r: set(range(d - r + 1)) for r in range(1, d + 1)}
+    # row r (0-based here) of the triangle holds the columns 0..d-1-r
+    count = list(range(d, 0, -1))
+    last = list(range(d - 1, -1, -1))  # largest column, -1 for no cell
     for i, entry in enumerate(label.entries):
         if entry is E:
             continue
         length = entry + s
-        if i < e:  # vertical branch below column i
-            for a in range(1, length + 1):
-                rows.setdefault(d - i + a, set()).add(i)
-        else:  # horizontal branch on row i - e
-            r = i - e
-            rows[r].update(range(d - r + 1, d - r + length + 1))
-    parts = []
-    for r in range(1, max(rows) + 1):
-        row = rows.get(r, ())
-        if len(row) and max(row) != len(row) - 1:
-            raise InvalidLabel(f"{label}: glued diagram is not left justified")
-        parts.append(len(row))
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if i < e:  # vertical branch below column i: rows d-i .. d-i+length-1
+            lo, hi = d - i, d - i + length
+            if hi > len(count):
+                count.extend([0] * (hi - len(count)))
+                last.extend([-1] * (hi - len(last)))
+            count[lo:hi] = [c + 1 for c in count[lo:hi]]
+            # columns come in increasing order, and the triangle's cells in
+            # these rows lie left of column i
+            last[lo:hi] = [i] * length
+        else:  # horizontal branch on row r = i - e - 1, past column d-1-r
+            r = i - e - 1
+            count[r] += length
+            last[r] += length
+    if any(c and m != c - 1 for c, m in zip(count, last)):
+        raise InvalidLabel(f"{label}: glued diagram is not left justified")
+    if any(map(operator.lt, count, count[1:])):
         raise InvalidLabel(f"{label}: glued rows are not weakly decreasing")
-    P = Partition(parts)
+    P = Partition(count)
     if diagonal_lengths(P) != T.values:
         raise InternalInconsistency(f"{label}: diagram has wrong diagonal lengths")
-    return P
+    return share_hilbert(P, T)
 
 
 def _arranged(verticals, horizontals):
@@ -348,7 +366,7 @@ def is_cijt(P):
     d+k-1.
     """
     P = Partition(P)
-    T = HilbertFunction(diagonal_lengths(P))
+    T = hilbert_function(P)
     pf = P.power_form
     by_equality = all(
         pf[i - 1][0] == pf[i - 1][1] + pf[i][1] + pf[i][0] for i in range(1, len(pf))
@@ -405,7 +423,7 @@ def cijt_from_composition(T, comp):
     P = Partition(parts)
     if diagonal_lengths(P) != T.values:
         raise InternalInconsistency(f"composition {comp} gives {P}, not of diagonal lengths {T}")
-    return P
+    return share_hilbert(P, T)
 
 
 def enumerate_cijt(T):
@@ -545,7 +563,7 @@ def _assemble_hook_code(label, T, subs_by_value, counts_by_degree):
 def hook_code_direct(P):
     """Hook code by scanning all cells of the Ferrers diagram."""
     P = Partition(P)
-    T = HilbertFunction(diagonal_lengths(P))
+    T = hilbert_function(P)
     label = partition_to_branch_label(P)
     counts = hook_counts_by_degree(P)
     subs_by_value = {
@@ -609,7 +627,7 @@ def iota(P):
     partition with d+k-1 parts, bijectively.  Identity when k = 1.
     """
     P = Partition(P)
-    T = HilbertFunction(diagonal_lengths(P))
+    T = hilbert_function(P)
     if not is_cijt(P) or len(P) != T.d:
         raise NotCIJTWithDParts(f"{P} is not a CIJT partition with {T.d} parts")
     p_t, n_t = P.power_form[-1]

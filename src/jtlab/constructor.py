@@ -28,7 +28,7 @@ from .algebra import (
 from .codes import enumerate_cijt, is_cijt
 from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape
 from .hessians import nonvanishing_set, predicted_nonvanishing_set, predicted_rank_profile
-from .partitions import HilbertFunction, Partition, diagonal_lengths, format_caret_list
+from .partitions import HilbertFunction, Partition, format_caret_list, hilbert_function
 from .polynomials import BivariatePoly
 
 __all__ = [
@@ -79,7 +79,7 @@ def construct_ci(P, lambda2=None, seed=None):
     """
     P = Partition(P)
     try:
-        T = HilbertFunction(diagonal_lengths(P))
+        T = hilbert_function(P)
     except NotCIShape as exc:
         raise NotCIJT(f"{P} is not a CIJT partition: {exc}") from exc
     if not is_cijt(P):

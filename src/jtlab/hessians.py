@@ -44,7 +44,7 @@ from .linalg import echelon, primitive
 from .partitions import (
     HilbertFunction,
     Partition,
-    diagonal_lengths,
+    hilbert_function,
     sl_partition,
 )
 from .polynomials import BivariatePoly, contract, divided_power_vector
@@ -70,17 +70,16 @@ def hessian_matrix(F, i, algebra=None):
     Gorenstein quotient of k[x,y] starts in degree d > i), ordered by
     descending x-exponent: (x^i, x^(i-1) y, ..., y^i).
     """
-    _check_order(F, i, algebra)
+    A = algebra if algebra is not None else quotient(annihilator(F))
+    _check_order(i, A, HilbertFunction(A.hilbert))
     basis = [BivariatePoly.monomial(i - b, b) for b in range(i + 1)]
     return [[contract(mu * mv, F) for mv in basis] for mu in basis]
 
 
-def _check_order(F, i, algebra):
+def _check_order(i, A, T):
     """Raise OrderOutOfRange unless 0 <= i <= d-1 for the Hilbert function
-    of algebra, or of quotient(annihilator(F)) when algebra is None, and
-    InternalInconsistency unless A_i is all of R_i, as it is below d."""
-    A = algebra if algebra is not None else quotient(annihilator(F))
-    T = HilbertFunction(A.hilbert)
+    T of the algebra A = quotient(annihilator(F)), and InternalInconsistency
+    unless A_i is all of R_i, as it is below d."""
     if not 0 <= i <= T.d - 1:
         raise OrderOutOfRange(f"order {i} outside [0, {T.d - 1}]")
     if A.dim(i) != i + 1:
@@ -118,10 +117,17 @@ def hessian_rank_at(F, i, point, algebra=None):
     The rank of the integer Hankel matrix [h_(r+c)] of the module
     docstring, which is n! = (j - 2i)! times the evaluated Hessian up to
     one nonzero factor.  It is computed from F alone; algebra, when given,
-    is quotient(annihilator(F)) and serves only the order check.
+    is quotient(annihilator(F)) and serves the order check.  The algebra
+    keeps its validated Hilbert function and F's divided-power vector for
+    later calls about the same F.
     """
-    _check_order(F, i, algebra)
-    g = divided_power_vector(F)
+    A = algebra if algebra is not None else quotient(annihilator(F))
+    known = A.dual_vectors.get(F)
+    T = known[0] if known else HilbertFunction(A.hilbert)
+    _check_order(i, A, T)
+    if known is None:
+        known = A.dual_vectors[F] = (T, divided_power_vector(F))
+    g = known[1]
     n = len(g) - 1 - 2 * i
     a, b = primitive([Fraction(v) for v in point])
     weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
@@ -155,7 +161,7 @@ def predicted_nonvanishing_set(P):
     Hessian is nonzero at the linear form.
     """
     P = Partition(P)
-    T = HilbertFunction(diagonal_lengths(P))
+    T = hilbert_function(P)
     if not is_cijt(P):
         raise NotCIJT(f"{P} is not a CIJT partition")
     parts = P.parts + (0,) * (T.d + T.k)
@@ -211,7 +217,7 @@ def predicted_rank_profile(P):
     s in [d, j-(m+i)].
     """
     P = Partition(P)
-    T = HilbertFunction(diagonal_lengths(P))
+    T = hilbert_function(P)
     S = predicted_nonvanishing_set(P)
     d, k, j = T.d, T.k, T.j
     profile = {}

@@ -10,6 +10,14 @@ Diagonal lengths of a partition are the lengths of the slope-one diagonals
 of its Ferrers diagram; they always form an admissible Hilbert function of a
 graded Artinian quotient of k[x,y], and the Jordan type of any linear form
 on such a quotient has diagonal lengths equal to the Hilbert function.
+
+Partition and HilbertFunction are immutable values: ``Partition(P)`` returns
+P itself and ``HilbertFunction(T)`` returns T, without validating again.  A
+partition holds its validated HilbertFunction once known.  Those built by
+codes.branch_label_to_partition and codes.cijt_from_composition get the T
+they were built from, after their diagonal lengths are checked, so all the
+partitions of one enumeration share one T.  Any other partition derives its
+own on the first call of hilbert_function(P); diagonal_lengths(P) reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,6 +41,7 @@ __all__ = [
     "HilbertFunction",
     "JordanDegreeType",
     "diagonal_lengths",
+    "hilbert_function",
     "column_lengths",
     "conjugate",
     "sl_partition",
@@ -58,13 +66,11 @@ class Partition:
     ``Partition([6, 2, 2, 1, 1])`` build the same value.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hilbert")
 
-    def __init__(self, parts):
+    def __new__(cls, parts):
         if isinstance(parts, Partition):
-            # validated when it was built, and immutable since
-            object.__setattr__(self, "parts", parts.parts)
-            return
+            return parts  # validated when it was built, and immutable since
         if isinstance(parts, str):
             parts = _parse_caret_list(parts)
         parts = tuple(map(int, parts))
@@ -74,15 +80,31 @@ class Partition:
             raise ParseError(f"parts must be positive: {parts}")
         if any(map(operator.lt, parts, parts[1:])):
             raise ParseError(f"parts must be weakly decreasing: {parts}")
+        self = object.__new__(cls)
         object.__setattr__(self, "parts", parts)
+        # the validated HilbertFunction of the diagonal lengths, once known
+        object.__setattr__(self, "_hilbert", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        return (Partition, (self.parts,))
+
     @property
     def power_form(self):
-        """((p_1, n_1), ..., (p_t, n_t)) with p_1 > ... > p_t."""
-        return tuple(Counter(self.parts).items())  # parts are sorted
+        """((p_1, n_1), ..., (p_t, n_t)) with p_1 > ... > p_t: the runs of
+        equal parts, read in one pass since the parts are sorted."""
+        form = []
+        run, count = self.parts[0], 0
+        for p in self.parts:
+            if p != run:
+                form.append((run, count))
+                run, count = p, 0
+            count += 1
+        form.append((run, count))
+        return tuple(form)
 
     @property
     def size(self):
@@ -175,15 +197,39 @@ def diagonal_lengths(P):
     t is the running sum of a difference array that gains +1 at r and -1
     at r + p for every row: O(rows + degrees), not O(cells).  Row r covers
     diagonal r, so the sum stays positive up to the top degree
-    max(r + p) - 1 and is cut at its first zero.
+    max(r + p) - 1 and is cut at its first zero.  A partition that already
+    holds its HilbertFunction (see hilbert_function) answers from it.
     """
-    parts = Partition(P).parts
+    P = Partition(P)
+    if P._hilbert is not None:
+        return P._hilbert.values
+    parts = P.parts
     steps = [0] * (len(parts) + parts[0])
     for r, p in enumerate(parts):
         steps[r] += 1
         steps[r + p] -= 1
     t = tuple(itertools.accumulate(steps))
     return t[: t.index(0)]
+
+
+def hilbert_function(P):
+    """The validated HilbertFunction of P's diagonal lengths.
+
+    It is derived on the first call for a partition and kept on it, unless
+    the enumeration that built P already gave it the T it was built from.
+    Raises NotCIShape when the diagonal lengths are not CI-shaped.
+    """
+    P = Partition(P)
+    if P._hilbert is None:
+        share_hilbert(P, HilbertFunction(diagonal_lengths(P)))
+    return P._hilbert
+
+
+def share_hilbert(P, T):
+    """Give P the HilbertFunction T, which the caller has checked to be
+    P's diagonal lengths, and return P."""
+    object.__setattr__(P, "_hilbert", T)
+    return P
 
 
 def column_lengths(P):
@@ -223,7 +269,7 @@ def validate_ci_hilbert(T):
     return d, k, j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HilbertFunction:
     """A complete intersection Hilbert function (1,2,...,d^k,...,2,1).
 
@@ -236,20 +282,22 @@ class HilbertFunction:
     k: int
     j: int
 
-    def __init__(self, values):
+    def __new__(cls, values):
         if isinstance(values, HilbertFunction):
-            # validated when it was built, and immutable since
-            for name in ("values", "d", "k", "j"):
-                object.__setattr__(self, name, getattr(values, name))
-            return
+            return values  # validated when it was built, and immutable since
         if isinstance(values, str):
             values = _parse_caret_list(values)
         values = tuple(map(int, values))
         d, k, j = validate_ci_hilbert(values)
+        self = object.__new__(cls)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "j", j)
+        return self
+
+    def __reduce__(self):
+        return (HilbertFunction, (self.values,))
 
     @classmethod
     def from_dk(cls, d, k):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -21,8 +23,17 @@ from jtlab.codes import (
     iota,
     partition_to_branch_label,
 )
-from jtlab.errors import InvalidLabel, NotCIJTWithDParts
-from jtlab.partitions import HilbertFunction, Partition, conjugate, sl_partition
+from jtlab.errors import DiagonalMismatch, InvalidLabel, NotCIJTWithDParts
+from jtlab.partitions import (
+    HilbertFunction,
+    JordanDegreeType,
+    Partition,
+    conjugate,
+    diagonal_lengths,
+    hilbert_function,
+    sl_partition,
+    symmetric_string_placement,
+)
 
 T1221 = HilbertFunction("1,2,2,1")
 T12321 = HilbertFunction("1,2,3,2,1")
@@ -111,6 +122,56 @@ def test_round_trip_all_labels():
         for b in enumerate_branch_labels(T):
             P = branch_label_to_partition(b, T)
             assert partition_to_branch_label(P) == b
+
+
+def _copies(value):
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+def test_value_objects_copy_and_pickle():
+    T = HilbertFunction.from_dk(4, 2)
+    P = enumerate_diagonal_partitions(T)[5]  # carries the enumeration's T
+    witness = symmetric_string_placement(sl_partition(T), T)
+    values = [
+        P,
+        Partition("6,2^2,1^2"),
+        partition_to_branch_label(P),
+        BranchLabel("E,1,E"),
+        hook_code_direct(P),
+        hook_code_direct(Partition("3,1")),
+        T,
+        witness,
+        JordanDegreeType({(0, 3): 2, (1, 1): 1}),
+    ]
+    for value in values:
+        for twin in _copies(value):
+            assert type(twin) is type(value) and twin == value, value
+    for twin in _copies(P):
+        assert diagonal_lengths(twin) == diagonal_lengths(P) == T.values
+        assert hilbert_function(twin) == T
+    for twin in _copies(BranchLabel("E,1,E")):
+        assert twin.gaps == (0, 2)  # gaps are found by identity with E
+    for twin in _copies(hook_code_direct(Partition("3,1"))):
+        assert twin.label.gaps == (0, 1) and twin.subscripted_str() == "E,E,1_2"
+    assert all(twin is E for twin in _copies(E))
+
+
+def test_enumerated_partitions_share_their_T():
+    T = HilbertFunction.from_dk(5, 2)
+    for P in enumerate_diagonal_partitions(T) + enumerate_cijt(T):
+        assert hilbert_function(P) is T
+        fresh = Partition(P.parts)
+        assert fresh is not P and hilbert_function(fresh) == T
+        assert hilbert_function(fresh) is hilbert_function(fresh)
+
+
+def test_enumerated_partition_with_another_T_is_refused():
+    T, other = HilbertFunction.from_dk(4, 2), HilbertFunction.from_dk(4, 3)
+    for P in enumerate_diagonal_partitions(T):
+        with pytest.raises(DiagonalMismatch):
+            symmetric_string_placement(P, other)
+        with pytest.raises(DiagonalMismatch):
+            symmetric_string_placement(P, HilbertFunction.from_dk(3, 3))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -214,10 +275,13 @@ def test_hook_code_from_label_examples():
 
 
 def test_hook_code_label_rule_equals_direct():
-    for d, k in all_dk(6, 4):
+    # every row of T(d, k) for d <= 7, k <= 4, from the label the
+    # enumeration built the partition from
+    for d, k in all_dk(7, 4):
         T = HilbertFunction.from_dk(d, k)
-        for P in enumerate_diagonal_partitions(T):
-            b = partition_to_branch_label(P)
+        for b in enumerate_branch_labels(T):
+            P = branch_label_to_partition(b, T)
+            assert partition_to_branch_label(P) == b
             assert hook_code_from_label(b, T) == hook_code_direct(P), (P, str(b))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jtlab
-from jtlab import hessians, linalg
+from jtlab import hessians, linalg, partitions
 from jtlab.algebra import GradedIdeal, annihilator, quotient, rank_mult_power
 from jtlab.codes import enumerate_cijt, iota
 from jtlab.constructor import construct_ci
@@ -278,6 +278,37 @@ def test_hessian_rank_at_reads_no_rank_table(monkeypatch):
     monkeypatch.setattr(hessians, "rank_mult_power", refuse)
     ranks = [hessian_rank_at(F, i, (1, 1), algebra=A) for i in range(3)]
     assert ranks == [_symbolic_hessian_rank(F, i, (1, 1), A) for i in range(3)]
+
+
+def test_hessian_rank_at_derives_dual_vector_once_per_algebra_and_form(monkeypatch):
+    counted = {"dual": 0, "hilbert": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counted[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
+    A = quotient(annihilator(F))
+    active = active_hessian_indices(HilbertFunction(A.hilbert))
+    monkeypatch.setattr(hessians, "divided_power_vector", counting("dual", hessians.divided_power_vector))
+    monkeypatch.setattr(partitions, "validate_ci_hilbert", counting("hilbert", partitions.validate_ci_hilbert))
+    for point in [(1, 0), (0, 1), (1, 1), (1, 2)]:
+        for i in active:
+            hessian_rank_at(F, i, point, algebra=A)
+    assert counted == {"dual": 1, "hilbert": 1}
+    # an equal form built apart is the same form; the order check still runs
+    hessian_rank_at(parse_poly("X^5 + 3*X^2*Y^3 - Y^5"), 1, (2, -3), algebra=A)
+    with pytest.raises(OrderOutOfRange):
+        hessian_rank_at(F, 3, (1, 1), algebra=A)
+    assert counted == {"dual": 1, "hilbert": 1}
+    # another form, or another algebra, derives its own
+    G = parse_poly("X^5 - Y^5")
+    hessian_rank_at(G, 1, (1, 1), algebra=quotient(annihilator(G)))
+    hessian_rank_at(F, 1, (1, 1))
+    assert counted["dual"] == 3
 
 
 @pytest.mark.parametrize("with_algebra", [False, True], ids=["no algebra", "algebra"])

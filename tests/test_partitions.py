@@ -24,6 +24,7 @@ from jtlab.partitions import (
     conjugate,
     diagonal_lengths,
     dominance_leq,
+    hilbert_function,
     is_symmetric_jdt,
     sl_partition,
     symmetric_string_placement,
@@ -348,3 +349,23 @@ def test_part_count_at_least_sperner():
         T = HilbertFunction.from_dk(d, k)
         for P in enumerate_diagonal_partitions(T):
             assert len(P) >= d
+
+
+def test_value_objects_are_not_copied():
+    P = Partition("5,3^2,1")
+    T = HilbertFunction.from_dk(4, 2)
+    assert Partition(P) is P
+    assert HilbertFunction(T) is T
+
+
+def test_hilbert_function_is_derived_once_and_validated():
+    P = Partition("3,1")
+    T = hilbert_function(P)
+    assert T == HilbertFunction("1,2,1") == HilbertFunction(diagonal_lengths(P))
+    assert hilbert_function(P) is T
+    assert diagonal_lengths(P) is T.values
+    Q = Partition("4,1")  # diagonal lengths 1,2,1,1
+    for _ in range(2):
+        with pytest.raises(NotCIShape):
+            hilbert_function(Q)
+    assert diagonal_lengths(Q) == (1, 2, 1, 1)

@@ -133,3 +133,14 @@ def test_classification_row_matches_reference(d, k):
     assert set(partitions) == set(labels)
     for P in partitions:
         assert classification_row(P, T) == _reference_row(P, T, labels), P
+
+
+@pytest.mark.parametrize("d, k", list(itertools.product(range(1, 7), range(1, 4))))
+def test_classification_row_of_enumerated_partition_matches_fresh_one(d, k):
+    # the enumeration hands every partition the T it was built from; a
+    # partition built apart from the same parts derives its own
+    T = HilbertFunction.from_dk(d, k)
+    for P in enumerate_diagonal_partitions(T):
+        fresh = Partition(P.parts)
+        assert fresh is not P
+        assert classification_row(P, T) == classification_row(fresh, T), P
