@@ -154,11 +154,17 @@ def render_csv(headers, rows_text, out):
     writer.writerows(rows_text)
 
 
+def _write_json(obj, out):
+    """The one JSON writer of every command: sorted keys, indent 2, and a
+    closing newline."""
+    json.dump(obj, out, indent=2, sort_keys=True)
+    out.write("\n")
+
+
 def emit_table(data, fmt, out):
     """data: {"headers": [...], "rows_text": [...], "structured": {...}}."""
     if fmt == "json":
-        json.dump(data["structured"], out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(data["structured"], out)
     elif fmt == "csv":
         render_csv(data["headers"], data["rows_text"], out)
     else:
@@ -266,8 +272,7 @@ def cmd_classify(args, out):
                 f"{u}->{s}": rank for (u, s), rank in sorted(profile.items())
             }
     if args.format == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(report, out)
     else:
         for key, value in report.items():
             if isinstance(value, bool):
@@ -304,8 +309,7 @@ def _realization_record(P, realization, report):
 
 def _print_report(P, realization, report, fmt, out):
     if fmt == "json":
-        json.dump(_realization_record(P, realization, report), out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(_realization_record(P, realization, report), out)
     else:
         out.write(f"partition: {P}\n")
         out.write(f"generators: {realization}\n")
@@ -324,7 +328,7 @@ def cmd_realize(args, out):
         results = realize_all(T, seed=None if args.alpha_zero else seed)
         passed = sum(report.all_passed for _, _, report in results)
         if fmt == "json":
-            json.dump(
+            _write_json(
                 {
                     "hilbert": str(T),
                     "passed": passed,
@@ -335,10 +339,7 @@ def cmd_realize(args, out):
                     ],
                 },
                 out,
-                indent=2,
-                sort_keys=True,
             )
-            out.write("\n")
         else:
             for P, realization, report in results:
                 _print_report(P, realization, report, fmt, out)
@@ -395,8 +396,7 @@ def cmd_jordan(args, out):
         report["nonvanishing"] = None
         report["hessian_ranks"] = None
     if args.format == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(report, out)
     else:
         out.write(f"ideal: ({report['ideal']})\n")
         out.write(f"hilbert function: {report['hilbert']}\n")

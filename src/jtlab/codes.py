@@ -2,16 +2,18 @@
 intersection Jordan types (CIJT).
 
 A partition P with diagonal lengths T = (1,2,...,d^k,...,2,1) is obtained
-from the basic triangle of all monomials of degree < d by attaching d+1
-branches: vertical ones below a gap, horizontal ones above it (two gaps when
-k = 1).  The branch label records the branch lengths, with the gap written
+from the basic triangle of all monomials of degree < d by attaching
+T.branches branches at the d+1 cells of degree d: vertical ones below the
+last gap, horizontal ones above it.  There is one gap when k >= 2 and two
+when k = 1; HilbertFunction.branches (d or d-1) is the one place that tells
+the two shapes apart, and the code here reads the gap count d+1-T.branches
+from it.  The branch label records the branch lengths, with each gap written
 as the sentinel E; when k >= 2 every branch carries k-2 extra "thickening"
 boxes not counted in the label.
 
 P is CIJT exactly when its power form satisfies p_{i-1} = n_{i-1} + n_i + p_i
 for every i, equivalently when P has d or d+k-1 parts.  CIJT partitions are
-parametrized by ordered partitions (compositions) of n in [0, d] (k >= 2) or
-[0, d-1] (k = 1).
+parametrized by ordered partitions (compositions) of n in [0, T.branches].
 
 A difference-one hook of P is a hook of the Ferrers diagram whose arm
 exceeds its leg by exactly one; the hook code counts these by the degree of
@@ -82,7 +84,8 @@ E = _Gap()
 
 
 class BranchLabel:
-    """A (d+1)-tuple over {E, 1..d} (k >= 2) or {E, E, 1..d-1} (k = 1)."""
+    """A (d+1)-tuple holding d+1-T.branches E's and the values
+    1..T.branches: {E, 1..d} when k >= 2, {E, E, 1..d-1} when k = 1."""
 
     __slots__ = ("entries",)
 
@@ -140,56 +143,36 @@ class BranchLabel:
         return f"BranchLabel({str(self)!r})"
 
 
-def _gap_positions(P, d):
-    """x-exponents m in [0, d] with no cell of the diagram at x^m y^(d-m)."""
-    gaps = []
-    for m in range(d + 1):
-        r = d - m  # 0-based row of the degree-d cell in column m
-        present = r < len(P.parts) and P.parts[r] > m
-        if not present:
-            gaps.append(m)
-    return gaps
-
-
 def partition_to_branch_label(P):
     """The branch label of a partition with CI-shaped diagonal lengths.
 
-    Vertical attachment lengths are read off the columns left of the (last)
-    gap, horizontal ones off the rows above it, each reduced by the
-    thickening offset s = max(0, k-2).
+    The gaps are the x-exponents m in [0, d] with no cell at x^m y^(d-m),
+    i.e. whose column is at most d-m long; there are d+1-T.branches of them,
+    v = first and h = last (equal when k >= 2).  Vertical attachment lengths
+    are read off the columns left of v, horizontal ones off the rows above
+    h, each reduced by the thickening offset s = max(0, k-2); the entries
+    between v and h (k = 1) are 1, 2, ....
     """
     P = Partition(P)
     T = hilbert_function(P)
-    d, k = T.d, T.k
-    s = max(0, k - 2)
-    cols = column_lengths(P)
-    gaps = _gap_positions(P, d)
-
-    def col_len(m):
-        return cols[m] if m < len(cols) else 0
-
-    def row_len(r):  # 1-based
-        return P.parts[r - 1] if r <= len(P.parts) else 0
-
-    if len(gaps) != (1 if k >= 2 else 2):
-        raise InternalInconsistency(f"{P}: {len(gaps)} gaps in degree {d} for k = {k}")
-    entries = [None] * (d + 1)
-    if k >= 2:
-        e = gaps[0]
-        entries[e] = E
-        for i in range(e):
-            entries[i] = col_len(i) - (d - i) - s
-        for i in range(e + 1, d + 1):
-            entries[i] = row_len(i - e) - (d - i + e + 1) - s
-    else:
-        v, h = gaps
-        entries[v] = entries[h] = E
-        for i in range(v + 1, h):
-            entries[i] = i - v
-        for i in range(v):
-            entries[i] = col_len(i) - (d - i)
-        for i in range(h + 1, d + 1):
-            entries[i] = row_len(i - h) - (d - i + h + 1)
+    d = T.d
+    s = max(0, T.k - 2)
+    # column m and row r (0-based), as 0 past the diagram
+    cols = column_lengths(P) + [0] * (d + 1)
+    rows = P.parts + (0,) * d
+    gaps = [m for m in range(d + 1) if cols[m] <= d - m]
+    if len(gaps) != d + 1 - T.branches:
+        raise InternalInconsistency(
+            f"{P}: {len(gaps)} gaps in degree {d}, want {d + 1 - T.branches}"
+        )
+    v, h = gaps[0], gaps[-1]
+    entries = [E] * (d + 1)
+    for i in range(v):
+        entries[i] = cols[i] - (d - i) - s
+    for i in range(v + 1, h):
+        entries[i] = i - v
+    for i in range(h + 1, d + 1):
+        entries[i] = rows[i - h - 1] - (d - i + h + 1) - s
     label = BranchLabel(entries)
     _validate_label(label, T)
     return label
@@ -198,37 +181,31 @@ def partition_to_branch_label(P):
 def _segments(label, T):
     """Split a valid-shaped label into (vertical, between, horizontal).
 
-    For k >= 2 `between` is always empty.  Raises InvalidLabel when the
-    entry multiset or gap count is wrong.
+    A label of T has d+1-T.branches E's, at v = first and h = last, and the
+    values 1..T.branches; `between` lies strictly between v and h, so it is
+    empty when there is one E.  Raises InvalidLabel when the entry multiset
+    or gap count is wrong.
     """
-    d, k = T.d, T.k
+    d, top = T.d, T.branches
     entries = label.entries
     if len(entries) != d + 1:
         raise InvalidLabel(f"{label} has {len(entries)} entries, want {d + 1}")
     gaps = label.gaps
-    if k >= 2:
-        if len(gaps) != 1:
-            raise InvalidLabel(f"{label}: need exactly one E when k >= 2")
-        values = sorted(e for e in entries if e is not E)
-        if values != list(range(1, d + 1)):
-            raise InvalidLabel(f"{label}: entries must be a permutation of E,1..{d}")
-        e = gaps[0]
-        return entries[:e], (), entries[e + 1 :]
-    if len(gaps) != 2:
-        raise InvalidLabel(f"{label}: need exactly two E's when k = 1")
+    if len(gaps) != d + 1 - top:
+        raise InvalidLabel(f"{label} has {len(gaps)} E entries, want {d + 1 - top}")
     values = sorted(e for e in entries if e is not E)
-    if values != list(range(1, d)):
-        raise InvalidLabel(f"{label}: entries must be E,E,1..{d - 1}")
-    v, h = gaps
+    if values != list(range(1, top + 1)):
+        raise InvalidLabel(f"{label}: entries other than E must be 1..{top}")
+    v, h = gaps[0], gaps[-1]
     return entries[:v], entries[v + 1 : h], entries[h + 1 :]
 
 
 def _validate_label(label, T):
     """Interval conditions: within the vertical and horizontal segments each
-    step satisfies next <= prev + 1, and for k = 1 the segment between the
-    two E's is exactly 1, 2, ..., g-1."""
+    step satisfies next <= prev + 1, and the segment between the first and
+    last E is exactly 1, 2, ..., g-1 (empty when there is one E)."""
     vert, between, horiz = _segments(label, T)
-    if T.k == 1 and list(between) != list(range(1, len(between) + 1)):
+    if between != tuple(range(1, len(between) + 1)):
         raise InvalidLabel(f"{label}: segment between the E's must be 1,2,...")
     for segment in (vert, horiz):
         for a, b in zip(segment, segment[1:]):
@@ -401,16 +378,14 @@ def cijt_from_composition(T, comp):
     """The CIJT partition attached to an ordered partition n_1 + ... + n_c.
 
     Parts p_i = k - 1 + 2d - n_i - 2(n_1 + ... + n_{i-1}) with multiplicity
-    n_i, followed by the rectangle (d-n)^(d-n+k-1); for k = 1 the same with
-    k - 1 = 0 and rectangle (d-n)^(d-n).
+    n_i, followed by the rectangle (d-n)^(d-n+k-1), empty when n = d.  The
+    sum n runs over 0..T.branches.
     """
     T = HilbertFunction(T)
     d, k = T.d, T.k
     n = sum(comp)
-    if k >= 2 and not 0 <= n <= d:
-        raise NotCIJT(f"composition sums to {n}, want 0..{d}")
-    if k == 1 and not 0 <= n <= d - 1:
-        raise NotCIJT(f"composition sums to {n}, want 0..{d - 1}")
+    if not 0 <= n <= T.branches:
+        raise NotCIJT(f"composition sums to {n}, want 0..{T.branches}")
     parts = []
     prefix = 0
     for n_i in comp:
@@ -418,8 +393,7 @@ def cijt_from_composition(T, comp):
         parts.extend([p_i] * n_i)
         prefix += n_i
     if n < d:
-        tail = (d - n + k - 1) if k >= 2 else (d - n)
-        parts.extend([d - n] * tail)
+        parts.extend([d - n] * (d - n + k - 1))
     P = Partition(parts)
     if diagonal_lengths(P) != T.values:
         raise InternalInconsistency(f"composition {comp} gives {P}, not of diagonal lengths {T}")
@@ -427,10 +401,10 @@ def cijt_from_composition(T, comp):
 
 
 def enumerate_cijt(T):
-    """All CIJT partitions of diagonal lengths T: 2^d of them when k >= 2,
-    2^(d-1) when k = 1.  Order: n ascending, then composition bitmask."""
+    """All CIJT partitions of diagonal lengths T, 2^T.branches of them.
+    Order: n ascending, then composition bitmask."""
     T = HilbertFunction(T)
-    top = T.d if T.k >= 2 else T.d - 1
+    top = T.branches
     out = []
     for n in range(top + 1):
         for comp in compositions(n):

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .algebra import annihilator, quotient, rank_mult_power
-from .codes import cijt_from_composition, is_cijt
+from .codes import _runs, cijt_from_composition, is_cijt
 from .errors import (
     InternalInconsistency,
     InvalidSubset,
@@ -136,11 +136,9 @@ def hessian_rank_at(F, i, point, algebra=None):
 
 
 def active_hessian_indices(T):
-    """Orders whose Hessian is not identically degenerate: 0..d-2 always,
-    plus d-1 when k >= 2."""
-    T = HilbertFunction(T)
-    top = T.d - 1 if T.k >= 2 else T.d - 2
-    return tuple(range(top + 1))
+    """Orders whose Hessian is not identically degenerate:
+    0..T.branches-1, that is 0..d-2 and, when k >= 2, d-1."""
+    return tuple(range(HilbertFunction(T).branches))
 
 
 def nonvanishing_set(A, ell):
@@ -196,13 +194,7 @@ def cijt_from_hessian_subset(T, S):
 def _vanishing_runs(T, S):
     """Maximal runs of consecutive vanishing active orders, as (m, m+n)."""
     vanishing = sorted(set(active_hessian_indices(T)) - set(S))
-    runs = []
-    for i in vanishing:
-        if runs and i == runs[-1][1] + 1:
-            runs[-1][1] = i
-        else:
-            runs.append([i, i])
-    return [tuple(r) for r in runs]
+    return [(run[0], run[-1]) for run in _runs(vanishing)]
 
 
 def predicted_rank_profile(P):

@@ -132,9 +132,7 @@ class Partition:
         return f"Partition({str(self)!r})"
 
     def __str__(self):
-        return ",".join(
-            f"{p}^{n}" if n > 1 else str(p) for p, n in self.power_form
-        )
+        return format_caret_list(self.parts)
 
     def cells(self):
         """Cells (row r, column m), both 0-based, of the Ferrers diagram.
@@ -180,10 +178,11 @@ def _parse_caret_list(text):
 
 def format_caret_list(values):
     """Inverse of the caret-list parser; groups repeats as v^n."""
-    return ",".join(
-        f"{v}^{n}" if n > 1 else str(v)
-        for v, n in ((v, len(list(g))) for v, g in itertools.groupby(values))
-    )
+    pieces = []
+    for v, group in itertools.groupby(values):
+        n = len(list(group))
+        pieces.append(f"{v}^{n}" if n > 1 else str(v))
+    return ",".join(pieces)
 
 
 def diagonal_lengths(P):
@@ -306,6 +305,20 @@ class HilbertFunction:
     @property
     def size(self):
         return sum(self.values)
+
+    @property
+    def branches(self):
+        """d when k >= 2 and d - 1 when k = 1: the one place that decides
+        between the two.
+
+        A partition of diagonal lengths T is the basic triangle with
+        branches attached at the d+1 cells of degree d, one left as a gap
+        when k >= 2 and two when k = 1.  So this one number is the count of
+        labelled branches (a branch label holds the values 1..branches), the
+        count of active Hessian orders (0..branches-1), and the largest sum
+        of a composition that gives a CIJT partition.
+        """
+        return self.d if self.k >= 2 else self.d - 1
 
     def __getitem__(self, i):
         return self.values[i]

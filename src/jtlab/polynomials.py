@@ -221,12 +221,8 @@ def divided_power_vector(F):
     F = sum c_m X^(j-m) Y^m: the coefficients of F in the divided-power
     basis, and the values x^(j-m) y^m o F up to one common factor."""
     j = F.homogeneous_degree()
-    coeffs = [F.coefficient(j - m, m) for m in range(j + 1)]
-    scale = math.lcm(*(c.denominator for c in coeffs))
     fact = math.factorial
-    return primitive(
-        [c.numerator * (scale // c.denominator) * fact(j - m) * fact(m) for m, c in enumerate(coeffs)]
-    )
+    return primitive([F.coefficient(j - m, m) * fact(j - m) * fact(m) for m in range(j + 1)])
 
 
 _TERM_RE = re.compile(

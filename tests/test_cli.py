@@ -284,6 +284,42 @@ def test_realize_all_alpha_zero_is_each_alpha_zero_realization():
     assert out == want + "8/8 realizations passed all checks\n"
 
 
+def test_realize_json_fields():
+    code, out, _ = run_cli("realize", "6,2,2,2", "--alpha-zero", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert set(record) == {"partition", "generators", "lambda2", "checks", "all_passed"}
+    assert record["partition"] == "6,2^3"
+    assert record["generators"] == ["x^2*y", "y^4 + x^4"]
+    assert record["lambda2"] == ["0"]
+    assert record["all_passed"] is True
+    assert set(record["checks"]) == {
+        "complete_intersection",
+        "hilbert_function",
+        "jordan_type",
+        "initial_ideal",
+        "hessian_vanishing",
+        "hessian_ranks",
+    }
+    assert record["checks"]["jordan_type"] == {
+        "passed": True,
+        "expected": "6,2^3",
+        "observed": "6,2^3",
+    }
+    assert all(set(c) == {"passed", "expected", "observed"} for c in record["checks"].values())
+
+    code, out, _ = run_cli("realize", "--all", "1,2,2,1", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"hilbert", "passed", "total", "realizations"}
+    assert data["hilbert"] == "1,2^2,1"
+    assert data["passed"] == data["total"] == 4
+    assert [r["partition"] for r in data["realizations"]] == [
+        str(P) for P in enumerate_cijt(HilbertFunction("1,2,2,1"))
+    ]
+    assert all(r["all_passed"] for r in data["realizations"])
+
+
 def test_realize_requires_exactly_one_target():
     code, _, err = run_cli("realize")
     assert code == 2 and err

@@ -23,7 +23,7 @@ from jtlab.codes import (
     iota,
     partition_to_branch_label,
 )
-from jtlab.errors import DiagonalMismatch, InvalidLabel, NotCIJTWithDParts
+from jtlab.errors import DiagonalMismatch, InvalidLabel, NotCIJT, NotCIJTWithDParts
 from jtlab.partitions import (
     HilbertFunction,
     JordanDegreeType,
@@ -86,6 +86,10 @@ def test_invalid_labels():
         branch_label_to_partition(BranchLabel("E,2,E,1"), HilbertFunction("1,2,3,4,3,2,1"))
     with pytest.raises(InvalidLabel):
         branch_label_to_partition(BranchLabel("1,2,3,E"), T12321)  # one E for k=1
+    with pytest.raises(InvalidLabel):
+        branch_label_to_partition(BranchLabel("E,3,1,2"), T12321)  # one E for k=1
+    with pytest.raises(InvalidLabel):
+        branch_label_to_partition(BranchLabel("E,1,E,2"), T33)  # two E's for k>=2
 
 
 def test_gluing_checks_reject_every_label_the_interval_test_rejects(monkeypatch):
@@ -117,11 +121,16 @@ def test_gluing_checks_reject_every_label_the_interval_test_rejects(monkeypatch)
 
 
 def test_round_trip_all_labels():
-    for d, k in all_dk(6, 4):
+    for d, k in all_dk(6, 4, dmin=1):
         T = HilbertFunction.from_dk(d, k)
         for b in enumerate_branch_labels(T):
             P = branch_label_to_partition(b, T)
             assert partition_to_branch_label(P) == b
+    # d = 1: no labelled branch for T = (1), one for T = (1^k)
+    assert enumerate_branch_labels(HilbertFunction("1")) == [BranchLabel("E,E")]
+    for k in range(2, 5):
+        labels = enumerate_branch_labels(HilbertFunction.from_dk(1, k))
+        assert set(labels) == {BranchLabel("E,1"), BranchLabel("1,E")}
 
 
 def _copies(value):
@@ -219,11 +228,16 @@ def test_enumerate_cijt_examples():
 
 
 def test_cijt_counts_and_membership():
-    for d, k in all_dk(6, 4):
+    for d, k in all_dk(6, 4, dmin=1):
         T = HilbertFunction.from_dk(d, k)
         cijt = enumerate_cijt(T)
         expected = 2**d if k >= 2 else 2 ** (d - 1)
         assert len(cijt) == len(set(cijt)) == expected
+        # compositions sum to at most T.branches: d when k >= 2, d-1 when k = 1
+        assert T.branches == (d if k >= 2 else d - 1)
+        for comp in [(T.branches + 1,), (1,) * (T.branches + 1)]:
+            with pytest.raises(NotCIJT):
+                cijt_from_composition(T, comp)
         everything = enumerate_diagonal_partitions(T)
         assert set(cijt) <= set(everything)
         assert set(cijt) == {P for P in everything if is_cijt(P)}

@@ -90,6 +90,9 @@ def test_active_hessian_indices():
     assert active_hessian_indices(T33) == (0, 1, 2)
     assert active_hessian_indices(HilbertFunction("1,2,3,2,1")) == (0, 1)
     assert active_hessian_indices(HilbertFunction("1,2,1")) == (0,)
+    for d, k in all_dk(6, 4, dmin=1):
+        T = HilbertFunction.from_dk(d, k)
+        assert active_hessian_indices(T) == tuple(range(T.branches))
 
 
 def test_nonvanishing_ground_truth():
