@@ -83,12 +83,21 @@ def _remainder(vec, pivots, rows, lead):
 
 
 class GradedIdeal:
-    """An ideal of k[x,y] given by homogeneous generators."""
+    """An ideal of k[x,y] given by homogeneous generators.
 
-    __slots__ = ("generators",)
+    Each generator g of degree e is also kept, in the private slot _rows,
+    as the pair (e, linalg.primitive(_poly_vec(g, e))): its degree and its
+    coordinate row as coprime integers.  degree_span shifts these rows, and
+    quotient and is_complete_intersection read the degrees, so no Fraction
+    is converted again after construction.  Two ideals are equal when they
+    list the same generators in the same order.
+    """
+
+    __slots__ = ("generators", "_rows")
 
     def __init__(self, generators):
         gens = tuple(generators)
+        rows = []
         for g in gens:
             if not isinstance(g, BivariatePoly):
                 raise ParseError(f"generator {g!r} is not a polynomial")
@@ -96,21 +105,31 @@ class GradedIdeal:
                 raise ZeroInput("zero generator")
             if not g.is_homogeneous():
                 raise ParseError(f"generator {g} is not homogeneous")
-            if g.degree() == 0:
+            e = g.degree()
+            if e == 0:
                 raise ParseError(f"generator {g} is a unit, so R/I = 0")
+            rows.append((e, linalg.primitive(_poly_vec(g, e))))
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedIdeal is immutable")
+
+    def __reduce__(self):
+        return (GradedIdeal, (self.generators,))
+
+    def __eq__(self, other):
+        return isinstance(other, GradedIdeal) and self.generators == other.generators
+
+    def __hash__(self):
+        return hash(self.generators)
 
     def degree_span(self, i):
         """Spanning set of the degree-i piece: monomial multiples of the
         generators, as integer coordinate rows."""
         rows = []
-        for g in self.generators:
-            e = g.homogeneous_degree()
+        for e, vec in self._rows:
             if e <= i:
-                vec = linalg.primitive(_poly_vec(g, e))
                 # x^a y^(i-e-a) * g
                 rows.extend(
                     [0] * a + vec + [0] * (i - e - a) for a in range(i - e + 1)
@@ -234,7 +253,7 @@ def quotient(ideal):
     """Per-degree echelon bases of I, standard monomials of A = R/I, and the
     Hilbert function.  Raises NotArtinian when dim A_i stays positive past
     twice the generator degree bound (plus guard)."""
-    maxdeg = max(g.homogeneous_degree() for g in ideal.generators)
+    maxdeg = max(e for e, _ in ideal._rows)
     bound = 2 * maxdeg + 2
     echelons = []
     for i in range(bound + 1):
@@ -404,11 +423,18 @@ def is_complete_intersection(ideal, algebra=None):
     minimal generator degrees.  algebra, when given, is quotient(ideal).
 
     The count of new generators in degree i is dim I_i - dim R_1*I_(i-1).
+    A generator of degree e < i contributes R_(i-e) g = R_1 R_(i-e-1) g to
+    I_i, which lies in R_1*I_(i-1); so I_i = R_1*I_(i-1) + the span of the
+    given generators of degree i, and the count is zero in every degree
+    that holds none of them.  Past the socle degree j, I_i is all of R_i
+    and equals R_1*I_(i-1) from degree j + 2 on.  So the count is taken
+    only at the degrees of the given generators that are at most j + 1.
     """
     A = algebra if algebra is not None else quotient(ideal)
     degrees = []
-    for i in range(A.socle_degree + 2):
-        grown = linalg.rank(_shifts(A._echelons[i - 1][1])) if i else 0
+    for i in sorted({e for e, _ in ideal._rows if e <= A.socle_degree + 1}):
+        # i >= 1: a unit generator is refused by GradedIdeal
+        grown = linalg.rank(_shifts(A._echelons[i - 1][1]))
         new = (i + 1) - A.dim(i) - grown
         if new < 0:
             raise InternalInconsistency(

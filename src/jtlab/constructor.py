@@ -26,7 +26,7 @@ from .algebra import (
     rank_mult_power,
 )
 from .codes import enumerate_cijt, is_cijt
-from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape
+from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, ParseError
 from .hessians import nonvanishing_set, predicted_nonvanishing_set, predicted_rank_profile
 from .partitions import HilbertFunction, Partition, format_caret_list, hilbert_function
 from .polynomials import BivariatePoly
@@ -110,7 +110,7 @@ def construct_ci(P, lambda2=None, seed=None):
             lambda2 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(a1))
     lambda2 = tuple(Fraction(v) for v in lambda2)
     if len(lambda2) != a1:
-        raise ValueError(f"Lambda_2 must have length a_1 = {a1}")
+        raise ParseError(f"Lambda_2 must have length a_1 = {a1}")
 
     lam = {1: (), 2: lambda2}
     for i in range(2, t + 1):

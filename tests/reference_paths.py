@@ -1,12 +1,15 @@
-"""Earlier bodies of five combinatorial routines, kept as references for
-differential tests of the versions in jtlab: four slower ones, and the
-branch-label enumeration with its own interval-split helper.
+"""Earlier bodies of six routines, kept as references for differential
+tests of the versions in jtlab: four slower combinatorial ones, the
+branch-label enumeration with its own interval-split helper, and the
+complete-intersection test that counts new generators in every degree.
 
 Each returns exactly what the jtlab function of the same name returns.
 """
 
+from jtlab import linalg
+from jtlab.algebra import _shifts, quotient
 from jtlab.codes import E, BranchLabel, _arranged, _validate_label
-from jtlab.errors import DiagonalMismatch, InvalidLabel
+from jtlab.errors import DiagonalMismatch, InternalInconsistency, InvalidLabel
 from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition
 
 
@@ -166,3 +169,19 @@ def enumerate_branch_labels(T):
                     vert, horiz = _arranged(verts, horizs)
                     labels.append(BranchLabel([*vert, E, *between, E, *horiz]))
     return labels
+
+
+def is_complete_intersection(ideal, algebra=None):
+    """Count dim I_i - dim R_1*I_(i-1) in every degree 0 .. socle + 1, with
+    one elimination of R_1*I_(i-1) per degree."""
+    A = algebra if algebra is not None else quotient(ideal)
+    degrees = []
+    for i in range(A.socle_degree + 2):
+        grown = linalg.rank(_shifts(A._echelons[i - 1][1])) if i else 0
+        new = (i + 1) - A.dim(i) - grown
+        if new < 0:
+            raise InternalInconsistency(
+                f"dim I_{i} < dim R_1*I_{i - 1} for I = ({ideal})"
+            )
+        degrees.extend([i] * new)
+    return len(degrees) == 2, tuple(degrees)

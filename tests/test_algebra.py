@@ -39,7 +39,7 @@ from jtlab.errors import (
 )
 from jtlab.partitions import HilbertFunction, Partition, diagonal_lengths
 from jtlab.polynomials import BivariatePoly, contract, divided_power_vector, parse_poly
-from tests_support import power_sum_duals, random_dual_generator
+from tests_support import copies, power_sum_duals, random_dual_generator
 
 X = BivariatePoly.monomial(1, 0)
 Y = BivariatePoly.monomial(0, 1)
@@ -345,10 +345,48 @@ def test_is_complete_intersection():
         (ideal("x^2*y", "y^4+x^4"), (True, (3, 4))),
         (ideal("x*y", "x^3", "y^4"), (False, (2, 3, 4))),
         (ideal("x^3", "y^4"), (True, (3, 4))),
+        (ideal("x^2", "x*y", "y^3"), (False, (2, 2, 3))),
+        (ideal("x^3", "x^2*y", "x*y^2", "y^3"), (False, (3, 3, 3, 3))),
+        (ideal("x^2", "y^2", "x*y"), (False, (2, 2, 2))),
+        (ideal("x*y", "x^3", "y^4", "x^2*y"), (False, (2, 3, 4))),
     ]
     for I, want in cases:
         assert is_complete_intersection(I) == want
         assert is_complete_intersection(I, algebra=quotient(I)) == want
+
+
+def test_is_complete_intersection_eliminates_only_at_generator_degrees(monkeypatch):
+    # one elimination per distinct generator degree up to socle + 1: x^2*y
+    # lies in degree 3 beside x^3; x^9 lies past socle + 1 = 3
+    calls = []
+    rank = linalg.rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    I = ideal("x^2", "y^2", "x^3", "x^2*y", "x^9")
+    A = quotient(I)
+    monkeypatch.setattr(linalg, "rank", counted)
+    assert is_complete_intersection(I, algebra=A) == (True, (2, 2))
+    assert len(calls) == 2
+
+
+# -- copying and pickling ----------------------------------------------------------
+
+
+def test_polynomial_and_ideal_copy_and_pickle():
+    f = parse_poly("x^2*y + 7/2*x^3")
+    I = ideal("x^2*y + 7/2*x^3", "y^4 + x^4", "x^9")
+    for twin in copies(f):
+        assert type(twin) is BivariatePoly and twin == f and hash(twin) == hash(f)
+    for twin in copies(I):
+        assert type(twin) is GradedIdeal and twin == I and hash(twin) == hash(I)
+        assert all(twin.degree_span(i) == I.degree_span(i) for i in range(12))
+    assert I != ideal("y^4 + x^4", "x^2*y + 7/2*x^3", "x^9")  # order counts
+    A = quotient(I)
+    for twin in copies(A):
+        assert twin.ideal == I and twin.hilbert == A.hilbert
 
 
 # -- fuzzed soundness -------------------------------------------------------------

@@ -1,6 +1,4 @@
-import copy
 import itertools
-import pickle
 from collections import Counter
 
 import pytest
@@ -34,6 +32,7 @@ from jtlab.partitions import (
     sl_partition,
     symmetric_string_placement,
 )
+from tests_support import copies
 
 T1221 = HilbertFunction("1,2,2,1")
 T12321 = HilbertFunction("1,2,3,2,1")
@@ -133,10 +132,6 @@ def test_round_trip_all_labels():
         assert set(labels) == {BranchLabel("E,1"), BranchLabel("1,E")}
 
 
-def _copies(value):
-    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
-
-
 def test_value_objects_copy_and_pickle():
     T = HilbertFunction.from_dk(4, 2)
     P = enumerate_diagonal_partitions(T)[5]  # carries the enumeration's T
@@ -153,16 +148,16 @@ def test_value_objects_copy_and_pickle():
         JordanDegreeType({(0, 3): 2, (1, 1): 1}),
     ]
     for value in values:
-        for twin in _copies(value):
+        for twin in copies(value):
             assert type(twin) is type(value) and twin == value, value
-    for twin in _copies(P):
+    for twin in copies(P):
         assert diagonal_lengths(twin) == diagonal_lengths(P) == T.values
         assert hilbert_function(twin) == T
-    for twin in _copies(BranchLabel("E,1,E")):
+    for twin in copies(BranchLabel("E,1,E")):
         assert twin.gaps == (0, 2)  # gaps are found by identity with E
-    for twin in _copies(hook_code_direct(Partition("3,1"))):
+    for twin in copies(hook_code_direct(Partition("3,1"))):
         assert twin.label.gaps == (0, 1) and twin.subscripted_str() == "E,E,1_2"
-    assert all(twin is E for twin in _copies(E))
+    assert all(twin is E for twin in copies(E))
 
 
 def test_enumerated_partitions_share_their_T():

@@ -6,9 +6,10 @@ import pytest
 from jtlab.algebra import GradedIdeal, jordan_degree_type, jordan_type, quotient
 from jtlab.codes import enumerate_cijt
 from jtlab.constructor import Realization, construct_ci, realize_all, verify_realization
-from jtlab.errors import NotCIJT
+from jtlab.errors import NotCIJT, ParseError
 from jtlab.partitions import HilbertFunction, Partition
 from jtlab.polynomials import BivariatePoly, parse_poly
+from tests_support import copies
 
 ELL_X = BivariatePoly.linear(1, 0)
 
@@ -25,6 +26,22 @@ def test_chain_of_6222_with_free_parameter():
     f2, f3 = r.ideal.generators
     assert f2 == parse_poly("x^2*y + 7/2*x^3")
     assert f3 == parse_poly("y^4 + 7/2*x*y^3 + x^4")
+
+
+def test_construct_rejects_wrong_lambda2_length_as_parse_error():
+    # a_1 = 1 for 6,2^3; a ParseError is still a ValueError
+    for lam in [(), (1, 2)]:
+        with pytest.raises(ParseError, match="Lambda_2 must have length a_1 = 1"):
+            construct_ci(Partition("6,2^3"), lambda2=lam)
+    assert issubclass(ParseError, ValueError)
+
+
+def test_realization_copy_and_pickle():
+    r = construct_ci(Partition("8,5^2,1^2"), seed=4)
+    for twin in copies(r):
+        assert type(twin) is Realization and twin == r
+        assert twin.ideal.degree_span(6) == r.ideal.degree_span(6)
+        assert str(verify_realization(twin)) == str(verify_realization(r))
 
 
 def test_rectangle_gives_monomial_ci():

@@ -1,13 +1,16 @@
 """Differential tests: the linear-time diagram scans, the parity-first
-symmetric search, the one-label classification row and the branch-label
-enumeration against the earlier bodies kept in reference_paths.py."""
+symmetric search, the one-label classification row, the branch-label
+enumeration and the complete-intersection count at generator degrees
+against the earlier bodies kept in reference_paths.py."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference_paths as ref
+from jtlab.algebra import GradedIdeal, is_complete_intersection, quotient
 from jtlab.cli import classification_row
 from jtlab.codes import (
     E,
@@ -15,12 +18,14 @@ from jtlab.codes import (
     HookCode,
     branch_label_to_partition,
     enumerate_branch_labels,
+    enumerate_cijt,
     enumerate_diagonal_partitions,
     hook_counts_by_degree,
     is_cijt,
     partition_to_branch_label,
 )
-from jtlab.errors import JtlabError
+from jtlab.constructor import construct_ci
+from jtlab.errors import JtlabError, NotArtinian
 from jtlab.hessians import (
     active_hessian_indices,
     predicted_nonvanishing_set,
@@ -32,6 +37,7 @@ from jtlab.partitions import (
     diagonal_lengths,
     symmetric_string_placement,
 )
+from jtlab.polynomials import BivariatePoly
 
 ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
 
@@ -144,3 +150,66 @@ def test_classification_row_of_enumerated_partition_matches_fresh_one(d, k):
         fresh = Partition(P.parts)
         assert fresh is not P
         assert classification_row(P, T) == classification_row(fresh, T), P
+
+
+def _random_form(rng, deg):
+    """A homogeneous form of degree deg with small, often zero, integer
+    coefficients; it may be zero."""
+    coeffs = (0, 0, 0, 1, -1, 2, -3)
+    return BivariatePoly({(a, deg - a): rng.choice(coeffs) for a in range(deg + 1)})
+
+
+def _random_artinian_ideal(rng):
+    """2-3 random forms of degree 1-5, sometimes with a planted redundant
+    generator (a combination of the others, of degree up to 2 past the
+    largest) and sometimes with a generator of degree 9-12, which lies past
+    socle + 1; shuffled, and retried until no generator is zero and the
+    quotient is Artinian.  Returns the ideal, its quotient and whether a
+    redundant generator was planted."""
+    while True:
+        gens = [_random_form(rng, rng.randint(1, 5)) for _ in range(rng.randint(2, 3))]
+        planted = rng.random() < 0.4
+        if planted:
+            top = max(g.degree() for g in gens) + rng.randint(0, 2)
+            terms = (_random_form(rng, top - g.degree()) * g for g in gens)
+            gens.append(sum(terms, BivariatePoly()))
+        if rng.random() < 0.3:
+            gens.append(_random_form(rng, rng.randint(9, 12)))
+        if any(g.is_zero() for g in gens):
+            continue
+        rng.shuffle(gens)
+        I = GradedIdeal(gens)
+        try:
+            return I, quotient(I), planted
+        except NotArtinian:
+            continue
+
+
+def test_ci_count_matches_reference_on_random_ideals():
+    rng = random.Random(20261018)
+    seen = {"ci": 0, "not ci": 0, "planted": 0, "past socle + 1": 0}
+    for _ in range(400):
+        I, A, planted = _random_artinian_ideal(rng)
+        got = is_complete_intersection(I, algebra=A)
+        assert got == ref.is_complete_intersection(I, algebra=A), I
+        assert is_complete_intersection(I) == got, I
+        seen["ci" if got[0] else "not ci"] += 1
+        seen["planted"] += planted
+        seen["past socle + 1"] += any(g.degree() > A.socle_degree + 1 for g in I.generators)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_ci_count_matches_reference_on_realization_sweep():
+    # the realizations of every CIJT with d <= 5, k <= 3, Lambda_2 drawn
+    # from -5..5 by random.Random(0) in enumeration order
+    rng = random.Random(0)
+    count = 0
+    for d, k in itertools.product(range(2, 6), range(1, 4)):
+        for P in enumerate_cijt(HilbertFunction.from_dk(d, k)):
+            lam = tuple(rng.randint(-5, 5) for _ in range(P.power_form[0][1]))
+            I = construct_ci(P, lambda2=lam).ideal
+            A = quotient(I)
+            got = is_complete_intersection(I, algebra=A)
+            assert got == ref.is_complete_intersection(I, algebra=A) == (True, (d, d + k - 1)), P
+            count += 1
+    assert count == 150

@@ -1,9 +1,16 @@
 """Shared helpers for the test suite."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 from jtlab.polynomials import BivariatePoly, parse_poly
+
+
+def copies(value):
+    """A shallow copy, a deep copy and a pickle round trip of value."""
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
 
 
 def partitions_of(n, maxp=None):
