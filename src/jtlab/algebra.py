@@ -18,12 +18,15 @@ comes in or goes out.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from . import linalg
 from .errors import (
+    BudgetExceeded,
     DegreeOutOfRange,
     InternalInconsistency,
     NotArtinian,
@@ -48,6 +51,14 @@ __all__ = [
     "is_complete_intersection",
     "require_linear",
 ]
+
+# Largest generator degree that quotient accepts, checked before any
+# elimination; annihilator accepts a dual generator of degree j only when
+# j + 1 <= MAX_DEGREE, since Ann(L^j) has a generator of degree j + 1.  The
+# cost grows steeply with the degree: on a 2-core host `jtlab jordan` takes
+# about 2 s on a dual generator of degree 40, and 10-15 s on one of degree
+# 49 or on the ideal (x^50, y^50).
+MAX_DEGREE = 50
 
 
 def monomials(n):
@@ -203,45 +214,73 @@ class ArtinAlgebra:
         lead = self._echelons[i][2]
         return [v / lead for v in self._reduce(_poly_vec(f, i), i)]
 
-    def _rank_table(self, ell):
-        """table[u][s - u] = rank of ell^(s-u): A_u -> A_s, for a nonzero
-        linear form ell; kept under ell's coefficient pair.
+    def _one_step_maps(self, a, b):
+        """The one-step maps M_s: A_s -> A_(s+1) of a*x + b*y, s = 0 .. j-1,
+        each as its rows: row k holds coordinate k of the image of every
+        standard monomial of degree s.
 
-        The one-step map M_i: A_i -> A_(i+1) is the normal form of ell times
-        each standard monomial, all scaled by the same pivot value, so each
-        product M_(s-1)...M_u has the rank of ell^(s-u).  Rows are filled for
-        u descending.  The image of A_u is carried one step at a time and
-        kept as primitive echelon rows until, at some s, it is all of A_s.
-        Then ell^(t-u) A_u = ell^(t-s) A_s for every t >= s, so the rest of
-        row u is row s, which is already filled, and is copied from it.
+        The images are normal forms, all scaled by the pivot value of
+        I_(s+1), which on a large algebra is a long integer.  Each M_s is
+        then divided by its content, the gcd of all its entries: one scalar
+        for the whole map, so the rank of every product of maps is
+        unchanged, and the entries stay small.
+        """
+        maps = []
+        for s in range(self.socle_degree):
+            images = []
+            for t in self._std[s]:
+                vec = [0] * (s + 2)
+                vec[t], vec[t + 1] = b, a  # y * x^t y^(s-t), x * x^t y^(s-t)
+                images.append(self._reduce(vec, s + 1))
+            content = math.gcd(*(v for image in images for v in image))
+            if content > 1:
+                images = [[v // content for v in image] for image in images]
+            maps.append(list(zip(*images)))
+        return maps
+
+    def _rank_table(self, ell):
+        """table[u][s - u] = r(u, s), the rank of ell^(s-u): A_u -> A_s, for
+        a nonzero linear form ell; kept under ell's coefficient pair.
+
+        The images ell^(s-u) A_u form a chain
+        ell^s A_0 <= ell^(s-1) A_1 <= ... <= ell A_(s-1) <= A_s, whose
+        dimensions are column s of the table; the Jordan strings of ell are
+        the barcode of A_0 -> A_1 -> ... -> A_j (Zomorodian-Carlsson,
+        "Computing persistent homology", 2005).  One sweep over s fills the
+        table.  It keeps a basis of A_s adapted to the chain: its first
+        r(u, s) rows span ell^(s-u) A_u, for every u <= s.  The one-step map
+        M_s sends these rows to A_(s+1), and one linalg.echelon of
+        [images | identity], with the coordinates of A_(s+1) as rows, picks
+        its pivot columns greedily from the left.  So r(u, s+1), the rank of
+        the first r(u, s) images, is the number of pivot columns among
+        them.  The pivot images, made primitive, followed by the identity
+        columns among the pivots, are the adapted basis of A_(s+1).
         """
         key = (ell.coefficient(1, 0), ell.coefficient(0, 1))
         table = self._rank_tables.get(key)
         if table is not None:
             return table
         a, b = linalg.primitive(key)
-        j = self.socle_degree
-        columns = []  # columns[i][k]: coordinate k of M_i on each basis monomial
-        for i in range(j):
-            images = []
-            for t in self._std[i]:
-                vec = [0] * (i + 2)
-                vec[t], vec[t + 1] = b, a  # y * x^t y^(i-t), x * x^t y^(i-t)
-                images.append(self._reduce(vec, i + 1))
-            columns.append(list(zip(*images)))
-        table = [None] * (j + 1)
-        for u in range(j, -1, -1):
-            n = self.hilbert[u]
-            image = [[int(r == c) for c in range(n)] for r in range(n)]
-            ranks = [n]
-            for s in range(u + 1, j + 1):
-                moved = [[sum(map(mul, row, col)) for col in columns[s - 1]] for row in image]
-                image = [linalg.primitive(row) for row in linalg.echelon(moved)[1]]
-                if len(image) == self.hilbert[s]:
-                    ranks.extend(table[s])
-                    break
-                ranks.append(len(image))
-            table[u] = ranks
+        n = self.hilbert[0]
+        basis = [[int(r == c) for c in range(n)] for r in range(n)]
+        table = [[n]]
+        for rows in self._one_step_maps(a, b):
+            n, m = len(basis), len(rows)
+            images = [[sum(map(mul, vec, row)) for row in rows] for vec in basis]
+            # [images | identity], one row per coordinate of A_(s+1)
+            matrix = [
+                [image[k] for image in images] + [int(k == c) for c in range(m)]
+                for k in range(m)
+            ]
+            pivots = linalg.echelon(matrix)[0]
+            for ranks in table:
+                ranks.append(bisect_left(pivots, ranks[-1]))
+            table.append([m])
+            basis = [
+                linalg.primitive(images[p]) if p < n
+                else [int(p - n == c) for c in range(m)]
+                for p in pivots
+            ]
         self._rank_tables[key] = table
         return table
 
@@ -252,8 +291,13 @@ class ArtinAlgebra:
 def quotient(ideal):
     """Per-degree echelon bases of I, standard monomials of A = R/I, and the
     Hilbert function.  Raises NotArtinian when dim A_i stays positive past
-    twice the generator degree bound (plus guard)."""
+    twice the generator degree bound (plus guard), and BudgetExceeded when a
+    generator has degree over MAX_DEGREE."""
     maxdeg = max(e for e, _ in ideal._rows)
+    if maxdeg > MAX_DEGREE:
+        raise BudgetExceeded(
+            f"a generator of degree {maxdeg} is over the cap of {MAX_DEGREE}"
+        )
     bound = 2 * maxdeg + 2
     echelons = []
     for i in range(bound + 1):
@@ -266,37 +310,63 @@ def quotient(ideal):
 
 
 def annihilator(F):
-    """Minimal homogeneous generators of Ann(F) = {f : f o F = 0}.
+    """Minimal homogeneous generators of Ann(F) = {f : f o F = 0}, for a
+    nonzero binary form F of degree j.
 
-    For each degree i, Ann(F)_i is the kernel of the catalecticant, the
-    contraction map R_i -> E_(j-i).  Its row of Y^v is scaled by
-    (j-i-v)! v!, which leaves the kernel unchanged and makes it the integer
-    Hankel matrix [g_(v+i-t)] of F's divided-power vector g
-    (polynomials.divided_power_vector); the kernel is read off its
-    fraction-free echelon form.  The new generators in degree i are a
-    complement of R_1 * Ann(F)_(i-1) inside the kernel, each scaled to
-    coprime integer coefficients with a positive leading term.
+    Ann(F)_i is the kernel of the catalecticant, the contraction map
+    R_i -> E_(j-i).  Its row of Y^v is scaled by (j-i-v)! v!, which leaves
+    the kernel unchanged and makes it the integer Hankel matrix
+    [g_(v+i-t)] of F's divided-power vector g
+    (polynomials.divided_power_vector); a kernel is read off its
+    fraction-free echelon form.
+
+    R/Ann(F) is Gorenstein of codimension two, so by the structure theorem
+    in codimension two (Macaulay; Iarrobino-Kanev, "Power Sums, Gorenstein
+    Algebras, and Determinantal Loci", LNM 1721) Ann(F) is a
+    complete intersection generated in degrees d <= e with d + e = j + 2,
+    where d is the rank of the middle catalecticant, i = j // 2.  Only the
+    degrees d and e are echelonized.  The generator of degree d spans the
+    kernel there, which has dimension 1, or 2 when d = e.  The generator of
+    degree e is the one kernel vector of degree e not in R_(e-d) times the
+    first generator, reduced modulo those shifts.  Each is scaled to
+    coprime integer coefficients with a positive leading term.  Raises
+    BudgetExceeded when Ann(F) may have a generator of degree over
+    MAX_DEGREE, that is when j + 1 > MAX_DEGREE.
     """
     if not isinstance(F, BivariatePoly) or F.is_zero():
         raise ZeroInput("dual generator must be a nonzero polynomial")
     j = F.homogeneous_degree()
+    if j + 1 > MAX_DEGREE:
+        raise BudgetExceeded(
+            f"a dual generator of degree {j} may have an annihilator generator "
+            f"of degree {j + 1}, over the cap of {MAX_DEGREE}"
+        )
     g = divided_power_vector(F)
-    generators = []
-    prev_kernel = []  # integer rows spanning Ann(F)_(i-1)
-    for i in range(j + 2):
-        # the catalecticant R_i -> E_(j-i), with the row of Y^v scaled by
-        # (j-i-v)! v!: its entry at column x^t y^(i-t) is g_(v+i-t)
-        rows = [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
-        null = linalg.null_vectors(*linalg.echelon(rows), i + 1)
-        kernel = [linalg.primitive(vec) for vec in null]
-        grown = linalg.echelon(_shifts(prev_kernel))
-        for vec in kernel:
-            rest = _remainder(vec, *grown)
-            if any(rest):
-                generators.append(_vec_poly(linalg.primitive(rest), i))
-                grown = linalg.echelon(grown[1] + [vec])
-        prev_kernel = kernel
-    return GradedIdeal(generators)
+
+    def catalecticant(i):
+        # R_i -> E_(j-i), with the row of Y^v scaled by (j-i-v)! v!: its
+        # entry at column x^t y^(i-t) is g_(v+i-t)
+        return linalg.echelon(
+            [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
+        )
+
+    d = len(catalecticant(j // 2)[0])
+    e = j + 2 - d
+    kernel_d = linalg.null_vectors(*catalecticant(d), d + 1)
+    kernel_e = kernel_d if e == d else linalg.null_vectors(*catalecticant(e), e + 1)
+    if len(kernel_d) != 1 + (d == e) or len(kernel_e) != e - d + 2:
+        raise InternalInconsistency(
+            f"Ann({F}) has kernel dimensions {len(kernel_d)} in degree {d} and "
+            f"{len(kernel_e)} in degree {e}, not those of a complete intersection"
+        )
+    first = linalg.primitive(kernel_d[0])
+    # R_(e-d) * first: x^a y^(e-d-a) times the degree-d generator
+    shifts = linalg.echelon([[0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)])
+    rests = (_remainder(vec, *shifts) for vec in kernel_e)
+    second = next((rest for rest in rests if any(rest)), None)
+    if second is None:
+        raise InternalInconsistency(f"Ann({F}) has no generator in degree {e}")
+    return GradedIdeal([_vec_poly(first, d), _vec_poly(linalg.primitive(second), e)])
 
 
 def require_linear(ell):

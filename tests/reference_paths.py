@@ -1,16 +1,23 @@
-"""Earlier bodies of six routines, kept as references for differential
+"""Earlier bodies of eight routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
-branch-label enumeration with its own interval-split helper, and the
-complete-intersection test that counts new generators in every degree.
+branch-label enumeration with its own interval-split helper, the
+complete-intersection test that counts new generators in every degree,
+the annihilator that echelonizes every degree 0 .. j+1, and the rank
+table that carries the image of each A_u one step at a time.
 
-Each returns exactly what the jtlab function of the same name returns.
+Each returns exactly what the jtlab function of the same name returns;
+rank_table is ArtinAlgebra._rank_table, and one_step_columns is its raw
+one-step maps, with no common factor divided out.
 """
 
+from operator import mul
+
 from jtlab import linalg
-from jtlab.algebra import _shifts, quotient
+from jtlab.algebra import GradedIdeal, _remainder, _shifts, _vec_poly, quotient
 from jtlab.codes import E, BranchLabel, _arranged, _validate_label
 from jtlab.errors import DiagonalMismatch, InternalInconsistency, InvalidLabel
 from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition
+from jtlab.polynomials import divided_power_vector
 
 
 def diagonal_lengths(P):
@@ -185,3 +192,65 @@ def is_complete_intersection(ideal, algebra=None):
             )
         degrees.extend([i] * new)
     return len(degrees) == 2, tuple(degrees)
+
+
+def annihilator(F):
+    """Ann(F) degree by degree, 0 .. j+1: the kernel of each catalecticant,
+    less a complement of R_1 * Ann(F)_(i-1) inside it."""
+    j = F.homogeneous_degree()
+    g = divided_power_vector(F)
+    generators = []
+    prev_kernel = []  # integer rows spanning Ann(F)_(i-1)
+    for i in range(j + 2):
+        # the catalecticant R_i -> E_(j-i), with the row of Y^v scaled by
+        # (j-i-v)! v!: its entry at column x^t y^(i-t) is g_(v+i-t)
+        rows = [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
+        null = linalg.null_vectors(*linalg.echelon(rows), i + 1)
+        kernel = [linalg.primitive(vec) for vec in null]
+        grown = linalg.echelon(_shifts(prev_kernel))
+        for vec in kernel:
+            rest = _remainder(vec, *grown)
+            if any(rest):
+                generators.append(_vec_poly(linalg.primitive(rest), i))
+                grown = linalg.echelon(grown[1] + [vec])
+        prev_kernel = kernel
+    return GradedIdeal(generators)
+
+
+def one_step_columns(A, a, b):
+    """columns[i][k]: coordinate k of the normal form of (a*x + b*y) times
+    each standard monomial of degree i, all scaled by the pivot value of
+    I_(i+1), with no common factor divided out."""
+    columns = []
+    for i in range(A.socle_degree):
+        images = []
+        for t in A._std[i]:
+            vec = [0] * (i + 2)
+            vec[t], vec[t + 1] = b, a  # y * x^t y^(i-t), x * x^t y^(i-t)
+            images.append(A._reduce(vec, i + 1))
+        columns.append(list(zip(*images)))
+    return columns
+
+
+def rank_table(A, ell):
+    """table[u][s - u] = rank of ell^(s-u): A_u -> A_s, rows filled for u
+    descending: the image of A_u is carried one step at a time as primitive
+    echelon rows until it is all of some A_s, and the rest of the row is
+    copied from row s."""
+    a, b = linalg.primitive((ell.coefficient(1, 0), ell.coefficient(0, 1)))
+    j = A.socle_degree
+    columns = one_step_columns(A, a, b)
+    table = [None] * (j + 1)
+    for u in range(j, -1, -1):
+        n = A.hilbert[u]
+        image = [[int(r == c) for c in range(n)] for r in range(n)]
+        ranks = [n]
+        for s in range(u + 1, j + 1):
+            moved = [[sum(map(mul, row, col)) for col in columns[s - 1]] for row in image]
+            image = [linalg.primitive(row) for row in linalg.echelon(moved)[1]]
+            if len(image) == A.hilbert[s]:
+                ranks.extend(table[s])
+                break
+            ranks.append(len(image))
+        table[u] = ranks
+    return table

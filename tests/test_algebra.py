@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import jtlab
 from jtlab import linalg
 from jtlab.algebra import (
+    MAX_DEGREE,
     GradedIdeal,
     _remainder,
     _shifts,
@@ -30,6 +31,7 @@ from jtlab.algebra import (
 from jtlab.codes import enumerate_cijt
 from jtlab.constructor import construct_ci
 from jtlab.errors import (
+    BudgetExceeded,
     DegreeOutOfRange,
     InternalInconsistency,
     NotArtinian,
@@ -146,6 +148,39 @@ def test_annihilator_monomial_duals():
 def test_annihilator_hilbert_function_of_cubic_sum():
     F = parse_poly("X+Y") ** 4 + parse_poly("X-Y") ** 4 + parse_poly("X+2Y") ** 4
     assert quotient(annihilator(F)).hilbert == (1, 2, 3, 2, 1)
+
+
+def test_annihilator_is_a_ci_in_degrees_d_and_j_plus_2_minus_d():
+    # the codimension-two structure theorem, checked through the quotient
+    # and the generator count, which never look at the catalecticant
+    rng = random.Random(1721)
+    duals = [random_dual_generator(rng, jmin=1, jmax=12) for _ in range(40)]
+    duals += power_sum_duals() + [(X + Y) ** j for j in range(1, 11)]
+    duals += [X**a * Y ** (7 - a) for a in range(8)]
+    for F in duals:
+        j = F.homogeneous_degree()
+        I = annihilator(F)
+        d = max(quotient(I).hilbert)
+        assert is_complete_intersection(I) == (True, (d, j + 2 - d)), F
+
+
+@pytest.mark.parametrize("text", ["1", "-3/2"])
+def test_annihilator_of_a_constant_is_the_maximal_ideal(text):
+    I = annihilator(parse_poly(text))
+    assert sorted(g.text() for g in I.generators) == ["x", "y"]
+    assert quotient(I).hilbert == (1,)
+    assert is_complete_intersection(I) == (True, (1, 1))
+
+
+def test_degree_cap():
+    # Ann(X^j) = (y, x^(j+1)) is refused once j + 1 passes the cap, and so
+    # is a quotient with a generator past it, before any elimination
+    assert str(annihilator(X ** (MAX_DEGREE - 1))) == f"y, x^{MAX_DEGREE}"
+    with pytest.raises(BudgetExceeded, match="cap"):
+        annihilator(X**MAX_DEGREE)
+    assert quotient(GradedIdeal([Y, X**MAX_DEGREE])).hilbert == (1,) * MAX_DEGREE
+    with pytest.raises(BudgetExceeded, match="cap"):
+        quotient(GradedIdeal([Y, X ** (MAX_DEGREE + 1)]))
 
 
 def test_annihilator_rejects_zero():

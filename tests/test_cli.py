@@ -66,6 +66,10 @@ BAD_INPUT = [
     (("jordan", "1,x", "--ell", "x"), 2, "unit"),
     (("jordan", "2", "--ell", "x"), 2, "unit"),
     (("jordan", "x^0,y", "--ell", "x"), 2, "unit"),
+    # generator degrees over algebra.MAX_DEGREE, refused before any
+    # elimination; uncapped, both still run after 40 s
+    (("jordan", "--dual", "X^400", "--ell", "x"), 2, "cap"),
+    (("jordan", "x^300,y^300", "--ell", "x"), 2, "cap"),
     (("table", "99"), 2, "unknown figure"),
     (("table", "3a:abc"), 2, "positive integer"),
     (("table", "3a:0"), 2, "positive integer"),

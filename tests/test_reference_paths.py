@@ -1,16 +1,24 @@
 """Differential tests: the linear-time diagram scans, the parity-first
 symmetric search, the one-label classification row, the branch-label
-enumeration and the complete-intersection count at generator degrees
+enumeration, the complete-intersection count at generator degrees, the
+annihilator in its two generator degrees and the one-sweep rank table
 against the earlier bodies kept in reference_paths.py."""
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference_paths as ref
-from jtlab.algebra import GradedIdeal, is_complete_intersection, quotient
+from jtlab.algebra import (
+    ArtinAlgebra,
+    GradedIdeal,
+    annihilator,
+    is_complete_intersection,
+    quotient,
+)
 from jtlab.cli import classification_row
 from jtlab.codes import (
     E,
@@ -37,7 +45,9 @@ from jtlab.partitions import (
     diagonal_lengths,
     symmetric_string_placement,
 )
-from jtlab.polynomials import BivariatePoly
+from jtlab.polynomials import BivariatePoly, parse_poly
+from test_algebra import RANK_TABLE_CASES
+from tests_support import random_dual_generator
 
 ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
 
@@ -199,17 +209,152 @@ def test_ci_count_matches_reference_on_random_ideals():
     assert min(seen.values()) >= 40, seen
 
 
-def test_ci_count_matches_reference_on_realization_sweep():
-    # the realizations of every CIJT with d <= 5, k <= 3, Lambda_2 drawn
-    # from -5..5 by random.Random(0) in enumeration order
-    rng = random.Random(0)
-    count = 0
+def _realization_ideals(rng):
+    """(d, k, ideal) for the realization of every CIJT with d <= 5, k <= 3,
+    Lambda_2 drawn from -5..5 by rng in enumeration order."""
     for d, k in itertools.product(range(2, 6), range(1, 4)):
         for P in enumerate_cijt(HilbertFunction.from_dk(d, k)):
             lam = tuple(rng.randint(-5, 5) for _ in range(P.power_form[0][1]))
-            I = construct_ci(P, lambda2=lam).ideal
-            A = quotient(I)
-            got = is_complete_intersection(I, algebra=A)
-            assert got == ref.is_complete_intersection(I, algebra=A) == (True, (d, d + k - 1)), P
-            count += 1
+            yield d, k, construct_ci(P, lambda2=lam).ideal
+
+
+def test_ci_count_matches_reference_on_realization_sweep():
+    count = 0
+    for d, k, I in _realization_ideals(random.Random(0)):
+        A = quotient(I)
+        got = is_complete_intersection(I, algebra=A)
+        assert got == ref.is_complete_intersection(I, algebra=A) == (True, (d, d + k - 1)), I
+        count += 1
     assert count == 150
+
+
+# -- annihilator in its two generator degrees ----------------------------------
+
+X, Y = parse_poly("X"), parse_poly("Y")
+
+
+def _power_sum(rng, j, r):
+    """A nonzero sum of r powers (a X + b Y)^j with a, b in -3..3."""
+    while True:
+        terms = (
+            (rng.randint(-3, 3) * X + rng.randint(-3, 3) * Y) ** j for _ in range(r)
+        )
+        F = sum(terms, BivariatePoly())
+        if not F.is_zero():
+            return F
+
+
+def _balanced(rng, j):
+    """A random form of even degree j whose Ann(F) has both generators in
+    degree j/2 + 1, the case in which the kernel of degree d has dimension 2."""
+    while True:
+        F = random_dual_generator(rng, jmin=j, jmax=j)
+        if max(quotient(ref.annihilator(F)).hilbert) == j // 2 + 1:
+            return F
+
+
+ANNIHILATOR_FAMILIES = {
+    "monomials": lambda rng: [
+        BivariatePoly.monomial(a, j - a) for j in range(13) for a in range(j + 1)
+    ],
+    "(X+Y)^j": lambda rng: [(X + Y) ** j for j in range(13)],
+    "power sums": lambda rng: [
+        _power_sum(rng, j, r) for j in range(13) for r in range(1, 5)
+    ],
+    "balanced": lambda rng: [_balanced(rng, j) for j in range(0, 13, 2) for _ in range(2)],
+    "benchmark-shaped": lambda rng: [random_dual_generator(rng) for _ in range(100)],
+}
+
+
+@pytest.mark.parametrize("family", ANNIHILATOR_FAMILIES)
+def test_annihilator_matches_reference(family):
+    duals = ANNIHILATOR_FAMILIES[family](random.Random(family))
+    for F in duals:
+        got = annihilator(F)
+        assert got.generators == ref.annihilator(F).generators, F
+        j = F.homogeneous_degree()
+        degrees = [g.degree() for g in got.generators]
+        assert len(degrees) == 2 and sum(degrees) == j + 2, F
+        if family == "(X+Y)^j":
+            assert degrees == [1, j + 1], F
+        if family == "balanced":
+            assert degrees == [j // 2 + 1] * 2, F
+
+
+# -- the rank table in one sweep -------------------------------------------------
+
+DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, 2)]
+# 2x and -x are x up to a scalar, and x - y has a negative coefficient
+SCALED_DIRECTIONS = [(2, 0), (-1, 0), (1, -1)]
+
+
+@pytest.fixture
+def handed_maps(monkeypatch):
+    """Every list of one-step maps that ArtinAlgebra._one_step_maps hands
+    to the rank-table sweep during the test."""
+    handed = []
+    build = ArtinAlgebra._one_step_maps
+
+    def recording(self, a, b):
+        maps = build(self, a, b)
+        handed.append(maps)
+        return maps
+
+    monkeypatch.setattr(ArtinAlgebra, "_one_step_maps", recording)
+    return handed
+
+
+def _assert_tables_match(A, directions, handed_maps):
+    for a, b in directions:
+        ell = BivariatePoly.linear(a, b)
+        assert A._rank_table(ell) == ref.rank_table(A, ell), (A, ell)
+    assert handed_maps
+    for maps in handed_maps:
+        for M in maps:
+            # content 1, or 0 for a zero map
+            assert math.gcd(*(v for row in M for v in row)) <= 1, (A, M)
+
+
+@pytest.mark.parametrize(
+    "I, directions",
+    [case[1:] for case in RANK_TABLE_CASES],
+    ids=[case[0] for case in RANK_TABLE_CASES],
+)
+def test_rank_table_matches_reference_on_rank_table_cases(I, directions, handed_maps):
+    _assert_tables_match(quotient(I), directions + SCALED_DIRECTIONS, handed_maps)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [("x^2", "x*y", "y^3"), ("x*y", "x^3", "y^4"), ("x^3", "x^2*y", "x*y^2", "y^3")],
+    ids=",".join,
+)
+def test_rank_table_matches_reference_on_non_gorenstein_quotients(gens, handed_maps):
+    A = quotient(GradedIdeal([parse_poly(g) for g in gens]))
+    # in codimension two, Gorenstein means complete intersection
+    assert not is_complete_intersection(A.ideal, algebra=A)[0]
+    _assert_tables_match(A, DIRECTIONS + SCALED_DIRECTIONS, handed_maps)
+
+
+def test_rank_table_matches_reference_on_benchmark_realizations(handed_maps):
+    # the 150 algebras of the seed-0 realize_sweep benchmark workload, which
+    # draws Lambda_2 from random.Random("realize_sweep:0")
+    count = 0
+    for _, _, I in _realization_ideals(random.Random("realize_sweep:0")):
+        _assert_tables_match(quotient(I), DIRECTIONS, handed_maps)
+        handed_maps.clear()
+        count += 1
+    assert count == 150
+
+
+def test_rank_table_matches_reference_on_a_degree_30_dual(handed_maps):
+    # the pivot values of I make the raw one-step maps of this algebra over
+    # 700 bits long; divided by their content they stay under 64
+    A = quotient(annihilator(parse_poly("X^15*Y^15 + X^30 + 3/2*Y^30")))
+    assert A.socle_degree == 30
+    for a, b in [(1, 2), (1, 1)]:
+        raw = ref.one_step_columns(A, a, b)
+        assert max(abs(v).bit_length() for M in raw for row in M for v in row) > 700
+    _assert_tables_match(A, [(1, 2), (1, 1)], handed_maps)
+    entries = [v for maps in handed_maps for M in maps for row in M for v in row]
+    assert max(abs(v).bit_length() for v in entries) < 64
