@@ -12,8 +12,8 @@ Jordan strings of length >= s equals rank(m_L^(s-1)) - rank(m_L^s).
 Inside this module a degree-n form is a coordinate vector whose entry t is
 the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
 one place and multiplying by y appends a zero.  The ideal is stored as
-integer rows from linalg.echelon; Fraction appears only where a polynomial
-comes in or goes out.
+integer echelon forms built one degree from the last with linalg.extend;
+Fraction appears only where a polynomial comes in or goes out.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ __all__ = [
 
 # Largest generator degree that quotient accepts, checked before any
 # elimination; annihilator accepts a dual generator of degree j only when
-# j + 1 <= MAX_DEGREE, since Ann(L^j) has a generator of degree j + 1.  The
-# cost grows steeply with the degree: on a 2-core host `jtlab jordan` takes
-# about 2 s on a dual generator of degree 40, and 10-15 s on one of degree
-# 49 or on the ideal (x^50, y^50).
+# j + 1 <= MAX_DEGREE, since Ann(L^j) has a generator of degree j + 1.  At
+# the cap, on a shared 2-core host (Python 3.11), `jtlab jordan` takes about
+# 0.4 s on the dual generator X^24*Y^25 + X^49 + 3/2*Y^49, 1 s on a dense
+# one of degree 49 (45 of its 50 coefficients nonzero) and 1 s on the ideal
+# (x^50, y^50); with the cap lifted, (x^100, y^100) takes about 10 s.
 MAX_DEGREE = 50
 
 
@@ -81,27 +82,15 @@ def _shifts(rows):
     return [[0, *row] for row in rows] + [[*row, 0] for row in rows]
 
 
-def _remainder(vec, pivots, rows, lead):
-    """lead times the remainder of vec modulo the rows of linalg.echelon:
-    the unique vector of vec + span(rows) that is zero in every pivot column,
-    scaled to stay integral when vec is."""
-    out = [lead * v for v in vec]
-    for pc, row in zip(pivots, rows):
-        c = vec[pc]
-        if c:
-            out = [o - c * w for o, w in zip(out, row)]
-    return out
-
-
 class GradedIdeal:
     """An ideal of k[x,y] given by homogeneous generators.
 
     Each generator g of degree e is also kept, in the private slot _rows,
     as the pair (e, linalg.primitive(_poly_vec(g, e))): its degree and its
-    coordinate row as coprime integers.  degree_span shifts these rows, and
-    quotient and is_complete_intersection read the degrees, so no Fraction
-    is converted again after construction.  Two ideals are equal when they
-    list the same generators in the same order.
+    coordinate row as coprime integers.  quotient shifts these rows, and
+    is_complete_intersection reads the degrees, so no Fraction is converted
+    again after construction.  Two ideals are equal when they list the same
+    generators in the same order.
     """
 
     __slots__ = ("generators", "_rows")
@@ -135,18 +124,6 @@ class GradedIdeal:
     def __hash__(self):
         return hash(self.generators)
 
-    def degree_span(self, i):
-        """Spanning set of the degree-i piece: monomial multiples of the
-        generators, as integer coordinate rows."""
-        rows = []
-        for e, vec in self._rows:
-            if e <= i:
-                # x^a y^(i-e-a) * g
-                rows.extend(
-                    [0] * a + vec + [0] * (i - e - a) for a in range(i - e + 1)
-                )
-        return rows
-
     def __str__(self):
         return ", ".join(g.text() for g in self.generators)
 
@@ -158,17 +135,23 @@ class ArtinAlgebra:
     """A finite-dimensional graded quotient A = R/I, built through
     quotient().
 
-    Per degree it keeps the echelon rows of I as integers and the standard
-    monomials that form the basis of A; these are fixed at construction.
-    Rank questions about multiplication by a linear form are answered from
-    a rank table that is filled the first time the form is asked about and
-    kept on the algebra for later questions.
+    Per degree it keeps the echelon form (pivots, rows, lead) of I as
+    integers and the standard monomials that form the basis of A; these are
+    fixed at construction.  quotient() builds the forms with linalg.extend,
+    so rows / lead is the reduced echelon form of I_i over Q and lead its
+    least common denominator; any echelon form of the same spaces, such as
+    one from linalg.echelon, gives the same answers.  Rank questions about
+    multiplication by a linear form are answered from a rank table that is
+    filled the first time the form is asked about and kept on the algebra
+    for later questions.  The normal forms of the monomials that the tables
+    are built from are computed once, on the first question, and shared by
+    every direction.
     """
 
     def __init__(self, ideal, echelons):
         self.ideal = ideal
-        # degree i -> (pivots, rows, lead) of I_i from linalg.echelon,
-        # through the first degree in which I is everything
+        # degree i -> (pivots, rows, lead) of I_i, through the first degree
+        # in which I is everything
         self._echelons = echelons
         # degree i -> x-exponents of the standard monomials of degree i
         self._std = [
@@ -178,6 +161,7 @@ class ArtinAlgebra:
         self.hilbert = tuple(len(std) for std in self._std[:-1])
         self.socle_degree = len(self.hilbert) - 1
         self._rank_tables = {}  # coefficients (a, b) of a*x + b*y -> rank table
+        self._monomial_forms = None  # filled by _one_step_maps
         # dual generator F -> (HilbertFunction, divided_power_vector(F)),
         # kept by hessians.hessian_rank_at for later calls about F
         self.dual_vectors = {}
@@ -199,8 +183,8 @@ class ArtinAlgebra:
 
     def _reduce(self, vec, i):
         """The normal form of a degree-i coordinate vector on the standard
-        basis, times the pivot value of I_i: one scalar for the whole degree."""
-        rest = _remainder(vec, *self._echelons[i])
+        basis, times the lead of I_i: one scalar for the whole degree."""
+        rest = linalg.remainder(vec, *self._echelons[i])
         return [rest[t] for t in self._std[i]]
 
     def normal_form_vector(self, f):
@@ -214,24 +198,39 @@ class ArtinAlgebra:
         lead = self._echelons[i][2]
         return [v / lead for v in self._reduce(_poly_vec(f, i), i)]
 
+    def _normal_forms(self, i):
+        """N_i: entry t is the normal form of x^t y^(i-t) on the standard
+        basis of degree i, times the lead of I_i.  A standard monomial is
+        lead times its unit vector; the monomial of pivot column
+        pivots[k] is minus row k, read in the standard columns."""
+        pivots, rows, lead = self._echelons[i]
+        std = self._std[i]
+        forms = [[lead * (t == c) for c in std] for t in range(i + 1)]
+        for pc, row in zip(pivots, rows):
+            forms[pc] = [-row[c] for c in std]
+        return forms
+
     def _one_step_maps(self, a, b):
         """The one-step maps M_s: A_s -> A_(s+1) of a*x + b*y, s = 0 .. j-1,
         each as its rows: row k holds coordinate k of the image of every
-        standard monomial of degree s.
+        standard monomial of degree s, so its columns are those images.
 
-        The images are normal forms, all scaled by the pivot value of
-        I_(s+1), which on a large algebra is a long integer.  Each M_s is
+        The image of x^t y^(s-t) is b N_(s+1)[t] + a N_(s+1)[t+1]
+        (_normal_forms), all scaled by the lead of I_(s+1).  Each M_s is
         then divided by its content, the gcd of all its entries: one scalar
         for the whole map, so the rank of every product of maps is
-        unchanged, and the entries stay small.
+        unchanged, and the entries stay small.  The normal forms are
+        computed on the first call and kept for every later direction.
         """
+        if self._monomial_forms is None:
+            self._monomial_forms = [
+                self._normal_forms(s) for s in range(1, self.socle_degree + 1)
+            ]
         maps = []
-        for s in range(self.socle_degree):
-            images = []
-            for t in self._std[s]:
-                vec = [0] * (s + 2)
-                vec[t], vec[t + 1] = b, a  # y * x^t y^(s-t), x * x^t y^(s-t)
-                images.append(self._reduce(vec, s + 1))
+        for std, forms in zip(self._std, self._monomial_forms):
+            images = [
+                [b * v + a * w for v, w in zip(forms[t], forms[t + 1])] for t in std
+            ]
             content = math.gcd(*(v for image in images for v in image))
             if content > 1:
                 images = [[v // content for v in image] for image in images]
@@ -248,39 +247,44 @@ class ArtinAlgebra:
         the barcode of A_0 -> A_1 -> ... -> A_j (Zomorodian-Carlsson,
         "Computing persistent homology", 2005).  One sweep over s fills the
         table.  It keeps a basis of A_s adapted to the chain: its first
-        r(u, s) rows span ell^(s-u) A_u, for every u <= s.  The one-step map
-        M_s sends these rows to A_(s+1), and one linalg.echelon of
-        [images | identity], with the coordinates of A_(s+1) as rows, picks
-        its pivot columns greedily from the left.  So r(u, s+1), the rank of
-        the first r(u, s) images, is the number of pivot columns among
-        them.  The pivot images, made primitive, followed by the identity
-        columns among the pivots, are the adapted basis of A_(s+1).
+        r(u, s) vectors span ell^(s-u) A_u, for every u <= s.  The one-step
+        map M_s sends them to A_(s+1), and their images are fed in order to
+        linalg.extend, which keeps those that raise the rank.  So
+        r(u, s+1), the rank of the first r(u, s) images, is the number of
+        kept images among them.  The kept images, divided by their content,
+        followed by the unit vectors of the columns that are not pivots of
+        their echelon form, are the adapted basis of A_(s+1).  The image of a
+        unit vector is a column of the next map, so only the kept images
+        are multiplied out.  The table is built from the echelon forms of I
+        alone, never from a dual generator.
         """
         key = (ell.coefficient(1, 0), ell.coefficient(0, 1))
         table = self._rank_tables.get(key)
         if table is not None:
             return table
         a, b = linalg.primitive(key)
-        n = self.hilbert[0]
-        basis = [[int(r == c) for c in range(n)] for r in range(n)]
-        table = [[n]]
+        table = [[self.hilbert[0]]]
+        vectors, units = [], range(self.hilbert[0])  # the basis of A_0
         for rows in self._one_step_maps(a, b):
-            n, m = len(basis), len(rows)
-            images = [[sum(map(mul, vec, row)) for row in rows] for vec in basis]
-            # [images | identity], one row per coordinate of A_(s+1)
-            matrix = [
-                [image[k] for image in images] + [int(k == c) for c in range(m)]
-                for k in range(m)
-            ]
-            pivots = linalg.echelon(matrix)[0]
+            m = len(rows)
+            images = [[sum(map(mul, vec, row)) for row in rows] for vec in vectors]
+            images += [[row[c] for row in rows] for c in units]
+            form, kept = ([], [], 1), []
+            for n, image in enumerate(images):
+                if len(form[0]) == m:
+                    break
+                grown = linalg.extend(form, image)
+                if grown is not form:
+                    form = grown
+                    kept.append(n)
             for ranks in table:
-                ranks.append(bisect_left(pivots, ranks[-1]))
+                ranks.append(bisect_left(kept, ranks[-1]))
             table.append([m])
-            basis = [
-                linalg.primitive(images[p]) if p < n
-                else [int(p - n == c) for c in range(m)]
-                for p in pivots
-            ]
+            vectors = []
+            for n in kept:
+                image, content = images[n], math.gcd(*images[n])
+                vectors.append([v // content for v in image] if content > 1 else image)
+            units = sorted(set(range(m)) - set(form[0]))
         self._rank_tables[key] = table
         return table
 
@@ -292,20 +296,36 @@ def quotient(ideal):
     """Per-degree echelon bases of I, standard monomials of A = R/I, and the
     Hilbert function.  Raises NotArtinian when dim A_i stays positive past
     twice the generator degree bound (plus guard), and BudgetExceeded when a
-    generator has degree over MAX_DEGREE."""
+    generator has degree over MAX_DEGREE.
+
+    Each degree is built from the last: I_i = y I_(i-1) + the span of
+    x^(i-e) g over the generators g of degree e <= i.  By induction on i:
+    I_i = x I_(i-1) + y I_(i-1) + the generators of degree i, and
+    x I_(i-1) = y x I_(i-2) + the span of x^(i-e) g over e <= i - 1, where
+    x I_(i-2) lies in I_(i-1).  Multiplying by y appends a zero to each
+    coordinate vector, so the reduced echelon form of y I_(i-1) is that of
+    I_(i-1) with a zero column appended, and linalg.extend adds the
+    generators' shifts to it, at most one call per generator.
+    """
     maxdeg = max(e for e, _ in ideal._rows)
     if maxdeg > MAX_DEGREE:
         raise BudgetExceeded(
             f"a generator of degree {maxdeg} is over the cap of {MAX_DEGREE}"
         )
     bound = 2 * maxdeg + 2
+    form = ([], [], 1)  # I_(-1) = 0
     echelons = []
     for i in range(bound + 1):
-        echelons.append(linalg.echelon(ideal.degree_span(i)))
-        if len(echelons[-1][0]) == i + 1:
+        pivots, rows, lead = form
+        form = pivots, [[*row, 0] for row in rows], lead  # y I_(i-1)
+        for e, vec in ideal._rows:
+            if e <= i:
+                form = linalg.extend(form, [0] * (i - e) + vec)  # x^(i-e) g
+        echelons.append(form)
+        if len(form[0]) == i + 1:
             return ArtinAlgebra(ideal, echelons)
     raise NotArtinian(
-        f"dim A_{bound} = {bound + 1 - len(echelons[-1][0])} > 0 for I = ({ideal})"
+        f"dim A_{bound} = {bound + 1 - len(form[0])} > 0 for I = ({ideal})"
     )
 
 
@@ -362,7 +382,7 @@ def annihilator(F):
     first = linalg.primitive(kernel_d[0])
     # R_(e-d) * first: x^a y^(e-d-a) times the degree-d generator
     shifts = linalg.echelon([[0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)])
-    rests = (_remainder(vec, *shifts) for vec in kernel_e)
+    rests = (linalg.remainder(vec, *shifts) for vec in kernel_e)
     second = next((rest for rest in rests if any(rest)), None)
     if second is None:
         raise InternalInconsistency(f"Ann({F}) has no generator in degree {e}")

@@ -1,29 +1,49 @@
 """Exact linear algebra over the rationals, carried out on integers.
 
-All elimination goes through one routine, `echelon`: fraction-free
-Gauss-Jordan elimination on integer rows (Bareiss, "Sylvester's identity
-and multistep integer-preserving Gaussian elimination", Math. Comp. 1968,
-applied above the pivot as well as below it).  Every entry it produces is
-a minor of its input, so each division is exact and no rational number
-appears inside the elimination.  It returns the reduced rows scaled by one
-common pivot value; dividing by that value gives the reduced row echelon
-form over Q.
+An echelon form is a triple (pivots, rows, lead): the pivot columns in
+increasing order, and one integer row per pivot in which column pivots[k]
+holds lead and every other pivot column holds 0.  rows / lead is the
+reduced row echelon form over Q.  Two routines build one:
 
-`rank`, `rref` and `kernel_basis` accept rows with Fraction or int
-entries and clear denominators row by row with `primitive`.  Only `rref`
-and `kernel_basis` convert back to Fraction, when they return.  Callers
-that already hold integer rows read a kernel straight off `echelon` with
-`null_vectors`.
+- `echelon`, for a matrix given whole (catalecticants, Hessian Hankel
+  matrices, the complete-intersection count): fraction-free Gauss-Jordan
+  elimination on integer rows (Bareiss, "Sylvester's identity and
+  multistep integer-preserving Gaussian elimination", Math. Comp. 1968,
+  applied above the pivot as well as below it).  Every entry it produces
+  is a minor of its input, so each division is exact and no rational
+  number appears inside the elimination; lead is the last pivot value, a
+  determinant whose length grows with the matrix.
+- `extend`, for a row space grown one vector at a time (the degrees of a
+  quotient, the images in a rank table): it adds one vector to an echelon
+  form and divides the result by its content, so lead stays the least
+  common denominator of the reduced form over Q and the entries stay as
+  short as that form allows.
+
+`remainder` reduces a vector modulo an echelon form.  `rank`, `rref` and
+`kernel_basis` accept rows with Fraction or int entries and clear
+denominators row by row with `primitive`.  Only `rref` and `kernel_basis`
+convert back to Fraction, when they return.  Callers that already hold
+integer rows read a kernel straight off `echelon` with `null_vectors`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import InternalInconsistency
 
-__all__ = ["primitive", "echelon", "null_vectors", "rank", "rref", "kernel_basis"]
+__all__ = [
+    "primitive",
+    "echelon",
+    "remainder",
+    "extend",
+    "null_vectors",
+    "rank",
+    "rref",
+    "kernel_basis",
+]
 
 
 def primitive(row):
@@ -77,6 +97,62 @@ def echelon(rows):
         pivots.append(c)
         prev = lead
     return pivots, m[: len(pivots)], prev
+
+
+def remainder(vec, pivots, rows, lead):
+    """lead times the remainder of vec modulo an echelon form (pivots,
+    rows, lead): the unique vector of lead * vec + span(rows) that is zero
+    in every pivot column, integral when vec is."""
+    out = [lead * v for v in vec]
+    for pc, row in zip(pivots, rows):
+        c = vec[pc]
+        if c:
+            out = [o - c * w for o, w in zip(out, row)]
+    return out
+
+
+def extend(form, vec):
+    """The echelon form of span(rows) + span(vec), for an echelon form
+    form = (pivots, rows, lead) and an integer vector vec of the same
+    length; form itself when vec lies in the span.
+
+    The remainder of vec, divided by its content, becomes the row of a new
+    pivot column c, and c is cleared from the old rows.  The whole form is
+    then divided by its content, the gcd of the new lead and every entry,
+    with the sign that makes lead positive.  So rows / lead is the reduced
+    row echelon form over Q, lead > 0 is its least common denominator, and
+    lead and the entries of rows have no common factor.  The input lists
+    are not changed.
+    """
+    pivots, rows, lead = form
+    rest = remainder(vec, pivots, rows, lead)
+    c = next((c for c, v in enumerate(rest) if v), None)
+    if c is None:
+        return form
+    g = math.gcd(*rest)
+    p = rest[c] // g
+    rest = [v // g for v in rest]
+    # row / lead - (row[c] / lead) (rest / p), over the common scale lead * p
+    new = [
+        [p * v - row[c] * w for v, w in zip(row, rest)]
+        if row[c]
+        else [p * v for v in row]
+        for row in rows
+    ]
+    k = bisect_left(pivots, c)
+    new.insert(k, [lead * w for w in rest])
+    lead *= p
+    content = lead
+    for row in new:
+        content = math.gcd(content, *row)
+        if content == 1:
+            break
+    if lead < 0:
+        content = -content
+    if content != 1:
+        new = [[v // content for v in row] for row in new]
+        lead //= content
+    return [*pivots[:k], c, *pivots[k:]], new, lead
 
 
 def rank(rows):

@@ -33,9 +33,14 @@ _ZERO = Fraction(0)
 
 
 class BivariatePoly:
-    """A polynomial in two variables over the rationals."""
+    """A polynomial in two variables over the rationals.
 
-    __slots__ = ("terms",)
+    Immutable.  Its hash is computed on first use and kept in the private
+    slot _hash, which is neither compared, copied nor pickled: a copy or a
+    pickled twin computes the same value again.
+    """
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         clean = {}
@@ -137,7 +142,12 @@ class BivariatePoly:
         return isinstance(other, BivariatePoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(frozenset(self.terms.items()))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     # -- substitution ------------------------------------------------------
 

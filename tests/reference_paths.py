@@ -1,21 +1,32 @@
-"""Earlier bodies of eight routines, kept as references for differential
+"""Earlier bodies of ten routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
 branch-label enumeration with its own interval-split helper, the
 complete-intersection test that counts new generators in every degree,
-the annihilator that echelonizes every degree 0 .. j+1, and the rank
-table that carries the image of each A_u one step at a time.
+the annihilator that echelonizes every degree 0 .. j+1, the rank table
+that carries the image of each A_u one step at a time, and the quotient
+that echelonizes the whole degree_span of every degree with Bareiss
+elimination.
 
 Each returns exactly what the jtlab function of the same name returns;
-rank_table is ArtinAlgebra._rank_table, and one_step_columns is its raw
-one-step maps, with no common factor divided out.
+rank_table is ArtinAlgebra._rank_table, one_step_columns is its raw
+one-step maps, with no common factor divided out, and degree_span is the
+spanning set that GradedIdeal once offered.  The quotient's echelon forms
+are scaled by Bareiss pivot values, not by least common denominators, so
+they agree with jtlab's over Q, not entry by entry.
 """
 
 from operator import mul
 
 from jtlab import linalg
-from jtlab.algebra import GradedIdeal, _remainder, _shifts, _vec_poly, quotient
+from jtlab.algebra import MAX_DEGREE, ArtinAlgebra, GradedIdeal, _shifts, _vec_poly
 from jtlab.codes import E, BranchLabel, _arranged, _validate_label
-from jtlab.errors import DiagonalMismatch, InternalInconsistency, InvalidLabel
+from jtlab.errors import (
+    BudgetExceeded,
+    DiagonalMismatch,
+    InternalInconsistency,
+    InvalidLabel,
+    NotArtinian,
+)
 from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition
 from jtlab.polynomials import divided_power_vector
 
@@ -178,6 +189,36 @@ def enumerate_branch_labels(T):
     return labels
 
 
+def degree_span(ideal, i):
+    """Spanning set of the degree-i piece of ideal: monomial multiples of
+    the generators, as integer coordinate rows."""
+    rows = []
+    for e, vec in ideal._rows:
+        if e <= i:
+            # x^a y^(i-e-a) * g
+            rows.extend([0] * a + vec + [0] * (i - e - a) for a in range(i - e + 1))
+    return rows
+
+
+def quotient(ideal):
+    """One Bareiss linalg.echelon of the whole degree_span(i) in every
+    degree i, until I_i is all of R_i."""
+    maxdeg = max(e for e, _ in ideal._rows)
+    if maxdeg > MAX_DEGREE:
+        raise BudgetExceeded(
+            f"a generator of degree {maxdeg} is over the cap of {MAX_DEGREE}"
+        )
+    bound = 2 * maxdeg + 2
+    echelons = []
+    for i in range(bound + 1):
+        echelons.append(linalg.echelon(degree_span(ideal, i)))
+        if len(echelons[-1][0]) == i + 1:
+            return ArtinAlgebra(ideal, echelons)
+    raise NotArtinian(
+        f"dim A_{bound} = {bound + 1 - len(echelons[-1][0])} > 0 for I = ({ideal})"
+    )
+
+
 def is_complete_intersection(ideal, algebra=None):
     """Count dim I_i - dim R_1*I_(i-1) in every degree 0 .. socle + 1, with
     one elimination of R_1*I_(i-1) per degree."""
@@ -209,7 +250,7 @@ def annihilator(F):
         kernel = [linalg.primitive(vec) for vec in null]
         grown = linalg.echelon(_shifts(prev_kernel))
         for vec in kernel:
-            rest = _remainder(vec, *grown)
+            rest = linalg.remainder(vec, *grown)
             if any(rest):
                 generators.append(_vec_poly(linalg.primitive(rest), i))
                 grown = linalg.echelon(grown[1] + [vec])

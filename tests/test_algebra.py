@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -11,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jtlab
+import reference_paths as ref
 from jtlab import linalg
 from jtlab.algebra import (
     MAX_DEGREE,
     GradedIdeal,
-    _remainder,
     _shifts,
     _vec_poly,
     annihilator,
@@ -122,7 +124,7 @@ def _reference_annihilator(F):
         kernel = [linalg.primitive(vec) for vec in linalg.kernel_basis(rows, i + 1)]
         grown = linalg.echelon(_shifts(prev_kernel))
         for vec in kernel:
-            rest = _remainder(vec, *grown)
+            rest = linalg.remainder(vec, *grown)
             if any(rest):
                 generators.append(_vec_poly(linalg.primitive(rest), i))
                 grown = linalg.echelon(grown[1] + [vec])
@@ -417,11 +419,26 @@ def test_polynomial_and_ideal_copy_and_pickle():
         assert type(twin) is BivariatePoly and twin == f and hash(twin) == hash(f)
     for twin in copies(I):
         assert type(twin) is GradedIdeal and twin == I and hash(twin) == hash(I)
-        assert all(twin.degree_span(i) == I.degree_span(i) for i in range(12))
+        assert all(ref.degree_span(twin, i) == ref.degree_span(I, i) for i in range(12))
     assert I != ideal("y^4 + x^4", "x^2*y + 7/2*x^3", "x^9")  # order counts
     A = quotient(I)
     for twin in copies(A):
         assert twin.ideal == I and twin.hilbert == A.hilbert
+
+
+def test_polynomial_hash_is_kept_and_a_pickled_twin_hashes_equal():
+    f = parse_poly("x^2*y + 7/2*x^3")
+    fresh = parse_poly("x^2*y + 7/2*x^3")
+    h = hash(f)
+    assert hash(f) == h == hash(frozenset(f.terms.items()))
+    # the kept hash is not part of the pickle, so a twin computes it again
+    assert pickle.dumps(f) == pickle.dumps(fresh)
+    twin = pickle.loads(pickle.dumps(f))
+    assert twin == f and hash(twin) == h
+    assert {f: "kept"}[twin] == "kept"
+    assert f != parse_poly("x^2*y") and hash(parse_poly("x^2*y")) != h
+    with pytest.raises(AttributeError):
+        f._hash = 0
 
 
 # -- fuzzed soundness -------------------------------------------------------------
@@ -725,6 +742,52 @@ def test_rref_and_kernel_match_fraction_gauss_jordan(shaped, mix):
     assert linalg.rref(rows, ncols) == _fraction_rref(rows, ncols)
     assert linalg.kernel_basis(rows, ncols) == _fraction_kernel(rows, ncols)
     assert linalg.rank(rows) == len(_fraction_rref(rows, ncols)[0])
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-30, 30) | st.just(0), min_size=ncols, max_size=ncols),
+            max_size=7,
+        ).map(lambda rows: (rows, ncols))
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(-2, 2)), max_size=7
+    ),
+)
+@settings(max_examples=300)
+def test_extend_folded_over_rows_matches_echelon(shaped, mix):
+    rows, ncols = shaped
+    # append row m + c * row n: a repeat for c = 0, a zero row for m = n and
+    # c = -1, otherwise a combination of earlier rows
+    for m, n, c in mix:
+        if rows:
+            first, second = rows[m % len(rows)], rows[n % len(rows)]
+            rows.append([v + c * w for v, w in zip(first, second)])
+    form = ([], [], 1)
+    for row in rows:
+        before = copy.deepcopy(form)
+        grown = linalg.extend(form, row)
+        assert form == before  # the input lists are not changed
+        assert (grown is form) == (len(grown[0]) == len(form[0]))
+        form = grown
+    pivots, reduced, lead = form
+    want_pivots, want, want_lead = linalg.echelon(rows)
+    assert pivots == want_pivots
+    # the same reduced row echelon form over Q, with lead its least
+    # common denominator
+    assert [[Fraction(v, lead) for v in row] for row in reduced] == [
+        [Fraction(v, want_lead) for v in row] for row in want
+    ]
+    assert lead > 0 and math.gcd(lead, *(v for row in reduced for v in row)) == 1
+
+
+def test_extend_makes_lead_positive_on_a_bareiss_form():
+    # Bareiss leaves a negative lead here; one extend makes it positive
+    form = linalg.echelon([[0, -3, 1], [2, 0, 0]])
+    assert form[2] < 0
+    pivots, rows, lead = linalg.extend(form, [0, 0, 5])
+    assert (pivots, rows, lead) == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
 
 
 INEXACT_DIVISION = "from jtlab import linalg; linalg._divide_exact([6, 7], 2)"

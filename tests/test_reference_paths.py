@@ -1,8 +1,9 @@
 """Differential tests: the linear-time diagram scans, the parity-first
 symmetric search, the one-label classification row, the branch-label
 enumeration, the complete-intersection count at generator degrees, the
-annihilator in its two generator degrees and the one-sweep rank table
-against the earlier bodies kept in reference_paths.py."""
+annihilator in its two generator degrees, the one-sweep rank table and the
+quotient built one degree from the last against the earlier bodies kept in
+reference_paths.py."""
 
 import itertools
 import math
@@ -47,7 +48,7 @@ from jtlab.partitions import (
 )
 from jtlab.polynomials import BivariatePoly, parse_poly
 from test_algebra import RANK_TABLE_CASES
-from tests_support import random_dual_generator
+from tests_support import random_dual_form, random_dual_generator
 
 ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
 
@@ -324,11 +325,14 @@ def test_rank_table_matches_reference_on_rank_table_cases(I, directions, handed_
     _assert_tables_match(quotient(I), directions + SCALED_DIRECTIONS, handed_maps)
 
 
-@pytest.mark.parametrize(
-    "gens",
-    [("x^2", "x*y", "y^3"), ("x*y", "x^3", "y^4"), ("x^3", "x^2*y", "x*y^2", "y^3")],
-    ids=",".join,
-)
+NON_GORENSTEIN = [
+    ("x^2", "x*y", "y^3"),
+    ("x*y", "x^3", "y^4"),
+    ("x^3", "x^2*y", "x*y^2", "y^3"),
+]
+
+
+@pytest.mark.parametrize("gens", NON_GORENSTEIN, ids=",".join)
 def test_rank_table_matches_reference_on_non_gorenstein_quotients(gens, handed_maps):
     A = quotient(GradedIdeal([parse_poly(g) for g in gens]))
     # in codimension two, Gorenstein means complete intersection
@@ -348,13 +352,93 @@ def test_rank_table_matches_reference_on_benchmark_realizations(handed_maps):
 
 
 def test_rank_table_matches_reference_on_a_degree_30_dual(handed_maps):
-    # the pivot values of I make the raw one-step maps of this algebra over
-    # 700 bits long; divided by their content they stay under 64
-    A = quotient(annihilator(parse_poly("X^15*Y^15 + X^30 + 3/2*Y^30")))
-    assert A.socle_degree == 30
+    # on echelon forms scaled by Bareiss pivot values, as the reference
+    # quotient builds them, the raw one-step maps of this algebra are over
+    # 700 bits long; divided by their content they stay under 64, on those
+    # forms and on the least-common-denominator forms of quotient
+    I = annihilator(parse_poly("X^15*Y^15 + X^30 + 3/2*Y^30"))
+    bareiss = ArtinAlgebra(I, ref.quotient(I)._echelons)
+    A = quotient(I)
+    assert A.socle_degree == bareiss.socle_degree == 30
     for a, b in [(1, 2), (1, 1)]:
-        raw = ref.one_step_columns(A, a, b)
+        raw = ref.one_step_columns(bareiss, a, b)
         assert max(abs(v).bit_length() for M in raw for row in M for v in row) > 700
-    _assert_tables_match(A, [(1, 2), (1, 1)], handed_maps)
+    for algebra in (bareiss, A):
+        _assert_tables_match(algebra, [(1, 2), (1, 1)], handed_maps)
+    assert len(handed_maps) == 4
     entries = [v for maps in handed_maps for M in maps for row in M for v in row]
     assert max(abs(v).bit_length() for v in entries) < 64
+
+
+# -- the quotient built one degree from the last ------------------------------------
+
+
+def _dual_fuzz_forms():
+    """The 104 dual generators of the seed-0 dual_fuzz benchmark workload,
+    drawn from random.Random("dual_fuzz:0") with degrees cycling through
+    4, 5, 6, 7, 7, 8, 9, 9, as the workload draws them."""
+    rng = random.Random("dual_fuzz:0")
+    degrees = (4, 5, 6, 7, 7, 8, 9, 9)
+    return [random_dual_form(rng, degrees[n % len(degrees)]) for n in range(104)]
+
+
+QUOTIENT_FAMILIES = {
+    "rank table cases": lambda: [I for _, I, _ in RANK_TABLE_CASES],
+    "non-Gorenstein": lambda: [
+        GradedIdeal([parse_poly(g) for g in gens]) for gens in NON_GORENSTEIN
+    ],
+    "realize_sweep seed 0": lambda: [
+        I for _, _, I in _realization_ideals(random.Random("realize_sweep:0"))
+    ],
+    "dual_fuzz seed 0": lambda: [annihilator(F) for F in _dual_fuzz_forms()],
+    "dense j = 16, 20, 24": lambda: [
+        annihilator(random_dual_generator(random.Random(0), j, j)) for j in (16, 20, 24)
+    ],
+}
+
+
+@pytest.mark.parametrize("family", QUOTIENT_FAMILIES)
+def test_quotient_matches_reference(family):
+    for I in QUOTIENT_FAMILIES[family]():
+        A, B = quotient(I), ref.quotient(I)
+        assert A.hilbert == B.hilbert, I
+        assert len(A._echelons) == len(B._echelons), I
+        for (pivots, rows, lead), (ref_pivots, ref_rows, ref_lead) in zip(
+            A._echelons, B._echelons
+        ):
+            assert pivots == ref_pivots, I
+            # the same reduced echelon form over Q: rows / lead = ref_rows / ref_lead
+            assert [[v * ref_lead for v in row] for row in rows] == [
+                [v * lead for v in row] for row in ref_rows
+            ], I
+            # lead is its least common denominator
+            content = math.gcd(lead, *(v for row in rows for v in row))
+            assert lead > 0 and content == 1, I
+
+
+@pytest.mark.parametrize(
+    "gens", [("x^2", "x*y"), ("y^3",), ("x*y^2", "x^2*y")], ids=",".join
+)
+def test_quotient_refuses_a_non_artinian_ideal_as_the_reference_does(gens):
+    I = GradedIdeal([parse_poly(g) for g in gens])
+    with pytest.raises(NotArtinian) as got:
+        quotient(I)
+    with pytest.raises(NotArtinian) as want:
+        ref.quotient(I)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("j, bits, direction", [(30, 512, (1, 2)), (49, 1024, (1, 0))])
+def test_dense_dual_keeps_quotient_leads_short(j, bits, direction):
+    # Each lead is the least common denominator of the reduced echelon form
+    # of I_i over Q, which the ideal alone fixes: 374 bits at most for
+    # j = 30 and 932 for j = 49, where the Bareiss pivot values of the
+    # reference quotient reach 12 158 bits at j = 30.  Coefficient growth
+    # past that fails here instead of making the suite slow.
+    A = quotient(annihilator(random_dual_generator(random.Random(0), j, j)))
+    assert A.socle_degree == j
+    for _, rows, lead in A._echelons:
+        assert 0 < lead and lead.bit_length() < bits
+        assert math.gcd(lead, *(v for row in rows for v in row)) == 1
+    ell = BivariatePoly.linear(*direction)
+    assert A._rank_table(ell) == ref.rank_table(A, ell)

@@ -25,9 +25,15 @@ def partitions_of(n, maxp=None):
 
 
 def random_dual_generator(rng, jmin=4, jmax=9):
-    """Nonzero homogeneous form in X, Y with numerators in -9..9 and
-    denominators in {1, 2, 3}."""
-    j = rng.randint(jmin, jmax)
+    """Nonzero homogeneous form in X, Y of a random degree in jmin..jmax,
+    with numerators in -9..9 and denominators in {1, 2, 3}."""
+    return random_dual_form(rng, rng.randint(jmin, jmax))
+
+
+def random_dual_form(rng, j):
+    """Nonzero homogeneous form in X, Y of degree j with numerators in
+    -9..9 and denominators in {1, 2, 3}, drawn as the benchmark's dual_fuzz
+    workload draws its forms."""
     while True:
         terms = {}
         for a in range(j + 1):
