@@ -12,8 +12,12 @@ Jordan strings of length >= s equals rank(m_L^(s-1)) - rank(m_L^s).
 Inside this module a degree-n form is a coordinate vector whose entry t is
 the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
 one place and multiplying by y appends a zero.  The ideal is stored as
-integer echelon forms built one degree from the last with linalg.extend;
-Fraction appears only where a polynomial comes in or goes out.
+integer echelon forms built one degree from the last with linalg.extend.
+A question that needs only a rank (a rank table, the complete-intersection
+count, the middle catalecticant of a dual generator) goes through the
+forward-only kernel linalg.insert, through linalg.rank where a matrix is
+given whole, and builds no reduced form.  Fraction appears only where a
+polynomial comes in or goes out.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from . import linalg
@@ -249,14 +254,16 @@ class ArtinAlgebra:
         table.  It keeps a basis of A_s adapted to the chain: its first
         r(u, s) vectors span ell^(s-u) A_u, for every u <= s.  The one-step
         map M_s sends them to A_(s+1), and their images are fed in order to
-        linalg.extend, which keeps those that raise the rank.  So
-        r(u, s+1), the rank of the first r(u, s) images, is the number of
+        linalg.insert, the forward-only rank kernel, which keeps those that
+        raise the rank; only a rank is read, so no reduced form is built.
+        So r(u, s+1), the rank of the first r(u, s) images, is the number of
         kept images among them.  The kept images, divided by their content,
-        followed by the unit vectors of the columns that are not pivots of
-        their echelon form, are the adapted basis of A_(s+1).  The image of a
+        followed by the unit vectors of the columns that lead no row of
+        insert's basis, are the adapted basis of A_(s+1).  The image of a
         unit vector is a column of the next map, so only the kept images
-        are multiplied out.  The table is built from the echelon forms of I
-        alone, never from a dual generator.
+        are multiplied out, and none past the one that fills A_(s+1).  The
+        table is built from the echelon forms of I alone, never from a dual
+        generator.
         """
         key = (ell.coefficient(1, 0), ell.coefficient(0, 1))
         table = self._rank_tables.get(key)
@@ -267,24 +274,23 @@ class ArtinAlgebra:
         vectors, units = [], range(self.hilbert[0])  # the basis of A_0
         for rows in self._one_step_maps(a, b):
             m = len(rows)
-            images = [[sum(map(mul, vec, row)) for row in rows] for vec in vectors]
-            images += [[row[c] for row in rows] for c in units]
-            form, kept = ([], [], 1), []
+            # multiplied out one at a time, until the kept ones span A_(s+1)
+            images = chain(
+                ([sum(map(mul, vec, row)) for row in rows] for vec in vectors),
+                ([row[c] for row in rows] for c in units),
+            )
+            basis, kept, vectors = {}, [], []
             for n, image in enumerate(images):
-                if len(form[0]) == m:
-                    break
-                grown = linalg.extend(form, image)
-                if grown is not form:
-                    form = grown
+                if linalg.insert(basis, image) is not None:
                     kept.append(n)
+                    content = math.gcd(*image)
+                    vectors.append([v // content for v in image] if content > 1 else image)
+                    if len(basis) == m:
+                        break
             for ranks in table:
                 ranks.append(bisect_left(kept, ranks[-1]))
             table.append([m])
-            vectors = []
-            for n in kept:
-                image, content = images[n], math.gcd(*images[n])
-                vectors.append([v // content for v in image] if content > 1 else image)
-            units = sorted(set(range(m)) - set(form[0]))
+            units = sorted(set(range(m)) - basis.keys())
         self._rank_tables[key] = table
         return table
 
@@ -337,18 +343,19 @@ def annihilator(F):
     R_i -> E_(j-i).  Its row of Y^v is scaled by (j-i-v)! v!, which leaves
     the kernel unchanged and makes it the integer Hankel matrix
     [g_(v+i-t)] of F's divided-power vector g
-    (polynomials.divided_power_vector); a kernel is read off its
-    fraction-free echelon form.
+    (polynomials.divided_power_vector).
 
     R/Ann(F) is Gorenstein of codimension two, so by the structure theorem
     in codimension two (Macaulay; Iarrobino-Kanev, "Power Sums, Gorenstein
     Algebras, and Determinantal Loci", LNM 1721) Ann(F) is a
     complete intersection generated in degrees d <= e with d + e = j + 2,
-    where d is the rank of the middle catalecticant, i = j // 2.  Only the
-    degrees d and e are echelonized.  The generator of degree d spans the
-    kernel there, which has dimension 1, or 2 when d = e.  The generator of
-    degree e is the one kernel vector of degree e not in R_(e-d) times the
-    first generator, reduced modulo those shifts.  Each is scaled to
+    where d is the rank of the middle catalecticant, i = j // 2, taken with
+    linalg.rank.  A kernel is needed only in the degrees d and e, and is
+    read off the fraction-free reduced form of linalg.echelon there.  The
+    generator of degree d spans the kernel there, which has dimension 1, or
+    2 when d = e.  The generator of degree e is the one kernel vector of
+    degree e not in R_(e-d) times the first generator, reduced modulo those
+    shifts.  Each is scaled to
     coprime integer coefficients with a positive leading term.  Raises
     BudgetExceeded when Ann(F) may have a generator of degree over
     MAX_DEGREE, that is when j + 1 > MAX_DEGREE.
@@ -366,14 +373,15 @@ def annihilator(F):
     def catalecticant(i):
         # R_i -> E_(j-i), with the row of Y^v scaled by (j-i-v)! v!: its
         # entry at column x^t y^(i-t) is g_(v+i-t)
-        return linalg.echelon(
-            [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
-        )
+        return [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
 
-    d = len(catalecticant(j // 2)[0])
+    def kernel(i):
+        return linalg.null_vectors(*linalg.echelon(catalecticant(i)), i + 1)
+
+    d = linalg.rank(catalecticant(j // 2))
     e = j + 2 - d
-    kernel_d = linalg.null_vectors(*catalecticant(d), d + 1)
-    kernel_e = kernel_d if e == d else linalg.null_vectors(*catalecticant(e), e + 1)
+    kernel_d = kernel(d)
+    kernel_e = kernel_d if e == d else kernel(e)
     if len(kernel_d) != 1 + (d == e) or len(kernel_e) != e - d + 2:
         raise InternalInconsistency(
             f"Ann({F}) has kernel dimensions {len(kernel_d)} in degree {d} and "
@@ -518,7 +526,8 @@ def is_complete_intersection(ideal, algebra=None):
     given generators of degree i, and the count is zero in every degree
     that holds none of them.  Past the socle degree j, I_i is all of R_i
     and equals R_1*I_(i-1) from degree j + 2 on.  So the count is taken
-    only at the degrees of the given generators that are at most j + 1.
+    only at the degrees of the given generators that are at most j + 1,
+    and dim R_1*I_(i-1) is a rank, taken with linalg.rank.
     """
     A = algebra if algebra is not None else quotient(ideal)
     degrees = []

@@ -18,7 +18,8 @@ of F (polynomials.divided_power_vector) and n = j - 2i,
 is n! times that entry, up to the one common factor of g.  The rank is
 taken of the integer Hankel matrix [h_(r+c)], with (a, b) first scaled to
 coprime integers: a nonzero scale of the point, of g or of every entry
-changes no rank.
+changes no rank.  It is a rank-only question, so linalg.rank answers it
+with the forward-only kernel linalg.insert and builds no reduced form.
 
 Mixed orders are written (u, s) = (source degree, target degree): the rank
 of L^(s-u): A_u -> A_s.  In the determinant picture this map corresponds to
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .algebra import annihilator, quotient, rank_mult_power
 from .codes import _runs, cijt_from_composition, is_cijt
@@ -40,7 +42,7 @@ from .errors import (
     OrderOutOfRange,
     TopRequiresKGe2,
 )
-from .linalg import echelon, primitive
+from .linalg import primitive, rank
 from .partitions import (
     HilbertFunction,
     Partition,
@@ -116,7 +118,8 @@ def hessian_rank_at(F, i, point, algebra=None):
 
     The rank of the integer Hankel matrix [h_(r+c)] of the module
     docstring, which is n! = (j - 2i)! times the evaluated Hessian up to
-    one nonzero factor.  It is computed from F alone; algebra, when given,
+    one nonzero factor, taken with linalg.rank.  It is computed from F
+    alone, never from a rank table of the algebra; algebra, when given,
     is quotient(annihilator(F)) and serves the order check.  The algebra
     keeps its validated Hilbert function and F's divided-power vector for
     later calls about the same F.
@@ -131,8 +134,8 @@ def hessian_rank_at(F, i, point, algebra=None):
     n = len(g) - 1 - 2 * i
     a, b = primitive([Fraction(v) for v in point])
     weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
-    h = [sum(w * v for w, v in zip(weights, g[t:])) for t in range(2 * i + 1)]
-    return len(echelon([h[r : r + i + 1] for r in range(i + 1)])[0])
+    h = [sum(map(mul, weights, g[t:])) for t in range(2 * i + 1)]
+    return rank([h[r : r + i + 1] for r in range(i + 1)])
 
 
 def active_hessian_indices(T):

@@ -1,23 +1,32 @@
 """Exact linear algebra over the rationals, carried out on integers.
 
-An echelon form is a triple (pivots, rows, lead): the pivot columns in
-increasing order, and one integer row per pivot in which column pivots[k]
-holds lead and every other pivot column holds 0.  rows / lead is the
-reduced row echelon form over Q.  Two routines build one:
+Three routines eliminate, one for each kind of question:
 
-- `echelon`, for a matrix given whole (catalecticants, Hessian Hankel
-  matrices, the complete-intersection count): fraction-free Gauss-Jordan
-  elimination on integer rows (Bareiss, "Sylvester's identity and
-  multistep integer-preserving Gaussian elimination", Math. Comp. 1968,
-  applied above the pivot as well as below it).  Every entry it produces
-  is a minor of its input, so each division is exact and no rational
-  number appears inside the elimination; lead is the last pivot value, a
-  determinant whose length grows with the matrix.
-- `extend`, for a row space grown one vector at a time (the degrees of a
-  quotient, the images in a rank table): it adds one vector to an echelon
-  form and divides the result by its content, so lead stays the least
-  common denominator of the reduced form over Q and the entries stay as
-  short as that form allows.
+- `echelon`, for a one-shot reduced form of a matrix given whole (the
+  kernels of catalecticants, the references in the tests): fraction-free
+  Gauss-Jordan elimination on integer rows (Bareiss, "Sylvester's
+  identity and multistep integer-preserving Gaussian elimination", Math.
+  Comp. 1968, applied above the pivot as well as below it).  Every entry
+  it produces is a minor of its input, so each division is exact and no
+  rational number appears inside the elimination; lead is the last pivot
+  value, a determinant whose length grows with the matrix.
+- `extend`, for an incremental reduced form of a row space grown one
+  vector at a time (the degrees of a quotient): it adds one vector to an
+  echelon form and divides the result by its content, so lead stays the
+  least common denominator of the reduced form over Q and the entries stay
+  as short as that form allows.
+- `insert`, for rank-only questions (rank tables, Hessian ranks, the
+  complete-intersection count, the middle catalecticant): it reduces one
+  vector forward only against a basis of primitive rows keyed by their
+  leading columns, and never clears a column above its pivot.  The keys
+  are the pivot columns of the reduced form, so every rank and pivot set
+  read off them is that of `echelon`.  `rank` counts the rows that it
+  accepts.
+
+An echelon form, as `echelon` and `extend` build it, is a triple (pivots,
+rows, lead): the pivot columns in increasing order, and one integer row
+per pivot in which column pivots[k] holds lead and every other pivot
+column holds 0.  rows / lead is the reduced row echelon form over Q.
 
 `remainder` reduces a vector modulo an echelon form.  `rank`, `rref` and
 `kernel_basis` accept rows with Fraction or int entries and clear
@@ -39,6 +48,7 @@ __all__ = [
     "echelon",
     "remainder",
     "extend",
+    "insert",
     "null_vectors",
     "rank",
     "rref",
@@ -49,22 +59,32 @@ __all__ = [
 def primitive(row):
     """The integer row proportional to row (Fraction or int entries) with
     coprime entries and its first nonzero entry positive; zero stays zero."""
-    scale = math.lcm(*(v.denominator for v in row))
-    ints = [v.numerator * (scale // v.denominator) for v in row]
-    g = math.gcd(*ints)
+    try:
+        g = math.gcd(*row)  # int entries need no common denominator
+    except TypeError:  # a Fraction entry: clear denominators first
+        scale = math.lcm(*(v.denominator for v in row))
+        row = [v.numerator * (scale // v.denominator) for v in row]
+        g = math.gcd(*row)
     if g == 0:
-        return ints
-    if next(v for v in ints if v) < 0:
+        return list(row)
+    for v in row:
+        if v:
+            break
+    if v < 0:
         g = -g
-    return [v // g for v in ints]
+    return [v // g for v in row] if g != 1 else list(row)
 
 
 def _divide_exact(row, den):
-    """row / den entrywise; fraction-free elimination guarantees that each
-    quotient is an integer."""
-    if any(v % den for v in row):
-        raise InternalInconsistency("fraction-free elimination lost integrality")
-    return [v // den for v in row]
+    """row / den entrywise, in one divmod pass; fraction-free elimination
+    guarantees that each quotient is an integer."""
+    out = []
+    for v in row:
+        q, r = divmod(v, den)
+        if r:
+            raise InternalInconsistency("fraction-free elimination lost integrality")
+        out.append(q)
+    return out
 
 
 def echelon(rows):
@@ -155,9 +175,57 @@ def extend(form, vec):
     return [*pivots[:k], c, *pivots[k:]], new, lead
 
 
+def insert(basis, vec):
+    """Add an integer vector to a forward-only basis; its new leading
+    column, or None when vec lies in the span of basis.
+
+    basis maps each leading column c to a primitive integer row (coprime
+    entries, positive at c) whose first nonzero entry is at c.  vec is
+    reduced forward only: at its first nonzero column c, if no row leads
+    there, vec divided by its content is stored under c; otherwise
+    vec = p * vec - vec[c] * row, with p = row[c] and the pair (p, vec[c])
+    first divided by its gcd, is divided by its content and reduced from
+    column c + 1 on.  No row is ever cleared above its leading column.
+
+    The keys of basis are the pivot columns of the reduced row echelon form
+    over Q of the vectors inserted, so a rank, a pivot set or the free
+    columns read off them equal those of echelon.  The row stored under c
+    is, up to scale, the one vector of the span of vec and the rows keyed
+    before c that is zero before column c; by Cramer's rule its primitive
+    entries divide minors of those rows, the kind of bound that Bareiss
+    gives.  Neither vec nor a stored row is changed; only basis gains a key.
+    """
+    n = len(vec)
+    c = 0
+    while c < n:
+        head = vec[c]
+        if not head:
+            c += 1
+            continue
+        row = basis.get(c)
+        if row is None:
+            g = math.gcd(*vec)
+            if head < 0:
+                g = -g
+            basis[c] = [v // g for v in vec] if g != 1 else list(vec)
+            return c
+        p = row[c]
+        g = math.gcd(p, head)
+        if g != 1:
+            p, head = p // g, head // g
+        vec = [p * v - head * w for v, w in zip(vec, row)]
+        g = math.gcd(*vec)
+        if g > 1:
+            vec = [v // g for v in vec]
+        c += 1
+    return None
+
+
 def rank(rows):
-    """Rank of a matrix given as a list of rows (Fraction or int entries)."""
-    return len(echelon([primitive(row) for row in rows])[0])
+    """Rank of a matrix given as a list of rows (Fraction or int entries):
+    the number of rows, made primitive, that insert adds to one basis."""
+    basis = {}
+    return sum(insert(basis, primitive(row)) is not None for row in rows)
 
 
 def rref(rows, ncols):

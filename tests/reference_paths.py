@@ -5,16 +5,21 @@ complete-intersection test that counts new generators in every degree,
 the annihilator that echelonizes every degree 0 .. j+1, the rank table
 that carries the image of each A_u one step at a time, and the quotient
 that echelonizes the whole degree_span of every degree with Bareiss
-elimination.
+elimination.  One more reference, dual_rank_table, reads the rank table
+of R/Ann(F) off F alone, by Macaulay duality, and shares no code with the
+quotient or the rank kernel.
 
 Each returns exactly what the jtlab function of the same name returns;
-rank_table is ArtinAlgebra._rank_table, one_step_columns is its raw
-one-step maps, with no common factor divided out, and degree_span is the
-spanning set that GradedIdeal once offered.  The quotient's echelon forms
-are scaled by Bareiss pivot values, not by least common denominators, so
-they agree with jtlab's over Q, not entry by entry.
+rank_table and dual_rank_table are ArtinAlgebra._rank_table,
+one_step_columns is its raw one-step maps, with no common factor divided
+out, and degree_span is the spanning set that GradedIdeal once offered.
+The quotient's echelon forms are scaled by Bareiss pivot values, not by
+least common denominators, so they agree with jtlab's over Q, not entry by
+entry.  Every rank here is taken with Bareiss linalg.echelon, never with
+the forward-only linalg.insert that jtlab uses for rank-only questions.
 """
 
+import math
 from operator import mul
 
 from jtlab import linalg
@@ -294,4 +299,28 @@ def rank_table(A, ell):
                 break
             ranks.append(len(image))
         table[u] = ranks
+    return table
+
+
+def dual_rank_table(F, ell):
+    """table[u][s - u] = rank of ell^(s-u): A_u -> A_s for A = R/Ann(F),
+    from F alone.
+
+    By Macaulay duality, for ell = a x + b y and n = s - u, ell^n f is zero
+    in A iff (h ell^n f) o F = 0 for every h of degree j - s.  So the rank
+    is that of the (u+1) x (j-s+1) Hankel matrix [h_(alpha+beta)], where
+    h_t = sum_r C(n, r) a^(n-r) b^r g_(t+r) and g is
+    divided_power_vector(F); hessians.hessian_rank_at builds the case
+    u = i, n = j - 2i.  One Bareiss echelon per entry.
+    """
+    j = F.homogeneous_degree()
+    g = divided_power_vector(F)
+    a, b = linalg.primitive((ell.coefficient(1, 0), ell.coefficient(0, 1)))
+    table = [[] for _ in range(j + 1)]
+    for n in range(j + 1):
+        weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
+        h = [sum(map(mul, weights, g[t:])) for t in range(j - n + 1)]
+        for u in range(j - n + 1):
+            rows = [h[alpha : alpha + j - u - n + 1] for alpha in range(u + 1)]
+            table[u].append(len(linalg.echelon(rows)[0]))
     return table

@@ -41,6 +41,7 @@ from jtlab.errors import (
     ZeroForm,
     ZeroInput,
 )
+from jtlab.hessians import active_hessian_indices, hessian_rank_at
 from jtlab.partitions import HilbertFunction, Partition, diagonal_lengths
 from jtlab.polynomials import BivariatePoly, contract, divided_power_vector, parse_poly
 from tests_support import copies, power_sum_duals, random_dual_generator
@@ -744,26 +745,32 @@ def test_rref_and_kernel_match_fraction_gauss_jordan(shaped, mix):
     assert linalg.rank(rows) == len(_fraction_rref(rows, ncols)[0])
 
 
-@given(
-    st.integers(1, 7).flatmap(
-        lambda ncols: st.lists(
-            st.lists(st.integers(-30, 30) | st.just(0), min_size=ncols, max_size=ncols),
-            max_size=7,
-        ).map(lambda rows: (rows, ncols))
-    ),
-    st.lists(
-        st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(-2, 2)), max_size=7
-    ),
-)
-@settings(max_examples=300)
-def test_extend_folded_over_rows_matches_echelon(shaped, mix):
-    rows, ncols = shaped
-    # append row m + c * row n: a repeat for c = 0, a zero row for m = n and
-    # c = -1, otherwise a combination of earlier rows
+def _dependent_rows(rows, mix):
+    """rows, then row m + c * row n for each (m, n, c) of mix: a repeat for
+    c = 0, a zero row for m = n and c = -1, otherwise a combination of
+    earlier rows."""
     for m, n, c in mix:
         if rows:
             first, second = rows[m % len(rows)], rows[n % len(rows)]
             rows.append([v + c * w for v, w in zip(first, second)])
+    return rows
+
+
+INTEGER_MATRICES = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-30, 30) | st.just(0), min_size=ncols, max_size=ncols),
+        max_size=7,
+    )
+)
+MIXES = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(-2, 2)), max_size=7
+)
+
+
+@given(INTEGER_MATRICES, MIXES)
+@settings(max_examples=300)
+def test_extend_folded_over_rows_matches_echelon(rows, mix):
+    rows = _dependent_rows(rows, mix)
     form = ([], [], 1)
     for row in rows:
         before = copy.deepcopy(form)
@@ -788,6 +795,83 @@ def test_extend_makes_lead_positive_on_a_bareiss_form():
     assert form[2] < 0
     pivots, rows, lead = linalg.extend(form, [0, 0, 5])
     assert (pivots, rows, lead) == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+
+
+@given(INTEGER_MATRICES, MIXES)
+@settings(max_examples=300)
+def test_insert_matches_echelon(rows, mix):
+    rows = _dependent_rows(rows, mix)
+    basis = {}
+    for r, row in enumerate(rows):
+        before_row, before_basis = list(row), copy.deepcopy(basis)
+        key = linalg.insert(basis, row)
+        assert row == before_row  # vec is not changed
+        # stored rows are not changed, and a key is added exactly when the
+        # rank grows
+        assert {c: basis[c] for c in before_basis} == before_basis
+        pivots = linalg.echelon(rows[: r + 1])[0]
+        assert (key is not None) == (len(pivots) > len(before_basis))
+        assert sorted(basis) == pivots
+        if key is not None:
+            assert set(basis) == set(before_basis) | {key}
+    for c, stored in basis.items():
+        # primitive, with its first nonzero entry, positive, at its key
+        assert stored == linalg.primitive(stored)
+        assert next(t for t, v in enumerate(stored) if v) == c
+        assert stored[c] > 0
+    assert linalg.rank(rows) == len(basis) == len(linalg.echelon(rows)[0])
+
+    def entry(r, t, v):
+        den = (1 + r % 3) * (1 + t % 2)  # a row scale times a column scale
+        return v if den == 1 else Fraction(v, den)
+
+    # Fraction rows, some mixed with int entries, through rank: scaling rows
+    # and columns changes no rank
+    scaled = [[entry(r, t, v) for t, v in enumerate(row)] for r, row in enumerate(rows)]
+    before = copy.deepcopy(scaled)
+    assert linalg.rank(scaled) == len(basis)
+    assert scaled == before
+
+
+@pytest.mark.parametrize("j, bits", [(30, 512), (49, 1024)])
+def test_insert_keeps_dense_middle_catalecticant_rows_short(j, bits):
+    # the forward-only rows divide minors of the input: 373 bits at most at
+    # j = 30 and 867 at j = 49, under the Bareiss leads of 432 and 967
+    # bits; coefficient growth past that fails here
+    g = divided_power_vector(random_dual_generator(random.Random(0), j, j))
+    i = j // 2
+    rows = [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
+    basis = {}
+    for row in rows:
+        linalg.insert(basis, linalg.primitive(row))
+    pivots, _, lead = linalg.echelon([linalg.primitive(row) for row in rows])
+    assert sorted(basis) == pivots
+    longest = max(abs(v).bit_length() for row in basis.values() for v in row)
+    assert longest < bits
+    assert longest <= abs(lead).bit_length()
+
+
+def test_rank_only_questions_build_no_reduced_form(monkeypatch):
+    # the rank table, the Hessian ranks and the complete-intersection count
+    # read only ranks, so they run on linalg.insert alone
+    F = parse_poly("X^4*Y^3 + 2*X^7 - 3*Y^7 + X*Y^6")
+    A = quotient(annihilator(F))
+    I = ideal("x^2*y", "y^4+x^4", "x*y^3")
+    B = quotient(I)
+
+    def refuse(*args):
+        raise AssertionError("a rank-only question built a reduced form")
+
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    monkeypatch.setattr(linalg, "extend", refuse)
+    for a, b in [(1, 0), (0, 1), (1, 1), (1, -2)]:
+        ell = BivariatePoly.linear(a, b)
+        assert jordan_type(A, ell).size == A.dimension
+        for i in active_hessian_indices(HilbertFunction(A.hilbert)):
+            assert hessian_rank_at(F, i, (a, b), algebra=A) == rank_mult_power(
+                A, ell, i, A.socle_degree - i
+            )
+    assert is_complete_intersection(I, algebra=B) == (False, (3, 4, 4))
 
 
 INEXACT_DIVISION = "from jtlab import linalg; linalg._divide_exact([6, 7], 2)"

@@ -3,7 +3,8 @@ symmetric search, the one-label classification row, the branch-label
 enumeration, the complete-intersection count at generator degrees, the
 annihilator in its two generator degrees, the one-sweep rank table and the
 quotient built one degree from the last against the earlier bodies kept in
-reference_paths.py."""
+reference_paths.py, and the rank table against the one read off the dual
+generator alone."""
 
 import itertools
 import math
@@ -48,7 +49,7 @@ from jtlab.partitions import (
 )
 from jtlab.polynomials import BivariatePoly, parse_poly
 from test_algebra import RANK_TABLE_CASES
-from tests_support import random_dual_form, random_dual_generator
+from tests_support import power_sum_duals, random_dual_form, random_dual_generator
 
 ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
 
@@ -435,10 +436,29 @@ def test_dense_dual_keeps_quotient_leads_short(j, bits, direction):
     # j = 30 and 932 for j = 49, where the Bareiss pivot values of the
     # reference quotient reach 12 158 bits at j = 30.  Coefficient growth
     # past that fails here instead of making the suite slow.
-    A = quotient(annihilator(random_dual_generator(random.Random(0), j, j)))
+    F = random_dual_generator(random.Random(0), j, j)
+    A = quotient(annihilator(F))
     assert A.socle_degree == j
     for _, rows, lead in A._echelons:
         assert 0 < lead and lead.bit_length() < bits
         assert math.gcd(lead, *(v for row in rows for v in row)) == 1
     ell = BivariatePoly.linear(*direction)
-    assert A._rank_table(ell) == ref.rank_table(A, ell)
+    table = A._rank_table(ell)
+    assert table == ref.dual_rank_table(F, ell)
+    if j <= 30:
+        # the carried-image reference takes about 13 s at j = 49, where the
+        # Bareiss pivot values on its moved images have grown long
+        assert table == ref.rank_table(A, ell)
+
+
+def test_rank_table_matches_dual_reference_on_dual_fuzz_and_power_sums():
+    # the quotient's table, built from the echelon forms of Ann(F) alone,
+    # against the Hankel ranks of F alone: 104 benchmark forms and the
+    # planted degenerate power sums, whose Hessians vanish on the axes
+    forms = _dual_fuzz_forms() + power_sum_duals()
+    assert len(forms) == 104 + 18
+    for F in forms:
+        A = quotient(annihilator(F))
+        for a, b in DIRECTIONS:
+            ell = BivariatePoly.linear(a, b)
+            assert A._rank_table(ell) == ref.dual_rank_table(F, ell), (F, ell)
