@@ -144,8 +144,8 @@ class ArtinAlgebra:
     integers and the standard monomials that form the basis of A; these are
     fixed at construction.  quotient() builds the forms with linalg.extend,
     so rows / lead is the reduced echelon form of I_i over Q and lead its
-    least common denominator; any echelon form of the same spaces, such as
-    one from linalg.echelon, gives the same answers.  Rank questions about
+    least common denominator; an echelon form of the same spaces scaled by
+    any other nonzero lead gives the same answers.  Rank questions about
     multiplication by a linear form are answered from a rank table that is
     filled the first time the form is asked about and kept on the algebra
     for later questions.  The normal forms of the monomials that the tables
@@ -351,14 +351,14 @@ def annihilator(F):
     complete intersection generated in degrees d <= e with d + e = j + 2,
     where d is the rank of the middle catalecticant, i = j // 2, taken with
     linalg.rank.  A kernel is needed only in the degrees d and e, and is
-    read off the fraction-free reduced form of linalg.echelon there.  The
-    generator of degree d spans the kernel there, which has dimension 1, or
-    2 when d = e.  The generator of degree e is the one kernel vector of
-    degree e not in R_(e-d) times the first generator, reduced modulo those
-    shifts.  Each is scaled to
-    coprime integer coefficients with a positive leading term.  Raises
-    BudgetExceeded when Ann(F) may have a generator of degree over
-    MAX_DEGREE, that is when j + 1 > MAX_DEGREE.
+    read off the reduced form that linalg.echelon folds from linalg.extend
+    there.  The generator of degree d spans the kernel there, which has
+    dimension 1, or 2 when d = e.  The generator of degree e is the one
+    kernel vector of degree e not in R_(e-d) times the first generator,
+    reduced modulo those shifts.  Each is scaled to coprime integer
+    coefficients with a positive leading term.  Raises BudgetExceeded when
+    Ann(F) may have a generator of degree over MAX_DEGREE, that is when
+    j + 1 > MAX_DEGREE.
     """
     if not isinstance(F, BivariatePoly) or F.is_zero():
         raise ZeroInput("dual generator must be a nonzero polynomial")

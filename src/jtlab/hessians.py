@@ -40,7 +40,9 @@ from .errors import (
     InvalidSubset,
     NotCIJT,
     OrderOutOfRange,
+    ParseError,
     TopRequiresKGe2,
+    ZeroForm,
 )
 from .linalg import primitive, rank
 from .partitions import (
@@ -122,8 +124,15 @@ def hessian_rank_at(F, i, point, algebra=None):
     alone, never from a rank table of the algebra; algebra, when given,
     is quotient(annihilator(F)) and serves the order check.  The algebra
     keeps its validated Hilbert function and F's divided-power vector for
-    later calls about the same F.
+    later calls about the same F.  Raises ParseError unless point has two
+    coordinates, and ZeroForm when both are 0.
     """
+    coords = [Fraction(v) for v in point]
+    if len(coords) != 2:
+        raise ParseError(f"a point has two coordinates, not {len(coords)}")
+    a, b = primitive(coords)
+    if not (a or b):
+        raise ZeroForm("the point (0, 0) is no linear form")
     A = algebra if algebra is not None else quotient(annihilator(F))
     known = A.dual_vectors.get(F)
     T = known[0] if known else HilbertFunction(A.hilbert)
@@ -132,7 +141,6 @@ def hessian_rank_at(F, i, point, algebra=None):
         known = A.dual_vectors[F] = (T, divided_power_vector(F))
     g = known[1]
     n = len(g) - 1 - 2 * i
-    a, b = primitive([Fraction(v) for v in point])
     weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
     h = [sum(map(mul, weights, g[t:])) for t in range(2 * i + 1)]
     return rank([h[r : r + i + 1] for r in range(i + 1)])

@@ -1,20 +1,13 @@
 """Exact linear algebra over the rationals, carried out on integers.
 
-Three routines eliminate, one for each kind of question:
+Two routines eliminate, one for each kind of question:
 
-- `echelon`, for a one-shot reduced form of a matrix given whole (the
-  kernels of catalecticants, the references in the tests): fraction-free
-  Gauss-Jordan elimination on integer rows (Bareiss, "Sylvester's
-  identity and multistep integer-preserving Gaussian elimination", Math.
-  Comp. 1968, applied above the pivot as well as below it).  Every entry
-  it produces is a minor of its input, so each division is exact and no
-  rational number appears inside the elimination; lead is the last pivot
-  value, a determinant whose length grows with the matrix.
-- `extend`, for an incremental reduced form of a row space grown one
-  vector at a time (the degrees of a quotient): it adds one vector to an
-  echelon form and divides the result by its content, so lead stays the
-  least common denominator of the reduced form over Q and the entries stay
-  as short as that form allows.
+- `extend`, for reduced forms: it adds one vector to an echelon form and
+  divides the result by its content, so lead stays the least common
+  denominator of the reduced form over Q and the entries stay as short as
+  that form allows.  It grows the degrees of a quotient one vector at a
+  time, and `echelon` folds it over the rows of a matrix given whole (the
+  kernels of catalecticants).
 - `insert`, for rank-only questions (rank tables, Hessian ranks, the
   complete-intersection count, the middle catalecticant): it reduces one
   vector forward only against a basis of primitive rows keyed by their
@@ -40,8 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-
-from .errors import InternalInconsistency
+from functools import reduce
 
 __all__ = [
     "primitive",
@@ -73,50 +65,6 @@ def primitive(row):
     if v < 0:
         g = -g
     return [v // g for v in row] if g != 1 else list(row)
-
-
-def _divide_exact(row, den):
-    """row / den entrywise, in one divmod pass; fraction-free elimination
-    guarantees that each quotient is an integer."""
-    out = []
-    for v in row:
-        q, r = divmod(v, den)
-        if r:
-            raise InternalInconsistency("fraction-free elimination lost integrality")
-        out.append(q)
-    return out
-
-
-def echelon(rows):
-    """Fraction-free reduced echelon form of a matrix with integer entries.
-
-    Returns (pivots, reduced, lead): the pivot columns in increasing order,
-    and one row per pivot in which column pivots[k] holds lead and every
-    other pivot column holds 0.  reduced / lead is the reduced row echelon
-    form over Q, and reduced spans the row space of rows.
-    """
-    m = [list(row) for row in rows if any(row)]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    prev = 1  # the previous pivot value, which divides every update exactly
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        prow = m[r]
-        lead = prow[c]
-        for i, row in enumerate(m):
-            if i != r:
-                head = row[c]
-                new = [lead * v - head * w for v, w in zip(row, prow)]
-                m[i] = _divide_exact(new, prev) if prev != 1 else new
-        pivots.append(c)
-        prev = lead
-    return pivots, m[: len(pivots)], prev
 
 
 def remainder(vec, pivots, rows, lead):
@@ -173,6 +121,14 @@ def extend(form, vec):
         new = [[v // content for v in row] for row in new]
         lead //= content
     return [*pivots[:k], c, *pivots[k:]], new, lead
+
+
+def echelon(rows):
+    """The echelon form (pivots, rows, lead) of the row space of a matrix
+    with integer entries: extend folded over its rows, from the form of the
+    zero space.  rows / lead is the reduced row echelon form over Q and
+    lead > 0 its least common denominator."""
+    return reduce(extend, rows, ([], [], 1))
 
 
 def insert(basis, vec):

@@ -1,22 +1,25 @@
-"""Earlier bodies of ten routines, kept as references for differential
+"""Earlier bodies of eleven routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
 branch-label enumeration with its own interval-split helper, the
 complete-intersection test that counts new generators in every degree,
 the annihilator that echelonizes every degree 0 .. j+1, the rank table
-that carries the image of each A_u one step at a time, and the quotient
-that echelonizes the whole degree_span of every degree with Bareiss
-elimination.  One more reference, dual_rank_table, reads the rank table
-of R/Ann(F) off F alone, by Macaulay duality, and shares no code with the
-quotient or the rank kernel.
+that carries the image of each A_u one step at a time, the quotient that
+echelonizes the whole degree_span of every degree, and the fraction-free
+Gauss-Jordan elimination (Bareiss) that all of these eliminate with.  One
+more reference, dual_rank_table, reads the rank table of R/Ann(F) off F
+alone, by Macaulay duality, and shares no code with the quotient or the
+rank kernel.
 
 Each returns exactly what the jtlab function of the same name returns;
 rank_table and dual_rank_table are ArtinAlgebra._rank_table,
 one_step_columns is its raw one-step maps, with no common factor divided
 out, and degree_span is the spanning set that GradedIdeal once offered.
-The quotient's echelon forms are scaled by Bareiss pivot values, not by
-least common denominators, so they agree with jtlab's over Q, not entry by
-entry.  Every rank here is taken with Bareiss linalg.echelon, never with
-the forward-only linalg.insert that jtlab uses for rank-only questions.
+echelon returns the same pivots and the same reduced row echelon form over
+Q as linalg.echelon, but scaled by its last pivot value, a determinant
+that may be negative, not by the least common denominator; so the
+quotient's echelon forms agree with jtlab's over Q, not entry by entry.
+Every elimination here is the Bareiss echelon of this module, never
+linalg.extend or the forward-only linalg.insert that jtlab runs.
 """
 
 import math
@@ -34,6 +37,57 @@ from jtlab.errors import (
 )
 from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition
 from jtlab.polynomials import divided_power_vector
+
+
+def _divide_exact(row, den):
+    """row / den entrywise, in one divmod pass; fraction-free elimination
+    guarantees that each quotient is an integer."""
+    out = []
+    for v in row:
+        q, r = divmod(v, den)
+        if r:
+            raise InternalInconsistency("fraction-free elimination lost integrality")
+        out.append(q)
+    return out
+
+
+def echelon(rows):
+    """Fraction-free reduced echelon form of a matrix with integer entries.
+
+    Gauss-Jordan elimination on integer rows (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 1968, applied above the pivot as well as below it).  Every entry
+    it produces is a minor of its input, so each division is exact and no
+    rational number appears inside the elimination; lead is the last pivot
+    value, a determinant whose length grows with the matrix.
+
+    Returns (pivots, reduced, lead): the pivot columns in increasing order,
+    and one row per pivot in which column pivots[k] holds lead and every
+    other pivot column holds 0.  reduced / lead is the reduced row echelon
+    form over Q, and reduced spans the row space of rows.
+    """
+    m = [list(row) for row in rows if any(row)]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    prev = 1  # the previous pivot value, which divides every update exactly
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        prow = m[r]
+        lead = prow[c]
+        for i, row in enumerate(m):
+            if i != r:
+                head = row[c]
+                new = [lead * v - head * w for v, w in zip(row, prow)]
+                m[i] = _divide_exact(new, prev) if prev != 1 else new
+        pivots.append(c)
+        prev = lead
+    return pivots, m[: len(pivots)], prev
 
 
 def diagonal_lengths(P):
@@ -206,7 +260,7 @@ def degree_span(ideal, i):
 
 
 def quotient(ideal):
-    """One Bareiss linalg.echelon of the whole degree_span(i) in every
+    """One Bareiss echelon of the whole degree_span(i) in every
     degree i, until I_i is all of R_i."""
     maxdeg = max(e for e, _ in ideal._rows)
     if maxdeg > MAX_DEGREE:
@@ -216,7 +270,7 @@ def quotient(ideal):
     bound = 2 * maxdeg + 2
     echelons = []
     for i in range(bound + 1):
-        echelons.append(linalg.echelon(degree_span(ideal, i)))
+        echelons.append(echelon(degree_span(ideal, i)))
         if len(echelons[-1][0]) == i + 1:
             return ArtinAlgebra(ideal, echelons)
     raise NotArtinian(
@@ -230,7 +284,7 @@ def is_complete_intersection(ideal, algebra=None):
     A = algebra if algebra is not None else quotient(ideal)
     degrees = []
     for i in range(A.socle_degree + 2):
-        grown = linalg.rank(_shifts(A._echelons[i - 1][1])) if i else 0
+        grown = len(echelon(_shifts(A._echelons[i - 1][1]))[0]) if i else 0
         new = (i + 1) - A.dim(i) - grown
         if new < 0:
             raise InternalInconsistency(
@@ -251,14 +305,14 @@ def annihilator(F):
         # the catalecticant R_i -> E_(j-i), with the row of Y^v scaled by
         # (j-i-v)! v!: its entry at column x^t y^(i-t) is g_(v+i-t)
         rows = [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
-        null = linalg.null_vectors(*linalg.echelon(rows), i + 1)
+        null = linalg.null_vectors(*echelon(rows), i + 1)
         kernel = [linalg.primitive(vec) for vec in null]
-        grown = linalg.echelon(_shifts(prev_kernel))
+        grown = echelon(_shifts(prev_kernel))
         for vec in kernel:
             rest = linalg.remainder(vec, *grown)
             if any(rest):
                 generators.append(_vec_poly(linalg.primitive(rest), i))
-                grown = linalg.echelon(grown[1] + [vec])
+                grown = echelon(grown[1] + [vec])
         prev_kernel = kernel
     return GradedIdeal(generators)
 
@@ -293,7 +347,7 @@ def rank_table(A, ell):
         ranks = [n]
         for s in range(u + 1, j + 1):
             moved = [[sum(map(mul, row, col)) for col in columns[s - 1]] for row in image]
-            image = [linalg.primitive(row) for row in linalg.echelon(moved)[1]]
+            image = [linalg.primitive(row) for row in echelon(moved)[1]]
             if len(image) == A.hilbert[s]:
                 ranks.extend(table[s])
                 break
@@ -311,7 +365,9 @@ def dual_rank_table(F, ell):
     is that of the (u+1) x (j-s+1) Hankel matrix [h_(alpha+beta)], where
     h_t = sum_r C(n, r) a^(n-r) b^r g_(t+r) and g is
     divided_power_vector(F); hessians.hessian_rank_at builds the case
-    u = i, n = j - 2i.  One Bareiss echelon per entry.
+    u = i, n = j - 2i.  The matrix of the entry u' = j - s, s' = j - u has
+    the same n and is the transpose, so one Bareiss echelon per mirror pair
+    of entries, on the matrix with fewer rows.
     """
     j = F.homogeneous_degree()
     g = divided_power_vector(F)
@@ -320,7 +376,10 @@ def dual_rank_table(F, ell):
     for n in range(j + 1):
         weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
         h = [sum(map(mul, weights, g[t:])) for t in range(j - n + 1)]
+        ranks = [
+            len(echelon([h[alpha : alpha + j - u - n + 1] for alpha in range(u + 1)])[0])
+            for u in range((j - n) // 2 + 1)
+        ]
         for u in range(j - n + 1):
-            rows = [h[alpha : alpha + j - u - n + 1] for alpha in range(u + 1)]
-            table[u].append(len(linalg.echelon(rows)[0]))
+            table[u].append(ranks[min(u, j - n - u)])
     return table

@@ -114,7 +114,8 @@ def test_divided_power_vector_is_the_top_contractions():
 
 def _reference_annihilator(F):
     """Ann(F) by the contraction path: the catalecticant built entry by
-    entry with contract, and its kernel taken over Fraction."""
+    entry with contract, its kernel taken over Fraction, and the generators
+    split off with the Bareiss reference echelon."""
     j = F.homogeneous_degree()
     generators = []
     prev_kernel = []
@@ -122,13 +123,13 @@ def _reference_annihilator(F):
         target = monomials(j - i) if i <= j else []
         images = [contract(BivariatePoly.monomial(a, b), F) for a, b in monomials(i)]
         rows = [[image.coefficient(*key) for image in images] for key in target]
-        kernel = [linalg.primitive(vec) for vec in linalg.kernel_basis(rows, i + 1)]
-        grown = linalg.echelon(_shifts(prev_kernel))
+        kernel = [linalg.primitive(vec) for vec in _fraction_kernel(rows, i + 1)]
+        grown = ref.echelon(_shifts(prev_kernel))
         for vec in kernel:
             rest = linalg.remainder(vec, *grown)
             if any(rest):
                 generators.append(_vec_poly(linalg.primitive(rest), i))
-                grown = linalg.echelon(grown[1] + [vec])
+                grown = ref.echelon(grown[1] + [vec])
         prev_kernel = kernel
     return GradedIdeal(generators)
 
@@ -704,7 +705,7 @@ def test_rank_table_matches_per_pair_reference(I, directions):
     )
 )
 @settings(max_examples=200)
-def test_bareiss_rank_matches_rref(rows):
+def test_rank_matches_rref(rows):
     pivots, _ = linalg.rref(rows, 4)
     assert linalg.rank(rows) == len(pivots)
 
@@ -778,8 +779,9 @@ def test_extend_folded_over_rows_matches_echelon(rows, mix):
         assert form == before  # the input lists are not changed
         assert (grown is form) == (len(grown[0]) == len(form[0]))
         form = grown
+    assert linalg.echelon(rows) == form
     pivots, reduced, lead = form
-    want_pivots, want, want_lead = linalg.echelon(rows)
+    want_pivots, want, want_lead = ref.echelon(rows)
     assert pivots == want_pivots
     # the same reduced row echelon form over Q, with lead its least
     # common denominator
@@ -791,7 +793,7 @@ def test_extend_folded_over_rows_matches_echelon(rows, mix):
 
 def test_extend_makes_lead_positive_on_a_bareiss_form():
     # Bareiss leaves a negative lead here; one extend makes it positive
-    form = linalg.echelon([[0, -3, 1], [2, 0, 0]])
+    form = ref.echelon([[0, -3, 1], [2, 0, 0]])
     assert form[2] < 0
     pivots, rows, lead = linalg.extend(form, [0, 0, 5])
     assert (pivots, rows, lead) == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
@@ -809,7 +811,7 @@ def test_insert_matches_echelon(rows, mix):
         # stored rows are not changed, and a key is added exactly when the
         # rank grows
         assert {c: basis[c] for c in before_basis} == before_basis
-        pivots = linalg.echelon(rows[: r + 1])[0]
+        pivots = ref.echelon(rows[: r + 1])[0]
         assert (key is not None) == (len(pivots) > len(before_basis))
         assert sorted(basis) == pivots
         if key is not None:
@@ -819,7 +821,7 @@ def test_insert_matches_echelon(rows, mix):
         assert stored == linalg.primitive(stored)
         assert next(t for t, v in enumerate(stored) if v) == c
         assert stored[c] > 0
-    assert linalg.rank(rows) == len(basis) == len(linalg.echelon(rows)[0])
+    assert linalg.rank(rows) == len(basis) == len(ref.echelon(rows)[0])
 
     def entry(r, t, v):
         den = (1 + r % 3) * (1 + t % 2)  # a row scale times a column scale
@@ -844,7 +846,7 @@ def test_insert_keeps_dense_middle_catalecticant_rows_short(j, bits):
     basis = {}
     for row in rows:
         linalg.insert(basis, linalg.primitive(row))
-    pivots, _, lead = linalg.echelon([linalg.primitive(row) for row in rows])
+    pivots, _, lead = ref.echelon([linalg.primitive(row) for row in rows])
     assert sorted(basis) == pivots
     longest = max(abs(v).bit_length() for row in basis.values() for v in row)
     assert longest < bits
@@ -874,22 +876,25 @@ def test_rank_only_questions_build_no_reduced_form(monkeypatch):
     assert is_complete_intersection(I, algebra=B) == (False, (3, 4, 4))
 
 
-INEXACT_DIVISION = "from jtlab import linalg; linalg._divide_exact([6, 7], 2)"
+INEXACT_DIVISION = "import reference_paths; reference_paths._divide_exact([6, 7], 2)"
 
 
 def test_inexact_division_raises():
     with pytest.raises(InternalInconsistency):
-        linalg._divide_exact([6, 7], 2)
-    assert linalg._divide_exact([6, -8], 2) == [3, -4]
+        ref._divide_exact([6, 7], 2)
+    assert ref._divide_exact([6, -8], 2) == [3, -4]
 
 
 def test_inexact_division_raises_under_optimize():
-    src = str(Path(jtlab.__file__).resolve().parents[1])
+    # reference_paths beside this file imports jtlab from src
+    pythonpath = os.pathsep.join(
+        [str(Path(jtlab.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", INEXACT_DIVISION],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": pythonpath},
         timeout=60,
     )
     assert proc.returncode == 1

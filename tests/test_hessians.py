@@ -19,7 +19,9 @@ from jtlab.errors import (
     InvalidSubset,
     NotCIJT,
     OrderOutOfRange,
+    ParseError,
     TopRequiresKGe2,
+    ZeroForm,
 )
 from jtlab.hessians import (
     active_hessian_indices,
@@ -223,7 +225,7 @@ def _symbolic_hessian_rank(F, i, point, algebra):
     return linalg.rank(evaluate_matrix(hessian_matrix(F, i, algebra), *point))
 
 
-HESSIAN_POINTS = [(1, 0), (0, 1), (1, 1), (2, -3), (-4, 1), (Fraction(1, 2), -3), (0, 0)]
+HESSIAN_POINTS = [(1, 0), (0, 1), (1, 1), (2, -3), (-4, 1), (Fraction(1, 2), -3)]
 
 
 def test_hessian_rank_matches_symbolic_reference_on_random_duals():
@@ -236,6 +238,8 @@ def test_hessian_rank_matches_symbolic_reference_on_random_duals():
                 for point in HESSIAN_POINTS:
                     want = _symbolic_hessian_rank(F, i, point, A)
                     assert hessian_rank_at(F, i, point, algebra=A) == want, (F, i, point)
+                with pytest.raises(ZeroForm):
+                    hessian_rank_at(F, i, (0, 0), algebra=A)
             assert hessian_rank_at(F, 1, (3, Fraction(-2, 3))) == _symbolic_hessian_rank(
                 F, 1, (3, Fraction(-2, 3)), A
             )
@@ -321,6 +325,20 @@ def test_hessian_rank_at_order_out_of_range(with_algebra):
     for i in (-1, 3):
         with pytest.raises(OrderOutOfRange):
             hessian_rank_at(F, i, (1, 1), algebra=algebra)
+
+
+@pytest.mark.parametrize("with_algebra", [False, True], ids=["no algebra", "algebra"])
+def test_hessian_rank_at_refuses_a_bad_point(with_algebra):
+    # (0, 0) is no linear form, as rank_mult_power refuses the zero form;
+    # a point has exactly two coordinates
+    F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
+    algebra = quotient(annihilator(F)) if with_algebra else None
+    for i in active_hessian_indices(T33):
+        with pytest.raises(ZeroForm):
+            hessian_rank_at(F, i, (0, 0), algebra=algebra)
+        for point in [(1, 1, 0), (1,), ()]:
+            with pytest.raises(ParseError):
+                hessian_rank_at(F, i, point, algebra=algebra)
 
 
 TAMPERED_ALGEBRA = """

@@ -265,6 +265,11 @@ ANNIHILATOR_FAMILIES = {
     ],
     "balanced": lambda rng: [_balanced(rng, j) for j in range(0, 13, 2) for _ in range(2)],
     "benchmark-shaped": lambda rng: [random_dual_generator(rng) for _ in range(100)],
+    # long-entry catalecticants: the reference's Bareiss pivot values on them
+    # reach 125, 271 and 434 bits
+    "dense": lambda rng: [
+        random_dual_generator(random.Random(0), j, j) for j in (16, 24, 30)
+    ],
 }
 
 
