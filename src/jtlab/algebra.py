@@ -79,7 +79,7 @@ def _poly_vec(f, n):
 
 
 def _vec_poly(vec, n):
-    return BivariatePoly({(t, n - t): c for t, c in enumerate(vec)})
+    return BivariatePoly({(t, n - t): c for t, c in enumerate(vec) if c})
 
 
 def _shifts(rows):
@@ -165,7 +165,9 @@ class ArtinAlgebra:
         ]
         self.hilbert = tuple(len(std) for std in self._std[:-1])
         self.socle_degree = len(self.hilbert) - 1
-        self._rank_tables = {}  # coefficients (a, b) of a*x + b*y -> rank table
+        # linear form -> rank table; a BivariatePoly keeps its hash, and
+        # equal forms compare equal
+        self._rank_tables = {}
         self._monomial_forms = None  # filled by _one_step_maps
         # dual generator F -> (HilbertFunction, divided_power_vector(F)),
         # kept by hessians.hessian_rank_at for later calls about F
@@ -244,7 +246,7 @@ class ArtinAlgebra:
 
     def _rank_table(self, ell):
         """table[u][s - u] = r(u, s), the rank of ell^(s-u): A_u -> A_s, for
-        a nonzero linear form ell; kept under ell's coefficient pair.
+        a nonzero linear form ell; kept under ell itself.
 
         The images ell^(s-u) A_u form a chain
         ell^s A_0 <= ell^(s-1) A_1 <= ... <= ell A_(s-1) <= A_s, whose
@@ -265,11 +267,10 @@ class ArtinAlgebra:
         table is built from the echelon forms of I alone, never from a dual
         generator.
         """
-        key = (ell.coefficient(1, 0), ell.coefficient(0, 1))
-        table = self._rank_tables.get(key)
+        table = self._rank_tables.get(ell)
         if table is not None:
             return table
-        a, b = linalg.primitive(key)
+        a, b = linalg.primitive((ell.coefficient(1, 0), ell.coefficient(0, 1)))
         table = [[self.hilbert[0]]]
         vectors, units = [], range(self.hilbert[0])  # the basis of A_0
         for rows in self._one_step_maps(a, b):
@@ -291,7 +292,7 @@ class ArtinAlgebra:
                 ranks.append(bisect_left(kept, ranks[-1]))
             table.append([m])
             units = sorted(set(range(m)) - basis.keys())
-        self._rank_tables[key] = table
+        self._rank_tables[ell] = table
         return table
 
     def __repr__(self):

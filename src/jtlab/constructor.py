@@ -8,6 +8,11 @@ starting from f_1 = x^(p_1) and a free parameter vector Lambda_2 of length
 a_1; each f_i has leading term x^(p_i) y^(a_(i-1)) and the relation
 f_(i-1) = x^(p_i - p_(i+1)) f_(i+1) - f_i y^(n_i) holds by construction,
 which makes (f_t, f_(t+1)) generate the whole chain.
+
+Each f_i is held as its coordinate vector, as in the algebra module, so
+multiplying by a monomial is a shift; the relation is checked on these
+vectors on every call, and the returned polynomials are built from the
+vectors that passed the check.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from fractions import Fraction
 
 from .algebra import (
     GradedIdeal,
+    _vec_poly,
     cell_generators,
     initial_ideal,
     is_complete_intersection,
@@ -40,8 +46,6 @@ __all__ = [
     "realize_all",
 ]
 
-_X = BivariatePoly.monomial(1, 0)
-_Y = BivariatePoly.monomial(0, 1)
 _ELL_X = BivariatePoly.linear(1, 0)
 
 
@@ -59,13 +63,16 @@ class Realization:
         return ", ".join(g.text() for g in self.ideal.generators)
 
 
-def _chain_poly(p_i, a_prev, lam):
-    """x^p_i y^a_prev + sum lam_l x^(p_i+l) y^(a_prev-l)."""
-    terms = {(p_i, a_prev): Fraction(1)}
-    for offset, coeff in enumerate(lam, start=1):
-        if coeff:
-            terms[(p_i + offset, a_prev - offset)] = Fraction(coeff)
-    return BivariatePoly(terms)
+def _next_lambda(lam, lam_prev, n_prev, n):
+    """Lambda_(i+1) = (Lambda_i, 0^(n_i)) + (0^(n_(i-1)+n_i-1), 1, Lambda_(i-1))
+    for lam = Lambda_i and lam_prev = Lambda_(i-1), adding only where the
+    second summand is not padding."""
+    out = list(lam) + [0] * n
+    start = n_prev + n - 1
+    out[start] += 1
+    for m, v in enumerate(lam_prev, start + 1):
+        out[m] += v
+    return out
 
 
 def construct_ci(P, lambda2=None, seed=None):
@@ -76,6 +83,13 @@ def construct_ci(P, lambda2=None, seed=None):
     A single-rectangle partition (t = 1) has no relation step and gives the
     monomial ideal (x^(p_1), y^(n_1)) directly.  Raises NotCIJT when P is
     not a CIJT, also when its diagonal lengths are not CI-shaped.
+
+    Each f_i is held as its coordinate vector [0]*p_i + [1, *Lambda_i],
+    entry m the coefficient of x^m y^(deg f_i - m).  After the degree
+    check, the relation f_(i-1) = x^(p_i - p_(i+1)) f_(i+1) - f_i y^(n_i)
+    is checked on these vectors, where multiplying by x^m prepends m zeros
+    and by y^n appends n; a failure raises InternalInconsistency.  The
+    returned chain and ideal are built from the checked vectors.
     """
     P = Partition(P)
     try:
@@ -116,31 +130,28 @@ def construct_ci(P, lambda2=None, seed=None):
     for i in range(2, t + 1):
         n_i = pf[i - 1][1]
         n_prev = pf[i - 2][1]
-        first = lam[i] + (Fraction(0),) * n_i
-        second = (
-            (Fraction(0),) * (n_prev + n_i - 1) + (Fraction(1),) + lam[i - 1]
-        )
-        if not len(first) == len(second) == prefix[i]:
+        if not len(lam[i]) + n_i == n_prev + n_i + len(lam[i - 1]) == prefix[i]:
             raise InternalInconsistency(f"Lambda_{i + 1} summands of {P} are not of length a_{i}")
-        lam[i + 1] = tuple(u + v for u, v in zip(first, second))
+        lam[i + 1] = _next_lambda(lam[i], lam[i - 1], n_prev, n_i)
 
     p = [None] + [pi for pi, _ in pf] + [0]  # p[1..t+1], 1-based
-    chain = [None]
-    for i in range(1, t + 2):
-        chain.append(_chain_poly(p[i], prefix[i - 1], lam[i]))
+    vecs = [None] + [[0] * p[i] + [1, *lam[i]] for i in range(1, t + 2)]
     for i in range(2, t + 1):
         # degree bookkeeping and the two-term relation of the chain
         if p[i - 1] + prefix[i - 2] != p[i] + prefix[i]:
             raise InternalInconsistency(f"f_{i - 1} and f_{i + 1} of {P} differ in degree")
-        relation = _X ** (p[i] - p[i + 1]) * chain[i + 1] - chain[i] * _Y ** pf[i - 1][1]
-        if relation != chain[i - 1]:
+        shifted = [0] * (p[i] - p[i + 1]) + vecs[i + 1]  # x^(p_i - p_(i+1)) f_(i+1)
+        padded = vecs[i] + [0] * pf[i - 1][1]  # f_i y^(n_i)
+        difference = [u - v for u, v in zip(shifted, padded)]
+        if len(shifted) != len(padded) or difference != vecs[i - 1]:
             raise InternalInconsistency(f"chain recurrence violated at f_{i - 1} of {P}")
 
+    chain = tuple(_vec_poly(vec, len(vec) - 1) for vec in vecs[1:])
     return Realization(
         partition=P,
         hilbert=T,
-        ideal=GradedIdeal([chain[t], chain[t + 1]]),
-        chain=tuple(chain[1:]),
+        ideal=GradedIdeal(chain[t - 1 : t + 1]),
+        chain=chain,
         lambdas=lambda2,
     )
 
@@ -286,7 +297,12 @@ def verify_realization(realization):
 
 
 def _fmt_monomials(gens):
-    return ", ".join(BivariatePoly.monomial(a, b).text() for a, b in gens)
+    """x^a*y^b for each exponent pair (a, b), as BivariatePoly.text prints
+    the monomial."""
+    return ", ".join(
+        "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("x", a), ("y", b)) if e) or "1"
+        for a, b in gens
+    )
 
 
 def realize_all(T, seed=0):

@@ -124,10 +124,13 @@ def hessian_rank_at(F, i, point, algebra=None):
     alone, never from a rank table of the algebra; algebra, when given,
     is quotient(annihilator(F)) and serves the order check.  The algebra
     keeps its validated Hilbert function and F's divided-power vector for
-    later calls about the same F.  Raises ParseError unless point has two
-    coordinates, and ZeroForm when both are 0.
+    later calls about the same F.  Raises ParseError unless point is two
+    finite rational coordinates, and ZeroForm when both are 0.
     """
-    coords = [Fraction(v) for v in point]
+    try:
+        coords = [Fraction(v) for v in point]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"a point needs rational coordinates, not {point!r}") from exc
     if len(coords) != 2:
         raise ParseError(f"a point has two coordinates, not {len(coords)}")
     a, b = primitive(coords)

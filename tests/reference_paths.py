@@ -1,11 +1,13 @@
-"""Earlier bodies of eleven routines, kept as references for differential
+"""Earlier bodies of twelve routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
 branch-label enumeration with its own interval-split helper, the
 complete-intersection test that counts new generators in every degree,
 the annihilator that echelonizes every degree 0 .. j+1, the rank table
 that carries the image of each A_u one step at a time, the quotient that
-echelonizes the whole degree_span of every degree, and the fraction-free
-Gauss-Jordan elimination (Bareiss) that all of these eliminate with.  One
+echelonizes the whole degree_span of every degree, the fraction-free
+Gauss-Jordan elimination (Bareiss) that all of these eliminate with, and
+the realization chain of construct_ci, built on Fraction tuples and
+checked by products of BivariatePoly.  One
 more reference, dual_rank_table, reads the rank table of R/Ann(F) off F
 alone, by Macaulay duality, and shares no code with the quotient or the
 rank kernel.
@@ -23,20 +25,26 @@ linalg.extend or the forward-only linalg.insert that jtlab runs.
 """
 
 import math
+import random
+from fractions import Fraction
 from operator import mul
 
 from jtlab import linalg
 from jtlab.algebra import MAX_DEGREE, ArtinAlgebra, GradedIdeal, _shifts, _vec_poly
-from jtlab.codes import E, BranchLabel, _arranged, _validate_label
+from jtlab.codes import E, BranchLabel, _arranged, _validate_label, is_cijt
+from jtlab.constructor import Realization
 from jtlab.errors import (
     BudgetExceeded,
     DiagonalMismatch,
     InternalInconsistency,
     InvalidLabel,
     NotArtinian,
+    NotCIJT,
+    NotCIShape,
+    ParseError,
 )
-from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition
-from jtlab.polynomials import divided_power_vector
+from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition, hilbert_function
+from jtlab.polynomials import BivariatePoly, divided_power_vector
 
 
 def _divide_exact(row, den):
@@ -383,3 +391,89 @@ def dual_rank_table(F, ell):
         for u in range(j - n + 1):
             table[u].append(ranks[min(u, j - n - u)])
     return table
+
+
+_X = BivariatePoly.monomial(1, 0)
+_Y = BivariatePoly.monomial(0, 1)
+
+
+def _chain_poly(p_i, a_prev, lam):
+    """x^p_i y^a_prev + sum lam_l x^(p_i+l) y^(a_prev-l)."""
+    terms = {(p_i, a_prev): Fraction(1)}
+    for offset, coeff in enumerate(lam, start=1):
+        if coeff:
+            terms[(p_i + offset, a_prev - offset)] = Fraction(coeff)
+    return BivariatePoly(terms)
+
+
+def construct_ci(P, lambda2=None, seed=None):
+    """The chain and the ideal (f_t, f_(t+1)) of a CIJT partition, with the
+    recurrence run on tuples of Fraction and the relation
+    f_(i-1) = x^(p_i - p_(i+1)) f_(i+1) - f_i y^(n_i) checked by products
+    of BivariatePoly."""
+    P = Partition(P)
+    try:
+        T = hilbert_function(P)
+    except NotCIShape as exc:
+        raise NotCIJT(f"{P} is not a CIJT partition: {exc}") from exc
+    if not is_cijt(P):
+        raise NotCIJT(f"{P} fails the equality criterion")
+    pf = P.power_form
+    t = len(pf)
+    prefix = [0]
+    for _, n_i in pf:
+        prefix.append(prefix[-1] + n_i)  # prefix[i] = a_i
+
+    if t == 1:
+        f1 = BivariatePoly.monomial(pf[0][0], 0)
+        f2 = BivariatePoly.monomial(0, pf[0][1])
+        return Realization(
+            partition=P,
+            hilbert=T,
+            ideal=GradedIdeal([f1, f2]),
+            chain=(f1, f2),
+            lambdas=(),
+        )
+
+    a1 = prefix[1]
+    if lambda2 is None:
+        if seed is None:
+            lambda2 = (Fraction(0),) * a1
+        else:
+            rng = random.Random(seed)
+            lambda2 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(a1))
+    lambda2 = tuple(Fraction(v) for v in lambda2)
+    if len(lambda2) != a1:
+        raise ParseError(f"Lambda_2 must have length a_1 = {a1}")
+
+    lam = {1: (), 2: lambda2}
+    for i in range(2, t + 1):
+        n_i = pf[i - 1][1]
+        n_prev = pf[i - 2][1]
+        first = lam[i] + (Fraction(0),) * n_i
+        second = (
+            (Fraction(0),) * (n_prev + n_i - 1) + (Fraction(1),) + lam[i - 1]
+        )
+        if not len(first) == len(second) == prefix[i]:
+            raise InternalInconsistency(f"Lambda_{i + 1} summands of {P} are not of length a_{i}")
+        lam[i + 1] = tuple(u + v for u, v in zip(first, second))
+
+    p = [None] + [pi for pi, _ in pf] + [0]  # p[1..t+1], 1-based
+    chain = [None]
+    for i in range(1, t + 2):
+        chain.append(_chain_poly(p[i], prefix[i - 1], lam[i]))
+    for i in range(2, t + 1):
+        # degree bookkeeping and the two-term relation of the chain
+        if p[i - 1] + prefix[i - 2] != p[i] + prefix[i]:
+            raise InternalInconsistency(f"f_{i - 1} and f_{i + 1} of {P} differ in degree")
+        relation = _X ** (p[i] - p[i + 1]) * chain[i + 1] - chain[i] * _Y ** pf[i - 1][1]
+        if relation != chain[i - 1]:
+            raise InternalInconsistency(f"chain recurrence violated at f_{i - 1} of {P}")
+
+    return Realization(
+        partition=P,
+        hilbert=T,
+        ideal=GradedIdeal([chain[t], chain[t + 1]]),
+        chain=tuple(chain[1:]),
+        lambdas=lambda2,
+    )

@@ -1,13 +1,20 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jtlab
 import reference_paths as ref
-from jtlab.algebra import GradedIdeal, jordan_degree_type, jordan_type, quotient
+from jtlab import constructor
+from jtlab.algebra import GradedIdeal, cell_generators, jordan_degree_type, jordan_type, quotient
 from jtlab.codes import enumerate_cijt
 from jtlab.constructor import Realization, construct_ci, realize_all, verify_realization
-from jtlab.errors import NotCIJT, ParseError
+from jtlab.errors import InternalInconsistency, NotCIJT, ParseError
 from jtlab.partitions import HilbertFunction, Partition
 from jtlab.polynomials import BivariatePoly, parse_poly
 from tests_support import copies
@@ -153,3 +160,99 @@ def test_generator_degrees_match_chain_bookkeeping():
         T = r.hilbert
         degs = sorted(g.homogeneous_degree() for g in r.ideal.generators)
         assert degs == [T.d, T.d + T.k - 1]
+
+
+# every CIJT partition with 2 <= d <= 8 and 1 <= k <= 4
+CIJT_UP_TO_8_4 = [
+    P
+    for d, k in itertools.product(range(2, 9), range(1, 5))
+    for P in enumerate_cijt(HilbertFunction.from_dk(d, k))
+]
+
+
+def _assert_same_realization(P, lambda2):
+    new, old = construct_ci(P, lambda2=lambda2), ref.construct_ci(P, lambda2=lambda2)
+    assert [f.text() for f in new.chain] == [f.text() for f in old.chain], (P, lambda2)
+    assert new.ideal.generators == old.ideal.generators, (P, lambda2)
+    assert repr(new.lambdas) == repr(old.lambdas), (P, lambda2)
+    assert new == old
+
+
+def test_construct_matches_polynomial_product_reference():
+    # the chain built and checked on coordinate vectors equals the one
+    # built on Fraction tuples and checked by polynomial products, on all
+    # 1778 partitions at a seeded integer Lambda_2 and at Lambda_2 = 0, and
+    # on a sample with halves and thirds in Lambda_2
+    assert len(CIJT_UP_TO_8_4) == 1778
+    rng = random.Random(14)
+    for P in CIJT_UP_TO_8_4:
+        a1 = P.power_form[0][1]
+        _assert_same_realization(P, tuple(rng.randint(-5, 5) for _ in range(a1)))
+        _assert_same_realization(P, None)
+    for P in rng.sample(CIJT_UP_TO_8_4, 300):
+        a1 = P.power_form[0][1]
+        lambda2 = tuple(Fraction(rng.randint(-9, 9), rng.choice((2, 3))) for _ in range(a1))
+        _assert_same_realization(P, lambda2)
+
+
+def test_fmt_monomials_matches_monomial_text():
+    cells = {cell_generators(P) for P in CIJT_UP_TO_8_4}
+    cells |= {((0, 0),), ((1, 0), (0, 1), (1, 1), (2, 3))}
+    for gens in cells:
+        expected = ", ".join(BivariatePoly.monomial(a, b).text() for a, b in gens)
+        assert constructor._fmt_monomials(gens) == expected
+
+
+def test_corrupted_recurrence_breaks_the_chain_relation(monkeypatch):
+    # one wrong entry of one Lambda_(i+1), at every step and every
+    # position, fails the relation that first uses f_(i+1): the one at
+    # f_(i-1)
+    P = Partition("17^2,13^2,8^3,4,1^2")
+    t = len(P.power_form)
+    original = constructor._next_lambda
+    for step in range(t - 1):  # the step that makes Lambda_(step + 3)
+        for pos in range(sum(n for _, n in P.power_form[: step + 2])):
+            calls = []
+
+            def corrupted(*args):
+                out = original(*args)
+                if len(calls) == step:
+                    out[pos] += 1
+                calls.append(args)
+                return out
+
+            monkeypatch.setattr(constructor, "_next_lambda", corrupted)
+            with pytest.raises(
+                InternalInconsistency, match=f"chain recurrence violated at f_{step + 1} of"
+            ):
+                construct_ci(P, seed=2)
+    monkeypatch.setattr(constructor, "_next_lambda", original)
+    assert verify_realization(construct_ci(P, seed=2)).all_passed
+
+
+CORRUPTED_RECURRENCE = """
+from jtlab import constructor
+original = constructor._next_lambda
+
+def corrupted(*args):
+    out = original(*args)
+    out[0] += 1
+    return out
+
+constructor._next_lambda = corrupted
+constructor.construct_ci("6,4,2", seed=1)
+"""
+
+
+def test_corrupted_recurrence_raises_under_optimize():
+    # the relation check guards the returned ideal, so python -O must not
+    # strip it
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_RECURRENCE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jtlab.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "InternalInconsistency: chain recurrence violated at f_1 of" in proc.stderr

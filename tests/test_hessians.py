@@ -341,6 +341,24 @@ def test_hessian_rank_at_refuses_a_bad_point(with_algebra):
                 hessian_rank_at(F, i, point, algebra=algebra)
 
 
+@pytest.mark.parametrize(
+    "point",
+    [("a", 1), (1, "a"), (math.nan, 1), (math.inf, 1), (1, -math.inf), (None, 1), (1j, 1), 5, None],
+    ids=["letter", "second letter", "nan", "inf", "minus inf", "None", "complex", "int", "no point"],
+)
+def test_hessian_rank_at_refuses_a_point_without_rational_coordinates(monkeypatch, point):
+    # a coordinate that Fraction cannot take is a ParseError, raised before
+    # any quotient is built, never a bare ValueError, OverflowError or
+    # TypeError
+    def refuse(*args):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr(hessians, "quotient", refuse)
+    monkeypatch.setattr(hessians, "annihilator", refuse)
+    with pytest.raises(ParseError, match="a point needs rational coordinates"):
+        hessian_rank_at(parse_poly("X^5 + 3*X^2*Y^3 - Y^5"), 1, point)
+
+
 TAMPERED_ALGEBRA = """
 from jtlab.algebra import annihilator, quotient
 from jtlab.hessians import hessian_matrix
