@@ -27,7 +27,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
 
 from . import linalg
 from .errors import (
@@ -85,6 +84,19 @@ def _vec_poly(vec, n):
 def _shifts(rows):
     """Rows spanning R_1 * V in degree n + 1, from rows spanning V in degree n."""
     return [[0, *row] for row in rows] + [[*row, 0] for row in rows]
+
+
+def _combine(vec, columns):
+    """The sum of vec[k] * columns[k] over the nonzero entries of a nonzero
+    vector vec: its image under the map with these columns."""
+    out = None
+    for v, col in zip(vec, columns):
+        if v:
+            if out is None:
+                out = col if v == 1 else [v * w for w in col]
+            else:
+                out = [o + v * w for o, w in zip(out, col)]
+    return out
 
 
 class GradedIdeal:
@@ -148,9 +160,11 @@ class ArtinAlgebra:
     any other nonzero lead gives the same answers.  Rank questions about
     multiplication by a linear form are answered from a rank table that is
     filled the first time the form is asked about and kept on the algebra
-    for later questions.  The normal forms of the monomials that the tables
-    are built from are computed once, on the first question, and shared by
-    every direction.
+    for later questions.  On the first question it keeps, for each degree
+    s >= 1 and shared by every direction, what the one-step maps are built
+    from (_pivot_rows): the position of each standard monomial, minus the
+    echelon row of each pivot column read in the standard columns, and the
+    lead.  The maps themselves are lists of columns.
     """
 
     def __init__(self, ideal, echelons):
@@ -168,7 +182,7 @@ class ArtinAlgebra:
         # linear form -> rank table; a BivariatePoly keeps its hash, and
         # equal forms compare equal
         self._rank_tables = {}
-        self._monomial_forms = None  # filled by _one_step_maps
+        self._pivot_forms = None  # filled by _one_step_maps
         # dual generator F -> (HilbertFunction, divided_power_vector(F)),
         # kept by hessians.hessian_rank_at for later calls about F
         self.dual_vectors = {}
@@ -205,43 +219,59 @@ class ArtinAlgebra:
         lead = self._echelons[i][2]
         return [v / lead for v in self._reduce(_poly_vec(f, i), i)]
 
-    def _normal_forms(self, i):
-        """N_i: entry t is the normal form of x^t y^(i-t) on the standard
-        basis of degree i, times the lead of I_i.  A standard monomial is
-        lead times its unit vector; the monomial of pivot column
-        pivots[k] is minus row k, read in the standard columns."""
-        pivots, rows, lead = self._echelons[i]
-        std = self._std[i]
-        forms = [[lead * (t == c) for c in std] for t in range(i + 1)]
+    def _pivot_rows(self, s):
+        """For degree s: (N, lead), where N[u] is the position of x^u y^(s-u)
+        in the standard basis when that monomial is standard, and otherwise
+        its normal form on that basis times lead, the lead of I_s: minus its
+        echelon row, read in the standard columns."""
+        pivots, rows, lead = self._echelons[s]
+        std = self._std[s]
+        N = [None] * (s + 1)
+        for k, t in enumerate(std):
+            N[t] = k
         for pc, row in zip(pivots, rows):
-            forms[pc] = [-row[c] for c in std]
-        return forms
+            N[pc] = [-row[c] for c in std]
+        return N, lead
 
     def _one_step_maps(self, a, b):
         """The one-step maps M_s: A_s -> A_(s+1) of a*x + b*y, s = 0 .. j-1,
-        each as its rows: row k holds coordinate k of the image of every
-        standard monomial of degree s, so its columns are those images.
+        each as its columns: column k is the image of standard monomial k of
+        degree s, on the standard basis of degree s + 1.
 
-        The image of x^t y^(s-t) is b N_(s+1)[t] + a N_(s+1)[t+1]
-        (_normal_forms), all scaled by the lead of I_(s+1).  Each M_s is
-        then divided by its content, the gcd of all its entries: one scalar
-        for the whole map, so the rank of every product of maps is
-        unchanged, and the entries stay small.  The normal forms are
-        computed on the first call and kept for every later direction.
+        The image of x^t y^(s-t) is b N[t] + a N[t+1], scaled by the lead of
+        I_(s+1), with N that degree's _pivot_rows: lead times a unit vector
+        for a standard monomial, the stored row otherwise; a zero
+        coefficient adds nothing.  Each M_s is then divided by its content,
+        the gcd of all its entries: one scalar for the whole map, so the
+        rank of every product of maps is unchanged, and the entries stay
+        small.  The pivot rows of every degree are read off I on the first
+        call and kept for every later direction.
         """
-        if self._monomial_forms is None:
-            self._monomial_forms = [
-                self._normal_forms(s) for s in range(1, self.socle_degree + 1)
+        if self._pivot_forms is None:
+            self._pivot_forms = [
+                self._pivot_rows(s) for s in range(1, self.socle_degree + 1)
             ]
         maps = []
-        for std, forms in zip(self._std, self._monomial_forms):
-            images = [
-                [b * v + a * w for v, w in zip(forms[t], forms[t + 1])] for t in std
-            ]
-            content = math.gcd(*(v for image in images for v in image))
+        for std, (N, lead), m in zip(self._std, self._pivot_forms, self.hilbert[1:]):
+            columns = []
+            for t in std:
+                col = None
+                for c, form in ((b, N[t]), (a, N[t + 1])):
+                    if not c:
+                        continue
+                    if isinstance(form, int):  # a standard monomial
+                        if col is None:
+                            col = [0] * m
+                        col[form] += c * lead
+                    elif col is None:
+                        col = [c * v for v in form]
+                    else:
+                        col = [w + c * v for w, v in zip(col, form)]
+                columns.append(col)
+            content = math.gcd(*(v for col in columns for v in col))
             if content > 1:
-                images = [[v // content for v in image] for image in images]
-            maps.append(list(zip(*images)))
+                columns = [[v // content for v in col] for col in columns]
+            maps.append(columns)
         return maps
 
     def _rank_table(self, ell):
@@ -255,17 +285,18 @@ class ArtinAlgebra:
         "Computing persistent homology", 2005).  One sweep over s fills the
         table.  It keeps a basis of A_s adapted to the chain: its first
         r(u, s) vectors span ell^(s-u) A_u, for every u <= s.  The one-step
-        map M_s sends them to A_(s+1), and their images are fed in order to
-        linalg.insert, the forward-only rank kernel, which keeps those that
-        raise the rank; only a rank is read, so no reduced form is built.
-        So r(u, s+1), the rank of the first r(u, s) images, is the number of
-        kept images among them.  The kept images, divided by their content,
-        followed by the unit vectors of the columns that lead no row of
-        insert's basis, are the adapted basis of A_(s+1).  The image of a
-        unit vector is a column of the next map, so only the kept images
-        are multiplied out, and none past the one that fills A_(s+1).  The
-        table is built from the echelon forms of I alone, never from a dual
-        generator.
+        map M_s, given by its columns, sends them to A_(s+1): the image of a
+        vector is the sum of the columns weighted by its nonzero entries.
+        The images are fed in order to linalg.insert, the forward-only rank
+        kernel, which keeps those that raise the rank; only a rank is read,
+        so no reduced form is built.  So r(u, s+1), the rank of the first
+        r(u, s) images, is the number of kept images among them.  The kept
+        images, divided by their content, followed by the unit vectors of
+        the columns that lead no row of insert's basis, are the adapted
+        basis of A_(s+1).  The image of a unit vector is a column of the
+        next map, so only the kept images are multiplied out, and none past
+        the one that fills A_(s+1).  The table is built from the echelon
+        forms of I alone, never from a dual generator.
         """
         table = self._rank_tables.get(ell)
         if table is not None:
@@ -273,12 +304,12 @@ class ArtinAlgebra:
         a, b = linalg.primitive((ell.coefficient(1, 0), ell.coefficient(0, 1)))
         table = [[self.hilbert[0]]]
         vectors, units = [], range(self.hilbert[0])  # the basis of A_0
-        for rows in self._one_step_maps(a, b):
-            m = len(rows)
+        for columns in self._one_step_maps(a, b):
+            m = self.hilbert[len(table)]
             # multiplied out one at a time, until the kept ones span A_(s+1)
             images = chain(
-                ([sum(map(mul, vec, row)) for row in rows] for vec in vectors),
-                ([row[c] for row in rows] for c in units),
+                (_combine(vec, columns) for vec in vectors),
+                (columns[c] for c in units),
             )
             basis, kept, vectors = {}, [], []
             for n, image in enumerate(images):
@@ -410,8 +441,11 @@ def require_linear(ell):
 
 def rank_mult_power(A, ell, u, s):
     """Exact rank of multiplication by ell^(s-u) from A_u to A_s, read from
-    the algebra's rank table for ell."""
-    require_linear(ell)
+    the algebra's rank table for ell.  ell is validated only when it has no
+    table yet, since every key of A's tables passed require_linear; the
+    type is checked first, so an unhashable ell raises ZeroForm too."""
+    if not isinstance(ell, BivariatePoly) or ell not in A._rank_tables:
+        require_linear(ell)
     if not 0 <= u <= s or s > A.socle_degree:
         raise DegreeOutOfRange(f"need 0 <= {u} <= {s} <= {A.socle_degree}")
     return A._rank_table(ell)[u][s - u]

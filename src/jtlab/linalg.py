@@ -21,6 +21,11 @@ rows, lead): the pivot columns in increasing order, and one integer row
 per pivot in which column pivots[k] holds lead and every other pivot
 column holds 0.  rows / lead is the reduced row echelon form over Q.
 
+A form that `extend` returns may share row lists with the form it was
+given, and its new row may be the vector it was given: a row that the new
+pivot leaves untouched is kept as it is.  No caller mutates a row of a
+form, so sharing is safe.
+
 `remainder` reduces a vector modulo an echelon form.  `rank`, `rref` and
 `kernel_basis` accept rows with Fraction or int entries and clear
 denominators row by row with `primitive`.  Only `rref` and `kernel_basis`
@@ -70,8 +75,9 @@ def primitive(row):
 def remainder(vec, pivots, rows, lead):
     """lead times the remainder of vec modulo an echelon form (pivots,
     rows, lead): the unique vector of lead * vec + span(rows) that is zero
-    in every pivot column, integral when vec is."""
-    out = [lead * v for v in vec]
+    in every pivot column, integral when vec is.  When lead is 1 and no
+    row touches vec, that is vec itself."""
+    out = vec if lead == 1 else [lead * v for v in vec]
     for pc, row in zip(pivots, rows):
         c = vec[pc]
         if c:
@@ -84,13 +90,17 @@ def extend(form, vec):
     form = (pivots, rows, lead) and an integer vector vec of the same
     length; form itself when vec lies in the span.
 
-    The remainder of vec, divided by its content, becomes the row of a new
-    pivot column c, and c is cleared from the old rows.  The whole form is
-    then divided by its content, the gcd of the new lead and every entry,
-    with the sign that makes lead positive.  So rows / lead is the reduced
-    row echelon form over Q, lead > 0 is its least common denominator, and
-    lead and the entries of rows have no common factor.  The input lists
-    are not changed.
+    The remainder of vec, divided by its content with the sign that makes
+    its entry p in its first nonzero column c positive, becomes the row of
+    a new pivot column c, and c is cleared from the old rows, each scaled
+    by p.  The whole form is then divided by its content, the gcd of the
+    new lead and every entry, with the sign that makes lead positive; a new
+    lead of 1 needs no such pass.  So rows / lead is the reduced row echelon
+    form over Q, lead > 0 is its least common denominator, and lead and the
+    entries of rows have no common factor.  The input lists are not
+    changed, but the result may share them: when p is 1, an old row with a
+    zero in column c is returned as the same list, and the new row may be
+    vec itself.
     """
     pivots, rows, lead = form
     rest = remainder(vec, pivots, rows, lead)
@@ -98,28 +108,32 @@ def extend(form, vec):
     if c is None:
         return form
     g = math.gcd(*rest)
-    p = rest[c] // g
-    rest = [v // g for v in rest]
+    if rest[c] < 0:
+        g = -g
+    if g != 1:
+        rest = [v // g for v in rest]
+    p = rest[c]
     # row / lead - (row[c] / lead) (rest / p), over the common scale lead * p
     new = [
         [p * v - row[c] * w for v, w in zip(row, rest)]
         if row[c]
-        else [p * v for v in row]
+        else row if p == 1 else [p * v for v in row]
         for row in rows
     ]
     k = bisect_left(pivots, c)
-    new.insert(k, [lead * w for w in rest])
+    new.insert(k, rest if lead == 1 else [lead * w for w in rest])
     lead *= p
-    content = lead
-    for row in new:
-        content = math.gcd(content, *row)
-        if content == 1:
-            break
-    if lead < 0:
-        content = -content
-    if content != 1:
-        new = [[v // content for v in row] for row in new]
-        lead //= content
+    if lead != 1:
+        content = lead
+        for row in new:
+            content = math.gcd(content, *row)
+            if content == 1:
+                break
+        if lead < 0:
+            content = -content
+        if content != 1:
+            new = [[v // content for v in row] for row in new]
+            lead //= content
     return [*pivots[:k], c, *pivots[k:]], new, lead
 
 

@@ -1,9 +1,10 @@
-"""Earlier bodies of twelve routines, kept as references for differential
+"""Earlier bodies of thirteen routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
 branch-label enumeration with its own interval-split helper, the
 complete-intersection test that counts new generators in every degree,
 the annihilator that echelonizes every degree 0 .. j+1, the rank table
-that carries the image of each A_u one step at a time, the quotient that
+that carries the image of each A_u one step at a time, the one-step maps
+built by rows from a dense normal form of every monomial, the quotient that
 echelonizes the whole degree_span of every degree, the fraction-free
 Gauss-Jordan elimination (Bareiss) that all of these eliminate with, and
 the realization chain of construct_ci, built on Fraction tuples and
@@ -14,6 +15,7 @@ rank kernel.
 
 Each returns exactly what the jtlab function of the same name returns;
 rank_table and dual_rank_table are ArtinAlgebra._rank_table,
+one_step_maps is ArtinAlgebra._one_step_maps transposed, so by rows,
 one_step_columns is its raw one-step maps, with no common factor divided
 out, and degree_span is the spanning set that GradedIdeal once offered.
 echelon returns the same pivots and the same reduced row echelon form over
@@ -323,6 +325,38 @@ def annihilator(F):
                 grown = echelon(grown[1] + [vec])
         prev_kernel = kernel
     return GradedIdeal(generators)
+
+
+def _normal_forms(A, i):
+    """N_i: entry t is the normal form of x^t y^(i-t) on the standard
+    basis of degree i, times the lead of I_i.  A standard monomial is
+    lead times its unit vector; the monomial of pivot column pivots[k] is
+    minus row k, read in the standard columns."""
+    pivots, rows, lead = A._echelons[i]
+    std = A._std[i]
+    forms = [[lead * (t == c) for c in std] for t in range(i + 1)]
+    for pc, row in zip(pivots, rows):
+        forms[pc] = [-row[c] for c in std]
+    return forms
+
+
+def one_step_maps(A, a, b):
+    """The one-step maps M_s: A_s -> A_(s+1) of a*x + b*y, s = 0 .. j-1,
+    each as its rows: row k holds coordinate k of the image of every
+    standard monomial of degree s.  The image of x^t y^(s-t) is
+    b N_(s+1)[t] + a N_(s+1)[t+1] (_normal_forms), and each map is divided
+    by the gcd of all its entries."""
+    maps = []
+    for s in range(A.socle_degree):
+        forms = _normal_forms(A, s + 1)
+        images = [
+            [b * v + a * w for v, w in zip(forms[t], forms[t + 1])] for t in A._std[s]
+        ]
+        content = math.gcd(*(v for image in images for v in image))
+        if content > 1:
+            images = [[v // content for v in image] for image in images]
+        maps.append(list(zip(*images)))
+    return maps
 
 
 def one_step_columns(A, a, b):

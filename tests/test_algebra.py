@@ -301,6 +301,26 @@ def test_rank_mult_power_range_check():
         rank_mult_power(A, ELL_X, 0, 9)
 
 
+@pytest.mark.parametrize(
+    "ell, error",
+    [
+        ([1, 0], ZeroForm),  # unhashable, so checked before the table lookup
+        ("x", ZeroForm),
+        (None, ZeroForm),
+        (BivariatePoly({}), ZeroForm),
+        (parse_poly("x^2"), ParseError),
+        (parse_poly("x+1"), ParseError),
+    ],
+    ids=["list", "str", "None", "zero", "x^2", "x+1"],
+)
+def test_rank_mult_power_validates_ell_beside_a_cached_table(ell, error):
+    A = quotient(ideal("x^2", "y^3"))
+    assert rank_mult_power(A, ELL_X, 0, 1) == 1
+    assert ELL_X in A._rank_tables
+    with pytest.raises(error):
+        rank_mult_power(A, ell, 0, 1)
+
+
 # -- jordan degree type -------------------------------------------------------------
 
 
@@ -768,7 +788,22 @@ MIXES = st.lists(
 )
 
 
-@given(INTEGER_MATRICES, MIXES)
+def _monic_row(ncols):
+    """A row whose first nonzero entry is 1, as a monic generator's is."""
+    return st.integers(0, ncols - 1).flatmap(
+        lambda zeros: st.lists(
+            st.integers(-30, 30), min_size=ncols - zeros - 1, max_size=ncols - zeros - 1
+        ).map(lambda tail: [0] * zeros + [1] + tail)
+    )
+
+
+# rows whose new pivot entry p is often 1, so extend keeps untouched rows
+MONIC_MATRICES = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(_monic_row(ncols), max_size=7)
+)
+
+
+@given(st.one_of(INTEGER_MATRICES, MONIC_MATRICES), MIXES)
 @settings(max_examples=300)
 def test_extend_folded_over_rows_matches_echelon(rows, mix):
     rows = _dependent_rows(rows, mix)
@@ -789,6 +824,32 @@ def test_extend_folded_over_rows_matches_echelon(rows, mix):
         [Fraction(v, want_lead) for v in row] for row in want
     ]
     assert lead > 0 and math.gcd(lead, *(v for row in reduced for v in row)) == 1
+
+
+@given(st.one_of(INTEGER_MATRICES, MONIC_MATRICES), MIXES)
+@settings(max_examples=300)
+def test_extend_shares_untouched_rows_and_changes_no_earlier_form(rows, mix):
+    rows = _dependent_rows(rows, mix)
+    given_rows = copy.deepcopy(rows)
+    forms, copies_of_forms = [([], [], 1)], [([], [], 1)]
+    for row in rows:
+        form = forms[-1]
+        pivots, old_rows, lead = form
+        grown = linalg.extend(form, row)
+        if grown is not form:
+            rest = linalg.remainder(row, *form)
+            c = next(c for c, v in enumerate(rest) if v)
+            p = abs(rest[c]) // math.gcd(*rest)
+            new_pivots, new_rows, new_lead = grown
+            if p == 1 and new_lead == lead:  # p = 1 and no content divided out
+                for pc, old in zip(pivots, old_rows):
+                    if not old[c]:
+                        assert new_rows[new_pivots.index(pc)] is old
+        forms.append(grown)
+        copies_of_forms.append(copy.deepcopy(grown))
+    # no later extend call changed a list of an earlier form, or a given row
+    assert forms == copies_of_forms
+    assert rows == given_rows
 
 
 def test_extend_makes_lead_positive_on_a_bareiss_form():

@@ -10,8 +10,9 @@ import pytest
 from jtlab import cli
 from jtlab.cli import MAX_TABLE_ROWS, main
 from jtlab.codes import diagonal_partition_count, enumerate_cijt
+from jtlab.constructor import construct_ci
 from jtlab.errors import InternalInconsistency
-from jtlab.partitions import MAX_PARTS, HilbertFunction
+from jtlab.partitions import MAX_PARTS, HilbertFunction, Partition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -155,6 +156,29 @@ def test_table_matches_golden(figure, golden):
     assert code == 0
     want = (GOLDEN / golden).read_text()
     assert normalized(out) == normalized(want)
+
+
+# -- jordan golden ----------------------------------------------------------------
+
+# `jordan --format json` on five inputs, each in the directions x, y, x+y,
+# x+2y and 2x: two monomial-heavy ideals, the realization of 6,4,2 that
+# `realize 6,4,2 --seed 3` builds, and two dual generators
+JORDAN_GOLDEN = json.loads((GOLDEN / "jordan.json").read_text())
+
+
+def test_jordan_golden_covers_a_realization_ideal():
+    realized = str(construct_ci(Partition("6,4,2"), seed=3))
+    assert any(case["argv"][1] == realized for case in JORDAN_GOLDEN)
+    assert len(JORDAN_GOLDEN) == 25
+
+
+@pytest.mark.parametrize(
+    "case", JORDAN_GOLDEN, ids=[" ".join(case["argv"][1:-2]) for case in JORDAN_GOLDEN]
+)
+def test_jordan_matches_golden(case):
+    code, out, err = run_cli(*case["argv"])
+    assert (code, err) == (0, "")
+    assert out == case["stdout"]
 
 
 @pytest.mark.parametrize("d, k", [(11, 1), (11, 2), (15, 2)])

@@ -298,12 +298,15 @@ SCALED_DIRECTIONS = [(2, 0), (-1, 0), (1, -1)]
 @pytest.fixture
 def handed_maps(monkeypatch):
     """Every list of one-step maps that ArtinAlgebra._one_step_maps hands
-    to the rank-table sweep during the test."""
+    to the rank-table sweep during the test, each a list of columns.  Each
+    is checked, as it is handed, against the maps that the dense reference
+    builds by rows from the normal form of every monomial."""
     handed = []
     build = ArtinAlgebra._one_step_maps
 
     def recording(self, a, b):
         maps = build(self, a, b)
+        assert [list(zip(*M)) for M in maps] == ref.one_step_maps(self, a, b), (self, a, b)
         handed.append(maps)
         return maps
 
@@ -318,8 +321,8 @@ def _assert_tables_match(A, directions, handed_maps):
     assert handed_maps
     for maps in handed_maps:
         for M in maps:
-            # content 1, or 0 for a zero map
-            assert math.gcd(*(v for row in M for v in row)) <= 1, (A, M)
+            # content 1, or 0 for a zero map, over every entry of every column
+            assert math.gcd(*(v for column in M for v in column)) <= 1, (A, M)
 
 
 @pytest.mark.parametrize(
@@ -372,7 +375,7 @@ def test_rank_table_matches_reference_on_a_degree_30_dual(handed_maps):
     for algebra in (bareiss, A):
         _assert_tables_match(algebra, [(1, 2), (1, 1)], handed_maps)
     assert len(handed_maps) == 4
-    entries = [v for maps in handed_maps for M in maps for row in M for v in row]
+    entries = [v for maps in handed_maps for M in maps for column in M for v in column]
     assert max(abs(v).bit_length() for v in entries) < 64
 
 
