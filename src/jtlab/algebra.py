@@ -290,13 +290,16 @@ class ArtinAlgebra:
         The images are fed in order to linalg.insert, the forward-only rank
         kernel, which keeps those that raise the rank; only a rank is read,
         so no reduced form is built.  So r(u, s+1), the rank of the first
-        r(u, s) images, is the number of kept images among them.  The kept
-        images, divided by their content, followed by the unit vectors of
-        the columns that lead no row of insert's basis, are the adapted
-        basis of A_(s+1).  The image of a unit vector is a column of the
-        next map, so only the kept images are multiplied out, and none past
-        the one that fills A_(s+1).  The table is built from the echelon
-        forms of I alone, never from a dual generator.
+        r(u, s) images, is the number of kept images among them.  For each
+        kept image, insert stores a primitive row: the image plus a
+        combination of the rows stored before it, with a nonzero coefficient
+        on the image, so every prefix of the stored rows spans what the same
+        prefix of kept images spans.  Those rows, in order, followed by the
+        unit vectors of the columns that lead no row of insert's basis, are
+        the adapted basis of A_(s+1).  The image of a unit vector is a
+        column of the next map, so only the kept images are multiplied out,
+        and none past the one that fills A_(s+1).  The table is built from
+        the echelon forms of I alone, never from a dual generator.
         """
         table = self._rank_tables.get(ell)
         if table is not None:
@@ -313,10 +316,10 @@ class ArtinAlgebra:
             )
             basis, kept, vectors = {}, [], []
             for n, image in enumerate(images):
-                if linalg.insert(basis, image) is not None:
+                c = linalg.insert(basis, image)
+                if c is not None:
                     kept.append(n)
-                    content = math.gcd(*image)
-                    vectors.append([v // content for v in image] if content > 1 else image)
+                    vectors.append(basis[c])
                     if len(basis) == m:
                         break
             for ranks in table:

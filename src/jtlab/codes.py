@@ -152,8 +152,15 @@ def partition_to_branch_label(P):
     are read off the columns left of v, horizontal ones off the rows above
     h, each reduced by the thickening offset s = max(0, k-2); the entries
     between v and h (k = 1) are 1, 2, ....
+
+    A partition glued by branch_label_to_partition holds the label it was
+    glued from, checked there, and that label is returned as it is, the way
+    hilbert_function returns a shared T.  Any other partition has its label
+    read off the diagram and validated.
     """
     P = Partition(P)
+    if P._label is not None:
+        return P._label
     T = hilbert_function(P)
     d = T.d
     s = max(0, T.k - 2)
@@ -220,8 +227,10 @@ def branch_label_to_partition(label, T):
     Inverse of partition_to_branch_label.  As the branches are glued, each
     row keeps its cell count and its largest column; no two cells coincide
     (see below), so a nonempty row is left justified exactly when its
-    largest column is its count less one.  The partition is given T itself
-    once its diagonal lengths are checked.
+    largest column is its count less one.  Once its diagonal lengths are
+    checked, after every other check, the partition is given T itself and
+    the label, which partition_to_branch_label then returns without reading
+    the diagram.  No other function gives a partition a label.
 
     Every label tested (d <= 6, k <= 3) that passes `_segments` but not the
     interval conditions glues to a diagram that is not left justified or
@@ -266,6 +275,7 @@ def branch_label_to_partition(label, T):
     P = Partition(count)
     if diagonal_lengths(P) != T.values:
         raise InternalInconsistency(f"{label}: diagram has wrong diagonal lengths")
+    object.__setattr__(P, "_label", label)
     return share_hilbert(P, T)
 
 
@@ -535,7 +545,12 @@ def _assemble_hook_code(label, T, subs_by_value, counts_by_degree):
 
 
 def hook_code_direct(P):
-    """Hook code by scanning all cells of the Ferrers diagram."""
+    """Hook code by scanning all cells of the Ferrers diagram.
+
+    The label is partition_to_branch_label(P), so for a partition glued by
+    branch_label_to_partition it is the label the gluing checked; the hook
+    counts, and so every subscript, are always counted on the diagram.
+    """
     P = Partition(P)
     T = hilbert_function(P)
     label = partition_to_branch_label(P)

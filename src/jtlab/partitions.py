@@ -18,6 +18,12 @@ codes.branch_label_to_partition and codes.cijt_from_composition get the T
 they were built from, after their diagonal lengths are checked, so all the
 partitions of one enumeration share one T.  Any other partition derives its
 own on the first call of hilbert_function(P); diagonal_lengths(P) reads it.
+
+A partition glued by codes.branch_label_to_partition also holds the branch
+label it was glued from, set there once every check of the gluing passed,
+and codes.partition_to_branch_label returns it.  A partition that is
+parsed, built from its parts, copied or unpickled holds no label, and its
+label is read off the diagram.
 """
 
 from __future__ import annotations
@@ -63,10 +69,13 @@ class Partition:
     """A weakly decreasing sequence of positive integers.
 
     Immutable and hashable.  ``Partition("6,2^2,1^2")`` and
-    ``Partition([6, 2, 2, 1, 1])`` build the same value.
+    ``Partition([6, 2, 2, 1, 1])`` build the same value.  Besides its parts
+    it may hold its validated HilbertFunction and, when it was glued from a
+    branch label, that label; neither takes part in equality, hashing or
+    pickling.
     """
 
-    __slots__ = ("parts", "_hilbert")
+    __slots__ = ("parts", "_hilbert", "_label")
 
     def __new__(cls, parts):
         if isinstance(parts, Partition):
@@ -84,6 +93,8 @@ class Partition:
         object.__setattr__(self, "parts", parts)
         # the validated HilbertFunction of the diagonal lengths, once known
         object.__setattr__(self, "_hilbert", None)
+        # the checked branch label it was glued from, if any
+        object.__setattr__(self, "_label", None)
         return self
 
     def __setattr__(self, name, value):
@@ -438,7 +449,9 @@ def symmetric_string_placement(P, T):
     returned without searching.  Otherwise plain backtracking over start
     degrees: distinct lengths largest first, starts non-decreasing within a
     length, each mirror pair placed through its lower start i <= (j+1-s)/2,
-    pruned by the remaining per-degree capacity.  A partition of more than
+    pruned by the remaining per-degree capacity.  The capacity list is
+    decremented and restored in place, and the witness is recorded only on
+    the way back from the search that covered T.  A partition of more than
     MAX_PARTS parts raises BudgetExceeded before any search.
     """
     P = Partition(P)
@@ -454,12 +467,9 @@ def symmetric_string_placement(P, T):
     cap = list(T.values)
     placed = {}
 
-    def place(i, s, sign):
-        cap[i : i + s] = [c - sign for c in cap[i : i + s]]
-        placed[(i, s)] = placed.get((i, s), 0) + sign
-
     def search(run, left, low):
-        # `left` strings of length runs[run][0] remain, starting at >= low
+        # `left` strings of length runs[run][0] remain, starting at >= low;
+        # on success the strings placed from here on are added to `placed`
         if not left:
             run += 1
             if run == len(runs):
@@ -467,22 +477,26 @@ def symmetric_string_placement(P, T):
             left, low = runs[run][1], 0
         s = runs[run][0]
         for i in range(low, (j + 1 - s) // 2 + 1):
-            if min(cap[i : i + s]) == 0:
-                continue
             mirror = j + 1 - s - i
+            if mirror != i and left < 2 or 0 in cap[i : i + s]:
+                continue
+            for t in range(i, i + s):
+                cap[t] -= 1
             if mirror == i:
-                place(i, s, +1)
                 if search(run, left - 1, i):
+                    placed[i, s] = placed.get((i, s), 0) + 1
                     return True
-                place(i, s, -1)
-            elif left >= 2:
-                place(i, s, +1)
-                if min(cap[mirror : mirror + s]) > 0:
-                    place(mirror, s, +1)
-                    if search(run, left - 2, i):
-                        return True
-                    place(mirror, s, -1)
-                place(i, s, -1)
+            elif 0 not in cap[mirror : mirror + s]:
+                for t in range(mirror, mirror + s):
+                    cap[t] -= 1
+                if search(run, left - 2, i):
+                    placed[i, s] = placed.get((i, s), 0) + 1
+                    placed[mirror, s] = placed.get((mirror, s), 0) + 1
+                    return True
+                for t in range(mirror, mirror + s):
+                    cap[t] += 1
+            for t in range(i, i + s):
+                cap[t] += 1
         return False
 
     if not search(0, runs[0][1], 0):

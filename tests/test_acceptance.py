@@ -278,10 +278,12 @@ def test_criterion_4_worked_examples():
 
 @criterion(5, "bijection, dominance lattice, iota, hook-code theorems", 30)
 def test_criterion_5_property_suites():
-    # hook code from label rule == direct count, all partitions, d <= 6, k <= 4
+    # hook code from label rule == direct count, all partitions, d <= 6, k <= 4;
+    # on label-free copies, so the label is read off the diagram
     for d, k in itertools.product(range(2, 7), range(1, 5)):
         T = HilbertFunction.from_dk(d, k)
         for P in enumerate_diagonal_partitions(T):
+            P = Partition(P.parts)
             b = partition_to_branch_label(P)
             assert hook_code_from_label(b, T) == hook_code_direct(P)
 

@@ -124,7 +124,8 @@ def test_round_trip_all_labels():
         T = HilbertFunction.from_dk(d, k)
         for b in enumerate_branch_labels(T):
             P = branch_label_to_partition(b, T)
-            assert partition_to_branch_label(P) == b
+            # a copy holds no label, so this reads the label off the diagram
+            assert partition_to_branch_label(Partition(P.parts)) == b
     # d = 1: no labelled branch for T = (1), one for T = (1^k)
     assert enumerate_branch_labels(HilbertFunction("1")) == [BranchLabel("E,E")]
     for k in range(2, 5):
@@ -167,6 +168,34 @@ def test_enumerated_partitions_share_their_T():
         fresh = Partition(P.parts)
         assert fresh is not P and hilbert_function(fresh) == T
         assert hilbert_function(fresh) is hilbert_function(fresh)
+
+
+def test_glued_partitions_carry_the_label_read_off_their_diagram():
+    # every partition of T(d, k) for d <= 7, k <= 4: the label the gluing
+    # kept is the one the diagram of a label-free copy gives
+    for d, k in all_dk(7, 4):
+        T = HilbertFunction.from_dk(d, k)
+        for P in enumerate_diagonal_partitions(T):
+            carried = partition_to_branch_label(P)
+            assert carried is P._label is not None
+            fresh = Partition(P.parts)
+            assert fresh._label is None
+            assert partition_to_branch_label(fresh) == carried, P
+            assert hook_code_direct(fresh) == hook_code_direct(P), P
+
+
+def test_copies_of_a_glued_partition_carry_no_label():
+    T = HilbertFunction.from_dk(5, 2)
+    b = enumerate_branch_labels(T)[7]
+    P = branch_label_to_partition(b, T)
+    assert P._label is b
+    for twin in copies(P):
+        assert twin == P and twin._label is None
+        assert partition_to_branch_label(twin) == b
+    # parsed or built from parts: no label either
+    assert Partition(str(P))._label is None
+    assert Partition(list(P.parts))._label is None
+    assert Partition(P) is P  # the same value, label and all
 
 
 def test_enumerated_partition_with_another_T_is_refused():
@@ -285,11 +314,12 @@ def test_hook_code_from_label_examples():
 
 def test_hook_code_label_rule_equals_direct():
     # every row of T(d, k) for d <= 7, k <= 4, from the label the
-    # enumeration built the partition from
+    # enumeration built the partition from; the label-free copy makes
+    # hook_code_direct read its label off the diagram too
     for d, k in all_dk(7, 4):
         T = HilbertFunction.from_dk(d, k)
         for b in enumerate_branch_labels(T):
-            P = branch_label_to_partition(b, T)
+            P = Partition(branch_label_to_partition(b, T).parts)
             assert partition_to_branch_label(P) == b
             assert hook_code_from_label(b, T) == hook_code_direct(P), (P, str(b))
 

@@ -83,3 +83,65 @@ def test_no_rank_is_read_off_echelon_outside_linalg():
         for line in _echelon_ranks(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, f"ranks read off echelon: {found}"
+
+
+def _label_writes(tree):
+    """(enclosing function, line) of every write to a `_label` attribute in
+    a parsed module, spelt object.__setattr__(P, "_label", v),
+    setattr(P, "_label", v) or P._label = v; a write of the constant None,
+    which clears the attribute, is not counted."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                args = child.args
+                if (
+                    name in ("__setattr__", "setattr")
+                    and len(args) == 3
+                    and isinstance(args[1], ast.Constant)
+                    and args[1].value == "_label"
+                    and not (isinstance(args[2], ast.Constant) and args[2].value is None)
+                ):
+                    found.append((where, child.lineno))
+            elif (
+                isinstance(child, ast.Attribute)
+                and child.attr == "_label"
+                and not isinstance(child.ctx, ast.Load)
+            ):
+                found.append((where, child.lineno))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_label_guard_sees_every_spelling():
+    tree = ast.parse(
+        "def f(P, b):\n"
+        "    object.__setattr__(P, '_label', b)\n"
+        "    setattr(P, '_label', b)\n"
+        "    P._label = b\n"
+        "    object.__setattr__(P, '_label', None)\n"
+        "    object.__setattr__(P, '_hilbert', b)\n"
+        "    return P._label\n"
+        "object.__setattr__(P, '_label', b)\n"
+    )
+    assert _label_writes(tree) == [("f", 2), ("f", 3), ("f", 4), (None, 8)]
+
+
+def test_only_the_gluing_gives_a_partition_its_label():
+    # partition_to_branch_label returns a held label without checking it,
+    # so the one place that sets it is the one that checked it: the gluing,
+    # after the diagram is left justified, its rows weakly decreasing and
+    # its diagonal lengths T
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, _ in _label_writes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == ["codes.py:branch_label_to_partition"], found
