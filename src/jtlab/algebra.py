@@ -12,12 +12,13 @@ Jordan strings of length >= s equals rank(m_L^(s-1)) - rank(m_L^s).
 Inside this module a degree-n form is a coordinate vector whose entry t is
 the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
 one place and multiplying by y appends a zero.  The ideal is stored as
-integer echelon forms built one degree from the last with linalg.extend.
-A question that needs only a rank (a rank table, the complete-intersection
-count, the middle catalecticant of a dual generator) goes through the
-forward-only kernel linalg.insert, through linalg.rank where a matrix is
-given whole, and builds no reduced form.  Fraction appears only where a
-polynomial comes in or goes out.
+integer echelon forms, built one degree from the last with linalg.extend by
+_build, which also counts the minimal generators and, on generator rows
+moved to new coordinates, gives every initial ideal.  A question that needs
+only a rank (a rank table, the middle catalecticant of a dual generator)
+goes through the forward-only kernel linalg.insert, or linalg.rank where a
+matrix is given whole.  Fraction is met only in a BivariatePoly's
+coefficients, where a polynomial comes in or goes out.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 from . import linalg
@@ -81,11 +81,6 @@ def _vec_poly(vec, n):
     return BivariatePoly({(t, n - t): c for t, c in enumerate(vec) if c})
 
 
-def _shifts(rows):
-    """Rows spanning R_1 * V in degree n + 1, from rows spanning V in degree n."""
-    return [[0, *row] for row in rows] + [[*row, 0] for row in rows]
-
-
 def _combine(vec, columns):
     """The sum of vec[k] * columns[k] over the nonzero entries of a nonzero
     vector vec: its image under the map with these columns."""
@@ -104,9 +99,9 @@ class GradedIdeal:
 
     Each generator g of degree e is also kept, in the private slot _rows,
     as the pair (e, linalg.primitive(_poly_vec(g, e))): its degree and its
-    coordinate row as coprime integers.  quotient shifts these rows, and
-    is_complete_intersection reads the degrees, so no Fraction is converted
-    again after construction.  Two ideals are equal when they list the same
+    coordinate row as coprime integers.  quotient builds from these rows,
+    and initial_ideal moves them, so no Fraction is converted again after
+    construction.  Two ideals are equal when they list the same
     generators in the same order.
     """
 
@@ -150,7 +145,7 @@ class GradedIdeal:
 
 class ArtinAlgebra:
     """A finite-dimensional graded quotient A = R/I, built through
-    quotient().
+    quotient(), which also hands it the minimal generator degrees of I.
 
     Per degree it keeps the echelon form (pivots, rows, lead) of I as
     integers and the standard monomials that form the basis of A; these are
@@ -167,11 +162,13 @@ class ArtinAlgebra:
     lead.  The maps themselves are lists of columns.
     """
 
-    def __init__(self, ideal, echelons):
+    def __init__(self, ideal, echelons, generator_degrees):
         self.ideal = ideal
         # degree i -> (pivots, rows, lead) of I_i, through the first degree
         # in which I is everything
         self._echelons = echelons
+        # the degrees of a minimal generating set of I, in increasing order
+        self._generator_degrees = generator_degrees
         # degree i -> x-exponents of the standard monomials of degree i
         self._std = [
             sorted(set(range(i + 1)) - set(pivots))
@@ -333,41 +330,55 @@ class ArtinAlgebra:
         return f"ArtinAlgebra(H={self.hilbert}, I=({self.ideal}))"
 
 
-def quotient(ideal):
-    """Per-degree echelon bases of I, standard monomials of A = R/I, and the
-    Hilbert function.  Raises NotArtinian when dim A_i stays positive past
-    twice the generator degree bound (plus guard), and BudgetExceeded when a
-    generator has degree over MAX_DEGREE.
+def _build(ideal, rows):
+    """(echelons, generator degrees) of the ideal I with generator rows
+    given as (degree, integer row) pairs: the echelon form of each I_i, up
+    to the first degree in which I is everything, and the degrees of a
+    minimal generating set.  Raises BudgetExceeded when a degree is over
+    MAX_DEGREE, and NotArtinian, naming ideal, when dim A_i stays positive
+    past twice the largest degree (plus guard).
 
-    Each degree is built from the last: I_i = y I_(i-1) + the span of
-    x^(i-e) g over the generators g of degree e <= i.  By induction on i:
-    I_i = x I_(i-1) + y I_(i-1) + the generators of degree i, and
-    x I_(i-1) = y x I_(i-2) + the span of x^(i-e) g over e <= i - 1, where
-    x I_(i-2) lies in I_(i-1).  Multiplying by y appends a zero to each
-    coordinate vector, so the reduced echelon form of y I_(i-1) is that of
-    I_(i-1) with a zero column appended, and linalg.extend adds the
-    generators' shifts to it, at most one call per generator.
+    By induction on i, I_i = y I_(i-1) + the span of x^(i-e) g over the
+    generators g of degree e <= i, since x I_(i-1) = y x I_(i-2) + the span
+    of x^(i-e) g over e < i, and x I_(i-2) lies in I_(i-1).  So y I_(i-1),
+    the rows of I_(i-1) with a zero appended, and the shifts over e < i
+    span R_1*I_(i-1): they go in first, and the rank that the generators of
+    degree i then add is the number of minimal generators of degree i.
+    linalg.extend adds each vector; rows / lead is the reduced echelon form
+    and lead its least common denominator, so the order of the calls does
+    not change a form.
     """
-    maxdeg = max(e for e, _ in ideal._rows)
+    maxdeg = max(e for e, _ in rows)
     if maxdeg > MAX_DEGREE:
         raise BudgetExceeded(
             f"a generator of degree {maxdeg} is over the cap of {MAX_DEGREE}"
         )
     bound = 2 * maxdeg + 2
     form = ([], [], 1)  # I_(-1) = 0
-    echelons = []
+    echelons, degrees = [], []
     for i in range(bound + 1):
-        pivots, rows, lead = form
-        form = pivots, [[*row, 0] for row in rows], lead  # y I_(i-1)
-        for e, vec in ideal._rows:
-            if e <= i:
+        pivots, rest, lead = form
+        form = pivots, [[*row, 0] for row in rest], lead  # y I_(i-1)
+        for e, vec in rows:
+            if e < i:
                 form = linalg.extend(form, [0] * (i - e) + vec)  # x^(i-e) g
+        grown = len(form[0])  # dim R_1*I_(i-1)
+        for e, vec in rows:
+            if e == i:
+                form = linalg.extend(form, vec)
         echelons.append(form)
+        degrees += [i] * (len(form[0]) - grown)
         if len(form[0]) == i + 1:
-            return ArtinAlgebra(ideal, echelons)
+            return echelons, tuple(degrees)
     raise NotArtinian(
         f"dim A_{bound} = {bound + 1 - len(form[0])} > 0 for I = ({ideal})"
     )
+
+
+def quotient(ideal):
+    """The algebra R/I, built by _build from the generators' integer rows;
+    raises BudgetExceeded or NotArtinian as _build does."""
+    return ArtinAlgebra(ideal, *_build(ideal, ideal._rows))
 
 
 def annihilator(F):
@@ -393,11 +404,14 @@ def annihilator(F):
     reduced modulo those shifts.  Each is scaled to coprime integer
     coefficients with a positive leading term.  Raises BudgetExceeded when
     Ann(F) may have a generator of degree over MAX_DEGREE, that is when
-    j + 1 > MAX_DEGREE.
+    j + 1 > MAX_DEGREE, and ParseError, naming F in X and Y, when F is not
+    homogeneous.
     """
     if not isinstance(F, BivariatePoly) or F.is_zero():
         raise ZeroInput("dual generator must be a nonzero polynomial")
-    j = F.homogeneous_degree()
+    if not F.is_homogeneous():
+        raise ParseError(f"{F.text(('X', 'Y'))} is not homogeneous")
+    j = F.degree()
     if j + 1 > MAX_DEGREE:
         raise BudgetExceeded(
             f"a dual generator of degree {j} may have an annihilator generator "
@@ -511,38 +525,42 @@ def cell_generators(Q):
     return tuple(gens)
 
 
+def _moved(vec, a, b):
+    """The row of a^e g((x' - b y')/a, y') for the row vec of a form g of
+    degree e and a != 0: entry t scaled by a^(e-t), then Taylor shifted by
+    -b with Horner's scheme.  For a = 0, b = 1, the row of g(y', x')."""
+    if a == 0:
+        return vec[::-1]
+    e = len(vec) - 1
+    out = [v * a ** (e - t) for t, v in enumerate(vec)]
+    for i in range(e):
+        for k in range(e - 1, i - 1, -1):
+            out[k] -= b * out[k + 1]
+    return out
+
+
 def initial_ideal(ideal, ell, algebra=None):
     """Initial monomial data of I in the direction ell.
 
     Coordinates are changed so that ell becomes x (complement y, or x when
-    ell is proportional to y); the ideal is echelonized degree by degree in
-    the order y^i > ... > x^i and the leading monomials collected.  When ell
-    is x the change is the identity, and a given algebra = quotient(ideal)
-    is used instead of building the quotient again.
+    ell is proportional to y) by _moved on each generator's integer row,
+    with (a, b) the primitive pair of ell's coefficients, since no scaling
+    moves a leading monomial.  _build echelonizes the moved rows in the
+    order y^i > ... > x^i, and the leading monomials are collected.  When
+    ell is a multiple of x, a given algebra = quotient(ideal) is read.
     """
     ell = require_linear(ell)
     a, b = ell.coefficient(1, 0), ell.coefficient(0, 1)
-    if algebra is not None and (a, b) == (1, 0):
-        A = algebra  # the change of coordinates below would be the identity
-    else:
-        x, y = BivariatePoly.monomial(1, 0), BivariatePoly.monomial(0, 1)
-        if a != 0:
-            # x = (x' - b y')/a, y = y'
-            px = Fraction(1, 1) / a * x - Fraction(b, 1) / a * y
-            py = y
-        else:
-            # ell = b*y: complement x; x = y', y = x'/b
-            px = y
-            py = Fraction(1, 1) / b * x
-        moved = GradedIdeal([g.substitute(px, py) for g in ideal.generators])
-        A = quotient(moved)
+    if algebra is not None and b == 0:
+        A = algebra  # ell is a multiple of x: no leading monomial moves
+    else:  # the algebra of the moved ideal, held as rows only
+        a, b = linalg.primitive((a, b))
+        moved = [(e, _moved(vec, a, b)) for e, vec in ideal._rows]
+        A = ArtinAlgebra(None, *_build(ideal, moved))
+    fill = tuple(tuple(A.basis(i)) for i in range(A.socle_degree + 1))
     rows = [0] * (A.socle_degree + 1)
-    fill = []
-    for i in range(A.socle_degree + 1):
-        std = A.basis(i)
-        fill.append(tuple(std))
-        for xa, yb in std:
-            rows[yb] = max(rows[yb], xa + 1)
+    for xa, yb in chain.from_iterable(fill):
+        rows[yb] = max(rows[yb], xa + 1)
     parts = [r for r in rows if r]
     if any(p < q for p, q in zip(parts, parts[1:])):
         raise InternalInconsistency("standard monomials do not form a Ferrers diagram")
@@ -551,31 +569,12 @@ def initial_ideal(ideal, ell, algebra=None):
         raise InternalInconsistency(
             f"initial partition {Q} has size {Q.size}, not dim A = {A.dimension}"
         )
-    return MonomialCell(partition=Q, fill=tuple(fill), generators=cell_generators(Q))
+    return MonomialCell(partition=Q, fill=fill, generators=cell_generators(Q))
 
 
 def is_complete_intersection(ideal, algebra=None):
-    """Whether I is minimally generated by two forms; also returns the
-    minimal generator degrees.  algebra, when given, is quotient(ideal).
-
-    The count of new generators in degree i is dim I_i - dim R_1*I_(i-1).
-    A generator of degree e < i contributes R_(i-e) g = R_1 R_(i-e-1) g to
-    I_i, which lies in R_1*I_(i-1); so I_i = R_1*I_(i-1) + the span of the
-    given generators of degree i, and the count is zero in every degree
-    that holds none of them.  Past the socle degree j, I_i is all of R_i
-    and equals R_1*I_(i-1) from degree j + 2 on.  So the count is taken
-    only at the degrees of the given generators that are at most j + 1,
-    and dim R_1*I_(i-1) is a rank, taken with linalg.rank.
-    """
+    """Whether I is minimally generated by two forms, and its minimal
+    generator degrees, as quotient counts them while it builds the algebra
+    (see _build).  algebra, when given, is quotient(ideal)."""
     A = algebra if algebra is not None else quotient(ideal)
-    degrees = []
-    for i in sorted({e for e, _ in ideal._rows if e <= A.socle_degree + 1}):
-        # i >= 1: a unit generator is refused by GradedIdeal
-        grown = linalg.rank(_shifts(A._echelons[i - 1][1]))
-        new = (i + 1) - A.dim(i) - grown
-        if new < 0:
-            raise InternalInconsistency(
-                f"dim I_{i} < dim R_1*I_{i - 1} for I = ({ideal})"
-            )
-        degrees.extend([i] * new)
-    return len(degrees) == 2, tuple(degrees)
+    return len(A._generator_degrees) == 2, A._generator_degrees

@@ -1,17 +1,18 @@
-"""Earlier bodies of thirteen routines, kept as references for differential
+"""Earlier bodies of fourteen routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
 branch-label enumeration with its own interval-split helper, the
-complete-intersection test that counts new generators in every degree,
-the annihilator that echelonizes every degree 0 .. j+1, the rank table
-that carries the image of each A_u one step at a time, the one-step maps
-built by rows from a dense normal form of every monomial, the quotient that
-echelonizes the whole degree_span of every degree, the fraction-free
-Gauss-Jordan elimination (Bareiss) that all of these eliminate with, and
-the realization chain of construct_ci, built on Fraction tuples and
-checked by products of BivariatePoly.  One
-more reference, dual_rank_table, reads the rank table of R/Ann(F) off F
-alone, by Macaulay duality, and shares no code with the quotient or the
-rank kernel.
+complete-intersection test that counts new generators in every degree with
+one elimination each, the initial ideal that substitutes Fraction
+polynomials for x and y, the annihilator that echelonizes every degree 0 ..
+j+1, the rank table that carries the image of each A_u one step at a time,
+the one-step maps built by rows from a dense normal form of every monomial,
+the quotient that echelonizes the whole degree_span of every degree, the
+fraction-free Gauss-Jordan elimination (Bareiss) that all of these
+eliminate with, and the realization chain of construct_ci, built on
+Fraction tuples and checked by products of BivariatePoly.  One more
+reference, dual_rank_table, reads the rank table of R/Ann(F) off F alone,
+by Macaulay duality, and shares no code with the quotient or the rank
+kernel.
 
 Each returns exactly what the jtlab function of the same name returns;
 rank_table and dual_rank_table are ArtinAlgebra._rank_table,
@@ -23,7 +24,12 @@ Q as linalg.echelon, but scaled by its last pivot value, a determinant
 that may be negative, not by the least common denominator; so the
 quotient's echelon forms agree with jtlab's over Q, not entry by entry.
 Every elimination here is the Bareiss echelon of this module, never
-linalg.extend or the forward-only linalg.insert that jtlab runs.
+linalg.extend or the forward-only linalg.insert that jtlab runs, with one
+exception: initial_ideal builds the moved ideal with jtlab's own quotient,
+since the Bareiss quotient takes seconds on a dense dual of degree 30.
+What it checks is the change of coordinates, done with BivariatePoly
+products instead of the integer rows that jtlab moves; the elimination is
+checked against the Bareiss quotient on its own.
 """
 
 import math
@@ -32,7 +38,16 @@ from fractions import Fraction
 from operator import mul
 
 from jtlab import linalg
-from jtlab.algebra import MAX_DEGREE, ArtinAlgebra, GradedIdeal, _shifts, _vec_poly
+from jtlab.algebra import (
+    MAX_DEGREE,
+    ArtinAlgebra,
+    GradedIdeal,
+    MonomialCell,
+    _vec_poly,
+    cell_generators,
+    quotient as extend_quotient,
+    require_linear,
+)
 from jtlab.codes import E, BranchLabel, _arranged, _validate_label, is_cijt
 from jtlab.constructor import Realization
 from jtlab.errors import (
@@ -258,6 +273,11 @@ def enumerate_branch_labels(T):
     return labels
 
 
+def _shifts(rows):
+    """Rows spanning R_1 * V in degree n + 1, from rows spanning V in degree n."""
+    return [[0, *row] for row in rows] + [[*row, 0] for row in rows]
+
+
 def degree_span(ideal, i):
     """Spanning set of the degree-i piece of ideal: monomial multiples of
     the generators, as integer coordinate rows."""
@@ -271,7 +291,8 @@ def degree_span(ideal, i):
 
 def quotient(ideal):
     """One Bareiss echelon of the whole degree_span(i) in every
-    degree i, until I_i is all of R_i."""
+    degree i, until I_i is all of R_i.  The algebra keeps no generator
+    counts; is_complete_intersection here counts them from its forms."""
     maxdeg = max(e for e, _ in ideal._rows)
     if maxdeg > MAX_DEGREE:
         raise BudgetExceeded(
@@ -282,26 +303,71 @@ def quotient(ideal):
     for i in range(bound + 1):
         echelons.append(echelon(degree_span(ideal, i)))
         if len(echelons[-1][0]) == i + 1:
-            return ArtinAlgebra(ideal, echelons)
+            return ArtinAlgebra(ideal, echelons, None)
     raise NotArtinian(
         f"dim A_{bound} = {bound + 1 - len(echelons[-1][0])} > 0 for I = ({ideal})"
     )
 
 
-def is_complete_intersection(ideal, algebra=None):
-    """Count dim I_i - dim R_1*I_(i-1) in every degree 0 .. socle + 1, with
-    one elimination of R_1*I_(i-1) per degree."""
-    A = algebra if algebra is not None else quotient(ideal)
-    degrees = []
-    for i in range(A.socle_degree + 2):
-        grown = len(echelon(_shifts(A._echelons[i - 1][1]))[0]) if i else 0
-        new = (i + 1) - A.dim(i) - grown
+def _generator_counts(ideal, echelons):
+    """dim I_i - dim R_1*I_(i-1) in every degree 0 .. socle + 1, from the
+    echelon forms of I, with one elimination of R_1*I_(i-1) per degree."""
+    counts = []
+    for i, (pivots, _, _) in enumerate(echelons):
+        grown = len(echelon(_shifts(echelons[i - 1][1]))[0]) if i else 0
+        new = len(pivots) - grown
         if new < 0:
             raise InternalInconsistency(
                 f"dim I_{i} < dim R_1*I_{i - 1} for I = ({ideal})"
             )
-        degrees.extend([i] * new)
-    return len(degrees) == 2, tuple(degrees)
+        counts.append(new)
+    return counts
+
+
+def is_complete_intersection(ideal, algebra=None):
+    """The minimal generator degrees counted by _generator_counts on the
+    echelon forms of the algebra, not read off the counts it keeps."""
+    A = algebra if algebra is not None else quotient(ideal)
+    counts = _generator_counts(ideal, A._echelons)
+    degrees = tuple(i for i, n in enumerate(counts) for _ in range(n))
+    return len(degrees) == 2, degrees
+
+
+def initial_ideal(ideal, ell, algebra=None):
+    """The generators substituted as BivariatePoly products over Fraction,
+    x = (x' - b y')/a, y = y' (or x = y', y = x'/b when a = 0), and the
+    moved ideal built again by jtlab's quotient; the algebra is reused only
+    when ell is x itself."""
+    ell = require_linear(ell)
+    a, b = ell.coefficient(1, 0), ell.coefficient(0, 1)
+    if algebra is not None and (a, b) == (1, 0):
+        A = algebra
+    else:
+        x, y = BivariatePoly.monomial(1, 0), BivariatePoly.monomial(0, 1)
+        if a != 0:
+            px = Fraction(1, 1) / a * x - Fraction(b, 1) / a * y
+            py = y
+        else:
+            px = y
+            py = Fraction(1, 1) / b * x
+        moved = GradedIdeal([g.substitute(px, py) for g in ideal.generators])
+        A = extend_quotient(moved)
+    rows = [0] * (A.socle_degree + 1)
+    fill = []
+    for i in range(A.socle_degree + 1):
+        std = A.basis(i)
+        fill.append(tuple(std))
+        for xa, yb in std:
+            rows[yb] = max(rows[yb], xa + 1)
+    parts = [r for r in rows if r]
+    if any(p < q for p, q in zip(parts, parts[1:])):
+        raise InternalInconsistency("standard monomials do not form a Ferrers diagram")
+    Q = Partition(parts)
+    if Q.size != A.dimension:
+        raise InternalInconsistency(
+            f"initial partition {Q} has size {Q.size}, not dim A = {A.dimension}"
+        )
+    return MonomialCell(partition=Q, fill=tuple(fill), generators=cell_generators(Q))
 
 
 def annihilator(F):

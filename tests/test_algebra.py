@@ -18,7 +18,6 @@ from jtlab import linalg
 from jtlab.algebra import (
     MAX_DEGREE,
     GradedIdeal,
-    _shifts,
     _vec_poly,
     annihilator,
     cell_generators,
@@ -124,7 +123,7 @@ def _reference_annihilator(F):
         images = [contract(BivariatePoly.monomial(a, b), F) for a, b in monomials(i)]
         rows = [[image.coefficient(*key) for image in images] for key in target]
         kernel = [linalg.primitive(vec) for vec in _fraction_kernel(rows, i + 1)]
-        grown = ref.echelon(_shifts(prev_kernel))
+        grown = ref.echelon(ref._shifts(prev_kernel))
         for vec in kernel:
             rest = linalg.remainder(vec, *grown)
             if any(rest):
@@ -399,36 +398,38 @@ def test_initial_ideal_agrees_with_jordan_type():
 # -- complete intersection test ------------------------------------------------------
 
 
+CI_CASES = [
+    (("x^2*y", "y^4+x^4"), (True, (3, 4))),
+    (("x*y", "x^3", "y^4"), (False, (2, 3, 4))),
+    (("x^3", "y^4"), (True, (3, 4))),
+    (("x^2", "x*y", "y^3"), (False, (2, 2, 3))),
+    (("x^3", "x^2*y", "x*y^2", "y^3"), (False, (3, 3, 3, 3))),
+    (("x^2", "y^2", "x*y"), (False, (2, 2, 2))),
+    (("x*y", "x^3", "y^4", "x^2*y"), (False, (2, 3, 4))),
+]
+
+
 def test_is_complete_intersection():
-    cases = [
-        (ideal("x^2*y", "y^4+x^4"), (True, (3, 4))),
-        (ideal("x*y", "x^3", "y^4"), (False, (2, 3, 4))),
-        (ideal("x^3", "y^4"), (True, (3, 4))),
-        (ideal("x^2", "x*y", "y^3"), (False, (2, 2, 3))),
-        (ideal("x^3", "x^2*y", "x*y^2", "y^3"), (False, (3, 3, 3, 3))),
-        (ideal("x^2", "y^2", "x*y"), (False, (2, 2, 2))),
-        (ideal("x*y", "x^3", "y^4", "x^2*y"), (False, (2, 3, 4))),
-    ]
-    for I, want in cases:
+    for gens, want in CI_CASES:
+        I = ideal(*gens)
         assert is_complete_intersection(I) == want
         assert is_complete_intersection(I, algebra=quotient(I)) == want
+        assert ref.is_complete_intersection(I, algebra=quotient(I)) == want
 
 
-def test_is_complete_intersection_eliminates_only_at_generator_degrees(monkeypatch):
-    # one elimination per distinct generator degree up to socle + 1: x^2*y
-    # lies in degree 3 beside x^3; x^9 lies past socle + 1 = 3
-    calls = []
-    rank = linalg.rank
-
-    def counted(rows):
-        calls.append(len(rows))
-        return rank(rows)
-
+def test_is_complete_intersection_reads_the_count_off_the_algebra(monkeypatch):
+    # quotient counts the new generators while it builds each degree, so
+    # given the algebra no elimination runs: not at x^2*y, which lies in
+    # degree 3 beside x^3, nor at x^9, which lies past socle + 1 = 3
     I = ideal("x^2", "y^2", "x^3", "x^2*y", "x^9")
     A = quotient(I)
-    monkeypatch.setattr(linalg, "rank", counted)
+
+    def refuse(*args):
+        raise AssertionError("the complete-intersection count eliminated")
+
+    for name in ("rank", "extend", "echelon", "insert"):
+        monkeypatch.setattr(linalg, name, refuse)
     assert is_complete_intersection(I, algebra=A) == (True, (2, 2))
-    assert len(calls) == 2
 
 
 # -- copying and pickling ----------------------------------------------------------

@@ -59,6 +59,8 @@ BAD_INPUT = [
     (("jordan", "x^2", "--ell", "x"), 5, "dim A_"),
     (("jordan", "--ell", "x"), 2, "exactly one"),
     (("jordan", "--dual", "0", "--ell", "x"), 2, "nonzero"),
+    # F is named as given, in X and Y
+    (("jordan", "--dual", "X^2*Y^3+X*Y", "--ell", "x"), 2, "X^2*Y^3 + X*Y is not homogeneous"),
     *(
         (("jordan", *source, "--ell", ell), 2, "linear")
         for source in (("x^2,y^2",), ("--dual", "X*Y"))

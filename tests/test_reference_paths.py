@@ -1,14 +1,17 @@
 """Differential tests: the linear-time diagram scans, the parity-first
 symmetric search, the one-label classification row, the branch-label
-enumeration, the complete-intersection count at generator degrees, the
-annihilator in its two generator degrees, the one-sweep rank table and the
-quotient built one degree from the last against the earlier bodies kept in
-reference_paths.py, and the rank table against the one read off the dual
-generator alone."""
+enumeration, the complete-intersection count read off the build, the
+initial ideal on moved integer rows, the annihilator in its two generator
+degrees, the one-sweep rank table and the quotient built one degree from
+the last against the earlier bodies kept in reference_paths.py, and the
+rank table against the one read off the dual generator alone."""
 
 import itertools
+import json
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +21,12 @@ from jtlab.algebra import (
     ArtinAlgebra,
     GradedIdeal,
     annihilator,
+    initial_ideal,
     is_complete_intersection,
     quotient,
+    rank_mult_power,
 )
-from jtlab.cli import classification_row
+from jtlab.cli import _parse_ideal_arg, classification_row
 from jtlab.codes import (
     E,
     BranchLabel,
@@ -48,7 +53,7 @@ from jtlab.partitions import (
     symmetric_string_placement,
 )
 from jtlab.polynomials import BivariatePoly, parse_poly
-from test_algebra import RANK_TABLE_CASES
+from test_algebra import CI_CASES, RANK_TABLE_CASES
 from tests_support import power_sum_duals, random_dual_form, random_dual_generator
 
 ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
@@ -231,6 +236,105 @@ def test_ci_count_matches_reference_on_realization_sweep():
     assert count == 150
 
 
+def _padded(rng, I, A):
+    """I with the same minimal generators, listed in a shuffled order with
+    one generator twice, a multiple g*ell of one by a linear form, and a
+    nonzero form of degree socle + 2 .. socle + 4, which lies in I."""
+    gens = list(I.generators)
+    g = rng.choice(gens)
+    ell = BivariatePoly.linear(rng.randint(-3, 3), rng.choice((1, 2, -1)))
+    top = A.socle_degree + rng.randint(2, 4)
+    past = BivariatePoly({(a, top - a): rng.randint(-2, 2) for a in range(top + 1)})
+    past = past if not past.is_zero() else BivariatePoly.monomial(top, 0)
+    gens += [rng.choice(gens), g * ell, past]
+    rng.shuffle(gens)
+    return GradedIdeal(gens)
+
+
+def test_ci_count_matches_reference_on_padded_ideals():
+    rng = random.Random(17)
+    ideals = [GradedIdeal([parse_poly(g) for g in gens]) for gens, _ in CI_CASES]
+    ideals += [I for _, _, I in _realization_ideals(random.Random("realize_sweep:0"))]
+    for I in ideals:
+        A = quotient(I)
+        J = _padded(rng, I, A)
+        B = quotient(J)
+        assert B.hilbert == A.hilbert, J
+        want = is_complete_intersection(I, algebra=A)
+        assert is_complete_intersection(J, algebra=B) == want, J
+        assert ref.is_complete_intersection(J, algebra=B) == want, J
+        assert ref.is_complete_intersection(J) == want, J
+    assert len(ideals) == len(CI_CASES) + 150
+
+
+# -- initial ideals on moved integer rows -----------------------------------------
+
+# x, y, 2x, x + y, x + 2y, -x + y, 3x - 5y and x/2 + y
+INITIAL_DIRECTIONS = [
+    BivariatePoly.linear(a, b)
+    for a, b in [(1, 0), (0, 1), (2, 0), (1, 1), (1, 2), (-1, 1), (3, -5), (Fraction(1, 2), 1)]
+]
+
+
+def _golden_ideals():
+    """The five ideals of tests/golden/jordan.json, in file order."""
+    cases = json.loads((Path(__file__).parent / "golden" / "jordan.json").read_text())
+    sources = dict.fromkeys(tuple(case["argv"][1:3]) for case in cases)
+    return [
+        annihilator(parse_poly(text)) if flag == "--dual" else _parse_ideal_arg(flag)
+        for flag, text in sources
+    ]
+
+
+INITIAL_FAMILIES = {
+    "realize_sweep seed 0": lambda: [
+        I for _, _, I in _realization_ideals(random.Random("realize_sweep:0"))
+    ],
+    "jordan golden": _golden_ideals,
+    "non-CI": lambda: [
+        GradedIdeal([parse_poly(g) for g in gens]) for gens, (ci, _) in CI_CASES if not ci
+    ],
+    "dense j = 10 .. 30": lambda: [
+        annihilator(random_dual_generator(random.Random(0), j, j))
+        for j in (10, 14, 18, 22, 26, 30)
+    ],
+}
+
+
+@pytest.mark.parametrize("family", INITIAL_FAMILIES)
+def test_initial_ideal_matches_reference(family):
+    ideals = INITIAL_FAMILIES[family]()
+    assert len(ideals) == {"realize_sweep seed 0": 150, "jordan golden": 5}.get(
+        family, len(ideals)
+    )
+    for I in ideals:
+        A = quotient(I)
+        for ell in INITIAL_DIRECTIONS:
+            want = ref.initial_ideal(I, ell)
+            assert initial_ideal(I, ell) == want, (I, ell)
+            assert initial_ideal(I, ell, algebra=A) == want, (I, ell)
+
+
+def test_initial_ideal_counts_are_ranks_of_powers():
+    # with x' = ell, the standard monomials of degree i with y'-exponent at
+    # most u are those divisible by x'^(i-u), and they number the rank of
+    # ell^(i-u): A_u -> A_i; initial_ideal does not read it that way, so
+    # this ties its elimination to the rank table
+    rng = random.Random(4)
+    directions = [BivariatePoly.linear(a, b) for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5)]]
+    checks = 0
+    for _ in range(150):
+        I, A, _ = _random_artinian_ideal(rng)
+        for ell in directions:
+            cell = initial_ideal(I, ell)
+            for i, fill in enumerate(cell.fill):
+                for u in range(i + 1):
+                    count = sum(1 for _, yb in fill if yb <= u)
+                    assert count == rank_mult_power(A, ell, u, i), (I, ell, u, i)
+                    checks += 1
+    assert checks == 11675
+
+
 # -- annihilator in its two generator degrees ----------------------------------
 
 X, Y = parse_poly("X"), parse_poly("Y")
@@ -367,7 +471,7 @@ def test_rank_table_matches_reference_on_a_degree_30_dual(handed_maps):
     # 700 bits long; divided by their content they stay under 64, on those
     # forms and on the least-common-denominator forms of quotient
     I = annihilator(parse_poly("X^15*Y^15 + X^30 + 3/2*Y^30"))
-    bareiss = ArtinAlgebra(I, ref.quotient(I)._echelons)
+    bareiss = ref.quotient(I)
     A = quotient(I)
     assert A.socle_degree == bareiss.socle_degree == 30
     for a, b in [(1, 2), (1, 1)]:

@@ -145,3 +145,70 @@ def test_only_the_gluing_gives_a_partition_its_label():
         for where, _ in _label_writes(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == ["codes.py:branch_label_to_partition"], found
+
+
+def _fractions_imports(tree):
+    """Line numbers of every import of the fractions module in a parsed
+    module: import fractions, import fractions as f, from fractions import
+    Fraction, and the same for a submodule path starting with fractions."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "fractions" or name.startswith("fractions.") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def _substitute_calls(tree):
+    """Line numbers of every call spelt <expression>.substitute(...) in a
+    parsed module."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "substitute"
+    ]
+
+
+def test_fraction_and_substitute_guards_see_every_spelling():
+    tree = ast.parse(
+        "import fractions\n"
+        "import fractions as f\n"
+        "from fractions import Fraction\n"
+        "import math, fractions\n"
+        "from .fractions import x\n"
+        "import fractionsx\n"
+    )
+    assert _fractions_imports(tree) == [1, 2, 3, 4]
+    tree = ast.parse(
+        "g.substitute(px, py)\n"
+        "gens[0].substitute(px, py)\n"
+        "BivariatePoly.substitute(g, px, py)\n"
+        "substitute(g)\n"
+        "h = g.substitute\n"
+    )
+    assert _substitute_calls(tree) == [1, 2, 3]
+
+
+def test_algebra_does_no_fraction_arithmetic():
+    # generators come in as integer rows and initial ideals move those rows,
+    # so algebra.py has no use for Fraction
+    path = PACKAGE / "algebra.py"
+    assert _fractions_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_no_module_substitutes_polynomials():
+    # a change of coordinates moves integer rows (algebra._moved); the
+    # BivariatePoly products behind substitute are left to the tests
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _substitute_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"substitute called in the package: {found}"
