@@ -14,11 +14,11 @@ the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
 one place and multiplying by y appends a zero.  The ideal is stored as
 integer echelon forms, built one degree from the last with linalg.extend by
 _build, which also counts the minimal generators and, on generator rows
-moved to new coordinates, gives every initial ideal.  A question that needs
-only a rank (a rank table, the middle catalecticant of a dual generator)
-goes through the forward-only kernel linalg.insert, or linalg.rank where a
-matrix is given whole.  Fraction is met only in a BivariatePoly's
-coefficients, where a polynomial comes in or goes out.
+moved to new coordinates, gives every initial ideal.  A rank table needs
+only ranks, so it goes through the forward-only kernel linalg.insert.  A
+dual generator is read only through polynomials.dual_data.  Fraction is
+met only in a BivariatePoly's coefficients, where a polynomial comes in or
+goes out.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     ZeroInput,
 )
 from .partitions import JordanDegreeType, Partition
-from .polynomials import BivariatePoly, divided_power_vector
+from .polynomials import MAX_DEGREE, BivariatePoly, catalecticant, dual_data
 
 __all__ = [
     "GradedIdeal",
@@ -55,15 +55,6 @@ __all__ = [
     "is_complete_intersection",
     "require_linear",
 ]
-
-# Largest generator degree that quotient accepts, checked before any
-# elimination; annihilator accepts a dual generator of degree j only when
-# j + 1 <= MAX_DEGREE, since Ann(L^j) has a generator of degree j + 1.  At
-# the cap, on a shared 2-core host (Python 3.11), `jtlab jordan` takes about
-# 0.4 s on the dual generator X^24*Y^25 + X^49 + 3/2*Y^49, 1 s on a dense
-# one of degree 49 (45 of its 50 coefficients nonzero) and 1 s on the ideal
-# (x^50, y^50); with the cap lifted, (x^100, y^100) takes about 10 s.
-MAX_DEGREE = 50
 
 
 def monomials(n):
@@ -180,9 +171,6 @@ class ArtinAlgebra:
         # equal forms compare equal
         self._rank_tables = {}
         self._pivot_forms = None  # filled by _one_step_maps
-        # dual generator F -> (HilbertFunction, divided_power_vector(F)),
-        # kept by hessians.hessian_rank_at for later calls about F
-        self.dual_vectors = {}
 
     @property
     def dimension(self):
@@ -386,60 +374,38 @@ def annihilator(F):
     nonzero binary form F of degree j.
 
     Ann(F)_i is the kernel of the catalecticant, the contraction map
-    R_i -> E_(j-i).  Its row of Y^v is scaled by (j-i-v)! v!, which leaves
-    the kernel unchanged and makes it the integer Hankel matrix
-    [g_(v+i-t)] of F's divided-power vector g
-    (polynomials.divided_power_vector).
+    R_i -> E_(j-i).  Its row of Y^v scaled by (j-i-v)! v!, which leaves
+    the kernel unchanged, is polynomials.catalecticant(g, i), the integer
+    Hankel matrix [g_(v+i-t)] of F's divided-power vector g.
 
     R/Ann(F) is Gorenstein of codimension two, so by the structure theorem
     in codimension two (Macaulay; Iarrobino-Kanev, "Power Sums, Gorenstein
     Algebras, and Determinantal Loci", LNM 1721) Ann(F) is a
     complete intersection generated in degrees d <= e with d + e = j + 2,
-    where d is the rank of the middle catalecticant, i = j // 2, taken with
-    linalg.rank.  A kernel is needed only in the degrees d and e, and is
-    read off the reduced form that linalg.echelon folds from linalg.extend
-    there.  The generator of degree d spans the kernel there, which has
-    dimension 1, or 2 when d = e.  The generator of degree e is the one
-    kernel vector of degree e not in R_(e-d) times the first generator,
-    reduced modulo those shifts.  Each is scaled to coprime integer
-    coefficients with a positive leading term.  Raises BudgetExceeded when
-    Ann(F) may have a generator of degree over MAX_DEGREE, that is when
-    j + 1 > MAX_DEGREE, and ParseError, naming F in X and Y, when F is not
-    homogeneous.
+    where d is the rank of the middle catalecticant, i = j // 2.  g and d
+    are read by polynomials.dual_data, which checks F and raises its
+    errors: ZeroInput, ParseError naming F in X and Y when F is not
+    homogeneous, and BudgetExceeded when j + 1 > MAX_DEGREE.  A kernel is
+    needed only in the degrees d and e, and is read off the reduced form
+    that linalg.echelon folds from linalg.extend there.  The generator of
+    degree d spans the kernel there, which has dimension 1, or 2 when
+    d = e.  The generator of degree e is the one kernel vector of degree e
+    not in R_(e-d) times the first generator, reduced modulo those shifts.
+    Each is scaled to coprime integer coefficients with a positive leading
+    term.
     """
-    if not isinstance(F, BivariatePoly) or F.is_zero():
-        raise ZeroInput("dual generator must be a nonzero polynomial")
-    if not F.is_homogeneous():
-        raise ParseError(f"{F.text(('X', 'Y'))} is not homogeneous")
-    j = F.degree()
-    if j + 1 > MAX_DEGREE:
-        raise BudgetExceeded(
-            f"a dual generator of degree {j} may have an annihilator generator "
-            f"of degree {j + 1}, over the cap of {MAX_DEGREE}"
-        )
-    g = divided_power_vector(F)
-
-    def catalecticant(i):
-        # R_i -> E_(j-i), with the row of Y^v scaled by (j-i-v)! v!: its
-        # entry at column x^t y^(i-t) is g_(v+i-t)
-        return [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
-
-    def kernel(i):
-        return linalg.null_vectors(*linalg.echelon(catalecticant(i)), i + 1)
-
-    d = linalg.rank(catalecticant(j // 2))
-    e = j + 2 - d
-    kernel_d = kernel(d)
-    kernel_e = kernel_d if e == d else kernel(e)
-    if len(kernel_d) != 1 + (d == e) or len(kernel_e) != e - d + 2:
+    g, d = dual_data(F)
+    e = len(g) + 1 - d  # d + e = j + 2
+    kernel = {i: linalg.null_vectors(*linalg.echelon(catalecticant(g, i)), i + 1) for i in {d, e}}
+    if len(kernel[d]) != 1 + (d == e) or len(kernel[e]) != e - d + 2:
         raise InternalInconsistency(
-            f"Ann({F}) has kernel dimensions {len(kernel_d)} in degree {d} and "
-            f"{len(kernel_e)} in degree {e}, not those of a complete intersection"
+            f"Ann({F}) has kernel dimensions {len(kernel[d])} in degree {d} and "
+            f"{len(kernel[e])} in degree {e}, not those of a complete intersection"
         )
-    first = linalg.primitive(kernel_d[0])
+    first = linalg.primitive(kernel[d][0])
     # R_(e-d) * first: x^a y^(e-d-a) times the degree-d generator
     shifts = linalg.echelon([[0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)])
-    rests = (linalg.remainder(vec, *shifts) for vec in kernel_e)
+    rests = (linalg.remainder(vec, *shifts) for vec in kernel[e])
     second = next((rest for rest in rests if any(rest)), None)
     if second is None:
         raise InternalInconsistency(f"Ann({F}) has no generator in degree {e}")

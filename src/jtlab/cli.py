@@ -171,13 +171,18 @@ def emit_table(data, fmt, out):
         render_plain(data["headers"], data["rows_text"], out)
 
 
-def classification_table(T, cijt_only=False, with_subscripts=False):
-    count = diagonal_partition_count(T)
+def _refuse_over_cap(T, count, verb):
+    """Raise BudgetExceeded, before anything is enumerated, when a command
+    would verb count partitions of diagonal lengths T, over MAX_TABLE_ROWS."""
     if count > MAX_TABLE_ROWS:
         raise BudgetExceeded(
-            f"T(d={T.d}, k={T.k}) would enumerate {count} partitions, "
+            f"T(d={T.d}, k={T.k}) would {verb} {count} partitions, "
             f"over the cap of {MAX_TABLE_ROWS}"
         )
+
+
+def classification_table(T, cijt_only=False, with_subscripts=False):
+    _refuse_over_cap(T, diagonal_partition_count(T), "enumerate")
     partitions = enumerate_diagonal_partitions(T)
     if cijt_only:
         partitions = [P for P in partitions if is_cijt(P)]
@@ -325,6 +330,7 @@ def cmd_realize(args, out):
     fmt = args.format
     if args.all is not None:
         T = HilbertFunction(args.all)
+        _refuse_over_cap(T, 2**T.branches, "realize")  # one per CIJT
         results = realize_all(T, seed=None if args.alpha_zero else seed)
         passed = sum(report.all_passed for _, _, report in results)
         if fmt == "json":
@@ -465,6 +471,19 @@ def cmd_table(args, out):
 # entry
 
 
+def _join_form_values(argv):
+    """argv with a value that starts with one minus sign joined to the form
+    option before it, --ell -x+y as --ell=-x+y, since argparse reads a
+    separate -x+y as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--ell", "--dual") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jtlab",
@@ -516,7 +535,7 @@ def build_parser():
 def main(argv=None, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_form_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "realize" and (args.partition is None) == (args.all is None):
             raise ParseError("give exactly one of a partition or --all T")

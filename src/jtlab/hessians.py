@@ -8,18 +8,25 @@ exactly when multiplication by L^(j-2i) from A_i to A_(j-i) drops rank.
 Vanishing is therefore always decided here by exact ranks of multiplication
 maps; symbolic determinants are only for display.
 
-The rank of the i-th Hessian at a point needs no symbolic matrix.  The
-matrix is Hankel: its entry in row r, column c is
+The rank of the i-th Hessian at a point needs no symbolic matrix and no
+algebra.  The matrix is Hankel: its entry in row r, column c is
 (x^(2i-t) y^t o F)(a, b) with t = r + c.  With g the divided-power vector
-of F (polynomials.divided_power_vector) and n = j - 2i,
+of F and n = j - 2i,
 
     h_t = sum_r C(n, r) a^(n-r) b^r g_(t+r),   t = 0, ..., 2i,
 
-is n! times that entry, up to the one common factor of g.  The rank is
-taken of the integer Hankel matrix [h_(r+c)], with (a, b) first scaled to
-coprime integers: a nonzero scale of the point, of g or of every entry
-changes no rank.  It is a rank-only question, so linalg.rank answers it
-with the forward-only kernel linalg.insert and builds no reduced form.
+is n! times that entry, up to the one common factor of g: h is the
+divided-power vector of L^n o F, and the Hessian is, up to these factors,
+its middle catalecticant.  Its rank is that of the integer Hankel matrix
+polynomials.catalecticant(h, i), with (a, b) first scaled to coprime
+integers: a nonzero scale of the point, of g or of every entry changes no
+rank.  It is a rank-only question, so linalg.rank answers it with the
+forward-only kernel linalg.insert and builds no reduced form.
+
+The orders are 0 <= i <= d - 1, with d the rank of F's middle
+catalecticant.  g and d are read by polynomials.dual_data, the one reader
+of a dual generator, which checks F once and keeps both on it.  An algebra,
+when one is passed, is only cross-checked: below d, A_i is all of R_i.
 
 Mixed orders are written (u, s) = (source degree, target degree): the rank
 of L^(s-u): A_u -> A_s.  In the determinant picture this map corresponds to
@@ -33,7 +40,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .algebra import annihilator, quotient, rank_mult_power
+from .algebra import rank_mult_power
 from .codes import _runs, cijt_from_composition, is_cijt
 from .errors import (
     InternalInconsistency,
@@ -51,7 +58,7 @@ from .partitions import (
     hilbert_function,
     sl_partition,
 )
-from .polynomials import BivariatePoly, contract, divided_power_vector
+from .polynomials import BivariatePoly, catalecticant, contract, dual_data
 
 __all__ = [
     "hessian_matrix",
@@ -72,22 +79,28 @@ def hessian_matrix(F, i, algebra=None):
 
     The basis of A_i is the full set of degree-i monomials (the ideal of a
     Gorenstein quotient of k[x,y] starts in degree d > i), ordered by
-    descending x-exponent: (x^i, x^(i-1) y, ..., y^i).
+    descending x-exponent: (x^i, x^(i-1) y, ..., y^i).  The matrix is
+    Hankel: its entry in row r, column c is x^(2i-t) y^t o F with t = r + c,
+    so 2i + 1 contractions fill it.  The order i is checked against F's d by
+    _check_order, which also cross-checks a given algebra; no algebra is
+    built.
     """
-    A = algebra if algebra is not None else quotient(annihilator(F))
-    _check_order(i, A, HilbertFunction(A.hilbert))
-    basis = [BivariatePoly.monomial(i - b, b) for b in range(i + 1)]
-    return [[contract(mu * mv, F) for mv in basis] for mu in basis]
+    _check_order(F, i, algebra)
+    entries = [contract(BivariatePoly.monomial(2 * i - t, t), F) for t in range(2 * i + 1)]
+    return [entries[r : r + i + 1] for r in range(i + 1)]
 
 
-def _check_order(i, A, T):
-    """Raise OrderOutOfRange unless 0 <= i <= d-1 for the Hilbert function
-    T of the algebra A = quotient(annihilator(F)), and InternalInconsistency
-    unless A_i is all of R_i, as it is below d."""
-    if not 0 <= i <= T.d - 1:
-        raise OrderOutOfRange(f"order {i} outside [0, {T.d - 1}]")
-    if A.dim(i) != i + 1:
-        raise InternalInconsistency(f"dim A_{i} = {A.dim(i)}, not {i + 1}, below d = {T.d}")
+def _check_order(F, i, A):
+    """F's divided-power vector, read by dual_data, once 0 <= i <= d-1 is
+    checked against its d (OrderOutOfRange).  A given algebra
+    A = quotient(annihilator(F)) raises InternalInconsistency unless A_i is
+    all of R_i, as it is below d."""
+    g, d = dual_data(F)
+    if not 0 <= i <= d - 1:
+        raise OrderOutOfRange(f"order {i} outside [0, {d - 1}]")
+    if A is not None and A.dim(i) != i + 1:
+        raise InternalInconsistency(f"dim A_{i} = {A.dim(i)}, not {i + 1}, below d = {d}")
+    return g
 
 
 def hessian_determinant(F, i, algebra=None):
@@ -118,14 +131,14 @@ def evaluate_matrix(mat, a, b):
 def hessian_rank_at(F, i, point, algebra=None):
     """Rank of the i-th Hessian matrix of F evaluated at point = (a, b).
 
-    The rank of the integer Hankel matrix [h_(r+c)] of the module
-    docstring, which is n! = (j - 2i)! times the evaluated Hessian up to
-    one nonzero factor, taken with linalg.rank.  It is computed from F
-    alone, never from a rank table of the algebra; algebra, when given,
-    is quotient(annihilator(F)) and serves the order check.  The algebra
-    keeps its validated Hilbert function and F's divided-power vector for
-    later calls about the same F.  Raises ParseError unless point is two
-    finite rational coordinates, and ZeroForm when both are 0.
+    rank(catalecticant(h, i)), with h the divided-power vector of
+    L^(j-2i) o F of the module docstring, which is (j - 2i)! times the
+    evaluated Hessian up to one nonzero factor.  It is computed from F
+    alone, never from an algebra: the order range comes from dual_data,
+    and algebra, when given, is quotient(annihilator(F)) and only
+    cross-checked by _check_order.  Raises ParseError unless point is two
+    finite rational coordinates, and ZeroForm when both are 0, before F is
+    read.
     """
     try:
         coords = [Fraction(v) for v in point]
@@ -136,17 +149,11 @@ def hessian_rank_at(F, i, point, algebra=None):
     a, b = primitive(coords)
     if not (a or b):
         raise ZeroForm("the point (0, 0) is no linear form")
-    A = algebra if algebra is not None else quotient(annihilator(F))
-    known = A.dual_vectors.get(F)
-    T = known[0] if known else HilbertFunction(A.hilbert)
-    _check_order(i, A, T)
-    if known is None:
-        known = A.dual_vectors[F] = (T, divided_power_vector(F))
-    g = known[1]
+    g = _check_order(F, i, algebra)
     n = len(g) - 1 - 2 * i
     weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
     h = [sum(map(mul, weights, g[t:])) for t in range(2 * i + 1)]
-    return rank([h[r : r + i + 1] for r in range(i + 1)])
+    return rank(catalecticant(h, i))
 
 
 def active_hessian_indices(T):
@@ -197,12 +204,8 @@ def cijt_from_hessian_subset(T, S):
     if not S <= active:
         raise InvalidSubset(f"{sorted(S)} not within active orders {sorted(active)}")
     ordered = sorted(S)
-    comp = []
-    prev = -1
-    for s in ordered:
-        comp.append(s - prev)
-        prev = s
-    return cijt_from_composition(T, tuple(comp))
+    comp = tuple(s - prev for s, prev in zip(ordered, [-1] + ordered))
+    return cijt_from_composition(T, comp)
 
 
 def _vanishing_runs(T, S):

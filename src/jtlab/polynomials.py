@@ -10,6 +10,11 @@ exponent is insufficient.
 For a form F = sum c_m X^(j-m) Y^m of degree j, every contraction of F is
 read off one integer vector: x^(j-m) y^m o F = c_m (j-m)! m!, and
 `divided_power_vector` returns these j+1 numbers as coprime integers.
+
+`dual_data` is the one reader of a dual generator F: it checks F once,
+and returns its divided-power vector g and d, the rank of its middle
+catalecticant, which it keeps on F.  Every catalecticant, F's own and
+those of the Hessians, is built by `catalecticant` as integer Hankel rows.
 """
 
 from __future__ import annotations
@@ -18,29 +23,41 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ParseError, ZeroInput
-from .linalg import primitive
+from .errors import BudgetExceeded, ParseError, ZeroInput
+from .linalg import primitive, rank
 
 __all__ = [
     "BivariatePoly",
+    "catalecticant",
     "contract",
     "divided_power_vector",
+    "dual_data",
     "falling_factorial",
     "parse_poly",
 ]
 
 _ZERO = Fraction(0)
 
+# Largest generator degree that algebra.quotient accepts, checked before any
+# elimination; dual_data accepts a dual generator of degree j only when
+# j + 1 <= MAX_DEGREE, since Ann(L^j) has a generator of degree j + 1.  At
+# the cap, on a shared 2-core host (Python 3.11), `jtlab jordan` takes about
+# 0.4 s on the dual generator X^24*Y^25 + X^49 + 3/2*Y^49, 1 s on a dense
+# one of degree 49 (45 of its 50 coefficients nonzero) and 1 s on the ideal
+# (x^50, y^50); with the cap lifted, (x^100, y^100) takes about 10 s.
+MAX_DEGREE = 50
+
 
 class BivariatePoly:
     """A polynomial in two variables over the rationals.
 
     Immutable.  Its hash is computed on first use and kept in the private
-    slot _hash, which is neither compared, copied nor pickled: a copy or a
-    pickled twin computes the same value again.
+    slot _hash, and dual_data keeps what it reads off a dual generator in
+    the private slot _dual.  Neither slot is compared, copied or pickled: a
+    copy or a pickled twin computes the same values again.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_dual")
 
     def __init__(self, terms=None):
         clean = {}
@@ -104,10 +121,7 @@ class BivariatePoly:
         return BivariatePoly(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return BivariatePoly(out)
+        return self + -other
 
     def __neg__(self):
         return BivariatePoly({key: -c for key, c in self.terms.items()})
@@ -236,6 +250,42 @@ def divided_power_vector(F):
     j = F.homogeneous_degree()
     fact = math.factorial
     return primitive([F.coefficient(j - m, m) * fact(j - m) * fact(m) for m in range(j + 1)])
+
+
+def catalecticant(g, i):
+    """The integer Hankel rows [g_(v+i-t)], v = 0 .. j-i, t = 0 .. i, of a
+    divided-power vector g = (g_0, ..., g_j): the contraction map
+    R_i -> E_(j-i) of the form with that vector, its row of Y^v scaled by
+    (j-i-v)! v! and its column t that of x^t y^(i-t)."""
+    return [[g[v + i - t] for t in range(i + 1)] for v in range(len(g) - i)]
+
+
+def dual_data(F):
+    """(g, d) for a dual generator F of degree j: g, the tuple of
+    divided_power_vector(F), and d, the rank of its middle catalecticant,
+    i = j // 2, taken with linalg.rank.
+
+    The one reader of a dual generator: the pair is computed on the first
+    read of F and kept in F's private slot _dual, which no other function
+    writes, so every later read returns it.  Raises ZeroInput when F is
+    zero or no polynomial, ParseError, naming F in X and Y, when F is not
+    homogeneous, and BudgetExceeded when j + 1 > MAX_DEGREE, since Ann(F)
+    may then have a generator of degree over the cap.
+    """
+    if not isinstance(F, BivariatePoly) or F.is_zero():
+        raise ZeroInput("dual generator must be a nonzero polynomial")
+    if getattr(F, "_dual", None) is None:
+        if not F.is_homogeneous():
+            raise ParseError(f"{F.text(('X', 'Y'))} is not homogeneous")
+        j = F.degree()
+        if j + 1 > MAX_DEGREE:
+            raise BudgetExceeded(
+                f"a dual generator of degree {j} may have an annihilator generator "
+                f"of degree {j + 1}, over the cap of {MAX_DEGREE}"
+            )
+        g = tuple(divided_power_vector(F))
+        object.__setattr__(F, "_dual", (g, rank(catalecticant(g, j // 2))))
+    return F._dual
 
 
 _TERM_RE = re.compile(

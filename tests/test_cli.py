@@ -56,6 +56,9 @@ BAD_INPUT = [
     (("realize",), 2, "exactly one"),
     (("realize", "6,4,2", "--all", "1,2,3,3,2,1"), 2, "exactly one"),
     (("realize", "--all", "1,3,1"), 2, "not of the form"),
+    # 2^16 CIJTs, over MAX_TABLE_ROWS, refused before any is enumerated;
+    # uncapped, T(18, 2) still runs after 8 s
+    (("realize", "--all", str(HilbertFunction.from_dk(16, 2))), 2, "cap"),
     (("jordan", "x^2", "--ell", "x"), 5, "dim A_"),
     (("jordan", "--ell", "x"), 2, "exactly one"),
     (("jordan", "--dual", "0", "--ell", "x"), 2, "nonzero"),
@@ -114,6 +117,22 @@ def test_bad_input_exit_code_and_one_error_line(argv, want_code, needle):
 def test_inputs_at_the_parts_cap_run(argv):
     code, out, err = run_cli(*argv)
     assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (("jordan", "x^2,y^3", "--ell", "-x+y"), ("jordan", "x^2,y^3", "--ell=-x+y")),
+        (("jordan", "--dual", "-X^2*Y^3+Y^5", "--ell", "x"), ("jordan", "--dual=-X^2*Y^3+Y^5", "--ell", "x")),
+        (("jordan", "--ell", "-x-y", "--dual", "-X^4"), ("jordan", "--ell=-x-y", "--dual=-X^4")),
+    ],
+    ids=["ell", "dual", "both"],
+)
+def test_a_form_with_a_leading_minus_needs_no_equals_sign(argv, joined):
+    # argparse alone reads a separate -x+y as an option
+    result = run_cli(*argv)
+    assert result == run_cli(*joined)
+    assert result[0] == 0 and result[1] and not result[2]
 
 
 def test_non_integer_env_seed_exits_2():

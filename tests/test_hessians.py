@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import jtlab
-from jtlab import hessians, linalg, partitions
+from jtlab import algebra, hessians, linalg, partitions, polynomials
 from jtlab.algebra import GradedIdeal, annihilator, quotient, rank_mult_power
 from jtlab.codes import enumerate_cijt, iota
 from jtlab.constructor import construct_ci
 from jtlab.errors import (
+    BudgetExceeded,
     InternalInconsistency,
     InvalidSubset,
     NotCIJT,
@@ -22,6 +23,7 @@ from jtlab.errors import (
     ParseError,
     TopRequiresKGe2,
     ZeroForm,
+    ZeroInput,
 )
 from jtlab.hessians import (
     active_hessian_indices,
@@ -38,7 +40,7 @@ from jtlab.hessians import (
 from jtlab.partitions import HilbertFunction, Partition, dominance_leq, sl_partition
 from jtlab.polynomials import BivariatePoly, parse_poly
 
-from tests_support import power_sum_duals, random_dual_generator
+from tests_support import copies, dual_fuzz_forms, power_sum_duals, random_dual_generator
 
 T33 = HilbertFunction("1,2,3,3,2,1")
 ELL_X = BivariatePoly.linear(1, 0)
@@ -287,7 +289,10 @@ def test_hessian_rank_at_reads_no_rank_table(monkeypatch):
     assert ranks == [_symbolic_hessian_rank(F, i, (1, 1), A) for i in range(3)]
 
 
-def test_hessian_rank_at_derives_dual_vector_once_per_algebra_and_form(monkeypatch):
+def test_dual_data_is_read_once_per_form_object(monkeypatch):
+    # one dual-data computation covers annihilator(F) and every Hessian of F,
+    # with or without an algebra, and no Hilbert function is validated for
+    # them; another form object, equal or not, computes its own
     counted = {"dual": 0, "hilbert": 0}
 
     def counting(name, fn):
@@ -297,25 +302,84 @@ def test_hessian_rank_at_derives_dual_vector_once_per_algebra_and_form(monkeypat
 
         return wrapper
 
+    monkeypatch.setattr(polynomials, "divided_power_vector", counting("dual", polynomials.divided_power_vector))
     F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
     A = quotient(annihilator(F))
     active = active_hessian_indices(HilbertFunction(A.hilbert))
-    monkeypatch.setattr(hessians, "divided_power_vector", counting("dual", hessians.divided_power_vector))
+    assert counted["dual"] == 1
     monkeypatch.setattr(partitions, "validate_ci_hilbert", counting("hilbert", partitions.validate_ci_hilbert))
     for point in [(1, 0), (0, 1), (1, 1), (1, 2)]:
         for i in active:
-            hessian_rank_at(F, i, point, algebra=A)
-    assert counted == {"dual": 1, "hilbert": 1}
-    # an equal form built apart is the same form; the order check still runs
-    hessian_rank_at(parse_poly("X^5 + 3*X^2*Y^3 - Y^5"), 1, (2, -3), algebra=A)
+            assert hessian_rank_at(F, i, point, algebra=A) == hessian_rank_at(F, i, point)
+    hessian_matrix(F, 1)
+    hessian_matrix(F, 2, algebra=A)
     with pytest.raises(OrderOutOfRange):
-        hessian_rank_at(F, 3, (1, 1), algebra=A)
-    assert counted == {"dual": 1, "hilbert": 1}
-    # another form, or another algebra, derives its own
+        hessian_rank_at(F, 3, (1, 1))
+    assert annihilator(F) == A.ideal
+    assert counted == {"dual": 1, "hilbert": 0}
+    # an equal form built apart, and a copy or pickled twin, which carry
+    # no dual data, each read it again
+    twins = [parse_poly("X^5 + 3*X^2*Y^3 - Y^5"), *copies(F)]
+    for twin in twins:
+        assert hessian_rank_at(twin, 1, (2, -3), algebra=A) == hessian_rank_at(F, 1, (2, -3))
     G = parse_poly("X^5 - Y^5")
-    hessian_rank_at(G, 1, (1, 1), algebra=quotient(annihilator(G)))
-    hessian_rank_at(F, 1, (1, 1))
-    assert counted["dual"] == 3
+    hessian_rank_at(G, 1, (1, 1))
+    hessian_rank_at(G, 1, (1, 2), algebra=quotient(annihilator(G)))
+    assert counted == {"dual": 2 + len(twins), "hilbert": 0}
+
+
+def test_hessians_build_no_algebra(monkeypatch):
+    # without an algebra the order range is read off F, so no quotient is
+    # built: with the builder refusing, both still answer
+    F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
+    A = quotient(annihilator(F))
+    want = [hessian_rank_at(F, i, (1, 2), algebra=A) for i in range(3)]
+    matrix = hessian_matrix(F, 2, algebra=A)
+
+    def refuse(*args):
+        raise AssertionError("algebra built")
+
+    monkeypatch.setattr(algebra, "_build", refuse)
+    G = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")  # no dual data read yet
+    assert [hessian_rank_at(G, i, (1, 2)) for i in range(3)] == want
+    assert hessian_matrix(G, 2) == matrix
+    with pytest.raises(OrderOutOfRange):
+        hessian_matrix(G, 3)
+    with pytest.raises(AssertionError, match="algebra built"):
+        quotient(annihilator(G))
+
+
+def test_hessian_ranks_agree_with_and_without_an_algebra():
+    # the 104 seed-0 dual_fuzz forms in its four directions; the form asked
+    # without an algebra is a pickled twin, so it reads its own dual data
+    directions = ((1, 0), (0, 1), (1, 1), (1, 2))
+    checked = 0
+    for F in dual_fuzz_forms():
+        A = quotient(annihilator(F))
+        twin = copies(F)[2]
+        for i in active_hessian_indices(HilbertFunction(A.hilbert)):
+            for point in directions:
+                assert hessian_rank_at(F, i, point, algebra=A) == hessian_rank_at(twin, i, point)
+                checked += 1
+    assert checked > 104 * 4 * 2
+
+
+@pytest.mark.parametrize(
+    "F, error",
+    [
+        (BivariatePoly.zero(), ZeroInput),
+        ("X^2*Y^3", ZeroInput),  # not a polynomial
+        (parse_poly("X^2*Y^3+X*Y"), ParseError),
+        (parse_poly("X^400"), BudgetExceeded),
+    ],
+    ids=["zero", "text", "not homogeneous", "over the cap"],
+)
+def test_hessians_without_an_algebra_refuse_a_bad_form(F, error):
+    # the checks of annihilator, run by dual_data before any elimination
+    with pytest.raises(error):
+        hessian_rank_at(F, 1, (1, 1))
+    with pytest.raises(error):
+        hessian_matrix(F, 1)
 
 
 @pytest.mark.parametrize("with_algebra", [False, True], ids=["no algebra", "algebra"])
@@ -348,13 +412,11 @@ def test_hessian_rank_at_refuses_a_bad_point(with_algebra):
 )
 def test_hessian_rank_at_refuses_a_point_without_rational_coordinates(monkeypatch, point):
     # a coordinate that Fraction cannot take is a ParseError, raised before
-    # any quotient is built, never a bare ValueError, OverflowError or
-    # TypeError
+    # F is read, never a bare ValueError, OverflowError or TypeError
     def refuse(*args):
-        raise AssertionError("quotient built")
+        raise AssertionError("F read")
 
-    monkeypatch.setattr(hessians, "quotient", refuse)
-    monkeypatch.setattr(hessians, "annihilator", refuse)
+    monkeypatch.setattr(hessians, "dual_data", refuse)
     with pytest.raises(ParseError, match="a point needs rational coordinates"):
         hessian_rank_at(parse_poly("X^5 + 3*X^2*Y^3 - Y^5"), 1, point)
 

@@ -54,7 +54,7 @@ from jtlab.partitions import (
 )
 from jtlab.polynomials import BivariatePoly, parse_poly
 from test_algebra import CI_CASES, RANK_TABLE_CASES
-from tests_support import power_sum_duals, random_dual_form, random_dual_generator
+from tests_support import dual_fuzz_forms, power_sum_duals, random_dual_generator
 
 ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
 
@@ -487,15 +487,6 @@ def test_rank_table_matches_reference_on_a_degree_30_dual(handed_maps):
 # -- the quotient built one degree from the last ------------------------------------
 
 
-def _dual_fuzz_forms():
-    """The 104 dual generators of the seed-0 dual_fuzz benchmark workload,
-    drawn from random.Random("dual_fuzz:0") with degrees cycling through
-    4, 5, 6, 7, 7, 8, 9, 9, as the workload draws them."""
-    rng = random.Random("dual_fuzz:0")
-    degrees = (4, 5, 6, 7, 7, 8, 9, 9)
-    return [random_dual_form(rng, degrees[n % len(degrees)]) for n in range(104)]
-
-
 QUOTIENT_FAMILIES = {
     "rank table cases": lambda: [I for _, I, _ in RANK_TABLE_CASES],
     "non-Gorenstein": lambda: [
@@ -504,7 +495,7 @@ QUOTIENT_FAMILIES = {
     "realize_sweep seed 0": lambda: [
         I for _, _, I in _realization_ideals(random.Random("realize_sweep:0"))
     ],
-    "dual_fuzz seed 0": lambda: [annihilator(F) for F in _dual_fuzz_forms()],
+    "dual_fuzz seed 0": lambda: [annihilator(F) for F in dual_fuzz_forms()],
     "dense j = 16, 20, 24": lambda: [
         annihilator(random_dual_generator(random.Random(0), j, j)) for j in (16, 20, 24)
     ],
@@ -568,7 +559,7 @@ def test_rank_table_matches_dual_reference_on_dual_fuzz_and_power_sums():
     # the quotient's table, built from the echelon forms of Ann(F) alone,
     # against the Hankel ranks of F alone: 104 benchmark forms and the
     # planted degenerate power sums, whose Hessians vanish on the axes
-    forms = _dual_fuzz_forms() + power_sum_duals()
+    forms = dual_fuzz_forms() + power_sum_duals()
     assert len(forms) == 104 + 18
     for F in forms:
         A = quotient(annihilator(F))

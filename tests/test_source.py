@@ -85,10 +85,10 @@ def test_no_rank_is_read_off_echelon_outside_linalg():
     assert not found, f"ranks read off echelon: {found}"
 
 
-def _label_writes(tree):
-    """(enclosing function, line) of every write to a `_label` attribute in
-    a parsed module, spelt object.__setattr__(P, "_label", v),
-    setattr(P, "_label", v) or P._label = v; a write of the constant None,
+def _slot_writes(tree, slot):
+    """(enclosing function, line) of every write to the attribute named
+    slot in a parsed module, spelt object.__setattr__(P, slot, v),
+    setattr(P, slot, v) or P.<slot> = v; a write of the constant None,
     which clears the attribute, is not counted."""
     found = []
 
@@ -104,13 +104,13 @@ def _label_writes(tree):
                     name in ("__setattr__", "setattr")
                     and len(args) == 3
                     and isinstance(args[1], ast.Constant)
-                    and args[1].value == "_label"
+                    and args[1].value == slot
                     and not (isinstance(args[2], ast.Constant) and args[2].value is None)
                 ):
                     found.append((where, child.lineno))
             elif (
                 isinstance(child, ast.Attribute)
-                and child.attr == "_label"
+                and child.attr == slot
                 and not isinstance(child.ctx, ast.Load)
             ):
                 found.append((where, child.lineno))
@@ -131,7 +131,7 @@ def test_label_guard_sees_every_spelling():
         "    return P._label\n"
         "object.__setattr__(P, '_label', b)\n"
     )
-    assert _label_writes(tree) == [("f", 2), ("f", 3), ("f", 4), (None, 8)]
+    assert _slot_writes(tree, "_label") == [("f", 2), ("f", 3), ("f", 4), (None, 8)]
 
 
 def test_only_the_gluing_gives_a_partition_its_label():
@@ -142,9 +142,20 @@ def test_only_the_gluing_gives_a_partition_its_label():
     found = [
         f"{path.name}:{where}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for where, _ in _label_writes(ast.parse(path.read_text(), filename=str(path)))
+        for where, _ in _slot_writes(ast.parse(path.read_text(), filename=str(path)), "_label")
     ]
     assert found == ["codes.py:branch_label_to_partition"], found
+
+
+def test_only_the_dual_reader_writes_a_forms_dual_data():
+    # dual_data returns a kept (g, d) without checking F again, so the one
+    # place that sets it is the one that checked F: dual_data itself
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, _ in _slot_writes(ast.parse(path.read_text(), filename=str(path)), "_dual")
+    ]
+    assert found == ["polynomials.py:dual_data"], found
 
 
 def _fractions_imports(tree):

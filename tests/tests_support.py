@@ -44,6 +44,15 @@ def random_dual_form(rng, j):
             return BivariatePoly(terms)
 
 
+def dual_fuzz_forms():
+    """The 104 dual generators of the seed-0 dual_fuzz benchmark workload,
+    drawn from random.Random("dual_fuzz:0") with degrees cycling through
+    4, 5, 6, 7, 7, 8, 9, 9, as the workload draws them."""
+    rng = random.Random("dual_fuzz:0")
+    degrees = (4, 5, 6, 7, 7, 8, 9, 9)
+    return [random_dual_form(rng, degrees[n % len(degrees)]) for n in range(104)]
+
+
 def seeded_rng(seed):
     return random.Random(seed)
 
