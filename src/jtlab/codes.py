@@ -153,10 +153,11 @@ def partition_to_branch_label(P):
     h, each reduced by the thickening offset s = max(0, k-2); the entries
     between v and h (k = 1) are 1, 2, ....
 
-    A partition glued by branch_label_to_partition holds the label it was
-    glued from, checked there, and that label is returned as it is, the way
-    hilbert_function returns a shared T.  Any other partition has its label
-    read off the diagram and validated.
+    A partition glued by `_glue` (from branch_label_to_partition, which
+    validates the label, or from enumerate_diagonal_partitions, whose labels
+    are valid by construction) holds the label it was glued from, and that
+    label is returned as it is, the way hilbert_function returns a shared T.
+    Any other partition has its label read off the diagram and validated.
     """
     P = Partition(P)
     if P._label is not None:
@@ -224,17 +225,34 @@ def _validate_label(label, T):
 def branch_label_to_partition(label, T):
     """Glue the labelled branches to the basic triangle and read the rows.
 
-    Inverse of partition_to_branch_label.  As the branches are glued, each
-    row keeps its cell count and its largest column; no two cells coincide
-    (see below), so a nonempty row is left justified exactly when its
-    largest column is its count less one.  Once its diagonal lengths are
-    checked, after every other check, the partition is given T itself and
-    the label, which partition_to_branch_label then returns without reading
-    the diagram.  No other function gives a partition a label.
+    Inverse of partition_to_branch_label.  The label is parsed, checked
+    against T by `_validate_label` (InvalidLabel when it fails), and glued
+    by `_glue`, which gives the partition T itself and the label.
+    """
+    label = BranchLabel(label)
+    T = HilbertFunction(T)
+    _validate_label(label, T)
+    return _glue(label, T)
+
+
+def _glue(label, T):
+    """The partition of a label that `_validate_label` accepts for T.
+
+    As the branches are glued, each row keeps its cell count and its largest
+    column; no two cells coincide (see below), so a nonempty row is left
+    justified exactly when its largest column is its count less one.  Once
+    its diagonal lengths are checked, after every other check, the partition
+    is given T itself and the label, which partition_to_branch_label then
+    returns without reading the diagram.  No other function gives a
+    partition a label.  The caller vouches for the label:
+    branch_label_to_partition validates it, and enumerate_diagonal_partitions
+    takes it from enumerate_branch_labels, which builds only labels that
+    pass (a test checks every label for d <= 8, k <= 4).
 
     Every label tested (d <= 6, k <= 3) that passes `_segments` but not the
     interval conditions glues to a diagram that is not left justified or
-    whose rows rise.  The diagonal-lengths check after those two cannot
+    whose rows rise, so those two checks raise InvalidLabel for a label that
+    slipped past its caller.  The diagonal-lengths check after them cannot
     fire.  A branch of length l covers degrees d..d+l-1 once each, outside
     the triangle, and no two branches share a cell: vertical branches hang
     below columns i < e, horizontal ones extend rows r <= d-e, and a shared
@@ -242,9 +260,6 @@ def branch_label_to_partition(label, T):
     T whenever `_segments` accepts the entry multiset, and a left-justified
     diagram with weakly decreasing rows is the Ferrers diagram of P itself.
     """
-    label = BranchLabel(label)
-    T = HilbertFunction(T)
-    _validate_label(label, T)
     d, k = T.d, T.k
     s = max(0, k - 2)
     e = label.gaps[-1]
@@ -336,9 +351,14 @@ def enumerate_branch_labels(T):
 def enumerate_diagonal_partitions(T):
     """All partitions of diagonal lengths T, via their branch labels,
     sorted by parts in descending lexicographic order (a linear extension
-    of dominance)."""
+    of dominance).
+
+    Each label of enumerate_branch_labels is valid by construction and is
+    glued by `_glue` without a second `_validate_label`; the gluing's own
+    checks still raise InvalidLabel for a label that is not.
+    """
     T = HilbertFunction(T)
-    parts = [branch_label_to_partition(b, T) for b in enumerate_branch_labels(T)]
+    parts = [_glue(b, T) for b in enumerate_branch_labels(T)]
     if len(parts) != len(set(parts)):
         raise InternalInconsistency(f"two branch labels of {T} glue to the same partition")
     return sorted(parts, key=lambda P: P.parts, reverse=True)
@@ -548,8 +568,8 @@ def hook_code_direct(P):
     """Hook code by scanning all cells of the Ferrers diagram.
 
     The label is partition_to_branch_label(P), so for a partition glued by
-    branch_label_to_partition it is the label the gluing checked; the hook
-    counts, and so every subscript, are always counted on the diagram.
+    `_glue` it is the label it was glued from; the hook counts, and so
+    every subscript, are always counted on the diagram.
     """
     P = Partition(P)
     T = hilbert_function(P)

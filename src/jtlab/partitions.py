@@ -14,13 +14,14 @@ on such a quotient has diagonal lengths equal to the Hilbert function.
 Partition and HilbertFunction are immutable values: ``Partition(P)`` returns
 P itself and ``HilbertFunction(T)`` returns T, without validating again.  A
 partition holds its validated HilbertFunction once known.  Those built by
-codes.branch_label_to_partition and codes.cijt_from_composition get the T
-they were built from, after their diagonal lengths are checked, so all the
-partitions of one enumeration share one T.  Any other partition derives its
+codes._glue and codes.cijt_from_composition get the T they were built
+from, after their diagonal lengths are checked, so all the partitions of
+one enumeration share one T.  Any other partition derives its
 own on the first call of hilbert_function(P); diagonal_lengths(P) reads it.
 
-A partition glued by codes.branch_label_to_partition also holds the branch
-label it was glued from, set there once every check of the gluing passed,
+A partition glued from a branch label (codes._glue, behind both
+codes.branch_label_to_partition and codes.enumerate_diagonal_partitions)
+also holds that label, set there once every check of the gluing passed,
 and codes.partition_to_branch_label returns it.  A partition that is
 parsed, built from its parts, copied or unpickled holds no label, and its
 label is read off the diagram.
@@ -69,7 +70,10 @@ class Partition:
     """A weakly decreasing sequence of positive integers.
 
     Immutable and hashable.  ``Partition("6,2^2,1^2")`` and
-    ``Partition([6, 2, 2, 1, 1])`` build the same value.  Besides its parts
+    ``Partition([6, 2, 2, 1, 1])`` build the same value.  The entries of a
+    sequence are read as integers with operator.index, so 2.5 or "2" is
+    refused, not rounded or parsed: anything but a partition, its text or a
+    sequence of integers raises ParseError.  Besides its parts
     it may hold its validated HilbertFunction and, when it was glued from a
     branch label, that label; neither takes part in equality, hashing or
     pickling.
@@ -82,7 +86,7 @@ class Partition:
             return parts  # validated when it was built, and immutable since
         if isinstance(parts, str):
             parts = _parse_caret_list(parts)
-        parts = tuple(map(int, parts))
+        parts = _integers(parts, "a partition")
         if not parts:
             raise ParseError("empty partition")
         if min(parts) < 1:
@@ -187,6 +191,16 @@ def _parse_caret_list(text):
     return [value for value, mult in runs for _ in range(mult)]
 
 
+def _integers(values, what):
+    """The entries of values as a tuple of ints, read with operator.index:
+    ParseError for a value that is not iterable or an entry that is not an
+    integer (a float, a string, None), which int() would round or parse."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ParseError(f"{what} must be a sequence of integers: {exc}") from None
+
+
 def format_caret_list(values):
     """Inverse of the caret-list parser; groups repeats as v^n."""
     pieces = []
@@ -263,19 +277,23 @@ def conjugate(P):
 def validate_ci_hilbert(T):
     """Check T = (1,2,...,d-1,d^k,d-1,...,2,1) and return (d, k, j).
 
-    Raises NotCIShape for any other sequence.
+    The entries are read as for a Partition (ParseError for a non-integer
+    one).  Raises NotCIShape for any other sequence, and compares the
+    length with 2d+k-2 before the expected sequence is built, so a large
+    entry such as (1, 10**30, 1) is refused without allocating for it.
     """
-    T = tuple(map(int, T))
+    T = _integers(T, "a Hilbert function")
     if not T or T[0] != 1:
         raise NotCIShape(f"{T} does not start at 1")
     d = max(T)
     k = T.count(d)
     j = 2 * d + k - 3
-    expected = tuple(range(1, d)) + (d,) * k + tuple(range(d - 1, 0, -1))
-    if T != expected:
+    # `or` compares the length first, so the expected sequence is built
+    # only when it is as long as T
+    if len(T) != j + 1 or T != tuple(range(1, d)) + (d,) * k + tuple(range(d - 1, 0, -1)):
         raise NotCIShape(f"{T} is not of the form (1,...,d-1,d^k,d-1,...,1)")
-    if len(T) != j + 1 or sum(T) != d * (j + 2 - d):
-        raise InternalInconsistency(f"{T}: length or size disagrees with d={d}, k={k}")
+    if sum(T) != d * (j + 2 - d):
+        raise InternalInconsistency(f"{T}: size disagrees with d={d}, k={k}")
     return d, k, j
 
 
@@ -284,7 +302,10 @@ class HilbertFunction:
     """A complete intersection Hilbert function (1,2,...,d^k,...,2,1).
 
     d is the Sperner number (height), k the multiplicity of d, and
-    j = 2d + k - 3 the socle degree.
+    j = 2d + k - 3 the socle degree.  Built from a HilbertFunction (returned
+    as it is), a caret list, or a sequence whose entries are read with
+    operator.index like a Partition's: a non-integer entry or input raises
+    ParseError, and any other sequence NotCIShape (see validate_ci_hilbert).
     """
 
     values: tuple
@@ -297,7 +318,7 @@ class HilbertFunction:
             return values  # validated when it was built, and immutable since
         if isinstance(values, str):
             values = _parse_caret_list(values)
-        values = tuple(map(int, values))
+        values = _integers(values, "a Hilbert function")
         d, k, j = validate_ci_hilbert(values)
         self = object.__new__(cls)
         object.__setattr__(self, "values", values)
@@ -436,13 +457,15 @@ def _parity_rules_out(power_form, j):
     return False
 
 
-def symmetric_string_placement(P, T):
-    """Search for a symmetric assignment of start degrees to the parts of P.
+def _placement(P, T):
+    """The backtracking search behind symmetric_string_placement: a dict
+    {(start, length): multiplicity} that covers T symmetrically, or None.
 
     Each part of length s becomes a string covering s consecutive degrees;
     the per-degree coverage must equal T, and the multiset of (start, length)
-    pairs must be invariant under (i, s) -> (j+1-s-i, s).  Returns a witness
-    JordanDegreeType or None.
+    pairs must be invariant under (i, s) -> (j+1-s-i, s).  A partition of
+    more than MAX_PARTS parts raises BudgetExceeded, and one whose diagonal
+    lengths are not T raises DiagonalMismatch, before any search.
 
     Parity lemma: if some length s has odd multiplicity and j+1-s is odd,
     no symmetric placement exists (see _parity_rules_out), and None is
@@ -450,9 +473,12 @@ def symmetric_string_placement(P, T):
     degrees: distinct lengths largest first, starts non-decreasing within a
     length, each mirror pair placed through its lower start i <= (j+1-s)/2,
     pruned by the remaining per-degree capacity.  The capacity list is
-    decremented and restored in place, and the witness is recorded only on
-    the way back from the search that covered T.  A partition of more than
-    MAX_PARTS parts raises BudgetExceeded before any search.
+    decremented and restored in place, and the placement is recorded only
+    on the way back from the search that covered T.
+
+    A returned dict is a symmetric cover of T by construction: no capacity
+    goes below 0, success needs every capacity at 0, and each string off
+    its mirror start is placed together with its mirror.
     """
     P = Partition(P)
     if len(P) > MAX_PARTS:
@@ -499,14 +525,34 @@ def symmetric_string_placement(P, T):
                 cap[t] += 1
         return False
 
-    if not search(0, runs[0][1], 0):
+    return placed if search(0, runs[0][1], 0) else None
+
+
+def symmetric_string_placement(P, T):
+    """A witness JordanDegreeType for a symmetric string placement of the
+    parts of P covering T, or None when there is none.
+
+    The search is `_placement` (see there for the rules, the parity lemma
+    and the BudgetExceeded and DiagonalMismatch refusals).  The witness is
+    checked once more, its coverage against T and its symmetry, and
+    InternalInconsistency is raised if either fails.
+    """
+    placed = _placement(P, T)
+    if placed is None:
         return None
+    T = HilbertFunction(T)
     witness = JordanDegreeType(placed)
-    if witness.coverage() != T.values or not witness.is_symmetric(j):
+    if witness.coverage() != T.values or not witness.is_symmetric(T.j):
         raise InternalInconsistency(f"placement {witness} of {P} is not a symmetric cover of {T}")
     return witness
 
 
 def is_symmetric_jdt(P, T):
-    """True iff the parts of P admit a symmetric string placement for T."""
-    return symmetric_string_placement(P, T) is not None
+    """True iff the parts of P admit a symmetric string placement for T.
+
+    Answers from `_placement` alone and builds no witness: a placement that
+    the search returns covers T symmetrically by construction, and tests
+    check this answer against symmetric_string_placement, whose witness
+    check still runs there.
+    """
+    return _placement(P, T) is not None

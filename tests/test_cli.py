@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -200,6 +201,33 @@ def test_jordan_matches_golden(case):
     code, out, err = run_cli(*case["argv"])
     assert (code, err) == (0, "")
     assert out == case["stdout"]
+
+
+# -- enumerate golden -------------------------------------------------------------
+
+# sha256 of the stdout of `enumerate T --format json`, plain and --cijt-only,
+# for every T(d, k) with 2 <= d <= 6 and 1 <= k <= 3
+ENUMERATE_GOLDEN = json.loads((GOLDEN / "enumerate.json").read_text())
+
+
+def test_enumerate_golden_covers_every_small_T():
+    covered = {(case["argv"][1], "--cijt-only" in case["argv"]) for case in ENUMERATE_GOLDEN}
+    want = {
+        (str(HilbertFunction.from_dk(d, k)), cijt_only)
+        for d in range(2, 7)
+        for k in range(1, 4)
+        for cijt_only in (False, True)
+    }
+    assert covered == want and len(ENUMERATE_GOLDEN) == len(want)
+
+
+@pytest.mark.parametrize(
+    "case", ENUMERATE_GOLDEN, ids=[" ".join(case["argv"][1:]) for case in ENUMERATE_GOLDEN]
+)
+def test_enumerate_matches_golden(case):
+    code, out, err = run_cli(*case["argv"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
 @pytest.mark.parametrize("d, k", [(11, 1), (11, 2), (15, 2)])

@@ -21,7 +21,13 @@ from jtlab.codes import (
     iota,
     partition_to_branch_label,
 )
-from jtlab.errors import DiagonalMismatch, InvalidLabel, NotCIJT, NotCIJTWithDParts
+from jtlab.errors import (
+    DiagonalMismatch,
+    InternalInconsistency,
+    InvalidLabel,
+    NotCIJT,
+    NotCIJTWithDParts,
+)
 from jtlab.partitions import (
     HilbertFunction,
     JordanDegreeType,
@@ -117,6 +123,50 @@ def test_gluing_checks_reject_every_label_the_interval_test_rejects(monkeypatch)
         "glued diagram is not left justified": 8197,
         "glued rows are not weakly decreasing": 4763,
     }
+
+
+def test_every_enumerated_label_passes_the_interval_test():
+    # enumerate_diagonal_partitions glues these labels without validating
+    # them again, on the strength of this
+    for d, k in all_dk(8, 4, dmin=1):
+        T = HilbertFunction.from_dk(d, k)
+        for b in enumerate_branch_labels(T):
+            codes._validate_label(b, T)
+
+
+@pytest.mark.parametrize("d, k", [(4, 1), (4, 2), (4, 3), (5, 2)])
+def test_enumeration_refuses_a_label_that_fails_the_interval_test(monkeypatch, d, k):
+    # a label slipped in among the enumerated ones, each label of T that
+    # passes the shape check but not the interval conditions in turn, is
+    # refused by the gluing's own checks
+    T = HilbertFunction.from_dk(d, k)
+    labels = codes.enumerate_branch_labels(T)
+    entries = [E, *range(1, d + 1)] if k >= 2 else [E, E, *range(1, d)]
+    slipped = 0
+    for arrangement in sorted(set(itertools.permutations(entries)), key=str):
+        b = BranchLabel(arrangement)
+        try:
+            codes._validate_label(b, T)
+            continue
+        except InvalidLabel:
+            pass
+        with monkeypatch.context() as m:
+            m.setattr(codes, "enumerate_branch_labels", lambda T: [*labels[:5], b, *labels[5:]])
+            with pytest.raises(InvalidLabel):
+                enumerate_diagonal_partitions(T)
+        slipped += 1
+    assert slipped == len(set(itertools.permutations(entries))) - len(labels)
+
+
+def test_gluing_refuses_wrong_diagonal_lengths(monkeypatch):
+    # the check cannot fire on a label that passes the shape check (see
+    # codes._glue); a tampered diagonal_lengths reaches it on both paths
+    T = HilbertFunction.from_dk(4, 2)
+    monkeypatch.setattr(codes, "diagonal_lengths", lambda P: T.values[1:])
+    with pytest.raises(InternalInconsistency, match="wrong diagonal lengths"):
+        branch_label_to_partition(enumerate_branch_labels(T)[0], T)
+    with pytest.raises(InternalInconsistency, match="wrong diagonal lengths"):
+        enumerate_diagonal_partitions(T)
 
 
 def test_round_trip_all_labels():

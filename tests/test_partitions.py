@@ -2,12 +2,14 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import jtlab
+from jtlab import partitions
 from jtlab.errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -15,6 +17,7 @@ from jtlab.errors import (
     ParseError,
     SizeMismatch,
 )
+from jtlab.codes import enumerate_diagonal_partitions
 from jtlab.partitions import (
     MAX_PARTS,
     HilbertFunction,
@@ -78,6 +81,20 @@ def test_rejects_bad_input():
         Partition("")
 
 
+NOT_INTEGERS = [None, 5, 2.5, [1, "a"], [1, None], [1, "2", 1], [2.5, 1], [1, 2.5, 1]]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_non_integer_entries_are_refused(bad):
+    # entries are read with operator.index: int() would round 2.5 and
+    # parse "2", and a bare TypeError is not a domain error
+    for build in (Partition, HilbertFunction, validate_ci_hilbert):
+        with pytest.raises(ParseError):
+            build(bad)
+    with pytest.raises(ParseError):
+        is_symmetric_jdt("3,1", bad)
+
+
 # -- diagonal lengths --------------------------------------------------------
 
 
@@ -119,6 +136,20 @@ def test_validate_ci_hilbert():
     for bad in [(1, 3, 1), (1, 2, 2, 2), (2, 1), (1, 2, 3, 3, 1), ()]:
         with pytest.raises(NotCIShape):
             validate_ci_hilbert(bad)
+
+
+@pytest.mark.parametrize("build", [HilbertFunction, validate_ci_hilbert])
+def test_a_large_entry_is_refused_before_allocating(build):
+    with pytest.raises(NotCIShape):
+        build([1, 10**30, 1])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotCIShape):
+            build([1, 10**6, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_hilbert_function_parse():
@@ -317,6 +348,30 @@ def test_tampered_witness_raises(monkeypatch):
     monkeypatch.setattr(JordanDegreeType, "is_symmetric", lambda self, j: False)
     with pytest.raises(InternalInconsistency):
         symmetric_string_placement(Partition([6, 2, 2, 1, 1]), HilbertFunction("1,2,3,3,2,1"))
+
+
+def test_is_symmetric_jdt_agrees_with_the_witness():
+    # is_symmetric_jdt answers from the search alone; the witness check it
+    # no longer runs is run here, on every partition it would have guarded
+    for d, k in itertools.product(range(1, 8), range(1, 5)):
+        T = HilbertFunction.from_dk(d, k)
+        for P in enumerate_diagonal_partitions(T):
+            assert is_symmetric_jdt(P, T) == (symmetric_string_placement(P, T) is not None), P
+
+
+def test_is_symmetric_jdt_builds_no_witness(monkeypatch):
+    T = HilbertFunction.from_dk(5, 2)
+    rows = enumerate_diagonal_partitions(T)
+    want = [symmetric_string_placement(P, T) is not None for P in rows]
+    assert 0 < sum(want) < len(want)
+
+    def no_witness(strings):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr(partitions, "JordanDegreeType", no_witness)
+    assert [is_symmetric_jdt(P, T) for P in rows] == want
+    with pytest.raises(AssertionError, match="a witness was built"):
+        symmetric_string_placement(rows[want.index(True)], T)
 
 
 def test_tampered_witness_raises_under_optimize():

@@ -144,7 +144,7 @@ def test_only_the_gluing_gives_a_partition_its_label():
         for path in sorted(PACKAGE.glob("*.py"))
         for where, _ in _slot_writes(ast.parse(path.read_text(), filename=str(path)), "_label")
     ]
-    assert found == ["codes.py:branch_label_to_partition"], found
+    assert found == ["codes.py:_glue"], found
 
 
 def test_only_the_dual_reader_writes_a_forms_dual_data():
