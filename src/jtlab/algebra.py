@@ -94,6 +94,11 @@ class GradedIdeal:
     and initial_ideal moves them, so no Fraction is converted again after
     construction.  Two ideals are equal when they list the same
     generators in the same order.
+
+    GradedIdeal(generators) checks every generator and reads its row back
+    from its coefficients.  A caller that built each generator from an
+    integer row (annihilator, constructor.construct_ci) hands the rows
+    over with _from_rows instead, and nothing is read back.
     """
 
     __slots__ = ("generators", "_rows")
@@ -114,6 +119,19 @@ class GradedIdeal:
             rows.append((e, linalg.primitive(_poly_vec(g, e))))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_rows", tuple(rows))
+
+    @classmethod
+    def _from_rows(cls, rows, generators):
+        """The ideal of generators, with rows as its _rows: one pair
+        (e, primitive integer row) per generator, equal to the pair that
+        GradedIdeal(generators) would read off it, so the ideal equals
+        that one in ==, hash and _rows.  The caller vouches for both: a
+        nonzero form of degree e >= 1 with that row, up to scale, as its
+        coordinates.  Nothing is checked or converted."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "generators", tuple(generators))
+        object.__setattr__(ideal, "_rows", tuple(rows))
+        return ideal
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedIdeal is immutable")
@@ -253,7 +271,7 @@ class ArtinAlgebra:
                     else:
                         col = [w + c * v for w, v in zip(col, form)]
                 columns.append(col)
-            content = math.gcd(*(v for col in columns for v in col))
+            content = math.gcd(*chain.from_iterable(columns))
             if content > 1:
                 columns = [[v // content for v in col] for col in columns]
             maps.append(columns)
@@ -392,7 +410,8 @@ def annihilator(F):
     d = e.  The generator of degree e is the one kernel vector of degree e
     not in R_(e-d) times the first generator, reduced modulo those shifts.
     Each is scaled to coprime integer coefficients with a positive leading
-    term.
+    term.  Those primitive rows are the ideal's rows as they stand: they go
+    to GradedIdeal._from_rows with the generators built from them.
     """
     g, d = dual_data(F)
     e = len(g) + 1 - d  # d + e = j + 2
@@ -409,7 +428,8 @@ def annihilator(F):
     second = next((rest for rest in rests if any(rest)), None)
     if second is None:
         raise InternalInconsistency(f"Ann({F}) has no generator in degree {e}")
-    return GradedIdeal([_vec_poly(first, d), _vec_poly(linalg.primitive(second), e)])
+    rows = ((d, first), (e, linalg.primitive(second)))
+    return GradedIdeal._from_rows(rows, [_vec_poly(vec, n) for n, vec in rows])
 
 
 def require_linear(ell):

@@ -182,10 +182,16 @@ def _refuse_over_cap(T, count, verb):
 
 
 def classification_table(T, cijt_only=False, with_subscripts=False):
+    """Classification rows of the partitions of diagonal lengths T, sorted
+    by parts in descending order.  With cijt_only, the rows of the CIJT
+    partitions alone, built from enumerate_cijt without gluing the others.
+    Either way the table is refused, before anything is enumerated, when T
+    has more than MAX_TABLE_ROWS partitions."""
     _refuse_over_cap(T, diagonal_partition_count(T), "enumerate")
-    partitions = enumerate_diagonal_partitions(T)
     if cijt_only:
-        partitions = [P for P in partitions if is_cijt(P)]
+        partitions = sorted(enumerate_cijt(T), key=lambda P: P.parts, reverse=True)
+    else:
+        partitions = enumerate_diagonal_partitions(T)
     rows = [classification_row(P, T) for P in partitions]
     active = active_hessian_indices(T)
     headers = ["P", "hook_code", "branch_label"]

@@ -12,7 +12,8 @@ which makes (f_t, f_(t+1)) generate the whole chain.
 Each f_i is held as its coordinate vector, as in the algebra module, so
 multiplying by a monomial is a shift; the relation is checked on these
 vectors on every call, and the returned polynomials are built from the
-vectors that passed the check.
+vectors that passed the check.  The ideal takes those vectors' primitive
+rows as they are, through GradedIdeal._from_rows.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .algebra import (
 from .codes import enumerate_cijt, is_cijt
 from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, ParseError
 from .hessians import nonvanishing_set, predicted_nonvanishing_set, predicted_rank_profile
+from .linalg import primitive
 from .partitions import HilbertFunction, Partition, format_caret_list, hilbert_function
 from .polynomials import BivariatePoly
 
@@ -89,7 +91,9 @@ def construct_ci(P, lambda2=None, seed=None):
     check, the relation f_(i-1) = x^(p_i - p_(i+1)) f_(i+1) - f_i y^(n_i)
     is checked on these vectors, where multiplying by x^m prepends m zeros
     and by y^n appends n; a failure raises InternalInconsistency.  The
-    returned chain and ideal are built from the checked vectors.
+    returned chain and ideal are built from the checked vectors: the
+    ideal's rows are primitive(vec) of the last two, handed to
+    GradedIdeal._from_rows with f_t and f_(t+1).
     """
     P = Partition(P)
     try:
@@ -147,10 +151,12 @@ def construct_ci(P, lambda2=None, seed=None):
             raise InternalInconsistency(f"chain recurrence violated at f_{i - 1} of {P}")
 
     chain = tuple(_vec_poly(vec, len(vec) - 1) for vec in vecs[1:])
+    # Lambda_2 may be rational, so the ideal's rows are the vectors cleared
+    rows = [(len(vec) - 1, primitive(vec)) for vec in vecs[t : t + 2]]
     return Realization(
         partition=P,
         hilbert=T,
-        ideal=GradedIdeal(chain[t - 1 : t + 1]),
+        ideal=GradedIdeal._from_rows(rows, chain[t - 1 : t + 1]),
         chain=chain,
         lambdas=lambda2,
     )

@@ -21,7 +21,9 @@ its middle catalecticant.  Its rank is that of the integer Hankel matrix
 polynomials.catalecticant(h, i), with (a, b) first scaled to coprime
 integers: a nonzero scale of the point, of g or of every entry changes no
 rank.  It is a rank-only question, so linalg.rank answers it with the
-forward-only kernel linalg.insert and builds no reduced form.
+forward-only kernel linalg.insert and builds no reduced form.  From g to
+the rank every number is an int: a point of two ints is scaled without a
+Fraction, and linalg.rank hands the integer rows to insert as they are.
 
 The orders are 0 <= i <= d - 1, with d the rank of F's middle
 catalecticant.  g and d are read by polynomials.dual_data, the one reader
@@ -139,13 +141,21 @@ def hessian_rank_at(F, i, point, algebra=None):
     cross-checked by _check_order.  Raises ParseError unless point is two
     finite rational coordinates, and ZeroForm when both are 0, before F is
     read.
+
+    A tuple or list of two ints goes to linalg.primitive as it is, which
+    scales it to coprime integers without a Fraction; any other point is
+    read coordinate by coordinate through Fraction first.  Both give the
+    same primitive pair, so the same rank.
     """
-    try:
-        coords = [Fraction(v) for v in point]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"a point needs rational coordinates, not {point!r}") from exc
-    if len(coords) != 2:
-        raise ParseError(f"a point has two coordinates, not {len(coords)}")
+    if type(point) in (tuple, list) and len(point) == 2 and type(point[0]) is type(point[1]) is int:
+        coords = point
+    else:
+        try:
+            coords = [Fraction(v) for v in point]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"a point needs rational coordinates, not {point!r}") from exc
+        if len(coords) != 2:
+            raise ParseError(f"a point has two coordinates, not {len(coords)}")
     a, b = primitive(coords)
     if not (a or b):
         raise ZeroForm("the point (0, 0) is no linear form")

@@ -27,9 +27,11 @@ pivot leaves untouched is kept as it is.  No caller mutates a row of a
 form, so sharing is safe.
 
 `remainder` reduces a vector modulo an echelon form.  `rank`, `rref` and
-`kernel_basis` accept rows with Fraction or int entries and clear
-denominators row by row with `primitive`.  Only `rref` and `kernel_basis`
-convert back to Fraction, when they return.  Callers that already hold
+`kernel_basis` accept rows with Fraction or int entries.  `rref` and
+`kernel_basis` clear denominators row by row with `primitive`, and convert
+back to Fraction when they return.  `rank` hands a row of ints to `insert`
+as it is, since `insert` takes the content of a row before it stores it,
+and clears only a row that holds a Fraction.  Callers that already hold
 integer rows read a kernel straight off `echelon` with `null_vectors`.
 """
 
@@ -193,9 +195,22 @@ def insert(basis, vec):
 
 def rank(rows):
     """Rank of a matrix given as a list of rows (Fraction or int entries):
-    the number of rows, made primitive, that insert adds to one basis."""
+    the number of rows that insert adds to one basis.
+
+    A row of ints goes to insert as it is: insert divides a row by its
+    content before it stores it, and a scale of a row changes neither the
+    rank nor a stored row.  Only a row with a non-int entry is first
+    cleared of its denominators by primitive."""
     basis = {}
-    return sum(insert(basis, primitive(row)) is not None for row in rows)
+    count = 0
+    for row in rows:
+        try:
+            math.gcd(*row)  # raises TypeError on a Fraction entry
+        except TypeError:
+            row = primitive(row)
+        if insert(basis, row) is not None:
+            count += 1
+    return count
 
 
 def rref(rows, ncols):

@@ -63,7 +63,8 @@ class BivariatePoly:
         clean = {}
         if terms:
             for (a, b), c in dict(terms).items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[(int(a), int(b))] = c
         object.__setattr__(self, "terms", clean)
@@ -256,8 +257,13 @@ def catalecticant(g, i):
     """The integer Hankel rows [g_(v+i-t)], v = 0 .. j-i, t = 0 .. i, of a
     divided-power vector g = (g_0, ..., g_j): the contraction map
     R_i -> E_(j-i) of the form with that vector, its row of Y^v scaled by
-    (j-i-v)! v! and its column t that of x^t y^(i-t)."""
-    return [[g[v + i - t] for t in range(i + 1)] for v in range(len(g) - i)]
+    (j-i-v)! v! and its column t that of x^t y^(i-t).
+
+    Row v is g_(v+i), ..., g_v: positions j-i-v .. j-v of g reversed, as
+    a new list of its own, since linalg.extend may keep a given row as a
+    row of its form."""
+    rev = list(reversed(g))
+    return [rev[k : k + i + 1] for k in range(len(g) - i - 1, -1, -1)]
 
 
 def dual_data(F):
@@ -304,7 +310,10 @@ def _parse_term(text, original):
     m = _TERM_RE.fullmatch(text)
     if not m or (m.group("coeff") is None and not m.group("vars").strip()):
         raise ParseError(f"bad term {text!r} in {original!r}")
-    coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+    try:
+        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in term {text!r} in {original!r}") from exc
     a = b = 0
     for var, exp in re.findall(r"([xyXY])(?:\s*\^\s*(\d+))?", m.group("vars")):
         power = int(exp) if exp else 1

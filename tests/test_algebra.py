@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import jtlab
 import reference_paths as ref
-from jtlab import linalg
+from jtlab import algebra, linalg
 from jtlab.algebra import (
     MAX_DEGREE,
     GradedIdeal,
@@ -42,8 +42,14 @@ from jtlab.errors import (
 )
 from jtlab.hessians import active_hessian_indices, hessian_rank_at
 from jtlab.partitions import HilbertFunction, Partition, diagonal_lengths
-from jtlab.polynomials import BivariatePoly, contract, divided_power_vector, parse_poly
-from tests_support import copies, power_sum_duals, random_dual_generator
+from jtlab.polynomials import BivariatePoly, catalecticant, contract, divided_power_vector, parse_poly
+from tests_support import (
+    assert_same_as_constructed,
+    copies,
+    dual_fuzz_forms,
+    power_sum_duals,
+    random_dual_generator,
+)
 
 X = BivariatePoly.monomial(1, 0)
 Y = BivariatePoly.monomial(0, 1)
@@ -913,6 +919,77 @@ def test_insert_keeps_dense_middle_catalecticant_rows_short(j, bits):
     longest = max(abs(v).bit_length() for row in basis.values() for v in row)
     assert longest < bits
     assert longest <= abs(lead).bit_length()
+
+
+def test_catalecticant_rows_are_new_lists_of_the_hankel_entries():
+    # rows stay lists of their own, since extend may keep a given row
+    for g in (tuple(range(1, 8)), list(range(-3, 7)), (5,), [0, 2]):
+        for i in range(len(g)):
+            rows = catalecticant(g, i)
+            assert rows == [[g[v + i - t] for t in range(i + 1)] for v in range(len(g) - i)]
+            assert all(type(row) is list and row is not g for row in rows)
+            assert len({id(row) for row in rows}) == len(rows)
+
+
+def _dual_forms():
+    """The 104 seed-0 dual_fuzz forms and dense forms of degree 16, 30 and
+    49."""
+    return dual_fuzz_forms() + [random_dual_generator(random.Random(0), j, j) for j in (16, 30, 49)]
+
+
+def test_rank_clears_only_rows_with_a_fraction(monkeypatch):
+    # integer rows go to insert as they are, scaled or not, and insert
+    # stores the same primitive rows as from cleared ones; every rank is
+    # the Bareiss rank of the reference
+    primitive = linalg.primitive
+    calls = []
+
+    def counting(row):
+        calls.append(row)
+        return primitive(row)
+
+    monkeypatch.setattr(linalg, "primitive", counting)
+    rng = random.Random(20)
+    checked = 0
+    for F in _dual_forms():
+        g = divided_power_vector(F)
+        for i in range(len(g)):
+            rows = catalecticant(g, i)
+            want = len(ref.echelon(rows)[0])
+            scaled = [[c * v for v in row] for row in rows for c in [rng.choice((-6, -1, 2, 35))]]
+            calls.clear()
+            assert linalg.rank(rows) == linalg.rank(scaled) == want, (F, i)
+            assert not calls
+            fractions = [[Fraction(v, c) for v in row] for row in rows for c in [rng.choice((1, 3, -4))]]
+            assert linalg.rank(fractions) == want, (F, i)
+            assert len(calls) == len(rows)
+            raw, cleared = {}, {}
+            for row, vec in zip(scaled, rows):
+                linalg.insert(raw, row)
+                linalg.insert(cleared, primitive(vec))
+            assert raw == cleared
+            checked += 1
+    assert checked == sum(j + 1 for j in (4, 5, 6, 7, 7, 8, 9, 9)) * 13 + 17 + 31 + 50
+
+
+def test_annihilator_ideal_equals_the_public_constructors():
+    # annihilator hands its primitive rows to GradedIdeal._from_rows; the
+    # result is the ideal that GradedIdeal builds from the generators
+    for F in _dual_forms() + power_sum_duals():
+        assert_same_as_constructed(annihilator(F))
+
+
+def test_annihilator_reads_no_row_back(monkeypatch):
+    # no generator of Ann(F) is read back through its Fraction coefficients
+    def refuse(*args):
+        raise AssertionError("a row read back")
+
+    F = parse_poly("X^4*Y^3 + 2*X^7 - 3*Y^7 + X*Y^6")
+    want = annihilator(parse_poly("X^4*Y^3 + 2*X^7 - 3*Y^7 + X*Y^6"))
+    monkeypatch.setattr(algebra, "_poly_vec", refuse)
+    assert annihilator(F) == want
+    with pytest.raises(AssertionError, match="a row read back"):
+        GradedIdeal(want.generators)
 
 
 def test_rank_only_questions_build_no_reduced_form(monkeypatch):

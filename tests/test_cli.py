@@ -12,7 +12,7 @@ from jtlab import cli
 from jtlab.cli import MAX_TABLE_ROWS, main
 from jtlab.codes import diagonal_partition_count, enumerate_cijt
 from jtlab.constructor import construct_ci
-from jtlab.errors import InternalInconsistency
+from jtlab.errors import BudgetExceeded, InternalInconsistency
 from jtlab.partitions import MAX_PARTS, HilbertFunction, Partition
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -77,6 +77,11 @@ BAD_INPUT = [
     # elimination; uncapped, both still run after 40 s
     (("jordan", "--dual", "X^400", "--ell", "x"), 2, "cap"),
     (("jordan", "x^300,y^300", "--ell", "x"), 2, "cap"),
+    # a coefficient with a zero denominator names its term
+    (("jordan", "x^2,y^2", "--ell", "1/0*x"), 2, "zero denominator in term '1/0*x'"),
+    (("jordan", "1/0*x^2,y^2", "--ell", "x"), 2, "zero denominator in term '1/0*x^2'"),
+    (("jordan", "--dual", "3/0*X^4+Y^4", "--ell", "x"), 2, "zero denominator in term '3/0*X^4'"),
+    (("jordan", "x^2,y^2", "--ell", "0/0*x+y"), 2, "zero denominator in term '0/0*x'"),
     (("table", "99"), 2, "unknown figure"),
     (("table", "3a:abc"), 2, "positive integer"),
     (("table", "3a:0"), 2, "positive integer"),
@@ -280,6 +285,41 @@ def test_enumerate_cijt_only():
     rows = json.loads(out)["rows"]
     assert len(rows) == 4
     assert all(row["cijt"] for row in rows)
+
+
+def test_cijt_only_table_is_the_filtered_table_without_gluing(monkeypatch):
+    # the CIJT rows come from enumerate_cijt, in the order and with the
+    # cells of the full table's CIJT rows; no other partition is glued
+    fulls = {
+        (d, k): cli.classification_table(HilbertFunction.from_dk(d, k))
+        for d in range(2, 8)
+        for k in range(1, 4)
+    }
+
+    def refuse(*args):
+        raise AssertionError("every partition glued")
+
+    monkeypatch.setattr(cli, "enumerate_diagonal_partitions", refuse)
+    for (d, k), full in fulls.items():
+        table = cli.classification_table(HilbertFunction.from_dk(d, k), cijt_only=True)
+        keep = [n for n, row in enumerate(full["structured"]["rows"]) if row["cijt"]]
+        assert len(keep) == len(table["rows_text"]) == 2 ** (d - 1 if k == 1 else d)
+        assert table["headers"] == full["headers"]
+        assert table["rows_text"] == [full["rows_text"][n] for n in keep]
+        assert table["structured"] == {
+            "hilbert": full["structured"]["hilbert"],
+            "rows": [full["structured"]["rows"][n] for n in keep],
+        }
+
+
+def test_cijt_only_table_is_capped_before_enumerating(monkeypatch):
+    # the cap counts every partition of T, as for the full table
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_cijt", refuse)
+    with pytest.raises(BudgetExceeded, match="would enumerate 118098 partitions"):
+        cli.classification_table(HilbertFunction.from_dk(11, 2), cijt_only=True)
 
 
 def test_enumerate_csv_parses():

@@ -17,7 +17,7 @@ from jtlab.constructor import Realization, construct_ci, realize_all, verify_rea
 from jtlab.errors import InternalInconsistency, NotCIJT, ParseError
 from jtlab.partitions import HilbertFunction, Partition
 from jtlab.polynomials import BivariatePoly, parse_poly
-from tests_support import copies
+from tests_support import assert_same_as_constructed, copies
 
 ELL_X = BivariatePoly.linear(1, 0)
 
@@ -193,6 +193,33 @@ def test_construct_matches_polynomial_product_reference():
         a1 = P.power_form[0][1]
         lambda2 = tuple(Fraction(rng.randint(-9, 9), rng.choice((2, 3))) for _ in range(a1))
         _assert_same_realization(P, lambda2)
+
+
+def test_construct_ci_ideal_equals_the_public_constructors():
+    # the checked vectors' primitive rows go to GradedIdeal._from_rows; the
+    # result is the ideal that GradedIdeal builds from f_t and f_(t+1), at
+    # seed 1 and with halves and thirds in Lambda_2
+    rng = random.Random(20)
+    for P in CIJT_UP_TO_8_4:
+        a1 = P.power_form[0][1]
+        rational = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(a1))
+        for realization in (construct_ci(P, seed=1), construct_ci(P, lambda2=rational)):
+            assert_same_as_constructed(realization.ideal)
+
+
+def test_construct_ci_reads_no_row_back(monkeypatch):
+    # no generator is read back through its Fraction coefficients; a
+    # rectangle's monomial ideal still goes through GradedIdeal
+    P = Partition("6,2^3")
+    want = construct_ci(P, lambda2=(Fraction(7, 2),))
+
+    def refuse(*args):
+        raise AssertionError("a row read back")
+
+    monkeypatch.setattr(jtlab.algebra, "_poly_vec", refuse)
+    assert construct_ci(P, lambda2=(Fraction(7, 2),)) == want
+    with pytest.raises(AssertionError, match="a row read back"):
+        construct_ci(Partition("3^4"))
 
 
 def test_fmt_monomials_matches_monomial_text():

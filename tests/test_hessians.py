@@ -364,6 +364,42 @@ def test_hessian_ranks_agree_with_and_without_an_algebra():
     assert checked > 104 * 4 * 2
 
 
+def test_every_spelling_of_a_point_gives_the_same_rank():
+    # a tuple or list of two ints goes straight to linalg.primitive, any
+    # other point through Fraction; both read the same primitive pair, and
+    # the rank is that of multiplication by x + 2y, which the planted forms
+    # drop at (1, 2)
+    spellings = [(1, 2), (Fraction(1), 2), (2, 4), (-1, -2), [1, 2], (True, 2), (1.0, 2.0)]
+    ell = BivariatePoly.linear(1, 2)
+    checked = dropped = 0
+    for F in dual_fuzz_forms() + power_sum_duals():
+        A = quotient(annihilator(F))
+        for i in active_hessian_indices(HilbertFunction(A.hilbert)):
+            want = rank_mult_power(A, ell, i, A.socle_degree - i)
+            dropped += want < i + 1
+            for algebra in (None, A):
+                for point in spellings:
+                    assert hessian_rank_at(F, i, point, algebra=algebra) == want, (F, i, point)
+                    checked += 1
+    assert checked > 104 * 2 * 2 * len(spellings) and dropped == 3
+
+
+def test_an_integer_point_needs_no_fraction(monkeypatch):
+    F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
+    points = [(1, 2), [1, 2], (0, 1), (1, 0), (-3, 5), (6, -10)]
+    want = [[hessian_rank_at(F, i, point) for i in range(3)] for point in points]
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(hessians, "Fraction", refuse)
+    assert [[hessian_rank_at(F, i, point) for i in range(3)] for point in points] == want
+    # the patch is live: any other point still goes through Fraction
+    for point in [(1.0, 2), (Fraction(1), 2), (True, 2), (1, 2, 0)]:
+        with pytest.raises(AssertionError, match="Fraction built"):
+            hessian_rank_at(F, 1, point)
+
+
 @pytest.mark.parametrize(
     "F, error",
     [

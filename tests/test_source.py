@@ -158,6 +158,19 @@ def test_only_the_dual_reader_writes_a_forms_dual_data():
     assert found == ["polynomials.py:dual_data"], found
 
 
+def test_only_the_graded_ideal_writes_its_rows():
+    # quotient and initial_ideal build from _rows without checking them, so
+    # only GradedIdeal writes them: its constructor, which reads them off
+    # the generators, and _from_rows, for callers that built the generators
+    # from those rows
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, _ in _slot_writes(ast.parse(path.read_text(), filename=str(path)), "_rows")
+    ]
+    assert sorted(found) == ["algebra.py:__init__", "algebra.py:_from_rows"], found
+
+
 def _fractions_imports(tree):
     """Line numbers of every import of the fractions module in a parsed
     module: import fractions, import fractions as f, from fractions import

@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 
+from jtlab.algebra import GradedIdeal
 from jtlab.polynomials import BivariatePoly, parse_poly
 
 
@@ -68,3 +69,12 @@ def power_sum_duals(jmin=4, jmax=9):
         duals.append((X + Y) ** j + (X - 2 * Y) ** j)
         duals.append(X**j + (X + Y) ** j + (X - Y) ** j)
     return duals
+
+
+def assert_same_as_constructed(ideal):
+    """An ideal that GradedIdeal._from_rows built equals the one that the
+    public constructor builds from its generators, in ==, hash and _rows."""
+    built = GradedIdeal(ideal.generators)
+    assert ideal == built and hash(ideal) == hash(built), ideal
+    assert ideal._rows == built._rows, ideal
+    assert [(type(e), type(row)) for e, row in ideal._rows] == [(int, list)] * len(built._rows)
