@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
 
 from . import linalg
@@ -37,6 +36,7 @@ from .errors import (
     ParseError,
     ZeroForm,
     ZeroInput,
+    _Value,
 )
 from .partitions import JordanDegreeType, Partition
 from .polynomials import MAX_DEGREE, BivariatePoly, catalecticant, dual_data
@@ -487,15 +487,18 @@ def jordan_degree_type(A, ell):
     return JordanDegreeType(strings)
 
 
-@dataclass(frozen=True)
-class MonomialCell:
+class MonomialCell(_Value):
     """Initial data of an ideal in a linear direction: the partition Q whose
     Ferrers diagram the standard monomials fill, the monomial fill itself,
     and the minimal generators of the complementary monomial ideal."""
 
-    partition: Partition
-    fill: tuple  # standard monomials per degree
-    generators: tuple  # minimal generators of (E_Q) as (x-exp, y-exp)
+    __slots__ = ("partition", "fill", "generators")
+
+    def __init__(self, partition: Partition, fill: tuple, generators: tuple):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "fill", fill)  # standard monomials per degree
+        # minimal generators of (E_Q) as (x-exp, y-exp)
+        object.__setattr__(self, "generators", generators)
 
 
 def cell_generators(Q):

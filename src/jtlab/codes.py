@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     InternalInconsistency,
@@ -33,6 +32,7 @@ from .errors import (
     NotCIJT,
     NotCIJTWithDParts,
     ParseError,
+    _Value,
 )
 from .partitions import (
     HilbertFunction,
@@ -478,8 +478,7 @@ def cell_dimension(P):
     return sum(hook_counts_by_degree(P).values())
 
 
-@dataclass(frozen=True)
-class HookCode:
+class HookCode(_Value):
     """Hook counts of a partition of CI-shaped diagonal lengths.
 
     traditional: counts by hand degree over the window [d, j], stored as
@@ -488,11 +487,14 @@ class HookCode:
     the label entries (None at E).
     """
 
-    traditional: tuple
-    label: BranchLabel
-    subscripts: tuple
-    d: int
-    k: int
+    __slots__ = ("traditional", "label", "subscripts", "d", "k")
+
+    def __init__(self, traditional: tuple, label: BranchLabel, subscripts: tuple, d: int, k: int):
+        object.__setattr__(self, "traditional", traditional)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "subscripts", subscripts)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
 
     def traditional_str(self, support_only=False):
         """Comma list "1_3,2_4,2_5".  With support_only the window starts at

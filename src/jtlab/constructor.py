@@ -19,7 +19,6 @@ rows as they are, through GradedIdeal._from_rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -33,7 +32,7 @@ from .algebra import (
     rank_mult_power,
 )
 from .codes import enumerate_cijt, is_cijt
-from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, ParseError
+from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, ParseError, _Value
 from .hessians import nonvanishing_set, predicted_nonvanishing_set, predicted_rank_profile
 from .linalg import primitive
 from .partitions import HilbertFunction, Partition, format_caret_list, hilbert_function
@@ -51,15 +50,24 @@ __all__ = [
 _ELL_X = BivariatePoly.linear(1, 0)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(_Value):
     """A constructed complete intersection realizing a Jordan type."""
 
-    partition: Partition
-    hilbert: HilbertFunction
-    ideal: GradedIdeal
-    chain: tuple = ()
-    lambdas: tuple = ()  # Lambda_2, the free parameters
+    __slots__ = ("partition", "hilbert", "ideal", "chain", "lambdas")
+
+    def __init__(
+        self,
+        partition: Partition,
+        hilbert: HilbertFunction,
+        ideal: GradedIdeal,
+        chain: tuple = (),
+        lambdas: tuple = (),
+    ):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "hilbert", hilbert)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "lambdas", lambdas)  # Lambda_2, the free parameters
 
     def __str__(self):
         return ", ".join(g.text() for g in self.ideal.generators)
@@ -162,17 +170,26 @@ def construct_ci(P, lambda2=None, seed=None):
     )
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    expected: str
-    observed: str
+class Check(_Value):
+    """One named check of a realization: whether it passed, and what was
+    expected and observed, as text."""
+
+    __slots__ = ("name", "passed", "expected", "observed")
+
+    def __init__(self, name: str, passed: bool, expected: str, observed: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "observed", observed)
 
 
-@dataclass(frozen=True)
-class RealizationReport:
-    checks: tuple
+class RealizationReport(_Value):
+    """The checks that verify_realization ran on a realization, in order."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def all_passed(self):

@@ -1,4 +1,48 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and _Value, the base of its
+immutable value classes."""
+
+import operator
+
+
+class _Value:
+    """Base of an immutable value class whose fields are its __slots__, in
+    order; the subclass's own constructor sets them with object.__setattr__.
+
+    Assigning or deleting an attribute raises AttributeError.  Two values
+    are equal when they are of the same class with equal fields, the hash
+    is the field tuple's, and repr is Name(field=value, ...).  A copy or an
+    unpickled twin is built by the constructor from the fields, passed by
+    position.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the field tuple, read by a C getter; attrgetter of one name returns
+        # the bare value, which is wrapped
+        get = operator.attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), self._fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
 
 
 class JtlabError(ValueError):

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
@@ -41,6 +40,7 @@ from .errors import (
     NotCIShape,
     ParseError,
     SizeMismatch,
+    _Value,
 )
 
 __all__ = [
@@ -297,8 +297,7 @@ def validate_ci_hilbert(T):
     return d, k, j
 
 
-@dataclass(frozen=True, init=False)
-class HilbertFunction:
+class HilbertFunction(_Value):
     """A complete intersection Hilbert function (1,2,...,d^k,...,2,1).
 
     d is the Sperner number (height), k the multiplicity of d, and
@@ -308,10 +307,7 @@ class HilbertFunction:
     ParseError, and any other sequence NotCIShape (see validate_ci_hilbert).
     """
 
-    values: tuple
-    d: int
-    k: int
-    j: int
+    __slots__ = ("values", "d", "k", "j")
 
     def __new__(cls, values):
         if isinstance(values, HilbertFunction):
@@ -394,8 +390,7 @@ def dominance_leq(Q, P):
     return True
 
 
-@dataclass(frozen=True)
-class JordanDegreeType:
+class JordanDegreeType(_Value):
     """Multiset of strings (start degree i, length s) with multiplicities.
 
     A string of length s starting in degree i covers degrees i..i+s-1; the
@@ -403,7 +398,7 @@ class JordanDegreeType:
     Hilbert function.
     """
 
-    strings: tuple  # sorted tuple of ((i, s), multiplicity)
+    __slots__ = ("strings",)  # sorted tuple of ((i, s), multiplicity)
 
     def __init__(self, strings):
         if isinstance(strings, dict):

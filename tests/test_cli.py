@@ -245,7 +245,8 @@ def test_enumerate_over_row_cap_exits_2(d, k):
 
 
 def test_enumerate_just_under_row_cap():
-    # T(10, 2) has 2 * 3^9 = 39366 partitions, all enumerated; 2^10 are CIJT
+    # T(10, 2) has 2 * 3^9 = 39366 partitions, just under the cap, which
+    # counts them all; with --cijt-only only its 2^10 CIJT rows are built
     T = HilbertFunction.from_dk(10, 2)
     assert diagonal_partition_count(T) == 39366 <= MAX_TABLE_ROWS
     code, out, _ = run_cli("enumerate", str(T), "--cijt-only", "--format", "csv")

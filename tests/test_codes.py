@@ -1,9 +1,11 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from jtlab import codes
+from jtlab.algebra import GradedIdeal, MonomialCell, initial_ideal, jordan_degree_type, quotient
 from jtlab.codes import (
     E,
     BranchLabel,
@@ -21,6 +23,7 @@ from jtlab.codes import (
     iota,
     partition_to_branch_label,
 )
+from jtlab.constructor import Check, Realization, RealizationReport, construct_ci
 from jtlab.errors import (
     DiagonalMismatch,
     InternalInconsistency,
@@ -38,6 +41,7 @@ from jtlab.partitions import (
     sl_partition,
     symmetric_string_placement,
 )
+from jtlab.polynomials import parse_poly
 from tests_support import copies
 
 T1221 = HilbertFunction("1,2,2,1")
@@ -209,6 +213,110 @@ def test_value_objects_copy_and_pickle():
     for twin in copies(hook_code_direct(Partition("3,1"))):
         assert twin.label.gaps == (0, 1) and twin.subscripted_str() == "E,E,1_2"
     assert all(twin is E for twin in copies(E))
+
+
+def _value_cases():
+    """(built, keyword twin, field names, repr) for one instance of each
+    immutable value class, with the class name as its id: built by the
+    package where it has a builder, the twin built apart by keyword, and
+    the repr as the frozen dataclasses these classes once were printed it."""
+    P = Partition("3,1")
+    r = construct_ci(P)
+    x, y = parse_poly("x"), parse_poly("y")
+    check = Check(name="jordan_type", passed=True, expected="3,1", observed="3,1")
+    cases = [
+        (
+            initial_ideal(GradedIdeal([x**2, y**2]), x),
+            MonomialCell(
+                partition=Partition("2^2"),
+                fill=(((0, 0),), ((0, 1), (1, 0)), ((1, 1),)),
+                generators=((2, 0), (0, 2)),
+            ),
+            ("partition", "fill", "generators"),
+            "MonomialCell(partition=Partition('2^2'), fill=(((0, 0),), ((0, 1), (1, 0)), "
+            "((1, 1),)), generators=((2, 0), (0, 2)))",
+        ),
+        (
+            hook_code_direct(P),
+            codes.HookCode(
+                traditional=((2, 2),),
+                label=BranchLabel("E,E,1"),
+                subscripts=(None, None, 2),
+                d=2,
+                k=1,
+            ),
+            ("traditional", "label", "subscripts", "d", "k"),
+            "HookCode(traditional=((2, 2),), label=BranchLabel('E,E,1'), "
+            "subscripts=(None, None, 2), d=2, k=1)",
+        ),
+        (
+            r,
+            Realization(
+                partition=P,
+                hilbert=HilbertFunction("1,2,1"),
+                ideal=GradedIdeal([x * y, x**2 + y**2]),
+                chain=(x**3, x * y, x**2 + y**2),
+                lambdas=(Fraction(0),),
+            ),
+            ("partition", "hilbert", "ideal", "chain", "lambdas"),
+            "Realization(partition=Partition('3,1'), hilbert=HilbertFunction('1,2,1'), "
+            "ideal=GradedIdeal([x*y, y^2 + x^2]), chain=(BivariatePoly('x^3'), "
+            "BivariatePoly('x*y'), BivariatePoly('y^2 + x^2')), lambdas=(Fraction(0, 1),))",
+        ),
+        (
+            Check("jordan_type", True, "3,1", "3,1"),
+            check,
+            ("name", "passed", "expected", "observed"),
+            "Check(name='jordan_type', passed=True, expected='3,1', observed='3,1')",
+        ),
+        (
+            RealizationReport((check,)),
+            RealizationReport(checks=(check,)),
+            ("checks",),
+            "RealizationReport(checks=(Check(name='jordan_type', passed=True, "
+            "expected='3,1', observed='3,1'),))",
+        ),
+        (
+            HilbertFunction.from_dk(2, 1),
+            HilbertFunction(values=(1, 2, 1)),
+            ("values", "d", "k", "j"),
+            "HilbertFunction('1,2,1')",
+        ),
+        (
+            jordan_degree_type(quotient(r.ideal), x),
+            JordanDegreeType(strings={(1, 1): 1, (0, 3): 1}),
+            ("strings",),
+            "JordanDegreeType(strings=(((0, 3), 1), ((1, 1), 1)))",
+        ),
+    ]
+    return [pytest.param(*case, id=type(case[0]).__name__) for case in cases]
+
+
+@pytest.mark.parametrize("built, twin, names, text", _value_cases())
+def test_value_classes_keep_their_semantics(built, twin, names, text):
+    # the seven classes were frozen dataclasses: the same repr, == only
+    # within the class, the hash of the field tuple, no assignment or
+    # deletion, and copies and pickles equal to the original
+    fields = tuple(getattr(built, name) for name in names)
+    assert repr(built) == repr(twin) == text
+    assert built == twin and not built != twin and hash(built) == hash(twin) == hash(fields)
+    assert built != fields and built != object() and not built == fields
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(built, name, None)
+        with pytest.raises(AttributeError):
+            delattr(built, name)
+    assert tuple(getattr(built, name) for name in names) == fields
+    for copy in copies(built):
+        assert type(copy) is type(built) and copy == built and hash(copy) == hash(built)
+        assert repr(copy) == text
+
+
+def test_realization_fields_default_to_empty():
+    r = construct_ci(Partition("3,1"))
+    bare = Realization(r.partition, r.hilbert, r.ideal)
+    assert (bare.chain, bare.lambdas) == ((), ())
+    assert bare != r and bare == Realization(r.partition, r.hilbert, r.ideal, (), ())
 
 
 def test_enumerated_partitions_share_their_T():

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import jtlab
@@ -171,10 +173,10 @@ def test_only_the_graded_ideal_writes_its_rows():
     assert sorted(found) == ["algebra.py:__init__", "algebra.py:_from_rows"], found
 
 
-def _fractions_imports(tree):
-    """Line numbers of every import of the fractions module in a parsed
-    module: import fractions, import fractions as f, from fractions import
-    Fraction, and the same for a submodule path starting with fractions."""
+def _imports_of(tree, module):
+    """Line numbers of every import of the named top-level module in a
+    parsed module: import m, import m as n, from m import x, and the same
+    for a submodule path starting with m."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -183,7 +185,7 @@ def _fractions_imports(tree):
             names = [node.module or ""]
         else:
             continue
-        if any(name == "fractions" or name.startswith("fractions.") for name in names):
+        if any(name == module or name.startswith(module + ".") for name in names):
             found.append(node.lineno)
     return found
 
@@ -209,7 +211,7 @@ def test_fraction_and_substitute_guards_see_every_spelling():
         "from .fractions import x\n"
         "import fractionsx\n"
     )
-    assert _fractions_imports(tree) == [1, 2, 3, 4]
+    assert _imports_of(tree, "fractions") == [1, 2, 3, 4]
     tree = ast.parse(
         "g.substitute(px, py)\n"
         "gens[0].substitute(px, py)\n"
@@ -224,7 +226,7 @@ def test_algebra_does_no_fraction_arithmetic():
     # generators come in as integer rows and initial ideals move those rows,
     # so algebra.py has no use for Fraction
     path = PACKAGE / "algebra.py"
-    assert _fractions_imports(ast.parse(path.read_text(), filename=str(path))) == []
+    assert _imports_of(ast.parse(path.read_text(), filename=str(path)), "fractions") == []
 
 
 def test_no_module_substitutes_polynomials():
@@ -236,3 +238,49 @@ def test_no_module_substitutes_polynomials():
         for line in _substitute_calls(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, f"substitute called in the package: {found}"
+
+
+def test_dataclasses_guard_sees_both_spellings():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "from .dataclasses import x\n"
+        "import dataclassesx\n"
+    )
+    assert _imports_of(tree, "dataclasses") == [1, 2]
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes are plain slotted classes (errors._Value): importing
+    # dataclasses would pull in inspect, ast, dis and tokenize at start-up,
+    # which the one-question-per-process CLI pays on every call
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _imports_of(ast.parse(path.read_text(), filename=str(path)), "dataclasses")
+    ]
+    assert not found, f"dataclasses imported in the package: {found}"
+
+
+STARTUP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+heavy = ("dataclasses", "inspect")
+import jtlab
+print(*[name for name in heavy if name in sys.modules])
+import jtlab.cli
+print(*[name for name in heavy if name in sys.modules])
+"""
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site (-S), so only the package's own
+    # imports count: neither import jtlab nor import jtlab.cli loads them
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n\n", proc.stdout
