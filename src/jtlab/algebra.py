@@ -7,23 +7,29 @@ monomials fill the Ferrers diagram of a partition.
 
 The Jordan degree type of multiplication by a linear form L, and with it the
 Jordan type, is read off the ranks of L^(s-u): A_u -> A_s: the number of
-Jordan strings of length >= s equals rank(m_L^(s-1)) - rank(m_L^s).
+Jordan strings of length >= s equals rank(m_L^(s-1)) - rank(m_L^s).  Each
+rank counts standard monomials.  Move coordinates so that L is x, and let
+I' be the moved ideal.  Then rank(x^(s-u): A_u -> A_s) = (u + 1) -
+dim(I'_s meet x^(s-u) R_u), and that intersection is spanned by the echelon
+rows of I'_s whose pivot is at least s - u.  So the rank is the number of
+standard monomials of I' of degree s divisible by x^(s-u): the initial
+ideal in L's direction holds every rank of every power of L.
 
 Inside this module a degree-n form is a coordinate vector whose entry t is
 the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
 one place and multiplying by y appends a zero.  The ideal is stored as
 integer echelon forms, built one degree from the last with linalg.extend by
-_build, which also counts the minimal generators and, on generator rows
-moved to new coordinates, gives every initial ideal.  A rank table needs
-only ranks, so it goes through the forward-only kernel linalg.insert.  A
-dual generator is read only through polynomials.dual_data.  Fraction is
-met only in a BivariatePoly's coefficients, where a polynomial comes in or
-goes out.
+_build, which also counts the minimal generators.  The standard monomials
+of a moved ideal need only pivots, so _moved_standard builds it forward
+only, with linalg.insert, one degree from the last; when L is a multiple
+of x nothing moves, and the quotient's own standard monomials are read
+with no elimination.  A dual generator is read only through
+polynomials.dual_data.  Fraction is met only in a BivariatePoly's
+coefficients, where a polynomial comes in or goes out.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from itertools import chain
 
@@ -70,19 +76,6 @@ def _poly_vec(f, n):
 
 def _vec_poly(vec, n):
     return BivariatePoly({(t, n - t): c for t, c in enumerate(vec) if c})
-
-
-def _combine(vec, columns):
-    """The sum of vec[k] * columns[k] over the nonzero entries of a nonzero
-    vector vec: its image under the map with these columns."""
-    out = None
-    for v, col in zip(vec, columns):
-        if v:
-            if out is None:
-                out = col if v == 1 else [v * w for w in col]
-            else:
-                out = [o + v * w for o, w in zip(out, col)]
-    return out
 
 
 class GradedIdeal:
@@ -136,6 +129,9 @@ class GradedIdeal:
     def __setattr__(self, name, value):
         raise AttributeError("GradedIdeal is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GradedIdeal is immutable")
+
     def __reduce__(self):
         return (GradedIdeal, (self.generators,))
 
@@ -164,11 +160,12 @@ class ArtinAlgebra:
     any other nonzero lead gives the same answers.  Rank questions about
     multiplication by a linear form are answered from a rank table that is
     filled the first time the form is asked about and kept on the algebra
-    for later questions.  On the first question it keeps, for each degree
-    s >= 1 and shared by every direction, what the one-step maps are built
-    from (_pivot_rows): the position of each standard monomial, minus the
-    echelon row of each pivot column read in the standard columns, and the
-    lead.  The maps themselves are lists of columns.
+    under the form.  A table is counted off the standard monomials of the
+    ideal moved so that the form becomes x (see the module docstring).
+    Those are kept under the primitive pair of the form's coefficients
+    (_standard), so a form, its multiples and initial_ideal in the same
+    direction share one moved pass; under (1, 0) they are the algebra's
+    own, and no elimination runs.
     """
 
     def __init__(self, ideal, echelons, generator_degrees):
@@ -188,7 +185,9 @@ class ArtinAlgebra:
         # linear form -> rank table; a BivariatePoly keeps its hash, and
         # equal forms compare equal
         self._rank_tables = {}
-        self._pivot_forms = None  # filled by _one_step_maps
+        # primitive (a, b) -> the standard monomials of the ideal moved so
+        # that a*x + b*y is x; nothing moves for (1, 0)
+        self._moved_std = {(1, 0): self._std}
 
     @property
     def dimension(self):
@@ -222,113 +221,43 @@ class ArtinAlgebra:
         lead = self._echelons[i][2]
         return [v / lead for v in self._reduce(_poly_vec(f, i), i)]
 
-    def _pivot_rows(self, s):
-        """For degree s: (N, lead), where N[u] is the position of x^u y^(s-u)
-        in the standard basis when that monomial is standard, and otherwise
-        its normal form on that basis times lead, the lead of I_s: minus its
-        echelon row, read in the standard columns."""
-        pivots, rows, lead = self._echelons[s]
-        std = self._std[s]
-        N = [None] * (s + 1)
-        for k, t in enumerate(std):
-            N[t] = k
-        for pc, row in zip(pivots, rows):
-            N[pc] = [-row[c] for c in std]
-        return N, lead
-
-    def _one_step_maps(self, a, b):
-        """The one-step maps M_s: A_s -> A_(s+1) of a*x + b*y, s = 0 .. j-1,
-        each as its columns: column k is the image of standard monomial k of
-        degree s, on the standard basis of degree s + 1.
-
-        The image of x^t y^(s-t) is b N[t] + a N[t+1], scaled by the lead of
-        I_(s+1), with N that degree's _pivot_rows: lead times a unit vector
-        for a standard monomial, the stored row otherwise; a zero
-        coefficient adds nothing.  Each M_s is then divided by its content,
-        the gcd of all its entries: one scalar for the whole map, so the
-        rank of every product of maps is unchanged, and the entries stay
-        small.  The pivot rows of every degree are read off I on the first
-        call and kept for every later direction.
-        """
-        if self._pivot_forms is None:
-            self._pivot_forms = [
-                self._pivot_rows(s) for s in range(1, self.socle_degree + 1)
-            ]
-        maps = []
-        for std, (N, lead), m in zip(self._std, self._pivot_forms, self.hilbert[1:]):
-            columns = []
-            for t in std:
-                col = None
-                for c, form in ((b, N[t]), (a, N[t + 1])):
-                    if not c:
-                        continue
-                    if isinstance(form, int):  # a standard monomial
-                        if col is None:
-                            col = [0] * m
-                        col[form] += c * lead
-                    elif col is None:
-                        col = [c * v for v in form]
-                    else:
-                        col = [w + c * v for w, v in zip(col, form)]
-                columns.append(col)
-            content = math.gcd(*chain.from_iterable(columns))
-            if content > 1:
-                columns = [[v // content for v in col] for col in columns]
-            maps.append(columns)
-        return maps
+    def _standard(self, a, b):
+        """The x-exponents of the standard monomials of each degree 0 .. j
+        of the ideal moved so that a*x + b*y becomes x, for a primitive pair
+        (a, b): read by _moved_standard off the ideal's generator rows the
+        first time, and kept under (a, b).  A change of coordinates keeps
+        the Hilbert function, so InternalInconsistency is raised when theirs
+        is not the algebra's."""
+        std = self._moved_std.get((a, b))
+        if std is None:
+            std = _moved_standard(self.ideal._rows, a, b, self.socle_degree)
+            if tuple(map(len, std)) != self.hilbert:
+                raise InternalInconsistency(
+                    f"moved by ({a}, {b}), I = ({self.ideal}) has Hilbert function "
+                    f"{tuple(map(len, std))}, not {self.hilbert}"
+                )
+            self._moved_std[(a, b)] = std
+        return std
 
     def _rank_table(self, ell):
         """table[u][s - u] = r(u, s), the rank of ell^(s-u): A_u -> A_s, for
         a nonzero linear form ell; kept under ell itself.
 
-        The images ell^(s-u) A_u form a chain
-        ell^s A_0 <= ell^(s-1) A_1 <= ... <= ell A_(s-1) <= A_s, whose
-        dimensions are column s of the table; the Jordan strings of ell are
-        the barcode of A_0 -> A_1 -> ... -> A_j (Zomorodian-Carlsson,
-        "Computing persistent homology", 2005).  One sweep over s fills the
-        table.  It keeps a basis of A_s adapted to the chain: its first
-        r(u, s) vectors span ell^(s-u) A_u, for every u <= s.  The one-step
-        map M_s, given by its columns, sends them to A_(s+1): the image of a
-        vector is the sum of the columns weighted by its nonzero entries.
-        The images are fed in order to linalg.insert, the forward-only rank
-        kernel, which keeps those that raise the rank; only a rank is read,
-        so no reduced form is built.  So r(u, s+1), the rank of the first
-        r(u, s) images, is the number of kept images among them.  For each
-        kept image, insert stores a primitive row: the image plus a
-        combination of the rows stored before it, with a nonzero coefficient
-        on the image, so every prefix of the stored rows spans what the same
-        prefix of kept images spans.  Those rows, in order, followed by the
-        unit vectors of the columns that lead no row of insert's basis, are
-        the adapted basis of A_(s+1).  The image of a unit vector is a
-        column of the next map, so only the kept images are multiplied out,
-        and none past the one that fills A_(s+1).  The table is built from
-        the echelon forms of I alone, never from a dual generator.
+        With (a, b) the primitive pair of ell's coefficients, r(u, s) is the
+        number of standard monomials of degree s of the ideal moved so that
+        ell becomes x (_standard) whose x-exponent is at least s - u, which
+        is one bisect per entry; the module docstring says why.  The table
+        is read off the ideal alone, never off a dual generator.
         """
         table = self._rank_tables.get(ell)
         if table is not None:
             return table
-        a, b = linalg.primitive((ell.coefficient(1, 0), ell.coefficient(0, 1)))
-        table = [[self.hilbert[0]]]
-        vectors, units = [], range(self.hilbert[0])  # the basis of A_0
-        for columns in self._one_step_maps(a, b):
-            m = self.hilbert[len(table)]
-            # multiplied out one at a time, until the kept ones span A_(s+1)
-            images = chain(
-                (_combine(vec, columns) for vec in vectors),
-                (columns[c] for c in units),
-            )
-            basis, kept, vectors = {}, [], []
-            for n, image in enumerate(images):
-                c = linalg.insert(basis, image)
-                if c is not None:
-                    kept.append(n)
-                    vectors.append(basis[c])
-                    if len(basis) == m:
-                        break
-            for ranks in table:
-                ranks.append(bisect_left(kept, ranks[-1]))
-            table.append([m])
-            units = sorted(set(range(m)) - basis.keys())
+        std = self._standard(*_direction(ell))
+        j = self.socle_degree
+        table = [
+            [len(std[s]) - bisect_left(std[s], s - u) for s in range(u, j + 1)]
+            for u in range(j + 1)
+        ]
         self._rank_tables[ell] = table
         return table
 
@@ -432,6 +361,13 @@ def annihilator(F):
     return GradedIdeal._from_rows(rows, [_vec_poly(vec, n) for n, vec in rows])
 
 
+def _direction(ell):
+    """The primitive pair (a, b) of a nonzero linear form a*x + b*y: (1, 0)
+    for every multiple of x."""
+    b = ell.coefficient(0, 1)
+    return (1, 0) if b == 0 else linalg.primitive((ell.coefficient(1, 0), b))
+
+
 def require_linear(ell):
     """ell itself when it is a nonzero linear form; raises ZeroForm or
     ParseError otherwise."""
@@ -444,8 +380,10 @@ def require_linear(ell):
 
 def rank_mult_power(A, ell, u, s):
     """Exact rank of multiplication by ell^(s-u) from A_u to A_s, read from
-    the algebra's rank table for ell.  ell is validated only when it has no
-    table yet, since every key of A's tables passed require_linear; the
+    the algebra's rank table for ell: the number of standard monomials of
+    degree s divisible by x^(s-u) once ell is moved to x (see
+    ArtinAlgebra._rank_table).  ell is validated only when it has no table
+    yet, since every key of A's tables passed require_linear; the
     type is checked first, so an unhashable ell raises ZeroForm too."""
     if not isinstance(ell, BivariatePoly) or ell not in A._rank_tables:
         require_linear(ell)
@@ -462,7 +400,8 @@ def jordan_type(A, ell):
 
 def jordan_degree_type(A, ell):
     """Multiset of (start degree, length) of the Jordan strings of m_ell,
-    read off the algebra's rank table for ell.
+    read off the algebra's rank table for ell, which counts the standard
+    monomials of the ideal moved so that ell is x (ArtinAlgebra._rank_table).
 
     With r(u, s) the rank of ell^(s-u): A_u -> A_s (r(-1, s) = 0), the
     strings of length >= s starting in degree i number
@@ -528,25 +467,53 @@ def _moved(vec, a, b):
     return out
 
 
+def _moved_standard(rows, a, b, j):
+    """The x-exponents of the standard monomials of each degree 0 .. j of
+    the ideal I' whose generator rows, given as (degree, integer row)
+    pairs, are moved by _moved for the pair (a, b).
+
+    Only pivots are read, so the ideal is built forward only, with
+    linalg.insert, one degree from the last.  The rows kept for I'_(i-1),
+    each with a zero appended, are a forward-only basis of y I'_(i-1) under
+    the same keys.  Let N be the rows that were new in degree i - 1, past
+    y I'_(i-2).  Then I'_i = y I'_(i-1) + x N + the generators of degree i,
+    since I'_(i-1) = y I'_(i-2) + span(N) and x y I'_(i-2) lies in
+    y I'_(i-1).  So x N and those generators are inserted.  A row of x N is
+    a kept row shifted up by one place, already reduced and zero before its
+    key, where a shift x^(i-e) g', as _build takes it, would start from the
+    raw moved generator.  The keys are the pivots of I'_i, and the standard
+    monomials are the other columns.
+    """
+    moved = [(e, _moved(vec, a, b)) for e, vec in rows]
+    basis, new, std = {}, [], []
+    for i in range(j + 1):
+        basis = {c: [*row, 0] for c, row in basis.items()}  # y I'_(i-1)
+        vectors = [[0, *row] for row in new] + [vec for e, vec in moved if e == i]
+        new = []
+        for vec in vectors:  # x N, then the generators of degree i
+            c = linalg.insert(basis, vec)
+            if c is not None:
+                new.append(basis[c])
+        std.append([t for t in range(i + 1) if t not in basis])
+    return std
+
+
 def initial_ideal(ideal, ell, algebra=None):
     """Initial monomial data of I in the direction ell.
 
     Coordinates are changed so that ell becomes x (complement y, or x when
-    ell is proportional to y) by _moved on each generator's integer row,
-    with (a, b) the primitive pair of ell's coefficients, since no scaling
-    moves a leading monomial.  _build echelonizes the moved rows in the
-    order y^i > ... > x^i, and the leading monomials are collected.  When
-    ell is a multiple of x, a given algebra = quotient(ideal) is read.
+    ell is proportional to y), with (a, b) the primitive pair of ell's
+    coefficients, since no scaling moves a leading monomial.  The standard
+    monomials of the moved ideal in the order y^i > ... > x^i are read by
+    ArtinAlgebra._standard, and kept there for the rank table in the same
+    direction; when ell is a multiple of x they are the algebra's own.
+    algebra, when given, is quotient(ideal); otherwise quotient(ideal) is
+    built first, and raises BudgetExceeded or NotArtinian as _build does.
     """
     ell = require_linear(ell)
-    a, b = ell.coefficient(1, 0), ell.coefficient(0, 1)
-    if algebra is not None and b == 0:
-        A = algebra  # ell is a multiple of x: no leading monomial moves
-    else:  # the algebra of the moved ideal, held as rows only
-        a, b = linalg.primitive((a, b))
-        moved = [(e, _moved(vec, a, b)) for e, vec in ideal._rows]
-        A = ArtinAlgebra(None, *_build(ideal, moved))
-    fill = tuple(tuple(A.basis(i)) for i in range(A.socle_degree + 1))
+    A = algebra if algebra is not None else quotient(ideal)
+    std = A._standard(*_direction(ell))
+    fill = tuple(tuple((t, i - t) for t in std[i]) for i in range(A.socle_degree + 1))
     rows = [0] * (A.socle_degree + 1)
     for xa, yb in chain.from_iterable(fill):
         rows[yb] = max(rows[yb], xa + 1)

@@ -113,6 +113,9 @@ class BranchLabel:
     def __setattr__(self, name, value):
         raise AttributeError("BranchLabel is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("BranchLabel is immutable")
+
     def __reduce__(self):
         return (BranchLabel, (self.entries,))
 

@@ -8,13 +8,15 @@ Two routines eliminate, one for each kind of question:
   that form allows.  It grows the degrees of a quotient one vector at a
   time, and `echelon` folds it over the rows of a matrix given whole (the
   kernels of catalecticants).
-- `insert`, for rank-only questions (rank tables, Hessian ranks, the
-  complete-intersection count, the middle catalecticant): it reduces one
-  vector forward only against a basis of primitive rows keyed by their
-  leading columns, and never clears a column above its pivot.  The keys
-  are the pivot columns of the reduced form, so every rank and pivot set
-  read off them is that of `echelon`.  `rank` counts the rows that it
-  accepts.
+- `insert`, for questions that read only pivots or ranks: the standard
+  monomials of an ideal moved so that a linear form is x, whose counts
+  are the rank tables and the initial ideals in that direction, and,
+  through `rank`, the Hessian ranks and the middle catalecticant.  It
+  reduces one vector forward only against a basis of primitive rows keyed
+  by their leading columns, and never clears a column above its pivot.
+  The keys are the pivot columns of the reduced form, so every rank and
+  pivot set read off them is that of `echelon`.  `rank` counts the rows
+  that it accepts.
 
 An echelon form, as `echelon` and `extend` build it, is a triple (pivots,
 rows, lead): the pivot columns in increasing order, and one integer row

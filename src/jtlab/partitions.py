@@ -104,6 +104,9 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Partition is immutable")
+
     def __reduce__(self):
         return (Partition, (self.parts,))
 

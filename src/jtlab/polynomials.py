@@ -72,6 +72,9 @@ class BivariatePoly:
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePoly is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("BivariatePoly is immutable")
+
     def __reduce__(self):
         return (BivariatePoly, (self.terms,))
 

@@ -15,10 +15,11 @@ by Macaulay duality, and shares no code with the quotient or the rank
 kernel.
 
 Each returns exactly what the jtlab function of the same name returns;
-rank_table and dual_rank_table are ArtinAlgebra._rank_table,
-one_step_maps is ArtinAlgebra._one_step_maps transposed, so by rows,
-one_step_columns is its raw one-step maps, with no common factor divided
-out, and degree_span is the spanning set that GradedIdeal once offered.
+rank_table and dual_rank_table are ArtinAlgebra._rank_table, which jtlab
+counts off standard monomials, with no one-step map; one_step_maps gives
+the one-step multiplication maps by rows, each divided by its content,
+one_step_columns the same maps with no common factor divided out, and
+degree_span is the spanning set that GradedIdeal once offered.
 echelon returns the same pivots and the same reduced row echelon form over
 Q as linalg.echelon, but scaled by its last pivot value, a determinant
 that may be negative, not by the least common denominator; so the

@@ -397,7 +397,7 @@ def test_initial_ideal_agrees_with_jordan_type():
     for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5)]:
         ell = BivariatePoly.linear(a, b)
         assert initial_ideal(I, ell).partition == jordan_type(A, ell)
-        # the algebra of I is reused only for ell = x
+        # a given algebra and a fresh quotient count the same moved ideal
         assert initial_ideal(I, ell, algebra=A) == initial_ideal(I, ell)
 
 
@@ -993,10 +993,12 @@ def test_annihilator_reads_no_row_back(monkeypatch):
 
 
 def test_rank_only_questions_build_no_reduced_form(monkeypatch):
-    # the rank table, the Hessian ranks and the complete-intersection count
-    # read only ranks, so they run on linalg.insert alone
+    # the rank table, the initial ideal, the Hessian ranks and the
+    # complete-intersection count read only ranks or pivots, so they run on
+    # linalg.insert alone, in every direction
     F = parse_poly("X^4*Y^3 + 2*X^7 - 3*Y^7 + X*Y^6")
-    A = quotient(annihilator(F))
+    J = annihilator(F)
+    A = quotient(J)
     I = ideal("x^2*y", "y^4+x^4", "x*y^3")
     B = quotient(I)
 
@@ -1008,11 +1010,97 @@ def test_rank_only_questions_build_no_reduced_form(monkeypatch):
     for a, b in [(1, 0), (0, 1), (1, 1), (1, -2)]:
         ell = BivariatePoly.linear(a, b)
         assert jordan_type(A, ell).size == A.dimension
+        for K, C in ((J, A), (I, B)):
+            assert diagonal_lengths(initial_ideal(K, ell, algebra=C).partition) == C.hilbert
         for i in active_hessian_indices(HilbertFunction(A.hilbert)):
             assert hessian_rank_at(F, i, (a, b), algebra=A) == rank_mult_power(
                 A, ell, i, A.socle_degree - i
             )
     assert is_complete_intersection(I, algebra=B) == (False, (3, 4, 4))
+
+
+def _rank_table_algebras():
+    """(ideal, algebra) pairs: a complete intersection, Ann(F) and a
+    non-Gorenstein quotient."""
+    ideals = [
+        ideal("x^2*y", "y^4+x^4"),
+        annihilator(parse_poly("X^4*Y^3 + 2*X^7 - 3*Y^7 + X*Y^6")),
+        ideal("x*y", "x^3", "y^4"),
+    ]
+    return [(I, quotient(I)) for I in ideals]
+
+
+def test_rank_questions_in_x_run_no_elimination(monkeypatch):
+    # for ell a multiple of x nothing moves: the table and the initial ideal
+    # are read off the standard monomials that the quotient already holds
+    algebras = _rank_table_algebras()
+
+    def refuse(*args):
+        raise AssertionError("a question in x eliminated")
+
+    for name in ("rank", "insert", "extend", "echelon"):
+        monkeypatch.setattr(linalg, name, refuse)
+    for I, A in algebras:
+        for ell in (ELL_X, BivariatePoly.linear(2, 0), BivariatePoly.linear(-1, 0)):
+            assert jordan_degree_type(A, ell).coverage() == A.hilbert
+            assert rank_mult_power(A, ell, 0, 1) == min(A.hilbert[:2])
+            cell = initial_ideal(I, ell, algebra=A)
+            assert diagonal_lengths(cell.partition) == A.hilbert
+
+
+def test_one_moved_pass_per_direction(monkeypatch):
+    # jordan_degree_type and initial_ideal in one direction, and in its
+    # multiples, share one pass over the moved generators; x needs none
+    passes = []
+    moved_standard = algebra._moved_standard
+
+    def counting(rows, a, b, j):
+        passes.append((a, b))
+        return moved_standard(rows, a, b, j)
+
+    monkeypatch.setattr(algebra, "_moved_standard", counting)
+    for I, A in _rank_table_algebras():
+        passes.clear()
+        for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (-2, 3), (0, -5), (3, 0)]:
+            ell = BivariatePoly.linear(a, b)
+            jordan_degree_type(A, ell)
+            initial_ideal(I, ell, algebra=A)
+            rank_mult_power(A, ell, 0, 1)
+        assert passes == [(0, 1), (1, 1), (2, -3)], I
+
+
+TAMPERED_MOVE = """
+from jtlab import algebra
+from jtlab.polynomials import parse_poly
+A = algebra.quotient(algebra.GradedIdeal([parse_poly("x^2*y"), parse_poly("y^4+x^4")]))
+algebra._moved = lambda vec, a, b: [0] * (len(vec) - 1) + [1]  # every generator to x^e
+algebra.jordan_type(A, parse_poly("x+y"))
+"""
+
+
+def test_a_tampered_moved_hilbert_function_raises(monkeypatch):
+    # a change of coordinates keeps the Hilbert function, so a moved pass
+    # that does not is refused, for the rank table and the initial ideal
+    I = ideal("x^2*y", "y^4+x^4")
+    A = quotient(I)
+    monkeypatch.setattr(algebra, "_moved", lambda vec, a, b: [0] * (len(vec) - 1) + [1])
+    with pytest.raises(InternalInconsistency, match="Hilbert function"):
+        jordan_type(A, ELL_XY)
+    with pytest.raises(InternalInconsistency, match="Hilbert function"):
+        initial_ideal(I, ELL_Y)
+    assert jordan_type(A, ELL_X) == initial_ideal(I, ELL_X, algebra=A).partition
+
+
+def test_a_tampered_moved_hilbert_function_raises_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_MOVE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jtlab.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "InternalInconsistency" in proc.stderr and "Hilbert function" in proc.stderr
 
 
 INEXACT_DIVISION = "import reference_paths; reference_paths._divide_exact([6, 7], 2)"

@@ -312,6 +312,27 @@ def test_value_classes_keep_their_semantics(built, twin, names, text):
         assert repr(copy) == text
 
 
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (lambda: Partition("3,1"), ("parts", "_hilbert", "_label")),
+        (lambda: BranchLabel("3,E,1,E,2"), ("entries",)),
+        (lambda: GradedIdeal([parse_poly("x^2"), parse_poly("y^2")]), ("generators", "_rows")),
+        (lambda: parse_poly("x^2*y + 7/2*x^3"), ("terms",)),
+    ],
+    ids=["Partition", "BranchLabel", "GradedIdeal", "BivariatePoly"],
+)
+def test_deleting_a_field_raises(build, names):
+    # the classes that refuse assignment refuse deletion too, so a value
+    # never loses a field that its str, == or hash reads
+    value = build()
+    text, twin = str(value), build()
+    for name in names:
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    assert str(value) == text and value == twin and hash(value) == hash(twin)
+
+
 def test_realization_fields_default_to_empty():
     r = construct_ci(Partition("3,1"))
     bare = Realization(r.partition, r.hilbert, r.ideal)

@@ -2,9 +2,10 @@
 symmetric search, the one-label classification row, the branch-label
 enumeration, the complete-intersection count read off the build, the
 initial ideal on moved integer rows, the annihilator in its two generator
-degrees, the one-sweep rank table and the quotient built one degree from
-the last against the earlier bodies kept in reference_paths.py, and the
-rank table against the one read off the dual generator alone."""
+degrees, the rank table counted off moved standard monomials and the
+quotient built one degree from the last against the earlier bodies kept in
+reference_paths.py, and the rank table against the one read off the dual
+generator alone."""
 
 import itertools
 import json
@@ -18,7 +19,6 @@ from hypothesis import given, strategies as st
 
 import reference_paths as ref
 from jtlab.algebra import (
-    ArtinAlgebra,
     GradedIdeal,
     annihilator,
     initial_ideal,
@@ -335,6 +335,27 @@ def test_initial_ideal_counts_are_ranks_of_powers():
     assert checks == 11675
 
 
+def test_initial_ideal_counts_are_ranks_of_the_reference():
+    # the same 11 675 counts against the rank table that the reference
+    # carries through one-step maps with Bareiss elimination: the rank
+    # table of the test above is counted off the same moved standard
+    # monomials that initial_ideal reads, so this pins the identity to a
+    # path that shares no elimination with it
+    rng = random.Random(4)
+    directions = [BivariatePoly.linear(a, b) for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5)]]
+    checks = 0
+    for _ in range(150):
+        I, A, _ = _random_artinian_ideal(rng)
+        for ell in directions:
+            table = ref.rank_table(A, ell)
+            for i, fill in enumerate(initial_ideal(I, ell).fill):
+                for u in range(i + 1):
+                    count = sum(1 for _, yb in fill if yb <= u)
+                    assert count == table[u][i - u], (I, ell, u, i)
+                    checks += 1
+    assert checks == 11675
+
+
 # -- annihilator in its two generator degrees ----------------------------------
 
 X, Y = parse_poly("X"), parse_poly("Y")
@@ -393,41 +414,17 @@ def test_annihilator_matches_reference(family):
             assert degrees == [j // 2 + 1] * 2, F
 
 
-# -- the rank table in one sweep -------------------------------------------------
+# -- the rank table against carried images -------------------------------------
 
 DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, 2)]
 # 2x and -x are x up to a scalar, and x - y has a negative coefficient
 SCALED_DIRECTIONS = [(2, 0), (-1, 0), (1, -1)]
 
 
-@pytest.fixture
-def handed_maps(monkeypatch):
-    """Every list of one-step maps that ArtinAlgebra._one_step_maps hands
-    to the rank-table sweep during the test, each a list of columns.  Each
-    is checked, as it is handed, against the maps that the dense reference
-    builds by rows from the normal form of every monomial."""
-    handed = []
-    build = ArtinAlgebra._one_step_maps
-
-    def recording(self, a, b):
-        maps = build(self, a, b)
-        assert [list(zip(*M)) for M in maps] == ref.one_step_maps(self, a, b), (self, a, b)
-        handed.append(maps)
-        return maps
-
-    monkeypatch.setattr(ArtinAlgebra, "_one_step_maps", recording)
-    return handed
-
-
-def _assert_tables_match(A, directions, handed_maps):
+def _assert_tables_match(A, directions):
     for a, b in directions:
         ell = BivariatePoly.linear(a, b)
         assert A._rank_table(ell) == ref.rank_table(A, ell), (A, ell)
-    assert handed_maps
-    for maps in handed_maps:
-        for M in maps:
-            # content 1, or 0 for a zero map, over every entry of every column
-            assert math.gcd(*(v for column in M for v in column)) <= 1, (A, M)
 
 
 @pytest.mark.parametrize(
@@ -435,8 +432,8 @@ def _assert_tables_match(A, directions, handed_maps):
     [case[1:] for case in RANK_TABLE_CASES],
     ids=[case[0] for case in RANK_TABLE_CASES],
 )
-def test_rank_table_matches_reference_on_rank_table_cases(I, directions, handed_maps):
-    _assert_tables_match(quotient(I), directions + SCALED_DIRECTIONS, handed_maps)
+def test_rank_table_matches_reference_on_rank_table_cases(I, directions):
+    _assert_tables_match(quotient(I), directions + SCALED_DIRECTIONS)
 
 
 NON_GORENSTEIN = [
@@ -447,29 +444,28 @@ NON_GORENSTEIN = [
 
 
 @pytest.mark.parametrize("gens", NON_GORENSTEIN, ids=",".join)
-def test_rank_table_matches_reference_on_non_gorenstein_quotients(gens, handed_maps):
+def test_rank_table_matches_reference_on_non_gorenstein_quotients(gens):
     A = quotient(GradedIdeal([parse_poly(g) for g in gens]))
     # in codimension two, Gorenstein means complete intersection
     assert not is_complete_intersection(A.ideal, algebra=A)[0]
-    _assert_tables_match(A, DIRECTIONS + SCALED_DIRECTIONS, handed_maps)
+    _assert_tables_match(A, DIRECTIONS + SCALED_DIRECTIONS)
 
 
-def test_rank_table_matches_reference_on_benchmark_realizations(handed_maps):
+def test_rank_table_matches_reference_on_benchmark_realizations():
     # the 150 algebras of the seed-0 realize_sweep benchmark workload, which
     # draws Lambda_2 from random.Random("realize_sweep:0")
     count = 0
     for _, _, I in _realization_ideals(random.Random("realize_sweep:0")):
-        _assert_tables_match(quotient(I), DIRECTIONS, handed_maps)
-        handed_maps.clear()
+        _assert_tables_match(quotient(I), DIRECTIONS)
         count += 1
     assert count == 150
 
 
-def test_rank_table_matches_reference_on_a_degree_30_dual(handed_maps):
+def test_rank_table_matches_reference_on_a_degree_30_dual():
     # on echelon forms scaled by Bareiss pivot values, as the reference
     # quotient builds them, the raw one-step maps of this algebra are over
-    # 700 bits long; divided by their content they stay under 64, on those
-    # forms and on the least-common-denominator forms of quotient
+    # 700 bits long; the reference carries images through them, while
+    # jtlab counts standard monomials, on the Bareiss algebra and on quotient's
     I = annihilator(parse_poly("X^15*Y^15 + X^30 + 3/2*Y^30"))
     bareiss = ref.quotient(I)
     A = quotient(I)
@@ -478,14 +474,19 @@ def test_rank_table_matches_reference_on_a_degree_30_dual(handed_maps):
         raw = ref.one_step_columns(bareiss, a, b)
         assert max(abs(v).bit_length() for M in raw for row in M for v in row) > 700
     for algebra in (bareiss, A):
-        _assert_tables_match(algebra, [(1, 2), (1, 1)], handed_maps)
-    assert len(handed_maps) == 4
-    entries = [v for maps in handed_maps for M in maps for column in M for v in column]
-    assert max(abs(v).bit_length() for v in entries) < 64
+        _assert_tables_match(algebra, [(1, 2), (1, 1)])
 
 
 # -- the quotient built one degree from the last ------------------------------------
 
+
+# the dual generators F of the families of annihilators Ann(F) below
+QUOTIENT_DUALS = {
+    "dual_fuzz seed 0": dual_fuzz_forms,
+    "dense j = 16, 20, 24": lambda: [
+        random_dual_generator(random.Random(0), j, j) for j in (16, 20, 24)
+    ],
+}
 
 QUOTIENT_FAMILIES = {
     "rank table cases": lambda: [I for _, I, _ in RANK_TABLE_CASES],
@@ -495,10 +496,10 @@ QUOTIENT_FAMILIES = {
     "realize_sweep seed 0": lambda: [
         I for _, _, I in _realization_ideals(random.Random("realize_sweep:0"))
     ],
-    "dual_fuzz seed 0": lambda: [annihilator(F) for F in dual_fuzz_forms()],
-    "dense j = 16, 20, 24": lambda: [
-        annihilator(random_dual_generator(random.Random(0), j, j)) for j in (16, 20, 24)
-    ],
+    **{
+        family: lambda duals=duals: [annihilator(F) for F in duals()]
+        for family, duals in QUOTIENT_DUALS.items()
+    },
 }
 
 
@@ -519,6 +520,24 @@ def test_quotient_matches_reference(family):
             # lead is its least common denominator
             content = math.gcd(lead, *(v for row in rows for v in row))
             assert lead > 0 and content == 1, I
+
+
+@pytest.mark.parametrize("family", QUOTIENT_FAMILIES)
+def test_rank_table_matches_both_references(family):
+    # the count of moved standard monomials against the images that the
+    # reference carries by Bareiss elimination, and for Ann(F) against the
+    # Hankel ranks of F alone, in every direction of the tests above and
+    # 2x - 3y
+    ideals = QUOTIENT_FAMILIES[family]()
+    duals = QUOTIENT_DUALS[family]() if family in QUOTIENT_DUALS else [None] * len(ideals)
+    for I, F in zip(ideals, duals):
+        A = quotient(I)
+        for a, b in DIRECTIONS + SCALED_DIRECTIONS + [(2, -3)]:
+            ell = BivariatePoly.linear(a, b)
+            table = A._rank_table(ell)
+            assert table == ref.rank_table(A, ell), (I, ell)
+            if F is not None:
+                assert table == ref.dual_rank_table(F, ell), (F, ell)
 
 
 @pytest.mark.parametrize(
