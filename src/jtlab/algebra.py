@@ -17,15 +17,16 @@ ideal in L's direction holds every rank of every power of L.
 
 Inside this module a degree-n form is a coordinate vector whose entry t is
 the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
-one place and multiplying by y appends a zero.  The ideal is stored as
-integer echelon forms, built one degree from the last with linalg.extend by
-_build, which also counts the minimal generators.  The standard monomials
-of a moved ideal need only pivots, so _moved_standard builds it forward
-only, with linalg.insert, one degree from the last; when L is a multiple
-of x nothing moves, and the quotient's own standard monomials are read
-with no elimination.  A dual generator is read only through
-polynomials.dual_data.  Fraction is met only in a BivariatePoly's
-coefficients, where a polynomial comes in or goes out.
+one place and multiplying by y appends a zero.  Every question reads only
+pivots, so _build builds an ideal forward only, with linalg.insert, one
+degree from the last, and counts the minimal generators as it goes.  It
+builds the quotient, and the ideal moved in each direction that is asked
+about; when L is a multiple of x nothing moves, and the quotient's own
+standard monomials are read with no elimination.  No reduced echelon form
+is kept: normal_form_vector folds one with linalg.echelon when it is
+called.  A dual generator is read only through polynomials.dual_data.
+Fraction is met only in a BivariatePoly's coefficients, where a polynomial
+comes in or goes out.
 """
 
 from __future__ import annotations
@@ -152,42 +153,35 @@ class ArtinAlgebra:
     """A finite-dimensional graded quotient A = R/I, built through
     quotient(), which also hands it the minimal generator degrees of I.
 
-    Per degree it keeps the echelon form (pivots, rows, lead) of I as
-    integers and the standard monomials that form the basis of A; these are
-    fixed at construction.  quotient() builds the forms with linalg.extend,
-    so rows / lead is the reduced echelon form of I_i over Q and lead its
-    least common denominator; an echelon form of the same spaces scaled by
-    any other nonzero lead gives the same answers.  Rank questions about
-    multiplication by a linear form are answered from a rank table that is
-    filled the first time the form is asked about and kept on the algebra
-    under the form.  A table is counted off the standard monomials of the
-    ideal moved so that the form becomes x (see the module docstring).
-    Those are kept under the primitive pair of the form's coefficients
-    (_standard), so a form, its multiples and initial_ideal in the same
-    direction share one moved pass; under (1, 0) they are the algebra's
-    own, and no elimination runs.
+    Per degree it keeps the standard monomials that form the basis of A,
+    fixed at construction: the columns that are not pivots of I_i, as
+    _build reads them off a forward-only basis of each I_i.  No echelon
+    form is kept; normal_form_vector builds the one it needs.  Rank
+    questions about multiplication by a linear form are answered from a
+    rank table that is filled the first time the form is asked about and
+    kept on the algebra under the form.  A table is counted off the
+    standard monomials of the ideal moved so that the form becomes x (see
+    the module docstring).  Those are kept under the primitive pair of the
+    form's coefficients (_standard), so a form, its multiples and
+    initial_ideal in the same direction share one moved pass; under (1, 0)
+    they are the algebra's own, and no elimination runs.
     """
 
-    def __init__(self, ideal, echelons, generator_degrees):
+    def __init__(self, ideal, std, generator_degrees):
         self.ideal = ideal
-        # degree i -> (pivots, rows, lead) of I_i, through the first degree
-        # in which I is everything
-        self._echelons = echelons
+        # degree i -> x-exponents of the standard monomials of degree i,
+        # through the first degree in which I is everything
+        self._std = std
         # the degrees of a minimal generating set of I, in increasing order
         self._generator_degrees = generator_degrees
-        # degree i -> x-exponents of the standard monomials of degree i
-        self._std = [
-            sorted(set(range(i + 1)) - set(pivots))
-            for i, (pivots, _, _) in enumerate(echelons)
-        ]
-        self.hilbert = tuple(len(std) for std in self._std[:-1])
+        self.hilbert = tuple(map(len, std[:-1]))
         self.socle_degree = len(self.hilbert) - 1
         # linear form -> rank table; a BivariatePoly keeps its hash, and
         # equal forms compare equal
         self._rank_tables = {}
         # primitive (a, b) -> the standard monomials of the ideal moved so
         # that a*x + b*y is x; nothing moves for (1, 0)
-        self._moved_std = {(1, 0): self._std}
+        self._moved_std = {(1, 0): std}
 
     @property
     def dimension(self):
@@ -204,37 +198,42 @@ class ArtinAlgebra:
             return [(t, i - t) for t in self._std[i]]
         return []
 
-    def _reduce(self, vec, i):
-        """The normal form of a degree-i coordinate vector on the standard
-        basis, times the lead of I_i: one scalar for the whole degree."""
-        rest = linalg.remainder(vec, *self._echelons[i])
-        return [rest[t] for t in self._std[i]]
-
     def normal_form_vector(self, f):
         """Coordinates of a homogeneous form modulo I in the standard basis
-        of its degree."""
+        of its degree i: its remainder modulo the reduced echelon form of
+        I_i, which linalg.echelon builds here from the shifts x^a y^(i-e-a) g
+        of the generators g of degree e <= i."""
         if f.is_zero():
             return []
         i = f.homogeneous_degree()
         if i > self.socle_degree:
             return []
-        lead = self._echelons[i][2]
-        return [v / lead for v in self._reduce(_poly_vec(f, i), i)]
+        pivots, rows, lead = linalg.echelon(
+            [0] * a + vec + [0] * (i - e - a)
+            for e, vec in self.ideal._rows
+            if e <= i
+            for a in range(i - e + 1)
+        )
+        rest = linalg.remainder(_poly_vec(f, i), pivots, rows, lead)
+        return [rest[t] / lead for t in self._std[i]]
 
     def _standard(self, a, b):
         """The x-exponents of the standard monomials of each degree 0 .. j
-        of the ideal moved so that a*x + b*y becomes x, for a primitive pair
-        (a, b): read by _moved_standard off the ideal's generator rows the
-        first time, and kept under (a, b).  A change of coordinates keeps
-        the Hilbert function, so InternalInconsistency is raised when theirs
-        is not the algebra's."""
+        + 1 of the ideal moved so that a*x + b*y becomes x, for a primitive
+        pair (a, b): read by _build off the moved generator rows the first
+        time, up to degree j + 1, and kept under (a, b).  A change of
+        coordinates keeps the Hilbert function, so InternalInconsistency is
+        raised when theirs is not the algebra's, or when the moved ideal is
+        not everything in degree j + 1."""
         std = self._moved_std.get((a, b))
         if std is None:
-            std = _moved_standard(self.ideal._rows, a, b, self.socle_degree)
-            if tuple(map(len, std)) != self.hilbert:
+            moved = [(e, _moved(vec, a, b)) for e, vec in self.ideal._rows]
+            std, _ = _build(moved, self.socle_degree + 1)
+            hilbert, want = tuple(map(len, std)), (*self.hilbert, 0)
+            if hilbert != want:
                 raise InternalInconsistency(
                     f"moved by ({a}, {b}), I = ({self.ideal}) has Hilbert function "
-                    f"{tuple(map(len, std))}, not {self.hilbert}"
+                    f"{hilbert} through degree {len(want) - 1}, not {want}"
                 )
             self._moved_std[(a, b)] = std
         return std
@@ -265,55 +264,54 @@ class ArtinAlgebra:
         return f"ArtinAlgebra(H={self.hilbert}, I=({self.ideal}))"
 
 
-def _build(ideal, rows):
-    """(echelons, generator degrees) of the ideal I with generator rows
-    given as (degree, integer row) pairs: the echelon form of each I_i, up
-    to the first degree in which I is everything, and the degrees of a
-    minimal generating set.  Raises BudgetExceeded when a degree is over
-    MAX_DEGREE, and NotArtinian, naming ideal, when dim A_i stays positive
-    past twice the largest degree (plus guard).
+def _build(rows, top):
+    """(std, generator degrees) of the ideal I with generator rows given as
+    (degree, integer row) pairs: the x-exponents of the standard monomials
+    of each degree 0 .. i, where i is the first degree in which I is
+    everything, or top if there is none before it, and the degrees of a
+    minimal generating set of the part of I built.
 
-    By induction on i, I_i = y I_(i-1) + the span of x^(i-e) g over the
-    generators g of degree e <= i, since x I_(i-1) = y x I_(i-2) + the span
-    of x^(i-e) g over e < i, and x I_(i-2) lies in I_(i-1).  So y I_(i-1),
-    the rows of I_(i-1) with a zero appended, and the shifts over e < i
-    span R_1*I_(i-1): they go in first, and the rank that the generators of
-    degree i then add is the number of minimal generators of degree i.
-    linalg.extend adds each vector; rows / lead is the reduced echelon form
-    and lead its least common denominator, so the order of the calls does
-    not change a form.
+    Only pivots are read, so I is built forward only, with linalg.insert,
+    one degree from the last.  The rows kept for I_(i-1), each with a zero
+    appended, are a forward-only basis of y I_(i-1) under the same keys.
+    Let N be the rows that were new in degree i - 1, past y I_(i-2).  Then
+    R_1 I_(i-1) = y I_(i-1) + x N, since I_(i-1) = y I_(i-2) + span(N) and
+    x y I_(i-2) lies in y I_(i-1), and I_i is that plus the generators of
+    degree i.  So x N goes in first, and the generators of degree i that
+    insert then accepts count the minimal generators of degree i.  A row of
+    x N is a kept row shifted up by one place, already reduced and zero
+    before its key.  The keys are the pivots of I_i, and the standard
+    monomials are the other columns.
     """
-    maxdeg = max(e for e, _ in rows)
+    basis, new, std, degrees = {}, [], [], []
+    for i in range(top + 1):
+        basis = {c: [*row, 0] for c, row in basis.items()}  # y I_(i-1)
+        keys = [linalg.insert(basis, [0, *row]) for row in new]  # x N
+        grown = len(basis)  # dim R_1 I_(i-1)
+        keys += [linalg.insert(basis, vec) for e, vec in rows if e == i]
+        degrees += [i] * (len(basis) - grown)
+        new = [basis[c] for c in keys if c is not None]
+        std.append([t for t in range(i + 1) if t not in basis])
+        if not std[-1]:
+            break
+    return std, tuple(degrees)
+
+
+def quotient(ideal):
+    """The algebra R/I, built by _build from the generators' integer rows.
+    Raises BudgetExceeded when a generator's degree is over MAX_DEGREE, and
+    NotArtinian, naming ideal, when dim A_i stays positive past twice the
+    largest degree (plus guard)."""
+    maxdeg = max(e for e, _ in ideal._rows)
     if maxdeg > MAX_DEGREE:
         raise BudgetExceeded(
             f"a generator of degree {maxdeg} is over the cap of {MAX_DEGREE}"
         )
     bound = 2 * maxdeg + 2
-    form = ([], [], 1)  # I_(-1) = 0
-    echelons, degrees = [], []
-    for i in range(bound + 1):
-        pivots, rest, lead = form
-        form = pivots, [[*row, 0] for row in rest], lead  # y I_(i-1)
-        for e, vec in rows:
-            if e < i:
-                form = linalg.extend(form, [0] * (i - e) + vec)  # x^(i-e) g
-        grown = len(form[0])  # dim R_1*I_(i-1)
-        for e, vec in rows:
-            if e == i:
-                form = linalg.extend(form, vec)
-        echelons.append(form)
-        degrees += [i] * (len(form[0]) - grown)
-        if len(form[0]) == i + 1:
-            return echelons, tuple(degrees)
-    raise NotArtinian(
-        f"dim A_{bound} = {bound + 1 - len(form[0])} > 0 for I = ({ideal})"
-    )
-
-
-def quotient(ideal):
-    """The algebra R/I, built by _build from the generators' integer rows;
-    raises BudgetExceeded or NotArtinian as _build does."""
-    return ArtinAlgebra(ideal, *_build(ideal, ideal._rows))
+    std, degrees = _build(ideal._rows, bound)
+    if std[-1]:
+        raise NotArtinian(f"dim A_{bound} = {len(std[-1])} > 0 for I = ({ideal})")
+    return ArtinAlgebra(ideal, std, degrees)
 
 
 def annihilator(F):
@@ -467,37 +465,6 @@ def _moved(vec, a, b):
     return out
 
 
-def _moved_standard(rows, a, b, j):
-    """The x-exponents of the standard monomials of each degree 0 .. j of
-    the ideal I' whose generator rows, given as (degree, integer row)
-    pairs, are moved by _moved for the pair (a, b).
-
-    Only pivots are read, so the ideal is built forward only, with
-    linalg.insert, one degree from the last.  The rows kept for I'_(i-1),
-    each with a zero appended, are a forward-only basis of y I'_(i-1) under
-    the same keys.  Let N be the rows that were new in degree i - 1, past
-    y I'_(i-2).  Then I'_i = y I'_(i-1) + x N + the generators of degree i,
-    since I'_(i-1) = y I'_(i-2) + span(N) and x y I'_(i-2) lies in
-    y I'_(i-1).  So x N and those generators are inserted.  A row of x N is
-    a kept row shifted up by one place, already reduced and zero before its
-    key, where a shift x^(i-e) g', as _build takes it, would start from the
-    raw moved generator.  The keys are the pivots of I'_i, and the standard
-    monomials are the other columns.
-    """
-    moved = [(e, _moved(vec, a, b)) for e, vec in rows]
-    basis, new, std = {}, [], []
-    for i in range(j + 1):
-        basis = {c: [*row, 0] for c, row in basis.items()}  # y I'_(i-1)
-        vectors = [[0, *row] for row in new] + [vec for e, vec in moved if e == i]
-        new = []
-        for vec in vectors:  # x N, then the generators of degree i
-            c = linalg.insert(basis, vec)
-            if c is not None:
-                new.append(basis[c])
-        std.append([t for t in range(i + 1) if t not in basis])
-    return std
-
-
 def initial_ideal(ideal, ell, algebra=None):
     """Initial monomial data of I in the direction ell.
 
@@ -508,7 +475,7 @@ def initial_ideal(ideal, ell, algebra=None):
     ArtinAlgebra._standard, and kept there for the rank table in the same
     direction; when ell is a multiple of x they are the algebra's own.
     algebra, when given, is quotient(ideal); otherwise quotient(ideal) is
-    built first, and raises BudgetExceeded or NotArtinian as _build does.
+    built first, and raises BudgetExceeded or NotArtinian as quotient does.
     """
     ell = require_linear(ell)
     A = algebra if algebra is not None else quotient(ideal)

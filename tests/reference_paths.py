@@ -1,36 +1,40 @@
-"""Earlier bodies of fourteen routines, kept as references for differential
+"""Earlier bodies of thirteen routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
 branch-label enumeration with its own interval-split helper, the
 complete-intersection test that counts new generators in every degree with
 one elimination each, the initial ideal that substitutes Fraction
 polynomials for x and y, the annihilator that echelonizes every degree 0 ..
 j+1, the rank table that carries the image of each A_u one step at a time,
-the one-step maps built by rows from a dense normal form of every monomial,
-the quotient that echelonizes the whole degree_span of every degree, the
-fraction-free Gauss-Jordan elimination (Bareiss) that all of these
-eliminate with, and the realization chain of construct_ci, built on
-Fraction tuples and checked by products of BivariatePoly.  One more
-reference, dual_rank_table, reads the rank table of R/Ann(F) off F alone,
-by Macaulay duality, and shares no code with the quotient or the rank
-kernel.
+two quotients, one that echelonizes the whole degree_span of every degree
+and one that grows the reduced echelon form of each degree from the last
+with linalg.extend, the fraction-free Gauss-Jordan elimination (Bareiss)
+that the others eliminate with, and the realization chain of construct_ci,
+built on Fraction tuples and checked by products of BivariatePoly.  One
+more reference, dual_rank_table, reads the rank table of R/Ann(F) off F
+alone, by Macaulay duality, and shares no code with the quotient or the
+rank kernel.
 
 Each returns exactly what the jtlab function of the same name returns;
 rank_table and dual_rank_table are ArtinAlgebra._rank_table, which jtlab
-counts off standard monomials, with no one-step map; one_step_maps gives
-the one-step multiplication maps by rows, each divided by its content,
-one_step_columns the same maps with no common factor divided out, and
-degree_span is the spanning set that GradedIdeal once offered.
-echelon returns the same pivots and the same reduced row echelon form over
-Q as linalg.echelon, but scaled by its last pivot value, a determinant
-that may be negative, not by the least common denominator; so the
-quotient's echelon forms agree with jtlab's over Q, not entry by entry.
-Every elimination here is the Bareiss echelon of this module, never
-linalg.extend or the forward-only linalg.insert that jtlab runs, with one
-exception: initial_ideal builds the moved ideal with jtlab's own quotient,
-since the Bareiss quotient takes seconds on a dense dual of degree 30.
-What it checks is the change of coordinates, done with BivariatePoly
-products instead of the integer rows that jtlab moves; the elimination is
-checked against the Bareiss quotient on its own.
+counts off standard monomials, with no one-step map; one_step_columns
+gives the one-step multiplication maps with no common factor divided out,
+and degree_span is the spanning set that GradedIdeal once offered.  Both
+quotients return a Quotient, an ArtinAlgebra that also keeps the echelon
+form of every degree, which jtlab's quotient no longer does.  rank_table,
+one_step_columns and is_complete_intersection, given one of jtlab's
+algebras, read their forms off extend_quotient of its ideal, never off
+jtlab's build.  echelon returns the same pivots and the same reduced row
+echelon form over Q as linalg.echelon, but scaled by its last pivot value,
+a determinant that may be negative, not by the least common denominator;
+so the forms of the two quotients agree over Q, not entry by entry.  Every
+elimination here is the Bareiss echelon of this module, never the
+forward-only linalg.insert that jtlab builds its quotients with, with one
+exception: extend_quotient folds linalg.extend, the reduced forms that
+jtlab once kept, since the Bareiss quotient takes seconds on a dense dual
+of degree 30.  It is checked against the Bareiss quotient on its own, and
+initial_ideal builds the moved ideal with it; what that checks is the
+change of coordinates, done with BivariatePoly products instead of the
+integer rows that jtlab moves.
 """
 
 import math
@@ -46,7 +50,6 @@ from jtlab.algebra import (
     MonomialCell,
     _vec_poly,
     cell_generators,
-    quotient as extend_quotient,
     require_linear,
 )
 from jtlab.codes import E, BranchLabel, _arranged, _validate_label, is_cijt
@@ -290,32 +293,90 @@ def degree_span(ideal, i):
     return rows
 
 
-def quotient(ideal):
-    """One Bareiss echelon of the whole degree_span(i) in every
-    degree i, until I_i is all of R_i.  The algebra keeps no generator
-    counts; is_complete_intersection here counts them from its forms."""
+class Quotient(ArtinAlgebra):
+    """An ArtinAlgebra that also keeps, as echelons, the echelon form
+    (pivots, rows, lead) of I_i in each degree 0 .. socle + 1, off whose
+    pivots its standard monomials are read."""
+
+    def __init__(self, ideal, echelons, generator_degrees):
+        std = [
+            sorted(set(range(i + 1)) - set(pivots))
+            for i, (pivots, _, _) in enumerate(echelons)
+        ]
+        super().__init__(ideal, std, generator_degrees)
+        self.echelons = echelons
+
+
+def _artinian_bound(ideal):
+    """2 * (largest generator degree) + 2, the last degree a quotient
+    builds; BudgetExceeded when a generator is over MAX_DEGREE."""
     maxdeg = max(e for e, _ in ideal._rows)
     if maxdeg > MAX_DEGREE:
         raise BudgetExceeded(
             f"a generator of degree {maxdeg} is over the cap of {MAX_DEGREE}"
         )
-    bound = 2 * maxdeg + 2
+    return 2 * maxdeg + 2
+
+
+def quotient(ideal):
+    """One Bareiss echelon of the whole degree_span(i) in every
+    degree i, until I_i is all of R_i.  The algebra keeps no generator
+    counts; is_complete_intersection here counts them from its forms."""
+    bound = _artinian_bound(ideal)
     echelons = []
     for i in range(bound + 1):
         echelons.append(echelon(degree_span(ideal, i)))
         if len(echelons[-1][0]) == i + 1:
-            return ArtinAlgebra(ideal, echelons, None)
+            return Quotient(ideal, echelons, None)
     raise NotArtinian(
         f"dim A_{bound} = {bound + 1 - len(echelons[-1][0])} > 0 for I = ({ideal})"
     )
 
 
+def extend_quotient(ideal):
+    """The quotient as jtlab built it before it read only pivots: the
+    reduced echelon form of each I_i grown from y I_(i-1) with
+    linalg.extend, adding the raw shift x^(i-e) g of every generator g of
+    degree e < i, then the generators of degree i, whose new pivots count
+    the minimal generators of degree i.  rows / lead is the reduced
+    echelon form over Q and lead its least common denominator."""
+    bound = _artinian_bound(ideal)
+    form = ([], [], 1)  # I_(-1) = 0
+    echelons, degrees = [], []
+    for i in range(bound + 1):
+        pivots, rest, lead = form
+        form = pivots, [[*row, 0] for row in rest], lead  # y I_(i-1)
+        for e, vec in ideal._rows:
+            if e < i:
+                form = linalg.extend(form, [0] * (i - e) + vec)  # x^(i-e) g
+        grown = len(form[0])  # dim R_1*I_(i-1)
+        for e, vec in ideal._rows:
+            if e == i:
+                form = linalg.extend(form, vec)
+        echelons.append(form)
+        degrees += [i] * (len(form[0]) - grown)
+        if len(form[0]) == i + 1:
+            return Quotient(ideal, echelons, tuple(degrees))
+    raise NotArtinian(
+        f"dim A_{bound} = {bound + 1 - len(form[0])} > 0 for I = ({ideal})"
+    )
+
+
+def _reference(A):
+    """A itself when it is a reference Quotient, which keeps its forms;
+    otherwise extend_quotient of A's ideal, never A's own build."""
+    return A if isinstance(A, Quotient) else extend_quotient(A.ideal)
+
+
 def _generator_counts(ideal, echelons):
     """dim I_i - dim R_1*I_(i-1) in every degree 0 .. socle + 1, from the
-    echelon forms of I, with one elimination of R_1*I_(i-1) per degree."""
+    echelon forms of I, with one elimination of R_1*I_(i-1) per degree, on
+    the rows of I_(i-1) divided by their content, which a Bareiss form
+    scales by its long last pivot value."""
     counts = []
     for i, (pivots, _, _) in enumerate(echelons):
-        grown = len(echelon(_shifts(echelons[i - 1][1]))[0]) if i else 0
+        rows = [linalg.primitive(row) for row in echelons[i - 1][1]] if i else []
+        grown = len(echelon(_shifts(rows))[0])
         new = len(pivots) - grown
         if new < 0:
             raise InternalInconsistency(
@@ -327,9 +388,10 @@ def _generator_counts(ideal, echelons):
 
 def is_complete_intersection(ideal, algebra=None):
     """The minimal generator degrees counted by _generator_counts on the
-    echelon forms of the algebra, not read off the counts it keeps."""
-    A = algebra if algebra is not None else quotient(ideal)
-    counts = _generator_counts(ideal, A._echelons)
+    echelon forms of the Bareiss quotient, or, when an algebra is given,
+    on those of _reference(algebra), never on the counts an algebra keeps."""
+    A = _reference(algebra) if algebra is not None else quotient(ideal)
+    counts = _generator_counts(ideal, A.echelons)
     degrees = tuple(i for i, n in enumerate(counts) for _ in range(n))
     return len(degrees) == 2, degrees
 
@@ -337,7 +399,7 @@ def is_complete_intersection(ideal, algebra=None):
 def initial_ideal(ideal, ell, algebra=None):
     """The generators substituted as BivariatePoly products over Fraction,
     x = (x' - b y')/a, y = y' (or x = y', y = x'/b when a = 0), and the
-    moved ideal built again by jtlab's quotient; the algebra is reused only
+    moved ideal built again by extend_quotient; the algebra is reused only
     when ell is x itself."""
     ell = require_linear(ell)
     a, b = ell.coefficient(1, 0), ell.coefficient(0, 1)
@@ -394,49 +456,21 @@ def annihilator(F):
     return GradedIdeal(generators)
 
 
-def _normal_forms(A, i):
-    """N_i: entry t is the normal form of x^t y^(i-t) on the standard
-    basis of degree i, times the lead of I_i.  A standard monomial is
-    lead times its unit vector; the monomial of pivot column pivots[k] is
-    minus row k, read in the standard columns."""
-    pivots, rows, lead = A._echelons[i]
-    std = A._std[i]
-    forms = [[lead * (t == c) for c in std] for t in range(i + 1)]
-    for pc, row in zip(pivots, rows):
-        forms[pc] = [-row[c] for c in std]
-    return forms
-
-
-def one_step_maps(A, a, b):
-    """The one-step maps M_s: A_s -> A_(s+1) of a*x + b*y, s = 0 .. j-1,
-    each as its rows: row k holds coordinate k of the image of every
-    standard monomial of degree s.  The image of x^t y^(s-t) is
-    b N_(s+1)[t] + a N_(s+1)[t+1] (_normal_forms), and each map is divided
-    by the gcd of all its entries."""
-    maps = []
-    for s in range(A.socle_degree):
-        forms = _normal_forms(A, s + 1)
-        images = [
-            [b * v + a * w for v, w in zip(forms[t], forms[t + 1])] for t in A._std[s]
-        ]
-        content = math.gcd(*(v for image in images for v in image))
-        if content > 1:
-            images = [[v // content for v in image] for image in images]
-        maps.append(list(zip(*images)))
-    return maps
-
-
 def one_step_columns(A, a, b):
     """columns[i][k]: coordinate k of the normal form of (a*x + b*y) times
-    each standard monomial of degree i, all scaled by the pivot value of
-    I_(i+1), with no common factor divided out."""
+    each standard monomial of degree i, all scaled by the lead of the
+    echelon form of I_(i+1) that _reference(A) keeps, with no common factor
+    divided out."""
+    Q = _reference(A)
     columns = []
-    for i in range(A.socle_degree):
+    for i in range(Q.socle_degree):
+        pivots, rows, lead = Q.echelons[i + 1]
         images = []
-        for t in A._std[i]:
+        for t in Q._std[i]:
             vec = [0] * (i + 2)
             vec[t], vec[t + 1] = b, a  # y * x^t y^(i-t), x * x^t y^(i-t)
-            images.append(A._reduce(vec, i + 1))
+            rest = linalg.remainder(vec, pivots, rows, lead)
+            images.append([rest[c] for c in Q._std[i + 1]])
         columns.append(list(zip(*images)))
     return columns
 
@@ -447,17 +481,18 @@ def rank_table(A, ell):
     echelon rows until it is all of some A_s, and the rest of the row is
     copied from row s."""
     a, b = linalg.primitive((ell.coefficient(1, 0), ell.coefficient(0, 1)))
-    j = A.socle_degree
-    columns = one_step_columns(A, a, b)
+    Q = _reference(A)
+    j = Q.socle_degree
+    columns = one_step_columns(Q, a, b)
     table = [None] * (j + 1)
     for u in range(j, -1, -1):
-        n = A.hilbert[u]
+        n = Q.hilbert[u]
         image = [[int(r == c) for c in range(n)] for r in range(n)]
         ranks = [n]
         for s in range(u + 1, j + 1):
             moved = [[sum(map(mul, row, col)) for col in columns[s - 1]] for row in image]
             image = [linalg.primitive(row) for row in echelon(moved)[1]]
-            if len(image) == A.hilbert[s]:
+            if len(image) == Q.hilbert[s]:
                 ranks.extend(table[s])
                 break
             ranks.append(len(image))

@@ -1050,23 +1050,31 @@ def test_rank_questions_in_x_run_no_elimination(monkeypatch):
 
 def test_one_moved_pass_per_direction(monkeypatch):
     # jordan_degree_type and initial_ideal in one direction, and in its
-    # multiples, share one pass over the moved generators; x needs none
+    # multiples, share one pass of the builder over the moved generators;
+    # x needs none.  The algebras are built before the builder is counted,
+    # and each pass is named by the direction whose moved rows it was given.
+    algebras = _rank_table_algebras()
     passes = []
-    moved_standard = algebra._moved_standard
+    build = algebra._build
 
-    def counting(rows, a, b, j):
-        passes.append((a, b))
-        return moved_standard(rows, a, b, j)
+    def counting(rows, top):
+        passes.append(rows)
+        return build(rows, top)
 
-    monkeypatch.setattr(algebra, "_moved_standard", counting)
-    for I, A in _rank_table_algebras():
+    monkeypatch.setattr(algebra, "_build", counting)
+    for I, A in algebras:
         passes.clear()
         for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (-2, 3), (0, -5), (3, 0)]:
             ell = BivariatePoly.linear(a, b)
             jordan_degree_type(A, ell)
             initial_ideal(I, ell, algebra=A)
             rank_mult_power(A, ell, 0, 1)
-        assert passes == [(0, 1), (1, 1), (2, -3)], I
+        moved = {
+            (a, b): [(e, algebra._moved(vec, a, b)) for e, vec in I._rows]
+            for a, b in [(0, 1), (1, 1), (2, -3)]
+        }
+        named = [ab for got in passes for ab, rows in moved.items() if rows == got]
+        assert named == [(0, 1), (1, 1), (2, -3)], I
 
 
 TAMPERED_MOVE = """
@@ -1089,6 +1097,23 @@ def test_a_tampered_moved_hilbert_function_raises(monkeypatch):
     with pytest.raises(InternalInconsistency, match="Hilbert function"):
         initial_ideal(I, ELL_Y)
     assert jordan_type(A, ELL_X) == initial_ideal(I, ELL_X, algebra=A).partition
+
+
+def test_a_moved_ideal_short_of_everything_past_the_socle_raises(monkeypatch):
+    # the moved pass runs through degree j + 1, where the moved ideal must
+    # be everything; a pass that keeps the Hilbert function through j but
+    # leaves a standard monomial in degree j + 1 is refused as a differing
+    # Hilbert function is, never with NotArtinian
+    A = quotient(ideal("x^2*y", "y^4+x^4"))
+    build = algebra._build
+
+    def leaving_one(rows, top):
+        std, degrees = build(rows, top)
+        return [*std[:-1], [0]], degrees
+
+    monkeypatch.setattr(algebra, "_build", leaving_one)
+    with pytest.raises(InternalInconsistency, match="Hilbert function"):
+        jordan_type(A, ELL_XY)
 
 
 def test_a_tampered_moved_hilbert_function_raises_under_optimize():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_paths as ref
+from jtlab import linalg
 from jtlab.algebra import (
     GradedIdeal,
     annihilator,
@@ -506,11 +507,24 @@ QUOTIENT_FAMILIES = {
 @pytest.mark.parametrize("family", QUOTIENT_FAMILIES)
 def test_quotient_matches_reference(family):
     for I in QUOTIENT_FAMILIES[family]():
-        A, B = quotient(I), ref.quotient(I)
-        assert A.hilbert == B.hilbert, I
-        assert len(A._echelons) == len(B._echelons), I
+        A, B, C = quotient(I), ref.quotient(I), ref.extend_quotient(I)
+        # the standard monomials and the minimal generator degrees, both
+        # against the Bareiss quotient
+        assert A._std == B._std, I
+        assert A._generator_degrees == ref.is_complete_intersection(I, algebra=B)[1], I
+        # the normal form of every monomial of every degree, against the
+        # remainder modulo the Bareiss form of that degree
+        for i, (pivots, rows, lead) in enumerate(B.echelons[:-1]):
+            for t in range(i + 1):
+                rest = linalg.remainder([int(c == t) for c in range(i + 1)], pivots, rows, lead)
+                want = [Fraction(rest[c], lead) for c in B._std[i]]
+                assert A.normal_form_vector(BivariatePoly.monomial(t, i - t)) == want, (I, i, t)
+        # the reference forms that linalg.extend grows, the ones jtlab kept
+        # before it read only pivots, against the Bareiss forms
+        assert C._std == B._std and C._generator_degrees == A._generator_degrees, I
+        assert len(C.echelons) == len(B.echelons), I
         for (pivots, rows, lead), (ref_pivots, ref_rows, ref_lead) in zip(
-            A._echelons, B._echelons
+            C.echelons, B.echelons
         ):
             assert pivots == ref_pivots, I
             # the same reduced echelon form over Q: rows / lead = ref_rows / ref_lead
@@ -540,9 +554,10 @@ def test_rank_table_matches_both_references(family):
                 assert table == ref.dual_rank_table(F, ell), (F, ell)
 
 
-@pytest.mark.parametrize(
-    "gens", [("x^2", "x*y"), ("y^3",), ("x*y^2", "x^2*y")], ids=",".join
-)
+NON_ARTINIAN = [("x^2", "x*y"), ("y^3",), ("x*y^2", "x^2*y")]
+
+
+@pytest.mark.parametrize("gens", NON_ARTINIAN, ids=",".join)
 def test_quotient_refuses_a_non_artinian_ideal_as_the_reference_does(gens):
     I = GradedIdeal([parse_poly(g) for g in gens])
     with pytest.raises(NotArtinian) as got:
@@ -552,17 +567,74 @@ def test_quotient_refuses_a_non_artinian_ideal_as_the_reference_does(gens):
     assert str(got.value) == str(want.value)
 
 
+def test_quotient_builds_forward_only(monkeypatch):
+    # quotient reads only pivots, so it builds with linalg.insert alone:
+    # with the reduced-form and rank routines refused it still gives the
+    # Bareiss quotient's standard monomials and generator degrees, and its
+    # NotArtinian message.  Ann(F), the padded ideals and the answers are
+    # built before anything is refused.
+    rng = random.Random(17)
+    ideals = [
+        annihilator(parse_poly("X^4*Y^3 + 2*X^7 - 3*Y^7 + X*Y^6")),
+        GradedIdeal([parse_poly("x^2*y"), parse_poly("y^4+x^4")]),
+        *(GradedIdeal([parse_poly(g) for g in gens]) for gens in NON_GORENSTEIN),
+    ]
+    padded = [GradedIdeal([parse_poly(g) for g in gens]) for gens, _ in CI_CASES]
+    padded += [I for _, _, I in _realization_ideals(random.Random("realize_sweep:0"))]
+    ideals += [_padded(rng, I, quotient(I)) for I in padded]
+    want = []
+    for I in ideals:
+        B = ref.quotient(I)
+        want.append((B._std, ref.is_complete_intersection(I, algebra=B)[1]))
+    non_artinian = [GradedIdeal([parse_poly(g) for g in gens]) for gens in NON_ARTINIAN]
+    messages = []
+    for I in non_artinian:
+        with pytest.raises(NotArtinian) as refused:
+            ref.quotient(I)
+        messages.append(str(refused.value))
+
+    def refuse(*args):
+        raise AssertionError("quotient ran an elimination other than linalg.insert")
+
+    for name in ("extend", "echelon", "rank"):
+        monkeypatch.setattr(linalg, name, refuse)
+    for I, (std, degrees) in zip(ideals, want):
+        A = quotient(I)
+        assert (A._std, A._generator_degrees) == (std, degrees), I
+    for I, message in zip(non_artinian, messages):
+        with pytest.raises(NotArtinian) as got:
+            quotient(I)
+        assert str(got.value) == message
+    assert len(ideals) == 2 + len(NON_GORENSTEIN) + len(CI_CASES) + 150
+
+
 @pytest.mark.parametrize("j, bits, direction", [(30, 512, (1, 2)), (49, 1024, (1, 0))])
-def test_dense_dual_keeps_quotient_leads_short(j, bits, direction):
-    # Each lead is the least common denominator of the reduced echelon form
-    # of I_i over Q, which the ideal alone fixes: 374 bits at most for
-    # j = 30 and 932 for j = 49, where the Bareiss pivot values of the
-    # reference quotient reach 12 158 bits at j = 30.  Coefficient growth
-    # past that fails here instead of making the suite slow.
+def test_dense_dual_keeps_quotient_leads_short(monkeypatch, j, bits, direction):
+    # Each lead of the reference forms is the least common denominator of
+    # the reduced echelon form of I_i over Q, which the ideal alone fixes:
+    # 374 bits at most for j = 30 and 932 for j = 49, where the Bareiss
+    # pivot values of the reference quotient reach 12 158 bits at j = 30.
+    # The rows that quotient stores forward only reach 390 bits at j = 30
+    # and 1823 at j = 49.  Coefficient growth past either bound fails here
+    # instead of making the suite slow.
     F = random_dual_generator(random.Random(0), j, j)
-    A = quotient(annihilator(F))
+    I = annihilator(F)
+    insert, longest = linalg.insert, [0]
+
+    def measuring(basis, vec):
+        c = insert(basis, vec)
+        if c is not None:
+            longest[0] = max(longest[0], *(abs(v).bit_length() for v in basis[c]))
+        return c
+
+    monkeypatch.setattr(linalg, "insert", measuring)
+    A = quotient(I)
+    monkeypatch.undo()
     assert A.socle_degree == j
-    for _, rows, lead in A._echelons:
+    assert 0 < longest[0] < {30: 512, 49: 2048}[j]
+    B = ref.extend_quotient(I)
+    assert B._std == A._std
+    for _, rows, lead in B.echelons:
         assert 0 < lead and lead.bit_length() < bits
         assert math.gcd(lead, *(v for row in rows for v in row)) == 1
     ell = BivariatePoly.linear(*direction)

@@ -3,8 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import io
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import jtlab
@@ -284,3 +287,49 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n\n", proc.stdout
+
+
+def _tour():
+    """The python block under the README's "Library quick tour" heading."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quick tour", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _tour_claims(source):
+    """(line, repr) for every expression statement whose comment starts with
+    a Python expression: the comment up to its first ': ' or double space,
+    which is the repr of the statement's value; other comments are prose."""
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    claims = {}
+    for stmt in ast.parse(source).body:
+        text = comments.get(stmt.lineno)
+        if not isinstance(stmt, ast.Expr) or text is None:
+            continue
+        text = re.split(r": |  ", text, maxsplit=1)[0]
+        try:
+            ast.parse(text, mode="eval")
+        except SyntaxError:
+            continue
+        claims[stmt.lineno] = text
+    return claims
+
+
+def test_readme_tour_runs_as_written():
+    # every statement of the tour runs in order in one namespace, and the
+    # value of each expression whose comment is a repr has that repr
+    source = _tour()
+    claims = _tour_claims(source)
+    assert len(claims) == 6, claims
+    namespace = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            if stmt.lineno in claims:
+                assert repr(value) == claims[stmt.lineno], (stmt.lineno, value)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
