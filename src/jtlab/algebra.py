@@ -5,15 +5,16 @@ Within each degree i, monomials are ordered y^i > y^(i-1) x > ... > x^i
 echelonized ideal are the initial ideal, and the complementary standard
 monomials fill the Ferrers diagram of a partition.
 
-The Jordan degree type of multiplication by a linear form L, and with it the
-Jordan type, is read off the ranks of L^(s-u): A_u -> A_s: the number of
-Jordan strings of length >= s equals rank(m_L^(s-1)) - rank(m_L^s).  Each
-rank counts standard monomials.  Move coordinates so that L is x, and let
-I' be the moved ideal.  Then rank(x^(s-u): A_u -> A_s) = (u + 1) -
-dim(I'_s meet x^(s-u) R_u), and that intersection is spanned by the echelon
-rows of I'_s whose pivot is at least s - u.  So the rank is the number of
-standard monomials of I' of degree s divisible by x^(s-u): the initial
-ideal in L's direction holds every rank of every power of L.
+Every question about multiplication by a linear form L reads one Ferrers
+diagram.  Move coordinates so that L is x, and let I' be the moved ideal.
+rank(x^(s-u): A_u -> A_s) = (u + 1) - dim(I'_s meet x^(s-u) R_u), which
+the echelon rows of I'_s with pivot at least s - u span, so the rank counts
+the standard monomials of I' of degree s divisible by x^(s-u).  They form
+an order ideal: row b holds x^t y^b for t < p_b, with p_0 >= p_1 >= ...,
+so the rank counts the rows b <= u with b + p_b > s.  Those are the ranks
+of one Jordan string (b, p_b) per row, and ranks fix the strings: the
+Jordan degree type of L holds each (b, p_b) once, and the Jordan type is
+the partition (p_0, p_1, ...), the initial ideal's.
 
 Inside this module a degree-n form is a coordinate vector whose entry t is
 the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
@@ -31,8 +32,8 @@ comes in or goes out.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
-from itertools import chain
 
 from . import linalg
 from .errors import (
@@ -156,15 +157,14 @@ class ArtinAlgebra:
     Per degree it keeps the standard monomials that form the basis of A,
     fixed at construction: the columns that are not pivots of I_i, as
     _build reads them off a forward-only basis of each I_i.  No echelon
-    form is kept; normal_form_vector builds the one it needs.  Rank
-    questions about multiplication by a linear form are answered from a
-    rank table that is filled the first time the form is asked about and
-    kept on the algebra under the form.  A table is counted off the
-    standard monomials of the ideal moved so that the form becomes x (see
-    the module docstring).  Those are kept under the primitive pair of the
-    form's coefficients (_standard), so a form, its multiples and
-    initial_ideal in the same direction share one moved pass; under (1, 0)
-    they are the algebra's own, and no elimination runs.
+    form is kept; normal_form_vector builds the one it needs.  Every
+    question about multiplication by a linear form reads the Ferrers
+    diagram of the standard monomials of the ideal moved so that the form
+    becomes x (_diagram; see the module docstring), kept on the algebra
+    under the form.  The moved standard monomials are kept under the
+    primitive pair of the form's coefficients (_standard), so a form, its
+    multiples and initial_ideal in the same direction share one moved pass;
+    under (1, 0) they are the algebra's own, and no elimination runs.
     """
 
     def __init__(self, ideal, std, generator_degrees):
@@ -176,9 +176,9 @@ class ArtinAlgebra:
         self._generator_degrees = generator_degrees
         self.hilbert = tuple(map(len, std[:-1]))
         self.socle_degree = len(self.hilbert) - 1
-        # linear form -> rank table; a BivariatePoly keeps its hash, and
-        # equal forms compare equal
-        self._rank_tables = {}
+        # linear form -> (moved standard monomials, row lengths of their
+        # diagram); a BivariatePoly keeps its hash, and equal forms compare equal
+        self._diagrams = {}
         # primitive (a, b) -> the standard monomials of the ideal moved so
         # that a*x + b*y is x; nothing moves for (1, 0)
         self._moved_std = {(1, 0): std}
@@ -238,27 +238,24 @@ class ArtinAlgebra:
             self._moved_std[(a, b)] = std
         return std
 
-    def _rank_table(self, ell):
-        """table[u][s - u] = r(u, s), the rank of ell^(s-u): A_u -> A_s, for
-        a nonzero linear form ell; kept under ell itself.
-
-        With (a, b) the primitive pair of ell's coefficients, r(u, s) is the
-        number of standard monomials of degree s of the ideal moved so that
-        ell becomes x (_standard) whose x-exponent is at least s - u, which
-        is one bisect per entry; the module docstring says why.  The table
-        is read off the ideal alone, never off a dual generator.
-        """
-        table = self._rank_tables.get(ell)
-        if table is not None:
-            return table
-        std = self._standard(*_direction(ell))
-        j = self.socle_degree
-        table = [
-            [len(std[s]) - bisect_left(std[s], s - u) for s in range(u, j + 1)]
-            for u in range(j + 1)
-        ]
-        self._rank_tables[ell] = table
-        return table
+    def _diagram(self, ell):
+        """(std, rows) for a nonzero linear form ell, kept under ell: std is
+        _standard in ell's direction, and rows the lengths p_b > 0 of the
+        rows of the Ferrers diagram that it fills, which sum to dim A, as
+        _standard checked the moved Hilbert function.  InternalInconsistency
+        is raised unless std fills one.  The module docstring says why every
+        question about ell reads it; no dual generator is read."""
+        diagram = self._diagrams.get(ell)
+        if diagram is None:
+            std = self._standard(*_direction(ell))
+            rows = _row_lengths(std)
+            if rows is None:
+                raise InternalInconsistency(
+                    f"moved so that {ell} is x, the standard monomials of "
+                    f"({self.ideal}) do not form a Ferrers diagram"
+                )
+            diagram = self._diagrams[ell] = std, rows
+        return diagram
 
     def __repr__(self):
         return f"ArtinAlgebra(H={self.hilbert}, I=({self.ideal}))"
@@ -295,6 +292,21 @@ def _build(rows, top):
         if not std[-1]:
             break
     return std, tuple(degrees)
+
+
+def _row_lengths(std):
+    """The row lengths p_0 >= p_1 >= ... > 0 of the Ferrers diagram whose
+    cells x^t y^b are listed by their x-exponents t in std[t + b], in
+    increasing order; None unless std fills such a diagram."""
+    rows = [0] * len(std)
+    for s, exponents in enumerate(std):
+        for t in exponents:
+            if rows[s - t] != t:
+                return None
+            rows[s - t] = t + 1
+    if any(map(operator.lt, rows, rows[1:])):
+        return None
+    return tuple(p for p in rows if p)
 
 
 def quotient(ideal):
@@ -377,51 +389,35 @@ def require_linear(ell):
 
 
 def rank_mult_power(A, ell, u, s):
-    """Exact rank of multiplication by ell^(s-u) from A_u to A_s, read from
-    the algebra's rank table for ell: the number of standard monomials of
-    degree s divisible by x^(s-u) once ell is moved to x (see
-    ArtinAlgebra._rank_table).  ell is validated only when it has no table
-    yet, since every key of A's tables passed require_linear; the
-    type is checked first, so an unhashable ell raises ZeroForm too."""
-    if not isinstance(ell, BivariatePoly) or ell not in A._rank_tables:
-        require_linear(ell)
+    """Exact rank of multiplication by ell^(s-u) from A_u to A_s: the number
+    of standard monomials of degree s divisible by x^(s-u) once ell is
+    moved to x, one bisect in the diagram that ArtinAlgebra._diagram keeps
+    for ell.  ell is validated only when it has no diagram yet, since every
+    key of A's diagrams passed require_linear; the type is checked first,
+    so an unhashable ell raises ZeroForm too."""
+    diagram = A._diagrams.get(ell) if isinstance(ell, BivariatePoly) else None
+    if diagram is None:
+        diagram = A._diagram(require_linear(ell))
     if not 0 <= u <= s or s > A.socle_degree:
         raise DegreeOutOfRange(f"need 0 <= {u} <= {s} <= {A.socle_degree}")
-    return A._rank_table(ell)[u][s - u]
+    std = diagram[0][s]
+    return len(std) - bisect_left(std, s - u)
 
 
 def jordan_type(A, ell):
     """Jordan block partition of the nilpotent multiplication map m_ell: the
-    string lengths of its Jordan degree type."""
-    return jordan_degree_type(A, ell).partition()
+    row lengths of the diagram that ArtinAlgebra._diagram keeps for ell."""
+    return Partition(A._diagram(require_linear(ell))[1])
 
 
 def jordan_degree_type(A, ell):
-    """Multiset of (start degree, length) of the Jordan strings of m_ell,
-    read off the algebra's rank table for ell, which counts the standard
-    monomials of the ideal moved so that ell is x (ArtinAlgebra._rank_table).
-
-    With r(u, s) the rank of ell^(s-u): A_u -> A_s (r(-1, s) = 0), the
-    strings of length >= s starting in degree i number
-    at_least(i, s) = r(i, i+s-1) - r(i-1, i+s-1), zero when i+s-1 > j, and
-    those of length exactly s number at_least(i, s) - at_least(i, s+1).
-    Summed over i this telescopes: sum_i at_least(i, s) =
-    rank(m_ell^(s-1)) - rank(m_ell^s) on all of A, the number of Jordan
-    blocks of size >= s.  So the string lengths are the Jordan type of
-    m_ell, which is how jordan_type reads it.
-    """
-    table = A._rank_table(require_linear(ell))
-    strings = {}
-    above = [0] * (len(table) + 1)  # row i-1 of the table; zero for i = 0
-    for i, row in enumerate(table):
-        # at_least[s - 1] for s = 1 .. j+1-i, then 0 past the socle
-        at_least = [r - a for r, a in zip(row, above[1:])] + [0]
-        for s in range(1, len(row) + 1):
-            count = at_least[s - 1] - at_least[s]
-            if count:
-                strings[(i, s)] = count
-        above = row
-    return JordanDegreeType(strings)
+    """Multiset of (start degree, length) of the Jordan strings of m_ell:
+    one string (b, p_b) for each row b of the diagram that
+    ArtinAlgebra._diagram keeps for ell, whose cells are y^b (1, x, ...,
+    x^(p_b - 1)) once ell is moved to x.  Every multiplicity is 1; the
+    module docstring says why."""
+    rows = A._diagram(require_linear(ell))[1]
+    return JordanDegreeType({(b, p): 1 for b, p in enumerate(rows)})
 
 
 class MonomialCell(_Value):
@@ -471,27 +467,18 @@ def initial_ideal(ideal, ell, algebra=None):
     Coordinates are changed so that ell becomes x (complement y, or x when
     ell is proportional to y), with (a, b) the primitive pair of ell's
     coefficients, since no scaling moves a leading monomial.  The standard
-    monomials of the moved ideal in the order y^i > ... > x^i are read by
-    ArtinAlgebra._standard, and kept there for the rank table in the same
-    direction; when ell is a multiple of x they are the algebra's own.
-    algebra, when given, is quotient(ideal); otherwise quotient(ideal) is
-    built first, and raises BudgetExceeded or NotArtinian as quotient does.
+    monomials of the moved ideal in the order y^i > ... > x^i and the rows
+    of their Ferrers diagram are ArtinAlgebra._diagram's, shared with every
+    other question about ell; when ell is a multiple of x they are the
+    algebra's own.  algebra, when given, is quotient(ideal); otherwise
+    quotient(ideal) is built first, and raises BudgetExceeded or
+    NotArtinian as quotient does.
     """
     ell = require_linear(ell)
     A = algebra if algebra is not None else quotient(ideal)
-    std = A._standard(*_direction(ell))
+    std, rows = A._diagram(ell)
     fill = tuple(tuple((t, i - t) for t in std[i]) for i in range(A.socle_degree + 1))
-    rows = [0] * (A.socle_degree + 1)
-    for xa, yb in chain.from_iterable(fill):
-        rows[yb] = max(rows[yb], xa + 1)
-    parts = [r for r in rows if r]
-    if any(p < q for p, q in zip(parts, parts[1:])):
-        raise InternalInconsistency("standard monomials do not form a Ferrers diagram")
-    Q = Partition(parts)
-    if Q.size != A.dimension:
-        raise InternalInconsistency(
-            f"initial partition {Q} has size {Q.size}, not dim A = {A.dimension}"
-        )
+    Q = Partition(rows)
     return MonomialCell(partition=Q, fill=fill, generators=cell_generators(Q))
 
 

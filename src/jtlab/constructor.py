@@ -222,6 +222,12 @@ def verify_realization(realization):
     (e) Hessian nonvanishing set equals the partial-sum prediction;
     (f) multiplication ranks match the predicted rank profile.
     Failures are recorded in the report, never raised.
+
+    Checks (c) and (d) read one diagram, the Ferrers diagram of the
+    quotient's standard monomials (x needs no move), as do the ranks of (e)
+    and (f).  test_jordan_degree_type_is_one_string_per_row_of_the_moved_diagram
+    in tests/test_reference_paths.py cross-checks it against the Bareiss
+    reference's rank table, on every benchmark realization among others.
     """
     P = realization.partition
     T = realization.hilbert

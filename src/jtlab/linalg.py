@@ -10,13 +10,13 @@ Two routines eliminate, one for each kind of question:
   form reduces against.
 - `insert`, for questions that read only pivots or ranks: every quotient,
   built degree by degree, and the standard monomials of an ideal moved so
-  that a linear form is x, whose counts are the rank tables and the
-  initial ideals in that direction, and, through `rank`, the Hessian ranks
-  and the middle catalecticant.  It reduces one vector forward only
-  against a basis of primitive rows keyed by their leading columns, and
-  never clears a column above its pivot.  The keys are the pivot columns
-  of the reduced form, so every rank and pivot set read off them is that
-  of `echelon`.  `rank` counts the rows that it accepts.
+  that a linear form is x, whose Ferrers diagram holds every rank, Jordan
+  type and initial ideal in that direction, and, through `rank`, the
+  Hessian ranks and the middle catalecticant.  It reduces one vector
+  forward only against a basis of primitive rows keyed by their leading
+  columns, and never clears a column above its pivot.  The keys are the
+  pivot columns of the reduced form, so every rank and pivot set read off
+  them is that of `echelon`.  `rank` counts the rows that it accepts.
 
 An echelon form, as `echelon` and `extend` build it, is a triple (pivots,
 rows, lead): the pivot columns in increasing order, and one integer row

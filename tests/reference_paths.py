@@ -1,11 +1,12 @@
-"""Earlier bodies of thirteen routines, kept as references for differential
+"""Earlier bodies of fourteen routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
 branch-label enumeration with its own interval-split helper, the
 complete-intersection test that counts new generators in every degree with
 one elimination each, the initial ideal that substitutes Fraction
 polynomials for x and y, the annihilator that echelonizes every degree 0 ..
 j+1, the rank table that carries the image of each A_u one step at a time,
-two quotients, one that echelonizes the whole degree_span of every degree
+the Jordan degree type read off a rank table by second differences, two
+quotients, one that echelonizes the whole degree_span of every degree
 and one that grows the reduced echelon form of each degree from the last
 with linalg.extend, the fraction-free Gauss-Jordan elimination (Bareiss)
 that the others eliminate with, and the realization chain of construct_ci,
@@ -15,8 +16,12 @@ alone, by Macaulay duality, and shares no code with the quotient or the
 rank kernel.
 
 Each returns exactly what the jtlab function of the same name returns;
-rank_table and dual_rank_table are ArtinAlgebra._rank_table, which jtlab
-counts off standard monomials, with no one-step map; one_step_columns
+rank_table and dual_rank_table return rank_mult_power(A, ell, u, s) for
+every 0 <= u <= s <= j, as tests_support.rank_table lays it out, which
+jtlab counts off the Ferrers diagram of the moved ideal's standard
+monomials, with no one-step map, and rank_table_jordan_degree_type(table)
+is jordan_degree_type(A, ell) when table holds the ranks of ell on A,
+which jtlab reads one string per row off that same diagram; one_step_columns
 gives the one-step multiplication maps with no common factor divided out,
 and degree_span is the spanning set that GradedIdeal once offered.  Both
 quotients return a Quotient, an ArtinAlgebra that also keeps the echelon
@@ -498,6 +503,31 @@ def rank_table(A, ell):
             ranks.append(len(image))
         table[u] = ranks
     return table
+
+
+def rank_table_jordan_degree_type(table):
+    """The Jordan degree type of m_ell read off its ranks, table[u][s - u] =
+    r(u, s), the rank of ell^(s-u): A_u -> A_s, by second differences.
+
+    With r(-1, s) = 0, the strings of length >= s starting in degree i
+    number at_least(i, s) = r(i, i+s-1) - r(i-1, i+s-1), zero when
+    i+s-1 > j, and those of length exactly s number at_least(i, s) -
+    at_least(i, s+1).  Summed over i this telescopes: sum_i at_least(i, s)
+    = rank(m_ell^(s-1)) - rank(m_ell^s) on all of A, the number of Jordan
+    blocks of size >= s.  So the string lengths are the Jordan type of
+    m_ell.
+    """
+    strings = {}
+    above = [0] * (len(table) + 1)  # row i-1 of the table; zero for i = 0
+    for i, row in enumerate(table):
+        # at_least[s - 1] for s = 1 .. j+1-i, then 0 past the socle
+        at_least = [r - a for r, a in zip(row, above[1:])] + [0]
+        for s in range(1, len(row) + 1):
+            count = at_least[s - 1] - at_least[s]
+            if count:
+                strings[(i, s)] = count
+        above = row
+    return JordanDegreeType(strings)
 
 
 def dual_rank_table(F, ell):

@@ -309,7 +309,7 @@ def test_rank_mult_power_range_check():
 @pytest.mark.parametrize(
     "ell, error",
     [
-        ([1, 0], ZeroForm),  # unhashable, so checked before the table lookup
+        ([1, 0], ZeroForm),  # unhashable, so checked before the diagram lookup
         ("x", ZeroForm),
         (None, ZeroForm),
         (BivariatePoly({}), ZeroForm),
@@ -321,7 +321,7 @@ def test_rank_mult_power_range_check():
 def test_rank_mult_power_validates_ell_beside_a_cached_table(ell, error):
     A = quotient(ideal("x^2", "y^3"))
     assert rank_mult_power(A, ELL_X, 0, 1) == 1
-    assert ELL_X in A._rank_tables
+    assert ELL_X in A._diagrams
     with pytest.raises(error):
         rank_mult_power(A, ell, 0, 1)
 
@@ -993,7 +993,7 @@ def test_annihilator_reads_no_row_back(monkeypatch):
 
 
 def test_rank_only_questions_build_no_reduced_form(monkeypatch):
-    # the rank table, the initial ideal, the Hessian ranks and the
+    # the moved diagram, the initial ideal, the Hessian ranks and the
     # complete-intersection count read only ranks or pivots, so they run on
     # linalg.insert alone, in every direction
     F = parse_poly("X^4*Y^3 + 2*X^7 - 3*Y^7 + X*Y^6")
@@ -1031,8 +1031,8 @@ def _rank_table_algebras():
 
 
 def test_rank_questions_in_x_run_no_elimination(monkeypatch):
-    # for ell a multiple of x nothing moves: the table and the initial ideal
-    # are read off the standard monomials that the quotient already holds
+    # for ell a multiple of x nothing moves: the diagram and the initial
+    # ideal are read off the standard monomials that the quotient already holds
     algebras = _rank_table_algebras()
 
     def refuse(*args):
@@ -1088,7 +1088,7 @@ algebra.jordan_type(A, parse_poly("x+y"))
 
 def test_a_tampered_moved_hilbert_function_raises(monkeypatch):
     # a change of coordinates keeps the Hilbert function, so a moved pass
-    # that does not is refused, for the rank table and the initial ideal
+    # that does not is refused, for the Jordan type and the initial ideal
     I = ideal("x^2*y", "y^4+x^4")
     A = quotient(I)
     monkeypatch.setattr(algebra, "_moved", lambda vec, a, b: [0] * (len(vec) - 1) + [1])
@@ -1126,6 +1126,68 @@ def test_a_tampered_moved_hilbert_function_raises_under_optimize():
     )
     assert proc.returncode == 1
     assert "InternalInconsistency" in proc.stderr and "Hilbert function" in proc.stderr
+
+
+# standard monomials per degree, as x-exponents, with the Hilbert function
+# (1, 2, 3, 3, 2, 1) of (x^2*y, y^4+x^4) but no Ferrers diagram: x^5 in the
+# socle past a row y^0 of length 3, and rows of lengths 3, 4, 4, 1
+NO_FERRERS_DIAGRAM = {
+    "socle past a short row": [[0], [0, 1], [0, 1, 2], [0, 1, 2], [0, 1], [5], []],
+    "rows that grow": [[0], [0, 1], [0, 1, 2], [0, 1, 2], [2, 3], [3], []],
+}
+
+TAMPERED_DIAGRAM = """
+from jtlab import algebra
+from jtlab.errors import InternalInconsistency
+from jtlab.polynomials import parse_poly
+I = algebra.GradedIdeal([parse_poly("x^2*y"), parse_poly("y^4+x^4")])
+ell = parse_poly("x+y")
+for std in {stds!r}:
+    A = algebra.quotient(I)
+    algebra._build = lambda rows, top, std=std: (std, ())
+    for ask in (
+        lambda: algebra.jordan_type(A, ell),
+        lambda: algebra.rank_mult_power(A, ell, 0, 1),
+        lambda: algebra.initial_ideal(I, ell, algebra=A),
+    ):
+        try:
+            ask()
+        except InternalInconsistency as exc:
+            print(type(exc).__name__, exc)
+""".format(stds=list(NO_FERRERS_DIAGRAM.values()))
+
+
+@pytest.mark.parametrize("std", NO_FERRERS_DIAGRAM.values(), ids=NO_FERRERS_DIAGRAM)
+def test_a_moved_set_that_is_no_ferrers_diagram_raises(monkeypatch, std):
+    # the tampered moved pass keeps the Hilbert function, so _standard takes
+    # it, but it fills no Ferrers diagram: the Jordan type, a rank and the
+    # initial ideal each refuse it, and no diagram is kept
+    I = ideal("x^2*y", "y^4+x^4")
+    A = quotient(I)
+    monkeypatch.setattr(algebra, "_build", lambda rows, top: (std, ()))
+    for ask in (
+        lambda: jordan_type(A, ELL_XY),
+        lambda: rank_mult_power(A, ELL_XY, 0, 1),
+        lambda: initial_ideal(I, ELL_XY, algebra=A),
+    ):
+        with pytest.raises(InternalInconsistency, match="Ferrers diagram"):
+            ask()
+    assert A._standard(1, 1) is std and ELL_XY not in A._diagrams
+    assert jordan_type(A, ELL_X) == Partition([6, 2, 2, 2])
+
+
+def test_a_moved_set_that_is_no_ferrers_diagram_raises_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_DIAGRAM],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jtlab.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 * len(NO_FERRERS_DIAGRAM), proc.stdout
+    assert all(line.startswith("InternalInconsistency") and "Ferrers" in line for line in lines)
 
 
 INEXACT_DIVISION = "import reference_paths; reference_paths._divide_exact([6, 7], 2)"

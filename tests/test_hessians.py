@@ -277,13 +277,15 @@ def test_hessian_rank_matches_symbolic_reference_at_planted_roots():
 
 def test_hessian_rank_at_reads_no_rank_table(monkeypatch):
     # the Hessian side of the Hessian-against-multiplication check must not
-    # come from the multiplication ranks it is compared with
+    # come from the multiplication ranks it is compared with, nor from the
+    # moved diagram that they are counted off
     def refuse(*args):
-        raise AssertionError("rank table read")
+        raise AssertionError("moved diagram read")
 
     F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
     A = quotient(annihilator(F))
-    monkeypatch.setattr(A, "_rank_table", refuse)
+    monkeypatch.setattr(A, "_diagram", refuse)
+    monkeypatch.setattr(A, "_standard", refuse)
     monkeypatch.setattr(hessians, "rank_mult_power", refuse)
     ranks = [hessian_rank_at(F, i, (1, 1), algebra=A) for i in range(3)]
     assert ranks == [_symbolic_hessian_rank(F, i, (1, 1), A) for i in range(3)]

@@ -2,8 +2,9 @@
 symmetric search, the one-label classification row, the branch-label
 enumeration, the complete-intersection count read off the build, the
 initial ideal on moved integer rows, the annihilator in its two generator
-degrees, the rank table counted off moved standard monomials and the
-quotient built one degree from the last against the earlier bodies kept in
+degrees, the rank table counted off moved standard monomials, the Jordan
+degree type read one string per row off the same diagram and the quotient
+built one degree from the last against the earlier bodies kept in
 reference_paths.py, and the rank table against the one read off the dual
 generator alone."""
 
@@ -24,6 +25,8 @@ from jtlab.algebra import (
     annihilator,
     initial_ideal,
     is_complete_intersection,
+    jordan_degree_type,
+    jordan_type,
     quotient,
     rank_mult_power,
 )
@@ -55,7 +58,7 @@ from jtlab.partitions import (
 )
 from jtlab.polynomials import BivariatePoly, parse_poly
 from test_algebra import CI_CASES, RANK_TABLE_CASES
-from tests_support import dual_fuzz_forms, power_sum_duals, random_dual_generator
+from tests_support import dual_fuzz_forms, power_sum_duals, random_dual_generator, rank_table
 
 ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
 
@@ -320,7 +323,7 @@ def test_initial_ideal_counts_are_ranks_of_powers():
     # with x' = ell, the standard monomials of degree i with y'-exponent at
     # most u are those divisible by x'^(i-u), and they number the rank of
     # ell^(i-u): A_u -> A_i; initial_ideal does not read it that way, so
-    # this ties its elimination to the rank table
+    # this ties its fill to the ranks
     rng = random.Random(4)
     directions = [BivariatePoly.linear(a, b) for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5)]]
     checks = 0
@@ -338,10 +341,10 @@ def test_initial_ideal_counts_are_ranks_of_powers():
 
 def test_initial_ideal_counts_are_ranks_of_the_reference():
     # the same 11 675 counts against the rank table that the reference
-    # carries through one-step maps with Bareiss elimination: the rank
-    # table of the test above is counted off the same moved standard
-    # monomials that initial_ideal reads, so this pins the identity to a
-    # path that shares no elimination with it
+    # carries through one-step maps with Bareiss elimination: the ranks of
+    # the test above are counted off the same moved standard monomials
+    # that initial_ideal reads, so this pins the identity to a path that
+    # shares no elimination with it
     rng = random.Random(4)
     directions = [BivariatePoly.linear(a, b) for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5)]]
     checks = 0
@@ -425,7 +428,7 @@ SCALED_DIRECTIONS = [(2, 0), (-1, 0), (1, -1)]
 def _assert_tables_match(A, directions):
     for a, b in directions:
         ell = BivariatePoly.linear(a, b)
-        assert A._rank_table(ell) == ref.rank_table(A, ell), (A, ell)
+        assert rank_table(A, ell) == ref.rank_table(A, ell), (A, ell)
 
 
 @pytest.mark.parametrize(
@@ -548,10 +551,27 @@ def test_rank_table_matches_both_references(family):
         A = quotient(I)
         for a, b in DIRECTIONS + SCALED_DIRECTIONS + [(2, -3)]:
             ell = BivariatePoly.linear(a, b)
-            table = A._rank_table(ell)
+            table = rank_table(A, ell)
             assert table == ref.rank_table(A, ell), (I, ell)
             if F is not None:
                 assert table == ref.dual_rank_table(F, ell), (F, ell)
+
+
+@pytest.mark.parametrize("family", QUOTIENT_FAMILIES)
+def test_jordan_degree_type_is_one_string_per_row_of_the_moved_diagram(family):
+    # the strings read one per row off the moved diagram against those that
+    # second differences read off the Bareiss reference's rank table, on
+    # every algebra of the families above (the rank table cases among them)
+    # in every direction of the tests above and 2x - 3y; every string
+    # occurs once, and the Jordan type is the initial partition
+    for I in QUOTIENT_FAMILIES[family]():
+        A = quotient(I)
+        for a, b in DIRECTIONS + SCALED_DIRECTIONS + [(2, -3)]:
+            ell = BivariatePoly.linear(a, b)
+            jdt = jordan_degree_type(A, ell)
+            assert jdt == ref.rank_table_jordan_degree_type(ref.rank_table(A, ell)), (I, ell)
+            assert {m for _, m in jdt.strings} == {1}, (I, ell)
+            assert initial_ideal(I, ell, A).partition == jordan_type(A, ell), (I, ell)
 
 
 NON_ARTINIAN = [("x^2", "x*y"), ("y^3",), ("x*y^2", "x^2*y")]
@@ -638,7 +658,7 @@ def test_dense_dual_keeps_quotient_leads_short(monkeypatch, j, bits, direction):
         assert 0 < lead and lead.bit_length() < bits
         assert math.gcd(lead, *(v for row in rows for v in row)) == 1
     ell = BivariatePoly.linear(*direction)
-    table = A._rank_table(ell)
+    table = rank_table(A, ell)
     assert table == ref.dual_rank_table(F, ell)
     if j <= 30:
         # the carried-image reference takes about 13 s at j = 49, where the
@@ -656,4 +676,4 @@ def test_rank_table_matches_dual_reference_on_dual_fuzz_and_power_sums():
         A = quotient(annihilator(F))
         for a, b in DIRECTIONS:
             ell = BivariatePoly.linear(a, b)
-            assert A._rank_table(ell) == ref.dual_rank_table(F, ell), (F, ell)
+            assert rank_table(A, ell) == ref.dual_rank_table(F, ell), (F, ell)

@@ -5,7 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 
-from jtlab.algebra import GradedIdeal
+from jtlab.algebra import GradedIdeal, rank_mult_power
 from jtlab.polynomials import BivariatePoly, parse_poly
 
 
@@ -23,6 +23,14 @@ def partitions_of(n, maxp=None):
     for p in range(min(n, maxp), 0, -1):
         for rest in partitions_of(n - p, p):
             yield (p,) + rest
+
+
+def rank_table(A, ell):
+    """table[u][s - u] = rank_mult_power(A, ell, u, s) for 0 <= u <= s <= j:
+    jtlab's ranks of every power of ell, in the shape of the tables that
+    reference_paths.rank_table and dual_rank_table return."""
+    j = A.socle_degree
+    return [[rank_mult_power(A, ell, u, s) for s in range(u, j + 1)] for u in range(j + 1)]
 
 
 def random_dual_generator(rng, jmin=4, jmax=9):
