@@ -330,45 +330,78 @@ def annihilator(F):
     """Minimal homogeneous generators of Ann(F) = {f : f o F = 0}, for a
     nonzero binary form F of degree j.
 
-    Ann(F)_i is the kernel of the catalecticant, the contraction map
-    R_i -> E_(j-i).  Its row of Y^v scaled by (j-i-v)! v!, which leaves
-    the kernel unchanged, is polynomials.catalecticant(g, i), the integer
-    Hankel matrix [g_(v+i-t)] of F's divided-power vector g.
+    A form f of degree n, with coordinate t the coefficient of x^t y^(n-t),
+    annihilates F exactly when sum_t f_t g_(k-t) = 0 for n <= k <= j, g
+    being F's divided-power vector: when f is a connection polynomial of
+    g.  Each row of polynomials.catalecticant(g, n) is one of these sums.
 
     R/Ann(F) is Gorenstein of codimension two, so by the structure theorem
     in codimension two (Macaulay; Iarrobino-Kanev, "Power Sums, Gorenstein
     Algebras, and Determinantal Loci", LNM 1721) Ann(F) is a
     complete intersection generated in degrees d <= e with d + e = j + 2,
-    where d is the rank of the middle catalecticant, i = j // 2.  g and d
-    are read by polynomials.dual_data, which checks F and raises its
-    errors: ZeroInput, ParseError naming F in X and Y when F is not
-    homogeneous, and BudgetExceeded when j + 1 > MAX_DEGREE.  A kernel is
-    needed only in the degrees d and e, and is read off the reduced form
-    that linalg.echelon folds from linalg.extend there.  The generator of
-    degree d spans the kernel there, which has dimension 1, or 2 when
-    d = e.  The generator of degree e is the one kernel vector of degree e
-    not in R_(e-d) times the first generator, reduced modulo those shifts.
-    Each is scaled to coprime integer coefficients with a positive leading
-    term.  Those primitive rows are the ideal's rows as they stand: they go
-    to GradedIdeal._from_rows with the generators built from them.
+    where d is the rank of the middle catalecticant, i = j // 2.  Both
+    generators come from the one Berlekamp-Massey pass over g that
+    polynomials.dual_data runs and keeps: its final connection polynomial
+    C, of degree L, and x^m B, of degree j + 2 - L.  They are (first,
+    second) when L = d and the other way round otherwise.  dual_data checks
+    F and raises its errors: ZeroInput, ParseError naming F in X and Y when
+    F is not homogeneous, and BudgetExceeded when j + 1 > MAX_DEGREE.
+
+    When d = e both lie in Ann(F)_d, of dimension 2, and the first
+    generator is the one kernel vector, up to scale, whose last nonzero
+    entry is at the smaller of the kernel's two free columns, so it is the
+    first vector that linalg.null_vectors would give there.  The second is
+    reduced modulo R_(e-d) times the first, and each is scaled to coprime
+    integer coefficients with a positive leading term.  InternalInconsistency
+    is raised, under python -O too, unless the two fit the degrees d and e,
+    the second is nonzero modulo those shifts, and each is nonzero and has
+    dot product 0 with every row of its catalecticant.  Those primitive
+    rows are the ideal's rows as they stand: they go to
+    GradedIdeal._from_rows with the generators built from them.
     """
-    g, d = dual_data(F)
+    g, d, C, B, m = dual_data(F)
     e = len(g) + 1 - d  # d + e = j + 2
-    kernel = {i: linalg.null_vectors(*linalg.echelon(catalecticant(g, i)), i + 1) for i in {d, e}}
-    if len(kernel[d]) != 1 + (d == e) or len(kernel[e]) != e - d + 2:
+    pair = (C, [0] * m + B)
+    lo, hi = pair if len(C) == d + 1 else pair[::-1]
+    if len(lo) != d + 1 or len(hi) != e + 1:
         raise InternalInconsistency(
-            f"Ann({F}) has kernel dimensions {len(kernel[d])} in degree {d} and "
-            f"{len(kernel[e])} in degree {e}, not those of a complete intersection"
+            f"Ann({F}) read generators of degrees {len(lo) - 1} and {len(hi) - 1} "
+            f"off the Berlekamp-Massey pass, not {d} and {e}"
         )
-    first = linalg.primitive(kernel[d][0])
+    if d == e:
+        lo, hi = _free_column_order(lo, hi)
+    first = linalg.primitive(lo)
     # R_(e-d) * first: x^a y^(e-d-a) times the degree-d generator
     shifts = linalg.echelon([[0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)])
-    rests = (linalg.remainder(vec, *shifts) for vec in kernel[e])
-    second = next((rest for rest in rests if any(rest)), None)
-    if second is None:
+    second = linalg.remainder(hi, *shifts)
+    if not any(second):
         raise InternalInconsistency(f"Ann({F}) has no generator in degree {e}")
     rows = ((d, first), (e, linalg.primitive(second)))
+    for n, vec in rows:
+        if not any(vec) or any(sum(map(operator.mul, row, vec)) for row in catalecticant(g, n)):
+            raise InternalInconsistency(
+                f"the degree-{n} generator {_vec_poly(vec, n)} read off the "
+                f"Berlekamp-Massey pass is zero or does not annihilate {F}"
+            )
     return GradedIdeal._from_rows(rows, [_vec_poly(vec, n) for n, vec in rows])
+
+
+def _last(vec):
+    """The index of the last nonzero entry of a vector; -1 when it is 0."""
+    return max((t for t, v in enumerate(vec) if v), default=-1)
+
+
+def _free_column_order(u, w):
+    """Two vectors spanning a kernel of dimension 2, the first of them the
+    one, up to scale, whose last nonzero entry is the kernel's smaller free
+    column.  A vector of the kernel ends at one of its free columns, and
+    only the multiples of one vector end at the smaller; when u and w end
+    at the same column, w is replaced by the combination that clears it."""
+    p, q = _last(u), _last(w)
+    if p == q:
+        w = [u[p] * x - w[p] * y for x, y in zip(w, u)]
+        q = _last(w)
+    return (u, w) if p < q else (w, u)
 
 
 def _direction(ell):

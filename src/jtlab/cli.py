@@ -9,7 +9,9 @@ Commands return 0 or 1 and raise every other outcome.  `EXIT_CODES` is the
 single source of the codes 2-5: `main` resolves a raised error along its
 class's MRO in that table and writes one `error:` line.
 `InternalInconsistency` is left out of the table on purpose: it signals a
-bug, not bad input, so it propagates with its traceback.
+bug, not bad input, so it propagates with its traceback.  `jordan --dual F`
+raises it when a Hessian rank of F, read off F alone, differs from the
+multiplication rank that it reports.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .constructor import construct_ci, realize_all, verify_realization
 from .errors import (
     BudgetExceeded,
     DiagonalMismatch,
+    InternalInconsistency,
     NotArtinian,
     NotCIJT,
     NotCIShape,
@@ -50,6 +53,7 @@ from .errors import (
 )
 from .hessians import (
     active_hessian_indices,
+    hessian_rank_at,
     nonvanishing_set,
     predicted_nonvanishing_set,
     predicted_rank_profile,
@@ -382,7 +386,8 @@ def _parse_ideal_arg(text):
 def cmd_jordan(args, out):
     ell = require_linear(parse_poly(args.ell))
     if args.dual is not None:
-        ideal = annihilator(parse_poly(args.dual))
+        F = parse_poly(args.dual)
+        ideal = annihilator(F)
     else:
         ideal = _parse_ideal_arg(args.ideal)
     A = quotient(ideal)
@@ -404,6 +409,8 @@ def cmd_jordan(args, out):
         report["hessian_ranks"] = [
             rank_mult_power(A, ell, i, T.j - i) for i in active_hessian_indices(T)
         ]
+        if args.dual is not None:
+            _cross_check_hessian_ranks(F, A, ell, report["hessian_ranks"])
     except NotCIShape:
         report["nonvanishing"] = None
         report["hessian_ranks"] = None
@@ -427,6 +434,22 @@ def cmd_jordan(args, out):
                 + "\n"
             )
     return EXIT_OK
+
+
+def _cross_check_hessian_ranks(F, A, ell, ranks):
+    """Raise InternalInconsistency unless the rank of the i-th Hessian of F
+    at ell's point equals ranks[i], the rank of ell^(j-2i): A_i -> A_(j-i)
+    on A = R/Ann(F).  The two are read independently: the Hessian rank off
+    F alone, the multiplication rank off the moved Ferrers diagram of A."""
+    point = (ell.coefficient(1, 0), ell.coefficient(0, 1))
+    for i, want in enumerate(ranks):
+        got = hessian_rank_at(F, i, point, algebra=A)
+        if got != want:
+            raise InternalInconsistency(
+                f"the Hessian of order {i} of {F.text(('X', 'Y'))} has rank {got} at "
+                f"{ell.text()}, but multiplication by its power of degree "
+                f"{A.socle_degree - 2 * i} has rank {want}"
+            )
 
 
 _FIGURE_HILBERTS = {

@@ -8,27 +8,23 @@ exactly when multiplication by L^(j-2i) from A_i to A_(j-i) drops rank.
 Vanishing is therefore always decided here by exact ranks of multiplication
 maps; symbolic determinants are only for display.
 
-The rank of the i-th Hessian at a point needs no symbolic matrix and no
-algebra.  The matrix is Hankel: its entry in row r, column c is
-(x^(2i-t) y^t o F)(a, b) with t = r + c.  With g the divided-power vector
-of F and n = j - 2i,
-
-    h_t = sum_r C(n, r) a^(n-r) b^r g_(t+r),   t = 0, ..., 2i,
-
-is n! times that entry, up to the one common factor of g: h is the
-divided-power vector of L^n o F, and the Hessian is, up to these factors,
-its middle catalecticant.  Its rank is that of the integer Hankel matrix
-polynomials.catalecticant(h, i), with (a, b) first scaled to coprime
-integers: a nonzero scale of the point, of g or of every entry changes no
-rank.  It is a rank-only question, so linalg.rank answers it with the
-forward-only kernel linalg.insert and builds no reduced form.  From g to
-the rank every number is an int: a point of two ints is scaled without a
-Fraction, and linalg.rank hands the integer rows to insert as they are.
+The rank of the i-th Hessian at a point needs no symbolic matrix, no
+algebra and no elimination.  The matrix is Hankel: its entry in row r,
+column c is (x^(2i-t) y^t o F)(a, b) with t = r + c.  Up to one nonzero
+factor it is the middle catalecticant of L^n o F, n = j - 2i, for the
+linear form L = a x + b y, whose rank polynomials.d_sequence(F, a, b)
+reads, for every n at once, off one Berlekamp-Massey pass over F's
+divided-power vector moved so that L is x.  With (a, b) first scaled to
+coprime integers, as a nonzero scale of the point changes no rank, each
+direction and its multiples share that pass, kept on F.  From F's vector
+to the rank every number is an int: a point of two ints is scaled without
+a Fraction.
 
 The orders are 0 <= i <= d - 1, with d the rank of F's middle
-catalecticant.  g and d are read by polynomials.dual_data, the one reader
-of a dual generator, which checks F once and keeps both on it.  An algebra,
-when one is passed, is only cross-checked: below d, A_i is all of R_i.
+catalecticant.  d is read by polynomials.dual_data, the one reader of a
+dual generator, which checks F once and keeps what it reads on it.  An
+algebra, when one is passed, is only cross-checked: below d, A_i is all of
+R_i.
 
 Mixed orders are written (u, s) = (source degree, target degree): the rank
 of L^(s-u): A_u -> A_s.  In the determinant picture this map corresponds to
@@ -38,9 +34,7 @@ two-basis indexing.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from operator import mul
 
 from .algebra import rank_mult_power
 from .codes import _runs, cijt_from_composition, is_cijt
@@ -53,14 +47,14 @@ from .errors import (
     TopRequiresKGe2,
     ZeroForm,
 )
-from .linalg import primitive, rank
+from .linalg import primitive
 from .partitions import (
     HilbertFunction,
     Partition,
     hilbert_function,
     sl_partition,
 )
-from .polynomials import BivariatePoly, catalecticant, contract, dual_data
+from .polynomials import BivariatePoly, contract, d_sequence, dual_data
 
 __all__ = [
     "hessian_matrix",
@@ -93,16 +87,16 @@ def hessian_matrix(F, i, algebra=None):
 
 
 def _check_order(F, i, A):
-    """F's divided-power vector, read by dual_data, once 0 <= i <= d-1 is
-    checked against its d (OrderOutOfRange).  A given algebra
+    """F's degree j, read by dual_data, once 0 <= i <= d-1 is checked
+    against its d (OrderOutOfRange).  A given algebra
     A = quotient(annihilator(F)) raises InternalInconsistency unless A_i is
     all of R_i, as it is below d."""
-    g, d = dual_data(F)
+    g, d = dual_data(F)[:2]
     if not 0 <= i <= d - 1:
         raise OrderOutOfRange(f"order {i} outside [0, {d - 1}]")
     if A is not None and A.dim(i) != i + 1:
         raise InternalInconsistency(f"dim A_{i} = {A.dim(i)}, not {i + 1}, below d = {d}")
-    return g
+    return len(g) - 1
 
 
 def hessian_determinant(F, i, algebra=None):
@@ -133,14 +127,13 @@ def evaluate_matrix(mat, a, b):
 def hessian_rank_at(F, i, point, algebra=None):
     """Rank of the i-th Hessian matrix of F evaluated at point = (a, b).
 
-    rank(catalecticant(h, i)), with h the divided-power vector of
-    L^(j-2i) o F of the module docstring, which is (j - 2i)! times the
-    evaluated Hessian up to one nonzero factor.  It is computed from F
-    alone, never from an algebra: the order range comes from dual_data,
-    and algebra, when given, is quotient(annihilator(F)) and only
-    cross-checked by _check_order.  Raises ParseError unless point is two
-    finite rational coordinates, and ZeroForm when both are 0, before F is
-    read.
+    d_sequence(F, a, b)[j - 2i]: the rank of the middle catalecticant of
+    L^(j-2i) o F for L = a x + b y, which is (j - 2i)! times the evaluated
+    Hessian up to one nonzero factor.  It is computed from F alone, never
+    from an algebra: the order range comes from dual_data, and algebra,
+    when given, is quotient(annihilator(F)) and only cross-checked by
+    _check_order.  Raises ParseError unless point is two finite rational
+    coordinates, and ZeroForm when both are 0, before F is read.
 
     A tuple or list of two ints goes to linalg.primitive as it is, which
     scales it to coprime integers without a Fraction; any other point is
@@ -159,11 +152,8 @@ def hessian_rank_at(F, i, point, algebra=None):
     a, b = primitive(coords)
     if not (a or b):
         raise ZeroForm("the point (0, 0) is no linear form")
-    g = _check_order(F, i, algebra)
-    n = len(g) - 1 - 2 * i
-    weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
-    h = [sum(map(mul, weights, g[t:])) for t in range(2 * i + 1)]
-    return rank(catalecticant(h, i))
+    j = _check_order(F, i, algebra)
+    return d_sequence(F, a, b)[j - 2 * i]
 
 
 def active_hessian_indices(T):

@@ -6,17 +6,20 @@ Two routines eliminate, one for each kind of question:
   divides the result by its content, so lead stays the least common
   denominator of the reduced form over Q and the entries stay as short as
   that form allows.  `echelon` folds it over the rows of a matrix given
-  whole: the kernels of catalecticants, and the one form that a normal
-  form reduces against.
+  whole: the shifts of the first generator of an annihilator, which its
+  second is reduced against, and the one form that a normal form reduces
+  against.
 - `insert`, for questions that read only pivots or ranks: every quotient,
   built degree by degree, and the standard monomials of an ideal moved so
   that a linear form is x, whose Ferrers diagram holds every rank, Jordan
-  type and initial ideal in that direction, and, through `rank`, the
-  Hessian ranks and the middle catalecticant.  It reduces one vector
+  type and initial ideal in that direction.  It reduces one vector
   forward only against a basis of primitive rows keyed by their leading
   columns, and never clears a column above its pivot.  The keys are the
   pivot columns of the reduced form, so every rank and pivot set read off
-  them is that of `echelon`.  `rank` counts the rows that it accepts.
+  them is that of `echelon`.  `rank` counts the rows that it accepts; no
+  module of jtlab calls it, since the middle catalecticant and Hessian
+  ranks are read off a Berlekamp-Massey pass in polynomials, and it is
+  kept as public API.
 
 An echelon form, as `echelon` and `extend` build it, is a triple (pivots,
 rows, lead): the pivot columns in increasing order, and one integer row
@@ -33,8 +36,8 @@ form, so sharing is safe.
 `kernel_basis` clear denominators row by row with `primitive`, and convert
 back to Fraction when they return.  `rank` hands a row of ints to `insert`
 as it is, since `insert` takes the content of a row before it stores it,
-and clears only a row that holds a Fraction.  Callers that already hold
-integer rows read a kernel straight off `echelon` with `null_vectors`.
+and clears only a row that holds a Fraction.  `null_vectors` reads a
+kernel of integer rows straight off `echelon`.
 """
 
 from __future__ import annotations

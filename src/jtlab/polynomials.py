@@ -11,10 +11,16 @@ For a form F = sum c_m X^(j-m) Y^m of degree j, every contraction of F is
 read off one integer vector: x^(j-m) y^m o F = c_m (j-m)! m!, and
 `divided_power_vector` returns these j+1 numbers as coprime integers.
 
-`dual_data` is the one reader of a dual generator F: it checks F once,
-and returns its divided-power vector g and d, the rank of its middle
-catalecticant, which it keeps on F.  Every catalecticant, F's own and
-those of the Hessians, is built by `catalecticant` as integer Hankel rows.
+`dual_data` is the one reader of a dual generator F: it checks F once and
+keeps on F what one fraction-free Berlekamp-Massey pass over its
+divided-power vector gives: d, the rank of its middle catalecticant, and
+both generators of Ann(F).  `d_sequence` reads, off one such pass per
+linear form L, the middle catalecticant rank of every L^n o F, and with it
+every Hessian rank at L.  Both rest on one fact: the middle catalecticant
+of a form is, up to row scales, the Hankel matrix of its vector, and the
+middle Hankel rank of a sequence of length N and linear complexity L is
+min(L, N + 1 - L) (Massey, IEEE Trans. Inform. Theory 1969; Heinig-Rost
+1984).  `catalecticant` builds a catalecticant as integer Hankel rows.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ParseError, ZeroInput
-from .linalg import primitive, rank
+from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput
+from .linalg import primitive
 
 __all__ = [
     "BivariatePoly",
     "catalecticant",
     "contract",
+    "d_sequence",
     "divided_power_vector",
     "dual_data",
     "falling_factorial",
@@ -52,12 +59,13 @@ class BivariatePoly:
     """A polynomial in two variables over the rationals.
 
     Immutable.  Its hash is computed on first use and kept in the private
-    slot _hash, and dual_data keeps what it reads off a dual generator in
-    the private slot _dual.  Neither slot is compared, copied or pickled: a
-    copy or a pickled twin computes the same values again.
+    slot _hash.  dual_data keeps what it reads off a dual generator in the
+    private slot _dual, and creates the per-direction store of d_sequence
+    in the private slot _d_sequences.  No private slot is compared, copied
+    or pickled: a copy or a pickled twin computes the same values again.
     """
 
-    __slots__ = ("terms", "_hash", "_dual")
+    __slots__ = ("terms", "_hash", "_dual", "_d_sequences")
 
     def __init__(self, terms=None):
         clean = {}
@@ -269,17 +277,65 @@ def catalecticant(g, i):
     return [rev[k : k + i + 1] for k in range(len(g) - i - 1, -1, -1)]
 
 
-def dual_data(F):
-    """(g, d) for a dual generator F of degree j: g, the tuple of
-    divided_power_vector(F), and d, the rank of its middle catalecticant,
-    i = j // 2, taken with linalg.rank.
+def _massey(s):
+    """One fraction-free Berlekamp-Massey pass over an integer sequence s:
+    (lengths, C, B, m), with lengths[N - 1] the linear complexity of
+    s[:N] for N = 1 .. len(s).
 
-    The one reader of a dual generator: the pair is computed on the first
+    C, a list of L + 1 integers for the final length L, is a connection
+    polynomial of s: sum_k C[k] s[n - k] = 0 for L <= n < len(s), and
+    C[0] != 0.  B is the connection polynomial that C had before the last
+    change of length, and m the number of terms read since that change, so
+    z^m B satisfies the same recurrence from position len(B) - 1 + m on,
+    with len(B) - 1 + m = len(s) + 1 - L.  Where the textbook pass divides
+    by the discrepancy b of B, this one scales C by b instead, with the
+    pair first divided by its gcd, and divides C by its content, so every
+    number stays an integer and C stays as short as its direction allows.
+    """
+    C, B = [1], [1]
+    L, m, b = 0, 1, 1
+    lengths = []
+    for n in range(len(s)):
+        delta = sum(c * s[n - k] for k, c in enumerate(C))
+        if delta:
+            g = math.gcd(b, delta)
+            p, q = b // g, delta // g
+            new = [p * c for c in C] + [0] * (len(B) + m - len(C))
+            for k, v in enumerate(B, m):
+                new[k] -= q * v
+            g = math.gcd(*new)
+            if 2 * L <= n:
+                B, b, L, m = C, delta, n + 1 - L, 0
+            C = [v // g for v in new] if g != 1 else new
+        m += 1
+        lengths.append(L)
+    return lengths, C, B, m
+
+
+def _middle_ranks(lengths):
+    """(d_0, ..., d_j) from the linear complexities of the prefixes of a
+    moved vector of length j + 1: d_n, the middle Hankel rank of its prefix
+    of length N = j + 1 - n, is min(L, N + 1 - L) with L = lengths[N - 1]."""
+    return tuple(min(lengths[N - 1], N + 1 - lengths[N - 1]) for N in range(len(lengths), 0, -1))
+
+
+def dual_data(F):
+    """(g, d, C, B, m) for a dual generator F of degree j: g, the tuple of
+    divided_power_vector(F); d, the rank of its middle catalecticant,
+    i = j // 2; and C, B and m, the final state of the one Berlekamp-Massey
+    pass over g (see _massey), from which algebra.annihilator reads the
+    generators of Ann(F).  d is min(L, j + 2 - L) for g's linear
+    complexity L.
+
+    The one reader of a dual generator: the tuple is computed on the first
     read of F and kept in F's private slot _dual, which no other function
-    writes, so every later read returns it.  Raises ZeroInput when F is
-    zero or no polynomial, ParseError, naming F in X and Y, when F is not
-    homogeneous, and BudgetExceeded when j + 1 > MAX_DEGREE, since Ann(F)
-    may then have a generator of degree over the cap.
+    writes, so every later read returns it.  The same first read creates
+    F's per-direction store in the private slot _d_sequences, holding the
+    d_sequence of the direction (1, 0) from this same pass, since there
+    the moved vector is g.  Raises ZeroInput when F is zero or no
+    polynomial, ParseError, naming F in X and Y, when F is not homogeneous,
+    and BudgetExceeded when j + 1 > MAX_DEGREE, since Ann(F) may then have
+    a generator of degree over the cap.
     """
     if not isinstance(F, BivariatePoly) or F.is_zero():
         raise ZeroInput("dual generator must be a nonzero polynomial")
@@ -293,8 +349,48 @@ def dual_data(F):
                 f"of degree {j + 1}, over the cap of {MAX_DEGREE}"
             )
         g = tuple(divided_power_vector(F))
-        object.__setattr__(F, "_dual", (g, rank(catalecticant(g, j // 2))))
+        lengths, C, B, m = _massey(g)
+        ranks = _middle_ranks(lengths)
+        object.__setattr__(F, "_d_sequences", {(1, 0): ranks})
+        object.__setattr__(F, "_dual", (g, ranks[0], C, B, m))
     return F._dual
+
+
+def d_sequence(F, a, b):
+    """(d_0, ..., d_j) for a dual generator F of degree j and the linear
+    form L = a x + b y: d_n is the rank of the middle catalecticant of
+    L^n o F, so the i-th Hessian of F at the point (a, b) has rank
+    d_(j - 2i), and d_0 is d.
+
+    With (a, b) scaled to coprime integers, a != 0, and coordinates x' = L,
+    y' = y, the middle catalecticant of L^n o F is the Hankel matrix of
+    the prefix of length j + 1 - n of g'_m = x'^(j-m) y'^m o F, taken up
+    to the one common factor of g.  g' is g moved by the Horner recurrence
+    w_m <- a w_m + b w_(m+1), run j times, the k-th time over m < j + 1 - k;
+    for (1, 0) that leaves g, and for (0, 1), where a = 0, x' = y and
+    y' = x give g reversed.  One Berlekamp-Massey pass over g' then gives
+    every d_n (see _middle_ranks).
+
+    F is read through dual_data, which checks it; the tuple is kept in F's
+    per-direction store under the coprime pair, so a direction and its
+    multiples share one pass.  Raises ZeroForm when a = b = 0.
+    """
+    g = dual_data(F)[0]
+    a, b = primitive((a, b))
+    if not (a or b):
+        raise ZeroForm("the point (0, 0) is no linear form")
+    store = F._d_sequences
+    ranks = store.get((a, b))
+    if ranks is None:
+        if a == 0:
+            w = g[::-1]
+        else:
+            w = list(g)
+            for top in range(len(g) - 1, 0, -1):
+                for t in range(top):
+                    w[t] = a * w[t] + b * w[t + 1]
+        ranks = store[(a, b)] = _middle_ranks(_massey(w)[0])
+    return ranks
 
 
 _TERM_RE = re.compile(

@@ -1,4 +1,4 @@
-"""Earlier bodies of fourteen routines, kept as references for differential
+"""Earlier bodies of seventeen routines, kept as references for differential
 tests of the versions in jtlab: four slower combinatorial ones, the
 branch-label enumeration with its own interval-split helper, the
 complete-intersection test that counts new generators in every degree with
@@ -10,10 +10,16 @@ quotients, one that echelonizes the whole degree_span of every degree
 and one that grows the reduced echelon form of each degree from the last
 with linalg.extend, the fraction-free Gauss-Jordan elimination (Bareiss)
 that the others eliminate with, and the realization chain of construct_ci,
-built on Fraction tuples and checked by products of BivariatePoly.  One
-more reference, dual_rank_table, reads the rank table of R/Ann(F) off F
-alone, by Macaulay duality, and shares no code with the quotient or the
-rank kernel.
+built on Fraction tuples and checked by products of BivariatePoly, and
+the three dual-side reads that one Berlekamp-Massey pass per direction
+replaced: middle_catalecticant_rank, the d that dual_data once took as a
+rank, hessian_rank_at, one weight loop and one rank per order, and
+two_kernel_annihilator, which read Ann(F) off the kernels of two
+catalecticants.  Two more references read F alone and share no code with
+the quotient: dual_rank_table reads the rank table of R/Ann(F) by
+Macaulay duality, with no rank kernel, and d_sequence builds the vector
+of every power of a linear form applied to F with its own weight loop and
+takes each middle catalecticant rank.
 
 Each returns exactly what the jtlab function of the same name returns;
 rank_table and dual_rank_table return rank_mult_power(A, ell, u, s) for
@@ -33,10 +39,13 @@ echelon form over Q as linalg.echelon, but scaled by its last pivot value,
 a determinant that may be negative, not by the least common denominator;
 so the forms of the two quotients agree over Q, not entry by entry.  Every
 elimination here is the Bareiss echelon of this module, never the
-forward-only linalg.insert that jtlab builds its quotients with, with one
-exception: extend_quotient folds linalg.extend, the reduced forms that
-jtlab once kept, since the Bareiss quotient takes seconds on a dense dual
-of degree 30.  It is checked against the Bareiss quotient on its own, and
+forward-only linalg.insert that jtlab builds its quotients with, with two
+exceptions.  The four dual-side references run linalg.rank and
+linalg.echelon as jtlab once ran them, so they are exactly the code that
+the Berlekamp-Massey pass replaced; linalg.rank is itself checked against
+the Bareiss echelon.  And extend_quotient folds linalg.extend, the reduced
+forms that jtlab once kept, since the Bareiss quotient takes seconds on a
+dense dual of degree 30.  It is checked against the Bareiss quotient on its own, and
 initial_ideal builds the moved ideal with it; what that checks is the
 change of coordinates, done with BivariatePoly products instead of the
 integer rows that jtlab moves.
@@ -70,7 +79,7 @@ from jtlab.errors import (
     ParseError,
 )
 from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition, hilbert_function
-from jtlab.polynomials import BivariatePoly, divided_power_vector
+from jtlab.polynomials import BivariatePoly, catalecticant, divided_power_vector
 
 
 def _divide_exact(row, den):
@@ -538,7 +547,7 @@ def dual_rank_table(F, ell):
     in A iff (h ell^n f) o F = 0 for every h of degree j - s.  So the rank
     is that of the (u+1) x (j-s+1) Hankel matrix [h_(alpha+beta)], where
     h_t = sum_r C(n, r) a^(n-r) b^r g_(t+r) and g is
-    divided_power_vector(F); hessians.hessian_rank_at builds the case
+    divided_power_vector(F); hessian_rank_at above builds the case
     u = i, n = j - 2i.  The matrix of the entry u' = j - s, s' = j - u has
     the same n and is the transpose, so one Bareiss echelon per mirror pair
     of entries, on the matrix with fewer rows.
@@ -557,6 +566,66 @@ def dual_rank_table(F, ell):
         for u in range(j - n + 1):
             table[u].append(ranks[min(u, j - n - u)])
     return table
+
+
+def _moved_vector(g, a, b, n):
+    """h_t = sum_r C(n, r) a^(n-r) b^r g_(t+r), t = 0 .. j - n: the
+    divided-power vector of (a x + b y)^n o F, up to the one common factor
+    of g = divided_power_vector(F), one weight loop per power n."""
+    weights = [math.comb(n, r) * a ** (n - r) * b**r for r in range(n + 1)]
+    return [sum(map(mul, weights, g[t:])) for t in range(len(g) - n)]
+
+
+def middle_catalecticant_rank(F):
+    """d of polynomials.dual_data(F): linalg.rank of the middle
+    catalecticant of F, i = j // 2, as dual_data once took it."""
+    g = divided_power_vector(F)
+    return linalg.rank(catalecticant(g, (len(g) - 1) // 2))
+
+
+def hessian_rank_at(F, i, point):
+    """hessians.hessian_rank_at(F, i, point) for a point of two numbers, as
+    it was once computed: linalg.rank of the middle catalecticant of
+    L^(j-2i) o F, whose vector is built by one weight loop for the order i
+    alone."""
+    g = divided_power_vector(F)
+    a, b = linalg.primitive(point)
+    return linalg.rank(catalecticant(_moved_vector(g, a, b, len(g) - 1 - 2 * i), i))
+
+
+def d_sequence(F, a, b):
+    """polynomials.d_sequence(F, a, b): for n = 0 .. j, linalg.rank of the
+    middle catalecticant of (a x + b y)^n o F, each built by its own weight
+    loop, the way hessian_rank_at builds one order."""
+    g = divided_power_vector(F)
+    a, b = linalg.primitive((a, b))
+    return tuple(
+        linalg.rank(catalecticant(h, (len(h) - 1) // 2))
+        for h in (_moved_vector(g, a, b, n) for n in range(len(g)))
+    )
+
+
+def two_kernel_annihilator(F):
+    """algebra.annihilator(F) as it once read Ann(F) off the kernels of two
+    catalecticants: d from middle_catalecticant_rank, the kernels in the
+    degrees d and e = j + 2 - d from the reduced forms that linalg.echelon
+    folds, the first generator the first kernel vector of degree d, and the
+    second the first kernel vector of degree e not in R_(e-d) times the
+    first, reduced modulo those shifts; both primitive."""
+    g = divided_power_vector(F)
+    d = middle_catalecticant_rank(F)
+    e = len(g) + 1 - d
+    kernel = {
+        i: linalg.null_vectors(*linalg.echelon(catalecticant(g, i)), i + 1) for i in {d, e}
+    }
+    if len(kernel[d]) != 1 + (d == e) or len(kernel[e]) != e - d + 2:
+        raise InternalInconsistency(f"Ann({F}) has the kernels of no complete intersection")
+    first = linalg.primitive(kernel[d][0])
+    shifts = linalg.echelon([[0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)])
+    rests = (linalg.remainder(vec, *shifts) for vec in kernel[e])
+    second = next(rest for rest in rests if any(rest))
+    rows = ((d, first), (e, linalg.primitive(second)))
+    return GradedIdeal._from_rows(rows, [_vec_poly(vec, n) for n, vec in rows])
 
 
 _X = BivariatePoly.monomial(1, 0)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import jtlab
 import reference_paths as ref
-from jtlab import algebra, linalg
+from jtlab import algebra, linalg, polynomials
 from jtlab.algebra import (
     MAX_DEGREE,
     GradedIdeal,
@@ -1188,6 +1188,76 @@ def test_a_moved_set_that_is_no_ferrers_diagram_raises_under_optimize():
     lines = proc.stdout.splitlines()
     assert len(lines) == 3 * len(NO_FERRERS_DIAGRAM), proc.stdout
     assert all(line.startswith("InternalInconsistency") and "Ferrers" in line for line in lines)
+
+
+# tampers of the Berlekamp-Massey pass that dual_data runs, as the source of
+# a function of its result (lengths, C, B, m), each with a dual generator
+# and the words its InternalInconsistency names; X^5 + 3*X^2*Y^3 - Y^5 has
+# d = 3 < e = 4, and X^2*Y^2 has d = e = 3
+TAMPERED_PASSES = {
+    "C off by one": (
+        "X^5 + 3*X^2*Y^3 - Y^5",
+        "lambda lengths, C, B, m: (lengths, C[:-1] + [C[-1] + 1], B, m)",
+        "zero or does not annihilate",
+    ),
+    "shift off by one": (
+        "X^5 + 3*X^2*Y^3 - Y^5",
+        "lambda lengths, C, B, m: (lengths, C, B, m + 1)",
+        "degrees 3 and 5 off the Berlekamp-Massey pass, not 3 and 4",
+    ),
+    "second in the ideal of the first": (
+        "X^5 + 3*X^2*Y^3 - Y^5",
+        "lambda lengths, C, B, m: (lengths, C, C, len(lengths) + 3 - 2 * len(C))",
+        "no generator in degree 4",
+    ),
+    "two equal generators of equal degree": (
+        "X^2*Y^2",
+        "lambda lengths, C, B, m: (lengths, C, C, 0)",
+        "zero or does not annihilate",
+    ),
+}
+
+TAMPERED_PASS = """
+from jtlab import algebra, polynomials
+from jtlab.errors import InternalInconsistency
+from jtlab.polynomials import parse_poly
+massey = polynomials._massey
+for text, tamper, _ in {tampers!r}:
+    polynomials._massey = lambda s, tamper=eval(tamper): tamper(*massey(s))
+    try:
+        algebra.annihilator(parse_poly(text))
+    except InternalInconsistency as exc:
+        print(type(exc).__name__, exc)
+""".format(tampers=list(TAMPERED_PASSES.values()))
+
+
+@pytest.mark.parametrize("case", TAMPERED_PASSES.values(), ids=TAMPERED_PASSES)
+def test_a_tampered_berlekamp_massey_pass_raises(monkeypatch, case):
+    # each generator read off the pass must fit its degree, be nonzero and
+    # annihilate F, and the second must be nonzero modulo the shifts of the
+    # first; the untampered pass gives the reference's generators
+    text, tamper, words = case
+    massey = polynomials._massey
+    want = ref.two_kernel_annihilator(parse_poly(text)).generators
+    assert annihilator(parse_poly(text)).generators == want
+    monkeypatch.setattr(polynomials, "_massey", lambda s: eval(tamper)(*massey(s)))
+    with pytest.raises(InternalInconsistency, match=words):
+        annihilator(parse_poly(text))
+
+
+def test_a_tampered_berlekamp_massey_pass_raises_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_PASS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jtlab.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(TAMPERED_PASSES), proc.stdout
+    for line, (_, _, words) in zip(lines, TAMPERED_PASSES.values()):
+        assert line.startswith("InternalInconsistency") and words in line, line
 
 
 INEXACT_DIVISION = "import reference_paths; reference_paths._divide_exact([6, 7], 2)"

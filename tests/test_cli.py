@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jtlab import cli
+from jtlab import cli, hessians
 from jtlab.cli import MAX_TABLE_ROWS, main
 from jtlab.codes import diagonal_partition_count, enumerate_cijt
 from jtlab.constructor import construct_ci
@@ -460,6 +460,42 @@ def test_jordan_dual_generator():
     code, out, _ = run_cli("jordan", "--dual", "X^2*Y^3", "--ell", "x+y")
     assert code == 0
     assert "jordan type of y + x: 6,4,2" in out
+
+
+def test_jordan_dual_checks_every_hessian_rank(monkeypatch):
+    # each reported rank, from the moved diagram, is compared with the
+    # Hessian rank read off F at the primitive point of ell; the output
+    # is the same with the check counted
+    argv = ("jordan", "--dual", "X^5 + 3*X^2*Y^3 - Y^5", "--ell", "-2x+4y")
+    want = run_cli(*argv)
+    real = hessians.hessian_rank_at
+    asked = []
+
+    def counting(F, i, point, algebra=None):
+        asked.append((i, point))
+        return real(F, i, point, algebra=algebra)
+
+    monkeypatch.setattr(cli, "hessian_rank_at", counting)
+    assert run_cli(*argv) == want and want[0] == 0
+    assert asked == [(i, (-2, 4)) for i in range(3)]
+    assert "hessian ranks: 1,2,3" in want[1]
+
+
+def test_jordan_dual_raises_on_a_wrong_hessian_rank(monkeypatch):
+    # a wrong rank from the Berlekamp-Massey side is a bug: it raises
+    # InternalInconsistency, which no exit code stands for, so it surfaces
+    # with its traceback instead of printing the report
+    real = hessians.d_sequence
+
+    def wrong(F, a, b):
+        ranks = real(F, a, b)
+        return (*ranks[:-1], ranks[-1] + 1)  # the order 0 is off by one
+
+    monkeypatch.setattr(hessians, "d_sequence", wrong)
+    with pytest.raises(InternalInconsistency, match="order 0"):
+        run_cli("jordan", "--dual", "X^5 + 3*X^2*Y^3 - Y^5", "--ell", "x+y")
+    # an ideal given by generators has no F to check against
+    assert run_cli("jordan", "x^2*y, y^4+x^4", "--ell", "x+y")[0] == 0
 
 
 @pytest.mark.parametrize("source", [("x^2,y^2",), ("--dual", "X*Y")], ids=["ideal", "dual"])

@@ -11,7 +11,7 @@ import pytest
 
 import jtlab
 from jtlab import algebra, hessians, linalg, partitions, polynomials
-from jtlab.algebra import GradedIdeal, annihilator, quotient, rank_mult_power
+from jtlab.algebra import GradedIdeal, annihilator, jordan_type, quotient, rank_mult_power
 from jtlab.codes import enumerate_cijt, iota
 from jtlab.constructor import construct_ci
 from jtlab.errors import (
@@ -289,6 +289,62 @@ def test_hessian_rank_at_reads_no_rank_table(monkeypatch):
     monkeypatch.setattr(hessians, "rank_mult_power", refuse)
     ranks = [hessian_rank_at(F, i, (1, 1), algebra=A) for i in range(3)]
     assert ranks == [_symbolic_hessian_rank(F, i, (1, 1), A) for i in range(3)]
+
+
+def test_multiplication_and_hessian_ranks_share_no_path(monkeypatch):
+    # the two sides that dual_fuzz compares: with the Berlekamp-Massey pass
+    # refused, an algebra already built still answers every Jordan type and
+    # multiplication rank; with the quotient builder refused, a fresh F
+    # still answers every Hessian rank
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} run")
+
+        return refused
+
+    text = "X^5 + 3*X^2*Y^3 - Y^5"
+    F = parse_poly(text)
+    A = quotient(annihilator(F))
+    directions = [(1, 0), (0, 1), (1, 1), (1, 2), (2, -3)]
+    ells = [BivariatePoly.linear(a, b) for a, b in directions]
+    hessian = [[hessian_rank_at(F, i, point) for i in range(3)] for point in directions]
+    monkeypatch.setattr(polynomials, "_massey", refuse("Berlekamp-Massey pass"))
+    types = [jordan_type(A, ell) for ell in ells]
+    ranks = [[rank_mult_power(A, ell, i, 5 - i) for i in range(3)] for ell in ells]
+    assert ranks == hessian and [str(T) for T in types] == ["6,3^2"] + ["6,4,2"] * 4
+    with pytest.raises(AssertionError, match="Berlekamp-Massey pass run"):
+        annihilator(parse_poly(text))
+    monkeypatch.undo()
+    monkeypatch.setattr(algebra, "_build", refuse("quotient builder"))
+    G = parse_poly(text)
+    assert [[hessian_rank_at(G, i, point) for i in range(3)] for point in directions] == hessian
+    with pytest.raises(AssertionError, match="quotient builder run"):
+        quotient(annihilator(G))
+
+
+def test_one_berlekamp_massey_pass_per_direction(monkeypatch):
+    # dual_data runs the pass over g, which is also the moved vector of x;
+    # every other direction runs one pass, shared with its multiples
+    passes = []
+    massey = polynomials._massey
+
+    def counting(s):
+        passes.append(tuple(s))
+        return massey(s)
+
+    monkeypatch.setattr(polynomials, "_massey", counting)
+    F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
+    g = polynomials.dual_data(F)[0]
+    annihilator(F)
+    assert passes == [g]
+    for point in [(1, 0), (3, 0), (-1, 0), (1, 2), (2, 4), (-1, -2), (0, 1), (0, -3)]:
+        for i in range(3):
+            hessian_rank_at(F, i, point)
+    assert passes == [g, passes[1], g[::-1]] and len(passes[1]) == len(g)
+    assert polynomials.d_sequence(F, 2, 4) == polynomials.d_sequence(F, -1, -2)
+    assert len(passes) == 3 and sorted(F._d_sequences) == [(0, 1), (1, 0), (1, 2)]
+    with pytest.raises(ZeroForm):
+        polynomials.d_sequence(F, 0, 0)
 
 
 def test_dual_data_is_read_once_per_form_object(monkeypatch):

@@ -3,10 +3,11 @@ symmetric search, the one-label classification row, the branch-label
 enumeration, the complete-intersection count read off the build, the
 initial ideal on moved integer rows, the annihilator in its two generator
 degrees, the rank table counted off moved standard monomials, the Jordan
-degree type read one string per row off the same diagram and the quotient
-built one degree from the last against the earlier bodies kept in
-reference_paths.py, and the rank table against the one read off the dual
-generator alone."""
+degree type read one string per row off the same diagram, the quotient
+built one degree from the last, and d, Ann(F) and every Hessian rank read
+off one Berlekamp-Massey pass per direction against the earlier bodies kept
+in reference_paths.py, and the rank table against the one read off the
+dual generator alone."""
 
 import itertools
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_paths as ref
-from jtlab import linalg
+from jtlab import linalg, polynomials
 from jtlab.algebra import (
     GradedIdeal,
     annihilator,
@@ -47,6 +48,7 @@ from jtlab.constructor import construct_ci
 from jtlab.errors import JtlabError, NotArtinian
 from jtlab.hessians import (
     active_hessian_indices,
+    hessian_rank_at,
     predicted_nonvanishing_set,
     predicted_rank_profile,
 )
@@ -58,7 +60,13 @@ from jtlab.partitions import (
 )
 from jtlab.polynomials import BivariatePoly, parse_poly
 from test_algebra import CI_CASES, RANK_TABLE_CASES
-from tests_support import dual_fuzz_forms, power_sum_duals, random_dual_generator, rank_table
+from tests_support import (
+    dual_fuzz_forms,
+    power_sum_duals,
+    random_dual_form,
+    random_dual_generator,
+    rank_table,
+)
 
 ALL_DK = list(itertools.product(range(2, 8), range(1, 5)))
 
@@ -416,6 +424,68 @@ def test_annihilator_matches_reference(family):
             assert degrees == [1, j + 1], F
         if family == "balanced":
             assert degrees == [j // 2 + 1] * 2, F
+
+
+# -- one Berlekamp-Massey pass against the dual-side references ----------------
+
+# the forms on which the pass is checked against the ranks and the kernels
+# it replaced: every monomial pairs a pass that stops early with one that
+# runs to the end, and X^a*Y^(j-a) + X^j + 3/2*Y^j and the power sums
+# make the moved vectors degenerate in the directions below
+BERLEKAMP_MASSEY_FAMILIES = {
+    "dual_fuzz": lambda rng: dual_fuzz_forms(),
+    "random j = 1..39": lambda rng: [random_dual_form(rng, j) for j in range(1, 40)],
+    "monomials": lambda rng: [
+        BivariatePoly.monomial(a, j - a) for j in range(16) for a in range(j + 1)
+    ],
+    "X^a*Y^(j-a) + X^j + 3/2*Y^j": lambda rng: [
+        BivariatePoly.monomial(a, j - a) + X**j + Fraction(3, 2) * Y**j
+        for j in range(1, 16)
+        for a in range(j + 1)
+    ],
+    "power sums": lambda rng: [_power_sum(rng, j, r) for j in range(13) for r in range(1, 5)]
+    + power_sum_duals(),
+}
+BERLEKAMP_MASSEY_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, 2), (2, -3), (3, 5), (1, -1)]
+
+
+def _berlekamp_massey_forms(family):
+    return BERLEKAMP_MASSEY_FAMILIES[family](random.Random(family))
+
+
+@pytest.mark.parametrize("family", BERLEKAMP_MASSEY_FAMILIES)
+def test_d_sequence_matches_the_per_power_ranks(family):
+    # d_n of one pass per direction against the rank of the middle
+    # catalecticant of ell^n o F for every n, and every Hessian rank
+    # against the per-order weight loop it replaced
+    checked = 0
+    for F in _berlekamp_massey_forms(family):
+        d = polynomials.dual_data(F)[1]
+        for a, b in BERLEKAMP_MASSEY_DIRECTIONS:
+            got = polynomials.d_sequence(F, a, b)
+            assert got == ref.d_sequence(F, a, b), (F, a, b)
+            for i in range(d):
+                assert hessian_rank_at(F, i, (a, b)) == ref.hessian_rank_at(F, i, (a, b))
+            checked += len(got)
+    assert checked >= 7 * 100
+
+
+@pytest.mark.parametrize("family", BERLEKAMP_MASSEY_FAMILIES)
+def test_annihilator_matches_the_two_kernel_reference(family):
+    # the generators read off the pass equal, row for row, those read off
+    # the kernels of two catalecticants, with d = e among the forms
+    balanced = 0
+    for F in _berlekamp_massey_forms(family):
+        got, want = annihilator(F), ref.two_kernel_annihilator(F)
+        assert got._rows == want._rows and got.generators == want.generators, F
+        balanced += got._rows[0][0] == got._rows[1][0]
+    assert balanced > 0
+
+
+@pytest.mark.parametrize("family", BERLEKAMP_MASSEY_FAMILIES)
+def test_dual_data_d_is_the_middle_catalecticant_rank(family):
+    for F in _berlekamp_massey_forms(family):
+        assert polynomials.dual_data(F)[1] == ref.middle_catalecticant_rank(F), F
 
 
 # -- the rank table against carried images -------------------------------------

@@ -153,14 +153,17 @@ def test_only_the_gluing_gives_a_partition_its_label():
 
 
 def test_only_the_dual_reader_writes_a_forms_dual_data():
-    # dual_data returns a kept (g, d) without checking F again, so the one
-    # place that sets it is the one that checked F: dual_data itself
-    found = [
-        f"{path.name}:{where}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for where, _ in _slot_writes(ast.parse(path.read_text(), filename=str(path)), "_dual")
-    ]
-    assert found == ["polynomials.py:dual_data"], found
+    # dual_data returns what it keeps without checking F again, and
+    # d_sequence reads and fills the per-direction store that dual_data
+    # creates, so the one place that sets either slot is the one that
+    # checked F: dual_data itself
+    for slot in ("_dual", "_d_sequences"):
+        found = [
+            f"{path.name}:{where}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for where, _ in _slot_writes(ast.parse(path.read_text(), filename=str(path)), slot)
+        ]
+        assert found == ["polynomials.py:dual_data"], (slot, found)
 
 
 def test_only_the_graded_ideal_writes_its_rows():
