@@ -24,9 +24,11 @@ degree from the last, and counts the minimal generators as it goes.  It
 builds the quotient, and the ideal moved in each direction that is asked
 about; when L is a multiple of x nothing moves, and the quotient's own
 standard monomials are read with no elimination.  No reduced echelon form
-is kept: normal_form_vector folds one with linalg.echelon when it is
-called.  A dual generator is read only through polynomials.dual_data.
-Fraction is met only in a BivariatePoly's coefficients, where a polynomial
+is built: normal_form_vector reduces a form with linalg.remainder against
+the forward-only basis of its degree that _build returns, and annihilator
+reduces its second generator against the shifts of its first, which form
+such a basis as they stand.  A dual generator is read only through
+polynomials.dual_data.  Fraction is met only in a BivariatePoly's coefficients, where a polynomial
 comes in or goes out.
 """
 
@@ -157,11 +159,12 @@ class ArtinAlgebra:
     Per degree it keeps the standard monomials that form the basis of A,
     fixed at construction: the columns that are not pivots of I_i, as
     _build reads them off a forward-only basis of each I_i.  No echelon
-    form is kept; normal_form_vector builds the one it needs.  Every
-    question about multiplication by a linear form reads the Ferrers
-    diagram of the standard monomials of the ideal moved so that the form
-    becomes x (_diagram; see the module docstring), kept on the algebra
-    under the form.  The moved standard monomials are kept under the
+    form is kept; normal_form_vector builds I again, forward only, through
+    the degree of the form that it reduces.  Every question about
+    multiplication by a linear form reads the Ferrers diagram of the
+    standard monomials of the ideal moved so that the form becomes x
+    (_diagram; see the module docstring), kept on the algebra under the
+    form.  The moved standard monomials are kept under the
     primitive pair of the form's coefficients (_standard), so a form, its
     multiples and initial_ideal in the same direction share one moved pass;
     under (1, 0) they are the algebra's own, and no elimination runs.
@@ -200,22 +203,17 @@ class ArtinAlgebra:
 
     def normal_form_vector(self, f):
         """Coordinates of a homogeneous form modulo I in the standard basis
-        of its degree i: its remainder modulo the reduced echelon form of
-        I_i, which linalg.echelon builds here from the shifts x^a y^(i-e-a) g
-        of the generators g of degree e <= i."""
+        of its degree i: _build builds I forward only through degree i, as
+        quotient did, and the form is reduced against the forward-only
+        basis of I_i that it returns, with linalg.remainder."""
         if f.is_zero():
             return []
         i = f.homogeneous_degree()
         if i > self.socle_degree:
             return []
-        pivots, rows, lead = linalg.echelon(
-            [0] * a + vec + [0] * (i - e - a)
-            for e, vec in self.ideal._rows
-            if e <= i
-            for a in range(i - e + 1)
-        )
-        rest = linalg.remainder(_poly_vec(f, i), pivots, rows, lead)
-        return [rest[t] / lead for t in self._std[i]]
+        basis = _build(self.ideal._rows, i)[2]
+        rest, scale = linalg.remainder(basis, _poly_vec(f, i))
+        return [rest[t] / scale for t in self._std[i]]
 
     def _standard(self, a, b):
         """The x-exponents of the standard monomials of each degree 0 .. j
@@ -228,7 +226,7 @@ class ArtinAlgebra:
         std = self._moved_std.get((a, b))
         if std is None:
             moved = [(e, _moved(vec, a, b)) for e, vec in self.ideal._rows]
-            std, _ = _build(moved, self.socle_degree + 1)
+            std = _build(moved, self.socle_degree + 1)[0]
             hilbert, want = tuple(map(len, std)), (*self.hilbert, 0)
             if hilbert != want:
                 raise InternalInconsistency(
@@ -262,11 +260,12 @@ class ArtinAlgebra:
 
 
 def _build(rows, top):
-    """(std, generator degrees) of the ideal I with generator rows given as
-    (degree, integer row) pairs: the x-exponents of the standard monomials
-    of each degree 0 .. i, where i is the first degree in which I is
-    everything, or top if there is none before it, and the degrees of a
-    minimal generating set of the part of I built.
+    """(std, generator degrees, basis) of the ideal I with generator rows
+    given as (degree, integer row) pairs: the x-exponents of the standard
+    monomials of each degree 0 .. i, where i is the first degree in which I
+    is everything, or top if there is none before it, the degrees of a
+    minimal generating set of the part of I built, and the forward-only
+    basis of I_i, as linalg.insert keeps one.
 
     Only pivots are read, so I is built forward only, with linalg.insert,
     one degree from the last.  The rows kept for I_(i-1), each with a zero
@@ -291,7 +290,7 @@ def _build(rows, top):
         std.append([t for t in range(i + 1) if t not in basis])
         if not std[-1]:
             break
-    return std, tuple(degrees)
+    return std, tuple(degrees), basis
 
 
 def _row_lengths(std):
@@ -320,7 +319,7 @@ def quotient(ideal):
             f"a generator of degree {maxdeg} is over the cap of {MAX_DEGREE}"
         )
     bound = 2 * maxdeg + 2
-    std, degrees = _build(ideal._rows, bound)
+    std, degrees, _ = _build(ideal._rows, bound)
     if std[-1]:
         raise NotArtinian(f"dim A_{bound} = {len(std[-1])} > 0 for I = ({ideal})")
     return ArtinAlgebra(ideal, std, degrees)
@@ -350,14 +349,18 @@ def annihilator(F):
     When d = e both lie in Ann(F)_d, of dimension 2, and the first
     generator is the one kernel vector, up to scale, whose last nonzero
     entry is at the smaller of the kernel's two free columns, so it is the
-    first vector that linalg.null_vectors would give there.  The second is
-    reduced modulo R_(e-d) times the first, and each is scaled to coprime
-    integer coefficients with a positive leading term.  InternalInconsistency
-    is raised, under python -O too, unless the two fit the degrees d and e,
-    the second is nonzero modulo those shifts, and each is nonzero and has
-    dot product 0 with every row of its catalecticant.  Those primitive
-    rows are the ideal's rows as they stand: they go to
-    GradedIdeal._from_rows with the generators built from them.
+    first vector that linalg.kernel_basis gives there, up to scale.  The
+    second is reduced modulo R_(e-d) times the first with linalg.remainder:
+    the shifts x^a y^(e-d-a) times the first start at the consecutive
+    columns p + a, p the first's first nonzero column, so they form a
+    forward-only basis as they stand and no echelon form is built.  Each
+    generator is scaled to coprime integer coefficients with a positive
+    leading term.  InternalInconsistency is raised, under python -O too,
+    unless the two fit the degrees d and e, each is nonzero and has dot
+    product 0 with every row of its catalecticant, and the second is
+    nonzero modulo those shifts; the first is checked before its shifts are
+    built.  Those primitive rows are the ideal's rows as they stand: they
+    go to GradedIdeal._from_rows with the generators built from them.
     """
     g, d, C, B, m = dual_data(F)
     e = len(g) + 1 - d  # d + e = j + 2
@@ -370,20 +373,29 @@ def annihilator(F):
         )
     if d == e:
         lo, hi = _free_column_order(lo, hi)
-    first = linalg.primitive(lo)
-    # R_(e-d) * first: x^a y^(e-d-a) times the degree-d generator
-    shifts = linalg.echelon([[0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)])
-    second = linalg.remainder(hi, *shifts)
+    first = _checked(F, g, d, linalg.primitive(lo))
+    # R_(e-d) * first: x^a y^(e-d-a) times the degree-d generator, a
+    # forward-only basis keyed by the column p + a where it starts
+    p = next(t for t, v in enumerate(first) if v)
+    shifts = {p + a: [0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)}
+    second = linalg.primitive(linalg.remainder(shifts, hi)[0])
     if not any(second):
         raise InternalInconsistency(f"Ann({F}) has no generator in degree {e}")
-    rows = ((d, first), (e, linalg.primitive(second)))
-    for n, vec in rows:
-        if not any(vec) or any(sum(map(operator.mul, row, vec)) for row in catalecticant(g, n)):
-            raise InternalInconsistency(
-                f"the degree-{n} generator {_vec_poly(vec, n)} read off the "
-                f"Berlekamp-Massey pass is zero or does not annihilate {F}"
-            )
+    rows = ((d, first), (e, _checked(F, g, e, second)))
     return GradedIdeal._from_rows(rows, [_vec_poly(vec, n) for n, vec in rows])
+
+
+def _checked(F, g, n, vec):
+    """vec, a degree-n generator of Ann(F) read off the Berlekamp-Massey
+    pass over F's divided-power vector g; InternalInconsistency, under
+    python -O too, when it is zero or has a nonzero dot product with a row
+    of its catalecticant."""
+    if not any(vec) or any(sum(map(operator.mul, row, vec)) for row in catalecticant(g, n)):
+        raise InternalInconsistency(
+            f"the degree-{n} generator {_vec_poly(vec, n)} read off the "
+            f"Berlekamp-Massey pass is zero or does not annihilate {F}"
+        )
+    return vec
 
 
 def _last(vec):

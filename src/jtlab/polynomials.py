@@ -271,8 +271,8 @@ def catalecticant(g, i):
     (j-i-v)! v! and its column t that of x^t y^(i-t).
 
     Row v is g_(v+i), ..., g_v: positions j-i-v .. j-v of g reversed, as
-    a new list of its own, since linalg.extend may keep a given row as a
-    row of its form."""
+    a new list of its own, so a caller may keep a row without sharing
+    storage with g or with another row."""
     rev = list(reversed(g))
     return [rev[k : k + i + 1] for k in range(len(g) - i - 1, -1, -1)]
 

@@ -1,6 +1,6 @@
-"""Earlier bodies of seventeen routines, kept as references for differential
-tests of the versions in jtlab: four slower combinatorial ones, the
-branch-label enumeration with its own interval-split helper, the
+"""Earlier bodies of twenty-one routines, kept as references for
+differential tests of the versions in jtlab: four slower combinatorial
+ones, the branch-label enumeration with its own interval-split helper, the
 complete-intersection test that counts new generators in every degree with
 one elimination each, the initial ideal that substitutes Fraction
 polynomials for x and y, the annihilator that echelonizes every degree 0 ..
@@ -8,7 +8,7 @@ j+1, the rank table that carries the image of each A_u one step at a time,
 the Jordan degree type read off a rank table by second differences, two
 quotients, one that echelonizes the whole degree_span of every degree
 and one that grows the reduced echelon form of each degree from the last
-with linalg.extend, the fraction-free Gauss-Jordan elimination (Bareiss)
+with extend, the fraction-free Gauss-Jordan elimination (Bareiss)
 that the others eliminate with, and the realization chain of construct_ci,
 built on Fraction tuples and checked by products of BivariatePoly, and
 the three dual-side reads that one Berlekamp-Massey pass per direction
@@ -19,7 +19,13 @@ catalecticants.  Two more references read F alone and share no code with
 the quotient: dual_rank_table reads the rank table of R/Ann(F) by
 Macaulay duality, with no rank kernel, and d_sequence builds the vector
 of every power of a linear form applied to F with its own weight loop and
-takes each middle catalecticant rank.
+takes each middle catalecticant rank.  And four are the reduced-form
+elimination that linalg once ran beside its forward-only insert: extend,
+which adds one vector to a reduced echelon form (pivots, rows, lead) and
+keeps lead the least common denominator, extend_echelon, which folds it
+over a matrix, reduced_remainder, lead times the remainder of a vector
+modulo a reduced or Bareiss form, and null_vectors, an integer kernel
+basis read off either.
 
 Each returns exactly what the jtlab function of the same name returns;
 rank_table and dual_rank_table return rank_mult_power(A, ell, u, s) for
@@ -35,25 +41,29 @@ form of every degree, which jtlab's quotient no longer does.  rank_table,
 one_step_columns and is_complete_intersection, given one of jtlab's
 algebras, read their forms off extend_quotient of its ideal, never off
 jtlab's build.  echelon returns the same pivots and the same reduced row
-echelon form over Q as linalg.echelon, but scaled by its last pivot value,
+echelon form over Q as extend_echelon, but scaled by its last pivot value,
 a determinant that may be negative, not by the least common denominator;
 so the forms of the two quotients agree over Q, not entry by entry.  Every
 elimination here is the Bareiss echelon of this module, never the
 forward-only linalg.insert that jtlab builds its quotients with, with two
 exceptions.  The four dual-side references run linalg.rank and
-linalg.echelon as jtlab once ran them, so they are exactly the code that
+extend_echelon as jtlab once ran them, so they are exactly the code that
 the Berlekamp-Massey pass replaced; linalg.rank is itself checked against
-the Bareiss echelon.  And extend_quotient folds linalg.extend, the reduced
+the Bareiss echelon.  And extend_quotient folds extend, the reduced
 forms that jtlab once kept, since the Bareiss quotient takes seconds on a
 dense dual of degree 30.  It is checked against the Bareiss quotient on its own, and
 initial_ideal builds the moved ideal with it; what that checks is the
 change of coordinates, done with BivariatePoly products instead of the
-integer rows that jtlab moves.
+integer rows that jtlab moves.  jtlab's normal forms and Ann(F) reduce
+with linalg.remainder against forward-only bases; reduced_remainder on
+the Bareiss forms is their reference.
 """
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 from jtlab import linalg
@@ -131,6 +141,94 @@ def echelon(rows):
         pivots.append(c)
         prev = lead
     return pivots, m[: len(pivots)], prev
+
+
+def reduced_remainder(vec, pivots, rows, lead):
+    """lead times the remainder of vec modulo an echelon form (pivots,
+    rows, lead), reduced or Bareiss: the unique vector of lead * vec +
+    span(rows) that is zero in every pivot column, integral when vec is.
+    When lead is 1 and no row touches vec, that is vec itself."""
+    out = vec if lead == 1 else [lead * v for v in vec]
+    for pc, row in zip(pivots, rows):
+        c = vec[pc]
+        if c:
+            out = [o - c * w for o, w in zip(out, row)]
+    return out
+
+
+def extend(form, vec):
+    """The echelon form of span(rows) + span(vec), for an echelon form
+    form = (pivots, rows, lead) and an integer vector vec of the same
+    length; form itself when vec lies in the span.  The reduced-form
+    elimination that jtlab ran before linalg.insert was its only one.
+
+    The remainder of vec, divided by its content with the sign that makes
+    its entry p in its first nonzero column c positive, becomes the row of
+    a new pivot column c, and c is cleared from the old rows, each scaled
+    by p.  The whole form is then divided by its content, the gcd of the
+    new lead and every entry, with the sign that makes lead positive; a new
+    lead of 1 needs no such pass.  So rows / lead is the reduced row echelon
+    form over Q, lead > 0 is its least common denominator, and lead and the
+    entries of rows have no common factor.  The input lists are not
+    changed, but the result may share them: when p is 1, an old row with a
+    zero in column c is returned as the same list, and the new row may be
+    vec itself.
+    """
+    pivots, rows, lead = form
+    rest = reduced_remainder(vec, pivots, rows, lead)
+    c = next((c for c, v in enumerate(rest) if v), None)
+    if c is None:
+        return form
+    g = math.gcd(*rest)
+    if rest[c] < 0:
+        g = -g
+    if g != 1:
+        rest = [v // g for v in rest]
+    p = rest[c]
+    # row / lead - (row[c] / lead) (rest / p), over the common scale lead * p
+    new = [
+        [p * v - row[c] * w for v, w in zip(row, rest)]
+        if row[c]
+        else row if p == 1 else [p * v for v in row]
+        for row in rows
+    ]
+    k = bisect_left(pivots, c)
+    new.insert(k, rest if lead == 1 else [lead * w for w in rest])
+    lead *= p
+    if lead != 1:
+        content = lead
+        for row in new:
+            content = math.gcd(content, *row)
+            if content == 1:
+                break
+        if lead < 0:
+            content = -content
+        if content != 1:
+            new = [[v // content for v in row] for row in new]
+            lead //= content
+    return [*pivots[:k], c, *pivots[k:]], new, lead
+
+
+def extend_echelon(rows):
+    """The echelon form (pivots, rows, lead) of the row space of a matrix
+    with integer entries: extend folded over its rows, from the form of the
+    zero space.  rows / lead is the reduced row echelon form over Q and
+    lead > 0 its least common denominator."""
+    return reduce(extend, rows, ([], [], 1))
+
+
+def null_vectors(pivots, reduced, lead, ncols):
+    """Integer basis of the null space of a matrix, from its echelon form
+    (pivots, reduced, lead) and its row length ncols: one vector per free
+    column, holding lead there.  Divided by lead they are kernel_basis."""
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[fc] = lead
+        for prow, pc in zip(reduced, pivots):
+            vec[pc] = -prow[fc]
+        basis.append(vec)
+    return basis
 
 
 def diagonal_lengths(P):
@@ -350,7 +448,7 @@ def quotient(ideal):
 def extend_quotient(ideal):
     """The quotient as jtlab built it before it read only pivots: the
     reduced echelon form of each I_i grown from y I_(i-1) with
-    linalg.extend, adding the raw shift x^(i-e) g of every generator g of
+    extend, adding the raw shift x^(i-e) g of every generator g of
     degree e < i, then the generators of degree i, whose new pivots count
     the minimal generators of degree i.  rows / lead is the reduced
     echelon form over Q and lead its least common denominator."""
@@ -362,11 +460,11 @@ def extend_quotient(ideal):
         form = pivots, [[*row, 0] for row in rest], lead  # y I_(i-1)
         for e, vec in ideal._rows:
             if e < i:
-                form = linalg.extend(form, [0] * (i - e) + vec)  # x^(i-e) g
+                form = extend(form, [0] * (i - e) + vec)  # x^(i-e) g
         grown = len(form[0])  # dim R_1*I_(i-1)
         for e, vec in ideal._rows:
             if e == i:
-                form = linalg.extend(form, vec)
+                form = extend(form, vec)
         echelons.append(form)
         degrees += [i] * (len(form[0]) - grown)
         if len(form[0]) == i + 1:
@@ -458,11 +556,11 @@ def annihilator(F):
         # the catalecticant R_i -> E_(j-i), with the row of Y^v scaled by
         # (j-i-v)! v!: its entry at column x^t y^(i-t) is g_(v+i-t)
         rows = [[g[v + i - t] for t in range(i + 1)] for v in range(j - i + 1)]
-        null = linalg.null_vectors(*echelon(rows), i + 1)
+        null = null_vectors(*echelon(rows), i + 1)
         kernel = [linalg.primitive(vec) for vec in null]
         grown = echelon(_shifts(prev_kernel))
         for vec in kernel:
-            rest = linalg.remainder(vec, *grown)
+            rest = reduced_remainder(vec, *grown)
             if any(rest):
                 generators.append(_vec_poly(linalg.primitive(rest), i))
                 grown = echelon(grown[1] + [vec])
@@ -483,7 +581,7 @@ def one_step_columns(A, a, b):
         for t in Q._std[i]:
             vec = [0] * (i + 2)
             vec[t], vec[t + 1] = b, a  # y * x^t y^(i-t), x * x^t y^(i-t)
-            rest = linalg.remainder(vec, pivots, rows, lead)
+            rest = reduced_remainder(vec, pivots, rows, lead)
             images.append([rest[c] for c in Q._std[i + 1]])
         columns.append(list(zip(*images)))
     return columns
@@ -608,7 +706,7 @@ def d_sequence(F, a, b):
 def two_kernel_annihilator(F):
     """algebra.annihilator(F) as it once read Ann(F) off the kernels of two
     catalecticants: d from middle_catalecticant_rank, the kernels in the
-    degrees d and e = j + 2 - d from the reduced forms that linalg.echelon
+    degrees d and e = j + 2 - d from the reduced forms that extend_echelon
     folds, the first generator the first kernel vector of degree d, and the
     second the first kernel vector of degree e not in R_(e-d) times the
     first, reduced modulo those shifts; both primitive."""
@@ -616,13 +714,13 @@ def two_kernel_annihilator(F):
     d = middle_catalecticant_rank(F)
     e = len(g) + 1 - d
     kernel = {
-        i: linalg.null_vectors(*linalg.echelon(catalecticant(g, i)), i + 1) for i in {d, e}
+        i: null_vectors(*extend_echelon(catalecticant(g, i)), i + 1) for i in {d, e}
     }
     if len(kernel[d]) != 1 + (d == e) or len(kernel[e]) != e - d + 2:
         raise InternalInconsistency(f"Ann({F}) has the kernels of no complete intersection")
     first = linalg.primitive(kernel[d][0])
-    shifts = linalg.echelon([[0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)])
-    rests = (linalg.remainder(vec, *shifts) for vec in kernel[e])
+    shifts = extend_echelon([[0] * a + first + [0] * (e - d - a) for a in range(e - d + 1)])
+    rests = (reduced_remainder(vec, *shifts) for vec in kernel[e])
     second = next(rest for rest in rests if any(rest))
     rows = ((d, first), (e, linalg.primitive(second)))
     return GradedIdeal._from_rows(rows, [_vec_poly(vec, n) for n, vec in rows])

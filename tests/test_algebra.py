@@ -131,7 +131,7 @@ def _reference_annihilator(F):
         kernel = [linalg.primitive(vec) for vec in _fraction_kernel(rows, i + 1)]
         grown = ref.echelon(ref._shifts(prev_kernel))
         for vec in kernel:
-            rest = linalg.remainder(vec, *grown)
+            rest = ref.reduced_remainder(vec, *grown)
             if any(rest):
                 generators.append(_vec_poly(linalg.primitive(rest), i))
                 grown = ref.echelon(grown[1] + [vec])
@@ -433,7 +433,7 @@ def test_is_complete_intersection_reads_the_count_off_the_algebra(monkeypatch):
     def refuse(*args):
         raise AssertionError("the complete-intersection count eliminated")
 
-    for name in ("rank", "extend", "echelon", "insert"):
+    for name in ("rank", "insert", "remainder", "rref", "kernel_basis"):
         monkeypatch.setattr(linalg, name, refuse)
     assert is_complete_intersection(I, algebra=A) == (True, (2, 2))
 
@@ -817,11 +817,11 @@ def test_extend_folded_over_rows_matches_echelon(rows, mix):
     form = ([], [], 1)
     for row in rows:
         before = copy.deepcopy(form)
-        grown = linalg.extend(form, row)
+        grown = ref.extend(form, row)
         assert form == before  # the input lists are not changed
         assert (grown is form) == (len(grown[0]) == len(form[0]))
         form = grown
-    assert linalg.echelon(rows) == form
+    assert ref.extend_echelon(rows) == form
     pivots, reduced, lead = form
     want_pivots, want, want_lead = ref.echelon(rows)
     assert pivots == want_pivots
@@ -842,9 +842,9 @@ def test_extend_shares_untouched_rows_and_changes_no_earlier_form(rows, mix):
     for row in rows:
         form = forms[-1]
         pivots, old_rows, lead = form
-        grown = linalg.extend(form, row)
+        grown = ref.extend(form, row)
         if grown is not form:
-            rest = linalg.remainder(row, *form)
+            rest = ref.reduced_remainder(row, *form)
             c = next(c for c, v in enumerate(rest) if v)
             p = abs(rest[c]) // math.gcd(*rest)
             new_pivots, new_rows, new_lead = grown
@@ -863,7 +863,7 @@ def test_extend_makes_lead_positive_on_a_bareiss_form():
     # Bareiss leaves a negative lead here; one extend makes it positive
     form = ref.echelon([[0, -3, 1], [2, 0, 0]])
     assert form[2] < 0
-    pivots, rows, lead = linalg.extend(form, [0, 0, 5])
+    pivots, rows, lead = ref.extend(form, [0, 0, 5])
     assert (pivots, rows, lead) == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
 
 
@@ -901,6 +901,29 @@ def test_insert_matches_echelon(rows, mix):
     before = copy.deepcopy(scaled)
     assert linalg.rank(scaled) == len(basis)
     assert scaled == before
+
+
+@given(st.one_of(INTEGER_MATRICES, MONIC_MATRICES), MIXES, st.data())
+@settings(max_examples=300)
+def test_remainder_reduces_against_a_forward_only_basis(rows, mix, data):
+    # rest is zero at every key, and rest / scale is the remainder modulo
+    # the reduced echelon form of the reference, for int vectors and for
+    # Fraction vectors, some mixed with int entries; vec is not changed
+    rows = _dependent_rows(rows, mix)
+    ncols = len(rows[0]) if rows else data.draw(st.integers(1, 7))
+    ints = data.draw(st.lists(st.integers(-30, 30), min_size=ncols, max_size=ncols))
+    fractions = [v if t % 2 else Fraction(v, 1 + t % 3) for t, v in enumerate(ints)]
+    basis = {}
+    for row in rows:
+        linalg.insert(basis, row)
+    pivots, reduced, lead = ref.echelon(rows)
+    for vec in (ints, fractions):
+        before = copy.deepcopy(vec)
+        rest, scale = linalg.remainder(basis, vec)
+        assert vec == before
+        assert scale > 0 and all(rest[c] == 0 for c in basis)
+        want = ref.reduced_remainder(vec, pivots, reduced, lead)
+        assert [Fraction(v) / scale for v in rest] == [Fraction(v) / lead for v in want]
 
 
 @pytest.mark.parametrize("j, bits", [(30, 512), (49, 1024)])
@@ -1005,8 +1028,8 @@ def test_rank_only_questions_build_no_reduced_form(monkeypatch):
     def refuse(*args):
         raise AssertionError("a rank-only question built a reduced form")
 
-    monkeypatch.setattr(linalg, "echelon", refuse)
-    monkeypatch.setattr(linalg, "extend", refuse)
+    for name in ("remainder", "rref", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, refuse)
     for a, b in [(1, 0), (0, 1), (1, 1), (1, -2)]:
         ell = BivariatePoly.linear(a, b)
         assert jordan_type(A, ell).size == A.dimension
@@ -1038,7 +1061,7 @@ def test_rank_questions_in_x_run_no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("a question in x eliminated")
 
-    for name in ("rank", "insert", "extend", "echelon"):
+    for name in ("rank", "insert", "remainder", "rref", "kernel_basis"):
         monkeypatch.setattr(linalg, name, refuse)
     for I, A in algebras:
         for ell in (ELL_X, BivariatePoly.linear(2, 0), BivariatePoly.linear(-1, 0)):
@@ -1108,8 +1131,8 @@ def test_a_moved_ideal_short_of_everything_past_the_socle_raises(monkeypatch):
     build = algebra._build
 
     def leaving_one(rows, top):
-        std, degrees = build(rows, top)
-        return [*std[:-1], [0]], degrees
+        std, degrees, basis = build(rows, top)
+        return [*std[:-1], [0]], degrees, basis
 
     monkeypatch.setattr(algebra, "_build", leaving_one)
     with pytest.raises(InternalInconsistency, match="Hilbert function"):
@@ -1144,7 +1167,7 @@ I = algebra.GradedIdeal([parse_poly("x^2*y"), parse_poly("y^4+x^4")])
 ell = parse_poly("x+y")
 for std in {stds!r}:
     A = algebra.quotient(I)
-    algebra._build = lambda rows, top, std=std: (std, ())
+    algebra._build = lambda rows, top, std=std: (std, (), {{}})
     for ask in (
         lambda: algebra.jordan_type(A, ell),
         lambda: algebra.rank_mult_power(A, ell, 0, 1),
@@ -1164,7 +1187,7 @@ def test_a_moved_set_that_is_no_ferrers_diagram_raises(monkeypatch, std):
     # initial ideal each refuse it, and no diagram is kept
     I = ideal("x^2*y", "y^4+x^4")
     A = quotient(I)
-    monkeypatch.setattr(algebra, "_build", lambda rows, top: (std, ()))
+    monkeypatch.setattr(algebra, "_build", lambda rows, top: (std, (), {}))
     for ask in (
         lambda: jordan_type(A, ELL_XY),
         lambda: rank_mult_power(A, ELL_XY, 0, 1),

@@ -589,10 +589,10 @@ def test_quotient_matches_reference(family):
         # remainder modulo the Bareiss form of that degree
         for i, (pivots, rows, lead) in enumerate(B.echelons[:-1]):
             for t in range(i + 1):
-                rest = linalg.remainder([int(c == t) for c in range(i + 1)], pivots, rows, lead)
+                rest = ref.reduced_remainder([int(c == t) for c in range(i + 1)], pivots, rows, lead)
                 want = [Fraction(rest[c], lead) for c in B._std[i]]
                 assert A.normal_form_vector(BivariatePoly.monomial(t, i - t)) == want, (I, i, t)
-        # the reference forms that linalg.extend grows, the ones jtlab kept
+        # the reference forms that ref.extend grows, the ones jtlab kept
         # before it read only pivots, against the Bareiss forms
         assert C._std == B._std and C._generator_degrees == A._generator_degrees, I
         assert len(C.echelons) == len(B.echelons), I
@@ -659,7 +659,7 @@ def test_quotient_refuses_a_non_artinian_ideal_as_the_reference_does(gens):
 
 def test_quotient_builds_forward_only(monkeypatch):
     # quotient reads only pivots, so it builds with linalg.insert alone:
-    # with the reduced-form and rank routines refused it still gives the
+    # with remainder, rref, kernel_basis and rank refused it still gives the
     # Bareiss quotient's standard monomials and generator degrees, and its
     # NotArtinian message.  Ann(F), the padded ideals and the answers are
     # built before anything is refused.
@@ -686,7 +686,7 @@ def test_quotient_builds_forward_only(monkeypatch):
     def refuse(*args):
         raise AssertionError("quotient ran an elimination other than linalg.insert")
 
-    for name in ("extend", "echelon", "rank"):
+    for name in ("remainder", "rref", "kernel_basis", "rank"):
         monkeypatch.setattr(linalg, name, refuse)
     for I, (std, degrees) in zip(ideals, want):
         A = quotient(I)
@@ -696,6 +696,36 @@ def test_quotient_builds_forward_only(monkeypatch):
             quotient(I)
         assert str(got.value) == message
     assert len(ideals) == 2 + len(NON_GORENSTEIN) + len(CI_CASES) + 150
+
+
+def test_annihilator_and_normal_forms_need_no_reduced_echelon_form(monkeypatch):
+    # annihilator reduces its second generator against the shifts of the
+    # first, and normal_form_vector a form against the forward-only basis
+    # of its degree, both with linalg.remainder: with rref, kernel_basis and
+    # rank refused, Ann(F) on one Berlekamp-Massey family, d = e among its
+    # forms, is still the two-kernel reference's, and every normal form of
+    # every monomial on the CI_CASES algebras the Bareiss remainder
+    forms = _berlekamp_massey_forms("X^a*Y^(j-a) + X^j + 3/2*Y^j")
+    rows = [ref.two_kernel_annihilator(F)._rows for F in forms]
+    algebras = [quotient(GradedIdeal([parse_poly(g) for g in gens])) for gens, _ in CI_CASES]
+    normal_forms = []
+    for A in algebras:
+        B = ref.quotient(A.ideal)
+        for i, (pivots, reduced, lead) in enumerate(B.echelons[:-1]):
+            for t in range(i + 1):
+                rest = ref.reduced_remainder([int(c == t) for c in range(i + 1)], pivots, reduced, lead)
+                normal_forms.append((A, i, t, [Fraction(rest[c], lead) for c in B._std[i]]))
+
+    def refuse(*args):
+        raise AssertionError("a reduced echelon form was built")
+
+    for name in ("rref", "kernel_basis", "rank"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert [annihilator(F)._rows for F in forms] == rows
+    assert any(d == e for (d, _), (e, _) in rows)
+    for A, i, t, want in normal_forms:
+        assert A.normal_form_vector(BivariatePoly.monomial(t, i - t)) == want, (A, i, t)
+    assert len(normal_forms) == 77
 
 
 @pytest.mark.parametrize("j, bits, direction", [(30, 512, (1, 2)), (49, 1024, (1, 0))])

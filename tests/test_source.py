@@ -11,6 +11,7 @@ import tokenize
 from pathlib import Path
 
 import jtlab
+from jtlab import linalg
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jtlab"
@@ -88,6 +89,20 @@ def test_no_rank_is_read_off_echelon_outside_linalg():
         for line in _echelon_ranks(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, f"ranks read off echelon: {found}"
+
+
+def test_linalg_keeps_one_elimination():
+    # insert is the only elimination; remainder reduces against its bases,
+    # and rref and kernel_basis back-substitute on them.  The reduced-form
+    # routines that once ran beside it live in tests/reference_paths.py
+    names = ["primitive", "insert", "remainder", "rank", "rref", "kernel_basis"]
+    assert linalg.__all__ == names
+    public = {
+        name
+        for name, value in vars(linalg).items()
+        if callable(value) and not name.startswith("_") and value.__module__ == linalg.__name__
+    }
+    assert public == set(names)
 
 
 def _slot_writes(tree, slot):
