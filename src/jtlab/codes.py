@@ -11,6 +11,12 @@ from it.  The branch label records the branch lengths, with each gap written
 as the sentinel E; when k >= 2 every branch carries k-2 extra "thickening"
 boxes not counted in the label.
 
+enumerate_diagonal_partitions builds each partition of T once.  Its labels
+need no sort and no parse: the intervals of each division are consecutive,
+so their forced orders are the division reversed, and the entries are
+known to be E and 1..T.branches.  `_glue` checks each glued diagram once,
+and the Partition is built from its rows without checking them again.
+
 P is CIJT exactly when its power form satisfies p_{i-1} = n_{i-1} + n_i + p_i
 for every i, equivalently when P has d or d+k-1 parts.  CIJT partitions are
 parametrized by ordered partitions (compositions) of n in [0, T.branches].
@@ -106,8 +112,14 @@ class BranchLabel:
             clean.append(E if value == 0 else value)  # 0 is the gap too
         if not clean:
             raise ParseError("empty branch label")
+        return cls._of(tuple(clean))
+
+    @classmethod
+    def _of(cls, entries):
+        """The label of a nonempty tuple of entries E and nonzero ints, the
+        form the parser leaves them in; nothing is parsed or checked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", tuple(clean))
+        object.__setattr__(self, "entries", entries)
         return self
 
     def __setattr__(self, name, value):
@@ -241,16 +253,23 @@ def branch_label_to_partition(label, T):
 def _glue(label, T):
     """The partition of a label that `_validate_label` accepts for T.
 
-    As the branches are glued, each row keeps its cell count and its largest
-    column; no two cells coincide (see below), so a nonempty row is left
-    justified exactly when its largest column is its count less one.  Once
-    its diagonal lengths are checked, after every other check, the partition
-    is given T itself and the label, which partition_to_branch_label then
-    returns without reading the diagram.  No other function gives a
-    partition a label.  The caller vouches for the label:
-    branch_label_to_partition validates it, and enumerate_diagonal_partitions
-    takes it from enumerate_branch_labels, which builds only labels that
-    pass (a test checks every label for d <= 8, k <= 4).
+    The last gap e is found by a scan from the right.  The entries left of
+    it are vertical branches, glued in one pass, and those right of it
+    horizontal ones, glued in a second.  Each row keeps its cell count and
+    one past its largest column; no two cells coincide (see below), so a
+    row is left justified exactly when the two are equal.  The rows are
+    checked to be left justified, then to be weakly decreasing, and the
+    partition is built from them with Partition._checked, which does not
+    check them again.  Every row is positive: the triangle's d rows are,
+    and a vertical branch that adds rows past the last one covers each row
+    it adds, since it starts at row d - i <= d.  Once its diagonal lengths
+    are checked, after every other check, the partition is given T itself
+    and the label, which partition_to_branch_label then returns without
+    reading the diagram.  No other function gives a partition a label.  The
+    caller vouches for the label: branch_label_to_partition validates it,
+    and enumerate_diagonal_partitions takes it from enumerate_branch_labels,
+    which builds only labels that pass (a test checks every label for
+    d <= 8, k <= 4).
 
     Every label tested (d <= 6, k <= 3) that passes `_segments` but not the
     interval conditions glues to a diagram that is not left justified or
@@ -263,50 +282,42 @@ def _glue(label, T):
     T whenever `_segments` accepts the entry multiset, and a left-justified
     diagram with weakly decreasing rows is the Ferrers diagram of P itself.
     """
-    d, k = T.d, T.k
-    s = max(0, k - 2)
-    e = label.gaps[-1]
+    d, s = T.d, max(0, T.k - 2)
+    entries = label.entries
+    e = len(entries) - 1
+    while entries[e] is not E:
+        e -= 1
     # row r (0-based here) of the triangle holds the columns 0..d-1-r
     count = list(range(d, 0, -1))
-    last = list(range(d - 1, -1, -1))  # largest column, -1 for no cell
-    for i, entry in enumerate(label.entries):
+    end = count[:]  # one past the largest column, 0 for no cell
+    for i in range(e):  # a vertical branch below column i
+        entry = entries[i]
         if entry is E:
             continue
-        length = entry + s
-        if i < e:  # vertical branch below column i: rows d-i .. d-i+length-1
-            lo, hi = d - i, d - i + length
-            if hi > len(count):
-                count.extend([0] * (hi - len(count)))
-                last.extend([-1] * (hi - len(last)))
-            count[lo:hi] = [c + 1 for c in count[lo:hi]]
-            # columns come in increasing order, and the triangle's cells in
-            # these rows lie left of column i
-            last[lo:hi] = [i] * length
-        else:  # horizontal branch on row r = i - e - 1, past column d-1-r
-            r = i - e - 1
-            count[r] += length
-            last[r] += length
-    if any(c and m != c - 1 for c, m in zip(count, last)):
+        lo = d - i
+        hi = lo + entry + s
+        if hi > len(count):
+            count += [0] * (hi - len(count))
+            end += [0] * (hi - len(end))
+        # columns come in increasing order, and the triangle's cells in
+        # these rows lie left of column i
+        for r in range(lo, hi):
+            count[r] += 1
+            end[r] = i + 1
+    for r, entry in enumerate(entries[e + 1 :]):  # row r, past column d-1-r
+        count[r] += entry + s
+        end[r] += entry + s
+    # an empty row has count and end 0, so the rows are left justified
+    # exactly when the two lists agree
+    if end != count:
         raise InvalidLabel(f"{label}: glued diagram is not left justified")
     if any(map(operator.lt, count, count[1:])):
         raise InvalidLabel(f"{label}: glued rows are not weakly decreasing")
-    P = Partition(count)
+    P = Partition._checked(tuple(count))
     if diagonal_lengths(P) != T.values:
         raise InternalInconsistency(f"{label}: diagram has wrong diagonal lengths")
     object.__setattr__(P, "_label", label)
     return share_hilbert(P, T)
-
-
-def _arranged(verticals, horizontals):
-    """Expand interval sets in their forced order: vertical intervals by
-    decreasing minimum, horizontal by decreasing maximum."""
-    vert = []
-    for lo, hi in sorted(verticals, key=lambda iv: -iv[0]):
-        vert.extend(range(lo, hi + 1))
-    horiz = []
-    for lo, hi in sorted(horizontals, key=lambda iv: -iv[1]):
-        horiz.extend(range(lo, hi + 1))
-    return vert, horiz
 
 
 def diagonal_partition_count(T):
@@ -317,19 +328,31 @@ def diagonal_partition_count(T):
 
 
 def _labels_around(middle, lo, hi):
-    """Labels [*vertical, *middle, *horizontal]: for each division of [lo, hi]
-    into consecutive intervals (one per composition of hi - lo + 1, in the
-    order of compositions) and each choice, by increasing bitmask, of which
-    intervals are vertical.  An empty [lo, hi] gives the one label
-    [*middle]."""
+    """Labels (*vertical, *middle, *horizontal) for the tuple middle: for
+    each division of [lo, hi] into consecutive intervals (one per
+    composition of hi - lo + 1, in the order of compositions) and each
+    choice, by increasing bitmask, of which intervals are vertical.  An
+    empty [lo, hi] gives the one label (*middle).
+
+    The vertical intervals come in their forced order, by decreasing
+    minimum, and the horizontal ones in theirs, by decreasing maximum.  The
+    intervals are consecutive, so both orders are the order of the division
+    reversed, and no sort is needed.  The entries are E and the values
+    lo..hi, so the label is built with BranchLabel._of, unparsed.
+    """
     for comp in compositions(hi - lo + 1):
         ends = list(itertools.accumulate(comp, initial=lo - 1))
-        intervals = [(a + 1, b) for a, b in zip(ends, ends[1:])]
+        intervals = [tuple(range(a + 1, z + 1)) for a, z in zip(ends, ends[1:])]
+        # mask bit b makes interval b vertical; both sides list the last first
+        choices = [(1 << b, intervals[b]) for b in reversed(range(len(intervals)))]
         for mask in range(1 << len(intervals)):
-            verts = [iv for b, iv in enumerate(intervals) if mask >> b & 1]
-            horizs = [iv for b, iv in enumerate(intervals) if not mask >> b & 1]
-            vert, horiz = _arranged(verts, horizs)
-            yield BranchLabel([*vert, *middle, *horiz])
+            vert = horiz = ()
+            for bit, run in choices:
+                if mask & bit:
+                    vert += run
+                else:
+                    horiz += run
+            yield BranchLabel._of(vert + middle + horiz)
 
 
 def enumerate_branch_labels(T):
@@ -338,12 +361,12 @@ def enumerate_branch_labels(T):
     T = HilbertFunction(T)
     d, k = T.d, T.k
     if k >= 2:
-        labels = list(_labels_around([E], 1, d))
+        labels = list(_labels_around((E,), 1, d))
     else:
         labels = [
             label
             for g in range(1, d + 1)
-            for label in _labels_around([E, *range(1, g), E], g, d - 1)
+            for label in _labels_around((E, *range(1, g), E), g, d - 1)
         ]
     expected = diagonal_partition_count(T)
     if not len(labels) == len(set(labels)) == expected:
@@ -548,22 +571,14 @@ def parse_subscripted_hook_code(text):
     return BranchLabel(entries), tuple(subscripts)
 
 
-def _hand_degree(value, T):
-    """Degree of the endpoint of the branch labelled `value`: the branch has
-    actual length value + s and ends on the diagonal of degree d-1 + length."""
-    s = max(0, T.k - 2)
-    return T.d - 1 + value + s
-
-
-def _assemble_hook_code(label, T, subs_by_value, counts_by_degree):
-    subs = tuple(
-        None if entry is E else subs_by_value[entry] for entry in label.entries
-    )
-    window = {deg: 0 for deg in range(T.d, T.j + 1)}
-    window.update(counts_by_degree)
-    if set(window) != set(range(T.d, T.j + 1)):
+def _assemble_hook_code(label, T, subs, counts_by_degree):
+    """The HookCode of label with subscripts subs, aligned with its entries,
+    and the hook counts by hand degree over the window [d, j]; raises
+    InternalInconsistency when a hand lies outside the window."""
+    window = range(T.d, T.j + 1)
+    if not all(map(window.__contains__, counts_by_degree)):
         raise InternalInconsistency(f"{label}: difference-one hook hands outside [d, j]")
-    traditional = tuple(sorted(window.items()))
+    traditional = tuple((deg, counts_by_degree.get(deg, 0)) for deg in window)
     return HookCode(
         traditional=traditional, label=label, subscripts=subs, d=T.d, k=T.k
     )
@@ -574,18 +589,17 @@ def hook_code_direct(P):
 
     The label is partition_to_branch_label(P), so for a partition glued by
     `_glue` it is the label it was glued from; the hook counts, and so
-    every subscript, are always counted on the diagram.
+    every subscript, are always counted on the diagram.  The branch
+    labelled v has actual length v + s, s = max(0, k-2), so its hand, where
+    its subscript is counted, has degree v + d-1 + s.
     """
     P = Partition(P)
     T = hilbert_function(P)
     label = partition_to_branch_label(P)
     counts = hook_counts_by_degree(P)
-    subs_by_value = {
-        entry: counts.get(_hand_degree(entry, T), 0)
-        for entry in label.entries
-        if entry is not E
-    }
-    return _assemble_hook_code(label, T, subs_by_value, counts)
+    shift = T.d - 1 + max(0, T.k - 2)
+    subs = tuple(None if v is E else counts.get(v + shift, 0) for v in label.entries)
+    return _assemble_hook_code(label, T, subs, counts)
 
 
 def _runs(segment):
@@ -627,10 +641,10 @@ def hook_code_from_label(label, T):
             subs_by_value[first] = 2
         for value in run[1:]:
             subs_by_value[value] = 1
-    counts = {
-        _hand_degree(v, T): s for v, s in subs_by_value.items()
-    }
-    return _assemble_hook_code(label, T, subs_by_value, counts)
+    shift = T.d - 1 + max(0, T.k - 2)  # a hand degree less its label value
+    counts = {v + shift: sub for v, sub in subs_by_value.items()}
+    subs = tuple(None if v is E else subs_by_value[v] for v in label.entries)
+    return _assemble_hook_code(label, T, subs, counts)
 
 
 def iota(P):

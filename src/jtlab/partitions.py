@@ -1,10 +1,10 @@
 """Partitions, Ferrers diagrams, diagonal lengths, and CI-shaped Hilbert
 functions.
 
-A partition is stored in power form ((p_1, n_1), ..., (p_t, n_t)) with
-p_1 > p_2 > ... > p_t: every structural formula in this package indexes by
-distinct part sizes and their multiplicities.  The expanded weakly
-decreasing list of parts is kept alongside as a tuple.
+A partition stores its weakly decreasing parts as a tuple and is read in
+power form ((p_1, n_1), ..., (p_t, n_t)) with p_1 > p_2 > ... > p_t: every
+structural formula in this package indexes by distinct part sizes and
+their multiplicities, and the caret text "p_1^n_1,..." is written off it.
 
 Diagonal lengths of a partition are the lengths of the slope-one diagonals
 of its Ferrers diagram; they always form an admissible Hilbert function of a
@@ -21,10 +21,11 @@ own on the first call of hilbert_function(P); diagonal_lengths(P) reads it.
 
 A partition glued from a branch label (codes._glue, behind both
 codes.branch_label_to_partition and codes.enumerate_diagonal_partitions)
-also holds that label, set there once every check of the gluing passed,
-and codes.partition_to_branch_label returns it.  A partition that is
-parsed, built from its parts, copied or unpickled holds no label, and its
-label is read off the diagram.
+is built by Partition._checked from the rows the gluing has checked, with
+no second check of its parts.  It also holds its label, set there once
+every check of the gluing passed, and codes.partition_to_branch_label
+returns it.  A partition that is parsed, built from its parts, copied or
+unpickled holds no label, and its label is read off the diagram.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ class Partition:
             raise ParseError(f"parts must be positive: {parts}")
         if any(map(operator.lt, parts, parts[1:])):
             raise ParseError(f"parts must be weakly decreasing: {parts}")
+        return cls._checked(parts)
+
+    @classmethod
+    def _checked(cls, parts):
+        """The partition of a nonempty tuple of positive ints in weakly
+        decreasing order, which the caller has checked; nothing is checked
+        again."""
         self = object.__new__(cls)
         object.__setattr__(self, "parts", parts)
         # the validated HilbertFunction of the diagonal lengths, once known
@@ -150,7 +158,7 @@ class Partition:
         return f"Partition({str(self)!r})"
 
     def __str__(self):
-        return format_caret_list(self.parts)
+        return ",".join(f"{p}^{n}" if n > 1 else str(p) for p, n in self.power_form)
 
     def cells(self):
         """Cells (row r, column m), both 0-based, of the Ferrers diagram.

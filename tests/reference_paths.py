@@ -1,6 +1,8 @@
-"""Earlier bodies of twenty-one routines, kept as references for
-differential tests of the versions in jtlab: four slower combinatorial
-ones, the branch-label enumeration with its own interval-split helper, the
+"""Earlier bodies of twenty-two routines, kept as references for
+differential tests of the versions in jtlab: five slower combinatorial
+ones, one of them caret_text, the text of a partition written by its own
+run count, the branch-label enumeration with its own interval-split helper
+and _arranged, the sort into forced order that jtlab once ran, the
 complete-intersection test that counts new generators in every degree with
 one elimination each, the initial ideal that substitutes Fraction
 polynomials for x and y, the annihilator that echelonizes every degree 0 ..
@@ -76,7 +78,7 @@ from jtlab.algebra import (
     cell_generators,
     require_linear,
 )
-from jtlab.codes import E, BranchLabel, _arranged, _validate_label, is_cijt
+from jtlab.codes import E, BranchLabel, _validate_label, is_cijt
 from jtlab.constructor import Realization
 from jtlab.errors import (
     BudgetExceeded,
@@ -241,6 +243,22 @@ def diagonal_lengths(P):
     return tuple(t)
 
 
+def caret_text(P):
+    """The caret list of P's parts, e.g. "6,2^2,1^2": each run of equal
+    parts is counted from where the last one ended."""
+    parts = Partition(P).parts
+    pieces = []
+    start = 0
+    while start < len(parts):
+        end = start
+        while end < len(parts) and parts[end] == parts[start]:
+            end += 1
+        n = end - start
+        pieces.append(f"{parts[start]}^{n}" if n > 1 else f"{parts[start]}")
+        start = end
+    return ",".join(pieces)
+
+
 def hook_counts_by_degree(P):
     """Count each leg by rescanning the rows below: O(cells x rows)."""
     P = Partition(P)
@@ -361,9 +379,23 @@ def _interval_splits(lo, hi):
         yield tuple(intervals)
 
 
+def _arranged(verticals, horizontals):
+    """Expand interval sets in their forced order: vertical intervals by
+    decreasing minimum, horizontal by decreasing maximum."""
+    vert = []
+    for lo, hi in sorted(verticals, key=lambda iv: -iv[0]):
+        vert.extend(range(lo, hi + 1))
+    horiz = []
+    for lo, hi in sorted(horizontals, key=lambda iv: -iv[1]):
+        horiz.extend(range(lo, hi + 1))
+    return vert, horiz
+
+
 def enumerate_branch_labels(T):
     """Interval splits from their own bitmask walk, and one copy of the
-    vertical/horizontal mask loop for each k >= 2 and k = 1."""
+    vertical/horizontal mask loop for each k >= 2 and k = 1; the intervals
+    are put in their forced order by sorting (_arranged), and every label
+    is parsed by BranchLabel."""
     T = HilbertFunction(T)
     d, k = T.d, T.k
     labels = []

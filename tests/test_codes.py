@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -136,6 +137,20 @@ def test_every_enumerated_label_passes_the_interval_test():
         T = HilbertFunction.from_dk(d, k)
         for b in enumerate_branch_labels(T):
             codes._validate_label(b, T)
+
+
+def test_every_enumerated_label_is_the_parsed_label():
+    # the enumeration builds its labels unparsed; each must be the value
+    # the parser builds from its text: the same entries tuple, equality,
+    # hash and pickle
+    for d, k in all_dk(8, 4, dmin=1):
+        T = HilbertFunction.from_dk(d, k)
+        for b in enumerate_branch_labels(T):
+            parsed = BranchLabel(str(b))
+            assert type(b.entries) is tuple and b.entries == parsed.entries
+            assert all(e is E or type(e) is int for e in b.entries), b
+            assert b == parsed and hash(b) == hash(parsed)
+            assert pickle.dumps(b) == pickle.dumps(parsed), b
 
 
 @pytest.mark.parametrize("d, k", [(4, 1), (4, 2), (4, 3), (5, 2)])
@@ -501,6 +516,16 @@ def test_hook_code_label_rule_equals_direct():
             P = Partition(branch_label_to_partition(b, T).parts)
             assert partition_to_branch_label(P) == b
             assert hook_code_from_label(b, T) == hook_code_direct(P), (P, str(b))
+
+
+@pytest.mark.parametrize("degree", [2, 6])
+def test_hook_code_refuses_a_hand_outside_the_window(monkeypatch, degree):
+    # every hand of a partition of T(3, 2) lies in [d, j] = [3, 5]; a count
+    # tampered to one degree below or past the window is refused
+    P = Partition("6,4,2")
+    monkeypatch.setattr(codes, "hook_counts_by_degree", lambda P: {3: 1, degree: 1})
+    with pytest.raises(InternalInconsistency, match="outside"):
+        hook_code_direct(P)
 
 
 def test_hook_code_complementarity():

@@ -75,7 +75,7 @@ any_partition = st.lists(st.integers(1, 14), min_size=1, max_size=14).map(
 )
 
 
-@pytest.mark.parametrize("d, k", itertools.product(range(1, 8), range(1, 4)))
+@pytest.mark.parametrize("d, k", [*itertools.product(range(1, 8), range(1, 4)), (8, 2)])
 def test_branch_labels_match_reference_in_order(d, k):
     T = HilbertFunction.from_dk(d, k)
     assert enumerate_branch_labels(T) == ref.enumerate_branch_labels(T)
@@ -126,15 +126,22 @@ def test_diagonal_lengths_match_reference(P):
 
 
 @given(any_partition)
+def test_partition_text_matches_reference(P):
+    assert str(P) == ref.caret_text(P)
+    assert Partition(str(P)) == P
+
+
+@given(any_partition)
 def test_hook_counts_match_reference(P):
     counts = hook_counts_by_degree(P)
     assert list(counts.items()) == list(ref.hook_counts_by_degree(P).items())
 
 
 def _reference_row(P, T, labels):
-    """A classification row from the reference functions: the label found
-    by gluing every label, the hook code from the O(cells x rows) counts,
-    symmetry from the search without the parity test."""
+    """A classification row from the reference functions: the partition's
+    text from the reference caret writer, the label found by gluing every
+    label, the hook code from the O(cells x rows) counts, symmetry from the
+    search without the parity test."""
     label = labels[P]
     counts = ref.hook_counts_by_degree(P)
     s = max(0, T.k - 2)
@@ -145,7 +152,7 @@ def _reference_row(P, T, labels):
     hook = HookCode(traditional=traditional, label=label, subscripts=subscripts, d=T.d, k=T.k)
     cijt = is_cijt(P)
     row = {
-        "partition": str(P),
+        "partition": ref.caret_text(P),
         "hook_code": hook.traditional_str(support_only=True),
         "branch_label": str(label),
         "subscripted_hook_code": hook.subscripted_str(),
@@ -161,7 +168,7 @@ def _reference_row(P, T, labels):
     return row
 
 
-@pytest.mark.parametrize("d, k", [(6, 2), (5, 3), (6, 1)])
+@pytest.mark.parametrize("d, k", [(6, 2), (5, 3), (6, 1), (8, 2)])
 def test_classification_row_matches_reference(d, k):
     T = HilbertFunction.from_dk(d, k)
     labels = {ref.branch_label_to_partition(b, T): b for b in enumerate_branch_labels(T)}
