@@ -24,12 +24,16 @@ degree from the last, and counts the minimal generators as it goes.  It
 builds the quotient, and the ideal moved in each direction that is asked
 about; when L is a multiple of x nothing moves, and the quotient's own
 standard monomials are read with no elimination.  No reduced echelon form
-is built: normal_form_vector reduces a form with linalg.remainder against
-the forward-only basis of its degree that _build returns, and annihilator
-reduces its second generator against the shifts of its first, which form
-such a basis as they stand.  A dual generator is read only through
-polynomials.dual_data.  Fraction is met only in a BivariatePoly's coefficients, where a polynomial
-comes in or goes out.
+is built: normal_form_vector reduces a form with linalg._exact_remainder
+against the forward-only basis of its degree that _build returns, and
+annihilator reduces its second generator against the shifts of its first,
+which form such a basis as they stand.  A dual generator is read only
+through polynomials.dual_data.
+
+Every row that _build inserts is of ints.  A Fraction is met only in a
+BivariatePoly's coefficients, and only where one is not integral: a
+generator's row is cleared of denominators once, when the ideal is made,
+and a normal form's scale is divided out exactly, in linalg.
 """
 
 from __future__ import annotations
@@ -205,15 +209,16 @@ class ArtinAlgebra:
         """Coordinates of a homogeneous form modulo I in the standard basis
         of its degree i: _build builds I forward only through degree i, as
         quotient did, and the form is reduced against the forward-only
-        basis of I_i that it returns, with linalg.remainder."""
+        basis of I_i that it returns, with linalg._exact_remainder.  Each
+        entry is exact: an int where it is integral, a Fraction otherwise."""
         if f.is_zero():
             return []
         i = f.homogeneous_degree()
         if i > self.socle_degree:
             return []
         basis = _build(self.ideal._rows, i)[2]
-        rest, scale = linalg.remainder(basis, _poly_vec(f, i))
-        return [rest[t] / scale for t in self._std[i]]
+        rest = linalg._exact_remainder(basis, _poly_vec(f, i))
+        return [rest[t] for t in self._std[i]]
 
     def _standard(self, a, b):
         """The x-exponents of the standard monomials of each degree 0 .. j

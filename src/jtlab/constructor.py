@@ -95,7 +95,10 @@ def construct_ci(P, lambda2=None, seed=None):
     not a CIJT, also when its diagonal lengths are not CI-shaped.
 
     Each f_i is held as its coordinate vector [0]*p_i + [1, *Lambda_i],
-    entry m the coefficient of x^m y^(deg f_i - m).  After the degree
+    entry m the coefficient of x^m y^(deg f_i - m).  An integral entry of
+    Lambda_2 enters the chain as an int, so with an integral Lambda_2 the
+    chain, its check and the generators take no Fraction arithmetic; the
+    returned lambdas are Lambda_2 as Fractions either way.  After the degree
     check, the relation f_(i-1) = x^(p_i - p_(i+1)) f_(i+1) - f_i y^(n_i)
     is checked on these vectors, where multiplying by x^m prepends m zeros
     and by y^n appends n; a failure raises InternalInconsistency.  The
@@ -138,7 +141,7 @@ def construct_ci(P, lambda2=None, seed=None):
     if len(lambda2) != a1:
         raise ParseError(f"Lambda_2 must have length a_1 = {a1}")
 
-    lam = {1: (), 2: lambda2}
+    lam = {1: (), 2: tuple(v.numerator if v.denominator == 1 else v for v in lambda2)}
     for i in range(2, t + 1):
         n_i = pf[i - 1][1]
         n_prev = pf[i - 2][1]

@@ -17,8 +17,10 @@ reads, for every n at once, off one Berlekamp-Massey pass over F's
 divided-power vector moved so that L is x.  With (a, b) first scaled to
 coprime integers, as a nonzero scale of the point changes no rank, each
 direction and its multiples share that pass, kept on F.  From F's vector
-to the rank every number is an int: a point of two ints is scaled without
-a Fraction.
+to the rank every number is an int.  A point of two ints is scaled without
+a Fraction; the coefficients of a linear form with integral coefficients
+are such a point, since a BivariatePoly keeps an integral coefficient as
+an int.  Only a point with a true fraction goes through Fraction.
 
 The orders are 0 <= i <= d - 1, with d the rank of F's middle
 catalecticant.  d is read by polynomials.dual_data, the one reader of a

@@ -15,16 +15,20 @@ public API.
 `remainder` reduces a vector against such a basis, clearing its keys in
 increasing order: the normal form of a form modulo a quotient's ideal, and
 the second generator of an annihilator modulo the shifts of the first,
-which form a forward-only basis as they stand.  `rref` and `kernel_basis`
-read the reduced row echelon form off the basis that `insert` gives, by
-back-substitution: each row is passed through `remainder` against the
-reduced rows keyed after it.  No module of jtlab calls them either.
+which form a forward-only basis as they stand.  `_exact_remainder` divides
+out its scale exactly, so a normal form holds ints and Fractions, never a
+float.  `rref` and `kernel_basis` read the reduced row echelon form off
+the basis that `insert` gives, by back-substitution: each row is passed
+through `remainder` against the reduced rows keyed after it.  No module of
+jtlab calls them either.
 
-`rank`, `rref` and `kernel_basis` accept rows with Fraction or int entries.
-`rref` and `kernel_basis` clear denominators row by row with `primitive`,
-and convert back to Fraction when they return.  `rank` hands a row of ints
-to `insert` as it is, since `insert` takes the content of a row before it
-stores it, and clears only a row that holds a Fraction.
+`rank`, `rref` and `kernel_basis` accept rows whose entries are ints,
+Fractions or a mix of both, as a BivariatePoly's coefficients are (an int
+where a coefficient is integral, a Fraction otherwise).  `rref` and
+`kernel_basis` clear denominators row by row with `primitive`, and return
+Fraction entries.  `rank` hands a row of ints to `insert` as it is, since
+`insert` takes the content of a row before it stores it, and clears only a
+row that holds a Fraction.
 """
 
 from __future__ import annotations
@@ -127,6 +131,18 @@ def remainder(basis, vec):
             rest = [p * v - head * w for v, w in zip(rest, row)]
             scale *= p
     return rest, scale
+
+
+def _exact_remainder(basis, vec):
+    """rest / scale for (rest, scale) = remainder(basis, vec), entry by
+    entry exact: an int where the entry is integral and a Fraction
+    otherwise.  Never a float, which / would give on two ints."""
+    rest, scale = remainder(basis, vec)
+    out = []
+    for v in rest:
+        q = Fraction(v, scale)
+        out.append(q.numerator if q.denominator == 1 else q)
+    return out
 
 
 def rank(rows):

@@ -1,9 +1,15 @@
 """Exact bivariate polynomials with arbitrary-precision rational
 coefficients.
 
-Terms are stored sparsely as {(x-exponent, y-exponent): Fraction} with no
-zero coefficients.  The polynomial ring R = k[x,y] acts on its dual
-E = k[X,Y] by differentiation (apolarity): x^i y^j sends X^u Y^v to
+Terms are stored sparsely as {(x-exponent, y-exponent): coefficient} with
+no zero coefficients.  An integral coefficient is a plain int and only a
+true fraction is a Fraction, so a polynomial with integer coefficients
+takes no Fraction arithmetic; since Fraction(n) == n, hash(Fraction(n)) ==
+hash(n) and str(Fraction(n)) == str(n), the two spellings of one
+polynomial compare, hash and print alike.
+
+The polynomial ring R = k[x,y] acts on its dual E = k[X,Y] by
+differentiation (apolarity): x^i y^j sends X^u Y^v to
 u(u-1)...(u+1-i) * v(v-1)...(v+1-j) * X^(u-i) Y^(v-j), zero when an
 exponent is insufficient.
 
@@ -43,8 +49,6 @@ __all__ = [
     "parse_poly",
 ]
 
-_ZERO = Fraction(0)
-
 # Largest generator degree that algebra.quotient accepts, checked before any
 # elimination; dual_data accepts a dual generator of degree j only when
 # j + 1 <= MAX_DEGREE, since Ann(L^j) has a generator of degree j + 1.  At
@@ -57,6 +61,12 @@ MAX_DEGREE = 50
 
 class BivariatePoly:
     """A polynomial in two variables over the rationals.
+
+    Each coefficient is stored as an int when it is integral and as a
+    Fraction otherwise: an int is kept as it is, and anything else is read
+    through Fraction and stored as its numerator when its denominator is 1.
+    Arithmetic results pass through the same constructor, so they are
+    normalized the same way.
 
     Immutable.  Its hash is computed on first use and kept in the private
     slot _hash.  dual_data keeps what it reads off a dual generator in the
@@ -71,8 +81,10 @@ class BivariatePoly:
         clean = {}
         if terms:
             for (a, b), c in dict(terms).items():
-                if type(c) is not Fraction:
+                if type(c) is not int:
                     c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     clean[(int(a), int(b))] = c
         object.__setattr__(self, "terms", clean)
@@ -94,12 +106,12 @@ class BivariatePoly:
 
     @classmethod
     def monomial(cls, a, b, coeff=1):
-        return cls({(a, b): Fraction(coeff)})
+        return cls({(a, b): coeff})
 
     @classmethod
     def linear(cls, a, b):
         """The linear form a*x + b*y."""
-        return cls({(1, 0): Fraction(a), (0, 1): Fraction(b)})
+        return cls({(1, 0): a, (0, 1): b})
 
     # -- structure --------------------------------------------------------
 
@@ -122,14 +134,14 @@ class BivariatePoly:
         return self.degree()
 
     def coefficient(self, a, b):
-        return self.terms.get((a, b), _ZERO)
+        return self.terms.get((a, b), 0)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return BivariatePoly(out)
 
     def __sub__(self, other):
@@ -144,11 +156,11 @@ class BivariatePoly:
             for (a1, b1), c1 in self.terms.items():
                 for (a2, b2), c2 in other.terms.items():
                     key = (a1 + a2, b1 + b2)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
+                    out[key] = out.get(key, 0) + c1 * c2
             return BivariatePoly(out)
-        return BivariatePoly(
-            {key: c * Fraction(other) for key, c in self.terms.items()}
-        )
+        if type(other) is not int:
+            other = Fraction(other)
+        return BivariatePoly({key: c * other for key, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -251,17 +263,29 @@ def contract(f, F):
                 continue
             key = (u - i, v - j)
             coeff = c * C * falling_factorial(u, i) * falling_factorial(v, j)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
     return BivariatePoly(out)
 
 
 def divided_power_vector(F):
     """Coprime integers g_0, ..., g_j proportional to c_m (j-m)! m! for
     F = sum c_m X^(j-m) Y^m: the coefficients of F in the divided-power
-    basis, and the values x^(j-m) y^m o F up to one common factor."""
+    basis, and the values x^(j-m) y^m o F up to one common factor.
+
+    F's denominators are cleared once, by their lcm, scale, so every
+    product is of ints: c_m * scale * (j-m)! m! is numerator * (scale //
+    denominator) * (j-m)! m!.  A positive common factor leaves the
+    primitive vector as it was."""
     j = F.homogeneous_degree()
     fact = math.factorial
-    return primitive([F.coefficient(j - m, m) * fact(j - m) * fact(m) for m in range(j + 1)])
+    coeffs = [F.coefficient(j - m, m) for m in range(j + 1)]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return primitive(
+        [
+            c.numerator * (scale // c.denominator) * fact(j - m) * fact(m)
+            for m, c in enumerate(coeffs)
+        ]
+    )
 
 
 def catalecticant(g, i):

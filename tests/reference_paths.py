@@ -1,4 +1,4 @@
-"""Earlier bodies of twenty-two routines, kept as references for
+"""Earlier bodies of twenty-three routines, kept as references for
 differential tests of the versions in jtlab: five slower combinatorial
 ones, one of them caret_text, the text of a partition written by its own
 run count, the branch-label enumeration with its own interval-split helper
@@ -17,8 +17,10 @@ the three dual-side reads that one Berlekamp-Massey pass per direction
 replaced: middle_catalecticant_rank, the d that dual_data once took as a
 rank, hessian_rank_at, one weight loop and one rank per order, and
 two_kernel_annihilator, which read Ann(F) off the kernels of two
-catalecticants.  Two more references read F alone and share no code with
-the quotient: dual_rank_table reads the rank table of R/Ann(F) by
+catalecticants.  Three more references read F alone and share no code
+with the quotient: divided_power_vector forms each c_m (j-m)! m! as a
+Fraction times two factorials, as jtlab did before it cleared F's
+denominators once, dual_rank_table reads the rank table of R/Ann(F) by
 Macaulay duality, with no rank kernel, and d_sequence builds the vector
 of every power of a linear form applied to F with its own weight loop and
 takes each middle catalecticant rank.  And four are the reduced-form
@@ -91,7 +93,7 @@ from jtlab.errors import (
     ParseError,
 )
 from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition, hilbert_function
-from jtlab.polynomials import BivariatePoly, catalecticant, divided_power_vector
+from jtlab.polynomials import BivariatePoly, catalecticant
 
 
 def _divide_exact(row, den):
@@ -575,6 +577,17 @@ def initial_ideal(ideal, ell, algebra=None):
             f"initial partition {Q} has size {Q.size}, not dim A = {A.dimension}"
         )
     return MonomialCell(partition=Q, fill=tuple(fill), generators=cell_generators(Q))
+
+
+def divided_power_vector(F):
+    """The coprime integers proportional to c_m (j-m)! m! for
+    F = sum c_m X^(j-m) Y^m, each formed as a Fraction times two
+    factorials, and then cleared of denominators by linalg.primitive."""
+    j = F.homogeneous_degree()
+    fact = math.factorial
+    return linalg.primitive(
+        [Fraction(F.coefficient(j - m, m)) * fact(j - m) * fact(m) for m in range(j + 1)]
+    )
 
 
 def annihilator(F):

@@ -77,6 +77,64 @@ def test_poly_parse_and_print():
     assert parse_poly("0").is_zero()
 
 
+def _kinds(f):
+    """The coefficient types of f, term by term in sorted order."""
+    return [type(c) for _, c in f.sorted_terms()]
+
+
+def test_integral_coefficients_are_ints_however_spelt():
+    # ints, integral Fractions and a mix of both spell one polynomial: it
+    # keeps every coefficient as an int, and the spellings compare, hash,
+    # pickle and print alike, as does one with a true fraction spelt two ways
+    ints = {(3, 0): 2, (1, 2): -1, (0, 3): 1}
+    spellings = [
+        ints,
+        {key: Fraction(c) for key, c in ints.items()},
+        {(3, 0): Fraction(4, 2), (1, 2): -1, (0, 3): Fraction(1)},
+    ]
+    f = BivariatePoly(ints)
+    for terms in spellings:
+        g = BivariatePoly(terms)
+        assert _kinds(g) == [int, int, int]
+        assert g == f and hash(g) == hash(f) and g.text() == "y^3 - x*y^2 + 2*x^3"
+        assert pickle.dumps(g) == pickle.dumps(f)
+        for twin in copies(g):
+            assert twin == f and hash(twin) == hash(f) and _kinds(twin) == [int, int, int]
+    mixed = {(0, 2): 5, (1, 1): Fraction(3, 2), (2, 0): Fraction(2)}
+    g, h = BivariatePoly(mixed), BivariatePoly({key: Fraction(c) for key, c in mixed.items()})
+    assert g == h and hash(g) == hash(h) and pickle.dumps(g) == pickle.dumps(h)
+    assert g.text() == h.text() == "5*y^2 + 3/2*x*y + 2*x^2"
+    assert _kinds(g) == _kinds(parse_poly(g.text())) == [int, Fraction, int]
+
+
+def test_coefficient_is_an_int_unless_a_true_fraction():
+    f = parse_poly("3/2*x*y + 4/2*x^2 - y^2")
+    assert type(f.coefficient(1, 1)) is Fraction and f.coefficient(1, 1) == Fraction(3, 2)
+    assert type(f.coefficient(2, 0)) is int and f.coefficient(2, 0) == 2
+    assert type(f.coefficient(0, 2)) is int and f.coefficient(0, 2) == -1
+    assert type(f.coefficient(5, 5)) is int and f.coefficient(5, 5) == 0
+    assert type(parse_poly("3/2*x*y").coefficient(1, 1)) is Fraction
+    assert parse_poly("3/2*x*y").coefficient(1, 1) == Fraction(3, 2)
+    assert _kinds(BivariatePoly.linear(Fraction(6, 3), -1)) == [int, int]
+    assert _kinds(BivariatePoly.monomial(2, 1, Fraction(1, 3))) == [Fraction]
+
+
+def test_arithmetic_normalizes_its_result():
+    # a product, sum or contraction whose coefficient comes out integral
+    # stores an int, and a true fraction stays a Fraction
+    half_x = BivariatePoly.monomial(1, 0, Fraction(1, 2))
+    for f in (half_x * 2, 2 * half_x, half_x + half_x, half_x * BivariatePoly.monomial(0, 0, 2)):
+        assert f.terms == {(1, 0): 1} and _kinds(f) == [int], f
+    assert (half_x - half_x).is_zero()
+    assert _kinds(-half_x) == [Fraction] and -half_x == BivariatePoly.monomial(1, 0, Fraction(-1, 2))
+    assert (3 * X) * Fraction(1, 3) == X and _kinds((3 * X) * Fraction(1, 3)) == [int]
+    assert _kinds(half_x**2) == [Fraction] and (2 * half_x) ** 3 == X**3
+    F = parse_poly("1/2*X^2*Y + 1/6*X^3")
+    assert contract(parse_poly("x"), F) == parse_poly("X*Y + 1/2*X^2")
+    assert _kinds(contract(parse_poly("x"), F)) == [int, Fraction]
+    assert _kinds(contract(parse_poly("x^3"), F)) == [int]
+
+
 @given(
     st.dictionaries(
         st.tuples(st.integers(0, 6), st.integers(0, 6)),

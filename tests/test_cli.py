@@ -402,6 +402,25 @@ def test_realize_all_alpha_zero_is_each_alpha_zero_realization():
     assert out == want + "8/8 realizations passed all checks\n"
 
 
+def test_realize_json_lambda2_strings():
+    # Lambda_2 is printed from its Fractions: an integral entry as an
+    # integer, as before polynomials kept integral coefficients as ints
+    code, out, _ = run_cli("realize", "--all", "1,2,3,3,2,1", "--seed", "5", "--format", "json")
+    assert code == 0
+    records = json.loads(out)["realizations"]
+    assert [(r["partition"], r["lambda2"]) for r in records] == [
+        ("3^4", []),
+        ("6,2^3", ["3"]),
+        ("5^2,1^2", ["-5", "2"]),
+        ("6,4,1^2", ["-2"]),
+        ("4^3", []),
+        ("6,3^2", ["-4"]),
+        ("5^2,2", ["0", "2"]),
+        ("6,4,2", ["-2"]),
+    ]
+    assert records[1]["generators"] == ["x^2*y + 3*x^3", "y^4 + 3*x*y^3 + x^4"]
+
+
 def test_realize_json_fields():
     code, out, _ = run_cli("realize", "6,2,2,2", "--alpha-zero", "--format", "json")
     assert code == 0

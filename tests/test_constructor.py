@@ -36,6 +36,32 @@ def test_chain_of_6222_with_free_parameter():
     assert f3 == parse_poly("y^4 + 7/2*x*y^3 + x^4")
 
 
+def test_lambdas_stay_fractions_and_an_integral_chain_takes_ints(monkeypatch):
+    # Lambda_2 is a tuple of Fractions however it is given; an integral one
+    # runs the chain on int vectors, whose polynomials have int coefficients
+    # only, and a true fraction in it stays a Fraction in the chain
+    entries = set()
+    vec_poly = constructor._vec_poly
+
+    def recording(vec, n):
+        entries.update(map(type, vec))
+        return vec_poly(vec, n)
+
+    monkeypatch.setattr(constructor, "_vec_poly", recording)
+    P = Partition("11,9,7,2^4")
+    for kwargs in ({}, {"seed": 2}, {"lambda2": (3,)}, {"lambda2": (Fraction(6, 2),)}, {"lambda2": ("3",)}):
+        entries.clear()
+        r = construct_ci(P, **kwargs)
+        assert entries == {int}, kwargs
+        assert type(r.lambdas) is tuple and [type(v) for v in r.lambdas] == [Fraction], kwargs
+        assert all(type(c) is int for f in r.chain for c in f.terms.values()), kwargs
+    assert construct_ci(P, lambda2=(3,)) == construct_ci(P, lambda2=(Fraction(3),))
+    r = construct_ci(P, lambda2=(Fraction(1, 2),))
+    assert r.lambdas == (Fraction(1, 2),) and type(r.lambdas[0]) is Fraction
+    assert Fraction in {type(c) for f in r.chain for c in f.terms.values()}
+    assert verify_realization(r).all_passed
+
+
 def test_construct_rejects_wrong_lambda2_length_as_parse_error():
     # a_1 = 1 for 6,2^3; a ParseError is still a ValueError
     for lam in [(), (1, 2)]:

@@ -12,6 +12,7 @@ dual generator alone."""
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ import reference_paths as ref
 from jtlab import linalg, polynomials
 from jtlab.algebra import (
     GradedIdeal,
+    _vec_poly,
     annihilator,
     initial_ideal,
     is_complete_intersection,
@@ -58,7 +60,7 @@ from jtlab.partitions import (
     diagonal_lengths,
     symmetric_string_placement,
 )
-from jtlab.polynomials import BivariatePoly, parse_poly
+from jtlab.polynomials import BivariatePoly, divided_power_vector, parse_poly
 from test_algebra import CI_CASES, RANK_TABLE_CASES
 from tests_support import (
     dual_fuzz_forms,
@@ -495,6 +497,21 @@ def test_dual_data_d_is_the_middle_catalecticant_rank(family):
         assert polynomials.dual_data(F)[1] == ref.middle_catalecticant_rank(F), F
 
 
+@pytest.mark.parametrize("family", [*BERLEKAMP_MASSEY_FAMILIES, "dense j = 16, 30, 49"])
+def test_divided_power_vector_matches_the_fraction_product_reference(family):
+    # F's denominators cleared once by their lcm give, int for int, the
+    # primitive vector that a Fraction times two factorials per entry gave:
+    # the vector is canonical, so even its pickle is the same bytes
+    if family in BERLEKAMP_MASSEY_FAMILIES:
+        forms = _berlekamp_massey_forms(family)
+    else:
+        forms = [random_dual_generator(random.Random(0), j, j) for j in (16, 30, 49)]
+    for F in forms:
+        got, want = divided_power_vector(F), ref.divided_power_vector(F)
+        assert all(type(v) is int for v in got), F
+        assert pickle.dumps(got) == pickle.dumps(want), F
+
+
 # -- the rank table against carried images -------------------------------------
 
 DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, 2)]
@@ -733,6 +750,40 @@ def test_annihilator_and_normal_forms_need_no_reduced_echelon_form(monkeypatch):
     for A, i, t, want in normal_forms:
         assert A.normal_form_vector(BivariatePoly.monomial(t, i - t)) == want, (A, i, t)
     assert len(normal_forms) == 77
+
+
+# ideals whose normal forms are checked for exactness: a dense dual's
+# annihilator, whose long rows make many entries true fractions, and a
+# realization at an integral Lambda_2, whose generators have int
+# coefficients only, so int rows with int scales, where int / int would
+# give a float
+EXACT_NORMAL_FORM_IDEALS = {
+    "dense j = 16": lambda: annihilator(random_dual_generator(random.Random(0), 16, 16)),
+    "realization of 11,9,7,2^4": lambda: construct_ci(Partition("11,9,7,2^4"), seed=2).ideal,
+}
+
+
+@pytest.mark.parametrize("case", EXACT_NORMAL_FORM_IDEALS)
+def test_normal_forms_are_exact(case):
+    # every entry of a normal form is an int, or a Fraction when it is not
+    # integral, and never a float; the entries are the remainder modulo the
+    # Bareiss form.  Each degree reduces its monomials, whose coefficients
+    # are ints, and one form with true fractions among its coefficients
+    I = EXACT_NORMAL_FORM_IDEALS[case]()
+    A, B = quotient(I), ref.quotient(I)
+    rng = random.Random(case)
+    kinds = set()
+    for i, (pivots, rows, lead) in enumerate(B.echelons[:-1]):
+        forms = [[int(c == t) for c in range(i + 1)] for t in range(i + 1)]
+        forms.append([Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for _ in range(i + 1)])
+        for vec in forms:
+            rest = ref.reduced_remainder(vec, pivots, rows, lead)
+            got = A.normal_form_vector(_vec_poly(vec, i))
+            assert got == [Fraction(rest[c]) / lead for c in B._std[i]], (i, vec)
+            for v in got:
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1), (i, vec)
+                kinds.add(type(v))
+    assert kinds == {int, Fraction}
 
 
 @pytest.mark.parametrize("j, bits, direction", [(30, 512, (1, 2)), (49, 1024, (1, 0))])
