@@ -86,15 +86,16 @@ def _vec_poly(vec, n):
     return BivariatePoly({(t, n - t): c for t, c in enumerate(vec) if c})
 
 
-class GradedIdeal:
+class GradedIdeal(_Value):
     """An ideal of k[x,y] given by homogeneous generators.
 
     Each generator g of degree e is also kept, in the private slot _rows,
     as the pair (e, linalg.primitive(_poly_vec(g, e))): its degree and its
     coordinate row as coprime integers.  quotient builds from these rows,
     and initial_ideal moves them, so no Fraction is converted again after
-    construction.  Two ideals are equal when they list the same
-    generators in the same order.
+    construction.  Its one field is generators and _rows is a memo (see
+    errors._Value): two ideals are equal when they list the same
+    generators in the same order, and a copy reads its rows again.
 
     GradedIdeal(generators) checks every generator and reads its row back
     from its coefficients.  A caller that built each generator from an
@@ -133,21 +134,6 @@ class GradedIdeal:
         object.__setattr__(ideal, "generators", tuple(generators))
         object.__setattr__(ideal, "_rows", tuple(rows))
         return ideal
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedIdeal is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GradedIdeal is immutable")
-
-    def __reduce__(self):
-        return (GradedIdeal, (self.generators,))
-
-    def __eq__(self, other):
-        return isinstance(other, GradedIdeal) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
 
     def __str__(self):
         return ", ".join(g.text() for g in self.generators)
@@ -424,8 +410,7 @@ def _free_column_order(u, w):
 def _direction(ell):
     """The primitive pair (a, b) of a nonzero linear form a*x + b*y: (1, 0)
     for every multiple of x."""
-    b = ell.coefficient(0, 1)
-    return (1, 0) if b == 0 else linalg.primitive((ell.coefficient(1, 0), b))
+    return tuple(linalg.primitive((ell.coefficient(1, 0), ell.coefficient(0, 1))))
 
 
 def require_linear(ell):

@@ -89,7 +89,7 @@ class _Gap:
 E = _Gap()
 
 
-class BranchLabel:
+class BranchLabel(_Value):
     """A (d+1)-tuple holding d+1-T.branches E's and the values
     1..T.branches: {E, 1..d} when k >= 2, {E, E, 1..d-1} when k = 1."""
 
@@ -122,15 +122,6 @@ class BranchLabel:
         object.__setattr__(self, "entries", entries)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BranchLabel is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("BranchLabel is immutable")
-
-    def __reduce__(self):
-        return (BranchLabel, (self.entries,))
-
     @property
     def gaps(self):
         """Positions of the E entries."""
@@ -144,12 +135,6 @@ class BranchLabel:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-    def __eq__(self, other):
-        return isinstance(other, BranchLabel) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __str__(self):
         return ",".join("E" if e is E else str(e) for e in self.entries)

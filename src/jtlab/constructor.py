@@ -85,6 +85,12 @@ def _next_lambda(lam, lam_prev, n_prev, n):
     return out
 
 
+def _draw_lambda2(rng, a1):
+    """a1 integers drawn uniformly from -5..5 off rng, in order: a random
+    Lambda_2 of length a1."""
+    return tuple(rng.randint(-5, 5) for _ in range(a1))
+
+
 def construct_ci(P, lambda2=None, seed=None):
     """Build the chain and the ideal (f_t, f_(t+1)) for a CIJT partition.
 
@@ -132,11 +138,7 @@ def construct_ci(P, lambda2=None, seed=None):
 
     a1 = prefix[1]
     if lambda2 is None:
-        if seed is None:
-            lambda2 = (Fraction(0),) * a1
-        else:
-            rng = random.Random(seed)
-            lambda2 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(a1))
+        lambda2 = (0,) * a1 if seed is None else _draw_lambda2(random.Random(seed), a1)
     lambda2 = tuple(Fraction(v) for v in lambda2)
     if len(lambda2) != a1:
         raise ParseError(f"Lambda_2 must have length a_1 = {a1}")
@@ -345,10 +347,7 @@ def realize_all(T, seed=0):
     rng = None if seed is None else random.Random(seed)
     out = []
     for P in enumerate_cijt(T):
-        lambda2 = None
-        if rng is not None:
-            a1 = P.power_form[0][1]
-            lambda2 = tuple(Fraction(rng.randint(-5, 5)) for _ in range(a1))
+        lambda2 = None if rng is None else _draw_lambda2(rng, P.power_form[0][1])
         realization = construct_ci(P, lambda2=lambda2)
         out.append((P, realization, verify_realization(realization)))
     return out

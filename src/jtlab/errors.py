@@ -1,12 +1,20 @@
 """Exception types shared across the package, and _Value, the base of its
-immutable value classes."""
+immutable value classes: a value is its public slots, and a slot whose name
+starts with an underscore is a memo, never part of the value."""
 
 import operator
 
 
 class _Value:
-    """Base of an immutable value class whose fields are its __slots__, in
-    order; the subclass's own constructor sets them with object.__setattr__.
+    """Base of an immutable value class whose fields are its public
+    __slots__, in order; the subclass's own constructor sets them with
+    object.__setattr__.
+
+    A slot whose name starts with an underscore is a memo: something the
+    value computed or was handed once and keeps, set with
+    object.__setattr__ too.  A memo is not a field: it is not compared,
+    hashed, pickled or shown in repr, and a copy or an unpickled twin holds
+    only the memos that the constructor sets.
 
     Assigning or deleting an attribute raises AttributeError.  Two values
     are equal when they are of the same class with equal fields, the hash
@@ -18,10 +26,11 @@ class _Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
+        names = cls._names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         # the field tuple, read by a C getter; attrgetter of one name returns
         # the bare value, which is wrapped
-        get = operator.attrgetter(*cls.__slots__)
-        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        get = operator.attrgetter(*names)
+        cls._fields = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -41,7 +50,7 @@ class _Value:
         return hash(self._fields(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._names, self._fields(self)))
         return f"{type(self).__qualname__}({fields})"
 
 

@@ -11,13 +11,16 @@ of its Ferrers diagram; they always form an admissible Hilbert function of a
 graded Artinian quotient of k[x,y], and the Jordan type of any linear form
 on such a quotient has diagonal lengths equal to the Hilbert function.
 
-Partition and HilbertFunction are immutable values: ``Partition(P)`` returns
-P itself and ``HilbertFunction(T)`` returns T, without validating again.  A
-partition holds its validated HilbertFunction once known.  Those built by
-codes._glue and codes.cijt_from_composition get the T they were built
-from, after their diagonal lengths are checked, so all the partitions of
-one enumeration share one T.  Any other partition derives its
-own on the first call of hilbert_function(P); diagonal_lengths(P) reads it.
+Partition and HilbertFunction are immutable values on errors._Value:
+``Partition(P)`` returns P itself and ``HilbertFunction(T)`` returns T,
+without validating again.  A partition is its parts alone; what it holds
+besides, in the memo slots _hilbert and _label, is never compared, hashed
+or pickled.  A partition holds its validated HilbertFunction once known.
+Those built by codes._glue and codes.cijt_from_composition get the T they
+were built from, after their diagonal lengths are checked, so all the
+partitions of one enumeration share one T.  Any other partition derives
+its own on the first call of hilbert_function(P); diagonal_lengths(P)
+reads it.
 
 A partition glued from a branch label (codes._glue, behind both
 codes.branch_label_to_partition and codes.enumerate_diagonal_partitions)
@@ -67,17 +70,18 @@ __all__ = [
 MAX_PARTS = 500
 
 
-class Partition:
+class Partition(_Value):
     """A weakly decreasing sequence of positive integers.
 
     Immutable and hashable.  ``Partition("6,2^2,1^2")`` and
     ``Partition([6, 2, 2, 1, 1])`` build the same value.  The entries of a
     sequence are read as integers with operator.index, so 2.5 or "2" is
     refused, not rounded or parsed: anything but a partition, its text or a
-    sequence of integers raises ParseError.  Besides its parts
-    it may hold its validated HilbertFunction and, when it was glued from a
-    branch label, that label; neither takes part in equality, hashing or
-    pickling.
+    sequence of integers raises ParseError.  Its one field is parts; ==,
+    hash and pickling come from errors._Value.  Besides its parts it may
+    hold, as the memos _hilbert and _label, its validated HilbertFunction
+    and, when it was glued from a branch label, that label; neither takes
+    part in equality, hashing or pickling, and a copy starts without them.
     """
 
     __slots__ = ("parts", "_hilbert", "_label")
@@ -109,15 +113,6 @@ class Partition:
         object.__setattr__(self, "_label", None)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        return (Partition, (self.parts,))
-
     @property
     def power_form(self):
         """((p_1, n_1), ..., (p_t, n_t)) with p_1 > ... > p_t: the runs of
@@ -144,12 +139,6 @@ class Partition:
 
     def __getitem__(self, i):
         return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __lt__(self, other):
         return self.parts < other.parts

@@ -35,7 +35,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput
+from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _Value
 from .linalg import primitive
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
 MAX_DEGREE = 50
 
 
-class BivariatePoly:
+class BivariatePoly(_Value):
     """A polynomial in two variables over the rationals.
 
     Each coefficient is stored as an int when it is integral and as a
@@ -68,11 +68,14 @@ class BivariatePoly:
     Arithmetic results pass through the same constructor, so they are
     normalized the same way.
 
-    Immutable.  Its hash is computed on first use and kept in the private
-    slot _hash.  dual_data keeps what it reads off a dual generator in the
-    private slot _dual, and creates the per-direction store of d_sequence
-    in the private slot _d_sequences.  No private slot is compared, copied
-    or pickled: a copy or a pickled twin computes the same values again.
+    An immutable value on errors._Value, whose one field is terms.  Its
+    hash is computed on first use and kept in the memo slot _hash: this is
+    the one class that defines its own __hash__, since a dict does not
+    hash, and it hashes the frozenset of the terms' items.  dual_data keeps
+    what it reads off a dual generator in the memo slot _dual, and creates
+    the per-direction store of d_sequence in the memo slot _d_sequences.
+    No memo is compared, copied or pickled: a copy or a pickled twin
+    computes the same values again.
     """
 
     __slots__ = ("terms", "_hash", "_dual", "_d_sequences")
@@ -88,15 +91,6 @@ class BivariatePoly:
                 if c:
                     clean[(int(a), int(b))] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariatePoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("BivariatePoly is immutable")
-
-    def __reduce__(self):
-        return (BivariatePoly, (self.terms,))
 
     # -- constructors -----------------------------------------------------
 
@@ -175,9 +169,6 @@ class BivariatePoly:
             base = base * base
             n >>= 1
         return result
-
-    def __eq__(self, other):
-        return isinstance(other, BivariatePoly) and self.terms == other.terms
 
     def __hash__(self):
         try:

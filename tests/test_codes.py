@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from jtlab import codes
-from jtlab.algebra import GradedIdeal, MonomialCell, initial_ideal, jordan_degree_type, quotient
+from jtlab.algebra import (
+    GradedIdeal,
+    MonomialCell,
+    annihilator,
+    initial_ideal,
+    jordan_degree_type,
+    quotient,
+)
 from jtlab.codes import (
     E,
     BranchLabel,
@@ -31,6 +38,7 @@ from jtlab.errors import (
     InvalidLabel,
     NotCIJT,
     NotCIJTWithDParts,
+    _Value,
 )
 from jtlab.partitions import (
     HilbertFunction,
@@ -42,7 +50,7 @@ from jtlab.partitions import (
     sl_partition,
     symmetric_string_placement,
 )
-from jtlab.polynomials import parse_poly
+from jtlab.polynomials import BivariatePoly, dual_data, parse_poly
 from tests_support import copies
 
 T1221 = HilbertFunction("1,2,2,1")
@@ -346,6 +354,71 @@ def test_deleting_a_field_raises(build, names):
         with pytest.raises(AttributeError, match="immutable"):
             delattr(value, name)
     assert str(value) == text and value == twin and hash(value) == hash(twin)
+
+
+def _memo_cases():
+    """(value, its public field names) for a Partition, BranchLabel,
+    GradedIdeal and BivariatePoly with every memo of its class set: a glued
+    partition (its T and its label), its label (no memo), an ideal from
+    annihilator (its rows) and a dual generator after dual_data and hash."""
+    P = enumerate_diagonal_partitions(HilbertFunction.from_dk(4, 2))[5]
+    F = parse_poly("x^5 + 3/2*x^2*y^3 - y^5")
+    dual_data(F)
+    hash(F)
+    cases = [
+        (P, ("parts",)),
+        (partition_to_branch_label(P), ("entries",)),
+        (annihilator(F), ("generators",)),
+        (F, ("terms",)),
+    ]
+    return [pytest.param(*case, id=type(case[0]).__name__) for case in cases]
+
+
+@pytest.mark.parametrize("value, names", _memo_cases())
+def test_memos_are_not_part_of_the_value(value, names):
+    # a slot named with a leading underscore is a memo: the value is its
+    # public fields alone, so it equals, hashes, prints and pickles like a
+    # twin built from them, and every copy starts with the twin's memos
+    cls = type(value)
+    fields = tuple(getattr(value, name) for name in names)
+    assert cls._names == names and cls._fields(value) == fields
+    fresh = cls(*fields)
+    assert fresh is not value and value == fresh and hash(value) == hash(fresh)
+    assert repr(value) == repr(fresh) and str(value) == str(fresh)
+    assert pickle.dumps(value) == pickle.dumps(fresh)
+    if cls is BivariatePoly:
+        assert hash(value) == hash(frozenset(value.terms.items()))
+    else:
+        assert hash(value) == hash(fields)
+    memos = [name for name in cls.__slots__ if name.startswith("_")]
+    for twin in copies(value):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+        for name in memos:
+            assert getattr(twin, name, "unset") == getattr(fresh, name, "unset"), name
+    if cls is Partition:
+        assert value._label is not None and value._hilbert is not None
+        assert all(twin._label is None for twin in copies(value))
+    if cls is BivariatePoly:
+        assert value._dual is not None
+        assert not any(hasattr(twin, "_dual") for twin in copies(value))
+
+
+def test_the_value_base_leaves_memos_out():
+    class Point(_Value):
+        __slots__ = ("x", "_norm", "y")
+
+        def __init__(self, x, y):
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "_norm", abs(x) + abs(y))
+
+    p = Point(1, -2)
+    assert Point._names == ("x", "y") and Point._fields(p) == (1, -2)
+    assert repr(p) == "test_the_value_base_leaves_memos_out.<locals>.Point(x=1, y=-2)"
+    assert p == Point(1, -2) and hash(p) == hash((1, -2)) and p != Point(1, 2)
+    assert p.__reduce__() == (Point, (1, -2))
+    with pytest.raises(AttributeError, match="immutable"):
+        p._norm = 0
 
 
 def test_realization_fields_default_to_empty():

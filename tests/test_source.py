@@ -194,6 +194,59 @@ def test_only_the_graded_ideal_writes_its_rows():
     assert sorted(found) == ["algebra.py:__init__", "algebra.py:_from_rows"], found
 
 
+def _protocol_owners(tree):
+    """{method: class names} for every class in a parsed module that
+    defines one of the value protocol's methods, by def or by assignment."""
+    protocol = ("__setattr__", "__delattr__", "__reduce__", "__eq__", "__hash__")
+    owners = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name in protocol:
+                    owners.setdefault(name, set()).add(node.name)
+    return owners
+
+
+def test_protocol_guard_sees_defs_and_assignments():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __eq__(self, other): ...\n"
+        "    __hash__ = None\n"
+        "    def __lt__(self, other): ...\n"
+        "class B(A):\n"
+        "    class C:\n"
+        "        def __reduce__(self): ...\n"
+        "def __setattr__(self, name, value): ...\n"
+    )
+    assert _protocol_owners(tree) == {"__eq__": {"A"}, "__hash__": {"A"}, "__reduce__": {"C"}}
+
+
+def test_only_the_value_base_defines_the_protocol():
+    # assignment refusal, equality, hashing and pickling are written once,
+    # in errors._Value.  BivariatePoly keeps a memoized hash, since its
+    # field is a dict; HilbertFunction pickles its values alone, since d, k
+    # and j are derived; and _Gap pickles as the module's singleton E
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, classes in _protocol_owners(ast.parse(path.read_text(), filename=str(path))).items():
+            owners.setdefault(name, set()).update(classes)
+    assert owners == {
+        "__setattr__": {"_Value"},
+        "__delattr__": {"_Value"},
+        "__eq__": {"_Value"},
+        "__hash__": {"_Value", "BivariatePoly"},
+        "__reduce__": {"_Value", "HilbertFunction", "_Gap"},
+    }
+
+
 def _imports_of(tree, module):
     """Line numbers of every import of the named top-level module in a
     parsed module: import m, import m as n, from m import x, and the same
