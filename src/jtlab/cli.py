@@ -54,7 +54,6 @@ from .errors import (
 from .hessians import (
     active_hessian_indices,
     hessian_rank_at,
-    nonvanishing_set,
     predicted_nonvanishing_set,
     predicted_rank_profile,
 )
@@ -243,6 +242,18 @@ def cmd_enumerate(args, out):
     return EXIT_OK
 
 
+# The facts of a classification row that classify reports, in its order.
+_CLASSIFY_KEYS = (
+    "cijt",
+    "branch_label",
+    "hook_code",
+    "subscripted_hook_code",
+    "symmetric",
+    "nonvanishing",
+    "hessian_ranks",
+)
+
+
 def cmd_classify(args, out):
     P = Partition(args.partition)
     diag = diagonal_lengths(P)
@@ -269,18 +280,8 @@ def cmd_classify(args, out):
         )
     else:
         row = classification_row(P, T)
-        report.update(
-            {
-                "ci_shape": True,
-                "cijt": row["cijt"],
-                "branch_label": row["branch_label"],
-                "hook_code": row["hook_code"],
-                "subscripted_hook_code": row["subscripted_hook_code"],
-                "symmetric": row["symmetric"],
-                "nonvanishing": row["nonvanishing"],
-                "hessian_ranks": row["hessian_ranks"],
-            }
-        )
+        report["ci_shape"] = True
+        report.update((key, row[key]) for key in _CLASSIFY_KEYS)
         if row["cijt"]:
             profile = predicted_rank_profile(P)
             report["rank_profile"] = {
@@ -404,13 +405,12 @@ def cmd_jordan(args, out):
     }
     try:
         T = HilbertFunction(A.hilbert)
-        nonvan = nonvanishing_set(A, ell)
-        report["nonvanishing"] = sorted(nonvan)
-        report["hessian_ranks"] = [
-            rank_mult_power(A, ell, i, T.j - i) for i in active_hessian_indices(T)
-        ]
+        ranks = [rank_mult_power(A, ell, i, T.j - i) for i in active_hessian_indices(T)]
+        # the i-th Hessian is nonzero at ell when its rank is full, i + 1
+        report["nonvanishing"] = [i for i, r in enumerate(ranks) if r == i + 1]
+        report["hessian_ranks"] = ranks
         if args.dual is not None:
-            _cross_check_hessian_ranks(F, A, ell, report["hessian_ranks"])
+            _cross_check_hessian_ranks(F, A, ell, ranks)
     except NotCIShape:
         report["nonvanishing"] = None
         report["hessian_ranks"] = None

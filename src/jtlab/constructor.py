@@ -49,6 +49,16 @@ __all__ = [
 
 _ELL_X = BivariatePoly.linear(1, 0)
 
+# The names of verify_realization's six checks, (a)-(f), in report order.
+_CHECKS = (
+    "complete_intersection",
+    "hilbert_function",
+    "jordan_type",
+    "initial_ideal",
+    "hessian_vanishing",
+    "hessian_ranks",
+)
+
 
 class Realization(_Value):
     """A constructed complete intersection realizing a Jordan type."""
@@ -228,6 +238,14 @@ def verify_realization(realization):
     (f) multiplication ranks match the predicted rank profile.
     Failures are recorded in the report, never raised.
 
+    Checks (a)-(e) each go through one rule: a wanted and an observed
+    value pass when they are equal, and one show function prints both.
+    Two generators of the wanted degrees make a complete intersection, so
+    (a) compares the degrees alone.  Check (f) is the one with its own
+    text: the count of predicted ranks, and every mismatch.  A quotient
+    that is not Artinian fails all six with its reason, and a Hilbert
+    function other than T skips (e) and (f).
+
     Checks (c) and (d) read one diagram, the Ferrers diagram of the
     quotient's standard monomials (x needs no move), as do the ranks of (e)
     and (f).  test_jordan_degree_type_is_one_string_per_row_of_the_moved_diagram
@@ -237,96 +255,65 @@ def verify_realization(realization):
     P = realization.partition
     T = realization.hilbert
     ideal = realization.ideal
-    d, k = T.d, T.k
-    checks = []
+    want_degs = (T.d, T.d + T.k - 1)
 
     try:
         A = quotient(ideal)
     except NotArtinian as exc:
-        reason = f"not Artinian ({exc})"
-        names = (
-            "complete_intersection",
-            "hilbert_function",
-            "jordan_type",
-            "initial_ideal",
-            "hessian_vanishing",
-            "hessian_ranks",
-        )
-        expected = (f"degrees ({d}, {d + k - 1})", str(T), str(P), "", "", "")
+        expected = (f"degrees {want_degs}", str(T), str(P), "", "", "")
         return RealizationReport(
             tuple(
-                Check(name, False, exp, reason) for name, exp in zip(names, expected)
+                Check(name, False, exp, f"not Artinian ({exc})")
+                for name, exp in zip(_CHECKS, expected)
             )
         )
 
-    is_ci, degs = is_complete_intersection(ideal, algebra=A)
-    want_degs = (d, d + k - 1)
-    checks.append(
-        Check(
+    def check(name, want, got, show=str):
+        return Check(name, want == got, show(want), show(got))
+
+    checks = [
+        check(
             "complete_intersection",
-            is_ci and degs == want_degs,
-            f"2 generators of degrees {want_degs}",
-            f"{len(degs)} generators of degrees {degs}",
-        )
-    )
-
-    checks.append(
-        Check(
-            "hilbert_function",
-            A.hilbert == T.values,
-            str(T),
-            format_caret_list(A.hilbert),
-        )
-    )
-
-    observed_jt = jordan_type(A, _ELL_X)
-    checks.append(Check("jordan_type", observed_jt == P, str(P), str(observed_jt)))
-
-    expected_gens = cell_generators(P)
-    cell = initial_ideal(ideal, _ELL_X, algebra=A)
-    checks.append(
-        Check(
+            want_degs,
+            is_complete_intersection(ideal, algebra=A)[1],
+            lambda degs: f"{len(degs)} generators of degrees {degs}",
+        ),
+        check("hilbert_function", T.values, A.hilbert, format_caret_list),
+        check("jordan_type", P, jordan_type(A, _ELL_X)),
+        check(
             "initial_ideal",
-            cell.generators == expected_gens,
-            _fmt_monomials(expected_gens),
-            _fmt_monomials(cell.generators),
+            cell_generators(P),
+            initial_ideal(ideal, _ELL_X, algebra=A).generators,
+            _fmt_monomials,
+        ),
+    ]
+    if A.hilbert != T.values:
+        reason = "skipped: wrong Hilbert function"
+        checks += [Check(name, False, "CI Hilbert function", reason) for name in _CHECKS[4:]]
+        return RealizationReport(tuple(checks))
+
+    checks.append(
+        check(
+            "hessian_vanishing",
+            predicted_nonvanishing_set(P),
+            nonvanishing_set(A, _ELL_X),
+            lambda S: f"nonvanishing {sorted(S)}",
         )
     )
-
-    if A.hilbert == T.values:
-        predicted = predicted_nonvanishing_set(P)
-        observed = nonvanishing_set(A, _ELL_X)
-        checks.append(
-            Check(
-                "hessian_vanishing",
-                observed == predicted,
-                f"nonvanishing {sorted(predicted)}",
-                f"nonvanishing {sorted(observed)}",
-            )
+    profile = predicted_rank_profile(P)
+    mismatches = {
+        us: (rk, got)
+        for us, rk in sorted(profile.items())
+        if (got := rank_mult_power(A, _ELL_X, *us)) != rk
+    }
+    checks.append(
+        Check(
+            "hessian_ranks",
+            not mismatches,
+            f"{len(profile)} predicted ranks",
+            f"mismatches at {mismatches}" if mismatches else "all match",
         )
-        profile = predicted_rank_profile(P)
-        observed_ranks = {
-            (u, s): rank_mult_power(A, _ELL_X, u, s) for (u, s) in profile
-        }
-        mismatches = {
-            (u, s): (rk, observed_ranks[(u, s)])
-            for (u, s), rk in sorted(profile.items())
-            if observed_ranks[(u, s)] != rk
-        }
-        checks.append(
-            Check(
-                "hessian_ranks",
-                not mismatches,
-                f"{len(profile)} predicted ranks",
-                "all match" if not mismatches else f"mismatches at {mismatches}",
-            )
-        )
-    else:
-        for name in ("hessian_vanishing", "hessian_ranks"):
-            checks.append(
-                Check(name, False, "CI Hilbert function", "skipped: wrong Hilbert function")
-            )
-
+    )
     return RealizationReport(tuple(checks))
 
 

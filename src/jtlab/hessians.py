@@ -50,12 +50,7 @@ from .errors import (
     ZeroForm,
 )
 from .linalg import primitive
-from .partitions import (
-    HilbertFunction,
-    Partition,
-    hilbert_function,
-    sl_partition,
-)
+from .partitions import HilbertFunction, Partition, hilbert_function
 from .polynomials import BivariatePoly, contract, d_sequence, dual_data
 
 __all__ = [
@@ -252,37 +247,29 @@ def predicted_rank_profile(P):
 
 
 def generic_jordan_type(T, which):
-    """Jordan types of a sufficiently general dual generator F.
+    """Jordan types of a sufficiently general dual generator F: one value
+    of the bijection cijt_from_hessian_subset, at the active orders less
+    the one Hessian that vanishes.
 
-    which = "sl": the strong Lefschetz type, the conjugate of T.
-    which = "top" (k >= 2 only): the type at a root of the top Hessian,
-    (j+1, j-1, ..., j+1-2(d-2), 1^k), with d+k-1 parts.
-    which = i in [0, d-2]: the type at a simple root of h^i: the maximal
-    d-element window of (..., j-2i+5, j-2i+3, j-2i, j-2i, j-2i-3, ...)
-    whose entries all lie in [k, j+1].
+    which = "sl": no Hessian vanishes, giving the strong Lefschetz type,
+    the conjugate of T.
+    which = "top" (k >= 2 only): the top Hessian, of order d-1, vanishes.
+    which = i in [0, d-2]: the Hessian of order i vanishes, as at a simple
+    root of h^i.
+    The closed forms these once came from, (j+1, j-1, ..., j+1-2(d-2), 1^k)
+    for "top" and a d-element window around j-2i for an order i, are
+    tests/reference_paths.generic_jordan_type, the reference they are
+    tested against.
     """
     T = HilbertFunction(T)
-    d, k, j = T.d, T.k, T.j
     if which == "sl":
-        return sl_partition(T)
-    if which == "top":
-        if k < 2:
+        order = None
+    elif which == "top":
+        if T.k < 2:
             raise TopRequiresKGe2("top Hessian is only active when k >= 2")
-        return Partition([j + 1 - 2 * t for t in range(d - 1)] + [1] * k)
-    i = int(which)
-    if not 0 <= i <= d - 2:
-        raise OrderOutOfRange(f"which = {i} outside [0, {d - 2}]")
-    center = j - 2 * i
-    seq = (
-        [center + 3 + 2 * t for t in range(d, -1, -1)]
-        + [center, center]
-        + [center - 3 - 2 * t for t in range(d + 1)]
-    )
-    windows = [
-        tuple(seq[t : t + d])
-        for t in range(len(seq) - d + 1)
-        if all(k <= v <= j + 1 for v in seq[t : t + d])
-    ]
-    if not windows:
-        raise InternalInconsistency(f"no admissible window for order {i} of {T}")
-    return Partition(max(windows))
+        order = T.d - 1
+    else:
+        order = int(which)
+        if not 0 <= order <= T.d - 2:
+            raise OrderOutOfRange(f"which = {order} outside [0, {T.d - 2}]")
+    return cijt_from_hessian_subset(T, set(active_hessian_indices(T)) - {order})

@@ -1,4 +1,4 @@
-"""Earlier bodies of twenty-three routines, kept as references for
+"""Earlier bodies of twenty-four routines, kept as references for
 differential tests of the versions in jtlab: five slower combinatorial
 ones, one of them caret_text, the text of a partition written by its own
 run count, the branch-label enumeration with its own interval-split helper
@@ -60,7 +60,10 @@ initial_ideal builds the moved ideal with it; what that checks is the
 change of coordinates, done with BivariatePoly products instead of the
 integer rows that jtlab moves.  jtlab's normal forms and Ann(F) reduce
 with linalg.remainder against forward-only bases; reduced_remainder on
-the Bareiss forms is their reference.
+the Bareiss forms is their reference.  Last, generic_jordan_type gives the
+Jordan types of a general dual generator by the closed forms that jtlab
+once computed, a window search for an order i, where jtlab now reads them
+off the bijection cijt_from_hessian_subset.
 """
 
 import math
@@ -90,9 +93,17 @@ from jtlab.errors import (
     NotArtinian,
     NotCIJT,
     NotCIShape,
+    OrderOutOfRange,
     ParseError,
+    TopRequiresKGe2,
 )
-from jtlab.partitions import HilbertFunction, JordanDegreeType, Partition, hilbert_function
+from jtlab.partitions import (
+    HilbertFunction,
+    JordanDegreeType,
+    Partition,
+    hilbert_function,
+    sl_partition,
+)
 from jtlab.polynomials import BivariatePoly, catalecticant
 
 
@@ -855,3 +866,37 @@ def construct_ci(P, lambda2=None, seed=None):
         chain=tuple(chain[1:]),
         lambdas=lambda2,
     )
+
+
+def generic_jordan_type(T, which):
+    """hessians.generic_jordan_type(T, which) by its closed forms, as it
+    was once computed.  which = "sl": the conjugate of T.  which = "top"
+    (k >= 2 only): (j+1, j-1, ..., j+1-2(d-2), 1^k), with d+k-1 parts.
+    which = i in [0, d-2]: the maximal d-element window of
+    (..., j-2i+5, j-2i+3, j-2i, j-2i, j-2i-3, ...) whose entries all lie
+    in [k, j+1]."""
+    T = HilbertFunction(T)
+    d, k, j = T.d, T.k, T.j
+    if which == "sl":
+        return sl_partition(T)
+    if which == "top":
+        if k < 2:
+            raise TopRequiresKGe2("top Hessian is only active when k >= 2")
+        return Partition([j + 1 - 2 * t for t in range(d - 1)] + [1] * k)
+    i = int(which)
+    if not 0 <= i <= d - 2:
+        raise OrderOutOfRange(f"which = {i} outside [0, {d - 2}]")
+    center = j - 2 * i
+    seq = (
+        [center + 3 + 2 * t for t in range(d, -1, -1)]
+        + [center, center]
+        + [center - 3 - 2 * t for t in range(d + 1)]
+    )
+    windows = [
+        tuple(seq[t : t + d])
+        for t in range(len(seq) - d + 1)
+        if all(k <= v <= j + 1 for v in seq[t : t + d])
+    ]
+    if not windows:
+        raise InternalInconsistency(f"no admissible window for order {i} of {T}")
+    return Partition(max(windows))

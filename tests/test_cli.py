@@ -235,6 +235,29 @@ def test_enumerate_matches_golden(case):
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
+# -- realize golden ---------------------------------------------------------------
+
+# sha256 of the stdout of `realize --all T`, plain and json, for T(3, 2) and
+# T(4, 2) at seeds 0 and 5 and with --alpha-zero, and of `realize 6,4,2
+# --seed 5`: every text of a passing realization report
+REALIZE_GOLDEN = json.loads((GOLDEN / "realize.json").read_text())
+
+
+def test_realize_golden_covers_both_formats():
+    assert len(REALIZE_GOLDEN) == 14
+    formats = [case["argv"][case["argv"].index("--format") + 1] for case in REALIZE_GOLDEN]
+    assert formats.count("plain") == formats.count("json") == 7
+
+
+@pytest.mark.parametrize(
+    "case", REALIZE_GOLDEN, ids=[" ".join(case["argv"][1:]) for case in REALIZE_GOLDEN]
+)
+def test_realize_matches_golden(case):
+    code, out, err = run_cli(*case["argv"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
 @pytest.mark.parametrize("d, k", [(11, 1), (11, 2), (15, 2)])
 def test_enumerate_over_row_cap_exits_2(d, k):
     T = HilbertFunction.from_dk(d, k)

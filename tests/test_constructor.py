@@ -129,6 +129,52 @@ def test_verify_tampered_ideal_fails_early():
     assert "not Artinian" in report.first_failure().observed
 
 
+def _failed(expected, observed):
+    return {"passed": False, "expected": expected, "observed": observed}
+
+
+def test_failing_reports_keep_their_texts():
+    # every text of the two early-failure paths: a quotient that is not
+    # Artinian fails all six checks with its reason, and a wrong Hilbert
+    # function fails (a)-(d) with want and got and skips (e) and (f)
+    bad = Realization(
+        partition=Partition("6,2^3"),
+        hilbert=HilbertFunction("1,2,3,3,2,1"),
+        ideal=GradedIdeal([parse_poly("x^2*y"), parse_poly("y^4")]),
+    )
+    reason = "not Artinian (dim A_10 = 1 > 0 for I = (x^2*y, y^4))"
+    assert verify_realization(bad).as_dict() == {
+        "complete_intersection": _failed("degrees (3, 4)", reason),
+        "hilbert_function": _failed("1,2,3^2,2,1", reason),
+        "jordan_type": _failed("6,2^3", reason),
+        "initial_ideal": _failed("", reason),
+        "hessian_vanishing": _failed("", reason),
+        "hessian_ranks": _failed("", reason),
+    }
+    wrong = Realization(
+        partition=Partition("4,1^2"),
+        hilbert=HilbertFunction("1,2^2,1"),
+        ideal=GradedIdeal([parse_poly("x^2"), parse_poly("y^2")]),
+    )
+    report = verify_realization(wrong)
+    skipped = _failed("CI Hilbert function", "skipped: wrong Hilbert function")
+    assert report.as_dict() == {
+        "complete_intersection": _failed(
+            "2 generators of degrees (2, 3)", "2 generators of degrees (2, 2)"
+        ),
+        "hilbert_function": _failed("1,2^2,1", "1,2,1"),
+        "jordan_type": _failed("4,1^2", "2^2"),
+        "initial_ideal": _failed("x^4, x*y, y^3", "x^2, y^2"),
+        "hessian_vanishing": skipped,
+        "hessian_ranks": skipped,
+    }
+    assert list(report.as_dict()) == [c.name for c in report.checks]
+    assert str(report).splitlines()[0] == (
+        "[FAIL] complete_intersection: expected 2 generators of degrees (2, 3), "
+        "observed 2 generators of degrees (2, 2)"
+    )
+
+
 def test_realize_all_counts_and_passes():
     for hilbert, count in [("1,2,3,3,2,1", 8), ("1,2,2,1", 4), ("1,2,1", 2)]:
         results = realize_all(HilbertFunction(hilbert), seed=42)

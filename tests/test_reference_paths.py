@@ -6,8 +6,9 @@ degrees, the rank table counted off moved standard monomials, the Jordan
 degree type read one string per row off the same diagram, the quotient
 built one degree from the last, and d, Ann(F) and every Hessian rank read
 off one Berlekamp-Massey pass per direction against the earlier bodies kept
-in reference_paths.py, and the rank table against the one read off the
-dual generator alone."""
+in reference_paths.py, the rank table against the one read off the
+dual generator alone, and the generic Jordan types read off the
+Hessian-subset bijection against their closed forms."""
 
 import itertools
 import json
@@ -47,9 +48,10 @@ from jtlab.codes import (
     partition_to_branch_label,
 )
 from jtlab.constructor import construct_ci
-from jtlab.errors import JtlabError, NotArtinian
+from jtlab.errors import JtlabError, NotArtinian, TopRequiresKGe2
 from jtlab.hessians import (
     active_hessian_indices,
+    generic_jordan_type,
     hessian_rank_at,
     predicted_nonvanishing_set,
     predicted_rank_profile,
@@ -835,3 +837,22 @@ def test_rank_table_matches_dual_reference_on_dual_fuzz_and_power_sums():
         for a, b in DIRECTIONS:
             ell = BivariatePoly.linear(a, b)
             assert rank_table(A, ell) == ref.dual_rank_table(F, ell), (F, ell)
+
+
+def test_generic_jordan_types_match_the_closed_forms():
+    # every which on T(d, k), d <= 11 and k <= 6: the value of the
+    # Hessian-subset bijection equals the closed form, and both refuse
+    # "top" when k = 1
+    agreed = refused = 0
+    for d, k in itertools.product(range(1, 12), range(1, 7)):
+        T = HilbertFunction.from_dk(d, k)
+        for which in ("sl", "top", *range(d - 1)):
+            if which == "top" and k < 2:
+                for generic in (ref.generic_jordan_type, generic_jordan_type):
+                    with pytest.raises(TopRequiresKGe2):
+                        generic(T, which)
+                refused += 1
+                continue
+            assert generic_jordan_type(T, which) == ref.generic_jordan_type(T, which), (T, which)
+            agreed += 1
+    assert (agreed, refused) == (451, 11)

@@ -336,6 +336,57 @@ def test_no_module_imports_dataclasses():
     assert not found, f"dataclasses imported in the package: {found}"
 
 
+def _unused_imports(tree):
+    """(line, name) for every name that an import in a parsed module binds
+    and the module never loads: import a.b binds a, and from m import x as
+    y binds y.  A name listed in the module's __all__ is a re-export, so it
+    counts as used; from __future__ imports bind nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_unused_import_guard_sees_every_spelling():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from .partitions import HilbertFunction, sl_partition\n"
+        "from .hessians import nonvanishing_set as nv\n"
+        "from .codes import is_cijt\n"
+        "__all__ = ['is_cijt']\n"
+        "def f(T):\n"
+        "    j = HilbertFunction(T)\n"
+        "    return os.sep\n"
+    )
+    assert _unused_imports(tree) == [(3, "j"), (4, "sl_partition"), (5, "nv")]
+
+
+def test_no_unused_imports_in_package():
+    # every import is used, so a deleted caller takes its import with it;
+    # __init__.py's re-exports are used through its __all__
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"unused imports in the package: {found}"
+
+
 STARTUP = """
 import sys
 sys.path.insert(0, sys.argv[1])
