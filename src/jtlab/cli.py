@@ -32,13 +32,14 @@ from .algebra import (
     require_linear,
 )
 from .codes import (
+    _hook_code_of_label,
     diagonal_partition_count,
     enumerate_cijt,
     enumerate_diagonal_partitions,
-    hook_code_direct,
     hook_counts_by_degree,
     is_cijt,
     iota,
+    partition_to_branch_label,
 )
 from .constructor import construct_ci, realize_all, verify_realization
 from .errors import (
@@ -63,6 +64,7 @@ from .partitions import (
     Partition,
     diagonal_lengths,
     format_caret_list,
+    hilbert_function,
     is_symmetric_jdt,
 )
 from .polynomials import parse_poly
@@ -96,9 +98,16 @@ MAX_TABLE_ROWS = 40_000
 
 
 def classification_row(P, T):
-    """All tabulated facts about one partition of diagonal lengths T."""
-    hook = hook_code_direct(P)
-    label = hook.label
+    """All tabulated facts about one partition of diagonal lengths T.
+
+    The hook code is read off the branch label in one pass: the label P
+    was glued from when the enumeration built P, else the label read off
+    the diagram and validated (NotCIShape when P's diagonal lengths are not
+    CI-shaped).  T itself serves the symmetric and Hessian columns, so a T
+    that is not P's raises DiagonalMismatch.
+    """
+    label = partition_to_branch_label(P)
+    hook = _hook_code_of_label(label, hilbert_function(P))
     cijt = is_cijt(P)
     row = {
         "partition": str(P),

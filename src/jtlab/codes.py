@@ -137,7 +137,7 @@ class BranchLabel(_Value):
         return self.entries[i]
 
     def __str__(self):
-        return ",".join("E" if e is E else str(e) for e in self.entries)
+        return ",".join(["E" if e is E else str(e) for e in self.entries])
 
     def __repr__(self):
         return f"BranchLabel({str(self)!r})"
@@ -512,13 +512,11 @@ class HookCode(_Value):
         d+k-2, the least possible hand degree, as reference tables print it;
         degrees d..d+k-3 are identically zero (only visible when k >= 3)."""
         lo = max(self.d, self.d + self.k - 2) if support_only else self.d
-        return ",".join(f"{c}_{deg}" for deg, c in self.traditional if deg >= lo)
+        return ",".join([f"{c}_{deg}" for deg, c in self.traditional if deg >= lo])
 
     def subscripted_str(self):
-        pieces = []
-        for entry, sub in zip(self.label.entries, self.subscripts):
-            pieces.append("E" if entry is E else f"{entry}_{sub}")
-        return ",".join(pieces)
+        pairs = zip(self.label.entries, self.subscripts)
+        return ",".join(["E" if e is E else f"{e}_{sub}" for e, sub in pairs])
 
     def traditional_counts(self):
         return tuple(c for _, c in self.traditional)
@@ -560,13 +558,10 @@ def _assemble_hook_code(label, T, subs, counts_by_degree):
     """The HookCode of label with subscripts subs, aligned with its entries,
     and the hook counts by hand degree over the window [d, j]; raises
     InternalInconsistency when a hand lies outside the window."""
-    window = range(T.d, T.j + 1)
-    if not all(map(window.__contains__, counts_by_degree)):
+    if counts_by_degree and (min(counts_by_degree) < T.d or max(counts_by_degree) > T.j):
         raise InternalInconsistency(f"{label}: difference-one hook hands outside [d, j]")
-    traditional = tuple((deg, counts_by_degree.get(deg, 0)) for deg in window)
-    return HookCode(
-        traditional=traditional, label=label, subscripts=subs, d=T.d, k=T.k
-    )
+    traditional = tuple([(deg, counts_by_degree.get(deg, 0)) for deg in range(T.d, T.j + 1)])
+    return HookCode(traditional, label, subs, T.d, T.k)
 
 
 def hook_code_direct(P):
@@ -587,49 +582,54 @@ def hook_code_direct(P):
     return _assemble_hook_code(label, T, subs, counts)
 
 
-def _runs(segment):
-    """Maximal ascending runs (steps of exactly +1) of a label segment."""
-    runs = []
-    for value in segment:
-        if runs and value == runs[-1][-1] + 1:
-            runs[-1].append(value)
-        else:
-            runs.append([value])
-    return runs
-
-
 def hook_code_from_label(label, T):
     """Hook code computed from the interval structure of the branch label,
     without touching the Ferrers diagram.
 
-    Vertical runs: first entry 0 hooks, later entries 1.  Horizontal runs
-    (above the gap): first entry the maximum possible -- 2, except that when
-    k >= 2 the entry 1 admits only 1 -- and later entries 1.  For k = 1 the
-    segment between the two E's continues the ascending run started by the
-    lower gap, so all its entries get 1.
+    The label is parsed and checked against T by `_validate_label`
+    (InvalidLabel when it fails), then read by `_hook_code_of_label`, which
+    states the rule.  Tests check it against hook_code_direct, the count on
+    the diagram, on every label for d <= 8, k <= 4.
     """
     label = BranchLabel(label)
     T = HilbertFunction(T)
-    vert, between, horiz = _validate_label(label, T)
-    subs_by_value = {}
-    for run in _runs(vert):
-        subs_by_value[run[0]] = 0
-        for value in run[1:]:
-            subs_by_value[value] = 1
-    for value in between:
-        subs_by_value[value] = 1
-    for run in _runs(horiz):
-        first = run[0]
-        if T.k >= 2:
-            subs_by_value[first] = 1 if first == 1 else 2
-        else:
-            subs_by_value[first] = 2
-        for value in run[1:]:
-            subs_by_value[value] = 1
+    _validate_label(label, T)
+    return _hook_code_of_label(label, T)
+
+
+def _hook_code_of_label(label, T):
+    """The hook code of a label that `_validate_label` accepts for T, read
+    in one walk over its entries; cli.classification_row reads every row's
+    hook code here, off the label partition_to_branch_label gives.
+
+    Vertical runs (maximal runs of steps of exactly +1 left of the first
+    E): first entry 0 hooks, later entries 1.  Horizontal runs (right of
+    the last E, above the gap): first entry the maximum possible -- 2,
+    except that when k >= 2 the entry 1 admits only 1 -- and later entries
+    1.  For k = 1 the segment between the two E's continues the ascending
+    run started by the lower gap, so all its entries get 1.  The entry v
+    is counted at its hand, of degree v + d-1 + s, s = max(0, k-2).
+    """
+    entries = label.entries
+    first = entries.index(E)
+    last = len(entries) - 1 - entries[::-1].index(E)
     shift = T.d - 1 + max(0, T.k - 2)  # a hand degree less its label value
-    counts = {v + shift: sub for v, sub in subs_by_value.items()}
-    subs = tuple(None if v is E else subs_by_value[v] for v in label.entries)
-    return _assemble_hook_code(label, T, subs, counts)
+    subs, counts = [], {}
+    prev = E  # a run starts at each segment's first entry, E never being v - 1
+    for i, v in enumerate(entries):
+        if v is E:
+            subs.append(None)
+        else:
+            if prev == v - 1 or first < i < last:
+                sub = 1
+            elif i < first:
+                sub = 0
+            else:
+                sub = 1 if v == 1 and T.k >= 2 else 2
+            subs.append(sub)
+            counts[v + shift] = sub
+        prev = v
+    return _assemble_hook_code(label, T, tuple(subs), counts)
 
 
 def iota(P):

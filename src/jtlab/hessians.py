@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import rank_mult_power
-from .codes import _runs, cijt_from_composition, is_cijt
+from .codes import cijt_from_composition, is_cijt
 from .errors import (
     InternalInconsistency,
     InvalidSubset,
@@ -207,8 +207,13 @@ def cijt_from_hessian_subset(T, S):
 
 def _vanishing_runs(T, S):
     """Maximal runs of consecutive vanishing active orders, as (m, m+n)."""
-    vanishing = sorted(set(active_hessian_indices(T)) - set(S))
-    return [(run[0], run[-1]) for run in _runs(vanishing)]
+    runs = []
+    for i in sorted(set(active_hessian_indices(T)) - set(S)):
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return runs
 
 
 def predicted_rank_profile(P):
@@ -255,7 +260,8 @@ def generic_jordan_type(T, which):
     the conjugate of T.
     which = "top" (k >= 2 only): the top Hessian, of order d-1, vanishes.
     which = i in [0, d-2]: the Hessian of order i vanishes, as at a simple
-    root of h^i.
+    root of h^i.  An int i outside [0, d-2] raises OrderOutOfRange, and any
+    other value (a bool, a float, a numeric string, None) ParseError.
     The closed forms these once came from, (j+1, j-1, ..., j+1-2(d-2), 1^k)
     for "top" and a d-element window around j-2i for an order i, are
     tests/reference_paths.generic_jordan_type, the reference they are
@@ -268,8 +274,10 @@ def generic_jordan_type(T, which):
         if T.k < 2:
             raise TopRequiresKGe2("top Hessian is only active when k >= 2")
         order = T.d - 1
+    elif isinstance(which, bool) or not isinstance(which, int):
+        raise ParseError(f"which must be 'sl', 'top' or an int order, not {which!r}")
     else:
-        order = int(which)
+        order = which
         if not 0 <= order <= T.d - 2:
             raise OrderOutOfRange(f"which = {order} outside [0, {T.d - 2}]")
     return cijt_from_hessian_subset(T, set(active_hessian_indices(T)) - {order})

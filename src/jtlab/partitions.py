@@ -328,6 +328,12 @@ class HilbertFunction(_Value):
 
     @classmethod
     def from_dk(cls, d, k):
+        """T(d, k) = (1,...,d-1,d^k,d-1,...,1).  d and k are read like a
+        Partition's entries (ParseError for a non-integer), and d < 1 or
+        k < 1 raises NotCIShape."""
+        d, k = _integers((d, k), "the pair (d, k)")
+        if d < 1 or k < 1:
+            raise NotCIShape(f"T(d, k) needs d >= 1 and k >= 1, not d = {d}, k = {k}")
         return cls(tuple(range(1, d)) + (d,) * k + tuple(range(d - 1, 0, -1)))
 
     @property

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from jtlab import cli, hessians
+from jtlab import cli, codes, hessians
 from jtlab.cli import MAX_TABLE_ROWS, main
-from jtlab.codes import diagonal_partition_count, enumerate_cijt
+from jtlab.codes import diagonal_partition_count, enumerate_cijt, enumerate_diagonal_partitions
 from jtlab.constructor import construct_ci
 from jtlab.errors import BudgetExceeded, InternalInconsistency
 from jtlab.partitions import MAX_PARTS, HilbertFunction, Partition
@@ -275,6 +275,35 @@ def test_enumerate_just_under_row_cap():
     code, out, _ = run_cli("enumerate", str(T), "--cijt-only", "--format", "csv")
     assert code == 0
     assert len(out.splitlines()) == 1 + 2**10
+
+
+# sha256 of `enumerate T(10, 2) --format csv`: all 39366 rows of the largest
+# table the row cap admits, recorded when every row's hook code was counted
+# on its Ferrers diagram
+T_10_2_CSV_SHA256 = "a4f1a7451b4a9a89d3c2854af930d93e48bc30ca8da0eada67e3b3e5d2ce9bb0"
+
+
+def test_enumerate_largest_table_matches_golden():
+    T = HilbertFunction.from_dk(10, 2)
+    code, out, err = run_cli("enumerate", str(T), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == T_10_2_CSV_SHA256
+
+
+@pytest.mark.parametrize("d, k", [(6, 2), (5, 1)])
+def test_classification_row_reads_hook_codes_off_the_label(monkeypatch, d, k):
+    # an enumerated partition carries its label, so its row needs neither a
+    # hook count on the diagram nor the diagram's columns
+    T = HilbertFunction.from_dk(d, k)
+    partitions = enumerate_diagonal_partitions(T)
+    want = [cli.classification_row(Partition(P.parts), T) for P in partitions]
+
+    def refuse(P):
+        raise AssertionError("the Ferrers diagram was read")
+
+    monkeypatch.setattr(codes, "hook_counts_by_degree", refuse)
+    monkeypatch.setattr(codes, "column_lengths", refuse)
+    assert [cli.classification_row(P, T) for P in partitions] == want
 
 
 def test_table_11_k1_columns_coincide():

@@ -580,10 +580,11 @@ def test_hook_code_from_label_examples():
 
 
 def test_hook_code_label_rule_equals_direct():
-    # every row of T(d, k) for d <= 7, k <= 4, from the label the
+    # every row of T(d, k) for d <= 8, k <= 4, from the label the
     # enumeration built the partition from; the label-free copy makes
-    # hook_code_direct read its label off the diagram too
-    for d, k in all_dk(7, 4):
+    # hook_code_direct read its label off the diagram too.  d = 8 covers
+    # T(8, 2), whose rows cli.classification_row reads off their labels
+    for d, k in all_dk(8, 4):
         T = HilbertFunction.from_dk(d, k)
         for b in enumerate_branch_labels(T):
             P = Partition(branch_label_to_partition(b, T).parts)

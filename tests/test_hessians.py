@@ -574,6 +574,18 @@ def test_generic_jordan_types_d3_k2():
     assert generic_jordan_type(T33, "top") == Partition([6, 4, 1, 1])
 
 
+@pytest.mark.parametrize(
+    "which, error",
+    [(w, ParseError) for w in (1.7, True, False, "1", "x", None, 1.0)]
+    + [(w, OrderOutOfRange) for w in (-1, 2, 3)],
+)
+def test_generic_jordan_type_refuses_a_bad_order(which, error):
+    # a bool, a float or a numeric string is no order, though int() reads
+    # one; an int order outside [0, d-2] is out of range
+    with pytest.raises(error):
+        generic_jordan_type(T33, which)
+
+
 def test_generic_type_is_cijt_with_singleton_vanishing():
     for d, k in all_dk(6, 3):
         T = HilbertFunction.from_dk(d, k)

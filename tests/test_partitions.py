@@ -160,6 +160,19 @@ def test_hilbert_function_parse():
     assert HilbertFunction.from_dk(3, 2) == T
 
 
+def test_from_dk_checks_its_arguments():
+    assert HilbertFunction.from_dk(1, 1).values == (1,)
+    assert HilbertFunction.from_dk(2, 3).values == (1, 2, 2, 2, 1)
+    # d and k are read like a Partition's entries
+    for d, k in [(1.5, 2), (2, 2.0), ("2", 2), (2, None)]:
+        with pytest.raises(ParseError):
+            HilbertFunction.from_dk(d, k)
+    # no T(d, k) has d or k below 1, though the formula would build a tuple
+    for d, k in [(2, 0), (2, -1), (3, 0), (0, 2), (-1, 3)]:
+        with pytest.raises(NotCIShape, match="d >= 1 and k >= 1"):
+            HilbertFunction.from_dk(d, k)
+
+
 def test_sl_partition_examples():
     assert sl_partition(HilbertFunction("1,2,3,3,2,1")) == Partition([6, 4, 2])
     assert sl_partition(HilbertFunction("1,2,2,1")) == Partition([4, 2])
