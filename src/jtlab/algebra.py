@@ -21,9 +21,15 @@ the coefficient of x^t y^(n-t), so multiplying by x shifts the vector up by
 one place and multiplying by y appends a zero.  Every question reads only
 pivots, so _build builds an ideal forward only, with linalg.insert, one
 degree from the last, and counts the minimal generators as it goes.  It
-builds the quotient, and the ideal moved in each direction that is asked
-about; when L is a multiple of x nothing moves, and the quotient's own
-standard monomials are read with no elimination.  No reduced echelon form
+appends the zero of the y-shift to its kept rows in place, and stores an
+x-shift whose lead no row holds as it stands, since a shifted primitive
+row is primitive; only a shift that meets a row, and a generator, goes
+through insert.  It builds the quotient, and the ideal moved in each
+direction that is asked about; when L is a multiple of x nothing moves,
+and the quotient's own standard monomials are read with no elimination.
+The Jordan type in a direction is built once, as a Partition that is not
+checked again, and carries the algebra's HilbertFunction when that is
+CI-shaped (ArtinAlgebra._diagram).  No reduced echelon form
 is built: normal_form_vector reduces a form with linalg._exact_remainder
 against the forward-only basis of its degree that _build returns, and
 annihilator reduces its second generator against the shifts of its first,
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from functools import cached_property
 
 from . import linalg
 from .errors import (
@@ -47,12 +54,13 @@ from .errors import (
     DegreeOutOfRange,
     InternalInconsistency,
     NotArtinian,
+    NotCIShape,
     ParseError,
     ZeroForm,
     ZeroInput,
     _Value,
 )
-from .partitions import JordanDegreeType, Partition
+from .partitions import HilbertFunction, JordanDegreeType, Partition, share_hilbert
 from .polynomials import MAX_DEGREE, BivariatePoly, catalecticant, dual_data
 
 __all__ = [
@@ -154,10 +162,14 @@ class ArtinAlgebra:
     multiplication by a linear form reads the Ferrers diagram of the
     standard monomials of the ideal moved so that the form becomes x
     (_diagram; see the module docstring), kept on the algebra under the
-    form.  The moved standard monomials are kept under the
+    form with the one Partition of its row lengths, the form's Jordan type.
+    The moved standard monomials are kept under the
     primitive pair of the form's coefficients (_standard), so a form, its
     multiples and initial_ideal in the same direction share one moved pass;
-    under (1, 0) they are the algebra's own, and no elimination runs.
+    under (1, 0) they are the algebra's own, and no elimination runs.  When
+    the Hilbert function is CI-shaped, its HilbertFunction is validated
+    once, when the first diagram is built (_ci_hilbert), and every
+    diagram's partition carries it.
     """
 
     def __init__(self, ideal, std, generator_degrees):
@@ -169,8 +181,9 @@ class ArtinAlgebra:
         self._generator_degrees = generator_degrees
         self.hilbert = tuple(map(len, std[:-1]))
         self.socle_degree = len(self.hilbert) - 1
-        # linear form -> (moved standard monomials, row lengths of their
-        # diagram); a BivariatePoly keeps its hash, and equal forms compare equal
+        # linear form -> (moved standard monomials, the Partition of the row
+        # lengths of their diagram); a BivariatePoly keeps its hash, and
+        # equal forms compare equal
         self._diagrams = {}
         # primitive (a, b) -> the standard monomials of the ideal moved so
         # that a*x + b*y is x; nothing moves for (1, 0)
@@ -227,13 +240,29 @@ class ArtinAlgebra:
             self._moved_std[(a, b)] = std
         return std
 
+    @cached_property
+    def _ci_hilbert(self):
+        """The HilbertFunction of A's Hilbert function, validated on the
+        first read, or None when it is not CI-shaped."""
+        try:
+            return HilbertFunction(self.hilbert)
+        except NotCIShape:
+            return None
+
     def _diagram(self, ell):
-        """(std, rows) for a nonzero linear form ell, kept under ell: std is
-        _standard in ell's direction, and rows the lengths p_b > 0 of the
-        rows of the Ferrers diagram that it fills, which sum to dim A, as
-        _standard checked the moved Hilbert function.  InternalInconsistency
-        is raised unless std fills one.  The module docstring says why every
-        question about ell reads it; no dual generator is read."""
+        """(std, P) for a nonzero linear form ell, kept under ell: std is
+        _standard in ell's direction, and P the Partition of the lengths
+        p_b > 0 of the rows of the Ferrers diagram that it fills.
+        InternalInconsistency is raised unless std fills one.  The module
+        docstring says why every question about ell reads it; no dual
+        generator is read.
+
+        P is built once, by Partition._checked, since _row_lengths has
+        checked its rows.  Its diagonal lengths are the moved Hilbert
+        function, which _standard checked to be A's, so P is given A's one
+        HilbertFunction, _ci_hilbert, through share_hilbert, and nothing of
+        P is validated again.  When A's is not CI-shaped, _ci_hilbert is
+        None and P holds no HilbertFunction, as a fresh partition does."""
         diagram = self._diagrams.get(ell)
         if diagram is None:
             std = self._standard(*_direction(ell))
@@ -243,7 +272,8 @@ class ArtinAlgebra:
                     f"moved so that {ell} is x, the standard monomials of "
                     f"({self.ideal}) do not form a Ferrers diagram"
                 )
-            diagram = self._diagrams[ell] = std, rows
+            P = share_hilbert(Partition._checked(rows), self._ci_hilbert)
+            diagram = self._diagrams[ell] = std, P
         return diagram
 
     def __repr__(self):
@@ -258,26 +288,43 @@ def _build(rows, top):
     minimal generating set of the part of I built, and the forward-only
     basis of I_i, as linalg.insert keeps one.
 
-    Only pivots are read, so I is built forward only, with linalg.insert,
-    one degree from the last.  The rows kept for I_(i-1), each with a zero
-    appended, are a forward-only basis of y I_(i-1) under the same keys.
-    Let N be the rows that were new in degree i - 1, past y I_(i-2).  Then
-    R_1 I_(i-1) = y I_(i-1) + x N, since I_(i-1) = y I_(i-2) + span(N) and
-    x y I_(i-2) lies in y I_(i-1), and I_i is that plus the generators of
-    degree i.  So x N goes in first, and the generators of degree i that
-    insert then accepts count the minimal generators of degree i.  A row of
-    x N is a kept row shifted up by one place, already reduced and zero
-    before its key.  The keys are the pivots of I_i, and the standard
-    monomials are the other columns.
+    Only pivots are read, so I is built forward only, one degree from the
+    last.  Below the lowest generator degree I is 0 and every monomial is
+    standard; the generator rows are grouped by degree once.  Let N be the
+    rows that were new in degree i - 1, past y I_(i-2).  Then R_1 I_(i-1)
+    = y I_(i-1) + x N, since I_(i-1) = y I_(i-2) + span(N) and x y I_(i-2)
+    lies in y I_(i-1), and I_i is that plus the generators of degree i.
+    The x-shifts [0, *row] of N are taken first; then a zero is appended to
+    every kept row in place, which makes the rows of I_(i-1) a forward-only
+    basis of y I_(i-1) under the same keys.  An x-shift is a kept row moved
+    up one place, primitive with a positive lead at its key plus one: when
+    no row leads there it is stored as it stands, and only a shift that
+    meets a row there, and each generator of degree i, goes through
+    linalg.insert.  The generators of degree i that insert accepts count
+    the minimal generators of degree i.  The keys are the pivots of I_i,
+    and the standard monomials are the other columns.
+
+    Every kept row is a list of _build's own: insert never stores the list
+    it is given, and an x-shift is a new list, so the rows passed in (an
+    ideal's _rows, or its moved rows) are never changed.
     """
-    basis, new, std, degrees = {}, [], [], []
-    for i in range(top + 1):
-        basis = {c: [*row, 0] for c, row in basis.items()}  # y I_(i-1)
-        keys = [linalg.insert(basis, [0, *row]) for row in new]  # x N
+    gens = {e: [vec for f, vec in rows if f == e] for e, _ in rows}
+    low = min(gens, default=top + 1)
+    std = [list(range(i + 1)) for i in range(min(low, top + 1))]
+    basis, new, degrees = {}, [], []
+    for i in range(low, top + 1):
+        shifts = [(c + 1, [0, *basis[c]]) for c in new]  # x N
+        for row in basis.values():
+            row.append(0)  # y I_(i-1)
+        # a shift whose lead no row holds is stored there as it stands
+        keys = [
+            c if basis.setdefault(c, row) is row else linalg.insert(basis, row)
+            for c, row in shifts
+        ]
         grown = len(basis)  # dim R_1 I_(i-1)
-        keys += [linalg.insert(basis, vec) for e, vec in rows if e == i]
+        keys += [linalg.insert(basis, vec) for vec in gens.get(i, ())]
         degrees += [i] * (len(basis) - grown)
-        new = [basis[c] for c in keys if c is not None]
+        new = [c for c in keys if c is not None]
         std.append([t for t in range(i + 1) if t not in basis])
         if not std[-1]:
             break
@@ -441,18 +488,19 @@ def rank_mult_power(A, ell, u, s):
 
 def jordan_type(A, ell):
     """Jordan block partition of the nilpotent multiplication map m_ell: the
-    row lengths of the diagram that ArtinAlgebra._diagram keeps for ell."""
-    return Partition(A._diagram(require_linear(ell))[1])
+    partition of the row lengths of the diagram that ArtinAlgebra._diagram
+    keeps for ell, the same object on every call."""
+    return A._diagram(require_linear(ell))[1]
 
 
 def jordan_degree_type(A, ell):
     """Multiset of (start degree, length) of the Jordan strings of m_ell:
-    one string (b, p_b) for each row b of the diagram that
-    ArtinAlgebra._diagram keeps for ell, whose cells are y^b (1, x, ...,
-    x^(p_b - 1)) once ell is moved to x.  Every multiplicity is 1; the
+    one string (b, p_b) for each part p_b of jordan_type(A, ell), the
+    length of row b of the diagram that ArtinAlgebra._diagram keeps for
+    ell, whose cells are y^b (1, x, ..., x^(p_b - 1)) once ell is moved to
+    x.  Every multiplicity is 1; the
     module docstring says why."""
-    rows = A._diagram(require_linear(ell))[1]
-    return JordanDegreeType({(b, p): 1 for b, p in enumerate(rows)})
+    return JordanDegreeType({(b, p): 1 for b, p in enumerate(jordan_type(A, ell))})
 
 
 class MonomialCell(_Value):
@@ -502,18 +550,17 @@ def initial_ideal(ideal, ell, algebra=None):
     Coordinates are changed so that ell becomes x (complement y, or x when
     ell is proportional to y), with (a, b) the primitive pair of ell's
     coefficients, since no scaling moves a leading monomial.  The standard
-    monomials of the moved ideal in the order y^i > ... > x^i and the rows
-    of their Ferrers diagram are ArtinAlgebra._diagram's, shared with every
-    other question about ell; when ell is a multiple of x they are the
+    monomials of the moved ideal in the order y^i > ... > x^i and the
+    partition of their Ferrers diagram are ArtinAlgebra._diagram's, shared
+    with every other question about ell; when ell is a multiple of x they are the
     algebra's own.  algebra, when given, is quotient(ideal); otherwise
     quotient(ideal) is built first, and raises BudgetExceeded or
     NotArtinian as quotient does.
     """
     ell = require_linear(ell)
     A = algebra if algebra is not None else quotient(ideal)
-    std, rows = A._diagram(ell)
+    std, Q = A._diagram(ell)
     fill = tuple(tuple((t, i - t) for t in std[i]) for i in range(A.socle_degree + 1))
-    Q = Partition(rows)
     return MonomialCell(partition=Q, fill=fill, generators=cell_generators(Q))
 
 

@@ -55,7 +55,6 @@ from .errors import (
 from .hessians import (
     active_hessian_indices,
     hessian_rank_at,
-    predicted_nonvanishing_set,
     predicted_rank_profile,
 )
 from .partitions import (
@@ -104,7 +103,10 @@ def classification_row(P, T):
     was glued from when the enumeration built P, else the label read off
     the diagram and validated (NotCIShape when P's diagonal lengths are not
     CI-shaped).  T itself serves the symmetric and Hessian columns, so a T
-    that is not P's raises DiagonalMismatch.
+    that is not P's raises DiagonalMismatch.  A CIJT row asks for the
+    predicted rank profile once, and reads the nonvanishing set off it: the
+    active orders i whose rank at (i, j - i) is full, i + 1, as
+    predicted_nonvanishing_set states them.
     """
     label = partition_to_branch_label(P)
     hook = _hook_code_of_label(label, hilbert_function(P))
@@ -120,12 +122,9 @@ def classification_row(P, T):
         "nonvanishing": None,
     }
     if cijt:
-        nonvan = predicted_nonvanishing_set(P)
         profile = predicted_rank_profile(P)
-        row["nonvanishing"] = sorted(nonvan)
-        row["hessian_ranks"] = [
-            profile[(i, T.j - i)] for i in active_hessian_indices(T)
-        ]
+        row["hessian_ranks"] = ranks = [profile[(i, T.j - i)] for i in active_hessian_indices(T)]
+        row["nonvanishing"] = [i for i, r in enumerate(ranks) if r == i + 1]
     return row
 
 
@@ -412,17 +411,15 @@ def cmd_jordan(args, out):
         ],
         "initial_partition": str(initial_ideal(ideal, ell, algebra=A).partition),
     }
-    try:
-        T = HilbertFunction(A.hilbert)
+    report["nonvanishing"] = report["hessian_ranks"] = None
+    # the algebra's HilbertFunction, None when it is not CI-shaped
+    if (T := A._ci_hilbert) is not None:
         ranks = [rank_mult_power(A, ell, i, T.j - i) for i in active_hessian_indices(T)]
         # the i-th Hessian is nonzero at ell when its rank is full, i + 1
         report["nonvanishing"] = [i for i, r in enumerate(ranks) if r == i + 1]
         report["hessian_ranks"] = ranks
         if args.dual is not None:
             _cross_check_hessian_ranks(F, A, ell, ranks)
-    except NotCIShape:
-        report["nonvanishing"] = None
-        report["hessian_ranks"] = None
     if args.format == "json":
         _write_json(report, out)
     else:

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .codes import enumerate_cijt, is_cijt
 from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, ParseError, _Value
-from .hessians import nonvanishing_set, predicted_nonvanishing_set, predicted_rank_profile
+from .hessians import active_hessian_indices, nonvanishing_set, predicted_rank_profile
 from .linalg import primitive
 from .partitions import HilbertFunction, Partition, format_caret_list, hilbert_function
 from .polynomials import BivariatePoly
@@ -246,6 +246,10 @@ def verify_realization(realization):
     that is not Artinian fails all six with its reason, and a Hilbert
     function other than T skips (e) and (f).
 
+    The predicted set of (e) is predicted_nonvanishing_set(P) read off the
+    rank profile of (f): the active orders i whose predicted rank at
+    (i, j - i) is full, i + 1, so the prediction is asked once.
+
     Checks (c) and (d) read one diagram, the Ferrers diagram of the
     quotient's standard monomials (x needs no move), as do the ranks of (e)
     and (f).  test_jordan_degree_type_is_one_string_per_row_of_the_moved_diagram
@@ -292,15 +296,16 @@ def verify_realization(realization):
         checks += [Check(name, False, "CI Hilbert function", reason) for name in _CHECKS[4:]]
         return RealizationReport(tuple(checks))
 
+    profile = predicted_rank_profile(P)
+    TP = hilbert_function(P)
     checks.append(
         check(
             "hessian_vanishing",
-            predicted_nonvanishing_set(P),
+            {i for i in active_hessian_indices(TP) if profile[(i, TP.j - i)] == i + 1},
             nonvanishing_set(A, _ELL_X),
             lambda S: f"nonvanishing {sorted(S)}",
         )
     )
-    profile = predicted_rank_profile(P)
     mismatches = {
         us: (rk, got)
         for us, rk in sorted(profile.items())

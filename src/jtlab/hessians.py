@@ -51,7 +51,7 @@ from .errors import (
 )
 from .linalg import primitive
 from .partitions import HilbertFunction, Partition, hilbert_function
-from .polynomials import BivariatePoly, contract, d_sequence, dual_data
+from .polynomials import BivariatePoly, _d_sequence, contract, dual_data
 
 __all__ = [
     "hessian_matrix",
@@ -130,7 +130,9 @@ def hessian_rank_at(F, i, point, algebra=None):
     from an algebra: the order range comes from dual_data, and algebra,
     when given, is quotient(annihilator(F)) and only cross-checked by
     _check_order.  Raises ParseError unless point is two finite rational
-    coordinates, and ZeroForm when both are 0, before F is read.
+    coordinates, and ZeroForm when both are 0, before F is read.  F and
+    the point are checked once, here, and polynomials._d_sequence, which
+    checks neither again, reads the rank.
 
     A tuple or list of two ints goes to linalg.primitive as it is, which
     scales it to coprime integers without a Fraction; any other point is
@@ -150,7 +152,7 @@ def hessian_rank_at(F, i, point, algebra=None):
     if not (a or b):
         raise ZeroForm("the point (0, 0) is no linear form")
     j = _check_order(F, i, algebra)
-    return d_sequence(F, a, b)[j - 2 * i]
+    return _d_sequence(F, a, b)[j - 2 * i]
 
 
 def active_hessian_indices(T):

@@ -5,7 +5,9 @@ of primitive rows keyed by their leading columns, reducing it forward only
 and never clearing a column above its pivot.  Every quotient is built with
 it degree by degree, and so are the standard monomials of an ideal moved
 so that a linear form is x, whose Ferrers diagram holds every rank, Jordan
-type and initial ideal in that direction.  The keys are the pivot columns
+type and initial ideal in that direction; the builder, algebra._build,
+stores a shifted row whose lead is free as it stands, since it is already
+primitive, and inserts the rest.  The keys are the pivot columns
 of the reduced row echelon form, so every rank and pivot set read off them
 is that of the reduced form.  `rank` counts the rows that it accepts; no
 module of jtlab calls it, since the middle catalecticant and Hessian ranks
@@ -76,6 +78,10 @@ def insert(basis, vec):
     vec = p * vec - vec[c] * row, with p = row[c] and the pair (p, vec[c])
     first divided by its gcd, is divided by its content and reduced from
     column c + 1 on.  No row is ever cleared above its leading column.
+    The content is divided out after every step, which keeps the entries
+    short; so once a step has run, vec is already primitive when it
+    reaches a free column, and is stored with no second gcd, negated when
+    its lead is negative.
 
     The keys of basis are the pivot columns of the reduced row echelon form
     over Q of the vectors inserted, so a rank, a pivot set or the free
@@ -83,10 +89,12 @@ def insert(basis, vec):
     is, up to scale, the one vector of the span of vec and the rows keyed
     before c that is zero before column c; by Cramer's rule its primitive
     entries divide minors of those rows, the kind of bound that Bareiss
-    gives.  Neither vec nor a stored row is changed; only basis gains a key.
+    gives.  Neither vec nor a stored row is changed, and vec itself is
+    never stored, only a new list; only basis gains a key.
     """
     n = len(vec)
     c = 0
+    reduced = False  # whether a step has run, so vec is a primitive list of insert's own
     while c < n:
         head = vec[c]
         if not head:
@@ -94,10 +102,10 @@ def insert(basis, vec):
             continue
         row = basis.get(c)
         if row is None:
-            g = math.gcd(*vec)
+            g = 1 if reduced else math.gcd(*vec)
             if head < 0:
                 g = -g
-            basis[c] = [v // g for v in vec] if g != 1 else list(vec)
+            basis[c] = [v // g for v in vec] if g != 1 else vec if reduced else list(vec)
             return c
         p = row[c]
         g = math.gcd(p, head)
@@ -107,6 +115,7 @@ def insert(basis, vec):
         g = math.gcd(*vec)
         if g > 1:
             vec = [v // g for v in vec]
+        reduced = True
         c += 1
     return None
 

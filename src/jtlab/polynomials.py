@@ -22,9 +22,11 @@ keeps on F what one fraction-free Berlekamp-Massey pass over its
 divided-power vector gives: d, the rank of its middle catalecticant, and
 both generators of Ann(F).  `d_sequence` reads, off one such pass per
 linear form L, the middle catalecticant rank of every L^n o F, and with it
-every Hessian rank at L.  Both rest on one fact: the middle catalecticant
-of a form is, up to row scales, the Hankel matrix of its vector, and the
-middle Hankel rank of a sequence of length N and linear complexity L is
+every Hessian rank at L: it checks F and L, and its reader `_d_sequence`,
+which hessians.hessian_rank_at calls once it has checked both itself,
+reads the pass.  Both rest on one fact: the middle catalecticant of a form
+is, up to row scales, the Hankel matrix of its vector, and the middle
+Hankel rank of a sequence of length N and linear complexity L is
 min(L, N + 1 - L) (Massey, IEEE Trans. Inform. Theory 1969; Heinig-Rost
 1984).  `catalecticant` builds a catalecticant as integer Hankel rows.
 """
@@ -32,6 +34,7 @@ min(L, N + 1 - L) (Massey, IEEE Trans. Inform. Theory 1969; Heinig-Rost
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -311,7 +314,7 @@ def _massey(s):
     L, m, b = 0, 1, 1
     lengths = []
     for n in range(len(s)):
-        delta = sum(c * s[n - k] for k, c in enumerate(C))
+        delta = sum(map(operator.mul, C, s[n::-1]))  # sum_k C[k] s[n - k]
         if delta:
             g = math.gcd(b, delta)
             p, q = b // g, delta // g
@@ -386,17 +389,25 @@ def d_sequence(F, a, b):
     y' = x give g reversed.  One Berlekamp-Massey pass over g' then gives
     every d_n (see _middle_ranks).
 
-    F is read through dual_data, which checks it; the tuple is kept in F's
-    per-direction store under the coprime pair, so a direction and its
-    multiples share one pass.  Raises ZeroForm when a = b = 0.
+    F is read through dual_data, which checks it, and (a, b) scaled by
+    primitive; raises ZeroForm when a = b = 0.  _d_sequence then reads the
+    tuple for the checked F and the coprime pair.
     """
-    g = dual_data(F)[0]
+    dual_data(F)
     a, b = primitive((a, b))
     if not (a or b):
         raise ZeroForm("the point (0, 0) is no linear form")
-    store = F._d_sequences
-    ranks = store.get((a, b))
+    return _d_sequence(F, a, b)
+
+
+def _d_sequence(F, a, b):
+    """d_sequence(F, a, b) for a dual generator F that dual_data has read
+    and a primitive pair (a, b), neither checked again: the tuple is kept
+    in F's per-direction store under the pair, so a direction and its
+    multiples share one pass."""
+    ranks = F._d_sequences.get((a, b))
     if ranks is None:
+        g = F._dual[0]
         if a == 0:
             w = g[::-1]
         else:
@@ -404,7 +415,7 @@ def d_sequence(F, a, b):
             for top in range(len(g) - 1, 0, -1):
                 for t in range(top):
                     w[t] = a * w[t] + b * w[t + 1]
-        ranks = store[(a, b)] = _middle_ranks(_massey(w)[0])
+        ranks = F._d_sequences[(a, b)] = _middle_ranks(_massey(w)[0])
     return ranks
 
 

@@ -1,4 +1,4 @@
-"""Earlier bodies of twenty-four routines, kept as references for
+"""Earlier bodies of twenty-five routines, kept as references for
 differential tests of the versions in jtlab: five slower combinatorial
 ones, one of them caret_text, the text of a partition written by its own
 run count, the branch-label enumeration with its own interval-split helper
@@ -29,7 +29,10 @@ which adds one vector to a reduced echelon form (pivots, rows, lead) and
 keeps lead the least common denominator, extend_echelon, which folds it
 over a matrix, reduced_remainder, lead times the remainder of a vector
 modulo a reduced or Bareiss form, and null_vectors, an integer kernel
-basis read off either.
+basis read off either.  And insert_build is algebra._build as it ran
+before an x-shift with a free lead was stored as it stands: every x-shift
+and generator through linalg.insert, onto copies of the kept rows made in
+every degree.
 
 Each returns exactly what the jtlab function of the same name returns;
 rank_table and dual_rank_table return rank_mult_power(A, ell, u, s) for
@@ -49,8 +52,9 @@ echelon form over Q as extend_echelon, but scaled by its last pivot value,
 a determinant that may be negative, not by the least common denominator;
 so the forms of the two quotients agree over Q, not entry by entry.  Every
 elimination here is the Bareiss echelon of this module, never the
-forward-only linalg.insert that jtlab builds its quotients with, with two
-exceptions.  The four dual-side references run linalg.rank and
+forward-only linalg.insert that jtlab builds its quotients with, with three
+exceptions.  insert_build runs linalg.insert, since what it checks is
+which rows _build may store without it.  The four dual-side references run linalg.rank and
 extend_echelon as jtlab once ran them, so they are exactly the code that
 the Berlekamp-Massey pass replaced; linalg.rank is itself checked against
 the Bareiss echelon.  And extend_quotient folds extend, the reduced
@@ -517,6 +521,25 @@ def extend_quotient(ideal):
     raise NotArtinian(
         f"dim A_{bound} = {bound + 1 - len(form[0])} > 0 for I = ({ideal})"
     )
+
+
+def insert_build(rows, top):
+    """algebra._build(rows, top), (std, generator degrees, basis), as it
+    was built when every x-shift of the rows new in the last degree went
+    through linalg.insert and the kept rows were copied, each with a zero
+    appended, in every degree from 0."""
+    basis, new, std, degrees = {}, [], [], []
+    for i in range(top + 1):
+        basis = {c: [*row, 0] for c, row in basis.items()}  # y I_(i-1)
+        keys = [linalg.insert(basis, [0, *row]) for row in new]  # x N
+        grown = len(basis)  # dim R_1 I_(i-1)
+        keys += [linalg.insert(basis, vec) for e, vec in rows if e == i]
+        degrees += [i] * (len(basis) - grown)
+        new = [basis[c] for c in keys if c is not None]
+        std.append([t for t in range(i + 1) if t not in basis])
+        if not std[-1]:
+            break
+    return std, tuple(degrees), basis
 
 
 def _reference(A):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import jtlab
 import reference_paths as ref
-from jtlab import algebra, linalg, polynomials
+from jtlab import algebra, linalg, partitions, polynomials
 from jtlab.algebra import (
     MAX_DEGREE,
     GradedIdeal,
@@ -36,12 +36,18 @@ from jtlab.errors import (
     DegreeOutOfRange,
     InternalInconsistency,
     NotArtinian,
+    NotCIShape,
     ParseError,
     ZeroForm,
     ZeroInput,
 )
 from jtlab.hessians import active_hessian_indices, hessian_rank_at
-from jtlab.partitions import HilbertFunction, Partition, diagonal_lengths
+from jtlab.partitions import (
+    HilbertFunction,
+    Partition,
+    diagonal_lengths,
+    hilbert_function,
+)
 from jtlab.polynomials import BivariatePoly, catalecticant, contract, divided_power_vector, parse_poly
 from tests_support import (
     assert_same_as_constructed,
@@ -1156,6 +1162,153 @@ def test_one_moved_pass_per_direction(monkeypatch):
         }
         named = [ab for got in passes for ab, rows in moved.items() if rows == got]
         assert named == [(0, 1), (1, 1), (2, -3)], I
+
+
+# -- the degree-by-degree build and the diagram's partition -------------------------
+
+
+def _build_ideals():
+    """The CI_CASES ideals, Ann(F) for the first 16 forms of the dual_fuzz
+    workload, and the realization of 6,4,2 that `realize 6,4,2 --seed 3`
+    builds."""
+    ideals = [ideal(*gens) for gens, _ in CI_CASES]
+    ideals += [annihilator(F) for F in dual_fuzz_forms()[:16]]
+    return ideals + [construct_ci(Partition("6,4,2"), seed=3).ideal]
+
+
+def _recorded_builds(monkeypatch, I):
+    """Every call of algebra._build that quotient(I), jordan_type in each
+    direction of DIRECTIONS and normal_form_vector of a dense form of each
+    degree through the socle make, as (rows, a deep copy of rows taken
+    before the call, top, the result)."""
+    build, calls = algebra._build, []
+
+    def recording(rows, top):
+        before = copy.deepcopy(rows)
+        out = build(rows, top)
+        calls.append((rows, before, top, out))
+        return out
+
+    monkeypatch.setattr(algebra, "_build", recording)
+    A = quotient(I)
+    for a, b in DIRECTIONS:
+        jordan_type(A, BivariatePoly.linear(a, b))
+    for i in range(A.socle_degree + 1):
+        A.normal_form_vector(_vec_poly(list(range(1, i + 2)), i))
+    monkeypatch.undo()
+    # quotient, the three directions that move and one normal form a degree
+    assert len(calls) == 1 + 3 + A.socle_degree + 1
+    return calls
+
+
+def test_the_build_changes_no_row_it_is_given(monkeypatch):
+    # _build shifts its kept rows in place and stores a free x-shift as it
+    # stands, but every row it keeps is a list of its own: neither the
+    # ideal's rows nor the moved rows it is given change
+    for I in _build_ideals():
+        rows = copy.deepcopy(I._rows)
+        for given, before, _, _ in _recorded_builds(monkeypatch, I):
+            assert given == before, I
+        assert I._rows == rows
+
+
+def test_the_build_equals_inserting_every_shift(monkeypatch):
+    # storing an x-shift whose lead is free as it stands, and starting at
+    # the lowest generator degree, give the same standard monomials,
+    # generator degrees and basis, row for row, as inserting every shift;
+    # each row is primitive, leads positive at its key and has the length
+    # of the last degree built
+    for I in _build_ideals():
+        for _, before, top, out in _recorded_builds(monkeypatch, I):
+            assert out == ref.insert_build(before, top), I
+            std, _, basis = out
+            for c, row in basis.items():
+                assert row == linalg.primitive(row) and len(row) == len(std)
+                assert next(t for t, v in enumerate(row) if v) == c and row[c] > 0
+
+
+def test_a_monomial_quotient_inserts_only_its_generators(monkeypatch):
+    # every x-shift of (x^4, y^5) leads at a free column through degree 8,
+    # where I is everything, so only the two generators go through insert
+    insert, inserted = linalg.insert, []
+
+    def counting(basis, vec):
+        inserted.append(list(vec))
+        return insert(basis, vec)
+
+    monkeypatch.setattr(linalg, "insert", counting)
+    A = quotient(ideal("x^4", "y^5"))
+    assert inserted == [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0]]
+    assert A.hilbert == (1, 2, 3, 4, 4, 3, 2, 1)
+
+
+def test_insert_stores_a_reduced_row_without_a_second_gcd(monkeypatch):
+    # a row that a step has reduced is primitive already: it is stored, or
+    # negated, with no gcd of the whole row; the caller's row is copied
+    basis = {0: [1, 2, 3], 1: [0, 2, 1]}
+    gcds = []
+    gcd = math.gcd
+
+    def counting(*args):
+        gcds.append(len(args))
+        return gcd(*args)
+
+    monkeypatch.setattr(linalg.math, "gcd", counting)
+    assert linalg.insert(basis, [2, 4, 5]) == 2  # reduces to [0, 0, -1]
+    monkeypatch.undo()
+    assert basis[2] == [0, 0, 1]
+    assert gcds == [2, 3]  # one step: the pair, then the content
+    vec = [0, 0, 0, 6]
+    basis = {}
+    assert linalg.insert(basis, vec) == 3 and basis[3] == [0, 0, 0, 1]
+    vec = [0, 1]
+    assert linalg.insert(basis, vec) == 1 and basis[1] == vec and basis[1] is not vec
+
+
+def test_a_direction_keeps_one_trusted_jordan_type(monkeypatch):
+    # _diagram builds the Jordan type once per form: the same object on
+    # every call, equal to a partition parsed from its text in ==, hash,
+    # str, repr and pickle.  When the Hilbert function is CI-shaped it
+    # carries the algebra's HilbertFunction, validated once per algebra;
+    # otherwise it carries nothing, and hilbert_function still refuses it
+    validate, validated = partitions.validate_ci_hilbert, []
+
+    def counting(T):
+        validated.append(T)
+        return validate(T)
+
+    carried = 0
+    for I in _build_ideals():
+        A = quotient(I)
+        monkeypatch.setattr(partitions, "validate_ci_hilbert", counting)
+        validated.clear()
+        types = []
+        for a, b in DIRECTIONS:
+            ell = BivariatePoly.linear(a, b)
+            P = jordan_type(A, ell)
+            assert jordan_type(A, ell) is P and A._diagram(ell)[1] is P
+            assert initial_ideal(I, ell, algebra=A).partition is P
+            types.append(P)
+        assert len(validated) == 1  # on the first direction, for the algebra
+        monkeypatch.undo()
+        for P in types:
+            Q = Partition(str(P))
+            assert (P == Q, hash(P), str(P), repr(P)) == (True, hash(Q), str(Q), repr(Q))
+            assert pickle.dumps(P) == pickle.dumps(Q)
+            assert diagonal_lengths(Partition(P.parts)) == A.hilbert
+            try:
+                T = HilbertFunction(A.hilbert)
+            except NotCIShape:
+                assert P._hilbert is None
+                with pytest.raises(NotCIShape):
+                    hilbert_function(P)
+            else:
+                assert P._hilbert == HilbertFunction(diagonal_lengths(Partition(P.parts))) == T
+                assert P._hilbert is types[0]._hilbert
+                carried += 1
+    # (x^3, x^2*y, x*y^2, y^3) and (x^2, y^2, x*y) alone have Hilbert
+    # functions that are not CI-shaped: (1, 2, 3) and (1, 2)
+    assert carried == 4 * (len(_build_ideals()) - 2)
 
 
 TAMPERED_MOVE = """

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from jtlab.codes import diagonal_partition_count, enumerate_cijt, enumerate_diag
 from jtlab.constructor import construct_ci
 from jtlab.errors import BudgetExceeded, InternalInconsistency
 from jtlab.partitions import MAX_PARTS, HilbertFunction, Partition
+from jtlab.polynomials import MAX_DEGREE
+from tests_support import random_dual_form
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -206,6 +209,34 @@ def test_jordan_matches_golden(case):
     code, out, err = run_cli(*case["argv"])
     assert (code, err) == (0, "")
     assert out == case["stdout"]
+
+
+# sha256 of `jordan --dual F --ell D --format plain|json` for the dense dual
+# generator F = random_dual_form(Random(0), 49) and D = x+2*y, 2*x-3*y and y.
+# j = 49 is the largest degree MAX_DEGREE admits, far past the benchmark's
+# forms (j <= 9); the digests were recorded before the build stored free
+# x-shifts as they stand
+JORDAN_DUAL_49_GOLDEN = json.loads((GOLDEN / "jordan-dual49.json").read_text())
+
+
+def test_jordan_dual_49_golden_covers_the_largest_dense_form():
+    F = random_dual_form(random.Random(0), 49)
+    assert F.degree() + 1 == MAX_DEGREE
+    assert {case["argv"][2] for case in JORDAN_DUAL_49_GOLDEN} == {F.text(("X", "Y"))}
+    assert [(case["argv"][4], case["argv"][6]) for case in JORDAN_DUAL_49_GOLDEN] == [
+        (ell, fmt) for ell in ("x+2*y", "2*x-3*y", "y") for fmt in ("plain", "json")
+    ]
+
+
+@pytest.mark.parametrize(
+    "case",
+    JORDAN_DUAL_49_GOLDEN,
+    ids=[" ".join(case["argv"][4:]) for case in JORDAN_DUAL_49_GOLDEN],
+)
+def test_jordan_dual_49_matches_golden(case):
+    code, out, err = run_cli(*case["argv"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
 # -- enumerate golden -------------------------------------------------------------
@@ -555,14 +586,16 @@ def test_jordan_dual_checks_every_hessian_rank(monkeypatch):
 def test_jordan_dual_raises_on_a_wrong_hessian_rank(monkeypatch):
     # a wrong rank from the Berlekamp-Massey side is a bug: it raises
     # InternalInconsistency, which no exit code stands for, so it surfaces
-    # with its traceback instead of printing the report
-    real = hessians.d_sequence
+    # with its traceback instead of printing the report.  hessian_rank_at
+    # reads the ranks through the unchecked reader, so that is the one
+    # patched
+    real = hessians._d_sequence
 
     def wrong(F, a, b):
         ranks = real(F, a, b)
         return (*ranks[:-1], ranks[-1] + 1)  # the order 0 is off by one
 
-    monkeypatch.setattr(hessians, "d_sequence", wrong)
+    monkeypatch.setattr(hessians, "_d_sequence", wrong)
     with pytest.raises(InternalInconsistency, match="order 0"):
         run_cli("jordan", "--dual", "X^5 + 3*X^2*Y^3 - Y^5", "--ell", "x+y")
     # an ideal given by generators has no F to check against

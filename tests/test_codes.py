@@ -50,6 +50,7 @@ from jtlab.partitions import (
     sl_partition,
     symmetric_string_placement,
 )
+from jtlab.hessians import predicted_nonvanishing_set
 from jtlab.polynomials import BivariatePoly, dual_data, parse_poly
 from tests_support import copies
 
@@ -639,6 +640,44 @@ def test_cell_dimension_of_sl_partition():
         T = HilbertFunction.from_dk(d, k)
         expected = 1 + 2 * (d - 1) if k >= 2 else 2 * (d - 1)
         assert cell_dimension(sl_partition(T)) == expected
+
+
+def _times(a, b):
+    """The product of two polynomials in q, as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for m, u in enumerate(a):
+        for n, v in enumerate(b):
+            out[m + n] += u * v
+    return out
+
+
+def _power(a, n):
+    out = [1]
+    for _ in range(n):
+        out = _times(out, a)
+    return out
+
+
+@pytest.mark.parametrize("d, k", list(all_dk(8, 4, dmin=1)))
+def test_cell_dimensions_sum_over_the_whole_table(d, k):
+    # the cells V(E_P) decompose G_T: the sum over every partition P of T of
+    # q^cell_dimension(P) is (1 + q + q^2)^(d-1), times (1 + q) when k >= 2;
+    # over the CIJTs it is q^(d-1) (1 + q)^branches, and each vanishing
+    # Hessian costs a CIJT's cell exactly one dimension
+    T = HilbertFunction.from_dk(d, k)
+    every, cijt = Counter(), Counter()
+    for P in enumerate_diagonal_partitions(T):
+        dim = cell_dimension(P)
+        every[dim] += 1
+        if is_cijt(P):
+            cijt[dim] += 1
+            assert dim == d - 1 + len(predicted_nonvanishing_set(P)), P
+    want = _power([1, 1, 1], d - 1)
+    if k >= 2:
+        want = _times(want, [1, 1])
+    assert [every[n] for n in range(max(every) + 1)] == want
+    want = [0] * (d - 1) + _power([1, 1], T.branches)
+    assert [cijt[n] for n in range(max(cijt) + 1)] == want
 
 
 # -- the rectangle flip ---------------------------------------------------------

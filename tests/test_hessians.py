@@ -196,6 +196,21 @@ def test_predicted_pure_ranks_match_reference_table():
         assert tuple(profile[(i, T33.j - i)] for i in range(3)) == ranks
 
 
+def test_predicted_nonvanishing_set_reads_off_the_rank_profile():
+    # classification_row and verify_realization ask for the profile alone
+    # and read the set off it: the active orders i with full rank i + 1 at
+    # (i, j - i)
+    count = 0
+    for d, k in all_dk(8, 4):
+        T = HilbertFunction.from_dk(d, k)
+        for P in enumerate_cijt(T):
+            profile = predicted_rank_profile(P)
+            read = {i for i in active_hessian_indices(T) if profile[(i, T.j - i)] == i + 1}
+            assert read == predicted_nonvanishing_set(P), P
+            count += 1
+    assert count == sum(2 ** HilbertFunction.from_dk(d, k).branches for d, k in all_dk(8, 4))
+
+
 def test_predicted_profile_matches_constructed_algebras():
     rng = random.Random(11)
     for d, k in all_dk(4, 3):

@@ -169,7 +169,7 @@ def test_only_the_gluing_gives_a_partition_its_label():
 
 def test_only_the_dual_reader_writes_a_forms_dual_data():
     # dual_data returns what it keeps without checking F again, and
-    # d_sequence reads and fills the per-direction store that dual_data
+    # _d_sequence reads and fills the per-direction store that dual_data
     # creates, so the one place that sets either slot is the one that
     # checked F: dual_data itself
     for slot in ("_dual", "_d_sequences"):
