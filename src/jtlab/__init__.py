@@ -45,7 +45,6 @@ from .hessians import (
     active_hessian_indices,
     cijt_from_hessian_subset,
     generic_jordan_type,
-    hessian_determinant,
     hessian_matrix,
     hessian_rank_at,
     nonvanishing_set,
@@ -95,7 +94,6 @@ __all__ = [
     "enumerate_cijt",
     "enumerate_diagonal_partitions",
     "generic_jordan_type",
-    "hessian_determinant",
     "hessian_matrix",
     "hessian_rank_at",
     "hook_code_direct",

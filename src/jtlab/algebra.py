@@ -67,7 +67,6 @@ __all__ = [
     "GradedIdeal",
     "ArtinAlgebra",
     "MonomialCell",
-    "monomials",
     "annihilator",
     "quotient",
     "jordan_type",
@@ -77,12 +76,6 @@ __all__ = [
     "is_complete_intersection",
     "require_linear",
 ]
-
-
-def monomials(n):
-    """Monomials of degree n as (x-exp, y-exp), largest first: y^n, ..., x^n.
-    The position of a monomial in this list is its x-exponent."""
-    return [(n - b, b) for b in range(n, -1, -1)]
 
 
 def _poly_vec(f, n):

@@ -522,38 +522,6 @@ class HookCode(_Value):
         return tuple(c for _, c in self.traditional)
 
 
-def parse_traditional_hook_code(text):
-    """Inverse of HookCode.traditional_str: "1_3,2_4" -> ((3, 1), (4, 2))."""
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        count, _, degree = piece.partition("_")
-        if not degree:
-            raise ParseError(f"bad hook code entry {piece!r}")
-        out.append((int(degree), int(count)))
-    return tuple(out)
-
-
-def parse_subscripted_hook_code(text):
-    """Inverse of HookCode.subscripted_str: "E,2_2,1_1" -> (label, subscripts)."""
-    entries = []
-    subscripts = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if piece == "E":
-            entries.append(E)
-            subscripts.append(None)
-            continue
-        value, _, sub = piece.partition("_")
-        if not sub:
-            raise ParseError(f"bad subscripted entry {piece!r}")
-        entries.append(int(value))
-        subscripts.append(int(sub))
-    return BranchLabel(entries), tuple(subscripts)
-
-
 def _assemble_hook_code(label, T, subs, counts_by_degree):
     """The HookCode of label with subscripts subs, aligned with its entries,
     and the hook counts by hand degree over the window [d, j]; raises

@@ -5,8 +5,8 @@ For A = R/Ann(F) of socle degree j, the i-th Hessian matrix is
 [alpha_u alpha_v o F] over a monomial basis of A_i; its determinant
 evaluated at the point (a, b) of a linear form L = a x + b y vanishes
 exactly when multiplication by L^(j-2i) from A_i to A_(j-i) drops rank.
-Vanishing is therefore always decided here by exact ranks of multiplication
-maps; symbolic determinants are only for display.
+Vanishing is therefore always decided here by exact ranks; no determinant
+is expanded.
 
 The rank of the i-th Hessian at a point needs no symbolic matrix, no
 algebra and no elimination.  The matrix is Hankel: its entry in row r,
@@ -55,8 +55,6 @@ from .polynomials import BivariatePoly, _d_sequence, contract, dual_data
 
 __all__ = [
     "hessian_matrix",
-    "hessian_determinant",
-    "evaluate_matrix",
     "hessian_rank_at",
     "active_hessian_indices",
     "nonvanishing_set",
@@ -94,31 +92,6 @@ def _check_order(F, i, A):
     if A is not None and A.dim(i) != i + 1:
         raise InternalInconsistency(f"dim A_{i} = {A.dim(i)}, not {i + 1}, below d = {d}")
     return len(g) - 1
-
-
-def hessian_determinant(F, i, algebra=None):
-    """Symbolic determinant of the i-th Hessian matrix (display only;
-    vanishing questions go through ranks)."""
-    return _det(hessian_matrix(F, i, algebra))
-
-
-def _det(mat):
-    n = len(mat)
-    if n == 0:
-        return BivariatePoly.monomial(0, 0)
-    if n == 1:
-        return mat[0][0]
-    total = BivariatePoly.zero()
-    for c in range(n):
-        minor = [row[:c] + row[c + 1 :] for row in mat[1:]]
-        term = mat[0][c] * _det(minor)
-        total = total + term if c % 2 == 0 else total - term
-    return total
-
-
-def evaluate_matrix(mat, a, b):
-    """Substitute the point (a, b) into every entry."""
-    return [[entry.evaluate(a, b) for entry in row] for row in mat]
 
 
 def hessian_rank_at(F, i, point, algebra=None):
@@ -163,8 +136,12 @@ def active_hessian_indices(T):
 
 def nonvanishing_set(A, ell):
     """Active orders i with full-rank multiplication A_i -> A_(j-i) by
-    ell^(j-2i): the convention-free meaning of h^i_ell != 0."""
-    T = HilbertFunction(A.hilbert)
+    ell^(j-2i): the convention-free meaning of h^i_ell != 0.  T is the
+    algebra's own HilbertFunction, validated once per algebra; when A's
+    is not CI-shaped, HilbertFunction(A.hilbert) raises NotCIShape."""
+    T = A._ci_hilbert
+    if T is None:
+        T = HilbertFunction(A.hilbert)
     return frozenset(
         i
         for i in active_hessian_indices(T)

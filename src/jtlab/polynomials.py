@@ -198,14 +198,6 @@ class BivariatePoly(_Value):
             out = out + c * (power(powers_x, px, a) * power(powers_y, py, b))
         return out
 
-    def evaluate(self, a, b):
-        """Value at the rational point (a, b)."""
-        a, b = Fraction(a), Fraction(b)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * a**i * b**j
-        return total
-
     # -- printing ----------------------------------------------------------
 
     def sorted_terms(self):
@@ -457,28 +449,15 @@ def parse_poly(text):
         raise ParseError("empty polynomial")
     if text == "0":
         return BivariatePoly.zero()
-    # split into signed terms
+    # re.split with one group gives term, sign, term, ..., sign, term; the
+    # first term is empty exactly when the text starts with a sign
     pieces = re.split(r"(?<!\^)([+-])", text)
+    if pieces[0]:
+        pieces.insert(0, "+")
+    else:
+        del pieces[0]
     terms = {}
-    sign = 1
-    start = pieces[0].strip()
-    index = 1
-    if start == "":
-        if len(pieces) < 2 or pieces[1] == "+":
-            sign = 1
-        elif pieces[1] == "-":
-            sign = -1
-        else:
-            raise ParseError(f"bad leading sign in {original!r}")
-        start = pieces[2].strip() if len(pieces) > 2 else ""
-        index = 3
-    key, coeff = _parse_term(start, original)
-    terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    while index < len(pieces):
-        sign = 1 if pieces[index] == "+" else -1
-        if index + 1 >= len(pieces):
-            raise ParseError(f"dangling sign in {original!r}")
-        key, coeff = _parse_term(pieces[index + 1], original)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-        index += 2
+    for sign, piece in zip(pieces[::2], pieces[1::2]):
+        key, coeff = _parse_term(piece, original)
+        terms[key] = terms.get(key, Fraction(0)) + (coeff if sign == "+" else -coeff)
     return BivariatePoly(terms)

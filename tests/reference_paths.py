@@ -1,4 +1,4 @@
-"""Earlier bodies of twenty-five routines, kept as references for
+"""Earlier bodies of twenty-eight routines, kept as references for
 differential tests of the versions in jtlab: five slower combinatorial
 ones, one of them caret_text, the text of a partition written by its own
 run count, the branch-label enumeration with its own interval-split helper
@@ -67,7 +67,12 @@ with linalg.remainder against forward-only bases; reduced_remainder on
 the Bareiss forms is their reference.  Last, generic_jordan_type gives the
 Jordan types of a general dual generator by the closed forms that jtlab
 once computed, a window search for an order i, where jtlab now reads them
-off the bijection cijt_from_hessian_subset.
+off the bijection cijt_from_hessian_subset.  Three more were jtlab's
+display-only routines, which decided nothing: hessian_determinant, the
+cofactor expansion of the symbolic i-th Hessian with (i + 1)! terms, the
+reference that any other computation of that determinant is tested
+against; evaluate_matrix, which substitutes a rational point into every
+entry of a matrix of forms; and evaluate, which substitutes it into one.
 """
 
 import math
@@ -101,6 +106,7 @@ from jtlab.errors import (
     ParseError,
     TopRequiresKGe2,
 )
+from jtlab.hessians import hessian_matrix
 from jtlab.partitions import (
     HilbertFunction,
     JordanDegreeType,
@@ -803,6 +809,40 @@ def two_kernel_annihilator(F):
     second = next(rest for rest in rests if any(rest))
     rows = ((d, first), (e, linalg.primitive(second)))
     return GradedIdeal._from_rows(rows, [_vec_poly(vec, n) for n, vec in rows])
+
+
+def hessian_determinant(F, i, algebra=None):
+    """Symbolic determinant of the i-th Hessian matrix (display only;
+    vanishing questions go through ranks)."""
+    return _det(hessian_matrix(F, i, algebra))
+
+
+def _det(mat):
+    n = len(mat)
+    if n == 0:
+        return BivariatePoly.monomial(0, 0)
+    if n == 1:
+        return mat[0][0]
+    total = BivariatePoly.zero()
+    for c in range(n):
+        minor = [row[:c] + row[c + 1 :] for row in mat[1:]]
+        term = mat[0][c] * _det(minor)
+        total = total + term if c % 2 == 0 else total - term
+    return total
+
+
+def evaluate_matrix(mat, a, b):
+    """Substitute the point (a, b) into every entry."""
+    return [[evaluate(entry, a, b) for entry in row] for row in mat]
+
+
+def evaluate(f, a, b):
+    """Value of the BivariatePoly f at the rational point (a, b)."""
+    a, b = Fraction(a), Fraction(b)
+    total = Fraction(0)
+    for (i, j), c in f.terms.items():
+        total += c * a**i * b**j
+    return total
 
 
 _X = BivariatePoly.monomial(1, 0)

@@ -25,7 +25,6 @@ from jtlab.algebra import (
     is_complete_intersection,
     jordan_degree_type,
     jordan_type,
-    monomials,
     quotient,
     rank_mult_power,
 )
@@ -53,6 +52,7 @@ from tests_support import (
     assert_same_as_constructed,
     copies,
     dual_fuzz_forms,
+    monomials,
     power_sum_duals,
     random_dual_generator,
 )
@@ -81,6 +81,32 @@ def test_poly_parse_and_print():
     assert parse_poly("2Y^3").coefficient(0, 3) == 2
     assert parse_poly("x - y").text() == "-y + x"
     assert parse_poly("0").is_zero()
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("-x", {(1, 0): -1}),
+        ("+x", {(1, 0): 1}),
+        ("- x", {(1, 0): -1}),
+        ("--x", "empty term in '--x'"),
+        ("x-", "empty term in 'x-'"),
+        ("x+-y", "empty term in 'x+-y'"),
+        ("x^-2", "bad term 'x^-2' in 'x^-2'"),
+        ("+", "empty term in '+'"),
+        ("-", "empty term in '-'"),
+    ],
+)
+def test_parse_poly_signs(text, want):
+    # a sign before the first term is read as that term's sign; a doubled,
+    # trailing or lone sign leaves an empty term, and a sign inside an
+    # exponent is no sign at all but part of a bad term
+    if isinstance(want, dict):
+        assert parse_poly(text).terms == want
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert type(info.value) is ParseError and str(info.value) == want
 
 
 def _kinds(f):

@@ -52,7 +52,7 @@ from jtlab.partitions import (
 )
 from jtlab.hessians import predicted_nonvanishing_set
 from jtlab.polynomials import BivariatePoly, dual_data, parse_poly
-from tests_support import copies
+from tests_support import copies, parse_subscripted_hook_code, parse_traditional_hook_code
 
 T1221 = HilbertFunction("1,2,2,1")
 T12321 = HilbertFunction("1,2,3,2,1")
@@ -619,8 +619,6 @@ def test_hook_counts_of_arbitrary_partition():
 
 
 def test_hook_code_string_round_trip():
-    from jtlab.codes import parse_subscripted_hook_code, parse_traditional_hook_code
-
     for parts in ("6,4,2", "5^2,1^2", "3^2,2^2,1^2", "5,3,1", "2^2,1^2"):
         hc = hook_code_direct(Partition(parts))
         assert parse_traditional_hook_code(hc.traditional_str()) == hc.traditional

@@ -19,6 +19,7 @@ from jtlab.errors import (
     InternalInconsistency,
     InvalidSubset,
     NotCIJT,
+    NotCIShape,
     OrderOutOfRange,
     ParseError,
     TopRequiresKGe2,
@@ -28,9 +29,7 @@ from jtlab.errors import (
 from jtlab.hessians import (
     active_hessian_indices,
     cijt_from_hessian_subset,
-    evaluate_matrix,
     generic_jordan_type,
-    hessian_determinant,
     hessian_matrix,
     hessian_rank_at,
     nonvanishing_set,
@@ -40,6 +39,7 @@ from jtlab.hessians import (
 from jtlab.partitions import HilbertFunction, Partition, dominance_leq, sl_partition
 from jtlab.polynomials import BivariatePoly, parse_poly
 
+from reference_paths import evaluate, evaluate_matrix, hessian_determinant
 from tests_support import copies, dual_fuzz_forms, power_sum_duals, random_dual_generator
 
 T33 = HilbertFunction("1,2,3,3,2,1")
@@ -78,7 +78,7 @@ def test_hessian_determinants_of_x2y3():
     assert hessian_determinant(F, 2) == parse_poly("-1728*Y^3")
     # common root (1, 0): the direction x is maximally degenerate
     for i in range(3):
-        assert hessian_determinant(F, i).evaluate(1, 0) == 0
+        assert evaluate(hessian_determinant(F, i), 1, 0) == 0
 
 
 def test_hessian_order_out_of_range():
@@ -105,6 +105,29 @@ def test_nonvanishing_ground_truth():
     assert nonvanishing_set(A, ELL_X) == frozenset()
     B = quotient(GradedIdeal([parse_poly("x*y"), parse_poly("x^3+y^3")]))
     assert nonvanishing_set(B, ELL_X) == {0}
+
+
+def test_nonvanishing_set_validates_the_hilbert_function_once(monkeypatch):
+    # the algebra's own HilbertFunction is read, so three calls on one
+    # realization validate it at most once; an algebra whose Hilbert
+    # function is not CI-shaped still raises NotCIShape
+    validated = []
+
+    def counting(T):
+        validated.append(T)
+        return validate(T)
+
+    validate = partitions.validate_ci_hilbert
+    P = Partition("6,4,2")
+    A = quotient(construct_ci(P).ideal)
+    monkeypatch.setattr(partitions, "validate_ci_hilbert", counting)
+    assert nonvanishing_set(A, ELL_X) == predicted_nonvanishing_set(P)
+    assert nonvanishing_set(A, ELL_Y) == {1}
+    assert nonvanishing_set(A, ELL_X + ELL_Y) == {0, 1, 2}
+    assert len(validated) <= 1
+    C = quotient(GradedIdeal([parse_poly(t) for t in ("x^3", "x^2*y", "x*y^2", "y^3")]))
+    with pytest.raises(NotCIShape, match=r"^\(1, 2, 3\) is not of the form"):
+        nonvanishing_set(C, ELL_X)
 
 
 def test_predicted_nonvanishing_examples():
@@ -268,7 +291,7 @@ def _rational_roots(D):
     candidates = [(1, 0)] + [
         (p, q) for q in range(1, 7) for p in range(-6, 7) if math.gcd(p, q) == 1
     ]
-    return [(p, q) for p, q in candidates if D.evaluate(p, q) == 0]
+    return [(p, q) for p, q in candidates if evaluate(D, p, q) == 0]
 
 
 def test_hessian_rank_matches_symbolic_reference_at_planted_roots():

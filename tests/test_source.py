@@ -105,6 +105,26 @@ def test_linalg_keeps_one_elimination():
     assert public == set(names)
 
 
+# routines that only tests call, kept under tests/: the cofactor
+# determinant and point evaluation in reference_paths.py, the hook-code
+# text readers and the monomial list in tests_support.py
+TEST_ONLY = {
+    "jtlab": ["hessian_determinant"],
+    "jtlab.hessians": ["hessian_determinant", "_det", "evaluate_matrix"],
+    "jtlab.codes": ["parse_traditional_hook_code", "parse_subscripted_hook_code"],
+    "jtlab.algebra": ["monomials"],
+}
+
+
+def test_test_only_routines_stay_out_of_the_package():
+    for module_name, names in TEST_ONLY.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert not hasattr(module, name), f"{module_name}.{name}"
+            assert name not in module.__all__, f"{module_name}.__all__ lists {name}"
+    assert not hasattr(importlib.import_module("jtlab.polynomials").BivariatePoly, "evaluate")
+
+
 def _slot_writes(tree, slot):
     """(enclosing function, line) of every write to the attribute named
     slot in a parsed module, spelt object.__setattr__(P, slot, v),

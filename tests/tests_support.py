@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 from jtlab.algebra import GradedIdeal, rank_mult_power
+from jtlab.codes import E, BranchLabel
+from jtlab.errors import ParseError
 from jtlab.polynomials import BivariatePoly, parse_poly
 
 
@@ -86,3 +88,41 @@ def assert_same_as_constructed(ideal):
     assert ideal == built and hash(ideal) == hash(built), ideal
     assert ideal._rows == built._rows, ideal
     assert [(type(e), type(row)) for e, row in ideal._rows] == [(int, list)] * len(built._rows)
+
+
+def monomials(n):
+    """Monomials of degree n as (x-exp, y-exp), largest first: y^n, ..., x^n.
+    The position of a monomial in this list is its x-exponent."""
+    return [(n - b, b) for b in range(n, -1, -1)]
+
+
+def parse_traditional_hook_code(text):
+    """Inverse of HookCode.traditional_str: "1_3,2_4" -> ((3, 1), (4, 2))."""
+    out = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        count, _, degree = piece.partition("_")
+        if not degree:
+            raise ParseError(f"bad hook code entry {piece!r}")
+        out.append((int(degree), int(count)))
+    return tuple(out)
+
+
+def parse_subscripted_hook_code(text):
+    """Inverse of HookCode.subscripted_str: "E,2_2,1_1" -> (label, subscripts)."""
+    entries = []
+    subscripts = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        if piece == "E":
+            entries.append(E)
+            subscripts.append(None)
+            continue
+        value, _, sub = piece.partition("_")
+        if not sub:
+            raise ParseError(f"bad subscripted entry {piece!r}")
+        entries.append(int(value))
+        subscripts.append(int(sub))
+    return BranchLabel(entries), tuple(subscripts)
