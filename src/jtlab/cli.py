@@ -32,7 +32,9 @@ from .algebra import (
     require_linear,
 )
 from .codes import (
-    _hook_code_of_label,
+    _label_hooks,
+    _subscripted_text,
+    _traditional_text,
     diagonal_partition_count,
     enumerate_cijt,
     enumerate_diagonal_partitions,
@@ -99,33 +101,44 @@ MAX_TABLE_ROWS = 40_000
 def classification_row(P, T):
     """All tabulated facts about one partition of diagonal lengths T.
 
-    The hook code is read off the branch label in one pass: the label P
-    was glued from when the enumeration built P, else the label read off
-    the diagram and validated (NotCIShape when P's diagonal lengths are not
-    CI-shaped).  T itself serves the symmetric and Hessian columns, so a T
-    that is not P's raises DiagonalMismatch.  A CIJT row asks for the
-    predicted rank profile once, and reads the nonvanishing set off it: the
-    active orders i whose rank at (i, j - i) is full, i + 1, as
-    predicted_nonvanishing_set states them.
+    Both hook-code columns are written straight from one walk of the branch
+    label, `codes._label_hooks`, and no HookCode is built: the label P was
+    glued from when the enumeration built P, else the label read off the
+    diagram and validated (NotCIShape when P's diagonal lengths are not
+    CI-shaped).  The traditional column starts at d + max(0, k-2), as
+    HookCode.traditional_str(support_only=True) does.  T itself serves the
+    symmetric and Hessian columns, so a T that is not P's raises
+    DiagonalMismatch.  A CIJT row asks for the predicted rank profile once,
+    and reads the nonvanishing set off it: the active orders i whose rank
+    at (i, j - i) is full, i + 1, as predicted_nonvanishing_set states them.
     """
+    return _row_and_profile(P, T)[0]
+
+
+def _row_and_profile(P, T):
+    """classification_row(P, T), and the predicted rank profile its Hessian
+    columns were read off (None when P is not CIJT), which classify
+    reports without building it again."""
     label = partition_to_branch_label(P)
-    hook = _hook_code_of_label(label, hilbert_function(P))
+    T_P = hilbert_function(P)
+    subs, traditional = _label_hooks(label, T_P)
     cijt = is_cijt(P)
     row = {
         "partition": str(P),
-        "hook_code": hook.traditional_str(support_only=True),
+        "hook_code": _traditional_text(traditional, T_P.d + max(0, T_P.k - 2)),
         "branch_label": str(label),
-        "subscripted_hook_code": hook.subscripted_str(),
+        "subscripted_hook_code": _subscripted_text(label.entries, subs),
         "symmetric": is_symmetric_jdt(P, T),
         "cijt": cijt,
         "hessian_ranks": None,
         "nonvanishing": None,
     }
+    profile = None
     if cijt:
         profile = predicted_rank_profile(P)
         row["hessian_ranks"] = ranks = [profile[(i, T.j - i)] for i in active_hessian_indices(T)]
         row["nonvanishing"] = [i for i, r in enumerate(ranks) if r == i + 1]
-    return row
+    return row, profile
 
 
 def _rank_cells(row, T):
@@ -287,11 +300,10 @@ def cmd_classify(args, out):
             }
         )
     else:
-        row = classification_row(P, T)
+        row, profile = _row_and_profile(P, T)
         report["ci_shape"] = True
         report.update((key, row[key]) for key in _CLASSIFY_KEYS)
-        if row["cijt"]:
-            profile = predicted_rank_profile(P)
+        if profile is not None:
             report["rank_profile"] = {
                 f"{u}->{s}": rank for (u, s), rank in sorted(profile.items())
             }

@@ -342,7 +342,8 @@ def _labels_around(middle, lo, hi):
 
 def enumerate_branch_labels(T):
     """All valid branch labels for T: 2*3^(d-1) of them when k >= 2,
-    3^(d-1) when k = 1."""
+    3^(d-1) when k = 1.  Their distinctness is checked on the entries
+    tuples, which equal labels share, without hashing a BranchLabel."""
     T = HilbertFunction(T)
     d, k = T.d, T.k
     if k >= 2:
@@ -354,7 +355,7 @@ def enumerate_branch_labels(T):
             for label in _labels_around((E, *range(1, g), E), g, d - 1)
         ]
     expected = diagonal_partition_count(T)
-    if not len(labels) == len(set(labels)) == expected:
+    if not len(labels) == len({label.entries for label in labels}) == expected:
         raise InternalInconsistency(f"{len(labels)} labels for {T}, want {expected} distinct")
     return labels
 
@@ -366,11 +367,12 @@ def enumerate_diagonal_partitions(T):
 
     Each label of enumerate_branch_labels is valid by construction and is
     glued by `_glue` without a second `_validate_label`; the gluing's own
-    checks still raise InvalidLabel for a label that is not.
+    checks still raise InvalidLabel for a label that is not.  No two labels
+    may glue to one partition, checked on the parts tuples.
     """
     T = HilbertFunction(T)
     parts = [_glue(b, T) for b in enumerate_branch_labels(T)]
-    if len(parts) != len(set(parts)):
+    if len(parts) != len({P.parts for P in parts}):
         raise InternalInconsistency(f"two branch labels of {T} glue to the same partition")
     return sorted(parts, key=lambda P: P.parts, reverse=True)
 
@@ -442,15 +444,16 @@ def cijt_from_composition(T, comp):
 
 
 def enumerate_cijt(T):
-    """All CIJT partitions of diagonal lengths T, 2^T.branches of them.
-    Order: n ascending, then composition bitmask."""
+    """All CIJT partitions of diagonal lengths T, 2^T.branches of them,
+    checked distinct on their parts tuples.  Order: n ascending, then
+    composition bitmask."""
     T = HilbertFunction(T)
     top = T.branches
     out = []
     for n in range(top + 1):
         for comp in compositions(n):
             out.append(cijt_from_composition(T, comp))
-    if not len(out) == len(set(out)) == 2**top:
+    if not len(out) == len({P.parts for P in out}) == 2**top:
         raise InternalInconsistency(f"{len(out)} CIJT partitions of {T}, want {2**top} distinct")
     if not all(is_cijt(P) for P in out):
         raise InternalInconsistency(f"a composition of {T} gives a non-CIJT partition")
@@ -508,28 +511,31 @@ class HookCode(_Value):
         object.__setattr__(self, "k", k)
 
     def traditional_str(self, support_only=False):
-        """Comma list "1_3,2_4,2_5".  With support_only the window starts at
-        d+k-2, the least possible hand degree, as reference tables print it;
-        degrees d..d+k-3 are identically zero (only visible when k >= 3)."""
-        lo = max(self.d, self.d + self.k - 2) if support_only else self.d
-        return ",".join([f"{c}_{deg}" for deg, c in self.traditional if deg >= lo])
+        """Comma list "1_3,2_4,2_5", written by `_traditional_text`.  With
+        support_only the window starts at d+k-2, the least possible hand
+        degree, as reference tables print it; degrees d..d+k-3 are
+        identically zero (only visible when k >= 3)."""
+        lo = self.d + max(0, self.k - 2) if support_only else self.d
+        return _traditional_text(self.traditional, lo)
 
     def subscripted_str(self):
-        pairs = zip(self.label.entries, self.subscripts)
-        return ",".join(["E" if e is E else f"{e}_{sub}" for e, sub in pairs])
+        """Comma list "E,3_2,2_2,1_1", written by `_subscripted_text`."""
+        return _subscripted_text(self.label.entries, self.subscripts)
 
     def traditional_counts(self):
         return tuple(c for _, c in self.traditional)
 
 
-def _assemble_hook_code(label, T, subs, counts_by_degree):
-    """The HookCode of label with subscripts subs, aligned with its entries,
-    and the hook counts by hand degree over the window [d, j]; raises
-    InternalInconsistency when a hand lies outside the window."""
-    if counts_by_degree and (min(counts_by_degree) < T.d or max(counts_by_degree) > T.j):
-        raise InternalInconsistency(f"{label}: difference-one hook hands outside [d, j]")
-    traditional = tuple([(deg, counts_by_degree.get(deg, 0)) for deg in range(T.d, T.j + 1)])
-    return HookCode(traditional, label, subs, T.d, T.k)
+def _traditional_text(traditional, lo):
+    """The text "c_deg,..." of the ((degree, count), ...) pairs of a hook
+    code's traditional field whose degree is at least lo."""
+    return ",".join([f"{c}_{deg}" for deg, c in traditional if deg >= lo])
+
+
+def _subscripted_text(entries, subs):
+    """The text of label entries annotated by the subscripts aligned with
+    them: "E" at a gap, "v_sub" at the entry v."""
+    return ",".join(["E" if e is E else f"{e}_{sub}" for e, sub in zip(entries, subs)])
 
 
 def hook_code_direct(P):
@@ -539,15 +545,19 @@ def hook_code_direct(P):
     `_glue` it is the label it was glued from; the hook counts, and so
     every subscript, are always counted on the diagram.  The branch
     labelled v has actual length v + s, s = max(0, k-2), so its hand, where
-    its subscript is counted, has degree v + d-1 + s.
+    its subscript is counted, has degree v + d-1 + s.  Raises
+    InternalInconsistency when a hand lies outside the window [d, j].
     """
     P = Partition(P)
     T = hilbert_function(P)
     label = partition_to_branch_label(P)
     counts = hook_counts_by_degree(P)
+    if counts and (min(counts) < T.d or max(counts) > T.j):
+        raise InternalInconsistency(f"{label}: difference-one hook hands outside [d, j]")
     shift = T.d - 1 + max(0, T.k - 2)
     subs = tuple(None if v is E else counts.get(v + shift, 0) for v in label.entries)
-    return _assemble_hook_code(label, T, subs, counts)
+    traditional = tuple([(deg, counts.get(deg, 0)) for deg in range(T.d, T.j + 1)])
+    return HookCode(traditional, label, subs, T.d, T.k)
 
 
 def hook_code_from_label(label, T):
@@ -555,9 +565,9 @@ def hook_code_from_label(label, T):
     without touching the Ferrers diagram.
 
     The label is parsed and checked against T by `_validate_label`
-    (InvalidLabel when it fails), then read by `_hook_code_of_label`, which
-    states the rule.  Tests check it against hook_code_direct, the count on
-    the diagram, on every label for d <= 8, k <= 4.
+    (InvalidLabel when it fails), then read by `_hook_code_of_label`.
+    Tests check it against hook_code_direct, the count on the diagram, on
+    every label for d <= 8, k <= 4.
     """
     label = BranchLabel(label)
     T = HilbertFunction(T)
@@ -566,9 +576,21 @@ def hook_code_from_label(label, T):
 
 
 def _hook_code_of_label(label, T):
+    """The HookCode of a label that `_validate_label` accepts for T: the
+    walk `_label_hooks` and the constructor."""
+    subs, traditional = _label_hooks(label, T)
+    return HookCode(traditional, label, subs, T.d, T.k)
+
+
+def _label_hooks(label, T):
     """The hook code of a label that `_validate_label` accepts for T, read
-    in one walk over its entries; cli.classification_row reads every row's
-    hook code here, off the label partition_to_branch_label gives.
+    in one walk over its entries, as (subscripts, traditional): the
+    subscripts aligned with the entries (None at E), and the
+    ((degree, count), ...) pairs over the window [d, j].  These are the
+    fields of its HookCode, which cli.classification_row never builds: it
+    writes both hook-code columns of every row from this walk, with
+    `_traditional_text` and `_subscripted_text`, off the label
+    partition_to_branch_label gives.
 
     Vertical runs (maximal runs of steps of exactly +1 left of the first
     E): first entry 0 hooks, later entries 1.  Horizontal runs (right of
@@ -576,13 +598,16 @@ def _hook_code_of_label(label, T):
     except that when k >= 2 the entry 1 admits only 1 -- and later entries
     1.  For k = 1 the segment between the two E's continues the ascending
     run started by the lower gap, so all its entries get 1.  The entry v
-    is counted at its hand, of degree v + d-1 + s, s = max(0, k-2).
+    is counted at its hand, of degree v + d-1 + s, s = max(0, k-2); a hand
+    outside [d, j] raises InternalInconsistency.
     """
+    d, j = T.d, T.j
     entries = label.entries
     first = entries.index(E)
     last = len(entries) - 1 - entries[::-1].index(E)
-    shift = T.d - 1 + max(0, T.k - 2)  # a hand degree less its label value
-    subs, counts = [], {}
+    shift = d - 1 + max(0, T.k - 2)  # a hand degree less its label value
+    subs = []
+    counts = [0] * (j + 1)  # by hand degree; the window is counts[d:]
     prev = E  # a run starts at each segment's first entry, E never being v - 1
     for i, v in enumerate(entries):
         if v is E:
@@ -595,9 +620,12 @@ def _hook_code_of_label(label, T):
             else:
                 sub = 1 if v == 1 and T.k >= 2 else 2
             subs.append(sub)
-            counts[v + shift] = sub
+            degree = v + shift
+            if not d <= degree <= j:
+                raise InternalInconsistency(f"{label}: difference-one hook hands outside [d, j]")
+            counts[degree] = sub
         prev = v
-    return _assemble_hook_code(label, T, tuple(subs), counts)
+    return tuple(subs), tuple(zip(range(d, j + 1), counts[d:]))
 
 
 def iota(P):

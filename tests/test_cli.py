@@ -337,6 +337,32 @@ def test_classification_row_reads_hook_codes_off_the_label(monkeypatch, d, k):
     assert [cli.classification_row(P, T) for P in partitions] == want
 
 
+def test_classification_row_hook_texts_equal_the_diagram_count():
+    # every row of T(d, k) for d <= 8, k <= 4: both hook-code columns, written
+    # from the label walk, equal the texts of the HookCode counted on the
+    # Ferrers diagram of a label-free copy
+    for d in range(1, 9):
+        for k in range(1, 5):
+            T = HilbertFunction.from_dk(d, k)
+            for P in enumerate_diagonal_partitions(T):
+                row = cli.classification_row(P, T)
+                hook = codes.hook_code_direct(Partition(P.parts))
+                assert row["hook_code"] == hook.traditional_str(support_only=True), P
+                assert row["subscripted_hook_code"] == hook.subscripted_str(), P
+
+
+def test_classification_row_builds_no_hook_code(monkeypatch):
+    T = HilbertFunction.from_dk(6, 2)
+    partitions = enumerate_diagonal_partitions(T)
+    want = [cli.classification_row(P, T) for P in partitions]
+
+    def refuse(*args):
+        raise AssertionError("a HookCode was built")
+
+    monkeypatch.setattr(codes, "HookCode", refuse)
+    assert [cli.classification_row(P, T) for P in partitions] == want
+
+
 def test_table_11_k1_columns_coincide():
     code, out, _ = run_cli("table", "11:1", "--format", "json")
     assert code == 0
@@ -439,6 +465,45 @@ def test_classify_trivial_partition():
     assert code == 0
     data = json.loads(out)
     assert data["diagonal_lengths"] == "1" and data["cijt"] is True
+
+
+# `classify --format plain|json` on the partitions the test_classify_* tests
+# use, on 6,4,2, and on 4,2,1, whose diagonal lengths 1,2,3,1 are not
+# CI-shaped; recorded when classify built a CIJT's rank profile twice
+CLASSIFY_GOLDEN = json.loads((GOLDEN / "classify.json").read_text())
+
+
+def test_classify_golden_covers_both_formats_and_both_shapes():
+    assert len(CLASSIFY_GOLDEN) == 12
+    texts = [case["stdout"] for case in CLASSIFY_GOLDEN if case["argv"][-1] == "plain"]
+    assert len(texts) == 6
+    assert any("ci_shape: no" in text for text in texts)
+    assert any("rank_profile" in text for text in texts)
+
+
+@pytest.mark.parametrize(
+    "case", CLASSIFY_GOLDEN, ids=[" ".join(case["argv"][1:]) for case in CLASSIFY_GOLDEN]
+)
+def test_classify_matches_golden(case):
+    code, out, err = run_cli(*case["argv"])
+    assert (code, err) == (0, "")
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_classify_builds_the_rank_profile_once(monkeypatch, fmt):
+    # the row's Hessian columns and the rank_profile field share one profile
+    built = []
+    real = cli.predicted_rank_profile
+
+    def counted(P):
+        built.append(P)
+        return real(P)
+
+    monkeypatch.setattr(cli, "predicted_rank_profile", counted)
+    code, out, _ = run_cli("classify", "6,4,2", "--format", fmt)
+    assert code == 0 and "rank_profile" in out
+    assert built == [Partition("6,4,2")]
 
 
 def test_classify_parse_error_and_mismatch():

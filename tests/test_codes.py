@@ -539,6 +539,50 @@ def test_cijt_counts_and_membership():
             assert all(len(P) == d for P in cijt)
 
 
+# The duplicate checks of the three enumerators compare the entries and parts
+# tuples, not the value objects; each is made to see a repeat here, with the
+# count still right, so only the distinctness half of the check can fire
+
+
+def test_enumerate_branch_labels_refuses_a_repeated_label(monkeypatch):
+    real = codes._labels_around
+
+    def repeat_the_first(*args):
+        labels = list(real(*args))
+        return labels[:-1] + labels[:1]
+
+    monkeypatch.setattr(codes, "_labels_around", repeat_the_first)
+    with pytest.raises(InternalInconsistency, match="distinct"):
+        enumerate_branch_labels(T33)
+
+
+def test_enumerate_diagonal_partitions_refuses_two_labels_with_one_partition(monkeypatch):
+    real = codes._glue
+    count = codes.diagonal_partition_count(T33)
+    glued = []
+
+    def glue_the_last_as_the_first(label, T):
+        glued.append(real(label, T))
+        return glued[0] if len(glued) == count else glued[-1]
+
+    monkeypatch.setattr(codes, "_glue", glue_the_last_as_the_first)
+    with pytest.raises(InternalInconsistency, match="glue to the same partition"):
+        enumerate_diagonal_partitions(T33)
+
+
+def test_enumerate_cijt_refuses_a_repeated_partition(monkeypatch):
+    real = codes.cijt_from_composition
+    made = []
+
+    def repeat_the_first(T, comp):
+        made.append(real(T, comp))
+        return made[0] if len(made) == 2 else made[-1]
+
+    monkeypatch.setattr(codes, "cijt_from_composition", repeat_the_first)
+    with pytest.raises(InternalInconsistency, match="distinct"):
+        enumerate_cijt(T33)
+
+
 def test_degenerate_height_one():
     # T = (1^k): the triangle is a single cell; two partitions for k >= 2
     T = HilbertFunction("1,1")
@@ -601,6 +645,15 @@ def test_hook_code_refuses_a_hand_outside_the_window(monkeypatch, degree):
     monkeypatch.setattr(codes, "hook_counts_by_degree", lambda P: {3: 1, degree: 1})
     with pytest.raises(InternalInconsistency, match="outside"):
         hook_code_direct(P)
+
+
+@pytest.mark.parametrize("value", [0, 4])
+def test_label_walk_refuses_a_hand_outside_the_window(value):
+    # in T(3, 2) the entry v has its hand at degree v + 2, so 0 and 4 put
+    # it one degree below or past the window [d, j] = [3, 5]
+    label = BranchLabel._of((E, value, 2, 1))
+    with pytest.raises(InternalInconsistency, match="outside"):
+        codes._label_hooks(label, HilbertFunction.from_dk(3, 2))
 
 
 def test_hook_code_complementarity():
