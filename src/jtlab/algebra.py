@@ -24,10 +24,10 @@ degree from the last, and counts the minimal generators as it goes.  It
 appends the zero of the y-shift to its kept rows in place, and stores an
 x-shift whose lead no row holds as it stands, since a shifted primitive
 row is primitive; only a shift that meets a row, and a generator, goes
-through insert.  It builds the quotient, and the ideal moved in each
-direction that is asked about; when L is a multiple of x nothing moves,
+through insert.  It builds the quotient, and the ideal moved for each
+linear form that is asked about; when L is a multiple of x nothing moves,
 and the quotient's own standard monomials are read with no elimination.
-The Jordan type in a direction is built once, as a Partition that is not
+The Jordan type of a form is built once, as a Partition that is not
 checked again, and carries the algebra's HilbertFunction when that is
 CI-shaped (ArtinAlgebra._diagram).  No reduced echelon form
 is built: normal_form_vector reduces a form with linalg._exact_remainder
@@ -61,7 +61,7 @@ from .errors import (
     _Value,
 )
 from .partitions import HilbertFunction, JordanDegreeType, Partition, share_hilbert
-from .polynomials import MAX_DEGREE, BivariatePoly, catalecticant, dual_data
+from .polynomials import MAX_DEGREE, BivariatePoly, _direction, catalecticant, dual_data
 
 __all__ = [
     "GradedIdeal",
@@ -154,15 +154,14 @@ class ArtinAlgebra:
     the degree of the form that it reduces.  Every question about
     multiplication by a linear form reads the Ferrers diagram of the
     standard monomials of the ideal moved so that the form becomes x
-    (_diagram; see the module docstring), kept on the algebra under the
-    form with the one Partition of its row lengths, the form's Jordan type.
-    The moved standard monomials are kept under the
-    primitive pair of the form's coefficients (_standard), so a form, its
-    multiples and initial_ideal in the same direction share one moved pass;
-    under (1, 0) they are the algebra's own, and no elimination runs.  When
-    the Hilbert function is CI-shaped, its HilbertFunction is validated
-    once, when the first diagram is built (_ci_hilbert), and every
-    diagram's partition carries it.
+    (_diagram; see the module docstring), kept on the algebra in one store,
+    _diagrams, under the form that the caller holds, with the one Partition
+    of its row lengths, the form's Jordan type.  So every question about a
+    form, and initial_ideal in it, shares one moved pass; for a multiple of
+    x the standard monomials are the algebra's own, and no elimination
+    runs.  When the Hilbert function is CI-shaped, its HilbertFunction is
+    validated once, when the first diagram is built (_ci_hilbert), and
+    every diagram's partition carries it.
     """
 
     def __init__(self, ideal, std, generator_degrees):
@@ -178,9 +177,6 @@ class ArtinAlgebra:
         # lengths of their diagram); a BivariatePoly keeps its hash, and
         # equal forms compare equal
         self._diagrams = {}
-        # primitive (a, b) -> the standard monomials of the ideal moved so
-        # that a*x + b*y is x; nothing moves for (1, 0)
-        self._moved_std = {(1, 0): std}
 
     @property
     def dimension(self):
@@ -212,27 +208,6 @@ class ArtinAlgebra:
         rest = linalg._exact_remainder(basis, _poly_vec(f, i))
         return [rest[t] for t in self._std[i]]
 
-    def _standard(self, a, b):
-        """The x-exponents of the standard monomials of each degree 0 .. j
-        + 1 of the ideal moved so that a*x + b*y becomes x, for a primitive
-        pair (a, b): read by _build off the moved generator rows the first
-        time, up to degree j + 1, and kept under (a, b).  A change of
-        coordinates keeps the Hilbert function, so InternalInconsistency is
-        raised when theirs is not the algebra's, or when the moved ideal is
-        not everything in degree j + 1."""
-        std = self._moved_std.get((a, b))
-        if std is None:
-            moved = [(e, _moved(vec, a, b)) for e, vec in self.ideal._rows]
-            std = _build(moved, self.socle_degree + 1)[0]
-            hilbert, want = tuple(map(len, std)), (*self.hilbert, 0)
-            if hilbert != want:
-                raise InternalInconsistency(
-                    f"moved by ({a}, {b}), I = ({self.ideal}) has Hilbert function "
-                    f"{hilbert} through degree {len(want) - 1}, not {want}"
-                )
-            self._moved_std[(a, b)] = std
-        return std
-
     @cached_property
     def _ci_hilbert(self):
         """The HilbertFunction of A's Hilbert function, validated on the
@@ -243,22 +218,48 @@ class ArtinAlgebra:
             return None
 
     def _diagram(self, ell):
-        """(std, P) for a nonzero linear form ell, kept under ell: std is
-        _standard in ell's direction, and P the Partition of the lengths
-        p_b > 0 of the rows of the Ferrers diagram that it fills.
-        InternalInconsistency is raised unless std fills one.  The module
-        docstring says why every question about ell reads it; no dual
-        generator is read.
+        """(std, P) for a linear form ell, kept in _diagrams under ell, the
+        one lookup of every question about a form: std holds the
+        x-exponents of the standard monomials of each degree 0 .. j + 1 of
+        the ideal moved so that ell becomes x, and P the Partition of the
+        lengths p_b > 0 of the rows of the Ferrers diagram that they fill.
+        The module docstring says why every question about ell reads it; no
+        dual generator is read.
+
+        A kept form is returned with no check, since it passed
+        require_linear when it was kept; the type is checked before the
+        lookup, so an ell that is no BivariatePoly, hashable or not,
+        raises ZeroForm.  Otherwise ell is checked by require_linear
+        (ZeroForm or ParseError) and its direction (a, b) read by
+        polynomials._direction.  For (1, 0), a multiple of x, nothing moves
+        and std is the algebra's own.  For any other direction _build reads
+        std off the moved generator rows, up to degree j + 1; a change of
+        coordinates keeps the Hilbert function, so InternalInconsistency is
+        raised when theirs is not the algebra's, or when the moved ideal is
+        not everything in degree j + 1.  It is raised too unless std fills
+        a Ferrers diagram, and then nothing is kept.
 
         P is built once, by Partition._checked, since _row_lengths has
         checked its rows.  Its diagonal lengths are the moved Hilbert
-        function, which _standard checked to be A's, so P is given A's one
-        HilbertFunction, _ci_hilbert, through share_hilbert, and nothing of
-        P is validated again.  When A's is not CI-shaped, _ci_hilbert is
-        None and P holds no HilbertFunction, as a fresh partition does."""
-        diagram = self._diagrams.get(ell)
+        function, checked to be A's, so P is given A's one HilbertFunction,
+        _ci_hilbert, through share_hilbert, and nothing of P is validated
+        again.  When A's is not CI-shaped, _ci_hilbert is None and P holds
+        no HilbertFunction, as a fresh partition does."""
+        diagram = self._diagrams.get(ell) if isinstance(ell, BivariatePoly) else None
         if diagram is None:
-            std = self._standard(*_direction(ell))
+            require_linear(ell)
+            a, b = _direction((ell.coefficient(1, 0), ell.coefficient(0, 1)))
+            if (a, b) == (1, 0):
+                std = self._std
+            else:
+                moved = [(e, _moved(vec, a, b)) for e, vec in self.ideal._rows]
+                std = _build(moved, self.socle_degree + 1)[0]
+                hilbert, want = tuple(map(len, std)), (*self.hilbert, 0)
+                if hilbert != want:
+                    raise InternalInconsistency(
+                        f"moved by ({a}, {b}), I = ({self.ideal}) has Hilbert function "
+                        f"{hilbert} through degree {len(want) - 1}, not {want}"
+                    )
             rows = _row_lengths(std)
             if rows is None:
                 raise InternalInconsistency(
@@ -447,12 +448,6 @@ def _free_column_order(u, w):
     return (u, w) if p < q else (w, u)
 
 
-def _direction(ell):
-    """The primitive pair (a, b) of a nonzero linear form a*x + b*y: (1, 0)
-    for every multiple of x."""
-    return tuple(linalg.primitive((ell.coefficient(1, 0), ell.coefficient(0, 1))))
-
-
 def require_linear(ell):
     """ell itself when it is a nonzero linear form; raises ZeroForm or
     ParseError otherwise."""
@@ -467,12 +462,9 @@ def rank_mult_power(A, ell, u, s):
     """Exact rank of multiplication by ell^(s-u) from A_u to A_s: the number
     of standard monomials of degree s divisible by x^(s-u) once ell is
     moved to x, one bisect in the diagram that ArtinAlgebra._diagram keeps
-    for ell.  ell is validated only when it has no diagram yet, since every
-    key of A's diagrams passed require_linear; the type is checked first,
-    so an unhashable ell raises ZeroForm too."""
-    diagram = A._diagrams.get(ell) if isinstance(ell, BivariatePoly) else None
-    if diagram is None:
-        diagram = A._diagram(require_linear(ell))
+    for ell, which checks ell only when it keeps none yet (ZeroForm or
+    ParseError), before the degrees are checked."""
+    diagram = A._diagram(ell)
     if not 0 <= u <= s or s > A.socle_degree:
         raise DegreeOutOfRange(f"need 0 <= {u} <= {s} <= {A.socle_degree}")
     std = diagram[0][s]
@@ -482,8 +474,9 @@ def rank_mult_power(A, ell, u, s):
 def jordan_type(A, ell):
     """Jordan block partition of the nilpotent multiplication map m_ell: the
     partition of the row lengths of the diagram that ArtinAlgebra._diagram
-    keeps for ell, the same object on every call."""
-    return A._diagram(require_linear(ell))[1]
+    keeps for ell, the same object on every call; _diagram checks ell when
+    it keeps none for it yet."""
+    return A._diagram(ell)[1]
 
 
 def jordan_degree_type(A, ell):
@@ -544,11 +537,13 @@ def initial_ideal(ideal, ell, algebra=None):
     ell is proportional to y), with (a, b) the primitive pair of ell's
     coefficients, since no scaling moves a leading monomial.  The standard
     monomials of the moved ideal in the order y^i > ... > x^i and the
-    partition of their Ferrers diagram are ArtinAlgebra._diagram's, shared
-    with every other question about ell; when ell is a multiple of x they are the
-    algebra's own.  algebra, when given, is quotient(ideal); otherwise
-    quotient(ideal) is built first, and raises BudgetExceeded or
-    NotArtinian as quotient does.
+    partition of their Ferrers diagram are ArtinAlgebra._diagram's, kept
+    under ell and shared with every other question about it; when ell is a
+    multiple of x they are the algebra's own.  ell is checked by
+    require_linear first, so a bad form is refused before any quotient is
+    built.  algebra, when given, is quotient(ideal); otherwise
+    quotient(ideal) is built, and raises BudgetExceeded or NotArtinian as
+    quotient does.
     """
     ell = require_linear(ell)
     A = algebra if algebra is not None else quotient(ideal)

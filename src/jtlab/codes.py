@@ -5,11 +5,13 @@ A partition P with diagonal lengths T = (1,2,...,d^k,...,2,1) is obtained
 from the basic triangle of all monomials of degree < d by attaching
 T.branches branches at the d+1 cells of degree d: vertical ones below the
 last gap, horizontal ones above it.  There is one gap when k >= 2 and two
-when k = 1; HilbertFunction.branches (d or d-1) is the one place that tells
-the two shapes apart, and the code here reads the gap count d+1-T.branches
-from it.  The branch label records the branch lengths, with each gap written
-as the sentinel E; when k >= 2 every branch carries k-2 extra "thickening"
-boxes not counted in the label.
+when k = 1; HilbertFunction.branches (d or d-1) counts the labelled
+branches, and the code here reads the gap count d+1-T.branches and the
+largest composition sum from it.  The partition count, the label
+enumeration and the subscript of a horizontal entry 1 test k themselves.
+The branch label records the branch lengths, with each gap written as the
+sentinel E; when k >= 2 every branch carries k-2 extra "thickening" boxes
+not counted in the label.
 
 enumerate_diagonal_partitions builds each partition of T once.  Its labels
 need no sort and no parse: the intervals of each division are consecutive,
@@ -91,7 +93,13 @@ E = _Gap()
 
 class BranchLabel(_Value):
     """A (d+1)-tuple holding d+1-T.branches E's and the values
-    1..T.branches: {E, 1..d} when k >= 2, {E, E, 1..d-1} when k = 1."""
+    1..T.branches: {E, 1..d} when k >= 2, {E, E, 1..d-1} when k = 1.
+
+    Built from text ("1,2,E,3"), from another label, or from a sequence of
+    entries: E, "E" or "e", 0 (a gap too), an integer, or the text of one.
+    An entry that is not text is read with operator.index, as Partition
+    reads its parts, so a float such as 2.7 raises ParseError instead of
+    being truncated; text is read with int."""
 
     __slots__ = ("entries",)
 
@@ -106,7 +114,7 @@ class BranchLabel(_Value):
                 clean.append(E)
                 continue
             try:
-                value = int(e)
+                value = int(e) if isinstance(e, str) else operator.index(e)
             except (TypeError, ValueError):
                 raise ParseError(f"bad branch label entry {e!r}") from None
             clean.append(E if value == 0 else value)  # 0 is the gap too
@@ -565,19 +573,13 @@ def hook_code_from_label(label, T):
     without touching the Ferrers diagram.
 
     The label is parsed and checked against T by `_validate_label`
-    (InvalidLabel when it fails), then read by `_hook_code_of_label`.
+    (InvalidLabel when it fails), then read in one walk by `_label_hooks`.
     Tests check it against hook_code_direct, the count on the diagram, on
     every label for d <= 8, k <= 4.
     """
     label = BranchLabel(label)
     T = HilbertFunction(T)
     _validate_label(label, T)
-    return _hook_code_of_label(label, T)
-
-
-def _hook_code_of_label(label, T):
-    """The HookCode of a label that `_validate_label` accepts for T: the
-    walk `_label_hooks` and the constructor."""
     subs, traditional = _label_hooks(label, T)
     return HookCode(traditional, label, subs, T.d, T.k)
 

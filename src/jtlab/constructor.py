@@ -106,6 +106,9 @@ def construct_ci(P, lambda2=None, seed=None):
 
     Free parameters: lambda2 explicitly, or drawn uniformly from the
     integers -5..5 with the given seed; default is the all-zero vector.
+    An explicit lambda2 that is a str or no iterable, or that holds an
+    entry Fraction cannot read (text that is no number, an infinity),
+    raises ParseError before its length is checked.
     A single-rectangle partition (t = 1) has no relation step and gives the
     monomial ideal (x^(p_1), y^(n_1)) directly.  Raises NotCIJT when P is
     not a CIJT, also when its diagonal lengths are not CI-shaped.
@@ -149,7 +152,12 @@ def construct_ci(P, lambda2=None, seed=None):
     a1 = prefix[1]
     if lambda2 is None:
         lambda2 = (0,) * a1 if seed is None else _draw_lambda2(random.Random(seed), a1)
-    lambda2 = tuple(Fraction(v) for v in lambda2)
+    if isinstance(lambda2, str):
+        raise ParseError(f"Lambda_2 must be a sequence of rationals, not the str {lambda2!r}")
+    try:
+        lambda2 = tuple(Fraction(v) for v in lambda2)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ParseError(f"Lambda_2 must be a sequence of rationals, not {lambda2!r}") from exc
     if len(lambda2) != a1:
         raise ParseError(f"Lambda_2 must have length a_1 = {a1}")
 

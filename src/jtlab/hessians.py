@@ -16,11 +16,13 @@ linear form L = a x + b y, whose rank polynomials.d_sequence(F, a, b)
 reads, for every n at once, off one Berlekamp-Massey pass over F's
 divided-power vector moved so that L is x.  With (a, b) first scaled to
 coprime integers, as a nonzero scale of the point changes no rank, each
-direction and its multiples share that pass, kept on F.  From F's vector
-to the rank every number is an int.  A point of two ints is scaled without
-a Fraction; the coefficients of a linear form with integral coefficients
-are such a point, since a BivariatePoly keeps an integral coefficient as
-an int.  Only a point with a true fraction goes through Fraction.
+direction and its multiples share that pass, kept on F.  The point is
+read by polynomials._direction, the one point reader, which d_sequence
+shares.  From F's vector to the rank every number is an int.  A point of
+two ints is scaled without a Fraction; the coefficients of a linear form
+with integral coefficients are such a point, since a BivariatePoly keeps
+an integral coefficient as an int.  Any other point goes through
+Fraction.
 
 The orders are 0 <= i <= d - 1, with d the rank of F's middle
 catalecticant.  d is read by polynomials.dual_data, the one reader of a
@@ -36,7 +38,7 @@ two-basis indexing.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 from .algebra import rank_mult_power
 from .codes import cijt_from_composition, is_cijt
@@ -47,11 +49,9 @@ from .errors import (
     OrderOutOfRange,
     ParseError,
     TopRequiresKGe2,
-    ZeroForm,
 )
-from .linalg import primitive
 from .partitions import HilbertFunction, Partition, hilbert_function
-from .polynomials import BivariatePoly, _d_sequence, contract, dual_data
+from .polynomials import BivariatePoly, _d_sequence, _direction, contract, dual_data
 
 __all__ = [
     "hessian_matrix",
@@ -76,22 +76,28 @@ def hessian_matrix(F, i, algebra=None):
     _check_order, which also cross-checks a given algebra; no algebra is
     built.
     """
-    _check_order(F, i, algebra)
+    i = _check_order(F, i, algebra)[1]
     entries = [contract(BivariatePoly.monomial(2 * i - t, t), F) for t in range(2 * i + 1)]
     return [entries[r : r + i + 1] for r in range(i + 1)]
 
 
 def _check_order(F, i, A):
-    """F's degree j, read by dual_data, once 0 <= i <= d-1 is checked
-    against its d (OrderOutOfRange).  A given algebra
+    """(j, i) for F's degree j, read by dual_data, and the order i read by
+    operator.index, once 0 <= i <= d-1 is checked against F's d: ParseError
+    when i is no integer (a float, a numeric string, None), and
+    OrderOutOfRange when it lies outside.  A given algebra
     A = quotient(annihilator(F)) raises InternalInconsistency unless A_i is
     all of R_i, as it is below d."""
     g, d = dual_data(F)[:2]
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise ParseError(f"a Hessian order is an integer, not {i!r}") from None
     if not 0 <= i <= d - 1:
         raise OrderOutOfRange(f"order {i} outside [0, {d - 1}]")
     if A is not None and A.dim(i) != i + 1:
         raise InternalInconsistency(f"dim A_{i} = {A.dim(i)}, not {i + 1}, below d = {d}")
-    return len(g) - 1
+    return len(g) - 1, i
 
 
 def hessian_rank_at(F, i, point, algebra=None):
@@ -102,29 +108,15 @@ def hessian_rank_at(F, i, point, algebra=None):
     Hessian up to one nonzero factor.  It is computed from F alone, never
     from an algebra: the order range comes from dual_data, and algebra,
     when given, is quotient(annihilator(F)) and only cross-checked by
-    _check_order.  Raises ParseError unless point is two finite rational
-    coordinates, and ZeroForm when both are 0, before F is read.  F and
-    the point are checked once, here, and polynomials._d_sequence, which
-    checks neither again, reads the rank.
-
-    A tuple or list of two ints goes to linalg.primitive as it is, which
-    scales it to coprime integers without a Fraction; any other point is
-    read coordinate by coordinate through Fraction first.  Both give the
-    same primitive pair, so the same rank.
+    _check_order.  The point is read first, by polynomials._direction, the
+    point reader that d_sequence shares: ParseError unless it is two
+    finite rational coordinates, and ZeroForm when both are 0, before F is
+    read.  A point of two ints is scaled to coprime integers without a
+    Fraction.  F and the point are checked once, here, and
+    polynomials._d_sequence, which checks neither again, reads the rank.
     """
-    if type(point) in (tuple, list) and len(point) == 2 and type(point[0]) is type(point[1]) is int:
-        coords = point
-    else:
-        try:
-            coords = [Fraction(v) for v in point]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"a point needs rational coordinates, not {point!r}") from exc
-        if len(coords) != 2:
-            raise ParseError(f"a point has two coordinates, not {len(coords)}")
-    a, b = primitive(coords)
-    if not (a or b):
-        raise ZeroForm("the point (0, 0) is no linear form")
-    j = _check_order(F, i, algebra)
+    a, b = _direction(point)
+    j, i = _check_order(F, i, algebra)
     return _d_sequence(F, a, b)[j - 2 * i]
 
 

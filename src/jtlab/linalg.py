@@ -5,7 +5,7 @@ of primitive rows keyed by their leading columns, reducing it forward only
 and never clearing a column above its pivot.  Every quotient is built with
 it degree by degree, and so are the standard monomials of an ideal moved
 so that a linear form is x, whose Ferrers diagram holds every rank, Jordan
-type and initial ideal in that direction; the builder, algebra._build,
+type and initial ideal of that form; the builder, algebra._build,
 stores a shifted row whose lead is free as it stands, since it is already
 primitive, and inserts the rest.  The keys are the pivot columns
 of the reduced row echelon form, so every rank and pivot set read off them
@@ -26,11 +26,9 @@ jtlab calls them either.
 
 `rank`, `rref` and `kernel_basis` accept rows whose entries are ints,
 Fractions or a mix of both, as a BivariatePoly's coefficients are (an int
-where a coefficient is integral, a Fraction otherwise).  `rref` and
-`kernel_basis` clear denominators row by row with `primitive`, and return
-Fraction entries.  `rank` hands a row of ints to `insert` as it is, since
-`insert` takes the content of a row before it stores it, and clears only a
-row that holds a Fraction.
+where a coefficient is integral, a Fraction otherwise).  All three pass
+every row through `primitive`, which clears its denominators, before
+`insert`; `rref` and `kernel_basis` return Fraction entries.
 """
 
 from __future__ import annotations
@@ -156,22 +154,10 @@ def _exact_remainder(basis, vec):
 
 def rank(rows):
     """Rank of a matrix given as a list of rows (Fraction or int entries):
-    the number of rows that insert adds to one basis.
-
-    A row of ints goes to insert as it is: insert divides a row by its
-    content before it stores it, and a scale of a row changes neither the
-    rank nor a stored row.  Only a row with a non-int entry is first
+    the number of rows that insert adds to one basis, each row first
     cleared of its denominators by primitive."""
     basis = {}
-    count = 0
-    for row in rows:
-        try:
-            math.gcd(*row)  # raises TypeError on a Fraction entry
-        except TypeError:
-            row = primitive(row)
-        if insert(basis, row) is not None:
-            count += 1
-    return count
+    return sum(insert(basis, primitive(row)) is not None for row in rows)
 
 
 def _reduced(rows):

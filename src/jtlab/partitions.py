@@ -342,15 +342,20 @@ class HilbertFunction(_Value):
 
     @property
     def branches(self):
-        """d when k >= 2 and d - 1 when k = 1: the one place that decides
-        between the two.
+        """d when k >= 2 and d - 1 when k = 1.
 
         A partition of diagonal lengths T is the basic triangle with
         branches attached at the d+1 cells of degree d, one left as a gap
         when k >= 2 and two when k = 1.  So this one number is the count of
-        labelled branches (a branch label holds the values 1..branches), the
-        count of active Hessian orders (0..branches-1), and the largest sum
-        of a composition that gives a CIJT partition.
+        labelled branches (a branch label holds the values 1..branches, and
+        d+1-branches E's), the count of active Hessian orders
+        (0..branches-1), and the largest sum of a composition that gives a
+        CIJT partition; each of these reads it here.  Other rules that
+        differ between k = 1 and k >= 2 test k themselves: the partition
+        count, the labels that enumerate_branch_labels lists, the subscript
+        of a horizontal entry 1 in codes._label_hooks, the run that reaches
+        the top order in hessians.predicted_rank_profile, and the "top"
+        type of hessians.generic_jordan_type.
         """
         return self.d if self.k >= 2 else self.d - 1
 

@@ -29,6 +29,10 @@ is, up to row scales, the Hankel matrix of its vector, and the middle
 Hankel rank of a sequence of length N and linear complexity L is
 min(L, N + 1 - L) (Massey, IEEE Trans. Inform. Theory 1969; Heinig-Rost
 1984).  `catalecticant` builds a catalecticant as integer Hankel rows.
+`_direction` is the one reader of a point, or of the direction of a
+linear form: d_sequence, hessians.hessian_rank_at and
+algebra.ArtinAlgebra._diagram all scale theirs to coprime integers
+through it.
 """
 
 from __future__ import annotations
@@ -381,15 +385,41 @@ def d_sequence(F, a, b):
     y' = x give g reversed.  One Berlekamp-Massey pass over g' then gives
     every d_n (see _middle_ranks).
 
-    F is read through dual_data, which checks it, and (a, b) scaled by
-    primitive; raises ZeroForm when a = b = 0.  _d_sequence then reads the
-    tuple for the checked F and the coprime pair.
+    F is read through dual_data, which checks it, and then (a, b) through
+    _direction, the point reader that hessians.hessian_rank_at and
+    algebra.ArtinAlgebra._diagram share: it raises ParseError unless a and
+    b are finite rationals, and ZeroForm when both are 0.  _d_sequence then
+    reads the tuple for the checked F and the coprime pair.
     """
     dual_data(F)
-    a, b = primitive((a, b))
+    return _d_sequence(F, *_direction((a, b)))
+
+
+def _direction(point):
+    """The primitive pair (a, b) of a point (a, b), a nonzero pair of
+    finite rationals: coprime integers with the first nonzero one
+    positive, so a point and its nonzero multiples give one pair.  Raises
+    ParseError unless point is two finite rational coordinates, and
+    ZeroForm when both are 0.
+
+    A tuple or list of two ints goes to primitive as it is, which scales it
+    to coprime integers without a Fraction; any other point is read
+    coordinate by coordinate through Fraction first.  Both give the same
+    primitive pair.
+    """
+    if type(point) in (tuple, list) and len(point) == 2 and type(point[0]) is type(point[1]) is int:
+        coords = point
+    else:
+        try:
+            coords = [Fraction(v) for v in point]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"a point needs rational coordinates, not {point!r}") from exc
+        if len(coords) != 2:
+            raise ParseError(f"a point has two coordinates, not {len(coords)}")
+    a, b = primitive(coords)
     if not (a or b):
         raise ZeroForm("the point (0, 0) is no linear form")
-    return _d_sequence(F, a, b)
+    return a, b
 
 
 def _d_sequence(F, a, b):

@@ -1050,18 +1050,11 @@ def _dual_forms():
     return dual_fuzz_forms() + [random_dual_generator(random.Random(0), j, j) for j in (16, 30, 49)]
 
 
-def test_rank_clears_only_rows_with_a_fraction(monkeypatch):
-    # integer rows go to insert as they are, scaled or not, and insert
-    # stores the same primitive rows as from cleared ones; every rank is
-    # the Bareiss rank of the reference
+def test_rank_clears_only_rows_with_a_fraction():
+    # every rank, of integer rows, scaled or not, and of rows of Fractions,
+    # is the Bareiss rank of the reference; and insert stores the same
+    # primitive rows from raw scaled rows as from cleared ones
     primitive = linalg.primitive
-    calls = []
-
-    def counting(row):
-        calls.append(row)
-        return primitive(row)
-
-    monkeypatch.setattr(linalg, "primitive", counting)
     rng = random.Random(20)
     checked = 0
     for F in _dual_forms():
@@ -1070,12 +1063,9 @@ def test_rank_clears_only_rows_with_a_fraction(monkeypatch):
             rows = catalecticant(g, i)
             want = len(ref.echelon(rows)[0])
             scaled = [[c * v for v in row] for row in rows for c in [rng.choice((-6, -1, 2, 35))]]
-            calls.clear()
             assert linalg.rank(rows) == linalg.rank(scaled) == want, (F, i)
-            assert not calls
             fractions = [[Fraction(v, c) for v in row] for row in rows for c in [rng.choice((1, 3, -4))]]
             assert linalg.rank(fractions) == want, (F, i)
-            assert len(calls) == len(rows)
             raw, cleared = {}, {}
             for row, vec in zip(scaled, rows):
                 linalg.insert(raw, row)
@@ -1161,11 +1151,12 @@ def test_rank_questions_in_x_run_no_elimination(monkeypatch):
             assert diagonal_lengths(cell.partition) == A.hilbert
 
 
-def test_one_moved_pass_per_direction(monkeypatch):
-    # jordan_degree_type and initial_ideal in one direction, and in its
-    # multiples, share one pass of the builder over the moved generators;
-    # x needs none.  The algebras are built before the builder is counted,
-    # and each pass is named by the direction whose moved rows it was given.
+def test_one_moved_pass_per_form(monkeypatch):
+    # jordan_degree_type, initial_ideal and a rank about one form share one
+    # pass of the builder over the moved generators; x and 3x need none, and
+    # each other form gets its own pass, multiples included.  The algebras
+    # are built before the builder is counted, and each pass is named by the
+    # primitive direction whose moved rows it was given.
     algebras = _rank_table_algebras()
     passes = []
     build = algebra._build
@@ -1187,7 +1178,53 @@ def test_one_moved_pass_per_direction(monkeypatch):
             for a, b in [(0, 1), (1, 1), (2, -3)]
         }
         named = [ab for got in passes for ab, rows in moved.items() if rows == got]
-        assert named == [(0, 1), (1, 1), (2, -3)], I
+        assert named == [(0, 1), (1, 1), (2, -3), (2, -3), (0, 1)], I
+
+
+def test_a_second_question_about_a_form_runs_no_build(monkeypatch):
+    # the diagram kept under a form answers every later question about it,
+    # and an equal form built again finds it: one moved pass per form, and
+    # the form is checked and its direction read only on the first
+    # question; initial_ideal still checks its form up front
+    I = ideal("x^2*y", "y^4+x^4")
+    A = quotient(I)
+    counts = dict.fromkeys(("_build", "require_linear", "_direction"), 0)
+
+    def counting(name):
+        fn = getattr(algebra, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(algebra, name, counting(name))
+    for ell in (ELL_X, ELL_XY, BivariatePoly.linear(2, -3)):
+        P = jordan_type(A, ell)
+        first = {"_build": int(ell != ELL_X), "require_linear": 1, "_direction": 1}
+        assert counts == first, (ell, counts)
+        ranks = [rank_mult_power(A, ell, 0, s) for s in range(A.socle_degree + 1)]
+        assert jordan_type(A, ell) is P and jordan_degree_type(A, ell).coverage() == A.hilbert
+        assert [rank_mult_power(A, ell, 0, s) for s in range(A.socle_degree + 1)] == ranks
+        twin = parse_poly(str(ell))
+        assert twin is not ell and jordan_type(A, twin) is P
+        assert counts == first, (ell, counts)
+        assert initial_ideal(I, ell, algebra=A).partition is P
+        assert counts == {**first, "require_linear": 2}, (ell, counts)
+        counts.update(dict.fromkeys(counts, 0))
+
+
+def test_an_algebra_keeps_one_diagram_store():
+    # the diagrams kept under forms are the algebra's one store of moved
+    # standard monomials: no second store keyed by direction, and no
+    # direction reader of algebra's own beside polynomials._direction
+    A = quotient(ideal("x^2*y", "y^4+x^4"))
+    jordan_type(A, ELL_XY)
+    assert not hasattr(A, "_standard") and not hasattr(A, "_moved_std")
+    assert list(A._diagrams) == [ELL_XY]
+    assert algebra._direction is polynomials._direction
 
 
 # -- the degree-by-degree build and the diagram's partition -------------------------
@@ -1419,9 +1456,10 @@ for std in {stds!r}:
 
 @pytest.mark.parametrize("std", NO_FERRERS_DIAGRAM.values(), ids=NO_FERRERS_DIAGRAM)
 def test_a_moved_set_that_is_no_ferrers_diagram_raises(monkeypatch, std):
-    # the tampered moved pass keeps the Hilbert function, so _standard takes
+    # the tampered moved pass keeps the Hilbert function, so _diagram takes
     # it, but it fills no Ferrers diagram: the Jordan type, a rank and the
-    # initial ideal each refuse it, and no diagram is kept
+    # initial ideal each refuse it, and nothing is kept, so asking again
+    # raises again
     I = ideal("x^2*y", "y^4+x^4")
     A = quotient(I)
     monkeypatch.setattr(algebra, "_build", lambda rows, top: (std, (), {}))
@@ -1432,7 +1470,9 @@ def test_a_moved_set_that_is_no_ferrers_diagram_raises(monkeypatch, std):
     ):
         with pytest.raises(InternalInconsistency, match="Ferrers diagram"):
             ask()
-    assert A._standard(1, 1) is std and ELL_XY not in A._diagrams
+    assert ELL_XY not in A._diagrams
+    with pytest.raises(InternalInconsistency, match="Ferrers diagram"):
+        jordan_type(A, ELL_XY)
     assert jordan_type(A, ELL_X) == Partition([6, 2, 2, 2])
 
 

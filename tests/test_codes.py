@@ -38,6 +38,7 @@ from jtlab.errors import (
     InvalidLabel,
     NotCIJT,
     NotCIJTWithDParts,
+    ParseError,
     _Value,
 )
 from jtlab.partitions import (
@@ -71,6 +72,23 @@ def test_label_serialization_round_trip():
     assert str(b) == "3,E,1,E,2"
     assert b.entries == (3, E, 1, E, 2)
     assert BranchLabel(str(b)) == b
+
+
+def test_a_non_integer_label_entry_is_refused():
+    # an entry that is not text is read with operator.index, as a part of a
+    # Partition is, so a float is refused, not truncated; text, E, "E", 0
+    # and a bool read as before
+    for entries in ([2.7, E, 1], [1.5, "E"], [2.0, E], [Fraction(1), E], [None, E]):
+        with pytest.raises(ParseError, match="bad branch label entry"):
+            BranchLabel(entries)
+    with pytest.raises(ParseError):
+        branch_label_to_partition([1.5, "E"], "1,1")
+    with pytest.raises(ParseError):
+        hook_code_from_label([1.5, "E"], "1,1")
+    assert BranchLabel(["1", "E"]) == BranchLabel([True, E]) == BranchLabel("1,E")
+    assert BranchLabel([" 2", 0, 1]).entries == (2, E, 1)
+    assert branch_label_to_partition(["1", "E"], "1,1") == Partition("1^2")
+    assert str(hook_code_from_label([True, E], "1,1").label) == "1,E"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -68,6 +69,20 @@ def test_construct_rejects_wrong_lambda2_length_as_parse_error():
         with pytest.raises(ParseError, match="Lambda_2 must have length a_1 = 1"):
             construct_ci(Partition("6,2^3"), lambda2=lam)
     assert issubclass(ParseError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    ["1", "12", 5, 1.5, [1, "x"], ["1/0"], [math.inf], [math.nan], [1j]],
+    ids=["str", "two-digit str", "int", "float", "letter", "zero denominator", "inf", "nan", "complex"],
+)
+def test_construct_rejects_lambda2_that_is_no_sequence_of_rationals(lam):
+    # a str is not read character by character, and neither a non-iterable
+    # nor an entry Fraction cannot read escapes as a bare exception: each is
+    # a ParseError, raised before the length check, so "1" is refused
+    # though it has the length a_1 = 1 of 6,2^3
+    with pytest.raises(ParseError, match="Lambda_2 must be a sequence of rationals"):
+        construct_ci(Partition("6,2^3"), lambda2=lam)
 
 
 def test_realization_copy_and_pickle():

@@ -323,7 +323,6 @@ def test_hessian_rank_at_reads_no_rank_table(monkeypatch):
     F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
     A = quotient(annihilator(F))
     monkeypatch.setattr(A, "_diagram", refuse)
-    monkeypatch.setattr(A, "_standard", refuse)
     monkeypatch.setattr(hessians, "rank_mult_power", refuse)
     ranks = [hessian_rank_at(F, i, (1, 1), algebra=A) for i in range(3)]
     assert ranks == [_symbolic_hessian_rank(F, i, (1, 1), A) for i in range(3)]
@@ -488,7 +487,7 @@ def test_an_integer_point_needs_no_fraction(monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction built")
 
-    monkeypatch.setattr(hessians, "Fraction", refuse)
+    monkeypatch.setattr(polynomials, "Fraction", refuse)
     assert [[hessian_rank_at(F, i, point) for i in range(3)] for point in points] == want
     # the patch is live: any other point still goes through Fraction
     for point in [(1.0, 2), (Fraction(1), 2), (True, 2), (1, 2, 0)]:
@@ -521,6 +520,33 @@ def test_hessian_rank_at_order_out_of_range(with_algebra):
     for i in (-1, 3):
         with pytest.raises(OrderOutOfRange):
             hessian_rank_at(F, i, (1, 1), algebra=algebra)
+
+
+@pytest.mark.parametrize("order", ["1", 1.0, 1.5, None, Fraction(1)], ids=repr)
+def test_a_hessian_order_that_is_no_integer_is_a_parse_error(order):
+    # the order is read with operator.index, as generic_jordan_type refuses
+    # a non-int order, never compared raw into a bare TypeError
+    F = parse_poly("X^2*Y^3")
+    for algebra in (None, quotient(annihilator(F))):
+        with pytest.raises(ParseError, match="a Hessian order is an integer"):
+            hessian_rank_at(F, order, (1, 1), algebra=algebra)
+        with pytest.raises(ParseError, match="a Hessian order is an integer"):
+            hessian_matrix(F, order, algebra=algebra)
+
+
+def test_d_sequence_reads_its_point_as_hessian_rank_at_does():
+    # one point reader, polynomials._direction: a float or Fraction point is
+    # read exactly, and a point without rational coordinates is a
+    # ParseError, in d_sequence as in hessian_rank_at
+    F = parse_poly("X^5 + 3*X^2*Y^3 - Y^5")
+    want = polynomials.d_sequence(F, 1, 2)
+    assert polynomials.d_sequence(F, 0.5, 1) == polynomials.d_sequence(F, Fraction(1, 3), Fraction(2, 3)) == want
+    assert [hessian_rank_at(F, i, (0.5, 1)) for i in range(3)] == [want[5 - 2 * i] for i in range(3)]
+    for a, b in [("a", 1), (1, math.inf), (None, 1)]:
+        with pytest.raises(ParseError, match="a point needs rational coordinates"):
+            polynomials.d_sequence(F, a, b)
+    with pytest.raises(ZeroForm):
+        polynomials.d_sequence(F, 0.0, Fraction(0))
 
 
 @pytest.mark.parametrize("with_algebra", [False, True], ids=["no algebra", "algebra"])

@@ -5,13 +5,14 @@ import importlib
 import importlib.util
 import io
 import re
+import shlex
 import subprocess
 import sys
 import tokenize
 from pathlib import Path
 
 import jtlab
-from jtlab import linalg
+from jtlab import cli, linalg
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jtlab"
@@ -475,3 +476,24 @@ def test_readme_tour_runs_as_written():
                 assert repr(value) == claims[stmt.lineno], (stmt.lineno, value)
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+
+
+def _command_lines():
+    """The lines of the sh block under the README's "Command line" heading,
+    each split as a shell would, comments dropped."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_command_lines_run_as_written(monkeypatch):
+    # every line of the block is a jtlab command that exits 0, writes data
+    # to stdout and no diagnostic to stderr
+    monkeypatch.delenv("JTLAB_SEED", raising=False)
+    lines = _command_lines()
+    assert len(lines) == 8 and all(argv[0] == "jtlab" for argv in lines), lines
+    for argv in lines:
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(argv[1:], out=out, err=err) == 0, (argv, err.getvalue())
+        assert out.getvalue() and not err.getvalue(), argv
