@@ -58,6 +58,8 @@ from .errors import (
     ParseError,
     ZeroForm,
     ZeroInput,
+    _integer,
+    _integers,
     _Value,
 )
 from .partitions import HilbertFunction, JordanDegreeType, Partition, share_hilbert
@@ -183,12 +185,19 @@ class ArtinAlgebra:
         return sum(self.hilbert)
 
     def dim(self, i):
+        """dim A_i, 0 outside the degrees of A; an i that is not an int is
+        read by errors._integer (ParseError for a bool, a float, a str or
+        None).  hessians._check_order asks it once per Hessian rank."""
+        if type(i) is not int:
+            i = _integer(i, "a degree is an integer")
         if 0 <= i < len(self.hilbert):
             return self.hilbert[i]
         return 0
 
     def basis(self, i):
-        """Standard monomials of degree i, as (x-exp, y-exp) pairs."""
+        """Standard monomials of degree i, as (x-exp, y-exp) pairs; none
+        outside the degrees of A.  i is read as dim reads it."""
+        i = _integer(i, "a degree is an integer")
         if 0 <= i < len(self.hilbert):
             return [(t, i - t) for t in self._std[i]]
         return []
@@ -463,8 +472,12 @@ def rank_mult_power(A, ell, u, s):
     of standard monomials of degree s divisible by x^(s-u) once ell is
     moved to x, one bisect in the diagram that ArtinAlgebra._diagram keeps
     for ell, which checks ell only when it keeps none yet (ZeroForm or
-    ParseError), before the degrees are checked."""
+    ParseError), before the degrees are checked.  u and s are read by
+    errors._integers, after a check that passes two ints as they are
+    (ParseError for a bool, a float, a str or None)."""
     diagram = A._diagram(ell)
+    if not type(u) is type(s) is int:
+        u, s = _integers((u, s), "the degrees u and s are integers")
     if not 0 <= u <= s or s > A.socle_degree:
         raise DegreeOutOfRange(f"need 0 <= {u} <= {s} <= {A.socle_degree}")
     std = diagram[0][s]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 
 from .errors import (
     InternalInconsistency,
@@ -40,6 +41,8 @@ from .errors import (
     NotCIJT,
     NotCIJTWithDParts,
     ParseError,
+    _integer,
+    _integers,
     _Value,
 )
 from .partitions import (
@@ -90,6 +93,10 @@ class _Gap:
 
 E = _Gap()
 
+# the text that int() reads in base 10: a branch label's text entries keep
+# int's grammar, and any other text is a str that errors._integer refuses
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
 
 class BranchLabel(_Value):
     """A (d+1)-tuple holding d+1-T.branches E's and the values
@@ -97,9 +104,10 @@ class BranchLabel(_Value):
 
     Built from text ("1,2,E,3"), from another label, or from a sequence of
     entries: E, "E" or "e", 0 (a gap too), an integer, or the text of one.
-    An entry that is not text is read with operator.index, as Partition
-    reads its parts, so a float such as 2.7 raises ParseError instead of
-    being truncated; text is read with int."""
+    Text that int() reads is read with int; any other entry goes to
+    errors._integer, as a Partition's parts do, so a float such as 2.7, a
+    bool or other text raises ParseError instead of being truncated, taken
+    for 1 or parsed."""
 
     __slots__ = ("entries",)
 
@@ -113,10 +121,9 @@ class BranchLabel(_Value):
             if e is E or e in ("E", "e"):
                 clean.append(E)
                 continue
-            try:
-                value = int(e) if isinstance(e, str) else operator.index(e)
-            except (TypeError, ValueError):
-                raise ParseError(f"bad branch label entry {e!r}") from None
+            if isinstance(e, str) and _INTEGER_TEXT.fullmatch(e):
+                e = int(e)
+            value = _integer(e, "bad branch label entry: an entry is E, 0 or an integer")
             clean.append(E if value == 0 else value)  # 0 is the gap too
         if not clean:
             raise ParseError("empty branch label")
@@ -408,7 +415,10 @@ def is_cijt(P):
 
 
 def compositions(n):
-    """Ordered partitions of n, by increasing cut bitmask; () for n = 0."""
+    """Ordered partitions of n, by increasing cut bitmask; () for n = 0.  n
+    is read by errors._integer when the first one is asked for (ParseError
+    for a bool, a float, a str or None)."""
+    n = _integer(n, "n is an integer")
     if n == 0:
         yield ()
         return
@@ -430,9 +440,11 @@ def cijt_from_composition(T, comp):
 
     Parts p_i = k - 1 + 2d - n_i - 2(n_1 + ... + n_{i-1}) with multiplicity
     n_i, followed by the rectangle (d-n)^(d-n+k-1), empty when n = d.  The
-    sum n runs over 0..T.branches.
+    sum n runs over 0..T.branches.  comp is read by errors._integers
+    (ParseError for a str, a non-iterable or an entry that is no integer).
     """
     T = HilbertFunction(T)
+    comp = _integers(comp, "a composition must be a sequence of integers")
     d, k = T.d, T.k
     n = sum(comp)
     if not 0 <= n <= T.branches:

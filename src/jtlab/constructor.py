@@ -32,7 +32,7 @@ from .algebra import (
     rank_mult_power,
 )
 from .codes import enumerate_cijt, is_cijt
-from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, ParseError, _Value
+from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, _rationals, _Value
 from .hessians import active_hessian_indices, nonvanishing_set, predicted_rank_profile
 from .linalg import primitive
 from .partitions import HilbertFunction, Partition, format_caret_list, hilbert_function
@@ -106,9 +106,10 @@ def construct_ci(P, lambda2=None, seed=None):
 
     Free parameters: lambda2 explicitly, or drawn uniformly from the
     integers -5..5 with the given seed; default is the all-zero vector.
-    An explicit lambda2 that is a str or no iterable, or that holds an
-    entry Fraction cannot read (text that is no number, an infinity),
-    raises ParseError before its length is checked.
+    An explicit lambda2 is read by errors._rationals: a str, a
+    non-iterable, a length other than a_1, or an entry that is a bool or
+    that Fraction cannot read exactly (text that is no number, NaN, an
+    infinity) raises ParseError.
     A single-rectangle partition (t = 1) has no relation step and gives the
     monomial ideal (x^(p_1), y^(n_1)) directly.  Raises NotCIJT when P is
     not a CIJT, also when its diagonal lengths are not CI-shaped.
@@ -152,14 +153,8 @@ def construct_ci(P, lambda2=None, seed=None):
     a1 = prefix[1]
     if lambda2 is None:
         lambda2 = (0,) * a1 if seed is None else _draw_lambda2(random.Random(seed), a1)
-    if isinstance(lambda2, str):
-        raise ParseError(f"Lambda_2 must be a sequence of rationals, not the str {lambda2!r}")
-    try:
-        lambda2 = tuple(Fraction(v) for v in lambda2)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ParseError(f"Lambda_2 must be a sequence of rationals, not {lambda2!r}") from exc
-    if len(lambda2) != a1:
-        raise ParseError(f"Lambda_2 must have length a_1 = {a1}")
+    rule = f"Lambda_2 must be a sequence of rationals, and Lambda_2 must have length a_1 = {a1}"
+    lambda2 = _rationals(lambda2, a1, rule)
 
     lam = {1: (), 2: tuple(v.numerator if v.denominator == 1 else v for v in lambda2)}
     for i in range(2, t + 1):
@@ -189,7 +184,7 @@ def construct_ci(P, lambda2=None, seed=None):
         hilbert=T,
         ideal=GradedIdeal._from_rows(rows, chain[t - 1 : t + 1]),
         chain=chain,
-        lambdas=lambda2,
+        lambdas=tuple(map(Fraction, lambda2)),
     )
 
 

@@ -1,8 +1,23 @@
-"""Exception types shared across the package, and _Value, the base of its
+"""Exception types shared across the package; _Value, the base of its
 immutable value classes: a value is its public slots, and a slot whose name
-starts with an underscore is a memo, never part of the value."""
+starts with an underscore is a memo, never part of the value; and the three
+readers of a number that comes from outside the package.
+
+Each reader has one rule, and raises ParseError for anything else.  A bool
+is a flag, not a number, so every reader refuses it.  _integer takes an int
+as it is and any other value with __index__ through operator.index; a str,
+a float (even 1.0), a Fraction (even 2/1) and None are refused, never
+parsed or rounded.  _integers reads each entry of a non-str iterable so.
+_rationals reads a non-str iterable of exactly n entries: an int entry
+stays as it is, and any other is read exactly by Fraction, so a finite
+float or the text "1/2" is fine, and NaN, an infinity, None or a complex
+number is refused.  Each reader's message opens with its caller's `what`,
+the rule in the caller's words, and ends with the value it refused.  Text
+grammars such as the caret list "6,2^2" keep their own parsers.
+"""
 
 import operator
+from fractions import Fraction
 
 
 class _Value:
@@ -122,4 +137,41 @@ class OrderOutOfRange(JtlabError):
 
 
 class ParseError(JtlabError):
-    """Malformed text input (partition, Hilbert function, or polynomial)."""
+    """Malformed input: text that its grammar does not read (a partition, a
+    Hilbert function, a polynomial), or a value that is not the number or
+    sequence of numbers asked for (see the readers below)."""
+
+
+def _integer(value, what):
+    """value as an int: an int as it is, any other non-bool with __index__
+    through operator.index; ParseError(what, value) for anything else."""
+    if type(value) is int or not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ParseError(f"{what}, not {value!r}")
+
+
+def _integers(values, what):
+    """The entries of a non-str iterable as a tuple of ints, each read by
+    _integer; ParseError(what, ...) for a str, a non-iterable or an entry
+    that is no integer.  When every entry is an int, the common case, the
+    tuple of them is returned after one pass over their types."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ParseError(f"{what}, not {values!r}")
+    values = tuple(values)
+    return values if set(map(type, values)) <= {int} else tuple(_integer(v, what) for v in values)
+
+
+def _rationals(values, n, what):
+    """The n entries of a non-str iterable as a tuple: an int as it is, any
+    other entry read exactly by Fraction.  ParseError(what, values) for a
+    str, a non-iterable, a length other than n, or an entry that is a bool
+    or that Fraction cannot read exactly (NaN, an infinity, None, a complex
+    number, text that is no fraction)."""
+    if not isinstance(values, str) and hasattr(values, "__iter__"):
+        values = tuple(values)
+        if len(values) == n and not any(isinstance(v, bool) for v in values):
+            try:
+                return tuple(v if type(v) is int else Fraction(v) for v in values)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                pass
+    raise ParseError(f"{what}, not {values!r}")

@@ -21,8 +21,8 @@ read by polynomials._direction, the one point reader, which d_sequence
 shares.  From F's vector to the rank every number is an int.  A point of
 two ints is scaled without a Fraction; the coefficients of a linear form
 with integral coefficients are such a point, since a BivariatePoly keeps
-an integral coefficient as an int.  Any other point goes through
-Fraction.
+an integral coefficient as an int.  Any other point is read by
+errors._rationals, the package's one rule for a sequence of rationals.
 
 The orders are 0 <= i <= d - 1, with d the rank of F's middle
 catalecticant.  d is read by polynomials.dual_data, the one reader of a
@@ -38,8 +38,6 @@ two-basis indexing.
 
 from __future__ import annotations
 
-import operator
-
 from .algebra import rank_mult_power
 from .codes import cijt_from_composition, is_cijt
 from .errors import (
@@ -47,8 +45,9 @@ from .errors import (
     InvalidSubset,
     NotCIJT,
     OrderOutOfRange,
-    ParseError,
     TopRequiresKGe2,
+    _integer,
+    _integers,
 )
 from .partitions import HilbertFunction, Partition, hilbert_function
 from .polynomials import BivariatePoly, _d_sequence, _direction, contract, dual_data
@@ -83,16 +82,13 @@ def hessian_matrix(F, i, algebra=None):
 
 def _check_order(F, i, A):
     """(j, i) for F's degree j, read by dual_data, and the order i read by
-    operator.index, once 0 <= i <= d-1 is checked against F's d: ParseError
-    when i is no integer (a float, a numeric string, None), and
+    errors._integer, once 0 <= i <= d-1 is checked against F's d: ParseError
+    when i is no integer (a bool, a float, a numeric string, None), and
     OrderOutOfRange when it lies outside.  A given algebra
     A = quotient(annihilator(F)) raises InternalInconsistency unless A_i is
     all of R_i, as it is below d."""
     g, d = dual_data(F)[:2]
-    try:
-        i = operator.index(i)
-    except TypeError:
-        raise ParseError(f"a Hessian order is an integer, not {i!r}") from None
+    i = _integer(i, "a Hessian order is an integer")
     if not 0 <= i <= d - 1:
         raise OrderOutOfRange(f"order {i} outside [0, {d - 1}]")
     if A is not None and A.dim(i) != i + 1:
@@ -110,8 +106,9 @@ def hessian_rank_at(F, i, point, algebra=None):
     when given, is quotient(annihilator(F)) and only cross-checked by
     _check_order.  The point is read first, by polynomials._direction, the
     point reader that d_sequence shares: ParseError unless it is two
-    finite rational coordinates, and ZeroForm when both are 0, before F is
-    read.  A point of two ints is scaled to coprime integers without a
+    finite rational coordinates as errors._rationals reads them (a str
+    such as "12" or a bool coordinate is refused), and ZeroForm when both
+    are 0, before F is read.  A point of two ints is scaled to coprime integers without a
     Fraction.  F and the point are checked once, here, and
     polynomials._d_sequence, which checks neither again, reads the rank.
     """
@@ -164,10 +161,12 @@ def cijt_from_hessian_subset(T, S):
 
     Sorting S as s_1 < ... < s_c, the gaps n_i = s_i - s_(i-1) (with
     s_0 = -1) form the composition building the partition; the empty set
-    gives the rectangle (d)^(d+k-1).
+    gives the rectangle (d)^(d+k-1).  The orders in S are read by
+    errors._integers (ParseError for a str, a non-iterable, or an order
+    that is a bool, a float or None).
     """
     T = HilbertFunction(T)
-    S = frozenset(S)
+    S = frozenset(_integers(S, "a Hessian subset must be a set of integer orders"))
     active = set(active_hessian_indices(T))
     if not S <= active:
         raise InvalidSubset(f"{sorted(S)} not within active orders {sorted(active)}")
@@ -231,8 +230,9 @@ def generic_jordan_type(T, which):
     the conjugate of T.
     which = "top" (k >= 2 only): the top Hessian, of order d-1, vanishes.
     which = i in [0, d-2]: the Hessian of order i vanishes, as at a simple
-    root of h^i.  An int i outside [0, d-2] raises OrderOutOfRange, and any
-    other value (a bool, a float, a numeric string, None) ParseError.
+    root of h^i.  Any other value is an order, read by errors._integer:
+    one outside [0, d-2] raises OrderOutOfRange, and one that is no integer
+    (a bool, a float, a numeric string, None) ParseError.
     The closed forms these once came from, (j+1, j-1, ..., j+1-2(d-2), 1^k)
     for "top" and a d-element window around j-2i for an order i, are
     tests/reference_paths.generic_jordan_type, the reference they are
@@ -245,10 +245,8 @@ def generic_jordan_type(T, which):
         if T.k < 2:
             raise TopRequiresKGe2("top Hessian is only active when k >= 2")
         order = T.d - 1
-    elif isinstance(which, bool) or not isinstance(which, int):
-        raise ParseError(f"which must be 'sl', 'top' or an int order, not {which!r}")
     else:
-        order = which
+        order = _integer(which, "which must be 'sl', 'top' or an int order")
         if not 0 <= order <= T.d - 2:
             raise OrderOutOfRange(f"which = {order} outside [0, {T.d - 2}]")
     return cijt_from_hessian_subset(T, set(active_hessian_indices(T)) - {order})

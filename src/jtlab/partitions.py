@@ -44,6 +44,7 @@ from .errors import (
     NotCIShape,
     ParseError,
     SizeMismatch,
+    _integers,
     _Value,
 )
 
@@ -75,9 +76,9 @@ class Partition(_Value):
 
     Immutable and hashable.  ``Partition("6,2^2,1^2")`` and
     ``Partition([6, 2, 2, 1, 1])`` build the same value.  The entries of a
-    sequence are read as integers with operator.index, so 2.5 or "2" is
-    refused, not rounded or parsed: anything but a partition, its text or a
-    sequence of integers raises ParseError.  Its one field is parts; ==,
+    sequence are read by errors._integers, so 2.5, "2" or True is refused,
+    not rounded, parsed or taken for 1: anything but a partition, its text
+    or a sequence of integers raises ParseError.  Its one field is parts; ==,
     hash and pickling come from errors._Value.  Besides its parts it may
     hold, as the memos _hilbert and _label, its validated HilbertFunction
     and, when it was glued from a branch label, that label; neither takes
@@ -91,7 +92,7 @@ class Partition(_Value):
             return parts  # validated when it was built, and immutable since
         if isinstance(parts, str):
             parts = _parse_caret_list(parts)
-        parts = _integers(parts, "a partition")
+        parts = _integers(parts, "a partition must be a sequence of integers")
         if not parts:
             raise ParseError("empty partition")
         if min(parts) < 1:
@@ -191,16 +192,6 @@ def _parse_caret_list(text):
     return [value for value, mult in runs for _ in range(mult)]
 
 
-def _integers(values, what):
-    """The entries of values as a tuple of ints, read with operator.index:
-    ParseError for a value that is not iterable or an entry that is not an
-    integer (a float, a string, None), which int() would round or parse."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise ParseError(f"{what} must be a sequence of integers: {exc}") from None
-
-
 def format_caret_list(values):
     """Inverse of the caret-list parser; groups repeats as v^n."""
     pieces = []
@@ -277,12 +268,13 @@ def conjugate(P):
 def validate_ci_hilbert(T):
     """Check T = (1,2,...,d-1,d^k,d-1,...,2,1) and return (d, k, j).
 
-    The entries are read as for a Partition (ParseError for a non-integer
-    one).  Raises NotCIShape for any other sequence, and compares the
-    length with 2d+k-2 before the expected sequence is built, so a large
-    entry such as (1, 10**30, 1) is refused without allocating for it.
+    The entries are read by errors._integers, as a Partition's are
+    (ParseError for a str, a bool or any other entry that is no integer).
+    Raises NotCIShape for any other sequence, and compares the length with
+    2d+k-2 before the expected sequence is built, so a large entry such as
+    (1, 10**30, 1) is refused without allocating for it.
     """
-    T = _integers(T, "a Hilbert function")
+    T = _integers(T, "a Hilbert function must be a sequence of integers")
     if not T or T[0] != 1:
         raise NotCIShape(f"{T} does not start at 1")
     d = max(T)
@@ -302,8 +294,8 @@ class HilbertFunction(_Value):
 
     d is the Sperner number (height), k the multiplicity of d, and
     j = 2d + k - 3 the socle degree.  Built from a HilbertFunction (returned
-    as it is), a caret list, or a sequence whose entries are read with
-    operator.index like a Partition's: a non-integer entry or input raises
+    as it is), a caret list, or a sequence whose entries are read by
+    errors._integers like a Partition's: a non-integer entry or input raises
     ParseError, and any other sequence NotCIShape (see validate_ci_hilbert).
     """
 
@@ -314,7 +306,7 @@ class HilbertFunction(_Value):
             return values  # validated when it was built, and immutable since
         if isinstance(values, str):
             values = _parse_caret_list(values)
-        values = _integers(values, "a Hilbert function")
+        values = _integers(values, "a Hilbert function must be a sequence of integers")
         d, k, j = validate_ci_hilbert(values)
         self = object.__new__(cls)
         object.__setattr__(self, "values", values)
@@ -328,10 +320,11 @@ class HilbertFunction(_Value):
 
     @classmethod
     def from_dk(cls, d, k):
-        """T(d, k) = (1,...,d-1,d^k,d-1,...,1).  d and k are read like a
-        Partition's entries (ParseError for a non-integer), and d < 1 or
-        k < 1 raises NotCIShape."""
-        d, k = _integers((d, k), "the pair (d, k)")
+        """T(d, k) = (1,...,d-1,d^k,d-1,...,1).  d and k are read by
+        errors._integers, like a Partition's entries (ParseError for a bool
+        or any other value that is no integer), and d < 1 or k < 1 raises
+        NotCIShape."""
+        d, k = _integers((d, k), "T(d, k) needs integers d and k")
         if d < 1 or k < 1:
             raise NotCIShape(f"T(d, k) needs d >= 1 and k >= 1, not d = {d}, k = {k}")
         return cls(tuple(range(1, d)) + (d,) * k + tuple(range(d - 1, 0, -1)))
@@ -406,7 +399,9 @@ class JordanDegreeType(_Value):
 
     A string of length s starting in degree i covers degrees i..i+s-1; the
     per-degree coverage of all strings of an Artinian algebra equals its
-    Hilbert function.
+    Hilbert function.  Built from a dict {(i, s): m} or pairs ((i, s), m),
+    each of i, s and m read by errors._integers (ParseError for a bool, a
+    float, a str or None); strings of multiplicity 0 are dropped.
     """
 
     __slots__ = ("strings",)  # sorted tuple of ((i, s), multiplicity)
@@ -416,7 +411,9 @@ class JordanDegreeType(_Value):
             items = strings.items()
         else:
             items = strings
-        normal = tuple(sorted(((int(i), int(s)), int(m)) for (i, s), m in items if m))
+        what = "a string's start, length and multiplicity are integers"
+        read = (_integers((i, s, m), what) for (i, s), m in items)
+        normal = tuple(sorted(((i, s), m) for i, s, m in read if m))
         object.__setattr__(self, "strings", normal)
 
     def coverage(self):

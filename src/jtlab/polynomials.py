@@ -32,7 +32,9 @@ min(L, N + 1 - L) (Massey, IEEE Trans. Inform. Theory 1969; Heinig-Rost
 `_direction` is the one reader of a point, or of the direction of a
 linear form: d_sequence, hessians.hessian_rank_at and
 algebra.ArtinAlgebra._diagram all scale theirs to coprime integers
-through it.
+through it, and it reads any point that is not two ints with
+errors._rationals.  A BivariatePoly reads its coefficients by the same
+rule, and its exponents with errors._integers.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _Value
+from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _integers, _rationals, _Value
 from .linalg import primitive
 
 __all__ = [
@@ -71,9 +73,12 @@ class BivariatePoly(_Value):
 
     Each coefficient is stored as an int when it is integral and as a
     Fraction otherwise: an int is kept as it is, and anything else is read
-    through Fraction and stored as its numerator when its denominator is 1.
-    Arithmetic results pass through the same constructor, so they are
-    normalized the same way.
+    by errors._rationals, exactly through Fraction, and stored as its
+    numerator when its denominator is 1; a bool, NaN, an infinity or None
+    raises ParseError.  Each exponent pair that is not two ints is read by
+    errors._integers, so 2.5 or "2" raises ParseError instead of being
+    truncated or parsed.  Arithmetic results pass through the same
+    constructor, so they are normalized the same way.
 
     An immutable value on errors._Value, whose one field is terms.  Its
     hash is computed on first use and kept in the memo slot _hash: this is
@@ -92,11 +97,13 @@ class BivariatePoly(_Value):
         if terms:
             for (a, b), c in dict(terms).items():
                 if type(c) is not int:
-                    c = Fraction(c)
+                    (c,) = _rationals((c,), 1, "a coefficient is a rational number")
                     if c.denominator == 1:
                         c = c.numerator
+                if not type(a) is type(b) is int:
+                    a, b = _integers((a, b), "exponents are integers")
                 if c:
-                    clean[(int(a), int(b))] = c
+                    clean[(a, b)] = c
         object.__setattr__(self, "terms", clean)
 
     # -- constructors -----------------------------------------------------
@@ -107,7 +114,9 @@ class BivariatePoly(_Value):
 
     @classmethod
     def monomial(cls, a, b, coeff=1):
-        return cls({(a, b): coeff})
+        """coeff * x^a * y^b; a and b are read by errors._integers before
+        they key a term, so an unhashable one raises ParseError too."""
+        return cls({_integers((a, b), "exponents are integers"): coeff})
 
     @classmethod
     def linear(cls, a, b):
@@ -388,8 +397,9 @@ def d_sequence(F, a, b):
     F is read through dual_data, which checks it, and then (a, b) through
     _direction, the point reader that hessians.hessian_rank_at and
     algebra.ArtinAlgebra._diagram share: it raises ParseError unless a and
-    b are finite rationals, and ZeroForm when both are 0.  _d_sequence then
-    reads the tuple for the checked F and the coprime pair.
+    b are finite rationals, neither a bool, and ZeroForm when both are 0.
+    _d_sequence then reads the tuple for the checked F and the coprime
+    pair.
     """
     dual_data(F)
     return _d_sequence(F, *_direction((a, b)))
@@ -399,23 +409,18 @@ def _direction(point):
     """The primitive pair (a, b) of a point (a, b), a nonzero pair of
     finite rationals: coprime integers with the first nonzero one
     positive, so a point and its nonzero multiples give one pair.  Raises
-    ParseError unless point is two finite rational coordinates, and
+    ParseError unless errors._rationals reads point as two rationals (a str
+    such as "12", a bool coordinate, NaN or an infinity is refused), and
     ZeroForm when both are 0.
 
     A tuple or list of two ints goes to primitive as it is, which scales it
-    to coprime integers without a Fraction; any other point is read
-    coordinate by coordinate through Fraction first.  Both give the same
-    primitive pair.
+    to coprime integers without a Fraction; any other point is read by
+    _rationals first.  Both give the same primitive pair.
     """
     if type(point) in (tuple, list) and len(point) == 2 and type(point[0]) is type(point[1]) is int:
         coords = point
     else:
-        try:
-            coords = [Fraction(v) for v in point]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"a point needs rational coordinates, not {point!r}") from exc
-        if len(coords) != 2:
-            raise ParseError(f"a point has two coordinates, not {len(coords)}")
+        coords = _rationals(point, 2, "a point needs rational coordinates (a, b)")
     a, b = primitive(coords)
     if not (a or b):
         raise ZeroForm("the point (0, 0) is no linear form")
@@ -472,7 +477,10 @@ def _parse_term(text, original):
 
 
 def parse_poly(text):
-    """Parse "y^4 + x^4", "3/2*x*y^3", "x^2y" (implicit *), in x,y or X,Y."""
+    """Parse "y^4 + x^4", "3/2*x*y^3", "x^2y" (implicit *), in x,y or X,Y.
+    Anything but a str raises ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"a polynomial is text, not {text!r}")
     original = text
     text = text.strip()
     if not text:

@@ -396,3 +396,22 @@ def test_criterion_7_fuzz():
                 assert hessian_rank_at(F, i, (a, b), algebra=A) == rank_mult_power(
                     A, ell, i, T.j - i
                 )
+
+
+# -- 9. realization pipeline over a wider range --------------------------------
+
+
+@criterion(9, "six-check realization of all 7161 CIJTs, d <= 10, k <= 4, one seed", 60)
+def test_criterion_9_wide_realizations():
+    # one recorded seed: each Lambda_2 is drawn from this stream in order, so
+    # a failing (P, Lambda_2) printed below is reproduced by this test alone
+    rng = random.Random(0xC9)
+    count = 0
+    for d, k in itertools.product(range(1, 11), range(1, 5)):
+        T = HilbertFunction.from_dk(d, k)
+        for P in enumerate_cijt(T):
+            lam = tuple(rng.randint(-5, 5) for _ in range(P.power_form[0][1]))
+            report = verify_realization(construct_ci(P, lambda2=lam))
+            assert report.all_passed, (P, lam, str(report))
+            count += 1
+    assert count == 7161

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ from jtlab.constructor import construct_ci
 from jtlab.errors import BudgetExceeded, InternalInconsistency
 from jtlab.partitions import MAX_PARTS, HilbertFunction, Partition
 from jtlab.polynomials import MAX_DEGREE
-from tests_support import random_dual_form
+from tests_support import cli_fuzz_argv, random_dual_form
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,6 +46,30 @@ def normalized(text):
     """Header line joined with sorted data lines; row order is immaterial."""
     lines = text.splitlines()
     return "\n".join(lines[:1] + sorted(lines[1:]))
+
+
+# -- a grammar-following fuzz ------------------------------------------------------
+
+
+def test_fuzzed_argv_exit_with_a_known_code(monkeypatch):
+    # 500 seeded argv whose tokens follow each subcommand's grammar, so most
+    # get past argparse: each answers (0), fails a check (1), gets a domain
+    # error's exit code, or stops at argparse (SystemExit 2); no exception
+    # escapes.  The codes are counted, so the fuzz cannot pass by stopping
+    # every argv at one gate
+    monkeypatch.delenv("JTLAB_SEED", raising=False)
+    rng = random.Random(0xF022)
+    codes = collections.Counter()
+    for _ in range(500):
+        argv = cli_fuzz_argv(rng)
+        try:
+            code = main(argv, out=io.StringIO(), err=io.StringIO())
+        except SystemExit as exc:  # argparse's usage error, on the real stderr
+            assert exc.code == 2, argv
+            code = "argparse"
+        assert code in {0, 1, "argparse", *cli.EXIT_CODES.values()}, (argv, code)
+        codes[code] += 1
+    assert codes[0] > 200 and sum(codes[c] for c in set(cli.EXIT_CODES.values())) > 100, codes
 
 
 # -- bad input: every subcommand, every class of error ---------------------------

@@ -75,9 +75,9 @@ def test_label_serialization_round_trip():
 
 
 def test_a_non_integer_label_entry_is_refused():
-    # an entry that is not text is read with operator.index, as a part of a
-    # Partition is, so a float is refused, not truncated; text, E, "E", 0
-    # and a bool read as before
+    # an entry that is not text is read by errors._integer, as a part of a
+    # Partition is, so a float is refused, not truncated, and a bool is a
+    # flag, not the entry 1; text, E, "E" and 0 read as before
     for entries in ([2.7, E, 1], [1.5, "E"], [2.0, E], [Fraction(1), E], [None, E]):
         with pytest.raises(ParseError, match="bad branch label entry"):
             BranchLabel(entries)
@@ -85,10 +85,13 @@ def test_a_non_integer_label_entry_is_refused():
         branch_label_to_partition([1.5, "E"], "1,1")
     with pytest.raises(ParseError):
         hook_code_from_label([1.5, "E"], "1,1")
-    assert BranchLabel(["1", "E"]) == BranchLabel([True, E]) == BranchLabel("1,E")
+    assert BranchLabel(["1", "E"]) == BranchLabel("1,E")
+    with pytest.raises(ParseError, match="bad branch label entry"):
+        BranchLabel([True, E])
     assert BranchLabel([" 2", 0, 1]).entries == (2, E, 1)
     assert branch_label_to_partition(["1", "E"], "1,1") == Partition("1^2")
-    assert str(hook_code_from_label([True, E], "1,1").label) == "1,E"
+    with pytest.raises(ParseError, match="bad branch label entry"):
+        hook_code_from_label([True, E], "1,1")
 
 
 @pytest.mark.parametrize(

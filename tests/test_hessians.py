@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jtlab
-from jtlab import algebra, hessians, linalg, partitions, polynomials
+from jtlab import algebra, errors, hessians, linalg, partitions, polynomials
 from jtlab.algebra import GradedIdeal, annihilator, jordan_type, quotient, rank_mult_power
 from jtlab.codes import enumerate_cijt, iota
 from jtlab.constructor import construct_ci
@@ -461,10 +461,11 @@ def test_hessian_ranks_agree_with_and_without_an_algebra():
 
 def test_every_spelling_of_a_point_gives_the_same_rank():
     # a tuple or list of two ints goes straight to linalg.primitive, any
-    # other point through Fraction; both read the same primitive pair, and
-    # the rank is that of multiplication by x + 2y, which the planted forms
-    # drop at (1, 2)
-    spellings = [(1, 2), (Fraction(1), 2), (2, 4), (-1, -2), [1, 2], (True, 2), (1.0, 2.0)]
+    # other point through errors._rationals; both read the same primitive
+    # pair, and the rank is that of multiplication by x + 2y, which the
+    # planted forms drop at (1, 2).  A bool is a flag, not a coordinate, so
+    # the spelling (True, 2) is refused
+    spellings = [(1, 2), (Fraction(1), 2), (2, 4), (-1, -2), [1, 2], (1.0, 2.0)]
     ell = BivariatePoly.linear(1, 2)
     checked = dropped = 0
     for F in dual_fuzz_forms() + power_sum_duals():
@@ -477,6 +478,8 @@ def test_every_spelling_of_a_point_gives_the_same_rank():
                     assert hessian_rank_at(F, i, point, algebra=algebra) == want, (F, i, point)
                     checked += 1
     assert checked > 104 * 2 * 2 * len(spellings) and dropped == 3
+    with pytest.raises(ParseError, match="a point needs rational coordinates"):
+        hessian_rank_at(F, 1, (True, 2))
 
 
 def test_an_integer_point_needs_no_fraction(monkeypatch):
@@ -487,11 +490,17 @@ def test_an_integer_point_needs_no_fraction(monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction built")
 
-    monkeypatch.setattr(polynomials, "Fraction", refuse)
+    # the point reader, errors._rationals, and polynomials both lose Fraction
+    for module in (errors, polynomials):
+        monkeypatch.setattr(module, "Fraction", refuse)
     assert [[hessian_rank_at(F, i, point) for i in range(3)] for point in points] == want
-    # the patch is live: any other point still goes through Fraction
-    for point in [(1.0, 2), (Fraction(1), 2), (True, 2), (1, 2, 0)]:
+    # the patch is live: any other point still goes through Fraction, and a
+    # point with a bool or with three coordinates is refused before it does
+    for point in [(1.0, 2), (Fraction(1), 2)]:
         with pytest.raises(AssertionError, match="Fraction built"):
+            hessian_rank_at(F, 1, point)
+    for point in [(True, 2), (1, 2, 0)]:
+        with pytest.raises(ParseError, match="a point needs rational coordinates"):
             hessian_rank_at(F, 1, point)
 
 
