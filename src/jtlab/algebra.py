@@ -187,9 +187,8 @@ class ArtinAlgebra:
     def dim(self, i):
         """dim A_i, 0 outside the degrees of A; an i that is not an int is
         read by errors._integer (ParseError for a bool, a float, a str or
-        None).  hessians._check_order asks it once per Hessian rank."""
-        if type(i) is not int:
-            i = _integer(i, "a degree is an integer")
+        None)."""
+        i = _integer(i, "a degree is an integer")
         if 0 <= i < len(self.hilbert):
             return self.hilbert[i]
         return 0

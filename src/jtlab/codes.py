@@ -31,9 +31,9 @@ ideals whose initial ideal is the monomial ideal complementary to P.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import operator
-import re
 
 from .errors import (
     InternalInconsistency,
@@ -93,10 +93,6 @@ class _Gap:
 
 E = _Gap()
 
-# the text that int() reads in base 10: a branch label's text entries keep
-# int's grammar, and any other text is a str that errors._integer refuses
-_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
 
 class BranchLabel(_Value):
     """A (d+1)-tuple holding d+1-T.branches E's and the values
@@ -121,8 +117,8 @@ class BranchLabel(_Value):
             if e is E or e in ("E", "e"):
                 clean.append(E)
                 continue
-            if isinstance(e, str) and _INTEGER_TEXT.fullmatch(e):
-                e = int(e)
+            with contextlib.suppress(ValueError):  # text int() does not read: _integer refuses it
+                e = int(e) if isinstance(e, str) else e
             value = _integer(e, "bad branch label entry: an entry is E, 0 or an integer")
             clean.append(E if value == 0 else value)  # 0 is the gap too
         if not clean:

@@ -153,10 +153,10 @@ def construct_ci(P, lambda2=None, seed=None):
     a1 = prefix[1]
     if lambda2 is None:
         lambda2 = (0,) * a1 if seed is None else _draw_lambda2(random.Random(seed), a1)
-    rule = f"Lambda_2 must be a sequence of rationals, and Lambda_2 must have length a_1 = {a1}"
-    lambda2 = _rationals(lambda2, a1, rule)
+    length = f"Lambda_2 must have length a_1 = {a1}"
+    lambda2 = _rationals(lambda2, a1, "Lambda_2 must be a sequence of rationals", length)
 
-    lam = {1: (), 2: tuple(v.numerator if v.denominator == 1 else v for v in lambda2)}
+    lam = {1: (), 2: lambda2}
     for i in range(2, t + 1):
         n_i = pf[i - 1][1]
         n_prev = pf[i - 2][1]

@@ -1,6 +1,6 @@
 """Exception types shared across the package; _Value, the base of its
 immutable value classes: a value is its public slots, and a slot whose name
-starts with an underscore is a memo, never part of the value; and the three
+starts with an underscore is a memo, never part of the value; and the
 readers of a number that comes from outside the package.
 
 Each reader has one rule, and raises ParseError for anything else.  A bool
@@ -8,14 +8,17 @@ is a flag, not a number, so every reader refuses it.  _integer takes an int
 as it is and any other value with __index__ through operator.index; a str,
 a float (even 1.0), a Fraction (even 2/1) and None are refused, never
 parsed or rounded.  _integers reads each entry of a non-str iterable so.
-_rationals reads a non-str iterable of exactly n entries: an int entry
-stays as it is, and any other is read exactly by Fraction, so a finite
-float or the text "1/2" is fine, and NaN, an infinity, None or a complex
-number is refused.  Each reader's message opens with its caller's `what`,
-the rule in the caller's words, and ends with the value it refused.  Text
-grammars such as the caret list "6,2^2" keep their own parsers.
+_rational takes an int as it is and reads any other value exactly by
+Fraction, an integral one as its int, so a finite float or the text "1/2"
+is fine, and NaN, an infinity, None or a complex number is refused.  _rationals reads each entry
+of a non-str iterable so, and then asks for exactly n of them.  Each
+reader's message opens with its caller's `what`, the rule in the caller's
+words, and ends with the value it refused; a wrong length has a message of
+its own, which ends with the length.  Text grammars such as the caret
+list "6,2^2" keep their own parsers.
 """
 
+import contextlib
 import operator
 from fractions import Fraction
 
@@ -153,25 +156,33 @@ def _integer(value, what):
 def _integers(values, what):
     """The entries of a non-str iterable as a tuple of ints, each read by
     _integer; ParseError(what, ...) for a str, a non-iterable or an entry
-    that is no integer.  When every entry is an int, the common case, the
-    tuple of them is returned after one pass over their types."""
+    that is no integer."""
     if isinstance(values, str) or not hasattr(values, "__iter__"):
         raise ParseError(f"{what}, not {values!r}")
-    values = tuple(values)
-    return values if set(map(type, values)) <= {int} else tuple(_integer(v, what) for v in values)
+    return tuple(_integer(v, what) for v in values)
 
 
-def _rationals(values, n, what):
-    """The n entries of a non-str iterable as a tuple: an int as it is, any
-    other entry read exactly by Fraction.  ParseError(what, values) for a
-    str, a non-iterable, a length other than n, or an entry that is a bool
-    or that Fraction cannot read exactly (NaN, an infinity, None, a complex
-    number, text that is no fraction)."""
-    if not isinstance(values, str) and hasattr(values, "__iter__"):
-        values = tuple(values)
-        if len(values) == n and not any(isinstance(v, bool) for v in values):
-            try:
-                return tuple(v if type(v) is int else Fraction(v) for v in values)
-            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                pass
-    raise ParseError(f"{what}, not {values!r}")
+def _rational(value, what):
+    """value as an exact rational: an int as it is, any other value read by
+    Fraction, and an integral one as its int; ParseError(what, value) for a
+    bool or for what Fraction cannot read exactly (NaN, an infinity, None,
+    a complex number, text that is no fraction)."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError, OverflowError, ZeroDivisionError):
+            value = value if type(value) is int else Fraction(value)
+            return value.numerator if value.denominator == 1 else value
+    raise ParseError(f"{what}, not {value!r}")
+
+
+def _rationals(values, n, what, length=None):
+    """The n entries of a non-str iterable as a tuple, each read by
+    _rational.  ParseError(what, ...) for a str, a non-iterable or an entry
+    that is no rational; then, for a length other than n, ParseError whose
+    message opens with length, the caller's rule for it (by default what,
+    and exactly n of them), and ends with the length it got."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ParseError(f"{what}, not {values!r}")
+    values = tuple(_rational(v, what) for v in values)
+    if len(values) != n:
+        raise ParseError(f"{length or f'{what}, exactly {n} of them'}, not {len(values)}")
+    return values

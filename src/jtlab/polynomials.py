@@ -44,7 +44,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _integers, _rationals, _Value
+from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _integers, _rational, _rationals, _Value
 from .linalg import primitive
 
 __all__ = [
@@ -73,7 +73,7 @@ class BivariatePoly(_Value):
 
     Each coefficient is stored as an int when it is integral and as a
     Fraction otherwise: an int is kept as it is, and anything else is read
-    by errors._rationals, exactly through Fraction, and stored as its
+    by errors._rational, exactly through Fraction, and stored as its
     numerator when its denominator is 1; a bool, NaN, an infinity or None
     raises ParseError.  Each exponent pair that is not two ints is read by
     errors._integers, so 2.5 or "2" raises ParseError instead of being
@@ -96,10 +96,7 @@ class BivariatePoly(_Value):
         clean = {}
         if terms:
             for (a, b), c in dict(terms).items():
-                if type(c) is not int:
-                    (c,) = _rationals((c,), 1, "a coefficient is a rational number")
-                    if c.denominator == 1:
-                        c = c.numerator
+                c = c if type(c) is int else _rational(c, "a coefficient is a rational number")
                 if not type(a) is type(b) is int:
                     a, b = _integers((a, b), "exponents are integers")
                 if c:
