@@ -95,9 +95,9 @@ class GradedIdeal(_Value):
     Each generator g of degree e is also kept, in the private slot _rows,
     as the pair (e, linalg.primitive(_poly_vec(g, e))): its degree and its
     coordinate row as coprime integers.  quotient builds from these rows,
-    and initial_ideal moves them, so no Fraction is converted again after
-    construction.  Its one field is generators and _rows is a memo (see
-    errors._Value): two ideals are equal when they list the same
+    and ArtinAlgebra._diagram moves them, so no Fraction is converted
+    again after construction.  Its one field is generators and _rows is a
+    memo (see errors._Value): two ideals are equal when they list the same
     generators in the same order, and a copy reads its rows again.
 
     GradedIdeal(generators) checks every generator and reads its row back
@@ -542,8 +542,8 @@ def _moved(vec, a, b):
     return out
 
 
-def initial_ideal(ideal, ell, algebra=None):
-    """Initial monomial data of I in the direction ell.
+def initial_ideal(A, ell):
+    """Initial monomial data of A's ideal in the direction ell.
 
     Coordinates are changed so that ell becomes x (complement y, or x when
     ell is proportional to y), with (a, b) the primitive pair of ell's
@@ -552,21 +552,17 @@ def initial_ideal(ideal, ell, algebra=None):
     partition of their Ferrers diagram are ArtinAlgebra._diagram's, kept
     under ell and shared with every other question about it; when ell is a
     multiple of x they are the algebra's own.  ell is checked by
-    require_linear first, so a bad form is refused before any quotient is
-    built.  algebra, when given, is quotient(ideal); otherwise
-    quotient(ideal) is built, and raises BudgetExceeded or NotArtinian as
-    quotient does.
+    require_linear first, so a bad form is refused before any diagram is
+    read.
     """
     ell = require_linear(ell)
-    A = algebra if algebra is not None else quotient(ideal)
     std, Q = A._diagram(ell)
     fill = tuple(tuple((t, i - t) for t in std[i]) for i in range(A.socle_degree + 1))
     return MonomialCell(partition=Q, fill=fill, generators=cell_generators(Q))
 
 
-def is_complete_intersection(ideal, algebra=None):
-    """Whether I is minimally generated by two forms, and its minimal
-    generator degrees, as quotient counts them while it builds the algebra
-    (see _build).  algebra, when given, is quotient(ideal)."""
-    A = algebra if algebra is not None else quotient(ideal)
+def is_complete_intersection(A):
+    """Whether A's ideal is minimally generated by two forms, and its
+    minimal generator degrees, as quotient counts them while it builds A
+    (see _build)."""
     return len(A._generator_degrees) == 2, A._generator_degrees

@@ -288,17 +288,8 @@ def cmd_classify(args, out):
     try:
         T = HilbertFunction(diag)
     except NotCIShape:
-        T = None
-    if T is None:
-        report.update(
-            {
-                "ci_shape": False,
-                "cijt": False,
-                "hook_counts": {
-                    str(deg): c for deg, c in sorted(hook_counts_by_degree(P).items())
-                },
-            }
-        )
+        counts = sorted(hook_counts_by_degree(P).items())
+        report.update(ci_shape=False, cijt=False, hook_counts={str(deg): c for deg, c in counts})
     else:
         row, profile = _row_and_profile(P, T)
         report["ci_shape"] = True
@@ -421,7 +412,7 @@ def cmd_jordan(args, out):
         "jordan_degree_type": [
             {"start": i, "length": s, "multiplicity": m} for (i, s), m in jdt.strings
         ],
-        "initial_partition": str(initial_ideal(ideal, ell, algebra=A).partition),
+        "initial_partition": str(initial_ideal(A, ell).partition),
     }
     report["nonvanishing"] = report["hessian_ranks"] = None
     # the algebra's HilbertFunction, None when it is not CI-shaped
@@ -441,16 +432,8 @@ def cmd_jordan(args, out):
         out.write(f"jordan degree type: {jdt}\n")
         out.write(f"initial-ideal partition: {report['initial_partition']}\n")
         if report["nonvanishing"] is not None:
-            out.write(
-                "nonvanishing hessians: {"
-                + ",".join(map(str, report["nonvanishing"]))
-                + "}\n"
-            )
-            out.write(
-                "hessian ranks: "
-                + ",".join(map(str, report["hessian_ranks"]))
-                + "\n"
-            )
+            out.write("nonvanishing hessians: {" + ",".join(map(str, report["nonvanishing"])) + "}\n")
+            out.write("hessian ranks: " + ",".join(map(str, report["hessian_ranks"])) + "\n")
     return EXIT_OK
 
 
@@ -518,17 +501,29 @@ def cmd_table(args, out):
 # entry
 
 
+# the options of build_parser that take a value
+_VALUE_OPTIONS = ("--all", "--seed", "--dual", "--ell", "--format")
+
+
 def _join_form_values(argv):
-    """argv with a value that starts with one minus sign joined to the form
-    option before it, --ell -x+y as --ell=-x+y, since argparse reads a
-    separate -x+y as an option."""
-    out = []
-    for arg in argv:
-        if out and out[-1] in ("--ell", "--dual") and arg[:1] == "-" and arg[:2] != "--":
+    """argv with every word that is no option (--name, or -h) read as a
+    value, since argparse reads a word with one leading minus as an option:
+    joined to the option before it when that takes a value, --ell -x+y as
+    --ell=-x+y, and otherwise a positional, moved past a "--" with every
+    positional after it, in order, when it or one before it starts with a
+    minus ("-x^2+y^2,x*y" --ell x as --ell=x -- "-x^2+y^2,x*y")."""
+    out, tail = [], []
+    for n, arg in enumerate(argv):
+        if arg == "--":
+            return [*out, "--", *tail, *argv[n + 1 :]]
+        option = arg[:2] == "--" or arg == "-h"
+        if not option and out and out[-1] in _VALUE_OPTIONS:
             out[-1] += "=" + arg
+        elif not option and (tail or arg[:1] == "-"):
+            tail.append(arg)
         else:
             out.append(arg)
-    return out
+    return [*out, "--", *tail] if tail else out
 
 
 def build_parser():

@@ -411,14 +411,13 @@ def is_cijt(P):
 
 
 def compositions(n):
-    """Ordered partitions of n, by increasing cut bitmask; () for n = 0.  n
-    is read by errors._integer when the first one is asked for (ParseError
-    for a bool, a float, a str or None)."""
+    """Ordered partitions of n, by increasing cut bitmask; () for n = 0 and
+    none for n < 0.  n is read by errors._integer when the first one is
+    asked for (ParseError for a bool, a float, a str or None)."""
     n = _integer(n, "n is an integer")
     if n == 0:
         yield ()
-        return
-    for mask in range(1 << (n - 1)):
+    for mask in range(1 << (n - 1) if n > 0 else 0):
         comp = []
         run = 1
         for pos in range(n - 1):

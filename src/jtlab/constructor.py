@@ -261,11 +261,10 @@ def verify_realization(realization):
     """
     P = realization.partition
     T = realization.hilbert
-    ideal = realization.ideal
     want_degs = (T.d, T.d + T.k - 1)
 
     try:
-        A = quotient(ideal)
+        A = quotient(realization.ideal)
     except NotArtinian as exc:
         expected = (f"degrees {want_degs}", str(T), str(P), "", "", "")
         return RealizationReport(
@@ -282,7 +281,7 @@ def verify_realization(realization):
         check(
             "complete_intersection",
             want_degs,
-            is_complete_intersection(ideal, algebra=A)[1],
+            is_complete_intersection(A)[1],
             lambda degs: f"{len(degs)} generators of degrees {degs}",
         ),
         check("hilbert_function", T.values, A.hilbert, format_caret_list),
@@ -290,7 +289,7 @@ def verify_realization(realization):
         check(
             "initial_ideal",
             cell_generators(P),
-            initial_ideal(ideal, _ELL_X, algebra=A).generators,
+            initial_ideal(A, _ELL_X).generators,
             _fmt_monomials,
         ),
     ]

@@ -10,12 +10,15 @@ a float (even 1.0), a Fraction (even 2/1) and None are refused, never
 parsed or rounded.  _integers reads each entry of a non-str iterable so.
 _rational takes an int as it is and reads any other value exactly by
 Fraction, an integral one as its int, so a finite float or the text "1/2"
-is fine, and NaN, an infinity, None or a complex number is refused.  _rationals reads each entry
-of a non-str iterable so, and then asks for exactly n of them.  Each
-reader's message opens with its caller's `what`, the rule in the caller's
-words, and ends with the value it refused; a wrong length has a message of
-its own, which ends with the length.  Text grammars such as the caret
-list "6,2^2" keep their own parsers.
+is fine, and NaN, an infinity, None or a complex number is refused.
+_rationals reads each entry of a non-str iterable so, and then asks for
+exactly n of them.  _pairs reads only the shape of a table keyed by
+pairs, a mapping or a non-str iterable of items ((p, q), v), whose p, q
+and v its caller reads by the rules above.  Each reader's message
+opens with its caller's `what`, the rule in the caller's words, and ends
+with the value it refused; a wrong length has a message of its own, which
+ends with the length.  Text grammars such as the caret list "6,2^2" keep
+their own parsers.
 """
 
 import contextlib
@@ -186,3 +189,15 @@ def _rationals(values, n, what, length=None):
     if len(values) != n:
         raise ParseError(f"{length or f'{what}, exactly {n} of them'}, not {len(values)}")
     return values
+
+
+def _pairs(values, what):
+    """The items ((p, q), v) of a mapping keyed by pairs (anything with
+    items()), or of a non-str iterable of such items, as a list, with p, q
+    and v as they are; ParseError(what, values) for a str, a non-iterable,
+    or an item or key that does not unpack so."""
+    if not isinstance(values, str):
+        with contextlib.suppress(TypeError, ValueError):
+            items = values.items() if hasattr(values, "items") else values
+            return [((p, q), v) for (p, q), v in items]
+    raise ParseError(f"{what}, not {values!r}")

@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
     SizeMismatch,
     _integers,
+    _pairs,
     _Value,
 )
 
@@ -399,18 +400,17 @@ class JordanDegreeType(_Value):
 
     A string of length s starting in degree i covers degrees i..i+s-1; the
     per-degree coverage of all strings of an Artinian algebra equals its
-    Hilbert function.  Built from a dict {(i, s): m} or pairs ((i, s), m),
-    each of i, s and m read by errors._integers (ParseError for a bool, a
-    float, a str or None); strings of multiplicity 0 are dropped.
+    Hilbert function.  Built from a mapping {(i, s): m} or items
+    ((i, s), m), as errors._pairs reads them, each of i, s and m read by
+    errors._integers (ParseError for anything else: an item that is no
+    such pair, a bool, a float, a str or None); strings of multiplicity 0
+    are dropped.
     """
 
     __slots__ = ("strings",)  # sorted tuple of ((i, s), multiplicity)
 
     def __init__(self, strings):
-        if isinstance(strings, dict):
-            items = strings.items()
-        else:
-            items = strings
+        items = _pairs(strings, "strings are a mapping or items ((i, s), m)")
         what = "a string's start, length and multiplicity are integers"
         read = (_integers((i, s, m), what) for (i, s), m in items)
         normal = tuple(sorted(((i, s), m) for i, s, m in read if m))

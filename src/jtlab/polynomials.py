@@ -44,7 +44,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _integers, _rational, _rationals, _Value
+from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _integers, _pairs, _rational, _rationals, _Value
 from .linalg import primitive
 
 __all__ = [
@@ -71,14 +71,17 @@ MAX_DEGREE = 50
 class BivariatePoly(_Value):
     """A polynomial in two variables over the rationals.
 
-    Each coefficient is stored as an int when it is integral and as a
-    Fraction otherwise: an int is kept as it is, and anything else is read
-    by errors._rational, exactly through Fraction, and stored as its
-    numerator when its denominator is 1; a bool, NaN, an infinity or None
-    raises ParseError.  Each exponent pair that is not two ints is read by
-    errors._integers, so 2.5 or "2" raises ParseError instead of being
-    truncated or parsed.  Arithmetic results pass through the same
-    constructor, so they are normalized the same way.
+    Its terms, c x^a y^b, are a mapping {(a, b): c} or items ((a, b), c),
+    as errors._pairs reads them (ParseError for anything else, 5 or "12"
+    among them), or None for the zero polynomial.  Each coefficient is
+    stored as an int when it is integral and as a Fraction otherwise: an
+    int is kept as it is, and anything else is read by errors._rational,
+    exactly through Fraction, and stored as its numerator when its
+    denominator is 1; a bool, NaN, an infinity or None raises ParseError.
+    Each exponent pair that is not two ints is read by errors._integers, so
+    2.5 or "2" raises ParseError instead of being truncated or parsed.
+    Arithmetic results pass through the same constructor, so they are
+    normalized the same way.
 
     An immutable value on errors._Value, whose one field is terms.  Its
     hash is computed on first use and kept in the memo slot _hash: this is
@@ -94,13 +97,15 @@ class BivariatePoly(_Value):
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for (a, b), c in dict(terms).items():
+        if terms is not None:
+            for (a, b), c in _pairs(terms, "terms are a mapping or items ((a, b), c)"):
                 c = c if type(c) is int else _rational(c, "a coefficient is a rational number")
                 if not type(a) is type(b) is int:
                     a, b = _integers((a, b), "exponents are integers")
                 if c:
                     clean[(a, b)] = c
+                else:  # a later item with the same key wins, as in a dict
+                    clean.pop((a, b), None)
         object.__setattr__(self, "terms", clean)
 
     # -- constructors -----------------------------------------------------

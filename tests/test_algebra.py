@@ -1,4 +1,5 @@
 import copy
+import inspect
 import itertools
 import math
 import os
@@ -259,16 +260,18 @@ def test_annihilator_is_a_ci_in_degrees_d_and_j_plus_2_minus_d():
     for F in duals:
         j = F.homogeneous_degree()
         I = annihilator(F)
-        d = max(quotient(I).hilbert)
-        assert is_complete_intersection(I) == (True, (d, j + 2 - d)), F
+        A = quotient(I)
+        d = max(A.hilbert)
+        assert is_complete_intersection(A) == (True, (d, j + 2 - d)), F
 
 
 @pytest.mark.parametrize("text", ["1", "-3/2"])
 def test_annihilator_of_a_constant_is_the_maximal_ideal(text):
     I = annihilator(parse_poly(text))
     assert sorted(g.text() for g in I.generators) == ["x", "y"]
-    assert quotient(I).hilbert == (1,)
-    assert is_complete_intersection(I) == (True, (1, 1))
+    A = quotient(I)
+    assert A.hilbert == (1,)
+    assert is_complete_intersection(A) == (True, (1, 1))
 
 
 def test_degree_cap():
@@ -449,13 +452,13 @@ def test_jordan_degree_type_gorenstein_symmetry():
 
 
 def test_initial_ideal_example():
-    cell = initial_ideal(ideal("x^2*y", "y^4+x^4"), ELL_X)
+    cell = initial_ideal(quotient(ideal("x^2*y", "y^4+x^4")), ELL_X)
     assert cell.generators == ((6, 0), (2, 1), (0, 4))
     assert cell.partition == Partition([6, 2, 2, 2])
 
 
 def test_initial_ideal_monomial_fixed_point():
-    cell = initial_ideal(ideal("x^2", "y^3"), ELL_X)
+    cell = initial_ideal(quotient(ideal("x^2", "y^3")), ELL_X)
     assert cell.generators == ((2, 0), (0, 3))
     assert cell.partition == Partition([2, 2, 2])
 
@@ -464,7 +467,7 @@ def test_initial_ideal_standard_monomial_count_is_hilbert():
     I = ideal("x^2*y", "y^4+x^4")
     A = quotient(I)
     for ell in (ELL_X, ELL_Y, ELL_XY):
-        cell = initial_ideal(I, ell)
+        cell = initial_ideal(quotient(I), ell)
         assert tuple(len(deg) for deg in cell.fill) == A.hilbert
         assert diagonal_lengths(cell.partition) == A.hilbert
 
@@ -478,7 +481,7 @@ def test_initial_ideal_generic_direction_is_strong_lefschetz():
         ell = BivariatePoly.linear(1, r)
         from jtlab.partitions import sl_partition
 
-        assert initial_ideal(I, ell).partition == sl_partition(T)
+        assert initial_ideal(quotient(I), ell).partition == sl_partition(T)
 
 
 def test_initial_ideal_agrees_with_jordan_type():
@@ -486,9 +489,9 @@ def test_initial_ideal_agrees_with_jordan_type():
     A = quotient(I)
     for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (1, 5)]:
         ell = BivariatePoly.linear(a, b)
-        assert initial_ideal(I, ell).partition == jordan_type(A, ell)
+        assert initial_ideal(quotient(I), ell).partition == jordan_type(A, ell)
         # a given algebra and a fresh quotient count the same moved ideal
-        assert initial_ideal(I, ell, algebra=A) == initial_ideal(I, ell)
+        assert initial_ideal(A, ell) == initial_ideal(quotient(I), ell)
 
 
 # -- complete intersection test ------------------------------------------------------
@@ -508,8 +511,7 @@ CI_CASES = [
 def test_is_complete_intersection():
     for gens, want in CI_CASES:
         I = ideal(*gens)
-        assert is_complete_intersection(I) == want
-        assert is_complete_intersection(I, algebra=quotient(I)) == want
+        assert is_complete_intersection(quotient(I)) == want
         assert ref.is_complete_intersection(I, algebra=quotient(I)) == want
 
 
@@ -525,7 +527,20 @@ def test_is_complete_intersection_reads_the_count_off_the_algebra(monkeypatch):
 
     for name in ("rank", "insert", "remainder", "rref", "kernel_basis"):
         monkeypatch.setattr(linalg, name, refuse)
-    assert is_complete_intersection(I, algebra=A) == (True, (2, 2))
+    assert is_complete_intersection(A) == (True, (2, 2))
+
+
+def test_questions_about_an_algebra_take_the_algebra_alone():
+    # no ideal is passed beside its algebra, so no ideal can disagree with
+    # it: given (x^2, xy, y^3) and the algebra of (x^2, y^2), these once
+    # answered (True, (2, 2)) and 2^2, the algebra's answers
+    for fn in (initial_ideal, is_complete_intersection):
+        assert "algebra" not in inspect.signature(fn).parameters, fn
+    I, J = ideal("x^2", "x*y", "y^3"), ideal("x^2", "y^2")
+    assert initial_ideal(quotient(I), X).partition == Partition("2,1^2")
+    assert is_complete_intersection(quotient(I)) == (False, (2, 2, 3))
+    assert initial_ideal(quotient(J), X).partition == Partition("2^2")
+    assert is_complete_intersection(quotient(J)) == (True, (2, 2))
 
 
 # -- copying and pickling ----------------------------------------------------------
@@ -1114,12 +1129,12 @@ def test_rank_only_questions_build_no_reduced_form(monkeypatch):
         ell = BivariatePoly.linear(a, b)
         assert jordan_type(A, ell).size == A.dimension
         for K, C in ((J, A), (I, B)):
-            assert diagonal_lengths(initial_ideal(K, ell, algebra=C).partition) == C.hilbert
+            assert diagonal_lengths(initial_ideal(C, ell).partition) == C.hilbert
         for i in active_hessian_indices(HilbertFunction(A.hilbert)):
             assert hessian_rank_at(F, i, (a, b), algebra=A) == rank_mult_power(
                 A, ell, i, A.socle_degree - i
             )
-    assert is_complete_intersection(I, algebra=B) == (False, (3, 4, 4))
+    assert is_complete_intersection(B) == (False, (3, 4, 4))
 
 
 def _rank_table_algebras():
@@ -1147,7 +1162,7 @@ def test_rank_questions_in_x_run_no_elimination(monkeypatch):
         for ell in (ELL_X, BivariatePoly.linear(2, 0), BivariatePoly.linear(-1, 0)):
             assert jordan_degree_type(A, ell).coverage() == A.hilbert
             assert rank_mult_power(A, ell, 0, 1) == min(A.hilbert[:2])
-            cell = initial_ideal(I, ell, algebra=A)
+            cell = initial_ideal(A, ell)
             assert diagonal_lengths(cell.partition) == A.hilbert
 
 
@@ -1171,7 +1186,7 @@ def test_one_moved_pass_per_form(monkeypatch):
         for a, b in [(1, 0), (0, 1), (1, 1), (2, -3), (-2, 3), (0, -5), (3, 0)]:
             ell = BivariatePoly.linear(a, b)
             jordan_degree_type(A, ell)
-            initial_ideal(I, ell, algebra=A)
+            initial_ideal(A, ell)
             rank_mult_power(A, ell, 0, 1)
         moved = {
             (a, b): [(e, algebra._moved(vec, a, b)) for e, vec in I._rows]
@@ -1211,7 +1226,7 @@ def test_a_second_question_about_a_form_runs_no_build(monkeypatch):
         twin = parse_poly(str(ell))
         assert twin is not ell and jordan_type(A, twin) is P
         assert counts == first, (ell, counts)
-        assert initial_ideal(I, ell, algebra=A).partition is P
+        assert initial_ideal(A, ell).partition is P
         assert counts == {**first, "require_linear": 2}, (ell, counts)
         counts.update(dict.fromkeys(counts, 0))
 
@@ -1350,7 +1365,7 @@ def test_a_direction_keeps_one_trusted_jordan_type(monkeypatch):
             ell = BivariatePoly.linear(a, b)
             P = jordan_type(A, ell)
             assert jordan_type(A, ell) is P and A._diagram(ell)[1] is P
-            assert initial_ideal(I, ell, algebra=A).partition is P
+            assert initial_ideal(A, ell).partition is P
             types.append(P)
         assert len(validated) == 1  # on the first direction, for the algebra
         monkeypatch.undo()
@@ -1392,8 +1407,8 @@ def test_a_tampered_moved_hilbert_function_raises(monkeypatch):
     with pytest.raises(InternalInconsistency, match="Hilbert function"):
         jordan_type(A, ELL_XY)
     with pytest.raises(InternalInconsistency, match="Hilbert function"):
-        initial_ideal(I, ELL_Y)
-    assert jordan_type(A, ELL_X) == initial_ideal(I, ELL_X, algebra=A).partition
+        initial_ideal(quotient(I), ELL_Y)
+    assert jordan_type(A, ELL_X) == initial_ideal(A, ELL_X).partition
 
 
 def test_a_moved_ideal_short_of_everything_past_the_socle_raises(monkeypatch):
@@ -1445,7 +1460,7 @@ for std in {stds!r}:
     for ask in (
         lambda: algebra.jordan_type(A, ell),
         lambda: algebra.rank_mult_power(A, ell, 0, 1),
-        lambda: algebra.initial_ideal(I, ell, algebra=A),
+        lambda: algebra.initial_ideal(A, ell),
     ):
         try:
             ask()
@@ -1466,7 +1481,7 @@ def test_a_moved_set_that_is_no_ferrers_diagram_raises(monkeypatch, std):
     for ask in (
         lambda: jordan_type(A, ELL_XY),
         lambda: rank_mult_power(A, ELL_XY, 0, 1),
-        lambda: initial_ideal(I, ELL_XY, algebra=A),
+        lambda: initial_ideal(A, ELL_XY),
     ):
         with pytest.raises(InternalInconsistency, match="Ferrers diagram"):
             ask()

@@ -169,6 +169,32 @@ def test_a_form_with_a_leading_minus_needs_no_equals_sign(argv, joined):
     assert result[0] == 0 and result[1] and not result[2]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jordan", "-x^2+y^2,x*y", "--ell", "x"),
+        ("jordan", "--ell", "x", "-x^2+y^2,x*y"),
+        ("jordan", "--ell", "x", "--format", "plain", "-x^2+y^2,x*y"),
+    ],
+    ids=["before --ell", "after --ell", "after --format"],
+)
+def test_an_ideal_with_a_leading_minus_is_a_positional(argv):
+    # a word with one leading minus that follows no option taking a value
+    # is the ideal, wherever it stands, as it is after "--"
+    result = run_cli(*argv)
+    assert result == run_cli("jordan", "--ell", "x", "--", "-x^2+y^2,x*y")
+    assert result[0] == 0 and result[1] and not result[2]
+
+
+def test_positionals_keep_their_order_past_a_leading_minus():
+    # classify's second positional follows its first, so a leading-minus
+    # partition is read as the partition, and -h stays the help option
+    code, out, err = run_cli("classify", "-2,1", "1,1,1")
+    assert code == 2 and not out and "-2" in err
+    assert cli._join_form_values(["classify", "-2,1", "1,1,1"]) == ["classify", "--", "-2,1", "1,1,1"]
+    assert cli._join_form_values(["jordan", "-h"]) == ["jordan", "-h"]
+
+
 def test_non_integer_env_seed_exits_2():
     assert_one_error_line(run_cli("realize", "6,4,2", env_seed="abc"), 2)
 

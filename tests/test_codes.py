@@ -271,7 +271,7 @@ def _value_cases():
     check = Check(name="jordan_type", passed=True, expected="3,1", observed="3,1")
     cases = [
         (
-            initial_ideal(GradedIdeal([x**2, y**2]), x),
+            initial_ideal(quotient(GradedIdeal([x**2, y**2])), x),
             MonomialCell(
                 partition=Partition("2^2"),
                 fill=(((0, 0),), ((0, 1), (1, 0)), ((1, 1),)),

@@ -1,12 +1,14 @@
 """Hostile values against every public entry point that takes a number, a
-point or a sequence of numbers.
+point, a sequence of numbers or a table keyed by pairs.
 
 jtlab reads a number from outside by one of three rules (errors._integer,
 errors._integers, errors._rationals): a bool is a flag, not a number; an
 integer is an int or any other non-bool with __index__; a rational is an
-int or anything Fraction reads exactly.  Each entry point must answer for a
-value as it answers for that value's reading, or raise ParseError when the
-value has none; no other exception may escape.
+int or anything Fraction reads exactly.  A table keyed by pairs
+(errors._pairs) is a mapping or a sequence of items ((p, q), v).  Each
+entry point must answer for a value as it answers for that value's
+reading, or raise ParseError when the value has none; no other exception
+may escape.
 """
 
 import math
@@ -53,6 +55,7 @@ HOSTILE = [
     Fraction(2),
     1j,
     [1],
+    [(1, 2, 3)],
     (),
 ]
 
@@ -67,7 +70,8 @@ P = Partition("6,2^3")  # a_1 = 1, so Lambda_2 has one entry
 # "rational", a rational; "integers", a sequence of integers; "caret", a
 # sequence of integers or its caret text; "rationals", a sequence of
 # rationals; "lambda2", a sequence of rationals or None, the default zero;
-# "text", text only.
+# "pairs", a table keyed by pairs; "terms", a table keyed by pairs or None,
+# the zero polynomial; "text", text only.
 ENTRY_POINTS = [
     ("Partition", "caret", Partition),
     ("Partition part", "integer", lambda v: Partition([v])),
@@ -107,6 +111,8 @@ ENTRY_POINTS = [
     ("JordanDegreeType start", "integer", lambda v: JordanDegreeType([((v, 2), 1)])),
     ("JordanDegreeType length", "integer", lambda v: JordanDegreeType([((0, v), 1)])),
     ("JordanDegreeType multiplicity", "integer", lambda v: JordanDegreeType([((0, 2), v)])),
+    ("JordanDegreeType strings", "pairs", JordanDegreeType),
+    ("BivariatePoly terms", "terms", BivariatePoly),
     ("parse_poly", "text", parse_poly),
 ]
 
@@ -120,6 +126,15 @@ def reading(kind, value):
         return (0,) * P.power_form[0][1]  # a_1 zeros
     if kind == "text":
         return value if isinstance(value, str) else NO_READING
+    if kind == "terms" and value is None:
+        return {}
+    if kind in ("pairs", "terms"):
+        # a sequence of items ((p, q), v); a mapping is no hostile value
+        table = isinstance(value, (list, tuple)) and all(
+            isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], tuple) and len(item[0]) == 2
+            for item in value
+        )
+        return tuple(value) if table else NO_READING
     if kind in ("integer text", "caret") and isinstance(value, str):
         return int(value) if kind == "integer text" else (int(value),)  # "1" and "12"
     if kind in ("integer", "integer text"):
@@ -131,7 +146,8 @@ def reading(kind, value):
             return Fraction(value)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             return NO_READING
-    # a sequence slot: of the hostile values only [1] and () are sequences
+    # a sequence slot: of the hostile values only [1], [(1, 2, 3)] and ()
+    # are sequences
     return tuple(value) if isinstance(value, (list, tuple)) else NO_READING
 
 
@@ -181,6 +197,13 @@ def test_the_table_reaches_every_kind_of_answer():
         lambda: Partition([True]),  # was the partition 1
         lambda: d_sequence(F, True, 0),  # was the direction (1, 0)
         lambda: construct_ci(P, lambda2=(True,)),  # was Lambda_2 = (1,)
+        lambda: BivariatePoly(5),  # raised TypeError
+        lambda: BivariatePoly("12"),  # raised ValueError
+        lambda: BivariatePoly([(1, 2, 3)]),  # raised ValueError
+        lambda: BivariatePoly(False),  # was the zero polynomial
+        lambda: BivariatePoly({5: 1}),  # raised TypeError
+        lambda: JordanDegreeType([5]),  # raised TypeError
+        lambda: JordanDegreeType(None),  # raised TypeError
     ],
     ids=[
         "rank_mult_power 2.5",
@@ -196,6 +219,13 @@ def test_the_table_reaches_every_kind_of_answer():
         "Partition [True]",
         "d_sequence True",
         "lambda2 (True,)",
+        "terms 5",
+        "terms '12'",
+        "terms [(1, 2, 3)]",
+        "terms False",
+        "terms {5: 1}",
+        "JDT [5]",
+        "JDT None",
     ],
 )
 def test_a_value_once_misread_is_refused(call):
@@ -216,3 +246,18 @@ def test_an_index_integer_is_read_through_index():
     assert hessian_rank_at(F, Index(1), (1, 1)) == hessian_rank_at(F, 1, (1, 1))
     assert rank_mult_power(A, X, Index(1), Index(3)) == rank_mult_power(A, X, 1, 3)
     assert BivariatePoly.monomial(Index(2), Index(1)) == parse_poly("x^2*y")
+
+
+def test_a_negative_n_has_no_compositions():
+    # 2^(n - 1) compositions for n >= 1, the empty one for n = 0, and none
+    # for n < 0, whose shift 1 << (n - 1) once raised a bare ValueError
+    for n in range(-5, 6):
+        got = outcome(lambda v: list(compositions(v)), n)
+        want = 2 ** (n - 1) if n > 0 else int(n == 0)
+        assert got[0] == "value" and len(set(got[1])) == len(got[1]) == want, n
+
+
+def test_a_later_item_with_the_same_key_wins():
+    # items are read as dict() reads them, a zero coefficient included
+    assert BivariatePoly([((1, 0), 2), ((1, 0), 0)]) == BivariatePoly()
+    assert BivariatePoly([((1, 0), 0), ((1, 0), 3)]) == BivariatePoly({(1, 0): 3})

@@ -203,7 +203,7 @@ def test_only_the_dual_reader_writes_a_forms_dual_data():
 
 
 def test_only_the_graded_ideal_writes_its_rows():
-    # quotient and initial_ideal build from _rows without checking them, so
+    # quotient and ArtinAlgebra._diagram build from _rows unchecked, so
     # only GradedIdeal writes them: its constructor, which reads them off
     # the generators, and _from_rows, for callers that built the generators
     # from those rows
@@ -467,7 +467,7 @@ def test_readme_tour_runs_as_written():
     # value of each expression whose comment is a repr has that repr
     source = _tour()
     claims = _tour_claims(source)
-    assert len(claims) == 6, claims
+    assert len(claims) == 8, claims
     namespace = {}
     for stmt in ast.parse(source).body:
         if isinstance(stmt, ast.Expr):
