@@ -314,16 +314,6 @@ def cmd_classify(args, out):
     return EXIT_OK
 
 
-def _effective_seed(args):
-    env = os.environ.get("JTLAB_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"JTLAB_SEED must be an integer, not {env!r}") from None
-
-
 def _realization_record(P, realization, report):
     return {
         "partition": str(P),
@@ -348,12 +338,12 @@ def _print_report(P, realization, report, fmt, out):
 
 
 def cmd_realize(args, out):
-    seed = _effective_seed(args)
+    seed = None if args.alpha_zero else args.seed
     fmt = args.format
     if args.all is not None:
         T = HilbertFunction(args.all)
         _refuse_over_cap(T, 2**T.branches, "realize")  # one per CIJT
-        results = realize_all(T, seed=None if args.alpha_zero else seed)
+        results = realize_all(T, seed=seed)
         passed = sum(report.all_passed for _, _, report in results)
         if fmt == "json":
             _write_json(
@@ -375,7 +365,7 @@ def cmd_realize(args, out):
             out.write(f"{passed}/{len(results)} realizations passed all checks\n")
         return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
     P = Partition(args.partition)
-    realization = construct_ci(P, seed=None if args.alpha_zero else seed)
+    realization = construct_ci(P, seed=seed)
     report = verify_realization(realization)
     _print_report(P, realization, report, fmt, out)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED

@@ -36,7 +36,7 @@ from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, _ra
 from .hessians import active_hessian_indices, nonvanishing_set, predicted_rank_profile
 from .linalg import primitive
 from .partitions import HilbertFunction, Partition, format_caret_list, hilbert_function
-from .polynomials import BivariatePoly
+from .polynomials import BivariatePoly, _monomial_text
 
 __all__ = [
     "Realization",
@@ -80,7 +80,7 @@ class Realization(_Value):
         object.__setattr__(self, "lambdas", lambdas)  # Lambda_2, the free parameters
 
     def __str__(self):
-        return ", ".join(g.text() for g in self.ideal.generators)
+        return str(self.ideal)
 
 
 def _next_lambda(lam, lam_prev, n_prev, n):
@@ -242,7 +242,9 @@ def verify_realization(realization):
     Failures are recorded in the report, never raised.
 
     Checks (a)-(e) each go through one rule: a wanted and an observed
-    value pass when they are equal, and one show function prints both.
+    value pass when they are equal, and one show function prints both;
+    (d)'s writes each monomial with polynomials._monomial_text, the writer
+    behind BivariatePoly.text.
     Two generators of the wanted degrees make a complete intersection, so
     (a) compares the degrees alone.  Check (f) is the one with its own
     text: the count of predicted ranks, and every mismatch.  A quotient
@@ -290,7 +292,7 @@ def verify_realization(realization):
             "initial_ideal",
             cell_generators(P),
             initial_ideal(A, _ELL_X).generators,
-            _fmt_monomials,
+            lambda gens: ", ".join(_monomial_text(a, b) for a, b in gens),
         ),
     ]
     if A.hilbert != T.values:
@@ -322,15 +324,6 @@ def verify_realization(realization):
         )
     )
     return RealizationReport(tuple(checks))
-
-
-def _fmt_monomials(gens):
-    """x^a*y^b for each exponent pair (a, b), as BivariatePoly.text prints
-    the monomial."""
-    return ", ".join(
-        "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("x", a), ("y", b)) if e) or "1"
-        for a, b in gens
-    )
 
 
 def realize_all(T, seed=0):

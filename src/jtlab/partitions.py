@@ -4,7 +4,8 @@ functions.
 A partition stores its weakly decreasing parts as a tuple and is read in
 power form ((p_1, n_1), ..., (p_t, n_t)) with p_1 > p_2 > ... > p_t: every
 structural formula in this package indexes by distinct part sizes and
-their multiplicities, and the caret text "p_1^n_1,..." is written off it.
+their multiplicities.  _runs reads that form, and format_caret_list, the
+one writer of caret text "p_1^n_1,...", writes it.
 
 Diagonal lengths of a partition are the lengths of the slope-one diagonals
 of its Ferrers diagram; they always form an admissible Hilbert function of a
@@ -79,7 +80,8 @@ class Partition(_Value):
     ``Partition([6, 2, 2, 1, 1])`` build the same value.  The entries of a
     sequence are read by errors._integers, so 2.5, "2" or True is refused,
     not rounded, parsed or taken for 1: anything but a partition, its text
-    or a sequence of integers raises ParseError.  Its one field is parts; ==,
+    or a sequence of integers raises ParseError.  str gives the caret text
+    of the parts, written by format_caret_list.  Its one field is parts; ==,
     hash and pickling come from errors._Value.  Besides its parts it may
     hold, as the memos _hilbert and _label, its validated HilbertFunction
     and, when it was glued from a branch label, that label; neither takes
@@ -118,16 +120,8 @@ class Partition(_Value):
     @property
     def power_form(self):
         """((p_1, n_1), ..., (p_t, n_t)) with p_1 > ... > p_t: the runs of
-        equal parts, read in one pass since the parts are sorted."""
-        form = []
-        run, count = self.parts[0], 0
-        for p in self.parts:
-            if p != run:
-                form.append((run, count))
-                run, count = p, 0
-            count += 1
-        form.append((run, count))
-        return tuple(form)
+        equal parts, read by _runs, the reader behind the caret text too."""
+        return _runs(self.parts)
 
     @property
     def size(self):
@@ -149,7 +143,7 @@ class Partition(_Value):
         return f"Partition({str(self)!r})"
 
     def __str__(self):
-        return ",".join(f"{p}^{n}" if n > 1 else str(p) for p, n in self.power_form)
+        return format_caret_list(self.parts)
 
     def cells(self):
         """Cells (row r, column m), both 0-based, of the Ferrers diagram.
@@ -193,13 +187,27 @@ def _parse_caret_list(text):
     return [value for value, mult in runs for _ in range(mult)]
 
 
+def _runs(values):
+    """The runs of equal neighbours of a sequence, in order, as pairs
+    (value, count), read in one pass; () for an empty sequence."""
+    runs = []
+    if values:
+        run, count = values[0], 0
+        for v in values:
+            if v != run:
+                runs.append((run, count))
+                run, count = v, 0
+            count += 1
+        runs.append((run, count))
+    return tuple(runs)
+
+
 def format_caret_list(values):
-    """Inverse of the caret-list parser; groups repeats as v^n."""
-    pieces = []
-    for v, group in itertools.groupby(values):
-        n = len(list(group))
-        pieces.append(f"{v}^{n}" if n > 1 else str(v))
-    return ",".join(pieces)
+    """The caret text of a sequence, the inverse of the caret-list parser:
+    each run of _runs written v^n, or v alone when n = 1, joined by commas.
+    The one writer of that text: a Partition prints its parts and a
+    HilbertFunction its values through it."""
+    return ",".join(f"{v}^{n}" if n > 1 else str(v) for v, n in _runs(values))
 
 
 def diagonal_lengths(P):
@@ -403,8 +411,9 @@ class JordanDegreeType(_Value):
     Hilbert function.  Built from a mapping {(i, s): m} or items
     ((i, s), m), as errors._pairs reads them, each of i, s and m read by
     errors._integers (ParseError for anything else: an item that is no
-    such pair, a bool, a float, a str or None); strings of multiplicity 0
-    are dropped.
+    such pair, a bool, a float, a str or None).  The multiplicities of
+    items with one key (i, s) are summed, and a string whose sum is 0 is
+    dropped, so every spelling of one multiset gives one value.
     """
 
     __slots__ = ("strings",)  # sorted tuple of ((i, s), multiplicity)
@@ -412,8 +421,11 @@ class JordanDegreeType(_Value):
     def __init__(self, strings):
         items = _pairs(strings, "strings are a mapping or items ((i, s), m)")
         what = "a string's start, length and multiplicity are integers"
-        read = (_integers((i, s, m), what) for (i, s), m in items)
-        normal = tuple(sorted(((i, s), m) for i, s, m in read if m))
+        counts = {}
+        for (i, s), m in items:
+            i, s, m = _integers((i, s, m), what)
+            counts[i, s] = counts.get((i, s), 0) + m
+        normal = tuple(sorted(item for item in counts.items() if item[1]))
         object.__setattr__(self, "strings", normal)
 
     def coverage(self):

@@ -220,20 +220,23 @@ class BivariatePoly(_Value):
         return sorted(self.terms.items(), key=lambda t: (-t[0][1], -t[0][0]))
 
     def text(self, variables=("x", "y")):
+        """The polynomial as text in the given variable names, terms in
+        sorted_terms order joined by + and -: each term its coefficient's
+        magnitude, left out when 1, times the monomial as _monomial_text
+        writes it.  A constant term is its coefficient alone (3/2, not
+        3/2*1), and the zero polynomial is 0.  parse_poly reads the text
+        back to an equal polynomial."""
         if self.is_zero():
             return "0"
-        vx, vy = variables
         pieces = []
         for (a, b), c in self.sorted_terms():
-            factors = []
-            if a:
-                factors.append(vx if a == 1 else f"{vx}^{a}")
-            if b:
-                factors.append(vy if b == 1 else f"{vy}^{b}")
             mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            term = "*".join(factors)
+            if a or b:
+                term = _monomial_text(a, b, variables)
+                if mag != 1:
+                    term = f"{mag}*{term}"
+            else:
+                term = str(mag)
             if not pieces:
                 pieces.append(term if c > 0 else f"-{term}")
             else:
@@ -244,7 +247,24 @@ class BivariatePoly(_Value):
         return self.text()
 
     def __repr__(self):
-        return f"BivariatePoly({self.text()!r})"
+        # BivariatePoly reads terms, not text, so the call that rebuilds an
+        # equal value is parse_poly's
+        return f"parse_poly({self.text()!r})"
+
+
+def _monomial_text(a, b, variables=("x", "y")):
+    """The text of the monomial x^a y^b in the given variable names: its
+    factors joined by *, an exponent 1 left out, and 1 when a = b = 0.
+    The one writer of a monomial: BivariatePoly.text writes each term's
+    monomial through it, and so does the initial-ideal check of
+    constructor.verify_realization."""
+    vx, vy = variables
+    factors = []
+    if a:
+        factors.append(vx if a == 1 else f"{vx}^{a}")
+    if b:
+        factors.append(vy if b == 1 else f"{vy}^{b}")
+    return "*".join(factors) or "1"
 
 
 def falling_factorial(u, i):

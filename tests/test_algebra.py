@@ -180,6 +180,21 @@ def test_poly_text_round_trip(terms):
     assert parse_poly(f.text()) == f
 
 
+def test_poly_repr_is_a_call_that_rebuilds_it():
+    # BivariatePoly reads terms, not text, so repr is parse_poly's call
+    for f in (
+        BivariatePoly(),
+        BivariatePoly({(0, 0): 7}),
+        parse_poly("-x^2 + 3*x*y"),
+        parse_poly("3/2*x*y^3 - 1/5*y"),
+    ):
+        assert eval(repr(f)) == f, repr(f)
+        assert repr(f) == f"parse_poly({f.text()!r})"
+    assert repr(parse_poly("x^2")) == "parse_poly('x^2')"
+    with pytest.raises(ParseError):
+        BivariatePoly("x^2")
+
+
 def test_contract_examples():
     F = parse_poly("X^2*Y^3")
     assert contract(parse_poly("x"), F) == parse_poly("2*X*Y^3")

@@ -2,7 +2,6 @@ import collections
 import hashlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -22,17 +21,9 @@ from tests_support import cli_fuzz_argv, random_dual_form
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*argv, env_seed=None):
+def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
-    old = os.environ.pop("JTLAB_SEED", None)
-    try:
-        if env_seed is not None:
-            os.environ["JTLAB_SEED"] = str(env_seed)
-        code = main(list(argv), out=out, err=err)
-    finally:
-        os.environ.pop("JTLAB_SEED", None)
-        if old is not None:
-            os.environ["JTLAB_SEED"] = old
+    code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -51,13 +42,12 @@ def normalized(text):
 # -- a grammar-following fuzz ------------------------------------------------------
 
 
-def test_fuzzed_argv_exit_with_a_known_code(monkeypatch):
+def test_fuzzed_argv_exit_with_a_known_code():
     # 500 seeded argv whose tokens follow each subcommand's grammar, so most
     # get past argparse: each answers (0), fails a check (1), gets a domain
     # error's exit code, or stops at argparse (SystemExit 2); no exception
     # escapes.  The codes are counted, so the fuzz cannot pass by stopping
     # every argv at one gate
-    monkeypatch.delenv("JTLAB_SEED", raising=False)
     rng = random.Random(0xF022)
     codes = collections.Counter()
     for _ in range(500):
@@ -193,10 +183,6 @@ def test_positionals_keep_their_order_past_a_leading_minus():
     assert code == 2 and not out and "-2" in err
     assert cli._join_form_values(["classify", "-2,1", "1,1,1"]) == ["classify", "--", "-2,1", "1,1,1"]
     assert cli._join_form_values(["jordan", "-h"]) == ["jordan", "-h"]
-
-
-def test_non_integer_env_seed_exits_2():
-    assert_one_error_line(run_cli("realize", "6,4,2", env_seed="abc"), 2)
 
 
 def test_jordan_directory_as_ideal_exits_2(tmp_path):
@@ -582,12 +568,14 @@ def test_realize_all_passes():
     assert "8/8 realizations passed all checks" in out
 
 
-def test_realize_env_seed_overrides_flag():
-    _, with_flag, _ = run_cli("realize", "6,4,2", "--seed", "3")
-    _, with_env, _ = run_cli("realize", "6,4,2", "--seed", "9", env_seed=3)
-    assert with_env == with_flag
-    _, other, _ = run_cli("realize", "6,4,2", "--seed", "9")
-    assert other != with_flag
+def test_realize_reads_no_seed_from_the_environment(monkeypatch):
+    # --seed is the one seed setting: an exported JTLAB_SEED changes nothing
+    monkeypatch.delenv("JTLAB_SEED", raising=False)
+    without = run_cli("realize", "6,4,2", "--seed", "9")
+    monkeypatch.setenv("JTLAB_SEED", "3")
+    assert run_cli("realize", "6,4,2", "--seed", "9") == without
+    assert without[0] == 0
+    assert run_cli("realize", "6,4,2", "--seed", "3")[1] != without[1]
 
 
 def test_realize_all_alpha_zero_is_each_alpha_zero_realization():

@@ -305,8 +305,8 @@ def _value_cases():
             ),
             ("partition", "hilbert", "ideal", "chain", "lambdas"),
             "Realization(partition=Partition('3,1'), hilbert=HilbertFunction('1,2,1'), "
-            "ideal=GradedIdeal([x*y, y^2 + x^2]), chain=(BivariatePoly('x^3'), "
-            "BivariatePoly('x*y'), BivariatePoly('y^2 + x^2')), lambdas=(Fraction(0, 1),))",
+            "ideal=GradedIdeal([x*y, y^2 + x^2]), chain=(parse_poly('x^3'), "
+            "parse_poly('x*y'), parse_poly('y^2 + x^2')), lambdas=(Fraction(0, 1),))",
         ),
         (
             Check("jordan_type", True, "3,1", "3,1"),

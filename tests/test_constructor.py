@@ -17,7 +17,7 @@ from jtlab.codes import enumerate_cijt
 from jtlab.constructor import Realization, construct_ci, realize_all, verify_realization
 from jtlab.errors import InternalInconsistency, NotCIJT, ParseError
 from jtlab.partitions import HilbertFunction, Partition
-from jtlab.polynomials import BivariatePoly, parse_poly
+from jtlab.polynomials import BivariatePoly, _monomial_text, parse_poly
 from tests_support import assert_same_as_constructed, copies
 
 ELL_X = BivariatePoly.linear(1, 0)
@@ -309,12 +309,21 @@ def test_construct_ci_reads_no_row_back(monkeypatch):
         construct_ci(Partition("3^4"))
 
 
-def test_fmt_monomials_matches_monomial_text():
+def test_check_d_writes_each_monomial_as_its_text():
+    # polynomials._monomial_text is the one monomial writer: the text of a
+    # monomial BivariatePoly is its text, and the initial-ideal check shows
+    # the cell generators through it
     cells = {cell_generators(P) for P in CIJT_UP_TO_8_4}
     cells |= {((0, 0),), ((1, 0), (0, 1), (1, 1), (2, 3))}
     for gens in cells:
-        expected = ", ".join(BivariatePoly.monomial(a, b).text() for a, b in gens)
-        assert constructor._fmt_monomials(gens) == expected
+        for a, b in gens:
+            assert _monomial_text(a, b) == BivariatePoly.monomial(a, b).text()
+    assert _monomial_text(2, 1, ("X", "Y")) == "X^2*Y"
+    assert BivariatePoly.monomial(0, 0, Fraction(3, 2)).text() == "3/2"
+    for P in (Partition("6,2^3"), Partition("3,1")):
+        check = verify_realization(construct_ci(P)).checks[3]
+        want = ", ".join(BivariatePoly.monomial(a, b).text() for a, b in cell_generators(P))
+        assert (check.name, check.expected, check.observed) == ("initial_ideal", want, want)
 
 
 def test_corrupted_recurrence_breaks_the_chain_relation(monkeypatch):

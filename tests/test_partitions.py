@@ -410,6 +410,66 @@ def test_every_cijt_partition_is_symmetric():
             assert is_symmetric_jdt(P, T), P
 
 
+def _row_jdt(P):
+    """The row JDT of P: row b of its Ferrers diagram as one string, which
+    starts in degree b and has length p_b."""
+    return JordanDegreeType({(b, p): 1 for b, p in enumerate(P.parts)})
+
+
+def test_a_partition_is_cijt_exactly_when_its_row_jdt_is_symmetric():
+    # over all 22960 partitions of T(d, k), 1 <= d <= 8 and 1 <= k <= 4:
+    # the rows cover T, and they are symmetric under
+    # (b, p) -> (j + 1 - b - p, p) for each of the 1785 CIJTs and for no
+    # other partition
+    from jtlab.codes import is_cijt
+
+    counts = [0, 0]
+    for d, k in itertools.product(range(1, 9), range(1, 5)):
+        T = HilbertFunction.from_dk(d, k)
+        for P in enumerate_diagonal_partitions(T):
+            rows = _row_jdt(P)
+            assert rows.coverage() == T.values, P
+            cijt = is_cijt(P)
+            assert rows.is_symmetric(T.j) == cijt, (P, T)
+            counts[cijt] += 1
+    assert counts == [22960 - 1785, 1785]
+
+
+def test_every_cijt_up_to_d8_k4_has_a_symmetric_placement():
+    from jtlab.codes import enumerate_cijt
+
+    count = 0
+    for d, k in itertools.product(range(1, 9), range(1, 5)):
+        T = HilbertFunction.from_dk(d, k)
+        for P in enumerate_cijt(T):
+            assert is_symmetric_jdt(P, T), (P, T)
+            count += 1
+    assert count == 1785
+
+
+def test_one_multiset_of_strings_is_one_jordan_degree_type():
+    # the multiplicities of repeated keys are summed and a zero sum dropped,
+    # however the multiset is spelt
+    want = JordanDegreeType({(0, 2): 2, (1, 1): 1})
+    for spelling in (
+        [((0, 2), 1), ((0, 2), 1), ((1, 1), 1)],
+        [((1, 1), 1), ((0, 2), 2)],
+        [((0, 2), 3), ((1, 1), 1), ((0, 2), -1)],
+        [((0, 2), 2), ((1, 1), 1), ((2, 3), 1), ((2, 3), -1)],
+        {(0, 2): 2, (1, 1): 1, (5, 1): 0},
+    ):
+        got = JordanDegreeType(spelling)
+        assert got == want and hash(got) == hash(want), spelling
+        assert got.strings == want.strings == (((0, 2), 2), ((1, 1), 1))
+        assert (str(got), got.coverage(), got.partition()) == (
+            str(want),
+            want.coverage(),
+            want.partition(),
+        )
+    assert JordanDegreeType([((0, 2), 1), ((0, 2), 1)]) == JordanDegreeType({(0, 2): 2})
+    assert JordanDegreeType([((0, 2), 1), ((0, 2), -1)]).strings == ()
+
+
 def test_part_count_at_least_sperner():
     from jtlab.codes import enumerate_diagonal_partitions
 

@@ -357,6 +357,106 @@ def test_no_module_imports_dataclasses():
     assert not found, f"dataclasses imported in the package: {found}"
 
 
+def _environment_reads(tree):
+    """Line numbers of every read of the process environment in a parsed
+    module: an attribute environ or getenv of any name (os.environ[...],
+    os.environ.get, os.getenv, o.environ after import os as o), and from
+    os import environ or getenv."""
+    names = ("environ", "environb", "getenv", "getenvb")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in names for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_environment_guard_sees_every_spelling():
+    tree = ast.parse(
+        "import os\n"
+        "a = os.environ.get('X')\n"
+        "b = os.environ['X']\n"
+        "c = os.getenv('X')\n"
+        "from os import environ\n"
+        "from os import getenv as g\n"
+        "import os as o; d = o.environ\n"
+        "e = os.path.isfile('X')\n"
+    )
+    assert _environment_reads(tree) == [2, 3, 4, 5, 6, 7]
+
+
+def test_no_module_reads_the_environment():
+    # a command's answer depends on its arguments alone: --seed is the one
+    # seed setting, and no exported variable may replace what was typed
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _environment_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"environment read in the package: {found}"
+
+
+# a caret followed by a value: the end of a literal piece that a value
+# follows (f"{v}^{e}", "^" + str(e)), or a placeholder ("%s^%d", "{}^{}")
+_POWER = re.compile(r"\^(?:$|%|\{)")
+
+
+def _power_writers(tree):
+    """(enclosing function, line) of every string that writes a power
+    v^e of a value in a parsed module: a literal, or a literal piece of an
+    f-string, matching _POWER.  Docstrings and a caret before text, such
+    as d^k in a message, are not counted."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if (
+                isinstance(child, ast.Constant)
+                and isinstance(child.value, str)
+                and not isinstance(node, ast.Expr)  # a docstring
+                and _POWER.search(child.value)
+            ):
+                found.append((where, child.lineno))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_power_guard_sees_every_spelling():
+    tree = ast.parse(
+        "def f(v, e):\n"
+        '    """x^a y^b, and a^"""\n'
+        '    a = f"{v}^{e}"\n'
+        '    b = str(v) + "^" + str(e)\n'
+        '    c = "%s^%d" % (v, e)\n'
+        '    d = "{}^{}".format(v, e)\n'
+        '    m = f"{v} is not of the form d^k"\n'
+        '    n = "(a+k)^(a+1)"\n'
+        'g = f"{1}^{2}"\n'
+    )
+    assert _power_writers(tree) == [("f", 3), ("f", 4), ("f", 5), ("f", 6), (None, 9)]
+
+
+def test_one_writer_each_of_caret_and_monomial_text():
+    # a caret list is written by partitions.format_caret_list alone, and a
+    # monomial by polynomials._monomial_text alone, which BivariatePoly.text
+    # and verify_realization's initial-ideal check both call
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, _ in _power_writers(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [
+        "partitions.py:format_caret_list",
+        "polynomials.py:_monomial_text",
+        "polynomials.py:_monomial_text",
+    ], found
+
+
 def _unused_imports(tree):
     """(line, name) for every name that an import in a parsed module binds
     and the module never loads: import a.b binds a, and from m import x as
@@ -487,10 +587,9 @@ def _command_lines():
     return [shlex.split(line, comments=True) for line in block.splitlines()]
 
 
-def test_readme_command_lines_run_as_written(monkeypatch):
+def test_readme_command_lines_run_as_written():
     # every line of the block is a jtlab command that exits 0, writes data
     # to stdout and no diagnostic to stderr
-    monkeypatch.delenv("JTLAB_SEED", raising=False)
     lines = _command_lines()
     assert len(lines) == 8 and all(argv[0] == "jtlab" for argv in lines), lines
     for argv in lines:
