@@ -142,7 +142,9 @@ class GradedIdeal(_Value):
         return ", ".join(g.text() for g in self.generators)
 
     def __repr__(self):
-        return f"GradedIdeal([{self}])"
+        # a call that rebuilds an equal ideal, each generator written as
+        # BivariatePoly's repr writes it
+        return f"GradedIdeal({list(self.generators)!r})"
 
 
 class ArtinAlgebra:
@@ -551,11 +553,10 @@ def initial_ideal(A, ell):
     monomials of the moved ideal in the order y^i > ... > x^i and the
     partition of their Ferrers diagram are ArtinAlgebra._diagram's, kept
     under ell and shared with every other question about it; when ell is a
-    multiple of x they are the algebra's own.  ell is checked by
-    require_linear first, so a bad form is refused before any diagram is
-    read.
+    multiple of x they are the algebra's own.  ell is checked there, as
+    for every question about a form: by require_linear before a diagram is
+    built for it, and never again once one is kept under it.
     """
-    ell = require_linear(ell)
     std, Q = A._diagram(ell)
     fill = tuple(tuple((t, i - t) for t in std[i]) for i in range(A.socle_degree + 1))
     return MonomialCell(partition=Q, fill=fill, generators=cell_generators(Q))

@@ -12,6 +12,13 @@ class's MRO in that table and writes one `error:` line.
 bug, not bad input, so it propagates with its traceback.  `jordan --dual F`
 raises it when a Hessian rank of F, read off F alone, differs from the
 multiplication rank that it reports.
+
+The module writes rows and reports; the rules behind their columns live
+where they belong.  classification_row is the one row function of every
+table and of classify: codes._hook_code_columns writes both hook-code
+columns, and hessians._hessian_columns reads both Hessian columns off a
+rank source, the predicted rank profile for a row and rank_mult_power on
+the algebra for `jordan`.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import csv
 import json
 import os
 import sys
+from functools import partial
 
 from .algebra import (
     GradedIdeal,
@@ -32,9 +40,7 @@ from .algebra import (
     require_linear,
 )
 from .codes import (
-    _label_hooks,
-    _subscripted_text,
-    _traditional_text,
+    _hook_code_columns,
     diagonal_partition_count,
     enumerate_cijt,
     enumerate_diagonal_partitions,
@@ -55,6 +61,7 @@ from .errors import (
     ZeroInput,
 )
 from .hessians import (
+    _hessian_columns,
     active_hessian_indices,
     hessian_rank_at,
     predicted_rank_profile,
@@ -99,46 +106,37 @@ MAX_TABLE_ROWS = 40_000
 
 
 def classification_row(P, T):
-    """All tabulated facts about one partition of diagonal lengths T.
+    """All tabulated facts about one partition of diagonal lengths T, the
+    one row function of every table and of classify.
 
-    Both hook-code columns are written straight from one walk of the branch
-    label, `codes._label_hooks`, and no HookCode is built: the label P was
+    Both hook-code columns are written by codes._hook_code_columns from
+    one walk of the branch label, and no HookCode is built: the label P was
     glued from when the enumeration built P, else the label read off the
     diagram and validated (NotCIShape when P's diagonal lengths are not
-    CI-shaped).  The traditional column starts at d + max(0, k-2), as
-    HookCode.traditional_str(support_only=True) does.  T itself serves the
-    symmetric and Hessian columns, so a T that is not P's raises
-    DiagonalMismatch.  A CIJT row asks for the predicted rank profile once,
-    and reads the nonvanishing set off it: the active orders i whose rank
-    at (i, j - i) is full, i + 1, as predicted_nonvanishing_set states them.
+    CI-shaped).  T itself serves the symmetric and Hessian columns, so a T
+    that is not P's raises DiagonalMismatch.  A CIJT row reads both
+    Hessian columns off its predicted rank profile with
+    hessians._hessian_columns: the ranks at the active orders and the
+    orders where the rank is full, as predicted_nonvanishing_set states
+    them.
     """
-    return _row_and_profile(P, T)[0]
-
-
-def _row_and_profile(P, T):
-    """classification_row(P, T), and the predicted rank profile its Hessian
-    columns were read off (None when P is not CIJT), which classify
-    reports without building it again."""
     label = partition_to_branch_label(P)
-    T_P = hilbert_function(P)
-    subs, traditional = _label_hooks(label, T_P)
+    hook_code, subscripted = _hook_code_columns(label, hilbert_function(P))
     cijt = is_cijt(P)
     row = {
         "partition": str(P),
-        "hook_code": _traditional_text(traditional, T_P.d + max(0, T_P.k - 2)),
+        "hook_code": hook_code,
         "branch_label": str(label),
-        "subscripted_hook_code": _subscripted_text(label.entries, subs),
+        "subscripted_hook_code": subscripted,
         "symmetric": is_symmetric_jdt(P, T),
         "cijt": cijt,
         "hessian_ranks": None,
         "nonvanishing": None,
     }
-    profile = None
     if cijt:
         profile = predicted_rank_profile(P)
-        row["hessian_ranks"] = ranks = [profile[(i, T.j - i)] for i in active_hessian_indices(T)]
-        row["nonvanishing"] = [i for i, r in enumerate(ranks) if r == i + 1]
-    return row, profile
+        row["hessian_ranks"], row["nonvanishing"] = _hessian_columns(T, lambda u, s: profile[u, s])
+    return row
 
 
 def _rank_cells(row, T):
@@ -291,13 +289,12 @@ def cmd_classify(args, out):
         counts = sorted(hook_counts_by_degree(P).items())
         report.update(ci_shape=False, cijt=False, hook_counts={str(deg): c for deg, c in counts})
     else:
-        row, profile = _row_and_profile(P, T)
+        row = classification_row(P, T)
         report["ci_shape"] = True
         report.update((key, row[key]) for key in _CLASSIFY_KEYS)
-        if profile is not None:
-            report["rank_profile"] = {
-                f"{u}->{s}": rank for (u, s), rank in sorted(profile.items())
-            }
+        if row["cijt"]:
+            profile = sorted(predicted_rank_profile(P).items())
+            report["rank_profile"] = {f"{u}->{s}": rank for (u, s), rank in profile}
     if args.format == "json":
         _write_json(report, out)
     else:
@@ -407,9 +404,7 @@ def cmd_jordan(args, out):
     report["nonvanishing"] = report["hessian_ranks"] = None
     # the algebra's HilbertFunction, None when it is not CI-shaped
     if (T := A._ci_hilbert) is not None:
-        ranks = [rank_mult_power(A, ell, i, T.j - i) for i in active_hessian_indices(T)]
-        # the i-th Hessian is nonzero at ell when its rank is full, i + 1
-        report["nonvanishing"] = [i for i, r in enumerate(ranks) if r == i + 1]
+        ranks, report["nonvanishing"] = _hessian_columns(T, partial(rank_mult_power, A, ell))
         report["hessian_ranks"] = ranks
         if args.dual is not None:
             _cross_check_hessian_ranks(F, A, ell, ranks)

@@ -526,12 +526,11 @@ class HookCode(_Value):
         object.__setattr__(self, "k", k)
 
     def traditional_str(self, support_only=False):
-        """Comma list "1_3,2_4,2_5", written by `_traditional_text`.  With
-        support_only the window starts at d+k-2, the least possible hand
-        degree, as reference tables print it; degrees d..d+k-3 are
-        identically zero (only visible when k >= 3)."""
-        lo = self.d + max(0, self.k - 2) if support_only else self.d
-        return _traditional_text(self.traditional, lo)
+        """Comma list "1_3,2_4,2_5", written by `_traditional_text` over the
+        window [d, j], or with support_only over the support window that
+        `_traditional_text` reads off k, as reference tables and the rows
+        of a classification table (`_hook_code_columns`) print it."""
+        return _traditional_text(self.traditional, self.d, self.k if support_only else None)
 
     def subscripted_str(self):
         """Comma list "E,3_2,2_2,1_1", written by `_subscripted_text`."""
@@ -541,9 +540,13 @@ class HookCode(_Value):
         return tuple(c for _, c in self.traditional)
 
 
-def _traditional_text(traditional, lo):
+def _traditional_text(traditional, d, k=None):
     """The text "c_deg,..." of the ((degree, count), ...) pairs of a hook
-    code's traditional field whose degree is at least lo."""
+    code's traditional field whose degree is at least d, or, given k, in
+    the support window: at least d + max(0, k-2), the least possible hand
+    degree, since degrees d..d+k-3 are identically zero (only visible when
+    k >= 3).  This is the one place the window is written."""
+    lo = d + max(0, k - 2) if k else d
     return ",".join([f"{c}_{deg}" for deg, c in traditional if deg >= lo])
 
 
@@ -591,15 +594,25 @@ def hook_code_from_label(label, T):
     return HookCode(traditional, label, subs, T.d, T.k)
 
 
+def _hook_code_columns(label, T):
+    """Both hook-code columns of a classification row, as (traditional,
+    subscripted) text, written from one walk of a label that
+    `_validate_label` accepts for T, `_label_hooks`, with no HookCode
+    built: the text of HookCode.traditional_str(support_only=True) and of
+    HookCode.subscripted_str() for the HookCode that hook_code_from_label
+    would build."""
+    subs, traditional = _label_hooks(label, T)
+    return _traditional_text(traditional, T.d, T.k), _subscripted_text(label.entries, subs)
+
+
 def _label_hooks(label, T):
     """The hook code of a label that `_validate_label` accepts for T, read
     in one walk over its entries, as (subscripts, traditional): the
     subscripts aligned with the entries (None at E), and the
     ((degree, count), ...) pairs over the window [d, j].  These are the
-    fields of its HookCode, which cli.classification_row never builds: it
-    writes both hook-code columns of every row from this walk, with
-    `_traditional_text` and `_subscripted_text`, off the label
-    partition_to_branch_label gives.
+    fields of its HookCode, which hook_code_from_label builds, and which
+    `_hook_code_columns` writes as the two hook-code columns of a
+    classification row without building it.
 
     Vertical runs (maximal runs of steps of exactly +1 left of the first
     E): first entry 0 hooks, later entries 1.  Horizontal runs (right of

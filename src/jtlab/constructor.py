@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .codes import enumerate_cijt, is_cijt
 from .errors import InternalInconsistency, NotArtinian, NotCIJT, NotCIShape, _rationals, _Value
-from .hessians import active_hessian_indices, nonvanishing_set, predicted_rank_profile
+from .hessians import _hessian_columns, nonvanishing_set, predicted_rank_profile
 from .linalg import primitive
 from .partitions import HilbertFunction, Partition, format_caret_list, hilbert_function
 from .polynomials import BivariatePoly, _monomial_text
@@ -252,8 +252,9 @@ def verify_realization(realization):
     function other than T skips (e) and (f).
 
     The predicted set of (e) is predicted_nonvanishing_set(P) read off the
-    rank profile of (f): the active orders i whose predicted rank at
-    (i, j - i) is full, i + 1, so the prediction is asked once.
+    rank profile of (f) by hessians._hessian_columns, the rule that
+    nonvanishing_set applies to the quotient's ranks, so the prediction is
+    asked once and both sides of (e) are read by one rule.
 
     Checks (c) and (d) read one diagram, the Ferrers diagram of the
     quotient's standard monomials (x needs no move), as do the ranks of (e)
@@ -301,11 +302,10 @@ def verify_realization(realization):
         return RealizationReport(tuple(checks))
 
     profile = predicted_rank_profile(P)
-    TP = hilbert_function(P)
     checks.append(
         check(
             "hessian_vanishing",
-            {i for i in active_hessian_indices(TP) if profile[(i, TP.j - i)] == i + 1},
+            frozenset(_hessian_columns(hilbert_function(P), lambda u, s: profile[u, s])[1]),
             nonvanishing_set(A, _ELL_X),
             lambda S: f"nonvanishing {sorted(S)}",
         )

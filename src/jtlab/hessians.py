@@ -38,6 +38,8 @@ two-basis indexing.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .algebra import rank_mult_power
 from .codes import cijt_from_composition, is_cijt
 from .errors import (
@@ -123,19 +125,30 @@ def active_hessian_indices(T):
     return tuple(range(HilbertFunction(T).branches))
 
 
+def _hessian_columns(T, rank):
+    """(ranks, nonvanishing) of a linear form ell on an algebra of CI-shaped
+    Hilbert function T, read off a rank source: rank(u, s) is the rank of
+    multiplication by ell^(s-u) from A_u to A_s, as rank_mult_power on the
+    algebra gives it or predicted_rank_profile predicts it.  ranks lists
+    rank(i, j - i) at the active orders i, and nonvanishing the orders
+    where it is full, i + 1: those whose Hessian is nonzero at ell.  This
+    is the one place that rule is written; nonvanishing_set, the Hessian
+    columns of a classification row and of `jtlab jordan`, and check (e)
+    of constructor.verify_realization all read it here."""
+    ranks = [rank(i, T.j - i) for i in active_hessian_indices(T)]
+    return ranks, [i for i, r in enumerate(ranks) if r == i + 1]
+
+
 def nonvanishing_set(A, ell):
     """Active orders i with full-rank multiplication A_i -> A_(j-i) by
-    ell^(j-2i): the convention-free meaning of h^i_ell != 0.  T is the
-    algebra's own HilbertFunction, validated once per algebra; when A's
-    is not CI-shaped, HilbertFunction(A.hilbert) raises NotCIShape."""
+    ell^(j-2i): the convention-free meaning of h^i_ell != 0, read by
+    _hessian_columns off rank_mult_power on A.  T is the algebra's own
+    HilbertFunction, validated once per algebra; when A's is not
+    CI-shaped, HilbertFunction(A.hilbert) raises NotCIShape."""
     T = A._ci_hilbert
     if T is None:
         T = HilbertFunction(A.hilbert)
-    return frozenset(
-        i
-        for i in active_hessian_indices(T)
-        if rank_mult_power(A, ell, i, T.j - i) == i + 1
-    )
+    return frozenset(_hessian_columns(T, partial(rank_mult_power, A, ell))[1])
 
 
 def predicted_nonvanishing_set(P):

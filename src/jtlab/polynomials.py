@@ -33,8 +33,10 @@ min(L, N + 1 - L) (Massey, IEEE Trans. Inform. Theory 1969; Heinig-Rost
 linear form: d_sequence, hessians.hessian_rank_at and
 algebra.ArtinAlgebra._diagram all scale theirs to coprime integers
 through it, and it reads any point that is not two ints with
-errors._rationals.  A BivariatePoly reads its coefficients by the same
-rule, and its exponents with errors._integers.
+errors._rationals.  A BivariatePoly reads its coefficients, and a scalar
+factor of a product, by the same rule, errors._rational, and its
+exponents, and the exponent of a power, with errors._integers and
+errors._integer.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _integers, _pairs, _rational, _rationals, _Value
+from .errors import BudgetExceeded, ParseError, ZeroForm, ZeroInput, _integer, _integers, _pairs, _rational, _rationals, _Value
 from .linalg import primitive
 
 __all__ = [
@@ -163,6 +165,9 @@ class BivariatePoly(_Value):
         return BivariatePoly({key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The product with a polynomial, or with a scalar, which is read by
+        errors._rational: an int as it is, ParseError for a bool, None,
+        NaN or anything else Fraction cannot read exactly."""
         if isinstance(other, BivariatePoly):
             out = {}
             for (a1, b1), c1 in self.terms.items():
@@ -171,14 +176,17 @@ class BivariatePoly(_Value):
                     out[key] = out.get(key, 0) + c1 * c2
             return BivariatePoly(out)
         if type(other) is not int:
-            other = Fraction(other)
+            other = _rational(other, "a polynomial is multiplied by a polynomial or a rational")
         return BivariatePoly({key: c * other for key, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n for an integer n >= 0, read by errors._integer: ParseError
+        for a bool, a float, a str, None or a negative n."""
+        n = _integer(n, "an exponent is a non-negative integer")
         if n < 0:
-            raise ValueError("negative power")
+            raise ParseError(f"an exponent is a non-negative integer, not {n}")
         result = BivariatePoly.monomial(0, 0)
         base = self
         while n:

@@ -96,6 +96,7 @@ def test_poly_parse_and_print():
         ("x^-2", "bad term 'x^-2' in 'x^-2'"),
         ("+", "empty term in '+'"),
         ("-", "empty term in '-'"),
+        ("   ", "empty polynomial"),
     ],
 )
 def test_parse_poly_signs(text, want):
@@ -193,6 +194,19 @@ def test_poly_repr_is_a_call_that_rebuilds_it():
     assert repr(parse_poly("x^2")) == "parse_poly('x^2')"
     with pytest.raises(ParseError):
         BivariatePoly("x^2")
+
+
+def test_ideal_repr_is_a_call_that_rebuilds_it():
+    # each generator is written as BivariatePoly's repr writes it
+    I = ideal("x*y", "x^2 + y^2")
+    assert repr(I) == "GradedIdeal([parse_poly('x*y'), parse_poly('y^2 + x^2')])"
+    for J in (I, ideal("3/2*x^2", "-y^3"), annihilator(parse_poly("X^5 + 3*X^2*Y^3 - Y^5"))):
+        assert eval(repr(J)) == J, repr(J)
+
+
+def test_the_zero_polynomial_has_no_homogeneous_degree():
+    with pytest.raises(ZeroInput, match="no homogeneous degree"):
+        BivariatePoly().homogeneous_degree()
 
 
 def test_contract_examples():
@@ -312,6 +326,16 @@ def test_ideal_refuses_unit_generator(gens):
         ideal(*gens)
 
 
+@pytest.mark.parametrize(
+    "gens, error, words",
+    [([5], ParseError, "not a polynomial"), ([BivariatePoly()], ZeroInput, "zero generator")],
+    ids=["5", "zero"],
+)
+def test_ideal_refuses_a_generator_that_is_no_nonzero_polynomial(gens, error, words):
+    with pytest.raises(error, match=words):
+        GradedIdeal(gens)
+
+
 def test_annihilator_is_gorenstein_symmetric():
     rng = random.Random(4711)
     for _ in range(30):
@@ -404,6 +428,16 @@ def test_rank_mult_power_monotone_and_bounded():
                 if prev is not None:
                     assert r <= prev
                 prev = r
+
+
+def test_an_algebra_answers_nothing_outside_its_degrees():
+    # A = k[x,y]/(x^2, y^3) lives in degrees 0..3: past them, and for the
+    # zero form, which has no degree, there is nothing to answer
+    A = quotient(ideal("x^2", "y^3"))
+    for i in (-1, A.socle_degree + 1, 99):
+        assert A.dim(i) == 0 and A.basis(i) == [], i
+    assert A.normal_form_vector(BivariatePoly()) == []
+    assert A.normal_form_vector(parse_poly("x^4 + y^4")) == []
 
 
 def test_rank_mult_power_range_check():
@@ -1215,7 +1249,7 @@ def test_a_second_question_about_a_form_runs_no_build(monkeypatch):
     # the diagram kept under a form answers every later question about it,
     # and an equal form built again finds it: one moved pass per form, and
     # the form is checked and its direction read only on the first
-    # question; initial_ideal still checks its form up front
+    # question, initial_ideal's too, which reads the diagram kept for it
     I = ideal("x^2*y", "y^4+x^4")
     A = quotient(I)
     counts = dict.fromkeys(("_build", "require_linear", "_direction"), 0)
@@ -1242,7 +1276,7 @@ def test_a_second_question_about_a_form_runs_no_build(monkeypatch):
         assert twin is not ell and jordan_type(A, twin) is P
         assert counts == first, (ell, counts)
         assert initial_ideal(A, ell).partition is P
-        assert counts == {**first, "require_linear": 2}, (ell, counts)
+        assert counts == first, (ell, counts)
         counts.update(dict.fromkeys(counts, 0))
 
 

@@ -80,6 +80,7 @@ BAD_INPUT = [
     (("realize", "--all", str(HilbertFunction.from_dk(16, 2))), 2, "cap"),
     (("jordan", "x^2", "--ell", "x"), 5, "dim A_"),
     (("jordan", "--ell", "x"), 2, "exactly one"),
+    (("jordan", ",,", "--ell", "x"), 2, "no generators"),
     (("jordan", "--dual", "0", "--ell", "x"), 2, "nonzero"),
     # F is named as given, in X and Y
     (("jordan", "--dual", "X^2*Y^3+X*Y", "--ell", "x"), 2, "X^2*Y^3 + X*Y is not homogeneous"),
@@ -525,22 +526,6 @@ def test_classify_matches_golden(case):
     code, out, err = run_cli(*case["argv"])
     assert (code, err) == (0, "")
     assert out == case["stdout"]
-
-
-@pytest.mark.parametrize("fmt", ["plain", "json"])
-def test_classify_builds_the_rank_profile_once(monkeypatch, fmt):
-    # the row's Hessian columns and the rank_profile field share one profile
-    built = []
-    real = cli.predicted_rank_profile
-
-    def counted(P):
-        built.append(P)
-        return real(P)
-
-    monkeypatch.setattr(cli, "predicted_rank_profile", counted)
-    code, out, _ = run_cli("classify", "6,4,2", "--format", fmt)
-    assert code == 0 and "rank_profile" in out
-    assert built == [Partition("6,4,2")]
 
 
 def test_classify_parse_error_and_mismatch():

@@ -94,6 +94,11 @@ def test_a_non_integer_label_entry_is_refused():
         hook_code_from_label([True, E], "1,1")
 
 
+def test_an_empty_label_is_refused():
+    with pytest.raises(ParseError, match="empty branch label"):
+        BranchLabel([])
+
+
 @pytest.mark.parametrize(
     "parts, hilbert, label",
     [
@@ -305,7 +310,7 @@ def _value_cases():
             ),
             ("partition", "hilbert", "ideal", "chain", "lambdas"),
             "Realization(partition=Partition('3,1'), hilbert=HilbertFunction('1,2,1'), "
-            "ideal=GradedIdeal([x*y, y^2 + x^2]), chain=(parse_poly('x^3'), "
+            "ideal=GradedIdeal([parse_poly('x*y'), parse_poly('y^2 + x^2')]), chain=(parse_poly('x^3'), "
             "parse_poly('x*y'), parse_poly('y^2 + x^2')), lambdas=(Fraction(0, 1),))",
         ),
         (

@@ -113,6 +113,9 @@ ENTRY_POINTS = [
     ("JordanDegreeType multiplicity", "integer", lambda v: JordanDegreeType([((0, 2), v)])),
     ("JordanDegreeType strings", "pairs", JordanDegreeType),
     ("BivariatePoly terms", "terms", BivariatePoly),
+    ("BivariatePoly * scalar", "rational", lambda v: X * v),
+    ("scalar * BivariatePoly", "rational", lambda v: v * X),
+    ("BivariatePoly ** exponent", "integer", lambda v: X**v),
     ("parse_poly", "text", parse_poly),
 ]
 
@@ -204,6 +207,14 @@ def test_the_table_reaches_every_kind_of_answer():
         lambda: BivariatePoly({5: 1}),  # raised TypeError
         lambda: JordanDegreeType([5]),  # raised TypeError
         lambda: JordanDegreeType(None),  # raised TypeError
+        lambda: X**True,  # was x
+        lambda: X * True,  # was x
+        lambda: X**2.5,  # raised TypeError
+        lambda: X ** "2",  # raised TypeError
+        lambda: X * None,  # raised TypeError
+        lambda: X * "abc",  # raised ValueError
+        lambda: X * math.nan,  # raised ValueError
+        lambda: X**-1,  # raised ValueError
     ],
     ids=[
         "rank_mult_power 2.5",
@@ -226,6 +237,14 @@ def test_the_table_reaches_every_kind_of_answer():
         "terms {5: 1}",
         "JDT [5]",
         "JDT None",
+        "x ** True",
+        "x * True",
+        "x ** 2.5",
+        "x ** '2'",
+        "x * None",
+        "x * 'abc'",
+        "x * nan",
+        "x ** -1",
     ],
 )
 def test_a_value_once_misread_is_refused(call):
@@ -246,6 +265,7 @@ def test_an_index_integer_is_read_through_index():
     assert hessian_rank_at(F, Index(1), (1, 1)) == hessian_rank_at(F, 1, (1, 1))
     assert rank_mult_power(A, X, Index(1), Index(3)) == rank_mult_power(A, X, 1, 3)
     assert BivariatePoly.monomial(Index(2), Index(1)) == parse_poly("x^2*y")
+    assert X ** Index(2) == parse_poly("x^2") and X ** Index(0) == parse_poly("1")
 
 
 def test_a_negative_n_has_no_compositions():

@@ -79,6 +79,8 @@ def test_rejects_bad_input():
         Partition([2, 0])
     with pytest.raises(ParseError):
         Partition("")
+    with pytest.raises(ParseError, match="multiplicity must be positive"):
+        Partition("6^0")
 
 
 NOT_INTEGERS = [None, 5, 2.5, [1, "a"], [1, None], [1, "2", 1], [2.5, 1], [1, 2.5, 1]]

@@ -457,6 +457,157 @@ def test_one_writer_each_of_caret_and_monomial_text():
     ], found
 
 
+def _where(tree, match):
+    """(enclosing function, line) of every node of a parsed module for which
+    match(node) holds: a method is named Class.method, and a node outside
+    every function has None."""
+    found = []
+
+    def visit(node, where, prefix):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_prefix = where, prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = prefix + child.name
+                inner_prefix = inner + "."
+            elif isinstance(child, ast.ClassDef):
+                inner_prefix = prefix + child.name + "."
+            if match(child):
+                found.append((where, child.lineno))
+            visit(child, inner, inner_prefix)
+
+    visit(tree, None, "")
+    return found
+
+
+def _is_thickening(node):
+    """max(0, e - 2) or max(e - 2, 0): the thickening max(0, k - 2) of
+    T(d, k), which puts the least hand degree of a hook at d + max(0, k - 2)."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max" and len(node.args) == 2):
+        return False
+    zero = any(isinstance(a, ast.Constant) and a.value == 0 for a in node.args)
+    less_two = any(
+        isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub) and getattr(a.right, "value", None) == 2
+        for a in node.args
+    )
+    return zero and less_two
+
+
+def _is_full_rank_test(node):
+    """r == i + 1, or i + 1 == r, or with 1 + i: a rank compared with the
+    full rank i + 1 of the i-th Hessian, for an order i that is a name.  A
+    length, len(...), compared so is no rank."""
+
+    def plus_one(e):
+        return (
+            isinstance(e, ast.BinOp)
+            and isinstance(e.op, ast.Add)
+            and {type(e.left), type(e.right)} == {ast.Name, ast.Constant}
+            and 1 in (getattr(e.left, "value", None), getattr(e.right, "value", None))
+        )
+
+    def is_len(e):
+        return isinstance(e, ast.Call) and getattr(e.func, "id", None) == "len"
+
+    if not (isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.Eq]):
+        return False
+    left, right = node.left, node.comparators[0]
+    return plus_one(right) and not is_len(left) or plus_one(left) and not is_len(right)
+
+
+def _calls(name):
+    """A match for _where: a call of name, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def _private_imports(tree):
+    """(line, module.name) for every private name that a parsed module
+    imports from a module of the package: from .m import _x, or from
+    jtlab.m import _x."""
+    return [
+        (node.lineno, f"{(node.module or '').rsplit('.', 1)[-1]}.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("jtlab"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_row_rule_guards_see_every_spelling():
+    tree = ast.parse(
+        "from .codes import _label_hooks, E\n"
+        "from jtlab.hessians import _hessian_columns as cols\n"
+        "from . import codes\n"
+        "from .errors import __doc__\n"
+        "class C:\n"
+        "    def f(self, k, T, r, i, rank):\n"
+        "        a = max(0, k - 2) + max(T.k - 2, 0)\n"
+        "        b = max(0, k - 1), min(0, k - 2), max(1, k - 2)\n"
+        "        c = [n for n, q in enumerate(r) if q == n + 1]\n"
+        "        d = i + 1 == rank(i, 5) or r[i, 5] == 1 + i\n"
+        "        e = r != i + 1, r == (i + 1) * 2, r == i - 1, len(r) == i + 1, i == r[0] + 1\n"
+        "        r[i] = i + 1\n"
+        "        return require_linear(k), algebra.require_linear(k)\n"
+        "def g(ell):\n"
+        "    def h():\n"
+        "        return require_linear(ell)\n"
+        "    return max(0, ell.k - 2)\n"
+    )
+    assert _private_imports(tree) == [(1, "codes._label_hooks"), (2, "hessians._hessian_columns")]
+    assert _where(tree, _is_thickening) == [("C.f", 7), ("C.f", 7), ("g", 17)]
+    assert _where(tree, _is_full_rank_test) == [("C.f", 9), ("C.f", 10), ("C.f", 10)]
+    assert _where(tree, _calls("require_linear")) == [("C.f", 13), ("C.f", 13), ("g.h", 16)]
+
+
+def _found(match):
+    """"module.py:function" for every node of src/jtlab that match finds."""
+    return [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, _ in _where(ast.parse(path.read_text(), filename=str(path)), match)
+    ]
+
+
+def test_codes_alone_writes_the_hook_code_columns():
+    # a classification row gets both hook-code columns from
+    # codes._hook_code_columns, so no other module imports the label walk or
+    # the two text writers behind it, or spells the support window's
+    # thickening max(0, k - 2)
+    writers = {"codes._label_hooks", "codes._traditional_text", "codes._subscripted_text"}
+    imports = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _private_imports(ast.parse(path.read_text(), filename=str(path)))
+        if name in writers
+    ]
+    assert not imports, imports
+    outside = [where for where in _found(_is_thickening) if not where.startswith("codes.py:")]
+    assert not outside, outside
+
+
+def test_one_function_tells_a_full_rank():
+    # the rule "order i is nonvanishing when the rank at (i, j - i) is
+    # i + 1" is hessians._hessian_columns', which every Hessian column and
+    # check (e) of verify_realization read
+    assert _found(_is_full_rank_test) == ["hessians.py:_hessian_columns"]
+    assert _found(_calls("_hessian_columns")) == [
+        "cli.py:classification_row",
+        "cli.py:cmd_jordan",
+        "constructor.py:verify_realization",
+        "hessians.py:nonvanishing_set",
+    ]
+
+
+def test_classification_row_is_the_one_row_function():
+    # classify reads its row from classification_row, as every table does,
+    # and initial_ideal leaves the check of its form to ArtinAlgebra._diagram
+    assert not hasattr(cli, "_row_and_profile")
+    assert _found(_calls("_hook_code_columns")) == ["cli.py:classification_row"]
+    assert _found(_calls("require_linear")) == ["algebra.py:ArtinAlgebra._diagram", "cli.py:cmd_jordan"]
+
+
 def _unused_imports(tree):
     """(line, name) for every name that an import in a parsed module binds
     and the module never loads: import a.b binds a, and from m import x as

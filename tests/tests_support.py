@@ -65,10 +65,6 @@ def dual_fuzz_forms():
     return [random_dual_form(rng, degrees[n % len(degrees)]) for n in range(104)]
 
 
-def seeded_rng(seed):
-    return random.Random(seed)
-
-
 def power_sum_duals(jmin=4, jmax=9):
     """Planted degenerate dual generators: X^j + Y^j, (X+Y)^j + (X-2Y)^j and
     X^j + (X+Y)^j + (X-Y)^j.  Their Hessians vanish at rational points, the
